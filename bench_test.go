@@ -358,8 +358,7 @@ func BenchmarkGSTSweep(b *testing.B) {
 // --- replicated-log throughput ----------------------------------------------
 
 // logThroughputSpec builds a replicated-log workload of `workload`
-// commands (the canonical builder lives in exp so cmd/minsync-bench
-// measures the identical workload).
+// commands (the canonical builder lives in exp).
 func logThroughputSpec(n, batch, pipeline, workload int, seed int64) runner.LogSpec {
 	return exp.LogWorkloadSpec(n, batch, pipeline, workload, seed)
 }

@@ -3,9 +3,7 @@
 // concurrent client sessions, each issuing sessioned put/get commands and
 // retrying across replicas with the same (client, seq), exactly as a real
 // client would. The run reports sustained commands/sec and wall-clock
-// p50/p99/p999 command latency into the same BENCH_<label>.json schema as
-// the simulator suite, so the service-level numbers ride the same -trend
-// tables as the kernel numbers.
+// p50/p99/p999 command latency on stdout and in BENCH_<label>.json.
 //
 //	minsync-bench -load http://h1:8081,http://h2:8082 \
 //	    [-clients 64] [-ops 32] [-req-timeout 10s] [-label load] [-out dir]
@@ -55,6 +53,30 @@ type txError struct {
 		Message      string `json:"message"`
 		RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 	} `json:"error"`
+}
+
+// result is the one entry of the load report: ok-answered commands per
+// second and wall-clock request latency (accepted → answered, as the HTTP
+// client sees it, retries included).
+type result struct {
+	Name           string  `json:"name"`
+	Ops            int     `json:"ops"`
+	WallNS         int64   `json:"wall_ns"`
+	CommandsPerSec float64 `json:"commands_per_sec"`
+	CommitP50NS    float64 `json:"commit_p50_ns"`
+	CommitP99NS    float64 `json:"commit_p99_ns"`
+	CommitP999NS   float64 `json:"commit_p999_ns"`
+}
+
+// report is the whole BENCH_<label>.json document.
+type report struct {
+	Label       string   `json:"label"`
+	GoVersion   string   `json:"go_version"`
+	GOOS        string   `json:"goos"`
+	GOARCH      string   `json:"goarch"`
+	CreatedUnix int64    `json:"created_unix"`
+	Clients     int      `json:"clients"`
+	Results     []result `json:"results"`
 }
 
 // loadTotals aggregates what happened across every client session.
@@ -218,7 +240,7 @@ func runLoadMode(urlsCSV string, clients, ops int, reqTimeout time.Duration, lab
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		CreatedUnix: time.Now().Unix(),
-		Seeds:       clients,
+		Clients:     clients,
 		Results:     []result{r},
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")

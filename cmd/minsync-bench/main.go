@@ -1,593 +1,53 @@
-// minsync-bench is the perf-trajectory harness: it drives a fixed suite of
-// kernel, consensus, scenario-matrix and replicated-log workloads through
-// the simulator, measures wall time, simulation-event throughput and
-// allocation counts (internal/metrics.Span), and writes a machine-readable
-// BENCH_<label>.json so successive commits can be compared (CI uploads the
-// file as an artifact and benchstat-style tooling tracks the trend).
+// minsync-bench holds the two developer utilities that outlived the old
+// perf-trajectory harness (performance claims are made with
+// `bash benchmark/run.sh` against BENCHMARK.json, nowhere else):
 //
-// Usage:
-//
-//	minsync-bench [-label ci] [-out dir] [-seeds 5]
-//	minsync-bench -digests        # dump the scenario digest table instead
-//	minsync-bench -trend [-out dir] [-format md|tsv]
+//	minsync-bench -digests        # dump the scenario digest table
 //	minsync-bench -load http://h1:8081,http://h2:8082 [-clients 64] [-ops 32]
-//
-// The -load mode drives a LIVE cluster's HTTP/JSON edge instead of the
-// simulator (see load.go) and reports sustained commands/sec plus
-// wall-clock latency quantiles into the same BENCH_*.json schema.
 //
 // The -digests mode prints "name<TAB>seed<TAB>sha256" for every curated
 // scenario at seeds 1 and 7 — the source of truth for the golden-digest
 // regression fixtures (internal/scenario/golden_test.go and
 // bench/golden_digests.tsv).
 //
-// The -trend mode reads every BENCH_*.json snapshot in -out (CI artifacts
-// downloaded locally, or accumulated local runs), orders them by creation
-// time, and renders the performance trajectory as one table per metric —
-// the missing "graph the trend" step on top of the per-push artifacts.
+// The -load mode drives a LIVE cluster's HTTP/JSON edge (see load.go): a
+// pass/fail load generator for scripts/load-smoke.sh and the e2e tests,
+// which also reports commands/sec and wall-clock latency quantiles.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
 	"time"
 
-	"repro/internal/adversary"
-	"repro/internal/core"
-	"repro/internal/exp"
-	"repro/internal/harness"
-	"repro/internal/metrics"
-	"repro/internal/network"
-	"repro/internal/obs"
-	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
-	"repro/internal/types"
 )
 
-// result is one suite entry of the BENCH_*.json file.
-type result struct {
-	Name         string  `json:"name"`
-	Ops          int     `json:"ops"`
-	WallNS       int64   `json:"wall_ns"`
-	Events       uint64  `json:"events"`
-	Messages     uint64  `json:"messages"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	BytesPerOp   float64 `json:"bytes_per_op"`
-	// Commit-latency quantiles in virtual nanoseconds (submission → first
-	// local commit, from the obs commit-latency histogram across all seeds
-	// of the workload). Zero/absent for workloads without a commit path.
-	// The -load workload reuses these fields for WALL-CLOCK request
-	// latency (accepted → answered, as the HTTP client sees it).
-	CommitP50NS  float64 `json:"commit_p50_ns,omitempty"`
-	CommitP99NS  float64 `json:"commit_p99_ns,omitempty"`
-	CommitP999NS float64 `json:"commit_p999_ns,omitempty"`
-	// CommandsPerSec is the sustained service-level throughput of the
-	// -load workload (ok-answered commands / wall). Zero/absent for
-	// simulator workloads.
-	CommandsPerSec float64 `json:"commands_per_sec,omitempty"`
-	// Message-volume figures for the replicated-log workloads: network
-	// deliveries and sent messages per committed command, averaged over
-	// every seed. Both are deterministic functions of the code (virtual
-	// clock, fixed seeds), so tools/benchguard -json gates them hard —
-	// they are the trend line the coalescing relay exists to bend.
-	// Zero/absent for workloads without a commit path.
-	DeliveriesPerCmd float64 `json:"deliveries_per_cmd,omitempty"`
-	MsgsPerCommit    float64 `json:"msgs_per_commit,omitempty"`
-	// Stage-latency breakdown (virtual nanoseconds) from the causal
-	// tracer's stage histograms (internal/xtrace → obs.StageMetrics),
-	// keyed by stage name: batch_wait, consensus, apply (admit_wait and
-	// respond exist only on live edges). Absent for workloads without a
-	// command path or for snapshots predating causal tracing.
-	StageP50NS map[string]float64 `json:"stage_p50_ns,omitempty"`
-	StageP99NS map[string]float64 `json:"stage_p99_ns,omitempty"`
-}
-
-// report is the whole BENCH_*.json document.
-type report struct {
-	Label       string   `json:"label"`
-	GoVersion   string   `json:"go_version"`
-	GOOS        string   `json:"goos"`
-	GOARCH      string   `json:"goarch"`
-	CreatedUnix int64    `json:"created_unix"`
-	Seeds       int      `json:"seeds"`
-	Results     []result `json:"results"`
-}
-
 func main() {
-	label := flag.String("label", "local", "label embedded in the output file name")
-	out := flag.String("out", ".", "directory for BENCH_<label>.json")
-	seeds := flag.Int("seeds", 5, "seeds (= ops) per workload")
 	digests := flag.Bool("digests", false, "print the scenario digest table and exit")
-	trend := flag.Bool("trend", false, "render the BENCH_*.json trajectory table and exit")
-	format := flag.String("format", "md", "trend output format: md or tsv")
 	load := flag.String("load", "", "sustained-load mode: comma list of live replica HTTP base URLs")
+	label := flag.String("label", "load", "load mode: label embedded in the report file name")
+	out := flag.String("out", ".", "load mode: directory for BENCH_<label>.json")
 	clients := flag.Int("clients", 64, "load mode: concurrent client sessions")
 	ops := flag.Int("ops", 32, "load mode: commands per client session")
 	reqTimeout := flag.Duration("req-timeout", 10*time.Second, "load mode: per-command commit timeout")
 	flag.Parse()
 
-	if *digests {
-		if err := dumpDigests(); err != nil {
-			fmt.Fprintln(os.Stderr, "minsync-bench:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case *digests:
+		err = dumpDigests()
+	case *load != "":
+		err = runLoadMode(*load, *clients, *ops, *reqTimeout, *label, *out)
+	default:
+		flag.Usage()
+		os.Exit(2)
 	}
-	if *trend {
-		if err := renderTrend(*out, *format, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "minsync-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *load != "" {
-		if *label == "local" {
-			*label = "load" // the conventional artifact name: BENCH_load.json
-		}
-		if err := runLoadMode(*load, *clients, *ops, *reqTimeout, *label, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "minsync-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	rep := report{
-		Label:       *label,
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		CreatedUnix: time.Now().Unix(),
-		Seeds:       *seeds,
-	}
-	for _, w := range suite(*seeds) {
-		fmt.Fprintf(os.Stderr, "running %s...\n", w.name)
-		perf, lat, stats, err := w.run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "minsync-bench: %s: %v\n", w.name, err)
-			os.Exit(1)
-		}
-		r := result{
-			Name:             w.name,
-			Ops:              perf.Ops,
-			WallNS:           perf.Wall.Nanoseconds(),
-			Events:           perf.Events,
-			Messages:         perf.Messages,
-			EventsPerSec:     perf.EventsPerSec(),
-			AllocsPerOp:      perf.AllocsPerOp(),
-			BytesPerOp:       perf.BytesPerOp(),
-			DeliveriesPerCmd: stats.DeliveriesPerCmd,
-			MsgsPerCommit:    stats.MsgsPerCommit,
-			StageP50NS:       stats.StageP50NS,
-			StageP99NS:       stats.StageP99NS,
-		}
-		if lat.Count() > 0 {
-			r.CommitP50NS = lat.Quantile(0.5)
-			r.CommitP99NS = lat.Quantile(0.99)
-			r.CommitP999NS = lat.Quantile(0.999)
-		}
-		rep.Results = append(rep.Results, r)
-	}
-
-	path := filepath.Join(*out, "BENCH_"+*label+".json")
-	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "minsync-bench:", err)
 		os.Exit(1)
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "minsync-bench:", err)
-		os.Exit(1)
-	}
-	fmt.Println(path)
-	for _, r := range rep.Results {
-		fmt.Printf("%-24s %8.2fM events/s  %10.0f allocs/op  %6.1fms wall/op",
-			r.Name, r.EventsPerSec/1e6, r.AllocsPerOp,
-			float64(r.WallNS)/float64(r.Ops)/1e6)
-		if r.CommitP99NS > 0 {
-			fmt.Printf("  commit p50/p99 %.2f/%.2fms", r.CommitP50NS/1e6, r.CommitP99NS/1e6)
-		}
-		fmt.Println()
-	}
-}
-
-// logStats carries the per-command message-volume figures of the
-// replicated-log workloads into BENCH_*.json (zero for workloads
-// without a commit path — the fields are omitempty there).
-type logStats struct {
-	DeliveriesPerCmd float64
-	MsgsPerCommit    float64
-	// Stage-latency quantiles keyed by obs.StageNames entries (nil when
-	// the workload ran untraced).
-	StageP50NS map[string]float64
-	StageP99NS map[string]float64
-}
-
-// stageQuantiles reads the stage-latency histograms the traced workload
-// accumulated in reg, returning nil maps when nothing was observed.
-func stageQuantiles(reg *obs.Registry) (p50, p99 map[string]float64) {
-	for _, stage := range obs.StageNames {
-		h := reg.Histogram(obs.WithLabels(obs.StageLatencyName, `stage="`+stage+`"`), nil)
-		if h.Count() == 0 {
-			continue
-		}
-		if p50 == nil {
-			p50, p99 = map[string]float64{}, map[string]float64{}
-		}
-		p50[stage] = h.Quantile(0.5)
-		p99[stage] = h.Quantile(0.99)
-	}
-	return p50, p99
-}
-
-// workload is one named suite entry. run returns the perf span and, for
-// workloads with a commit path, the commit-latency histogram accumulated
-// across every seed (nil otherwise — a nil *obs.Histogram reads as empty)
-// plus the per-command message-volume stats.
-type workload struct {
-	name string
-	run  func() (metrics.Perf, *obs.Histogram, logStats, error)
-}
-
-// suite builds the fixed workload list. Every workload runs `seeds` times
-// with seeds 1..seeds so the numbers smooth over schedule variation. The
-// -coal row is the same log workload with the RB coalescing relay ON, so
-// the deliveries_per_cmd / msgs_per_commit columns show the coalescing
-// factor directly against the row above it.
-func suite(seeds int) []workload {
-	return []workload{
-		{"scheduler-raw", func() (metrics.Perf, *obs.Histogram, logStats, error) { return schedulerRaw(seeds) }},
-		{"consensus-n7", func() (metrics.Perf, *obs.Histogram, logStats, error) { return consensus(7, seeds) }},
-		{"consensus-n13", func() (metrics.Perf, *obs.Histogram, logStats, error) { return consensus(13, seeds) }},
-		{"matrix-smoke", func() (metrics.Perf, *obs.Histogram, logStats, error) { return matrixSmoke(seeds) }},
-		{"log-n4-b32p4", func() (metrics.Perf, *obs.Histogram, logStats, error) { return logRun(4, 32, 4, seeds, false) }},
-		{"log-n7-b16p4", func() (metrics.Perf, *obs.Histogram, logStats, error) { return logRun(7, 16, 4, seeds, false) }},
-		{"log-n7-b16p4-coal", func() (metrics.Perf, *obs.Histogram, logStats, error) { return logRun(7, 16, 4, seeds, true) }},
-		{"kv-n4-compact", func() (metrics.Perf, *obs.Histogram, logStats, error) { return kvRun(4, seeds) }},
-	}
-}
-
-// schedulerRaw measures the bare kernel: a self-spawning event chain of
-// one million events per op, no network, no protocol.
-func schedulerRaw(ops int) (metrics.Perf, *obs.Histogram, logStats, error) {
-	const chain = 1_000_000
-	span := metrics.StartSpan()
-	var events uint64
-	for op := 0; op < ops; op++ {
-		s := sim.NewScheduler(int64(op + 1))
-		n := 0
-		var spawn func()
-		spawn = func() {
-			n++
-			if n < chain {
-				s.After(types.Duration(n%100), spawn)
-			}
-		}
-		s.After(0, spawn)
-		s.Run(0, 0)
-		events += s.Executed
-	}
-	return span.End(ops, events, 0), nil, logStats{}, nil
-}
-
-// consensus runs the E5-style workload: full synchrony, mixed proposals,
-// equivocating Byzantine processes at the top IDs.
-func consensus(n, ops int) (metrics.Perf, *obs.Histogram, logStats, error) {
-	tf := (n - 1) / 3
-	span := metrics.StartSpan()
-	var events, msgs uint64
-	for op := 0; op < ops; op++ {
-		props := make(map[types.ProcID]types.Value)
-		byz := make(map[types.ProcID]harness.Behavior)
-		for i := 1; i <= n; i++ {
-			id := types.ProcID(i)
-			if i > n-tf {
-				byz[id] = adversary.Equivocator(core.Config{TimeUnit: exp.Unit}, [2]types.Value{"a", "b"})
-				continue
-			}
-			v := types.Value("a")
-			if i%2 == 0 {
-				v = "b"
-			}
-			props[id] = v
-		}
-		res, err := runner.Run(runner.Spec{
-			Params:    types.Params{N: n, T: tf, M: 2},
-			Topology:  network.FullySynchronous(n, exp.Delta),
-			Seed:      int64(op + 1),
-			Proposals: props,
-			Byzantine: byz,
-			Engine:    core.Config{TimeUnit: exp.Unit},
-		})
-		if err != nil {
-			return metrics.Perf{}, nil, logStats{}, err
-		}
-		if !res.AllDecided() {
-			return metrics.Perf{}, nil, logStats{}, fmt.Errorf("seed %d: no decision", op+1)
-		}
-		events += res.Events
-		msgs += res.Messages
-	}
-	return span.End(ops, events, msgs), nil, logStats{}, nil
-}
-
-// matrixNames is the representative scenario slice also used by
-// BenchmarkScenarioMatrix.
-var matrixNames = []string{
-	"baseline-sync", "sync-equivocate", "sync-spam", "bisource-minimal",
-	"partition-heal", "reorder-storm", "log-baseline", "log-deep-pipeline",
-}
-
-// matrixSmoke runs the representative matrix slice; one op = one full
-// sweep of the slice at one seed.
-func matrixSmoke(ops int) (metrics.Perf, *obs.Histogram, logStats, error) {
-	prepared := make([]*scenario.Prepared, 0, len(matrixNames))
-	for _, name := range matrixNames {
-		s, ok := scenario.Get(name)
-		if !ok {
-			return metrics.Perf{}, nil, logStats{}, fmt.Errorf("scenario %q not registered", name)
-		}
-		p, err := scenario.Prepare(s)
-		if err != nil {
-			return metrics.Perf{}, nil, logStats{}, err
-		}
-		prepared = append(prepared, p)
-	}
-	span := metrics.StartSpan()
-	var events, msgs uint64
-	for op := 0; op < ops; op++ {
-		for _, p := range prepared {
-			o, err := p.Run(int64(op + 1))
-			if err != nil {
-				return metrics.Perf{}, nil, logStats{}, err
-			}
-			if !o.Pass {
-				return metrics.Perf{}, nil, logStats{}, fmt.Errorf("%s seed %d failed:\n%s", p.Spec.Name, op+1, o.Report)
-			}
-			events += o.Events
-			msgs += o.Messages
-		}
-	}
-	return span.End(ops, events, msgs), nil, logStats{}, nil
-}
-
-// logRun commits a 200-command replicated-log workload per op (the
-// canonical exp.LogWorkloadSpec workload, identical to the in-repo
-// benchmarks so BENCH_*.json trends stay comparable). With coalesce set
-// the same workload runs over the RB coalescing relay
-// (log.Config.Coalesce, as in exp.CoalescedLogWorkloadSpec).
-func logRun(n, batch, pipeline, ops int, coalesce bool) (metrics.Perf, *obs.Histogram, logStats, error) {
-	const workload = 200
-	// One registry across all seeds: the commit-latency histogram
-	// accumulates every (replica, command) observation of the workload.
-	reg := obs.NewRegistry()
-	span := metrics.StartSpan()
-	var events, msgs, deliveries, committed uint64
-	for op := 0; op < ops; op++ {
-		spec := exp.LogWorkloadSpec(n, batch, pipeline, workload, int64(op+1))
-		spec.Log.Coalesce = coalesce
-		spec.Obs = reg
-		// Causal tracing rides along so the suite reports the stage
-		// breakdown (batch_wait/consensus/apply); it is schedule-passive,
-		// and its CPU cost lands on every seed identically.
-		spec.Trace = &runner.TraceSpec{}
-		res, err := runner.RunLog(spec)
-		if err != nil {
-			return metrics.Perf{}, nil, logStats{}, err
-		}
-		if !res.AllCommitted(workload) {
-			return metrics.Perf{}, nil, logStats{}, fmt.Errorf("seed %d: only %d/%d committed", op+1, res.MinCommitted(), workload)
-		}
-		events += res.Events
-		msgs += res.Messages
-		deliveries += res.Deliveries()
-		committed += uint64(workload)
-	}
-	stats := logStats{
-		DeliveriesPerCmd: float64(deliveries) / float64(committed),
-		MsgsPerCommit:    float64(msgs) / float64(committed),
-	}
-	stats.StageP50NS, stats.StageP99NS = stageQuantiles(reg)
-	return span.End(ops, events, msgs), obs.NewCommitLatency(reg), stats, nil
-}
-
-// renderTrend reads every BENCH_*.json in dir, orders the snapshots by
-// creation time and writes one row per workload and one column per
-// snapshot, for each tracked metric. Snapshots missing a workload (the
-// suite grows over time) render as "-".
-func renderTrend(dir, format string, w io.Writer) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no BENCH_*.json files in %s", dir)
-	}
-	// Snapshots from older PRs miss newer fields (commit latency,
-	// deliveries_per_cmd/msgs_per_commit, stage quantiles) — those
-	// unmarshal to zero values and render "-" below. Only a snapshot
-	// that is not valid JSON at all (or carries no results) is skipped,
-	// with a warning, instead of failing the whole trend: one corrupt
-	// artifact must not hide the rest of the trajectory.
-	reps := make([]report, 0, len(paths))
-	for _, p := range paths {
-		buf, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		var rep report
-		if err := json.Unmarshal(buf, &rep); err != nil {
-			fmt.Fprintf(os.Stderr, "minsync-bench: skipping unreadable snapshot %s: %v\n", p, err)
-			continue
-		}
-		if len(rep.Results) == 0 {
-			fmt.Fprintf(os.Stderr, "minsync-bench: skipping empty snapshot %s\n", p)
-			continue
-		}
-		reps = append(reps, rep)
-	}
-	if len(reps) == 0 {
-		return fmt.Errorf("no readable BENCH_*.json snapshots in %s", dir)
-	}
-	sort.SliceStable(reps, func(i, j int) bool { return reps[i].CreatedUnix < reps[j].CreatedUnix })
-
-	// Workload rows in first-seen order, so historical suites lead.
-	var names []string
-	seen := map[string]bool{}
-	for _, rep := range reps {
-		for _, r := range rep.Results {
-			if !seen[r.Name] {
-				seen[r.Name] = true
-				names = append(names, r.Name)
-			}
-		}
-	}
-	cell := func(rep report, name string, metric func(result) string) string {
-		for _, r := range rep.Results {
-			if r.Name == name {
-				return metric(r)
-			}
-		}
-		return "-"
-	}
-	// Latency cells render "-" for workloads (or old snapshots) without a
-	// commit-latency histogram, same as a missing workload row.
-	lat := func(ns float64) string {
-		if ns == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2f", ns/1e6)
-	}
-	type trendMetric struct {
-		title string
-		fn    func(result) string
-	}
-	metrics := []trendMetric{
-		{"events/sec (M)", func(r result) string { return fmt.Sprintf("%.2f", r.EventsPerSec/1e6) }},
-		{"wall ms/op", func(r result) string {
-			return fmt.Sprintf("%.1f", float64(r.WallNS)/float64(max(r.Ops, 1))/1e6)
-		}},
-		{"allocs/op (k)", func(r result) string { return fmt.Sprintf("%.0f", r.AllocsPerOp/1e3) }},
-		{"commands/sec", func(r result) string {
-			if r.CommandsPerSec == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.0f", r.CommandsPerSec)
-		}},
-		// Message-volume trajectory of the log workloads: deliveries and
-		// sent messages per committed command (virtual-time deterministic;
-		// "-" for workloads or old snapshots without the fields).
-		{"deliveries/cmd", func(r result) string {
-			if r.DeliveriesPerCmd == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.1f", r.DeliveriesPerCmd)
-		}},
-		{"msgs/commit", func(r result) string {
-			if r.MsgsPerCommit == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.1f", r.MsgsPerCommit)
-		}},
-		{"commit p50 ms", func(r result) string { return lat(r.CommitP50NS) }},
-		{"commit p99 ms", func(r result) string { return lat(r.CommitP99NS) }},
-		{"commit p999 ms", func(r result) string { return lat(r.CommitP999NS) }},
-	}
-	// One p50/p99 table per pipeline stage (xtrace breakdown); snapshots
-	// or workloads without the stage render "-", and a stage no snapshot
-	// observed at all (admit_wait/respond exist only on live edges) gets
-	// no table.
-	stagePresent := map[string]bool{}
-	for _, rep := range reps {
-		for _, r := range rep.Results {
-			for s := range r.StageP50NS {
-				stagePresent[s] = true
-			}
-		}
-	}
-	for _, stage := range obs.StageNames {
-		if !stagePresent[stage] {
-			continue
-		}
-		stage := stage
-		metrics = append(metrics, trendMetric{
-			title: "stage " + stage + " p50/p99 ms",
-			fn: func(r result) string {
-				p50, ok := r.StageP50NS[stage]
-				if !ok {
-					return "-"
-				}
-				return fmt.Sprintf("%.2f/%.2f", p50/1e6, r.StageP99NS[stage]/1e6)
-			},
-		})
-	}
-	sep, open, mid := "\t", "", ""
-	if format == "md" {
-		sep, open, mid = " | ", "| ", " |"
-	} else if format != "tsv" {
-		return fmt.Errorf("unknown format %q (want md or tsv)", format)
-	}
-	for _, m := range metrics {
-		fmt.Fprintf(w, "%s%s", open, m.title)
-		for _, rep := range reps {
-			fmt.Fprintf(w, "%s%s (%s)", sep, rep.Label, time.Unix(rep.CreatedUnix, 0).UTC().Format("01-02"))
-		}
-		fmt.Fprintln(w, mid)
-		if format == "md" {
-			fmt.Fprint(w, "|---")
-			for range reps {
-				fmt.Fprint(w, "|---")
-			}
-			fmt.Fprintln(w, "|")
-		}
-		for _, name := range names {
-			fmt.Fprintf(w, "%s%s", open, name)
-			for _, rep := range reps {
-				fmt.Fprintf(w, "%s%s", sep, cell(rep, name, m.fn))
-			}
-			fmt.Fprintln(w, mid)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// kvRun commits a 240-command replicated-KV workload per op with
-// snapshots every 16 entries and compaction on — the full service stack
-// (log → applier → sessions → snapshots → compaction) as one trend line
-// (the canonical exp.KVWorkloadSpec workload, identical to the in-repo
-// BenchmarkKVService/compact=true so BENCH_*.json trends stay
-// comparable).
-func kvRun(n, ops int) (metrics.Perf, *obs.Histogram, logStats, error) {
-	const workload = 240
-	reg := obs.NewRegistry()
-	span := metrics.StartSpan()
-	var events, msgs uint64
-	for op := 0; op < ops; op++ {
-		spec := exp.KVWorkloadSpec(n, workload, int64(op+1))
-		spec.Obs = reg
-		spec.Trace = &runner.TraceSpec{}
-		res, err := runner.RunKV(spec)
-		if err != nil {
-			return metrics.Perf{}, nil, logStats{}, err
-		}
-		if !res.StatesAgree() {
-			return metrics.Perf{}, nil, logStats{}, fmt.Errorf("seed %d: state digests disagree", op+1)
-		}
-		events += res.Events
-		msgs += res.Messages
-	}
-	var stats logStats
-	stats.StageP50NS, stats.StageP99NS = stageQuantiles(reg)
-	return span.End(ops, events, msgs), obs.NewCommitLatency(reg), stats, nil
 }
 
 // dumpDigests prints the digest table for every curated scenario.

@@ -205,7 +205,7 @@ func TestE2EHTTPPool(t *testing.T) {
 	// Sustained load through the real generator: every command must be
 	// answered ok and every read must be correct (the bench exits nonzero
 	// otherwise), and the BENCH_load.json must carry throughput and
-	// wall-clock quantiles for the -trend tables.
+	// wall-clock quantiles.
 	benchOut := t.TempDir()
 	cl := exec.Command(bench,
 		"-load", strings.Join(urls, ","),

@@ -39,6 +39,7 @@ import (
 	"repro/internal/netx"
 	"repro/internal/obs"
 	"repro/internal/proto"
+	"repro/internal/replica"
 	"repro/internal/rt"
 	"repro/internal/sm"
 	dstore "repro/internal/store"
@@ -104,7 +105,7 @@ type kvOptions struct {
 	// API listener ("" = HTTP edge off). DataDir is the durable storage
 	// directory ("" = volatile): with it set, the replica write-ahead
 	// logs committed entries and stamps snapshots (store.File), and a
-	// restarted process boots from that directory (sm.Boot) — applied
+	// restarted process boots from that directory (replica.New) — applied
 	// prefix restored from disk, no peer transfer needed.
 	ClientAddr, HTTPAddr, DataDir string
 	// Batch/Pipeline/SnapEvery/SnapRefresh/Target mirror the engine and
@@ -126,14 +127,17 @@ type kvOptions struct {
 // loop. One instance per serving replica.
 type kvEdge struct {
 	node   *rt.Node
-	tr     *netx.Transport
+	tr     rt.Transport
 	tel    *telemetry
 	pool   *txpool.Pool
-	store  *kv.Store
-	engine **log.Engine // filled in on the loop after Start
+	rep    *replica.Replica // built on the node loop and only touched there
 	peers  []types.ProcID
 	wait   time.Duration
 	tracer *xtrace.Tracer // nil = tracing off
+	// done closes once -kv-target entries are applied; applied mirrors
+	// Applier.Applied() for the main goroutine's timeout message.
+	done    chan struct{}
+	applied atomic.Int64
 }
 
 // propose hands a newly-admitted command to the ordering layer: on the
@@ -148,7 +152,7 @@ func (e *kvEdge) propose(c kv.Command, enc types.Value) error {
 		// session cache here: the log's content dedup absorbs the
 		// re-submission, so no new apply — and hence no OnResponse — will
 		// ever fire for it.
-		if seq, cached, ok := e.store.CachedResponse(c.Client); ok && c.Seq <= seq {
+		if seq, cached, ok := e.rep.Store.CachedResponse(c.Client); ok && c.Seq <= seq {
 			if c.Seq == seq {
 				e.pool.Resolve(k, cached)
 			} else {
@@ -156,11 +160,8 @@ func (e *kvEdge) propose(c kv.Command, enc types.Value) error {
 			}
 			return
 		}
-		if err := (*e.engine).Submit(enc); err != nil {
+		if err := e.rep.Engine.Submit(enc); err != nil {
 			stdlog.Printf("submit: %v", err)
-		}
-		if os.Getenv("MINSYNC_KV_DEBUG") != "" {
-			stdlog.Printf("debug: submitted client=%d seq=%d pending=%d", c.Client, c.Seq, (*e.engine).Pending())
 		}
 		fwd := proto.Message{Kind: proto.MsgKVRequest, Tag: proto.Tag{Mod: proto.ModKV}, Val: enc}
 		for _, peer := range e.peers {
@@ -184,7 +185,7 @@ func (e *kvEdge) read(key string) (string, bool, error) {
 	}
 	ch := make(chan res, 1)
 	if !e.node.Post(func() {
-		v, ok := e.store.Get(key)
+		v, ok := e.rep.Store.Get(key)
 		ch <- res{v, ok}
 	}) {
 		return "", false, errors.New("node stopped")
@@ -230,27 +231,11 @@ func (e *kvEdge) execute(c kv.Command, enc types.Value) types.Value {
 	}
 }
 
-// runKVServe runs the replica in serving mode: consensus with the peers,
-// client edges answering gets/puts through the admission pool.
-func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.ProcID, opts kvOptions) {
-	store := kv.NewStore()
-	store.SetMetrics(obs.NewKVMetrics(tel.registry(), ""))
-	var engine *log.Engine
-	var engErr error
-
-	// Durable storage: open (or create) the data directory before the
-	// stack is assembled, so the applier's write-ahead discipline covers
-	// the very first committed entry.
-	var durable *dstore.File
-	if opts.DataDir != "" {
-		f, err := dstore.OpenFile(opts.DataDir)
-		if err != nil {
-			stdlog.Fatal(err)
-		}
-		durable = f
-		defer durable.Close()
-	}
-
+// startKV assembles the serving replica on the node loop — tracer,
+// admission pool, forward interceptor, the replica stack itself
+// (internal/replica) and the status document — without opening a client
+// listener or the pipeline. persist is the durable store (nil = volatile).
+func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, persist dstore.Persister, opts kvOptions) (*kvEdge, error) {
 	// Causal tracing is opt-in (-trace-dir) and passive: the tracer
 	// records into its own bounded ring — the flight recorder — dumped
 	// only on a stall or lag signal. Stage latencies flow into the
@@ -277,15 +262,19 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 			Metrics: obs.NewPoolMetrics(tel.registry(), ""),
 			Tracer:  tracer,
 		}),
-		store:  store,
-		engine: &engine,
 		wait:   opts.Wait,
 		tracer: tracer,
+		done:   make(chan struct{}),
+	}
+	for _, p := range node.Params().AllProcs() {
+		if p != self {
+			edge.peers = append(edge.peers, p)
+		}
 	}
 
 	// Install the forward interceptor before the node loop starts: a
 	// faster peer can forward client commands during our startup sleep.
-	// Posts enqueued here run after Start builds the engine, so the
+	// Posts enqueued here run after Start builds the replica, so the
 	// closure never sees a nil engine. (The handful of frames that could
 	// arrive before this line are dropped by the Recv hook — losing a
 	// forward is harmless, the forwarding replica proposes the command
@@ -293,70 +282,27 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 	fwd := kvForwardFunc(func(from types.ProcID, m proto.Message) {
 		cmd := m.Val
 		node.Post(func() {
-			if err := engine.Submit(cmd); err != nil {
+			if err := edge.rep.Engine.Submit(cmd); err != nil {
 				stdlog.Printf("forwarded submit: %v", err)
 			}
 		})
 	})
 	kvForward.Store(&fwd)
 
-	smCfg := sm.Config{
-		Machine:       store,
-		SnapshotEvery: opts.SnapEvery,
-		// The idle-rejoin fix: with -snapshot-refresh, the boundary is
-		// re-stamped on an instance cadence even when no entries land, so
-		// a replica restarting into a long-idle cluster always finds a
-		// corroborable snapshot past its own position.
-		RefreshEvery: types.Instance(opts.SnapRefresh),
-		Metrics:      obs.NewSMMetrics(tel.registry(), ""),
-		Tracer:       tracer,
-		// Every snapshot captures the engine's retained suffix too, so
-		// this replica can serve complete transfer payloads (snapshot +
-		// content-dedup window) to lagging or restarted peers.
-		RetainedEntries: func() []log.Entry {
-			if engine == nil {
-				return nil
-			}
-			return engine.Entries()
-		},
-		OnSnapshot: func(s sm.Snapshot) {
-			stdlog.Printf("snapshot: %d entries through instance %v, digest %x…", s.Index, s.Instance, s.Digest[:8])
-			if opts.Compact && engine != nil {
-				if released := engine.Compact(s.Instance - 4); released > 0 {
-					stdlog.Printf("compacted: released %d instances, floor now %v", released, engine.Floor())
-				}
-			}
-		},
-		// Committed-response forwarding: every replica resolves its OWN
-		// pool as it applies, so whichever replica a client retried
-		// against answers as soon as the command commits there.
-		OnResponse: func(e log.Entry, resp types.Value) {
-			c, err := kv.DecodeCommand(e.Cmd)
-			if err != nil || c.Client == 0 {
-				return
-			}
-			edge.pool.Resolve(txpool.Key{Client: c.Client, Seq: c.Seq}, resp)
-		},
+	// progress runs on the loop after every commit and install: either
+	// can satisfy the -kv-target stop rule (an installed snapshot IS the
+	// prefix, without a single local commit).
+	var once, lagDump sync.Once
+	progress := func() {
+		n := edge.rep.Applier.Applied()
+		edge.applied.Store(int64(n))
+		if opts.Target > 0 && n >= opts.Target {
+			once.Do(func() { close(edge.done) })
+		}
 	}
-	if durable != nil {
-		// Conditional assignment, not smCfg.Persist = durable above: a
-		// typed-nil *store.File in the interface field would make every
-		// nil check downstream pass and then panic on use.
-		smCfg.Persist = durable
-	}
-	applier, err := sm.New(smCfg)
-	if err != nil {
-		stdlog.Fatal(err)
-	}
-
-	done := make(chan struct{})
-	var once sync.Once
-	// appliedCount mirrors applier.Applied() for the main goroutine's
-	// timeout message; every other applier access stays on the node loop.
-	var appliedCount atomic.Int64
+	var newErr error
 	node.Start(func(env proto.Env) proto.Handler {
 		cfg := log.Config{
-			Env:       env,
 			BatchSize: opts.Batch,
 			Pipeline:  opts.Pipeline,
 			Target:    opts.Target,
@@ -366,142 +312,150 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 			// (⊥) decisions. See log.Config.CanonicalBatches.
 			CanonicalBatches: true,
 			Coalesce:         opts.Coalesce,
-			Metrics:          obs.NewLogMetrics(tel.registry(), ""),
-			Tracer:           tracer,
-			OnCommit: func(e log.Entry) {
-				applier.OnCommit(e)
-				appliedCount.Store(int64(applier.Applied()))
-				if opts.Target > 0 && applier.Applied() >= opts.Target {
-					once.Do(func() { close(done) })
-				}
-			},
-			OnApply: func(i types.Instance, newly int) {
-				if os.Getenv("MINSYNC_KV_DEBUG") != "" {
-					stdlog.Printf("debug: applied instance %v (%d new)", i, newly)
-				}
-				applier.OnApply(i, newly)
-			},
 		}
 		cfg.Engine.TimeUnit = types.Duration(opts.Unit)
-		cfg.Engine.RBMetrics = obs.NewRBMetrics(tel.registry(), "")
-		// Named transfer, not tr: the enclosing function's tr is the
-		// netx.Transport, and shadowing it here is a trap.
-		var transfer *sm.Transfer
-		var lagDump sync.Once
-		cfg.OnDroppedAhead = func(i types.Instance) {
-			if transfer != nil {
-				transfer.OnDroppedAhead(i)
-			}
+		edge.rep, newErr = replica.New(replica.Config{
+			Env:           env,
+			Persist:       persist,
+			Log:           cfg,
+			SnapshotEvery: opts.SnapEvery,
+			// The idle-rejoin fix: with -snapshot-refresh, the boundary is
+			// re-stamped on an instance cadence even when no entries land, so
+			// a replica restarting into a long-idle cluster always finds a
+			// corroborable snapshot past its own position.
+			SnapshotRefresh: types.Instance(opts.SnapRefresh),
+			Compact:         opts.Compact,
+			// Snapshot state transfer makes the crash-recovery story real
+			// over TCP: a restarted replica misses its peers' frames for
+			// good (no transport retransmission), so once the cluster has
+			// compacted past it, only fetching a corroborated peer snapshot
+			// can bring it back. The stall probe covers the restart case
+			// where no inbound pressure exists at all.
+			Transfer:      true,
+			TransferRetry: time.Second,
+			TransferProbe: 2 * time.Second,
+			Obs:           tel.registry(),
+			Tracer:        tracer,
+			OnCommit:      func(log.Entry) { progress() },
+			OnSnapshot: func(s sm.Snapshot) {
+				stdlog.Printf("snapshot: %d entries through instance %v, digest %x…, floor %v",
+					s.Index, s.Instance, s.Digest[:8], edge.rep.Engine.Floor())
+			},
+			// Committed-response forwarding: every replica resolves its OWN
+			// pool as it applies, so whichever replica a client retried
+			// against answers as soon as the command commits there.
+			OnResponse: func(e log.Entry, resp types.Value) {
+				c, err := kv.DecodeCommand(e.Cmd)
+				if err != nil || c.Client == 0 {
+					return
+				}
+				edge.pool.Resolve(txpool.Key{Client: c.Client, Seq: c.Seq}, resp)
+			},
+			OnInstall: func(s sm.Snapshot) {
+				stdlog.Printf("installed peer snapshot: %d entries through instance %v, digest %x…",
+					s.Index, s.Instance, s.Digest[:8])
+				progress()
+			},
 			// Lag signal: peers are deciding instances we dropped, i.e. we
 			// fell behind the pipeline window. Dump the flight recorder
 			// once so the forensic window isn't overwritten by catch-up
 			// traffic.
-			if tracer != nil {
+			OnDroppedAhead: func(i types.Instance) {
 				lagDump.Do(func() {
-					d := tracer.Dump(fmt.Sprintf("lag: dropped frame ahead of window at instance %v", i))
-					paths, err := xtrace.WriteDumps(opts.TraceDir, "lag", []*xtrace.Dump{d})
-					if err != nil {
-						stdlog.Printf("flight recorder: %v", err)
-						return
-					}
-					stdlog.Printf("flight recorder: lag signal at instance %v, dumped %v", i, paths)
+					dumpFlight(tracer, opts.TraceDir, "lag", fmt.Sprintf("lag: dropped frame ahead of window at instance %v", i))
 				})
-			}
-		}
-		eng, err := log.New(cfg)
-		if err != nil {
-			engErr = err
-			return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
-		}
-		engine = eng
-		if durable != nil {
-			// Restore from disk exactly as the simulation harness does:
-			// install the stamped snapshot, replay the WAL suffix into the
-			// machine, resume the ordering layer at the durable boundary —
-			// all before Engine.Start, without asking a peer for anything.
-			st, berr := sm.Boot(durable, applier, eng)
-			if berr != nil {
-				engErr = fmt.Errorf("boot from %s: %w", opts.DataDir, berr)
-				return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
-			}
-			if st.HadSnapshot || st.Replayed > 0 || st.Boundary > 0 {
-				stdlog.Printf("booted from %s: snapshot (%d, %v), replayed %d entries, boundary %v, applied %d",
-					opts.DataDir, st.SnapIndex, st.SnapInstance, st.Replayed, st.Boundary, applier.Applied())
-			} else {
-				stdlog.Printf("fresh data dir %s: starting clean", opts.DataDir)
-			}
-		}
-		// Snapshot state transfer makes the crash-recovery story real
-		// over TCP: a restarted replica misses its peers' frames for
-		// good (no transport retransmission), so once the cluster has
-		// compacted past it, only fetching a corroborated peer snapshot
-		// can bring it back. The stall probe covers the restart case
-		// where no inbound pressure exists at all.
-		transfer, err = sm.NewTransfer(sm.TransferConfig{
-			Env:        env,
-			Applier:    applier,
-			Log:        eng,
-			Next:       eng,
-			RetryEvery: time.Second,
-			StallProbe: 2 * time.Second,
-			Metrics:    obs.NewTransferMetrics(tel.registry(), ""),
-			OnInstall: func(s sm.Snapshot) {
-				stdlog.Printf("installed peer snapshot: %d entries through instance %v, digest %x…",
-					s.Index, s.Instance, s.Digest[:8])
-				// An install can satisfy the -kv-target stop rule without
-				// a single local commit (the snapshot IS the prefix).
-				if opts.Target > 0 && applier.Applied() >= opts.Target {
-					once.Do(func() { close(done) })
-				}
 			},
 		})
-		if err != nil {
-			engErr = err
+		if newErr != nil {
 			return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
 		}
-		return transfer
+		if st := edge.rep.Boot; st.HadSnapshot || st.Replayed > 0 || st.Boundary > 0 {
+			stdlog.Printf("booted from %s: snapshot (%d, %v), replayed %d entries, boundary %v, applied %d",
+				opts.DataDir, st.SnapIndex, st.SnapInstance, st.Replayed, st.Boundary, edge.rep.Applier.Applied())
+		} else if opts.DataDir != "" {
+			stdlog.Printf("fresh data dir %s: starting clean", opts.DataDir)
+		}
+		return edge.rep.Handler
 	})
-	if engErr != nil {
-		stdlog.Fatal(engErr)
+	if newErr != nil {
+		return nil, newErr
 	}
 	wireNodeObs(node, tel)
-	// One status document serves both /statusz (the telemetry listener)
-	// and the HTTP edge's /v1/status: operators see consensus position,
-	// snapshot boundary AND admission pressure in one place.
-	statusFn := func() map[string]any {
-		doc := probeStatus(node.Post, func() map[string]any {
-			st := map[string]any{
-				"mode":              "kv",
-				"applied_entries":   applier.Applied(),
-				"applied_instances": engine.Applied(),
-				"retired_instances": engine.Retired(),
-				"keys":              store.Len(),
-				"sessions":          store.Sessions(),
-				"snapshots_taken":   applier.Snapshots(),
-			}
-			if snap, ok := applier.Latest(); ok {
-				st["snapshot_boundary"] = snap.Instance
-				st["snapshot_index"] = snap.Index
-				st["snapshot_digest"] = fmt.Sprintf("%x", snap.Digest[:8])
-			}
-			return st
-		})
-		// Pool state is edge-side (its own mutex, never the node loop),
-		// so it is reported even when the loop probe degrades.
-		ps := edge.pool.Stats()
-		doc["pool_pending"] = ps.Pending
-		doc["pool_capacity"] = edge.pool.Capacity()
-		doc["pool_admitted"] = ps.Admitted
-		doc["pool_deduped"] = ps.Deduped
-		doc["pool_shed"] = ps.Shed
-		doc["pool_expired"] = ps.Expired
-		return doc
+	tel.setStatus(edge.status)
+	return edge, nil
+}
+
+// status is the one document served by both /statusz (the telemetry
+// listener) and the HTTP edge's /v1/status: operators see consensus
+// position, snapshot boundary AND admission pressure in one place.
+func (e *kvEdge) status() map[string]any {
+	doc := probeStatus(e.node.Post, func() map[string]any {
+		rep := e.rep
+		st := map[string]any{
+			"mode":              "kv",
+			"applied_entries":   rep.Applier.Applied(),
+			"applied_instances": rep.Engine.Applied(),
+			"retired_instances": rep.Engine.Retired(),
+			"keys":              rep.Store.Len(),
+			"sessions":          rep.Store.Sessions(),
+			"snapshots_taken":   rep.Applier.Snapshots(),
+		}
+		if snap, ok := rep.Applier.Latest(); ok {
+			st["snapshot_boundary"] = snap.Instance
+			st["snapshot_index"] = snap.Index
+			st["snapshot_digest"] = fmt.Sprintf("%x", snap.Digest[:8])
+		}
+		return st
+	})
+	// Pool state is edge-side (its own mutex, never the node loop),
+	// so it is reported even when the loop probe degrades.
+	ps := e.pool.Stats()
+	doc["pool_pending"] = ps.Pending
+	doc["pool_capacity"] = e.pool.Capacity()
+	doc["pool_admitted"] = ps.Admitted
+	doc["pool_deduped"] = ps.Deduped
+	doc["pool_shed"] = ps.Shed
+	doc["pool_expired"] = ps.Expired
+	return doc
+}
+
+// dumpFlight writes the tracer's flight recorder into dir (merge the
+// per-replica dumps with minsync-trace); a no-op with tracing off.
+func dumpFlight(tracer *xtrace.Tracer, dir, prefix, reason string) {
+	if tracer == nil {
+		return
 	}
-	tel.setStatus(statusFn)
+	paths, err := xtrace.WriteDumps(dir, prefix, []*xtrace.Dump{tracer.Dump(reason)})
+	if err != nil {
+		stdlog.Printf("flight recorder: %v", err)
+		return
+	}
+	stdlog.Printf("flight recorder: %s, dumped %v", reason, paths)
+}
+
+// runKVServe runs the replica in serving mode: consensus with the peers,
+// client edges answering gets/puts through the admission pool.
+func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.ProcID, opts kvOptions) {
+	// Durable storage: open (or create) the data directory before the
+	// stack is assembled, so the applier's write-ahead discipline covers
+	// the very first committed entry.
+	var durable *dstore.File
+	if opts.DataDir != "" {
+		f, err := dstore.OpenFile(opts.DataDir)
+		if err != nil {
+			stdlog.Fatal(err)
+		}
+		durable = f
+		defer durable.Close()
+	}
+	edge, err := startKV(node, sendAdapter{tr}, tel, self, durable, opts)
+	if err != nil {
+		stdlog.Fatal(err)
+	}
 	time.Sleep(opts.StartIn) // let peers come up before opening the pipeline
 	node.Post(func() {
-		engine.SetRetirer(node.Dispatcher())
-		if err := engine.Start(); err != nil {
+		edge.rep.Engine.SetRetirer(node.Dispatcher())
+		if err := edge.rep.Engine.Start(); err != nil {
 			stdlog.Printf("start: %v", err)
 		}
 	})
@@ -512,22 +466,16 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 	}
 	defer ln.Close()
 
-	for _, p := range node.Params().AllProcs() {
-		if p != self {
-			edge.peers = append(edge.peers, p)
-		}
-	}
-
 	if opts.HTTPAddr != "" {
 		api, err := httpapi.New(httpapi.Config{
 			Pool:           edge.pool,
 			Propose:        edge.propose,
 			Read:           edge.read,
-			Status:         statusFn,
+			Status:         edge.status,
 			DefaultTimeout: min(10*time.Second, opts.Wait),
 			MaxTimeout:     opts.Wait,
 			ObserveLatency: tel.observeLatency,
-			Tracer:         tracer,
+			Tracer:         edge.tracer,
 		})
 		if err != nil {
 			stdlog.Fatal(err)
@@ -556,26 +504,20 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 
 	if opts.Target > 0 {
 		select {
-		case <-done:
+		case <-edge.done:
 			node.Post(func() {
-				d := applier.StateDigest()
+				rep := edge.rep
+				d := rep.Applier.StateDigest()
 				fmt.Printf("process %v applied %d commands, state digest %x (keys %d, sessions %d, dups %d, retired %d instances)\n",
-					self, applier.Applied(), d[:12], store.Len(), store.Sessions(), store.Duplicates(), engine.Retired())
+					self, rep.Applier.Applied(), d[:12], rep.Store.Len(), rep.Store.Sessions(), rep.Store.Duplicates(), rep.Engine.Retired())
 			})
 		case <-time.After(opts.Wait):
-			stdlog.Printf("applied only %d/%d within %v", appliedCount.Load(), opts.Target, opts.Wait)
+			stall := fmt.Sprintf("applied only %d/%d within %v", edge.applied.Load(), opts.Target, opts.Wait)
+			stdlog.Print(stall)
 			// Stall signal: the cluster never reached its target. Dump the
 			// flight recorder so the operator can see exactly which stage
-			// every in-flight command is stuck in (merge the per-replica
-			// dumps with minsync-trace).
-			if tracer != nil {
-				d := tracer.Dump(fmt.Sprintf("stall: applied %d/%d within %v", appliedCount.Load(), opts.Target, opts.Wait))
-				if paths, err := xtrace.WriteDumps(opts.TraceDir, "stall", []*xtrace.Dump{d}); err != nil {
-					stdlog.Printf("flight recorder: %v", err)
-				} else {
-					stdlog.Printf("flight recorder: stall dump %v", paths)
-				}
-			}
+			// every in-flight command is stuck in.
+			dumpFlight(edge.tracer, opts.TraceDir, "stall", "stall: "+stall)
 			os.Exit(1)
 		}
 		// Linger so lagging peers can still finish their own runs.

@@ -145,13 +145,7 @@ func main() {
 	}
 	defer tr.Close()
 
-	node, err = rt.NewNode(rt.NodeConfig{
-		ID:        self,
-		Params:    params,
-		Transport: sendAdapter{tr},
-		Trace:     tel.traceSink(),
-		Metrics:   obs.NewNodeMetrics(tel.registry(), ""),
-	})
+	node, err = newNode(tel, self, params, sendAdapter{tr})
 	if err != nil {
 		stdlog.Fatal(err)
 	}
@@ -322,6 +316,19 @@ func runLogMode(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 		stdlog.Printf("committed only %d/%d within %v", committed.Load(), target, wait)
 		os.Exit(1)
 	}
+}
+
+// newNode builds the event loop every mode runs on, with the telemetry's
+// trace ring and loop metrics attached (both nil-safe when -metrics is
+// off).
+func newNode(tel *telemetry, self types.ProcID, params types.Params, tr rt.Transport) (*rt.Node, error) {
+	return rt.NewNode(rt.NodeConfig{
+		ID:        self,
+		Params:    params,
+		Transport: tr,
+		Trace:     tel.traceSink(),
+		Metrics:   obs.NewNodeMetrics(tel.registry(), ""),
+	})
 }
 
 // sendAdapter adapts *netx.Transport to rt.Transport.

@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/rt"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -94,5 +100,83 @@ func TestStatuszDuringSnapshotInstall(t *testing.T) {
 	evs, ok := doc["trace"].([]any)
 	if !ok || len(evs) == 0 {
 		t.Fatalf("?trace=8 window missing mid-install: %v", doc["trace"])
+	}
+}
+
+// TestBenchmarkReadsExistingTelemetry is the contract between the live
+// node and benchmark/, a nested module tier-1 does not build: every
+// minsync_* series name its sources spell must appear on a `-kv` node's
+// /metrics, and /statusz must still carry applied_entries (the
+// benchmark's convergence check). Renaming a counter then fails here
+// instead of silently zeroing a per-layer metric.
+func TestBenchmarkReadsExistingTelemetry(t *testing.T) {
+	files, err := filepath.Glob("../../benchmark/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no benchmark sources found: %v", err)
+	}
+	named := regexp.MustCompile(`minsync_[a-z_]+`)
+	want := make(map[string]string) // series name -> a file that reads it
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range named.FindAllString(string(src), -1) {
+			want[name] = filepath.Base(f)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("benchmark/ names no minsync_* series; the contract is vacuous")
+	}
+
+	// The -kv telemetry exactly as main wires it, on an in-memory
+	// transport: telemetry listener, event loop, serving replica.
+	params := types.Params{N: 4, T: 1}
+	tel := newTelemetry("127.0.0.1:0", 1, params)
+	defer tel.ln.Close()
+	mn := rt.NewMemNetwork()
+	node, err := newNode(tel, 1, params, mn.Attach(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	mn.Register(1, node)
+	_, err = startKV(node, mn.Attach(1), tel, 1, nil, kvOptions{
+		Batch: 16, Pipeline: 4, SnapEvery: 16, PoolCap: 1024, Compact: true, Coalesce: true,
+		TraceDir: t.TempDir(), // the traced pass: stage histograms registered
+		Unit:     50 * time.Millisecond, Wait: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	base := "http://" + tel.ln.Addr().String()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	have := make(map[string]bool)
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		line := strings.TrimPrefix(sc.Text(), "# TYPE ")
+		have[named.FindString(line)] = true
+	}
+	for name, file := range want {
+		if !have[name] {
+			t.Errorf("benchmark/%s reads %s, which a -kv node no longer exports", file, name)
+		}
+	}
+
+	resp, err = http.Get(base + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc["applied_entries"]; !ok {
+		t.Errorf("status document lost applied_entries: %v", doc)
 	}
 }

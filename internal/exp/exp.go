@@ -543,11 +543,9 @@ func GSTSweep() Result {
 }
 
 // LogWorkloadSpec is the canonical replicated-log throughput workload
-// shared by BenchmarkLogThroughput/BenchmarkLogScaleN and
-// cmd/minsync-bench: `workload` distinct commands ordered by a
-// full-synchrony n-process log engine with the given batch size and
-// pipeline depth. Keeping one builder means the BENCH_*.json trajectory
-// and the in-repo benchmarks always measure the same workload.
+// of BenchmarkLogThroughput/BenchmarkLogScaleN: `workload` distinct
+// commands ordered by a full-synchrony n-process log engine with the
+// given batch size and pipeline depth.
 func LogWorkloadSpec(n, batch, pipeline, workload int, seed int64) runner.LogSpec {
 	cmds := make([]types.Value, workload)
 	for i := range cmds {
@@ -582,9 +580,8 @@ func CoalescedLogWorkloadSpec(n, batch, pipeline, workload int, seed int64) runn
 	return spec
 }
 
-// KVWorkloadSpec builds the canonical replicated-KV benchmark workload
-// (the one both the in-repo benchmarks and cmd/minsync-bench measure, so
-// BENCH_*.json trends stay comparable): `workload` session-carrying
+// KVWorkloadSpec builds the canonical replicated-KV workload of the
+// in-repo benchmarks: `workload` session-carrying
 // commands over 4 clients and 16 keys, every 5th a read, snapshots every
 // 16 entries with compaction on. Callers wanting the compaction-off
 // ablation clear SnapshotEvery/Compact on the returned spec.

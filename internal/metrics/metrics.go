@@ -6,10 +6,8 @@ package metrics
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -49,74 +47,6 @@ func Messages(log *trace.Log) MessageStats {
 // KindOf classifies a message for traffic accounting (used by the
 // real-time transports, which see concrete messages rather than events).
 func KindOf(m proto.Message) string { return m.Kind.String() }
-
-// Perf captures the kernel-throughput counters of a measured span: how
-// many simulation events and messages ran, how long it took on the wall
-// clock, and how much the measured region allocated. It is the raw
-// material of the BENCH_*.json perf trajectory.
-type Perf struct {
-	Ops      int           // completed runs in the span
-	Events   uint64        // simulation events executed
-	Messages uint64        // point-to-point messages sent
-	Wall     time.Duration // wall-clock time of the span
-	Allocs   uint64        // heap allocations inside the span
-	Bytes    uint64        // heap bytes allocated inside the span
-}
-
-// EventsPerSec returns simulation events per wall-clock second.
-func (p Perf) EventsPerSec() float64 {
-	if p.Wall <= 0 {
-		return 0
-	}
-	return float64(p.Events) / p.Wall.Seconds()
-}
-
-// AllocsPerOp returns heap allocations per completed run.
-func (p Perf) AllocsPerOp() float64 {
-	if p.Ops <= 0 {
-		return 0
-	}
-	return float64(p.Allocs) / float64(p.Ops)
-}
-
-// BytesPerOp returns heap bytes allocated per completed run.
-func (p Perf) BytesPerOp() float64 {
-	if p.Ops <= 0 {
-		return 0
-	}
-	return float64(p.Bytes) / float64(p.Ops)
-}
-
-// Span measures one region: wall time plus allocation deltas from
-// runtime.MemStats. ReadMemStats stops the world briefly, so open spans
-// around whole workloads, not inner loops.
-type Span struct {
-	start   time.Time
-	mallocs uint64
-	bytes   uint64
-}
-
-// StartSpan begins measuring.
-func StartSpan() *Span {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return &Span{start: time.Now(), mallocs: ms.Mallocs, bytes: ms.TotalAlloc}
-}
-
-// End closes the span with the given work counters and returns the Perf.
-func (s *Span) End(ops int, events, messages uint64) Perf {
-	wall := time.Since(s.start)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return Perf{
-		Ops:      ops,
-		Events:   events,
-		Messages: messages,
-		Wall:     wall,
-		Allocs:   ms.Mallocs - s.mallocs,
-		Bytes:    ms.TotalAlloc - s.bytes,
-	}
-}
 
 // Series is a sample collection with summary statistics.
 type Series struct {

@@ -1,0 +1,229 @@
+package replica_test
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/harness"
+	"repro/internal/kv"
+	"repro/internal/log"
+	"repro/internal/network"
+	"repro/internal/proto"
+	"repro/internal/replica"
+	"repro/internal/rt"
+	"repro/internal/sm"
+	"repro/internal/store"
+	"repro/internal/types"
+)
+
+var params = types.Params{N: 4, T: 1}
+
+// workload is order-independent: one put per distinct client and key, so
+// the final machine state (data, session table, duplicate counters) is a
+// function of the committed SET, whatever order a runtime decides it in.
+func workload() []types.Value {
+	cmds := make([]types.Value, 12)
+	for i := range cmds {
+		c := kv.Command{Op: kv.OpPut, Client: uint64(i + 1), Seq: 1, Key: fmt.Sprintf("key-%02d", i), Val: fmt.Sprintf("val-%02d", i)}
+		cmds[i] = c.Encode()
+	}
+	return cmds
+}
+
+// config is THE replica configuration of this file: both runtimes and
+// every case below assemble from it, differing only in the environment,
+// the persister and who listens to commits.
+func config(env proto.Env, persist store.Persister, onCommit func(log.Entry)) replica.Config {
+	cfg := replica.Config{
+		Env:           env,
+		Persist:       persist,
+		SnapshotEvery: 4,
+		Compact:       true,
+		Transfer:      true,
+		OnCommit:      onCommit,
+	}
+	cfg.Log.BatchSize = 4
+	cfg.Log.Pipeline = 2
+	cfg.Log.Target = len(workload())
+	// Arrival order differs per replica on real time; canonical batches
+	// keep proposals a function of the pending set (the live setting).
+	cfg.Log.CanonicalBatches = true
+	cfg.Log.Coalesce = true
+	cfg.Log.Engine.TimeUnit = types.Duration(10 * time.Millisecond)
+	return cfg
+}
+
+// runSim runs the assembly on the deterministic kernel until every
+// replica committed the workload and returns the replicas.
+func runSim(t *testing.T, persist func(types.ProcID) store.Persister) map[types.ProcID]*replica.Replica {
+	t.Helper()
+	w, err := harness.New(harness.Config{
+		Params:   params,
+		Topology: network.FullySynchronous(params.N, types.Duration(2*time.Millisecond)),
+		Seed:     1,
+		BotOK:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := make(map[types.ProcID]*replica.Replica)
+	for _, id := range params.AllProcs() {
+		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
+			rep, err := replica.New(config(env, persist(id), nil))
+			if err != nil {
+				t.Fatalf("replica %v: %v", id, err)
+			}
+			reps[id] = rep
+			env.SetTimer(0, func() {
+				for _, c := range workload() {
+					_ = rep.Engine.Submit(c)
+				}
+				if err := rep.Engine.Start(); err != nil {
+					t.Errorf("replica %v: start: %v", id, err)
+				}
+			})
+			return rep.Handler
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[id].Engine.SetRetirer(w.Node(id))
+	}
+	// The transfer layer's stall probe re-arms forever, so the world never
+	// drains; a virtual minute is far past the workload.
+	w.Run(types.Time(time.Minute), 0)
+	for id, rep := range reps {
+		if got := rep.Applier.Applied(); got != len(workload()) {
+			t.Fatalf("sim replica %v applied %d of %d", id, got, len(workload()))
+		}
+	}
+	return reps
+}
+
+func volatile(types.ProcID) store.Persister { return nil }
+
+// TestSameConfigBothRuntimes: the one Config, assembled under
+// harness.World and under four rt.Nodes on rt.MemNetwork, ends in the
+// same machine state — the simulator exercises the object production runs.
+func TestSameConfigBothRuntimes(t *testing.T) {
+	want := runSim(t, volatile)[1].Applier.StateDigest()
+
+	mn := rt.NewMemNetwork()
+	nodes := make(map[types.ProcID]*rt.Node)
+	reps := make(map[types.ProcID]*replica.Replica)
+	done := make(map[types.ProcID]chan struct{})
+	for _, id := range params.AllProcs() {
+		node, err := rt.NewNode(rt.NodeConfig{ID: id, Params: params, Transport: mn.Attach(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Stop()
+		mn.Register(id, node)
+		nodes[id], done[id] = node, make(chan struct{})
+	}
+	for id, node := range nodes {
+		var newErr error
+		node.Start(func(env proto.Env) proto.Handler {
+			committed := 0
+			reps[id], newErr = replica.New(config(env, nil, func(log.Entry) {
+				if committed++; committed == len(workload()) {
+					close(done[id])
+				}
+			}))
+			if newErr != nil {
+				return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
+			}
+			return reps[id].Handler
+		})
+		if newErr != nil {
+			t.Fatalf("replica %v: %v", id, newErr)
+		}
+	}
+	for id, node := range nodes {
+		rep := reps[id]
+		node.Post(func() {
+			rep.Engine.SetRetirer(node.Dispatcher())
+			for _, c := range workload() {
+				_ = rep.Engine.Submit(c)
+			}
+			if err := rep.Engine.Start(); err != nil {
+				t.Errorf("replica %v: start: %v", id, err)
+			}
+		})
+	}
+	timeout := time.After(time.Minute)
+	for id, node := range nodes {
+		select {
+		case <-done[id]:
+		case <-timeout:
+			t.Fatalf("live replica %v never committed the workload", id)
+		}
+		got := make(chan [32]byte, 1)
+		node.Post(func() { got <- reps[id].Applier.StateDigest() })
+		if d := <-got; d != want {
+			t.Errorf("live replica %v state %x, simulated %x", id, d[:8], want[:8])
+		}
+	}
+}
+
+// TestTypedNilPersisterIsVolatile: a nil pointer inside the Persister
+// interface must not reach the applier, whose nil check it would pass
+// before panicking on the first commit.
+func TestTypedNilPersisterIsVolatile(t *testing.T) {
+	for name, p := range map[string]store.Persister{
+		"File":   (*store.File)(nil),
+		"Memory": (*store.Memory)(nil),
+	} {
+		t.Run(name, func(t *testing.T) {
+			for id, rep := range runSim(t, func(types.ProcID) store.Persister { return p }) {
+				if err := rep.Applier.Err(); err != nil {
+					t.Fatalf("replica %v poisoned: %v", id, err)
+				}
+			}
+		})
+	}
+}
+
+// TestBootStatsMatchSMBoot: New over a used medium reports exactly what
+// sm.Boot alone recovers from it.
+func TestBootStatsMatchSMBoot(t *testing.T) {
+	disks := make(map[types.ProcID]*store.Memory)
+	for _, id := range params.AllProcs() {
+		disks[id] = store.NewMemory()
+	}
+	runSim(t, func(id types.ProcID) store.Persister { return disks[id] })
+
+	w, err := harness.New(harness.Config{Params: params, BotOK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config(w.Env(1), disks[1], nil)
+	app, err := sm.New(sm.Config{Machine: kv.NewStore(), SnapshotEvery: cfg.SnapshotEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := cfg.Log
+	lc.Env = cfg.Env
+	eng, err := log.New(lc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sm.Boot(disks[1], app, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.HadSnapshot || want.Boundary == 0 {
+		t.Fatalf("the medium holds nothing worth booting from: %+v", want)
+	}
+	rep, err := replica.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Boot != want {
+		t.Fatalf("New booted %+v, sm.Boot reports %+v", rep.Boot, want)
+	}
+	if rep.Applier.Applied() != app.Applied() || rep.Applier.StateDigest() != app.StateDigest() {
+		t.Fatalf("New restored %d entries, sm.Boot %d (or different state)", rep.Applier.Applied(), app.Applied())
+	}
+}

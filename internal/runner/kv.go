@@ -2,7 +2,8 @@ package runner
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/harness"
@@ -11,11 +12,11 @@ import (
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/proto"
+	"repro/internal/replica"
 	"repro/internal/sm"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/types"
-	"repro/internal/xtrace"
 )
 
 // KVSpec describes one replicated-KV execution on the simulator: every
@@ -62,7 +63,8 @@ type KVSpec struct {
 	// SnapshotEvery > 0.
 	Compact bool
 	// CompactKeep retains this many applied instances below the snapshot
-	// boundary (echo service margin for mildly lagging peers; default 4).
+	// boundary (echo service margin for mildly lagging peers; default
+	// replica.DefaultCompactKeep).
 	CompactKeep types.Instance
 	// RecoverAt schedules crash-recoveries: at each mapped virtual time
 	// the process discards its live state and rebuilds it from its latest
@@ -79,8 +81,8 @@ type KVSpec struct {
 	// virtual time the process is powered off (harness.World.Kill — its
 	// dispatcher drops, outbound sends are fenced, pending timer callbacks
 	// are voided) and RestartDelay later rebuilt as a FRESH incarnation
-	// that boots from its durable store (sm.Boot + log.Engine.Resume),
-	// not from a peer snapshot transfer. Requires Durable. Unlike
+	// that boots from its durable store (replica.New over the same
+	// store.Memory), not from a peer snapshot transfer. Requires Durable. Unlike
 	// RecoverAt, which rebuilds only the applier in place, this loses ALL
 	// volatile state: engine, dedup dispatcher, transfer layer, timers.
 	// The rebooted incarnation re-submits the whole workload (commit
@@ -317,26 +319,8 @@ func (r *KVResult) DurablePrefix() string {
 	return ""
 }
 
-// persistFor adapts the durable-store map to sm.Config.Persist. The
-// indirection matters: a missing entry must yield a nil INTERFACE (the
-// "persistence off" fast path), not a non-nil interface wrapping a nil
-// *store.Memory.
-func persistFor(m map[types.ProcID]*store.Memory, id types.ProcID) store.Persister {
-	if p := m[id]; p != nil {
-		return p
-	}
-	return nil
-}
-
 // RunKV executes the spec.
 func RunKV(spec KVSpec) (*KVResult, error) {
-	p := spec.Params
-	if err := p.Validate(true); err != nil {
-		return nil, fmt.Errorf("runner: %w", err)
-	}
-	if len(spec.Byzantine) > p.T {
-		return nil, fmt.Errorf("runner: %d Byzantine processes exceed t=%d", len(spec.Byzantine), p.T)
-	}
 	if len(spec.Commands) == 0 {
 		return nil, fmt.Errorf("runner: empty KV workload")
 	}
@@ -349,9 +333,6 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		// snapshot, which would leave Recover with a gap and poison the
 		// applier.
 		return nil, fmt.Errorf("runner: AutoCompactLag is a pure-log knob; KV runs compact via SnapshotEvery+Compact")
-	}
-	if spec.CompactKeep <= 0 {
-		spec.CompactKeep = 4
 	}
 	if spec.Transfer && spec.SnapshotEvery <= 0 {
 		return nil, fmt.Errorf("runner: Transfer requires SnapshotEvery > 0 (peers serve snapshots)")
@@ -368,24 +349,12 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		encoded[i] = c.Encode()
 		distinct[encoded[i]] = struct{}{}
 	}
-	w, err := harness.New(harness.Config{
-		Params:   p,
-		Topology: spec.Topology,
-		Policy:   spec.Policy,
-		Adv:      spec.Adv,
-		FIFO:     spec.FIFO,
-		Seed:     spec.Seed,
-		Record:   spec.Record,
-		BotOK:    true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: %w", err)
-	}
 
 	res := &KVResult{
 		LogResult: LogResult{
-			Logs:    make(map[types.ProcID][]log.Entry),
-			Engines: make(map[types.ProcID]*log.Engine),
+			Logs:          make(map[types.ProcID][]log.Entry),
+			Engines:       make(map[types.ProcID]*log.Engine),
+			CommitLatency: obs.NewCommitLatency(spec.Obs),
 		},
 		Stores:         make(map[types.ProcID]*kv.Store),
 		Appliers:       make(map[types.ProcID]*sm.Applier),
@@ -400,13 +369,8 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		Boots:          make(map[types.ProcID]sm.BootStats),
 		BootErrs:       make(map[types.ProcID]error),
 	}
-	if spec.Trace != nil {
-		res.Tracers = make(map[types.ProcID]*xtrace.Tracer)
-		res.Stages = obs.NewStageMetrics(spec.Obs, "")
-	}
 	var submitAt map[types.Value]types.Time
 	if spec.Obs != nil {
-		res.CommitLatency = obs.NewCommitLatency(spec.Obs)
 		submitAt = make(map[types.Value]types.Time, len(distinct))
 		for k, c := range encoded {
 			if _, dup := submitAt[c]; !dup { // retries keep the first submit time
@@ -418,56 +382,42 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 	// Per-replica distinct-coverage sets live OUTSIDE the incarnation
 	// closures: a crash-restarted replica keeps counting from where its
 	// dead incarnation left off (coverage is a property of the process,
-	// not of one boot).
+	// not of one boot). The same holds for its telemetry cells and its
+	// flight recorder, which replica.New and the tracer map re-acquire.
 	seenBy := make(map[types.ProcID]map[types.Value]struct{})
-	// buildReplica assembles one incarnation of a correct replica's full
-	// stack (kv.Store → sm.Applier → log.Engine → optional sm.Transfer).
-	// The initial incarnation (reboot=false) registers telemetry and
-	// tracing; a rebooted one (reboot=true) instead restores its durable
-	// store through sm.Boot before the engine starts, and skips metric
-	// registration (the registry already holds this replica's bundles).
-	// Construction failures go to fail and the incarnation stays silent.
-	buildReplica := func(id types.ProcID, reboot bool, fail func(error)) harness.Behavior {
-		return func(env proto.Env) proto.Handler {
-			silent := proto.HandlerFunc(func(types.ProcID, proto.Message) {})
-			reg, trSpec := spec.Obs, spec.Trace
-			if reboot {
-				reg, trSpec = nil, nil
+	// boot places one incarnation of correct replica id: the first and
+	// every crash-restarted one through the same replica.New call, which
+	// restores whatever the durable store holds before the engine starts.
+	boot := func(w *harness.World, id types.ProcID) error {
+		_, reboot := res.Engines[id]
+		var rep *replica.Replica
+		var newErr error
+		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
+			tracer := res.Tracers[id]
+			if tracer == nil {
+				tracer = res.newTracer(spec.Trace, spec.Obs, id, env)
 			}
-			machine := kv.NewStore()
-			var labels string
-			if reg != nil {
-				labels = procLabel(id)
-				machine.SetMetrics(obs.NewKVMetrics(reg, labels))
+			cfg := spec.Log
+			cfg.Target = spec.Target
+			seen := seenBy[id]
+			if seen == nil {
+				seen = make(map[types.Value]struct{}, len(distinct))
+				seenBy[id] = seen
 			}
-			var tracer *xtrace.Tracer
-			if trSpec != nil {
-				tracer = xtrace.New(xtrace.Config{
-					Proc:     id,
-					Now:      env.Now,
-					Recorder: xtrace.NewRecorder(trSpec.cap()),
-					Stages:   res.Stages,
-				})
-				res.Tracers[id] = tracer
-			}
-			var eng *log.Engine
-			app, err := sm.New(sm.Config{
-				Machine:       machine,
-				SnapshotEvery: spec.SnapshotEvery,
-				RefreshEvery:  spec.SnapshotRefresh,
-				Persist:       persistFor(res.Durables, id),
-				Metrics:       obs.NewSMMetrics(reg, labels),
-				Tracer:        tracer,
-				// The retained-suffix capture rides every snapshot so this
-				// replica can serve complete transfer payloads (snapshot +
-				// dedup window); cheap (CompactKeep-sized) when compaction
-				// is on.
-				RetainedEntries: func() []log.Entry {
-					if eng == nil {
-						return nil
-					}
-					return eng.Entries()
-				},
+			rep, newErr = replica.New(replica.Config{
+				Env:             env,
+				Persist:         res.Durables[id],
+				Log:             cfg,
+				SnapshotEvery:   spec.SnapshotEvery,
+				SnapshotRefresh: spec.SnapshotRefresh,
+				Compact:         spec.Compact,
+				CompactKeep:     spec.CompactKeep,
+				Transfer:        spec.Transfer,
+				TransferRetry:   spec.TransferRetry,
+				TransferProbe:   spec.TransferProbe,
+				Obs:             spec.Obs,
+				Labels:          procLabel(id),
+				Tracer:          tracer,
 				OnSnapshot: func(s sm.Snapshot) {
 					res.SnapshotLog[id] = append(res.SnapshotLog[id],
 						sm.Snapshot{Index: s.Index, Instance: s.Instance, Digest: s.Digest})
@@ -475,110 +425,48 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 						At: env.Now(), Kind: trace.KindKVSnapshot, Proc: id,
 						Aux: fmt.Sprintf("idx=%d inst=%v digest=%x", s.Index, s.Instance, s.Digest[:8]),
 					})
-					if spec.Compact && eng != nil {
-						eng.Compact(s.Instance - spec.CompactKeep)
+				},
+				OnCommit: func(e log.Entry) {
+					res.Logs[id] = append(res.Logs[id], e)
+					// Default stop rule: close once every distinct workload
+					// command committed. Duplicate re-commits (possible after
+					// compaction forgets the content dedup) and forged
+					// commands from Byzantine batches don't count toward it —
+					// a deterministic function of the applied prefix, so
+					// instance starts stay symmetric.
+					if _, workload := distinct[e.Cmd]; !workload {
+						return
+					}
+					if _, dup := seen[e.Cmd]; dup {
+						return
+					}
+					seen[e.Cmd] = struct{}{}
+					res.Covered[id] = len(seen)
+					if res.CommitLatency != nil {
+						res.CommitLatency.Observe(int64(env.Now() - submitAt[e.Cmd]))
+					}
+					if spec.Target <= 0 && len(seen) >= len(distinct) {
+						rep.Engine.Close()
 					}
 				},
 			})
-			if err != nil {
-				fail(err)
+			if newErr != nil {
 				return silent
 			}
-			cfg := spec.Log
-			cfg.Env = env
-			cfg.Target = spec.Target
-			cfg.Tracer = tracer
-			if reg != nil {
-				cfg.Metrics = obs.NewLogMetrics(reg, labels)
-				cfg.Engine.RBMetrics = obs.NewRBMetrics(reg, labels)
-			}
-			seen := seenBy[id]
-			if seen == nil {
-				seen = make(map[types.Value]struct{}, len(distinct))
-				seenBy[id] = seen
-			}
-			cfg.OnCommit = func(e log.Entry) {
-				res.Logs[id] = append(res.Logs[id], e)
-				app.OnCommit(e)
-				// Default stop rule: close once every distinct workload
-				// command committed. Duplicate re-commits (possible after
-				// compaction forgets the content dedup) and forged
-				// commands from Byzantine batches don't count toward it —
-				// a deterministic function of the applied prefix, so
-				// instance starts stay symmetric.
-				if _, workload := distinct[e.Cmd]; !workload {
-					return
-				}
-				if _, dup := seen[e.Cmd]; dup {
-					return
-				}
-				seen[e.Cmd] = struct{}{}
-				res.Covered[id] = len(seen)
-				if res.CommitLatency != nil {
-					res.CommitLatency.Observe(int64(env.Now() - submitAt[e.Cmd]))
-				}
-				if spec.Target <= 0 && len(seen) >= len(distinct) && eng != nil {
-					eng.Close()
-				}
-			}
-			cfg.OnApply = app.OnApply
-			var tr *sm.Transfer
-			if spec.Transfer {
-				// Late-bound: tr exists only after the engine it wraps.
-				cfg.OnDroppedAhead = func(i types.Instance) {
-					if tr != nil {
-						tr.OnDroppedAhead(i)
-					}
-				}
-			}
-			eng, err = log.New(cfg)
-			if err != nil {
-				fail(err)
-				return silent
-			}
+			eng, app := rep.Engine, rep.Applier
 			if reboot {
-				// Restore from "disk" exactly as a live node restart would:
-				// install the stamped snapshot, replay the WAL suffix, and
-				// resume the ordering layer at the durable boundary. No peer
-				// is asked for anything.
-				st, berr := sm.Boot(res.Durables[id], app, eng)
-				if berr != nil {
-					fail(berr)
-					return silent
-				}
-				res.Boots[id] = st
+				res.Boots[id] = rep.Boot
 				env.Trace().Emit(trace.Event{
 					At: env.Now(), Kind: trace.KindKVRecover, Proc: id,
-					Aux: fmt.Sprintf("boot replayed-to=%d boundary=%v", app.Applied(), st.Boundary),
+					Aux: fmt.Sprintf("boot replayed-to=%d boundary=%v", app.Applied(), rep.Boot.Boundary),
 				})
 			}
-			handler := proto.Handler(eng)
-			if spec.Transfer {
-				tr, err = sm.NewTransfer(sm.TransferConfig{
-					Env:        env,
-					Applier:    app,
-					Log:        eng,
-					Next:       eng,
-					RetryEvery: spec.TransferRetry,
-					StallProbe: spec.TransferProbe,
-					Metrics:    obs.NewTransferMetrics(reg, labels),
-				})
-				if err != nil {
-					fail(err)
-					return silent
-				}
-				trs[id] = tr
-				handler = tr
-			}
-			res.Engines[id] = eng
-			res.Stores[id] = machine
-			res.Appliers[id] = app
+			res.Engines[id], res.Stores[id], res.Appliers[id], trs[id] = eng, rep.Store, app, rep.Transfer
 			// Submit the workload — on a reboot, re-submit it in full
 			// relative to the restart instant: the crashed incarnation's
 			// submit timers died with it, commit dedup drops what already
 			// landed, and anything that was pending gets a second chance.
 			for k, c := range encoded {
-				c := c
 				env.SetTimer(types.Duration(k)*spec.SubmitEvery, func() { _ = eng.Submit(c) })
 			}
 			if at, ok := spec.RecoverAt[id]; ok && !reboot {
@@ -593,84 +481,62 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 					})
 				})
 			}
-			env.SetTimer(0, func() {
-				if err := eng.Start(); err != nil {
-					fail(err)
-				}
-			})
-			return handler
+			// A Start failure is the engine's sticky Err, surfaced after
+			// the run.
+			env.SetTimer(0, func() { _ = eng.Start() })
+			return rep.Handler
+		})
+		if err == nil {
+			err = newErr
 		}
+		if err == nil {
+			wireNode(w, id, spec.Obs, rep.Engine)
+		}
+		return err
 	}
-	for _, id := range p.AllProcs() {
-		id := id
-		if b, ok := spec.Byzantine[id]; ok {
-			if err := w.SetBehavior(id, b); err != nil {
-				return nil, fmt.Errorf("runner: %w", err)
-			}
-			continue
-		}
-		res.Correct = append(res.Correct, id)
+	w, correct, err := newWorld(harness.Config{
+		Params:   spec.Params,
+		Topology: spec.Topology,
+		Policy:   spec.Policy,
+		Adv:      spec.Adv,
+		FIFO:     spec.FIFO,
+		Seed:     spec.Seed,
+		Record:   spec.Record,
+		BotOK:    true,
+	}, spec.Byzantine, func(w *harness.World, id types.ProcID) error {
 		if spec.Durable {
 			res.Durables[id] = store.NewMemory()
 		}
-		var engErr error
-		err := w.SetBehavior(id, buildReplica(id, false, func(e error) {
-			if engErr == nil {
-				engErr = e
-			}
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("runner: %w", err)
-		}
-		if engErr != nil {
-			return nil, fmt.Errorf("runner: kv replica %v: %w", id, engErr)
-		}
-		wireRetirer(w, id, res.Engines[id])
-		wireObs(w, id, spec.Obs)
+		return boot(w, id)
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.Correct = correct
 	// Crash-restart choreography: power the process off at its mapped
 	// time, reboot it from its durable store RestartDelay later. The
 	// timers are scheduled directly on the scheduler (NOT through the
 	// victim's env — the kill would fence its own restart), in sorted
-	// process order so the event sequence is seed-deterministic.
-	if len(spec.CrashRestart) > 0 {
-		ids := make([]types.ProcID, 0, len(spec.CrashRestart))
-		for id := range spec.CrashRestart {
-			ids = append(ids, id)
+	// process order so the event sequence is seed-deterministic. A reboot
+	// that fails leaves the replica powered off for the rest of the run.
+	for _, id := range slices.Sorted(maps.Keys(spec.CrashRestart)) {
+		if res.Durables[id] == nil {
+			return nil, fmt.Errorf("runner: CrashRestart process %v is not a correct replica", id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			id := id
-			if res.Durables[id] == nil {
-				return nil, fmt.Errorf("runner: CrashRestart process %v is not a correct replica", id)
+		at := types.Duration(spec.CrashRestart[id])
+		w.Sched.After(at, func() { w.Kill(id) })
+		w.Sched.After(at+spec.RestartDelay, func() {
+			if err := boot(w, id); err != nil {
+				res.BootErrs[id] = err
 			}
-			at := types.Duration(spec.CrashRestart[id])
-			w.Sched.After(at, func() { w.Kill(id) })
-			w.Sched.After(at+spec.RestartDelay, func() {
-				err := w.SetBehavior(id, buildReplica(id, true, func(e error) {
-					if res.BootErrs[id] == nil {
-						res.BootErrs[id] = e
-					}
-				}))
-				if err != nil && res.BootErrs[id] == nil {
-					res.BootErrs[id] = err
-				}
-				wireRetirer(w, id, res.Engines[id])
-			})
-		}
+		})
 	}
 
-	res.Stop = w.Run(spec.Deadline, spec.MaxEvents)
-	res.End = w.Sched.Now()
-	res.Events = w.Sched.Executed
-	res.Compactions = w.Sched.Compactions
-	res.Messages = w.Net.Sent()
-	res.Duplicates = w.DroppedDuplicates()
-	res.Log = w.Log
+	res.run(w, spec.Deadline, spec.MaxEvents)
+	if err := res.engineErr(); err != nil {
+		return nil, err
+	}
 	for _, id := range res.Correct {
-		if eng := res.Engines[id]; eng != nil && eng.Err() != nil {
-			return nil, fmt.Errorf("runner: kv replica %v: %w", id, eng.Err())
-		}
 		if app := res.Appliers[id]; app != nil {
 			res.StateDigests[id] = app.StateDigest()
 			if err := app.Err(); err != nil && res.RecoverErrs[id] == nil {

@@ -373,12 +373,20 @@ func TestKVCrashRestart(t *testing.T) {
 		spec.Transfer = true
 		spec.CrashRestart = map[types.ProcID]types.Time{2: types.Time(40 * time.Millisecond)}
 		spec.RestartDelay = types.Duration(4 * time.Millisecond)
+		spec.Obs = obs.NewRegistry()
 		res, err := RunKV(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := res.BootErrs[2]; err != nil {
 			t.Fatalf("seed %d: reboot failed: %v", seed, err)
+		}
+		// The rebooted incarnation re-acquires the replica's telemetry
+		// cells: the counter covers the commits of BOTH incarnations, not
+		// just the ones before the power cut.
+		committed := spec.Obs.Counter(obs.WithLabels("minsync_log_committed_total", procLabel(2))).Value()
+		if int(committed) != len(res.Logs[2]) {
+			t.Fatalf("seed %d: minsync_log_committed_total froze at %d of %d commits across the restart", seed, committed, len(res.Logs[2]))
 		}
 		st, ok := res.Boots[2]
 		if !ok {

@@ -8,8 +8,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/proto"
-	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/xtrace"
 )
@@ -78,24 +76,11 @@ type LogResult struct {
 	Logs map[types.ProcID][]log.Entry
 	// Correct lists the correct processes, ascending.
 	Correct []types.ProcID
-	// Messages is the total point-to-point message count.
-	Messages uint64
+	Totals
 	// Dropped is the number of sent messages the network dropped
 	// (partitions, adversary drops); Messages − Dropped is the delivery
 	// count.
 	Dropped uint64
-	// Duplicates counts messages dropped by the first-message rule.
-	Duplicates uint64
-	// End is the virtual time when the run stopped; Stop says why.
-	End  types.Time
-	Stop sim.StopReason
-	// Events is the number of simulation events executed.
-	Events uint64
-	// Compactions counts event-heap compaction passes (canceled-timer
-	// reclamation in the kernel; see sim.Scheduler).
-	Compactions uint64
-	// Log is the trace (nil unless Spec.Record).
-	Log *trace.Log
 	// CommitLatency is the shared commit-latency histogram (nil unless
 	// Spec.Obs).
 	CommitLatency *obs.Histogram
@@ -121,6 +106,26 @@ func (t *TraceSpec) cap() int {
 		return 4096
 	}
 	return t.RecorderCap
+}
+
+// newTracer builds replica id's causal tracer on the virtual clock and
+// records it in the result (nil when tracing is off). The first one also
+// registers the stage-latency bundle all of them share.
+func (r *LogResult) newTracer(spec *TraceSpec, reg *obs.Registry, id types.ProcID, env proto.Env) *xtrace.Tracer {
+	if spec == nil {
+		return nil
+	}
+	if r.Tracers == nil {
+		r.Tracers = make(map[types.ProcID]*xtrace.Tracer)
+		r.Stages = obs.NewStageMetrics(reg, "")
+	}
+	r.Tracers[id] = xtrace.New(xtrace.Config{
+		Proc:     id,
+		Now:      env.Now,
+		Recorder: xtrace.NewRecorder(spec.cap()),
+		Stages:   r.Stages,
+	})
+	return r.Tracers[id]
 }
 
 // TraceDumps captures every correct replica's flight recorder, in
@@ -187,17 +192,6 @@ func (r *LogResult) Consistent() bool {
 // coalescing work targets.
 func (r *LogResult) Deliveries() uint64 { return r.Messages - r.Dropped }
 
-// MsgsPerCommit returns the message volume per committed command (using
-// the slowest correct replica's commit count) — the trajectory metric
-// the -trend tables track alongside latency. 0 when nothing committed.
-func (r *LogResult) MsgsPerCommit() float64 {
-	n := r.MinCommitted()
-	if n == 0 {
-		return 0
-	}
-	return float64(r.Messages) / float64(n)
-}
-
 // MinCommitted returns the smallest committed count among correct
 // processes.
 func (r *LogResult) MinCommitted() int {
@@ -213,45 +207,26 @@ func (r *LogResult) MinCommitted() int {
 	return min
 }
 
-// wireRetirer connects a replica's dedup dispatcher to its log engine so
-// Compact retires message-dedup sub-maps in the same stroke as the
-// engine's own per-instance state. Must run after SetBehavior (the node
-// exists only then); a nil engine (construction failed) is a no-op.
-func wireRetirer(w *harness.World, id types.ProcID, eng *log.Engine) {
-	if eng == nil {
-		return
-	}
-	if n := w.Node(id); n != nil {
-		eng.SetRetirer(n)
-	}
-}
-
 // procLabel renders the per-replica label body shared by every runner
 // bundle, e.g. `proc="2"`.
 func procLabel(id types.ProcID) string {
 	return fmt.Sprintf("proc=%q", fmt.Sprint(id))
 }
 
-// wireObs attaches the dedup dispatcher's telemetry bundle. Like
-// wireRetirer it must run after SetBehavior.
-func wireObs(w *harness.World, id types.ProcID, reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	if n := w.Node(id); n != nil {
-		n.SetMetrics(obs.NewDedupMetrics(reg, procLabel(id)))
+// wireNode connects process id's dedup dispatcher — it exists only once
+// SetBehavior succeeded — to its telemetry bundle and, for a log engine,
+// as the Retirer, so Compact retires message-dedup sub-maps in the same
+// stroke as the engine's own per-instance state.
+func wireNode(w *harness.World, id types.ProcID, reg *obs.Registry, eng *log.Engine) {
+	n := w.Node(id)
+	n.SetMetrics(obs.NewDedupMetrics(reg, procLabel(id)))
+	if eng != nil {
+		eng.SetRetirer(n)
 	}
 }
 
 // RunLog executes the spec.
 func RunLog(spec LogSpec) (*LogResult, error) {
-	p := spec.Params
-	if err := p.Validate(true); err != nil {
-		return nil, fmt.Errorf("runner: %w", err)
-	}
-	if len(spec.Byzantine) > p.T {
-		return nil, fmt.Errorf("runner: %d Byzantine processes exceed t=%d", len(spec.Byzantine), p.T)
-	}
 	seen := make(map[types.Value]bool, len(spec.Commands))
 	for _, c := range spec.Commands {
 		if c == types.BotValue {
@@ -265,8 +240,20 @@ func RunLog(spec LogSpec) (*LogResult, error) {
 	if spec.Target <= 0 {
 		spec.Target = len(spec.Commands)
 	}
-	w, err := harness.New(harness.Config{
-		Params:   p,
+	res := &LogResult{
+		Logs:          make(map[types.ProcID][]log.Entry),
+		Engines:       make(map[types.ProcID]*log.Engine),
+		CommitLatency: obs.NewCommitLatency(spec.Obs),
+	}
+	var submitAt map[types.Value]types.Time
+	if spec.Obs != nil {
+		submitAt = make(map[types.Value]types.Time, len(spec.Commands))
+		for k, c := range spec.Commands {
+			submitAt[c] = types.Time(types.Duration(k) * spec.SubmitEvery)
+		}
+	}
+	w, correct, err := newWorld(harness.Config{
+		Params:   spec.Params,
 		Topology: spec.Topology,
 		Policy:   spec.Policy,
 		Adv:      spec.Adv,
@@ -274,51 +261,13 @@ func RunLog(spec LogSpec) (*LogResult, error) {
 		Seed:     spec.Seed,
 		Record:   spec.Record,
 		BotOK:    true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: %w", err)
-	}
-
-	res := &LogResult{
-		Logs:    make(map[types.ProcID][]log.Entry),
-		Engines: make(map[types.ProcID]*log.Engine),
-	}
-	if spec.Trace != nil {
-		res.Tracers = make(map[types.ProcID]*xtrace.Tracer)
-		res.Stages = obs.NewStageMetrics(spec.Obs, "")
-	}
-	var submitAt map[types.Value]types.Time
-	if spec.Obs != nil {
-		res.CommitLatency = obs.NewCommitLatency(spec.Obs)
-		submitAt = make(map[types.Value]types.Time, len(spec.Commands))
-		for k, c := range spec.Commands {
-			submitAt[c] = types.Time(types.Duration(k) * spec.SubmitEvery)
-		}
-	}
-	for _, id := range p.AllProcs() {
-		id := id
-		if b, ok := spec.Byzantine[id]; ok {
-			if err := w.SetBehavior(id, b); err != nil {
-				return nil, fmt.Errorf("runner: %w", err)
-			}
-			continue
-		}
-		res.Correct = append(res.Correct, id)
+	}, spec.Byzantine, func(w *harness.World, id types.ProcID) error {
 		var engErr error
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
 			cfg := spec.Log
 			cfg.Env = env
 			cfg.Target = spec.Target
-			if spec.Trace != nil {
-				tr := xtrace.New(xtrace.Config{
-					Proc:     id,
-					Now:      env.Now,
-					Recorder: xtrace.NewRecorder(spec.Trace.cap()),
-					Stages:   res.Stages,
-				})
-				res.Tracers[id] = tr
-				cfg.Tracer = tr
-			}
+			cfg.Tracer = res.newTracer(spec.Trace, spec.Obs, id, env)
 			var latSeen map[types.Value]struct{}
 			if spec.Obs != nil {
 				labels := procLabel(id)
@@ -343,11 +292,10 @@ func RunLog(spec LogSpec) (*LogResult, error) {
 			eng, err := log.New(cfg)
 			if err != nil {
 				engErr = err
-				return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
+				return silent
 			}
 			res.Engines[id] = eng
 			for k, c := range spec.Commands {
-				c := c
 				env.SetTimer(types.Duration(k)*spec.SubmitEvery, func() { _ = eng.Submit(c) })
 			}
 			env.SetTimer(0, func() {
@@ -357,28 +305,33 @@ func RunLog(spec LogSpec) (*LogResult, error) {
 			})
 			return eng
 		})
-		if err != nil {
-			return nil, fmt.Errorf("runner: %w", err)
+		if err == nil {
+			err = engErr
 		}
-		if engErr != nil {
-			return nil, fmt.Errorf("runner: log engine %v: %w", id, engErr)
+		if err == nil {
+			wireNode(w, id, spec.Obs, res.Engines[id])
 		}
-		wireRetirer(w, id, res.Engines[id])
-		wireObs(w, id, spec.Obs)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	res.Stop = w.Run(spec.Deadline, spec.MaxEvents)
-	res.End = w.Sched.Now()
-	res.Events = w.Sched.Executed
-	res.Compactions = w.Sched.Compactions
-	res.Messages = w.Net.Sent()
+	res.Correct = correct
+	res.run(w, spec.Deadline, spec.MaxEvents)
 	res.Dropped = w.Net.Dropped()
-	res.Duplicates = w.DroppedDuplicates()
-	res.Log = w.Log
-	for _, id := range res.Correct {
-		if eng := res.Engines[id]; eng != nil && eng.Err() != nil {
-			return nil, fmt.Errorf("runner: log engine %v: %w", id, eng.Err())
-		}
+	if err := res.engineErr(); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// engineErr surfaces the first correct replica whose engine poisoned
+// itself during the run.
+func (r *LogResult) engineErr() error {
+	for _, id := range r.Correct {
+		if eng := r.Engines[id]; eng != nil && eng.Err() != nil {
+			return fmt.Errorf("runner: log engine %v: %w", id, eng.Err())
+		}
+	}
+	return nil
 }

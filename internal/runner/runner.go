@@ -67,6 +67,13 @@ type Result struct {
 	Stalled []types.ProcID
 	// Correct lists the correct processes of the run, ascending.
 	Correct []types.ProcID
+	Totals
+	// Engines gives access to per-process engine state (introspection).
+	Engines map[types.ProcID]*core.Engine
+}
+
+// Totals are the world-level counters every kind of run reports.
+type Totals struct {
 	// Messages is the total point-to-point message count.
 	Messages uint64
 	// Duplicates counts messages dropped by the first-message rule.
@@ -81,8 +88,51 @@ type Result struct {
 	Compactions uint64
 	// Log is the trace (nil unless Spec.Record).
 	Log *trace.Log
-	// Engines gives access to per-process engine state (introspection).
-	Engines map[types.ProcID]*core.Engine
+}
+
+// run drives the world to completion (or deadline / event budget) and
+// reads the counters.
+func (t *Totals) run(w *harness.World, deadline types.Time, maxEvents uint64) {
+	t.Stop = w.Run(deadline, maxEvents)
+	t.End = w.Sched.Now()
+	t.Events = w.Sched.Executed
+	t.Compactions = w.Sched.Compactions
+	t.Messages = w.Net.Sent()
+	t.Duplicates = w.DroppedDuplicates()
+	t.Log = w.Log
+}
+
+// newWorld validates the resilience parameters, builds the world and
+// places its processes in ascending id order: Byzantine ones from byz,
+// every other through place. It returns the correct ids. The single
+// ascending pass is load-bearing: a behavior may arm timers while it is
+// built and same-instant events fire in arming order, so how correct and
+// Byzantine construction interleave is part of the seed's schedule.
+func newWorld(cfg harness.Config, byz map[types.ProcID]harness.Behavior, place func(w *harness.World, id types.ProcID) error) (*harness.World, []types.ProcID, error) {
+	p := cfg.Params
+	if err := p.Validate(cfg.BotOK); err != nil {
+		return nil, nil, fmt.Errorf("runner: %w", err)
+	}
+	if len(byz) > p.T {
+		return nil, nil, fmt.Errorf("runner: %d Byzantine processes exceed t=%d", len(byz), p.T)
+	}
+	w, err := harness.New(cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("runner: %w", err)
+	}
+	var correct []types.ProcID
+	for _, id := range p.AllProcs() {
+		if b, ok := byz[id]; ok {
+			err = w.SetBehavior(id, b)
+		} else {
+			correct = append(correct, id)
+			err = place(w, id)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("runner: process %v: %w", id, err)
+		}
+	}
+	return w, correct, nil
 }
 
 // AllDecided reports whether every correct process decided.
@@ -136,22 +186,21 @@ func (r *Result) MaxDecideTime() types.Time {
 
 // Run executes the spec.
 func Run(spec Spec) (*Result, error) {
-	p := spec.Params
-	if err := p.Validate(spec.Engine.BotMode); err != nil {
-		return nil, fmt.Errorf("runner: %w", err)
-	}
-	if len(spec.Byzantine) > p.T {
-		return nil, fmt.Errorf("runner: %d Byzantine processes exceed t=%d", len(spec.Byzantine), p.T)
-	}
-	for _, id := range p.AllProcs() {
+	for _, id := range spec.Params.AllProcs() {
 		_, isC := spec.Proposals[id]
 		_, isB := spec.Byzantine[id]
 		if isC == isB {
 			return nil, fmt.Errorf("runner: process %v must be exactly one of correct/Byzantine", id)
 		}
 	}
-	w, err := harness.New(harness.Config{
-		Params:   p,
+	res := &Result{
+		Decisions:   make(map[types.ProcID]types.Value),
+		DecideTime:  make(map[types.ProcID]types.Time),
+		DecideRound: make(map[types.ProcID]types.Round),
+		Engines:     make(map[types.ProcID]*core.Engine),
+	}
+	w, correct, err := newWorld(harness.Config{
+		Params:   spec.Params,
 		Topology: spec.Topology,
 		Policy:   spec.Policy,
 		Adv:      spec.Adv,
@@ -159,26 +208,7 @@ func Run(spec Spec) (*Result, error) {
 		Seed:     spec.Seed,
 		Record:   spec.Record,
 		BotOK:    spec.Engine.BotMode,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: %w", err)
-	}
-
-	res := &Result{
-		Decisions:   make(map[types.ProcID]types.Value),
-		DecideTime:  make(map[types.ProcID]types.Time),
-		DecideRound: make(map[types.ProcID]types.Round),
-		Engines:     make(map[types.ProcID]*core.Engine),
-	}
-	for _, id := range p.AllProcs() {
-		id := id
-		if b, ok := spec.Byzantine[id]; ok {
-			if err := w.SetBehavior(id, b); err != nil {
-				return nil, fmt.Errorf("runner: %w", err)
-			}
-			continue
-		}
-		res.Correct = append(res.Correct, id)
+	}, spec.Byzantine, func(w *harness.World, id types.ProcID) error {
 		v := spec.Proposals[id]
 		var engErr error
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
@@ -195,33 +225,29 @@ func Run(spec Spec) (*Result, error) {
 			eng, err := core.New(cfg)
 			if err != nil {
 				engErr = err
-				return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
+				return silent
 			}
 			res.Engines[id] = eng
-			at := spec.ProposeAt[id]
-			env.SetTimer(at, func() {
+			env.SetTimer(spec.ProposeAt[id], func() {
 				if err := eng.Propose(v); err != nil {
 					engErr = err
 				}
 			})
 			return eng
 		})
-		if err != nil {
-			return nil, fmt.Errorf("runner: %w", err)
+		if err == nil {
+			err = engErr
 		}
-		if engErr != nil {
-			return nil, fmt.Errorf("runner: engine %v: %w", id, engErr)
+		if err == nil {
+			wireNode(w, id, spec.Obs, nil)
 		}
-		wireObs(w, id, spec.Obs)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	res.Stop = w.Run(spec.Deadline, spec.MaxEvents)
-	res.End = w.Sched.Now()
-	res.Events = w.Sched.Executed
-	res.Compactions = w.Sched.Compactions
-	res.Messages = w.Net.Sent()
-	res.Duplicates = w.DroppedDuplicates()
-	res.Log = w.Log
+	res.Correct = correct
+	res.run(w, spec.Deadline, spec.MaxEvents)
 	for id, eng := range res.Engines {
 		if eng.Stalled() {
 			res.Stalled = append(res.Stalled, id)
@@ -229,3 +255,7 @@ func Run(spec Spec) (*Result, error) {
 	}
 	return res, nil
 }
+
+// silent is the handler of a correct process whose construction failed:
+// the run is about to be abandoned with that error.
+var silent = proto.HandlerFunc(func(types.ProcID, proto.Message) {})
