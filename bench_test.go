@@ -367,39 +367,56 @@ func logThroughputSpec(n, batch, pipeline, workload int, seed int64) runner.LogS
 // 200-command workload, swept over batch size and pipeline depth. The
 // headline metric is cmds_per_sec_v — committed commands per second of
 // virtual time; instances/op and msgs_per_cmd/op expose where the
-// throughput comes from (fewer consensus instances per command).
+// throughput comes from (fewer consensus instances per command). The
+// canonical cell is the live engine setting (CanonicalBatches + Coalesce)
+// with every lane deeper than a batch: its instances/op is what
+// lane-striping keeps near 200/32 and would be P× that without it.
 func BenchmarkLogThroughput(b *testing.B) {
 	for _, batch := range []int{8, 32} {
 		for _, pipeline := range []int{1, 4} {
-			batch, pipeline := batch, pipeline
 			b.Run(fmt.Sprintf("batch=%d/pipeline=%d", batch, pipeline), func(b *testing.B) {
-				var last *runner.LogResult
-				for i := 0; i < b.N; i++ {
-					res, err := runner.RunLog(logThroughputSpec(4, batch, pipeline, 200, int64(i)))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.AllCommitted(200) {
-						b.Fatalf("only %d/200 commands committed", res.MinCommitted())
-					}
-					if !res.Consistent() {
-						b.Fatal("logs inconsistent")
-					}
-					last = res
-				}
-				vsec := time.Duration(last.End).Seconds()
-				b.ReportMetric(200/vsec, "cmds_per_sec_v")
-				var insts types.Instance
-				for _, id := range last.Correct {
-					if a := last.Engines[id].Applied(); a > insts {
-						insts = a
-					}
-				}
-				b.ReportMetric(float64(insts), "instances/op")
-				b.ReportMetric(float64(last.Messages)/200, "msgs_per_cmd/op")
+				benchLogThroughput(b, func(seed int64) runner.LogSpec {
+					return logThroughputSpec(4, batch, pipeline, 200, seed)
+				})
 			})
 		}
 	}
+	b.Run("canonical/batch=32/pipeline=4", func(b *testing.B) {
+		benchLogThroughput(b, func(seed int64) runner.LogSpec {
+			spec := exp.CoalescedLogWorkloadSpec(4, 32, 4, 200, seed)
+			spec.Log.CanonicalBatches = true
+			return spec
+		})
+	})
+}
+
+// benchLogThroughput runs one BenchmarkLogThroughput cell: the spec of
+// iteration i is specFor(i), over 200 commands.
+func benchLogThroughput(b *testing.B, specFor func(seed int64) runner.LogSpec) {
+	var last *runner.LogResult
+	for i := 0; i < b.N; i++ {
+		res, err := runner.RunLog(specFor(int64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.AllCommitted(200) {
+			b.Fatalf("only %d/200 commands committed", res.MinCommitted())
+		}
+		if !res.Consistent() {
+			b.Fatal("logs inconsistent")
+		}
+		last = res
+	}
+	vsec := time.Duration(last.End).Seconds()
+	b.ReportMetric(200/vsec, "cmds_per_sec_v")
+	var insts types.Instance
+	for _, id := range last.Correct {
+		if a := last.Engines[id].Applied(); a > insts {
+			insts = a
+		}
+	}
+	b.ReportMetric(float64(insts), "instances/op")
+	b.ReportMetric(float64(last.Messages)/200, "msgs_per_cmd/op")
 }
 
 // BenchmarkLogThroughputObs is BenchmarkLogThroughput with a live obs

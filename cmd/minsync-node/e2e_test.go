@@ -183,7 +183,7 @@ func TestE2EClusterTelemetry(t *testing.T) {
 		if doc["id"] != float64(i+1) || doc["mode"] != "kv" {
 			t.Errorf("replica %d /statusz identity wrong: %v", i+1, doc)
 		}
-		for _, key := range []string{"applied_entries", "sessions", "trace_total"} {
+		for _, key := range []string{"applied_entries", "sessions", "trace_total", "batch", "pipeline"} {
 			if _, ok := doc[key]; !ok {
 				t.Errorf("replica %d /statusz missing %q: %v", i+1, key, doc)
 			}

@@ -396,6 +396,8 @@ func (e *kvEdge) status() map[string]any {
 			"applied_entries":   rep.Applier.Applied(),
 			"applied_instances": rep.Engine.Applied(),
 			"retired_instances": rep.Engine.Retired(),
+			"batch":             rep.Engine.BatchSize(),
+			"pipeline":          rep.Engine.Pipeline(),
 			"keys":              rep.Store.Len(),
 			"sessions":          rep.Store.Sessions(),
 			"snapshots_taken":   rep.Applier.Snapshots(),

@@ -68,7 +68,7 @@ func main() {
 		propose  = flag.String("propose", "", "value to propose (required in single-shot mode)")
 		logN     = flag.Int("log", 0, "replicated-log mode: totally order this many commands")
 		batch    = flag.Int("batch", 16, "log/kv mode: max commands per batch")
-		pipeline = flag.Int("pipeline", 4, "log/kv mode: consensus instances in flight")
+		pipeline = flag.Int("pipeline", 4, "log/kv mode: consensus instances in flight; cluster-wide like -peers and -t: in kv mode it also stripes the pending commands into lanes, and replicas that disagree on it propose different batches and decide nothing (compare `pipeline` on /statusz)")
 		unit     = flag.Duration("unit", 50*time.Millisecond, "EA round timer unit")
 		coalesce = flag.Bool("coalesce", true, "log/kv mode: batch RB echo/ready traffic into coalesced vector frames (rb.Relay)")
 		wait     = flag.Duration("wait", 2*time.Minute, "give up after this long")
@@ -281,6 +281,8 @@ func runLogMode(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 				"committed": committed.Load(),
 				"target":    target,
 				"instances": engine.Applied(),
+				"batch":     engine.BatchSize(),
+				"pipeline":  engine.Pipeline(),
 			}
 		})
 	})

@@ -2,7 +2,7 @@ package log
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -38,7 +38,11 @@ type Config struct {
 	// BatchSize caps the commands per proposed batch (default 16).
 	BatchSize int
 	// Pipeline is the number of instances in flight, W (default 4):
-	// instance i+W starts when instance i is applied.
+	// instance i+W starts when instance i is applied. With
+	// CanonicalBatches it is also the number of lanes the pending set is
+	// striped over, which makes it a cluster-wide parameter like n and t:
+	// replicas that disagree on it propose different batches for the same
+	// instance and decide ⊥ until they agree.
 	Pipeline int
 	// MaxLead bounds how far past the local apply point an inbound
 	// message's instance may be before it is dropped (default 256). It
@@ -91,22 +95,22 @@ type Config struct {
 	// relay (flush spans). Passive like Metrics — a traced run stays
 	// schedule-identical to an untraced one.
 	Tracer *xtrace.Tracer
-	// CanonicalBatches, when set, makes batch selection a deterministic
-	// function of the pending command SET instead of its arrival order:
-	// nextBatch sorts the pending queue by content before taking up to
-	// BatchSize commands. Live clusters need this for liveness — the
+	// CanonicalBatches, when set, makes the batch of instance i a pure
+	// function of (pending command SET, i, Pipeline) instead of arrival
+	// order and local decide timing — see canonicalBatch for the
+	// lane-striped rule. Live clusters need this for liveness — the
 	// client-broadcast model only makes progress when correct replicas
 	// propose identical batch ENCODINGS, and over real transports the
 	// same forwarded commands arrive at each replica in a different
 	// order, so FIFO batches never converge and every instance decides ⊥
-	// while the commands recycle forever. Sorting restores convergence:
-	// once the forwards propagate, identical pending sets produce
-	// identical batches. Canonical mode also drops the in-flight
-	// exclusion, so pipelined instances propose overlapping batches (see
-	// nextBatch); apply-time content dedup keeps the committed sequence
-	// exactly-once. Off by default: simulation runs submit
-	// symmetrically (identical FIFO everywhere), and the digest-pinned
-	// scenario fixtures depend on submission-order batches.
+	// while the commands recycle forever. A function of the set restores
+	// convergence: once the forwards propagate, identical pending sets
+	// produce identical batches for every instance. Apply-time content
+	// dedup keeps the committed sequence exactly-once where the batches
+	// of in-flight instances overlap (shallow queues). Off by default:
+	// simulation runs submit symmetrically (identical FIFO everywhere),
+	// and the digest-pinned scenario fixtures depend on submission-order
+	// batches.
 	CanonicalBatches bool
 	// Coalesce enables the reliable-broadcast coalescing relay
 	// (rb.Relay): every ECHO/READY the replica originates within one
@@ -156,9 +160,15 @@ type Engine struct {
 	nextStart types.Instance // next instance this process will propose in
 	applied   types.Instance // instances [0, applied) are applied
 
-	pending    []types.Value // submitted, uncommitted commands (FIFO)
-	pendingSet map[types.Value]struct{}
-	inFlight   map[types.Value]int // commands inside own undecided batches
+	// Submitted, uncommitted commands. FIFO mode queues them in arrival
+	// order in pending; canonical mode keeps them in lanes — Pipeline
+	// content-sorted queues, allocated at the first Submit. pendingSet
+	// holds every one of them in both modes, mapped to its lane (0 in
+	// FIFO mode).
+	pending    []types.Value
+	lanes      [][]types.Value
+	pendingSet map[types.Value]int
+	inFlight   map[types.Value]int // commands inside own undecided batches; only FIFO selection reads it
 	committed  map[types.Value]struct{}
 	entries    []Entry // retained suffix: entries [entriesBase, Committed())
 
@@ -219,7 +229,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		insts:      make(map[types.Instance]*instance),
 		decided:    make(map[types.Instance]types.Value),
-		pendingSet: make(map[types.Value]struct{}),
+		pendingSet: make(map[types.Value]int),
 		inFlight:   make(map[types.Value]int),
 		committed:  make(map[types.Value]struct{}),
 	}
@@ -271,8 +281,18 @@ func (l *Engine) Submit(cmd types.Value) error {
 	if _, dup := l.pendingSet[cmd]; dup {
 		return nil
 	}
-	l.pending = append(l.pending, cmd)
-	l.pendingSet[cmd] = struct{}{}
+	lane := 0
+	if l.cfg.CanonicalBatches {
+		if l.lanes == nil {
+			l.lanes = make([][]types.Value, l.cfg.Pipeline)
+		}
+		lane = laneOf(cmd, l.cfg.Pipeline)
+		k, _ := slices.BinarySearch(l.lanes[lane], cmd)
+		l.lanes[lane] = slices.Insert(l.lanes[lane], k, cmd)
+	} else {
+		l.pending = append(l.pending, cmd)
+	}
+	l.pendingSet[cmd] = lane
 	l.cfg.Tracer.OnSubmit(cmd)
 	return nil
 }
@@ -405,7 +425,7 @@ func (l *Engine) startNext() {
 	if inst == nil {
 		return
 	}
-	batch := l.nextBatch()
+	batch := l.nextBatch(i)
 	inst.ownBatch = batch
 	inst.proposed = true
 	for _, c := range batch {
@@ -431,30 +451,21 @@ func (l *Engine) startNext() {
 // bundle they already loaded.
 func (l *Engine) syncGauges(m *obs.LogMetrics) {
 	m.AppliedInstances.Set(int64(l.applied))
-	m.PendingCommands.Set(int64(len(l.pending)))
+	m.PendingCommands.Set(int64(len(l.pendingSet)))
 	m.PipelineDepth.Set(int64(l.nextStart - l.applied))
 }
 
-// nextBatch selects up to BatchSize pending commands. In FIFO mode it
-// skips commands already riding in one of this process's undecided
-// batches, partitioning the queue across the pipeline. With
-// CanonicalBatches the selection (and the batch's internal order) is
-// taken over the sorted pending set and the in-flight exclusion is
-// dropped: the exclusion would make the batch a function of local
-// decide timing (which instance got which partition), so replicas
-// drift out of phase and propose mismatched batches forever. Instead
-// every undecided instance carries the same canonical head-of-queue
-// batch; once one of them commits it, apply-time content dedup drops
-// the copies riding in the others.
-func (l *Engine) nextBatch() []types.Value {
-	queue := l.pending
-	if l.cfg.CanonicalBatches && len(queue) > 1 {
-		queue = append([]types.Value(nil), l.pending...)
-		sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
+// nextBatch selects the up to BatchSize pending commands this process
+// proposes in instance i. In FIFO mode it takes them in arrival order,
+// skipping commands already riding in one of this process's undecided
+// batches, which partitions the queue across the pipeline.
+func (l *Engine) nextBatch(i types.Instance) []types.Value {
+	if l.cfg.CanonicalBatches {
+		return l.canonicalBatch(i)
 	}
 	var batch []types.Value
-	for _, c := range queue {
-		if !l.cfg.CanonicalBatches && l.inFlight[c] > 0 {
+	for _, c := range l.pending {
+		if l.inFlight[c] > 0 {
 			continue
 		}
 		batch = append(batch, c)
@@ -463,6 +474,54 @@ func (l *Engine) nextBatch() []types.Value {
 		}
 	}
 	return batch
+}
+
+// canonicalBatch is the CanonicalBatches rule. Every pending command
+// belongs to lane laneOf(c) of Pipeline lanes; instance i's home lane is
+// i mod Pipeline. The batch is the sorted head of the home lane, then —
+// while it is short of BatchSize — it spills into the sorted heads of
+// lanes home+1, home+2, … in turn.
+//
+// The batch is a pure function of (pending set, i, Pipeline). It never
+// reads inFlight or anything else that records WHEN this process saw an
+// instance decide: a partition by local decide timing puts replicas out
+// of phase, and they then propose mismatched batches — ⊥ — forever.
+// Replicas holding the same pending set propose the same encoding for
+// every instance, whatever order the commands arrived in.
+//
+// With deep queues the Pipeline instances in flight have home lanes of
+// their own and carry disjoint batches, so P instances order P batches.
+// Spill is why a shallow queue costs nothing: with at most BatchSize
+// commands pending every instance carries all of them, and a lone
+// command commits in the next instance to decide, not only when its
+// lane's turn comes round (a pure partition without spill costs a live
+// cluster that wait). A lane whose instance decides ⊥ finds its commands
+// still pending in instance i+Pipeline. A Byzantine client that crafts
+// every command into one lane makes all instances carry that lane's head
+// — one useful batch per Pipeline instances, the cost every workload
+// paid before lanes — and no worse.
+func (l *Engine) canonicalBatch(i types.Instance) []types.Value {
+	if len(l.pendingSet) == 0 {
+		return nil // and before the first Submit there are no lanes yet
+	}
+	p := l.cfg.Pipeline
+	home := int(i % types.Instance(p))
+	batch := make([]types.Value, 0, min(l.cfg.BatchSize, len(l.pendingSet)))
+	for d := 0; d < p && len(batch) < l.cfg.BatchSize; d++ {
+		lane := l.lanes[(home+d)%p]
+		batch = append(batch, lane[:min(len(lane), l.cfg.BatchSize-len(batch))]...)
+	}
+	return batch
+}
+
+// laneOf maps a command to one of the lanes by content: FNV-64a, the
+// hash xtrace derives command IDs from, folded so that a small modulus
+// sees the well-mixed high half (the low bits of FNV-1a depend only on
+// the low bits of each input byte). It is part of the batch rule every
+// replica must share — never a seeded or per-process hash.
+func laneOf(c types.Value, lanes int) int {
+	h := uint64(xtrace.CommandID(c))
+	return int((h ^ h>>32) % uint64(lanes))
 }
 
 // onInstanceDecided records instance i's decision and applies any newly
@@ -716,8 +775,8 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 	// in the client-broadcast model every command was submitted to all
 	// replicas, so anything genuinely uncommitted is still pending at the
 	// peers, which propose it.
-	l.pending = nil
-	l.pendingSet = make(map[types.Value]struct{})
+	l.pending, l.lanes = nil, nil
+	l.pendingSet = make(map[types.Value]int)
 	l.applied = boundary
 	// The dedup window's floor: the suffix's first instance, exactly
 	// where every peer's compaction left ITS floor at this boundary — so
@@ -821,13 +880,20 @@ func (l *Engine) Resume(boundary types.Instance, base int, retained []Entry) err
 // Resumed reports whether this engine was realigned from durable state.
 func (l *Engine) Resumed() bool { return l.resumed }
 
-// removePending deletes c from the pending queue (linear; batches are
-// small and the queue holds only uncommitted commands).
+// removePending deletes c from the pending commands: a binary search in
+// its lane, or in FIFO mode a linear scan (batches are small and the
+// queue holds only uncommitted commands).
 func (l *Engine) removePending(c types.Value) {
-	if _, ok := l.pendingSet[c]; !ok {
+	lane, ok := l.pendingSet[c]
+	if !ok {
 		return
 	}
 	delete(l.pendingSet, c)
+	if l.cfg.CanonicalBatches {
+		k, _ := slices.BinarySearch(l.lanes[lane], c)
+		l.lanes[lane] = slices.Delete(l.lanes[lane], k, k+1)
+		return
+	}
 	for k, p := range l.pending {
 		if p == c {
 			l.pending = append(l.pending[:k], l.pending[k+1:]...)
@@ -854,7 +920,15 @@ func (l *Engine) Committed() int { return l.entriesBase + len(l.entries) }
 func (l *Engine) Applied() types.Instance { return l.applied }
 
 // Pending returns the number of submitted, uncommitted commands.
-func (l *Engine) Pending() int { return len(l.pending) }
+func (l *Engine) Pending() int { return len(l.pendingSet) }
+
+// BatchSize returns the effective batch cap (default applied).
+func (l *Engine) BatchSize() int { return l.cfg.BatchSize }
+
+// Pipeline returns the effective pipeline depth (default applied). It
+// must agree across a cluster running CanonicalBatches, which is why
+// /statusz reports it.
+func (l *Engine) Pipeline() int { return l.cfg.Pipeline }
 
 // NoOps returns how many applied instances committed nothing new
 // (⊥ decisions, undecodable batches, or fully duplicate batches).

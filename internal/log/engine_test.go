@@ -1,6 +1,9 @@
 package log
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/proto"
@@ -639,59 +642,249 @@ func TestOnDroppedAheadHook(t *testing.T) {
 	}
 }
 
-// TestCanonicalBatches: with CanonicalBatches set, batch selection is a
-// function of the pending SET — engines that received the same commands
-// in different arrival orders propose identical batches (the liveness
-// requirement of live clusters, where forwarded commands arrive at each
-// replica in transport order).
+// --- Batch selection ---------------------------------------------------------
+
+// laneCmds returns count distinct commands of the given lane (of
+// pipeline lanes), found by walking a counter: the tests need queues of
+// a chosen depth per lane.
+func laneCmds(lane, pipeline, count int) []types.Value {
+	var out []types.Value
+	for k := 0; len(out) < count; k++ {
+		c := types.Value(fmt.Sprintf("cmd-%05d", k))
+		if laneOf(c, pipeline) == lane {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// depthCmds returns commands filling lane k of len(depths) lanes to
+// depths[k], lane by lane.
+func depthCmds(depths ...int) []types.Value {
+	var out []types.Value
+	for lane, depth := range depths {
+		out = append(out, laneCmds(lane, len(depths), depth)...)
+	}
+	return out
+}
+
+// canonicalEngine builds a canonical-mode engine (never started) holding
+// cmds, submitted in the order given.
+func canonicalEngine(t *testing.T, batch, pipeline int, cmds []types.Value) *Engine {
+	t.Helper()
+	eng, _ := newTestEngine(t, Config{CanonicalBatches: true, BatchSize: batch, Pipeline: pipeline})
+	for _, c := range cmds {
+		if err := eng.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng
+}
+
+// TestLaneOfIsPinned: the lane of a command is part of what replicas must
+// agree on, so it may not move with a Go release, a process seed or an
+// edit to the trace-ID hash it borrows.
+func TestLaneOfIsPinned(t *testing.T) {
+	for _, c := range []struct {
+		cmd   types.Value
+		lanes int
+		want  int
+	}{
+		{"", 4, 1}, {"a", 4, 0}, {"cmd-00000", 4, 2}, {"cmd-00001", 4, 1},
+		{"cmd-00000", 3, 1}, {"cmd-00001", 7, 6}, {"anything", 1, 0},
+	} {
+		if got := laneOf(c.cmd, c.lanes); got != c.want {
+			t.Errorf("laneOf(%q, %d) = %d, want %d", c.cmd, c.lanes, got, c.want)
+		}
+	}
+	counts := make([]int, 4)
+	for k := 0; k < 4000; k++ {
+		counts[laneOf(types.Value(fmt.Sprintf("cmd-%05d", k)), 4)]++
+	}
+	for lane, n := range counts {
+		if n < 900 || n > 1100 {
+			t.Errorf("lane %d holds %d of 4000 sequential commands: %v", lane, n, counts)
+		}
+	}
+}
+
+// TestCanonicalBatches: engines that received the same commands in
+// different arrival orders propose identical batches in every instance
+// (the liveness requirement of live clusters, where forwarded commands
+// arrive at each replica in transport order).
 func TestCanonicalBatches(t *testing.T) {
-	a, _ := newTestEngine(t, Config{CanonicalBatches: true, BatchSize: 2})
-	b, _ := newTestEngine(t, Config{CanonicalBatches: true, BatchSize: 2})
-	for _, c := range []types.Value{"cmd-c", "cmd-a", "cmd-b"} {
-		if err := a.Submit(c); err != nil {
-			t.Fatal(err)
+	cmds := depthCmds(7, 0, 3, 12)
+	a := canonicalEngine(t, 5, 4, cmds)
+	for seed := int64(1); seed <= 3; seed++ {
+		shuffled := slices.Clone(cmds)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		b := canonicalEngine(t, 5, 4, shuffled)
+		for i := types.Instance(0); i < 9; i++ {
+			if ba, bb := a.nextBatch(i), b.nextBatch(i); !slices.Equal(ba, bb) {
+				t.Fatalf("seed %d instance %v: %q vs %q", seed, i, ba, bb)
+			}
 		}
 	}
-	for _, c := range []types.Value{"cmd-b", "cmd-c", "cmd-a"} {
-		if err := b.Submit(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ba, bb := a.nextBatch(), b.nextBatch()
-	want := []types.Value{"cmd-a", "cmd-b"} // sorted, capped at BatchSize
-	for i, batch := range [][]types.Value{ba, bb} {
-		if len(batch) != len(want) || batch[0] != want[0] || batch[1] != want[1] {
-			t.Fatalf("engine %d proposed %v, want %v", i, batch, want)
-		}
-	}
+}
 
-	// Canonical selection ignores the in-flight partition: a second
-	// undecided instance re-proposes the same head-of-queue batch
-	// (apply-time content dedup keeps commits exactly-once). Excluding
-	// in-flight commands would make the batch depend on local decide
-	// timing, which diverges across replicas.
-	for _, c := range ba {
-		a.inFlight[c]++
+// TestCanonicalBatchHomeLaneThenSpill: the batch is the sorted head of
+// the home lane, then the sorted heads of the following lanes, up to
+// BatchSize.
+func TestCanonicalBatchHomeLaneThenSpill(t *testing.T) {
+	lanes := make([][]types.Value, 4)
+	var cmds []types.Value
+	for lane, depth := range []int{2, 9, 0, 3} {
+		lanes[lane] = laneCmds(lane, 4, depth)
+		slices.Sort(lanes[lane])
+		cmds = append(cmds, lanes[lane]...)
 	}
-	if again := a.nextBatch(); len(again) != 2 || again[0] != want[0] || again[1] != want[1] {
-		t.Fatalf("canonical re-proposal = %v, want %v", again, want)
+	slices.Reverse(cmds)
+	eng := canonicalEngine(t, 6, 4, cmds)
+	from3 := slices.Concat(lanes[3], lanes[0], lanes[1][:1])
+	for i, want := range map[types.Instance][]types.Value{
+		0: slices.Concat(lanes[0], lanes[1][:4]), // 2 at home, spill 4
+		1: lanes[1][:6],                          // home lane alone fills it
+		2: from3,                                 // empty home lane: all spill
+		3: from3,                                 // wraps past the last lane
+		5: lanes[1][:6],                          // i mod Pipeline, not i
+		6: from3,
+	} {
+		if got := eng.nextBatch(i); !slices.Equal(got, want) {
+			t.Errorf("instance %v proposes %q, want %q", i, got, want)
+		}
 	}
+}
 
-	// Default (FIFO) selection keeps arrival order and partitions the
-	// queue across in-flight batches: digest-pinned simulation runs
-	// must not change shape.
+// TestCanonicalBatchesDisjointAtDepth: with every lane at least BatchSize
+// deep, the Pipeline instances in flight carry pairwise disjoint batches
+// — the pipeline orders P batches, not one batch P times.
+func TestCanonicalBatchesDisjointAtDepth(t *testing.T) {
+	eng := canonicalEngine(t, 8, 4, depthCmds(8, 9, 10, 11))
+	for _, first := range []types.Instance{0, 6} {
+		seen := map[types.Value]types.Instance{}
+		for i := first; i < first+4; i++ {
+			batch := eng.nextBatch(i)
+			if len(batch) != 8 {
+				t.Fatalf("instance %v carries %d commands, want 8", i, len(batch))
+			}
+			for _, c := range batch {
+				if j, dup := seen[c]; dup {
+					t.Fatalf("instances %v and %v both carry %q", j, i, c)
+				}
+				seen[c] = i
+			}
+		}
+	}
+}
+
+// TestCanonicalBatchShallowCarriesEverything: with at most BatchSize
+// commands pending, every instance carries all of them — a lone command
+// never waits for its lane's turn.
+func TestCanonicalBatchShallowCarriesEverything(t *testing.T) {
+	cmds := depthCmds(1, 0, 4, 3)
+	for _, set := range [][]types.Value{cmds, cmds[:1], nil} {
+		eng := canonicalEngine(t, 8, 4, set)
+		want := slices.Clone(set)
+		slices.Sort(want)
+		for i := types.Instance(0); i < 8; i++ {
+			got := eng.nextBatch(i)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d pending: instance %v carries %q", len(set), i, got)
+			}
+		}
+	}
+}
+
+// TestCanonicalBatchOneLaneSkew: commands crafted into a single lane (a
+// Byzantine client) give every instance that lane's sorted head — the
+// shared batch every workload had before lanes, and nothing worse.
+func TestCanonicalBatchOneLaneSkew(t *testing.T) {
+	cmds := laneCmds(2, 4, 20)
+	eng := canonicalEngine(t, 8, 4, cmds)
+	slices.Sort(cmds)
+	for i := types.Instance(0); i < 8; i++ {
+		if got := eng.nextBatch(i); !slices.Equal(got, cmds[:8]) {
+			t.Fatalf("instance %v carries %q, want %q", i, got, cmds[:8])
+		}
+	}
+}
+
+// TestCanonicalBatchIgnoresInFlight: what this process already proposed,
+// and which of it is still undecided, is local timing; a canonical batch
+// must not depend on it.
+func TestCanonicalBatchIgnoresInFlight(t *testing.T) {
+	eng := canonicalEngine(t, 4, 2, depthCmds(6, 6))
+	before := [][]types.Value{eng.nextBatch(2), eng.nextBatch(3)}
+	if err := eng.Start(); err != nil { // instances 0 and 1 now in flight
+		t.Fatal(err)
+	}
+	if !slices.Equal(eng.insts[0].ownBatch, before[0]) || !slices.Equal(eng.insts[1].ownBatch, before[1]) {
+		t.Fatalf("in-flight batches %q / %q, want %q / %q", eng.insts[0].ownBatch, eng.insts[1].ownBatch, before[0], before[1])
+	}
+	for k, i := range []types.Instance{2, 3} {
+		if got := eng.nextBatch(i); !slices.Equal(got, before[k]) {
+			t.Fatalf("instance %v: %q with instances in flight, %q without", i, got, before[k])
+		}
+	}
+	// Deciding one frees its lane's head; the other lane's batch stays.
+	eng.onInstanceDecided(0, EncodeBatch(before[0]))
+	if got := eng.nextBatch(3); !slices.Equal(got, before[1]) {
+		t.Fatalf("instance 3 after instance 0 committed: %q, want %q", got, before[1])
+	}
+	if got := eng.insts[2].ownBatch; len(got) != 4 || slices.ContainsFunc(got, func(c types.Value) bool { return slices.Contains(before[0], c) }) {
+		t.Fatalf("instance 2 re-proposes committed commands: %q", got)
+	}
+}
+
+// TestCanonicalPendingBookkeeping: the lanes follow Submit, commit and
+// InstallSnapshot, and Pending counts them.
+func TestCanonicalPendingBookkeeping(t *testing.T) {
+	cmds := depthCmds(3, 2)
+	eng := canonicalEngine(t, 8, 2, cmds)
+	if err := eng.Submit(cmds[0]); err != nil || eng.Pending() != 5 {
+		t.Fatalf("resubmit: err=%v pending=%d, want 5", err, eng.Pending())
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// A decided batch of a pending, a never-submitted and a repeated command.
+	eng.onInstanceDecided(0, EncodeBatch([]types.Value{cmds[1], "elsewhere", cmds[1]}))
+	if eng.Pending() != 4 || eng.Committed() != 2 {
+		t.Fatalf("pending=%d committed=%d, want 4 and 2", eng.Pending(), eng.Committed())
+	}
+	if got := eng.nextBatch(5); len(got) != 4 || slices.Contains(got, cmds[1]) {
+		t.Fatalf("batch after commit: %q", got)
+	}
+	if err := eng.InstallSnapshot(10, 5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Pending() != 0 || len(eng.nextBatch(12)) != 0 {
+		t.Fatalf("install kept %d pending (batch %q)", eng.Pending(), eng.nextBatch(12))
+	}
+	if err := eng.Submit("later"); err != nil || eng.Pending() != 1 || len(eng.nextBatch(12)) != 1 {
+		t.Fatalf("submit after install: err=%v pending=%d", err, eng.Pending())
+	}
+}
+
+// TestFIFOBatches: default (FIFO) selection keeps arrival order and
+// partitions the queue across in-flight batches: digest-pinned
+// simulation runs must not change shape.
+func TestFIFOBatches(t *testing.T) {
 	f, _ := newTestEngine(t, Config{BatchSize: 2})
 	for _, c := range []types.Value{"cmd-c", "cmd-a", "cmd-b"} {
 		if err := f.Submit(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if batch := f.nextBatch(); batch[0] != "cmd-c" || batch[1] != "cmd-a" {
+	if batch := f.nextBatch(0); batch[0] != "cmd-c" || batch[1] != "cmd-a" {
 		t.Fatalf("FIFO selection changed: %v", batch)
 	}
 	f.inFlight["cmd-c"]++
 	f.inFlight["cmd-a"]++
-	if batch := f.nextBatch(); len(batch) != 1 || batch[0] != "cmd-b" {
+	if batch := f.nextBatch(1); len(batch) != 1 || batch[0] != "cmd-b" {
 		t.Fatalf("FIFO partition = %v, want [cmd-b]", batch)
 	}
 }

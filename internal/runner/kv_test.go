@@ -509,3 +509,37 @@ func TestKVObserved(t *testing.T) {
 		}
 	}
 }
+
+// TestKVPipelineOrdersDistinctBatches pins what lane-striped canonical
+// batches buy: 256 commands queued at t=0 with batch 16 are 16 batches,
+// and a pipeline of P=4 orders them in about 16 instances. Were every
+// in-flight instance to carry the same head-of-queue batch again, P−1 of
+// every P instances would commit nothing: ≈ 64 instances, ≈ 48 of them
+// no-ops. The 2·P of slack covers the tail, where the lanes run shallow
+// and spill into each other.
+func TestKVPipelineOrdersDistinctBatches(t *testing.T) {
+	const cmds, batch, pipeline = 256, 16, 4
+	spec := kvSpec(4, cmds, 11)
+	spec.Commands = kvWorkload(cmds, 16, 64)
+	spec.Log.BatchSize = batch
+	spec.Log.Pipeline = pipeline
+	spec.Log.CanonicalBatches = true
+	spec.Log.Coalesce = true
+	res, err := RunKV(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.AllCommitted(cmds) || !res.Consistent() || !res.StatesAgree() {
+		t.Fatalf("run degraded: committed=%d consistent=%v states=%v",
+			res.MinCommitted(), res.Consistent(), res.StatesAgree())
+	}
+	for _, id := range res.Correct {
+		eng := res.Engines[id]
+		if got, limit := int(eng.Applied()), cmds/batch+2*pipeline; got > limit {
+			t.Errorf("replica %v applied %d instances for %d batches, want ≤ %d", id, got, cmds/batch, limit)
+		}
+		if got := eng.NoOps(); got > 2*pipeline {
+			t.Errorf("replica %v applied %d instances that committed nothing, want ≤ %d", id, got, 2*pipeline)
+		}
+	}
+}
