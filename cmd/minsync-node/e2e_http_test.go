@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -51,16 +52,15 @@ func postTx(t *testing.T, url string, req map[string]any) (int, map[string]any) 
 // TestE2EHTTPPool boots a real 4-replica cluster with the HTTP edge on,
 // drives it through the admission pool as an HTTP client — including
 // duplicate (client, seq) retries against DIFFERENT replicas, which must
-// all be answered exactly-once from pool or session cache — and then runs
-// the built minsync-bench -load generator against the live cluster,
-// checking the BENCH_load.json it writes. Skipped under -short.
+// all be answered exactly-once from pool or session cache — and then
+// through 8 concurrent sessions that check every read against the
+// session's own last write. Skipped under -short.
 func TestE2EHTTPPool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e cluster test skipped in -short mode")
 	}
 	dir := t.TempDir()
 	node := buildBinary(t, dir, "minsync-node", ".")
-	bench := buildBinary(t, dir, "minsync-bench", "repro/cmd/minsync-bench")
 
 	const n = 4
 	consAddrs := reservePorts(t, n)
@@ -202,45 +202,46 @@ func TestE2EHTTPPool(t *testing.T) {
 		}
 	}
 
-	// Sustained load through the real generator: every command must be
-	// answered ok and every read must be correct (the bench exits nonzero
-	// otherwise), and the BENCH_load.json must carry throughput and
-	// wall-clock quantiles.
-	benchOut := t.TempDir()
-	cl := exec.Command(bench,
-		"-load", strings.Join(urls, ","),
-		"-clients", "8",
-		"-ops", "6",
-		"-req-timeout", "10s",
-		"-out", benchOut,
-	)
-	if out, err := cl.CombinedOutput(); err != nil {
-		t.Fatalf("minsync-bench -load: %v\n%s", err, out)
+	// Concurrent load: 8 sessions × 6 commands, alternating put/get on the
+	// session's own key so every read has one correct answer. Every
+	// command must be answered ok; a retry of (client, seq) goes to a
+	// DIFFERENT replica, which must answer it exactly-once from its pool
+	// or session cache.
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			key, last := fmt.Sprintf("load/c%d", c), ""
+			for i := 0; i < 6; i++ {
+				req := map[string]any{
+					"client": 100 + c, "seq": i + 1, "op": "get", "key": key, "timeout_ms": 10000,
+				}
+				if i%2 == 0 {
+					last = fmt.Sprintf("v%d-%d", c, i)
+					req["op"], req["value"] = "put", last
+				}
+				var code int
+				var doc map[string]any
+				giveUp := time.Now().Add(30 * time.Second)
+				for attempt := 0; ; attempt++ {
+					code, doc = postTx(t, urls[(c+attempt)%n], req)
+					if code == http.StatusOK || time.Now().After(giveUp) {
+						break
+					}
+					time.Sleep(100 * time.Millisecond)
+				}
+				if code != http.StatusOK || doc["status"] != "ok" {
+					t.Errorf("session %d seq %d: status %d, body %v", c, i+1, code, doc)
+					return
+				}
+				if i%2 == 1 && doc["value"] != last {
+					t.Errorf("session %d seq %d: read %v, want the session's last put %q", c, i+1, doc["value"], last)
+				}
+			}
+		}(c)
 	}
-	buf, err := os.ReadFile(filepath.Join(benchOut, "BENCH_load.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Results []struct {
-			Name           string  `json:"name"`
-			Ops            int     `json:"ops"`
-			CommandsPerSec float64 `json:"commands_per_sec"`
-			CommitP50NS    float64 `json:"commit_p50_ns"`
-			CommitP99NS    float64 `json:"commit_p99_ns"`
-			CommitP999NS   float64 `json:"commit_p999_ns"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatalf("BENCH_load.json: %v\n%s", err, buf)
-	}
-	if len(rep.Results) != 1 || rep.Results[0].Name != "http-load" {
-		t.Fatalf("BENCH_load.json results: %s", buf)
-	}
-	r := rep.Results[0]
-	if r.Ops != 8*6 || r.CommandsPerSec <= 0 || r.CommitP50NS <= 0 || r.CommitP99NS < r.CommitP50NS || r.CommitP999NS < r.CommitP99NS {
-		t.Fatalf("BENCH_load.json numbers implausible: %+v", r)
-	}
+	wg.Wait()
 }
 
 // TestE2EHTTPShed boots only ONE replica of a 4-peer configuration — no

@@ -12,22 +12,12 @@
 //
 // Each prints its decision and exits 0.
 //
-// Replicated-log mode (-log N): the processes run the multi-instance
-// consensus pipeline of internal/log and totally order N commands
-// (deterministically generated, modeling clients that broadcast requests
-// to every replica). Each process prints the committed count, the number
-// of consensus instances used, and a SHA-256 digest of the ordered log —
-// identical digests across processes demonstrate the total order:
-//
-//	minsync-node -id 1 -peers ...as above... -t 1 -log 120 -batch 16 -pipeline 4
-//	minsync-node -id 2 -peers ...same...     -t 1 -log 120 -batch 16 -pipeline 4
-//	...
-//
-// Replicated-KV mode (-kv): each process additionally runs the
-// state-machine stack (sm applier + kv store with client sessions,
-// snapshots and log compaction) and serves client gets/puts over a
-// separate TCP listener (-kv-listen). Reads are ordered through the log
-// too, so answers are linearizable:
+// Replicated-KV mode (-kv): each process runs the multi-instance
+// consensus pipeline of internal/log under the state-machine stack (sm
+// applier + kv store with client sessions, snapshots and log compaction)
+// and serves client gets/puts over a separate TCP listener
+// (-kv-listen). Reads are ordered through the log too, so answers are
+// linearizable:
 //
 //	minsync-node -id 1 -peers ...as above... -t 1 -kv -kv-listen 127.0.0.1:9001
 //	...
@@ -41,17 +31,14 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	stdlog "log"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/log"
 	"repro/internal/netx"
 	"repro/internal/obs"
 	"repro/internal/proto"
@@ -66,11 +53,10 @@ func main() {
 		tF       = flag.Int("t", 1, "Byzantine fault budget (t < n/3)")
 		mF       = flag.Int("m", 2, "distinct proposable values (single-shot mode)")
 		propose  = flag.String("propose", "", "value to propose (required in single-shot mode)")
-		logN     = flag.Int("log", 0, "replicated-log mode: totally order this many commands")
-		batch    = flag.Int("batch", 16, "log/kv mode: max commands per batch")
-		pipeline = flag.Int("pipeline", 4, "log/kv mode: consensus instances in flight; cluster-wide like -peers and -t: in kv mode it also stripes the pending commands into lanes, and replicas that disagree on it propose different batches and decide nothing (compare `pipeline` on /statusz)")
+		batch    = flag.Int("batch", 16, "kv mode: max commands per batch")
+		pipeline = flag.Int("pipeline", 4, "kv mode: consensus instances in flight; cluster-wide like -peers and -t: it also stripes the pending commands into lanes, and replicas that disagree on it propose different batches and decide nothing (compare `pipeline` on /statusz)")
 		unit     = flag.Duration("unit", 50*time.Millisecond, "EA round timer unit")
-		coalesce = flag.Bool("coalesce", true, "log/kv mode: batch RB echo/ready traffic into coalesced vector frames (rb.Relay)")
+		coalesce = flag.Bool("coalesce", true, "kv mode: batch RB echo/ready traffic into coalesced vector frames (rb.Relay)")
 		wait     = flag.Duration("wait", 2*time.Minute, "give up after this long")
 		startIn  = flag.Duration("start-in", 2*time.Second, "delay before proposing (lets peers come up)")
 
@@ -99,8 +85,8 @@ func main() {
 		runKVClient(*kvClient, *clientID, *ops, *wait)
 		return
 	}
-	if *logN <= 0 && !*kvMode && *propose == "" {
-		stdlog.Fatal("-propose is required (or use -log N / -kv)")
+	if !*kvMode && *propose == "" {
+		stdlog.Fatal("-propose is required (or use -kv)")
 	}
 	peers := strings.Split(*peersF, ",")
 	n := len(peers)
@@ -108,7 +94,7 @@ func main() {
 		stdlog.Fatalf("-id must be in 1..%d", n)
 	}
 	params := types.Params{N: n, T: *tF, M: *mF}
-	if err := params.Validate(*logN > 0 || *kvMode); err != nil {
+	if err := params.Validate(*kvMode); err != nil {
 		stdlog.Fatal(err)
 	}
 	self := types.ProcID(*idF)
@@ -162,10 +148,6 @@ func main() {
 		})
 		return
 	}
-	if *logN > 0 {
-		runLogMode(node, tr, tel, self, *logN, *batch, *pipeline, *coalesce, *unit, *wait, *startIn)
-		return
-	}
 	runSingleShot(node, tr, tel, self, *propose, *unit, *wait, *startIn)
 }
 
@@ -217,105 +199,6 @@ func runSingleShot(node *rt.Node, tr *netx.Transport, tel *telemetry, self types
 			self, v, tr.Sent(), tr.Received(), tr.Rejected())
 	case <-time.After(wait):
 		stdlog.Printf("no decision within %v", wait)
-		os.Exit(1)
-	}
-}
-
-// runLogMode orders `target` commands through the replicated-log engine.
-// Every process derives the same workload (clients broadcasting to all
-// replicas), so identical digests across processes certify the order.
-func runLogMode(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.ProcID, target, batch, pipeline int, coalesce bool, unit, wait, startIn time.Duration) {
-	cmds := make([]types.Value, target)
-	for i := range cmds {
-		cmds[i] = types.Value(fmt.Sprintf("cmd-%05d", i))
-	}
-
-	done := make(chan struct{})
-	hash := sha256.New()
-	var committed atomic.Int64
-	var engine *log.Engine
-	var engErr error
-	start := time.Now()
-	node.Start(func(env proto.Env) proto.Handler {
-		cfg := log.Config{
-			Env:       env,
-			BatchSize: batch,
-			Pipeline:  pipeline,
-			Target:    target,
-			// Live clusters run the message-complexity fast path: RB
-			// echo/ready traffic rides coalesced vector frames (see
-			// docs/rb-coalescing.md). -coalesce=false restores loose
-			// messages for A/B comparison.
-			Coalesce: coalesce,
-			Metrics:  obs.NewLogMetrics(tel.registry(), ""),
-			OnCommit: func(e log.Entry) {
-				// Runs on the node's event loop; the counter is atomic
-				// only because the timeout path below reads it from the
-				// main goroutine.
-				hash.Write([]byte(e.Cmd))
-				hash.Write([]byte{0})
-				if committed.Add(1) == int64(target) {
-					close(done)
-				}
-			},
-		}
-		cfg.Engine.TimeUnit = types.Duration(unit)
-		cfg.Engine.RBMetrics = obs.NewRBMetrics(tel.registry(), "")
-		eng, err := log.New(cfg)
-		if err != nil {
-			engErr = err
-			return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
-		}
-		engine = eng
-		return eng
-	})
-	if engErr != nil {
-		stdlog.Fatal(engErr)
-	}
-
-	wireNodeObs(node, tel)
-	tel.setStatus(func() map[string]any {
-		return probeStatus(node.Post, func() map[string]any {
-			return map[string]any{
-				"mode":      "log",
-				"committed": committed.Load(),
-				"target":    target,
-				"instances": engine.Applied(),
-				"batch":     engine.BatchSize(),
-				"pipeline":  engine.Pipeline(),
-			}
-		})
-	})
-	stdlog.Printf("process %v listening on %s, ordering %d commands (batch %d, pipeline %d) in %v",
-		self, tr.Addr(), target, batch, pipeline, startIn)
-	time.Sleep(startIn)
-	node.Post(func() {
-		for _, c := range cmds {
-			if err := engine.Submit(c); err != nil {
-				stdlog.Printf("submit: %v", err)
-			}
-		}
-		if err := engine.Start(); err != nil {
-			stdlog.Printf("start: %v", err)
-		}
-	})
-
-	select {
-	case <-done:
-		var digest []byte
-		instances := types.Instance(0)
-		errCh := make(chan struct{})
-		node.Post(func() {
-			digest = hash.Sum(nil)
-			instances = engine.Applied()
-			close(errCh)
-		})
-		<-errCh
-		elapsed := time.Since(start) - startIn
-		fmt.Printf("process %v COMMITTED %d commands in %v instances, digest %x (%.0f cmds/sec, sent %d frames, received %d, rejected %d)\n",
-			self, target, instances, digest, float64(target)/elapsed.Seconds(), tr.Sent(), tr.Received(), tr.Rejected())
-	case <-time.After(wait):
-		stdlog.Printf("committed only %d/%d within %v", committed.Load(), target, wait)
 		os.Exit(1)
 	}
 }

@@ -1,19 +1,12 @@
-// Command minsync-sim runs simulated Byzantine consensus executions.
+// Command minsync-sim runs named compositions from the scenario registry
+// — fault assignment × network schedule × workload — on the simulator and
+// prints one machine-readable pass/fail row per (scenario, seed) cell.
+// `-scenario all` sweeps the whole registry concurrently; `-scenario
+// random` samples the cross-product from the seed. One-off hand-assembled
+// executions go through the library instead (minsync.Simulate, examples/).
 //
-// It has two modes sharing one flag surface:
-//
-//   - Scenario mode (-scenario): run named compositions from the scenario
-//     registry — fault assignment × network schedule × workload — and
-//     print one machine-readable pass/fail row per (scenario, seed) cell.
-//     `-scenario all` sweeps the whole registry concurrently; `-scenario
-//     random` samples the cross-product from the seed.
-//
-//   - Legacy mode (default): run one hand-assembled execution with
-//     configurable parameters, synchrony, faults and seed, and print the
-//     outcome plus the property-check report.
-//
-// Either mode exits non-zero when any property violation (or stale
-// digest expectation) is found.
+// It exits 1 when any property violation (or stale digest expectation) is
+// found, 2 on a usage error.
 //
 // Examples:
 //
@@ -21,14 +14,13 @@
 //	minsync-sim -scenario all -seeds 1,2,3,4,5
 //	minsync-sim -scenario bisource-splitter -seed 7 -v
 //	minsync-sim -scenario random -seed 99
-//	minsync-sim -n 7 -t 2 -faults silent,equivocate
-//	minsync-sim -n 4 -t 1 -synchrony bisource -seed 9 -v
-//	minsync-sim -n 4 -t 1 -botmode -values w,x,y,z
+//	minsync-sim -scenario log-baseline -deadline 1ms    # forced violation, exit 1
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -42,10 +34,9 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-// flags bundles the shared flag surface of both modes.
 type flags struct {
 	scenario    string
 	seed        int64
@@ -54,48 +45,35 @@ type flags struct {
 	verbose     bool
 	metricsDump string
 	traceDump   string
-
-	n, t, m    int
-	synchrony  string
-	gst, delta time.Duration
-	faults     string
-	values     string
-	botMode    bool
-	k          int
-	deadline   time.Duration
+	deadline    time.Duration
 }
 
-func run() int {
+// run parses args, executes the requested cells with the result table on
+// out (diagnostics go to stderr) and returns the process exit code.
+func run(args []string, out io.Writer) int {
 	var f flags
-	flag.StringVar(&f.scenario, "scenario", "", "scenario mode: registry name, 'all', or 'random' (empty = legacy single-run mode)")
-	flag.Int64Var(&f.seed, "seed", 1, "random seed (identical seeds replay identically)")
-	flag.StringVar(&f.seeds, "seeds", "", "comma list of seeds for scenario mode (overrides -seed)")
-	flag.IntVar(&f.workers, "workers", runtime.NumCPU(), "concurrent scenario executions")
-	flag.BoolVar(&f.verbose, "v", false, "print per-process decisions / per-scenario reports")
-	flag.StringVar(&f.metricsDump, "metrics-dump", "", "scenario mode: write one Prometheus metric snapshot per cell into this directory")
-	flag.StringVar(&f.traceDump, "trace-dump", "", "scenario mode: attach causal tracing and write per-replica flight-recorder dumps for FAILING cells into this directory (merge with minsync-trace)")
-	flag.IntVar(&f.n, "n", 4, "number of processes")
-	flag.IntVar(&f.t, "t", 1, "Byzantine fault budget (t < n/3)")
-	flag.IntVar(&f.m, "m", 2, "distinct proposable values (n−t > m·t unless -botmode)")
-	flag.StringVar(&f.synchrony, "synchrony", "full", "full | eventual | bisource | async")
-	flag.DurationVar(&f.gst, "gst", 200*time.Millisecond, "stabilization time for eventual/bisource synchrony")
-	flag.DurationVar(&f.delta, "delta", 5*time.Millisecond, "timely channel bound δ")
-	flag.StringVar(&f.faults, "faults", "silent", "comma list applied to the last processes: silent|crash|equivocate|mutecoord|poison|random|spam|fakedecide (max t entries)")
-	flag.StringVar(&f.values, "values", "a,b", "comma list of proposal values, assigned round-robin")
-	flag.BoolVar(&f.botMode, "botmode", false, "§7 ⊥-default validity variant (lifts the m bound)")
-	flag.IntVar(&f.k, "k", 0, "§5.4 tuning parameter (F sets of size n−t+k)")
-	flag.DurationVar(&f.deadline, "deadline", 0, "virtual time budget (0 = run to completion)")
-	flag.Parse()
-
-	if f.scenario != "" {
-		return runScenarioMode(f)
+	fs := flag.NewFlagSet("minsync-sim", flag.ContinueOnError)
+	fs.StringVar(&f.scenario, "scenario", "", "registry name, 'all', or 'random' (required)")
+	fs.Int64Var(&f.seed, "seed", 1, "random seed (identical seeds replay identically)")
+	fs.StringVar(&f.seeds, "seeds", "", "comma list of seeds (overrides -seed)")
+	fs.IntVar(&f.workers, "workers", runtime.NumCPU(), "concurrent scenario executions")
+	fs.BoolVar(&f.verbose, "v", false, "print per-scenario reports")
+	fs.StringVar(&f.metricsDump, "metrics-dump", "", "write one Prometheus metric snapshot per cell into this directory")
+	fs.StringVar(&f.traceDump, "trace-dump", "", "attach causal tracing and write per-replica flight-recorder dumps for FAILING cells into this directory (merge with minsync-trace)")
+	fs.DurationVar(&f.deadline, "deadline", 0, "virtual time budget (0 = the scenario's own)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	return runLegacyMode(f)
+	if f.scenario == "" {
+		fs.Usage()
+		return 2
+	}
+	return runCells(f, out)
 }
 
-// runScenarioMode executes the requested scenario cells and prints the
+// runCells executes the requested scenario cells and prints the
 // machine-readable table. Exit code 1 on any violation or error.
-func runScenarioMode(f flags) int {
+func runCells(f flags, out io.Writer) int {
 	seeds := []int64{f.seed}
 	if f.seeds != "" {
 		seeds = seeds[:0]
@@ -165,114 +143,28 @@ func runScenarioMode(f flags) int {
 			return 2
 		}
 	}
-	fmt.Println(minsync.ScenarioTableHeader)
+	fmt.Fprintln(out, minsync.ScenarioTableHeader)
 	failures := 0
 	for _, r := range results {
 		if r.Err != nil {
 			failures++
-			fmt.Printf("%s\t%d\t-\tERROR\t-\t-\t-\t-\t-\t%v\n", r.Spec.Name, r.Seed, r.Err)
+			fmt.Fprintf(out, "%s\t%d\t-\tERROR\t-\t-\t-\t-\t-\t%v\n", r.Spec.Name, r.Seed, r.Err)
 			continue
 		}
-		fmt.Println(r.Outcome.String())
+		fmt.Fprintln(out, r.Outcome.String())
 		if !r.Outcome.Pass {
 			failures++
 			if f.verbose {
-				fmt.Println(indent(r.Outcome.Report.String()))
+				fmt.Fprintln(out, indent(r.Outcome.Report.String()))
 			}
 		} else if f.verbose {
-			fmt.Printf("  # %s: bisource-seen=%v stalled=%d\n",
+			fmt.Fprintf(out, "  # %s: bisource-seen=%v stalled=%d\n",
 				r.Spec.Name, r.Outcome.BisourceSeen, r.Outcome.Stalled)
 		}
 	}
-	fmt.Printf("# %d/%d cells passed (%d scenarios × %d seeds)\n",
+	fmt.Fprintf(out, "# %d/%d cells passed (%d scenarios × %d seeds)\n",
 		len(results)-failures, len(results), len(specs), len(seeds))
 	if failures > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runLegacyMode is the original hand-assembled single execution.
-func runLegacyMode(f flags) int {
-	values := splitNonEmpty(f.values)
-	if len(values) == 0 {
-		log.Print("need at least one proposal value")
-		return 2
-	}
-	faults := splitNonEmpty(f.faults)
-	if len(faults) > f.t {
-		log.Printf("%d faults exceed t=%d", len(faults), f.t)
-		return 2
-	}
-
-	cfg := minsync.SimConfig{
-		N: f.n, T: f.t, M: f.m,
-		Proposals: make(map[minsync.ProcID]minsync.Value),
-		Byzantine: make(map[minsync.ProcID]minsync.Fault),
-		Seed:      f.seed,
-		K:         f.k,
-		BotMode:   f.botMode,
-		Deadline:  f.deadline,
-		Check:     true,
-	}
-	switch f.synchrony {
-	case "full":
-		cfg.Synchrony = minsync.FullSynchrony(f.delta)
-	case "eventual":
-		cfg.Synchrony = minsync.EventualSynchrony(f.gst, f.delta)
-	case "bisource":
-		in := make([]minsync.ProcID, 0, f.t)
-		out := make([]minsync.ProcID, 0, f.t)
-		for i := 0; i < f.t; i++ {
-			in = append(in, minsync.ProcID(2+2*i))
-			out = append(out, minsync.ProcID(3+2*i))
-		}
-		cfg.Synchrony = minsync.Bisource(1, in, out, f.gst, f.delta)
-	case "async":
-		cfg.Synchrony = minsync.Asynchrony()
-		if cfg.Deadline == 0 {
-			cfg.Deadline = 5 * time.Second
-		}
-	default:
-		log.Printf("unknown synchrony %q", f.synchrony)
-		return 2
-	}
-
-	nByz := len(faults)
-	for i := 1; i <= f.n-nByz; i++ {
-		cfg.Proposals[minsync.ProcID(i)] = minsync.Value(values[(i-1)%len(values)])
-	}
-	for i, name := range faults {
-		id := minsync.ProcID(f.n - nByz + 1 + i)
-		fault, err := parseFault(name, values)
-		if err != nil {
-			log.Print(err)
-			return 2
-		}
-		cfg.Byzantine[id] = fault
-	}
-
-	fmt.Printf("minsync-sim: n=%d t=%d m=%d synchrony=%v faults=%v seed=%d\n",
-		f.n, f.t, f.m, cfg.Synchrony, faults, f.seed)
-	res, err := minsync.Simulate(cfg)
-	if err != nil {
-		log.Print(err)
-		return 2
-	}
-	if f.verbose {
-		for id, v := range res.Decisions {
-			fmt.Printf("  %v decided %q\n", id, v)
-		}
-	}
-	if res.AllDecided {
-		fmt.Printf("decision : %q (round %d, %v virtual, %d msgs)\n",
-			res.Agreed, res.Rounds, res.Latency, res.Messages)
-	} else {
-		fmt.Printf("no full decision within budget (decided %d, stalled %v)\n",
-			len(res.Decisions), res.Stalled)
-	}
-	fmt.Println(res.Report)
-	if !res.Report.OK() {
 		return 1
 	}
 	return 0
@@ -334,32 +226,4 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseFault(name string, values []string) (minsync.Fault, error) {
-	v := minsync.Value(values[0])
-	alt := v
-	if len(values) > 1 {
-		alt = minsync.Value(values[1])
-	}
-	switch name {
-	case "silent":
-		return minsync.Fault{Kind: minsync.FaultSilent}, nil
-	case "crash":
-		return minsync.Fault{Kind: minsync.FaultCrashAt, Value: v, After: 50 * time.Millisecond}, nil
-	case "equivocate":
-		return minsync.Fault{Kind: minsync.FaultEquivocate, Value: v, Alt: alt}, nil
-	case "mutecoord":
-		return minsync.Fault{Kind: minsync.FaultMuteCoordinator, Value: v}, nil
-	case "poison":
-		return minsync.Fault{Kind: minsync.FaultPoison, Value: v, Alt: "poison!"}, nil
-	case "random":
-		return minsync.Fault{Kind: minsync.FaultRandom, Value: v, Alt: alt}, nil
-	case "spam":
-		return minsync.Fault{Kind: minsync.FaultSpam, Value: "spam!"}, nil
-	case "fakedecide":
-		return minsync.Fault{Kind: minsync.FaultFakeDecide, Value: "forged!"}, nil
-	default:
-		return minsync.Fault{}, fmt.Errorf("unknown fault %q", name)
-	}
 }

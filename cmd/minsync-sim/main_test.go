@@ -1,0 +1,43 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestRunExitCodes pins the binary's contract with CI: 0 on a passing
+// cell, 1 on a property violation (a -deadline too short for a scenario
+// that expects termination is the documented way to inject one), 2 on a
+// usage error.
+func TestRunExitCodes(t *testing.T) {
+	tests := []struct {
+		name string
+		args []string
+		code int
+		row  string // prefix of the cell's table row, "" when none is printed
+	}{
+		{"passing scenario", []string{"-scenario", "log-baseline"}, 0, "log-baseline\t1\tlog\tPASS\t0\t"},
+		{"forced violation", []string{"-scenario", "log-baseline", "-deadline", "1ms"}, 1, "log-baseline\t1\tlog\tFAIL\t"},
+		{"unknown scenario", []string{"-scenario", "no-such-scenario"}, 2, ""},
+		{"no scenario", nil, 2, ""},
+		{"bad seed list", []string{"-scenario", "log-baseline", "-seeds", "1,x"}, 2, ""},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if code := run(tt.args, &out); code != tt.code {
+				t.Fatalf("run(%q) = %d, want %d\n%s", tt.args, code, tt.code, out.String())
+			}
+			if tt.row == "" {
+				if out.Len() != 0 {
+					t.Errorf("usage error wrote to the table stream:\n%s", out.String())
+				}
+				return
+			}
+			if !strings.Contains(out.String(), "\n"+tt.row) {
+				t.Errorf("no row starting %q in:\n%s", tt.row, out.String())
+			}
+		})
+	}
+}

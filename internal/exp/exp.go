@@ -20,7 +20,6 @@ import (
 	"repro/internal/ea"
 	"repro/internal/harness"
 	"repro/internal/kv"
-	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/runner"
 	"repro/internal/types"
@@ -107,11 +106,10 @@ func E5Consensus(seeds int) Result {
 		}},
 		{"spam", func(int64) harness.Behavior { return adversary.SpamStreams("zzz", 40) }},
 	}
-	tb := metrics.NewTable("attack", "runs", "terminated", "safety", "mean rounds", "mean msgs")
+	tb := newTable("attack", "runs", "terminated", "safety", "mean rounds", "mean msgs")
 	pass := true
 	for _, b := range behaviors {
-		rounds := metrics.NewSeries("rounds")
-		msgs := metrics.NewSeries("msgs")
+		var rounds, msgs series
 		terminated, safe := 0, 0
 		for s := 0; s < seeds; s++ {
 			spec := runner.Spec{
@@ -138,14 +136,14 @@ func E5Consensus(seeds int) Result {
 			if check.All(res.Log, ground(spec, true)).OK() {
 				safe++
 			}
-			rounds.Add(float64(res.MaxDecideRound()))
-			msgs.Add(float64(res.Messages))
+			rounds.add(float64(res.MaxDecideRound()))
+			msgs.add(float64(res.Messages))
 		}
 		if terminated != seeds || safe != seeds {
 			pass = false
 		}
-		tb.Row(b.name, seeds, fmt.Sprintf("%d/%d", terminated, seeds),
-			fmt.Sprintf("%d/%d", safe, seeds), rounds.Mean(), msgs.Mean())
+		tb.row(b.name, seeds, fmt.Sprintf("%d/%d", terminated, seeds),
+			fmt.Sprintf("%d/%d", safe, seeds), rounds.mean(), msgs.mean())
 	}
 	return Result{
 		ID:    "E5",
@@ -161,7 +159,7 @@ func E5Consensus(seeds int) Result {
 func E6Feasibility() Result {
 	p := types.Params{N: 7, T: 2, M: 2} // bound: m ≤ 2
 	vals := []types.Value{"v1", "v2", "v3", "v4", "v5"}
-	tb := metrics.NewTable("distinct m", "n−t > m·t", "terminated", "verdict")
+	tb := newTable("distinct m", "n−t > m·t", "terminated", "verdict")
 	pass := true
 	for m := 1; m <= 4; m++ {
 		feasible := p.N-p.T > m*p.T
@@ -198,7 +196,7 @@ func E6Feasibility() Result {
 			pass = false
 			verdict += "  ← UNEXPECTED"
 		}
-		tb.Row(m, feasible, res.AllDecided(), verdict)
+		tb.row(m, feasible, res.AllDecided(), verdict)
 	}
 	return Result{
 		ID:    "E6",
@@ -213,11 +211,11 @@ func E6Feasibility() Result {
 // from the start, decisions land within α·n rounds (α = C(n, n−t)), under
 // the strongest scheduling adversary in the library.
 func E7AlphaBound(seeds int) Result {
-	tb := metrics.NewTable("n", "t", "α·n bound", "max round seen", "mean round", "within bound")
+	tb := newTable("n", "t", "α·n bound", "max round seen", "mean round", "within bound")
 	pass := true
 	for _, nt := range []struct{ n, t int }{{4, 1}, {7, 2}} {
 		p := types.Params{N: nt.n, T: nt.t, M: 2}
-		rounds := metrics.NewSeries("rounds")
+		var rounds series
 		var bound types.Round
 		maxSeen := types.Round(0)
 		for s := 0; s < seeds; s++ {
@@ -232,7 +230,7 @@ func E7AlphaBound(seeds int) Result {
 				continue
 			}
 			r := res.MaxDecideRound()
-			rounds.Add(float64(r))
+			rounds.add(float64(r))
 			if r > maxSeen {
 				maxSeen = r
 			}
@@ -240,7 +238,7 @@ func E7AlphaBound(seeds int) Result {
 		if maxSeen > bound {
 			pass = false
 		}
-		tb.Row(nt.n, nt.t, bound, maxSeen, rounds.Mean(), maxSeen <= bound)
+		tb.row(nt.n, nt.t, bound, maxSeen, rounds.mean(), maxSeen <= bound)
 	}
 	return Result{
 		ID:    "E7",
@@ -295,11 +293,10 @@ func SplitterDuelSpec(p types.Params, seed int64, relay ea.RelayRule, at types.P
 // synchrony (every process is a ⟨n⟩bisource, satisfying every k).
 func E8KSweep(seeds int) Result {
 	p := types.Params{N: 7, T: 2, M: 2}
-	tb := metrics.NewTable("k", "|F(r)| = n−t+k", "β = C(n,n−t+k)", "β·n bound", "mean round", "max round", "mean msgs")
+	tb := newTable("k", "|F(r)| = n−t+k", "β = C(n,n−t+k)", "β·n bound", "mean round", "max round", "mean msgs")
 	pass := true
 	for k := 0; k <= p.T; k++ {
-		rounds := metrics.NewSeries("rounds")
-		msgs := metrics.NewSeries("msgs")
+		var rounds, msgs series
 		var bound uint64
 		maxSeen := types.Round(0)
 		for s := 0; s < seeds; s++ {
@@ -326,8 +323,8 @@ func E8KSweep(seeds int) Result {
 				continue
 			}
 			r := res.MaxDecideRound()
-			rounds.Add(float64(r))
-			msgs.Add(float64(res.Messages))
+			rounds.add(float64(r))
+			msgs.add(float64(res.Messages))
 			if r > maxSeen {
 				maxSeen = r
 			}
@@ -336,7 +333,7 @@ func E8KSweep(seeds int) Result {
 			pass = false
 		}
 		beta := bound / uint64(p.N)
-		tb.Row(k, p.Quorum()+k, beta, bound, rounds.Mean(), maxSeen, msgs.Mean())
+		tb.row(k, p.Quorum()+k, beta, bound, rounds.mean(), maxSeen, msgs.mean())
 	}
 	return Result{
 		ID:    "E8",
@@ -352,9 +349,9 @@ func E8KSweep(seeds int) Result {
 // the splitter adversary.
 func E10Minimality(seeds int) Result {
 	p := types.Params{N: 4, T: 1, M: 2}
-	tb := metrics.NewTable("algorithm", "synchrony needed", "decided", "stalled procs", "mean decide round")
+	tb := newTable("algorithm", "synchrony needed", "decided", "stalled procs", "mean decide round")
 	oursOK, baseStalls := 0, 0
-	oursRounds := metrics.NewSeries("rounds")
+	var oursRounds series
 	for s := 0; s < seeds; s++ {
 		ours, err := runner.Run(SplitterDuelSpec(p, int64(s), ea.RelayAnyF, types.ProcID(p.N)))
 		if err != nil {
@@ -362,7 +359,7 @@ func E10Minimality(seeds int) Result {
 		}
 		if ours.AllDecided() {
 			oursOK++
-			oursRounds.Add(float64(ours.MaxDecideRound()))
+			oursRounds.add(float64(ours.MaxDecideRound()))
 		}
 		base, err := runner.Run(SplitterDuelSpec(p, int64(s), ea.RelayQuorum, types.ProcID(p.N)))
 		if err != nil {
@@ -372,8 +369,8 @@ func E10Minimality(seeds int) Result {
 			baseStalls++
 		}
 	}
-	tb.Row("paper (RelayAnyF)", "◇⟨t+1⟩bisource", fmt.Sprintf("%d/%d", oursOK, seeds), 0, oursRounds.Mean())
-	tb.Row("baseline (RelayQuorum)", "◇⟨n−t⟩bisource", fmt.Sprintf("%d/%d", seeds-baseStalls, seeds), "all", "—")
+	tb.row("paper (RelayAnyF)", "◇⟨t+1⟩bisource", fmt.Sprintf("%d/%d", oursOK, seeds), 0, oursRounds.mean())
+	tb.row("baseline (RelayQuorum)", "◇⟨n−t⟩bisource", fmt.Sprintf("%d/%d", seeds-baseStalls, seeds), "all", "—")
 	return Result{
 		ID:    "E10",
 		Claim: "minimality (§1, [1] vs this paper): one ⟨t+1⟩bisource suffices for the paper's algorithm; a baseline needing ⟨n−t⟩ coordinator coverage cannot converge there",
@@ -386,7 +383,7 @@ func E10Minimality(seeds int) Result {
 // sends to decision and the per-module RB stream counts, showing the
 // expected O(n²) per plain broadcast and O(n³) per RB wave.
 func E11Messages() Result {
-	tb := metrics.NewTable("n", "t", "msgs to decision", "msgs/n²", "msgs/n³", "rb streams")
+	tb := newTable("n", "t", "msgs to decision", "msgs/n²", "msgs/n³", "rb streams")
 	pass := true
 	for _, nt := range []struct{ n, t int }{{4, 1}, {7, 2}, {10, 3}, {13, 4}} {
 		p := types.Params{N: nt.n, T: nt.t, M: 2}
@@ -415,12 +412,11 @@ func E11Messages() Result {
 		}
 		n3 := float64(nt.n * nt.n * nt.n)
 		n2 := float64(nt.n * nt.n)
-		st := metrics.Messages(res.Log)
 		streams := 0
-		for _, c := range st.ByModule {
+		for _, c := range rbEventsByModule(res.Log) {
 			streams += int(c)
 		}
-		tb.Row(nt.n, nt.t, res.Messages, float64(res.Messages)/n2, float64(res.Messages)/n3, streams)
+		tb.row(nt.n, nt.t, res.Messages, float64(res.Messages)/n2, float64(res.Messages)/n3, streams)
 	}
 	return Result{
 		ID:    "E11",
@@ -443,7 +439,7 @@ func E12BotVariant() Result {
 		{"3-1 plurality", map[types.ProcID]types.Value{1: "w", 2: "w", 3: "w", 4: "x"}, "may"},
 		{"unanimous", map[types.ProcID]types.Value{1: "w", 2: "w", 3: "w", 4: "w"}, "never"},
 	}
-	tb := metrics.NewTable("proposals", "decided", "⊥ expected", "ok")
+	tb := newTable("proposals", "decided", "⊥ expected", "ok")
 	pass := true
 	for i, sc := range scenarios {
 		spec := runner.Spec{
@@ -473,7 +469,7 @@ func E12BotVariant() Result {
 		if v == types.BotValue {
 			decided = "⊥"
 		}
-		tb.Row(sc.name, decided, sc.wantBot, ok)
+		tb.row(sc.name, decided, sc.wantBot, ok)
 	}
 	return Result{
 		ID:    "E12",
@@ -491,7 +487,7 @@ func E12BotVariant() Result {
 // (150ms) so the round pace is much faster than the GST scale.
 func GSTSweep() Result {
 	p := types.Params{N: 4, T: 1, M: 2}
-	tb := metrics.NewTable("GST (ms)", "decided", "latency (ms)", "latency − GST (ms)", "rounds")
+	tb := newTable("GST (ms)", "decided", "latency (ms)", "latency − GST (ms)", "rounds")
 	pass := true
 	for _, gstMS := range []int{0, 250, 500, 1000, 2000, 4000} {
 		gst := types.Time(gstMS) * types.Time(time.Millisecond)
@@ -531,7 +527,7 @@ func GSTSweep() Result {
 		if lat > float64(gstMS)+tailBudgetMS {
 			pass = false
 		}
-		tb.Row(gstMS, res.AllDecided(), lat, lat-float64(gstMS), res.MaxDecideRound())
+		tb.row(gstMS, res.AllDecided(), lat, lat-float64(gstMS), res.MaxDecideRound())
 	}
 	return Result{
 		ID:    "GST",

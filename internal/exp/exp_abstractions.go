@@ -14,7 +14,6 @@ import (
 	"repro/internal/combin"
 	"repro/internal/ea"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/proto"
 	"repro/internal/rb"
@@ -25,14 +24,14 @@ import (
 // INIT-equivocating Byzantine, and partially-connected crash. It verifies
 // the all-or-nothing delivery contract and reports message costs.
 func E1RB(seeds int) Result {
-	tb := metrics.NewTable("n", "sender", "runs", "all-or-nothing", "agreement", "mean msgs")
+	tb := newTable("n", "sender", "runs", "all-or-nothing", "agreement", "mean msgs")
 	pass := true
 	for _, n := range []int{4, 7, 10} {
 		tf := (n - 1) / 3
 		p := types.Params{N: n, T: tf, M: 1}
 		for _, mode := range []string{"correct", "equivocate", "partial"} {
 			okAll, okAgree := 0, 0
-			msgs := metrics.NewSeries("msgs")
+			var msgs series
 			for s := 0; s < seeds; s++ {
 				allOK, agreeOK, sent := RBWave(p, mode, int64(s))
 				if allOK {
@@ -41,13 +40,13 @@ func E1RB(seeds int) Result {
 				if agreeOK {
 					okAgree++
 				}
-				msgs.Add(float64(sent))
+				msgs.add(float64(sent))
 			}
 			if okAll != seeds || okAgree != seeds {
 				pass = false
 			}
-			tb.Row(n, mode, seeds, fmt.Sprintf("%d/%d", okAll, seeds),
-				fmt.Sprintf("%d/%d", okAgree, seeds), msgs.Mean())
+			tb.row(n, mode, seeds, fmt.Sprintf("%d/%d", okAll, seeds),
+				fmt.Sprintf("%d/%d", okAgree, seeds), msgs.mean())
 		}
 	}
 	return Result{
@@ -131,7 +130,7 @@ func RBWave(p types.Params, mode string, seed int64) (allOrNothing, agreement bo
 // value and final cb_valid sets agree — even when all t Byzantine
 // processes push a common unproposed value.
 func E2CB(seeds int) Result {
-	tb := metrics.NewTable("n", "runs", "returned", "byz value excluded", "sets agree")
+	tb := newTable("n", "runs", "returned", "byz value excluded", "sets agree")
 	pass := true
 	for _, n := range []int{4, 7, 10} {
 		tf := (n - 1) / 3
@@ -152,7 +151,7 @@ func E2CB(seeds int) Result {
 		if ret != seeds || excl != seeds || agree != seeds {
 			pass = false
 		}
-		tb.Row(n, seeds, frac(ret, seeds), frac(excl, seeds), frac(agree, seeds))
+		tb.row(n, seeds, frac(ret, seeds), frac(excl, seeds), frac(agree, seeds))
 	}
 	return Result{
 		ID:    "E2",
@@ -238,7 +237,7 @@ func CBWave(p types.Params, seed int64) (returned, excluded, agree bool) {
 // E3AC verifies the adopt-commit contract (Theorem 2) across seeds:
 // quasi-agreement under splits and obligation under unanimity.
 func E3AC(seeds int) Result {
-	tb := metrics.NewTable("n", "inputs", "runs", "terminated", "quasi-agreement", "obligation")
+	tb := newTable("n", "inputs", "runs", "terminated", "quasi-agreement", "obligation")
 	pass := true
 	for _, n := range []int{4, 7} {
 		tf := (n - 1) / 3
@@ -264,7 +263,7 @@ func E3AC(seeds int) Result {
 			if unanimous {
 				label = "unanimous"
 			}
-			tb.Row(n, label, seeds, frac(term, seeds), frac(quasi, seeds), frac(oblig, seeds))
+			tb.row(n, label, seeds, frac(term, seeds), frac(quasi, seeds), frac(oblig, seeds))
 		}
 	}
 	return Result{
@@ -438,7 +437,7 @@ func (prop2Delayer) MessageDelay(from, to types.ProcID, _ types.Time, payload an
 // the continue-in-background semantics (assumed by the Claim C proof)
 // terminates.
 func E9FastPath() Result {
-	tb := metrics.NewTable("fast-path mode", "p2 returned", "p3 returned", "p4 returned", "verdict")
+	tb := newTable("fast-path mode", "p2 returned", "p3 returned", "p4 returned", "verdict")
 	lit, _ := EAScenario(ea.FastPathReturnOnly, 3)
 	cont, _ := EAScenario(ea.FastPathContinue, 3)
 	has := func(m map[types.ProcID]types.Value, id types.ProcID) bool { _, ok := m[id]; return ok }
@@ -452,8 +451,8 @@ func E9FastPath() Result {
 	if !contOK {
 		v2 = "UNEXPECTED"
 	}
-	tb.Row("literal (Fig. 3 as written)", has(lit, 2), has(lit, 3), has(lit, 4), v1)
-	tb.Row("continue-in-background (default)", has(cont, 2), has(cont, 3), has(cont, 4), v2)
+	tb.row("literal (Fig. 3 as written)", has(lit, 2), has(lit, 3), has(lit, 4), v1)
+	tb.row("continue-in-background (default)", has(cont, 2), has(cont, 3), has(cont, 4), v2)
 	return Result{
 		ID:    "E9",
 		Claim: "reproduction finding: literal line-4 semantics lose EA-Termination under a mute coordinator + PROP2 equivocation; the Claim-C-compatible semantics keep it",
@@ -467,7 +466,7 @@ func E9FastPath() Result {
 // (with a garbage-championing Byzantine coordinator) and termination under
 // mixed inputs with a silent coordinator.
 func E4EA(seeds int) Result {
-	tb := metrics.NewTable("scenario", "runs", "ok")
+	tb := newTable("scenario", "runs", "ok")
 	pass := true
 	okV, okT := 0, 0
 	for s := 0; s < seeds; s++ {
@@ -481,8 +480,8 @@ func E4EA(seeds int) Result {
 	if okV != seeds || okT != seeds {
 		pass = false
 	}
-	tb.Row("unanimity + garbage coordinator → only v returned", seeds, frac(okV, seeds))
-	tb.Row("mixed inputs + silent coordinator → all return", seeds, frac(okT, seeds))
+	tb.row("unanimity + garbage coordinator → only v returned", seeds, frac(okV, seeds))
+	tb.row("mixed inputs + silent coordinator → all return", seeds, frac(okT, seeds))
 	return Result{
 		ID:    "E4",
 		Claim: "Theorem 3 (§5): EA validity and per-round termination",

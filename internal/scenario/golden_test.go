@@ -1,17 +1,25 @@
 package scenario
 
-import "testing"
+import (
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+)
 
-// TestGoldenDigests pins the SHA-256 trace digests of a diverse slice of
-// (scenario, seed) cells (see bench/golden_digests.tsv for the full
-// table; regenerate with `minsync-bench -digests`).
+// TestGoldenDigests pins the SHA-256 trace digest of every
+// (scenario, seed) row of bench/golden_digests.tsv — the whole curated
+// registry at seeds 1 and 7. The file is the only copy of the table;
+// after an intended schedule change re-record it with
+//
+//	go run ./cmd/minsync-sim -scenario all -seeds 1,7 | sed '1d;/^#/d' | cut -f1,2,10 > bench/golden_digests.tsv
+//
+// in a commit that changes nothing else.
 //
 // Any kernel, network, trace or scenario change that perturbs the schedule
 // — event ordering, RNG draw order, trace encoding — fails this test
 // loudly. That is the point: determinism is the refactor contract, and
-// "same seed ⇒ same digest" must survive every storage/layout change. If a
-// change intentionally alters the schedule (new event source, different
-// draw order), re-record the table and say so in the commit.
+// "same seed ⇒ same digest" must survive every storage/layout change.
 //
 // Re-recorded once when digestTrace switched from hashing rendered text
 // lines to the binary per-event tuple encoding (see digestTrace in
@@ -22,81 +30,37 @@ import "testing"
 // path (vector frames, hash indirection, pull resolution) under the
 // same contract.
 func TestGoldenDigests(t *testing.T) {
-	cases := []struct {
-		name   string
-		seed   int64
-		digest string
-	}{
-		{"baseline-sync", 1, "61c6015d700bff58e2151f10f3eb1473cd73463cf90bef3593fb3c264180e33c"},
-		{"baseline-sync", 7, "decb8441b8b3447f83e2ca48bf9b28fe73afb2fb7efffbd8b4d5e481110a3d83"},
-		{"sync-spam", 1, "59b252ae02ccf66fa193f7ad2d2da06112475a91217cb52fd4b9ae938de3926c"},
-		{"sync-random-byz", 1, "c3caaea7d9f8c3307724ad6fe0d511ce17bd133a2d3fc02e46f13b5275c47043"},
-		{"async-safety", 1, "62a7966da591ba817a828cf6d964d54ea4841481da1c831e1d112c550917d2f5"},
-		{"jitter-classes", 1, "76980c9caef159cb6a8953ff03395836bc8a06df0c21d60d582258ed098a7282"},
-		{"bisource-minimal", 7, "aeb3400e2a94228d7bac241a73d78707b67601256aa52d4fe5e9ebd5284d04b3"},
-		{"bisource-splitter", 1, "0ea09dea1d367ffeea402a135044afd3bfe208c8f9c68d18af98b3a90223ac4b"},
-		{"partition-heal", 7, "7a23e5f065fc3add623eac9fbe70fc4c677d2742dd9684bfb19f1f88ec726303"},
-		{"botmode-many-values", 1, "d8401c45cef010c6630dab49c3f8d78658ce9d0ac956ed24d478c04ebcf93aad"},
-		{"log-baseline", 1, "6d44be8969bff76531ed8d17e037e07aaa9ee74115638d606cea4f949672b99a"},
-		{"log-deep-pipeline", 7, "f48e8511f1d8229ba05d33c4edc0ac48fb4ff45b8892724a1c2700052724814c"},
-		// KV-service rows, recorded when the state-machine layer landed.
-		// Their digests additionally cover per-replica state digests and
-		// the snapshot log (see runKV), so session semantics, snapshot
-		// determinism and compaction scheduling are all pinned here.
-		{"kv-mixed", 1, "3c737dbcb85e7d576fcafa46023c1bdecf9ce9f8976bf1fd1419f5da7dab0c89"},
-		{"kv-sessions", 1, "eb01e0812de756889e67b9397245926db08db7fc4f9fe28e0d156d53ae38864b"},
-		{"kv-sessions", 7, "4b0145abdf367018b2553d4719ce4377e0d19aebc736c7833d3f68eef047be81"},
-		{"kv-snapshot-recover", 1, "08504c2e088d764054f74b4827131483d25c7bcc2702726c6734b40fb54803b1"},
-		{"kv-long-compaction", 7, "cfdf67a1a026e02e2941b7c3a7a9d6a81ee36d5eb4c126eaa937b456ed75a002"},
-		// Snapshot-state-transfer rows, recorded when the transfer
-		// subsystem landed. Their digests additionally cover the
-		// SNAP_REQ/SNAP_RESP traffic, the stall-probe schedule and the
-		// laggard's install boundary, so the whole transfer protocol's
-		// schedule is pinned here. All pre-transfer rows above are
-		// byte-identical to their previous recordings (transfer only
-		// activates where it is enabled).
-		{"kv-lag-transfer", 1, "43e1bbc3156e7ac616aba255629d1b6e5f87d795538fc1f9704e4cd75b04e20a"},
-		{"kv-lag-transfer", 7, "efc6fd64aa14be1b3dd0ff0baf2a22d7763de63bb84094f6a15213c63fc4c3b9"},
-		{"kv-lag-transfer-n7", 1, "979e9fe24460a7e47394c685805e9bb9136a664f94c7983c9f5260b2668d65d6"},
-		// Coalesced-relay rows, recorded when the echo/ready coalescing
-		// subsystem landed. Coalescing stays OFF in every row above —
-		// those schedules never see a vector frame — so these four rows
-		// are the determinism pin for the relay itself: flush-quantum
-		// alignment, vector encode order, hash parking and the pull
-		// exchange, including one cell under the hash-equivocation
-		// adversary.
-		{"rb-coalesce-async", 1, "14e0c1bcbd1e40cd18118d4035b41fbfd4250e3027d3a2bcf640a985878cb18f"},
-		{"rb-coalesce-bisource", 7, "755808ca2688552467213d93c496e0c8b8b97eabfa7a79acfcb4c2bed6a12373"},
-		{"rb-coalesce-partition", 1, "61348fd9d5bb5d12bf32fbb6a249ad7bc910b7b9f09b45c37a66be11793cf685"},
-		{"rb-coalesce-hashspam", 1, "fe4a9c2de791b82add0f4f807c3fdef8826d901f1fa49c64de730c12f4890fad"},
-		// Durable-storage rows, recorded when the persistence subsystem
-		// landed. The crash-restart rows pin the full power-cycle
-		// choreography (fsync'd WAL replay, boot from snapshot + suffix,
-		// zero-transfer reconvergence through t+1 DECIDE quorums); the
-		// chunk-loss row pins the chunked transfer protocol end to end —
-		// manifest corroboration, windowed range requests, the stalled-
-		// download abandon path and re-corroboration under frame loss.
-		{"kv-crash-restart", 1, "85ebedb10732bf7add462ebd6edec2cf2eb1765ea3a354a9c9d7dc71fe6b0917"},
-		{"kv-crash-restart", 7, "8fc060e9a893105ef923e4c8092c9d09659bbc7fd8a91ee682f0910ceb5df3fb"},
-		{"kv-crash-restart-n7", 1, "1b1538fed0c4bf68c8e6737a8983ac4feeeeea56b45ca0a629842a31de7ac13d"},
-		{"transfer-chunk-loss", 1, "d1708cb4c77de3747c3991a38de5174280b32b2e121e50facbea3028c55bf453"},
-		{"transfer-chunk-loss", 7, "0971585bcbe60becaa9fe3f239fc8d77338b84610e09c9ca2faba2adc000bdfc"},
+	table, err := os.ReadFile("../../bench/golden_digests.tsv")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+	rows := strings.Split(strings.TrimSuffix(string(table), "\n"), "\n")
+	if want := 2 * len(All()); len(rows) != want {
+		t.Errorf("%d rows for %d registered scenarios, want %d (seeds 1 and 7 each)", len(rows), len(All()), want)
+	}
+	for _, row := range rows {
+		f := strings.Split(row, "\t")
+		if len(f) != 3 {
+			t.Fatalf("malformed row %q", row)
+		}
+		name, digest := f[0], f[2]
+		seed, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			t.Fatalf("row %q: %v", row, err)
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			s, ok := Get(tc.name)
+			s, ok := Get(name)
 			if !ok {
-				t.Fatalf("scenario %q not registered", tc.name)
+				t.Fatalf("scenario %q not registered", name)
 			}
-			o, err := Run(s, tc.seed)
+			o, err := Run(s, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if o.Digest != tc.digest {
+			if o.Digest != digest {
 				t.Errorf("digest drifted for (%s, seed %d):\n  got  %s\n  want %s\nthe kernel refactor contract is byte-identical schedules — see the test comment",
-					tc.name, tc.seed, o.Digest, tc.digest)
+					name, seed, o.Digest, digest)
 			}
 		})
 	}

@@ -67,7 +67,7 @@ func (o *Outcome) String() string {
 	}
 	return fmt.Sprintf("%s\t%d\t%s\t%s\t%d\t%d\t%d\t%d\t%v\t%s",
 		o.Name, o.Seed, o.Workload, status, len(o.Report.Violations),
-		o.Decided, o.Messages, o.Events, o.End, o.Digest[:16])
+		o.Decided, o.Messages, o.Events, o.End, o.Digest)
 }
 
 // TableHeader is the column header matching Outcome.String.
@@ -261,9 +261,11 @@ func padValue(v string, size int) string {
 	return v + string(pad)
 }
 
-// buildBehavior materializes one fault preset. The per-fault seed keeps
-// FaultRandom deterministic yet distinct across processes.
-func buildBehavior(f Fault, ecfg core.Config, vals []types.Value, seed int64) (harness.Behavior, error) {
+// Behavior materializes the fault preset. vals is the value pool empty
+// Value/Alt fields default from (vals[0], then vals[1] if there is one);
+// the per-fault seed keeps FaultRandom deterministic yet distinct across
+// processes.
+func (f Fault) Behavior(ecfg core.Config, vals []types.Value, seed int64) (harness.Behavior, error) {
 	v := f.Value
 	if v == "" {
 		v = vals[0]
@@ -325,7 +327,7 @@ func (s Spec) byzantine(ecfg core.Config, seed int64) (map[types.ProcID]harness.
 	out := make(map[types.ProcID]harness.Behavior, len(ids))
 	for i, f := range s.Faults {
 		id := ids[i]
-		b, err := buildBehavior(f, ecfg, vals, seed+int64(id))
+		b, err := f.Behavior(ecfg, vals, seed+int64(id))
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: process %v: %w", s.Name, id, err)
 		}

@@ -4,7 +4,7 @@
 // value bytes:
 //
 //	offset  size  field
-//	0       1     version (4)
+//	0       1     version (5)
 //	1       1     kind     (proto.MsgKind)
 //	2       1     module   (proto.Module)
 //	3       1     flags    (bit 0: relay value present, i.e. not ⊥)
@@ -14,38 +14,23 @@
 //	24      4     value length L (uint32, ≤ MaxValueLen)
 //	28      L     value bytes
 //
-// Version 5 extends version 4's vocabulary, not its layout: the kind
-// range grows to cover the chunked snapshot-transfer messages
-// (proto.MsgSnapChunk / proto.MsgSnapAck, module proto.ModSnap — see
-// sm's chunk codec and docs/persistence.md). They exist because a
-// transfer payload is bounded by MaxValueLen per frame: a machine state
-// larger than that now travels as a manifest (still a MsgSnapResponse)
-// plus a stream of self-validating chunks, instead of being simply
-// unshippable. Version 4 extends version 3's vocabulary, not its layout: the header is
-// byte-identical, but the kind range grows to cover the coalesced-relay
-// carrier messages of the reliable-broadcast layer (proto.MsgRBVector /
-// proto.MsgRBPull / proto.MsgRBPullResp, module proto.ModRBRelay — see
-// rb.Relay and docs/rb-coalescing.md). A vector frame's entry list rides
-// in the value bytes (rb.EncodeEntries), so the codec layout is
-// untouched. Version 3 added the client-facing KV service messages
-// (proto.MsgKVRequest / proto.MsgKVResponse, module proto.ModKV) and the
-// replica-to-replica snapshot-transfer messages (proto.MsgSnapRequest /
-// proto.MsgSnapResponse, module proto.ModSnap) on the same layout.
-// A snapshot travels as ONE frame — digest plus boundary in the value
-// bytes (see sm.EncodeTransfer) — so the whole transfer fits the codec's
-// MaxValueLen bound with no chunking protocol; machines whose state can
-// exceed it need an incremental-snapshot scheme this codec deliberately
-// does not attempt. Version 2 is the replica-to-replica log format; version 1
-// (the single-shot format of the pre-log releases) additionally has no
-// instance field — its value length sits at offset 16 and the header is
-// 20 bytes. Compatibility is decode-only: Decode accepts all four
-// versions, enforcing each version's own vocabulary (a v2 frame naming a
-// KV kind is rejected, a v3 frame naming a relay kind likewise) and
-// mapping v1 frames to instance 0. A new binary therefore understands any
-// old peer — but it always sends version 5, which an old binary rejects,
-// so a mixed-version cluster needs the old side upgraded (or a future
-// per-peer version negotiation). EncodeV1 through EncodeV4 produce the
-// older frames for tests and tooling that exercise those decode paths.
+// There is one version. Every binary this repository ever built sends
+// version 5, so Decode accepts version byte 5 and rejects every other
+// value; a change to the layout or the vocabulary is a new version byte
+// and a coordinated upgrade.
+//
+// Besides the consensus kinds the vocabulary covers the client-facing KV
+// service messages (proto.MsgKVRequest / proto.MsgKVResponse, module
+// proto.ModKV), the coalesced-relay carriers of the reliable-broadcast
+// layer (proto.MsgRBVector / proto.MsgRBPull / proto.MsgRBPullResp,
+// module proto.ModRBRelay — a vector frame's entry list rides in the
+// value bytes, see rb.EncodeEntries and docs/rb-coalescing.md) and the
+// replica-to-replica snapshot transfer (module proto.ModSnap). A
+// transfer payload is bounded by MaxValueLen per frame: a small state
+// travels inline in one proto.MsgSnapResponse, a larger one as a
+// manifest (still a MsgSnapResponse) plus a stream of self-validating
+// proto.MsgSnapChunk frames re-requested by proto.MsgSnapAck — see sm's
+// chunk codec and docs/persistence.md.
 //
 // Frames on the wire are length-prefixed by the transport; this package
 // only encodes message bodies.
@@ -59,36 +44,14 @@ import (
 	"repro/internal/types"
 )
 
-// Version is the current codec version byte (adds the chunked
-// snapshot-transfer vocabulary on top of the v4 coalesced-relay
-// vocabulary; layout unchanged since v2).
+// Version is the codec version byte.
 const Version = 5
-
-// VersionRelay is the coalesced-relay codec version, still accepted by
-// Decode.
-const VersionRelay = 4
-
-// VersionKV is the KV-client + snapshot-transfer codec version, still
-// accepted by Decode.
-const VersionKV = 3
-
-// VersionLog is the replica-only log codec version, still accepted by
-// Decode.
-const VersionLog = 2
-
-// VersionLegacy is the pre-instance codec version, still accepted by Decode.
-const VersionLegacy = 1
 
 // MaxValueLen bounds value payloads (1 MiB): a Byzantine peer must not be
 // able to force unbounded allocations.
 const MaxValueLen = 1 << 20
 
-// Header lengths of the two supported layouts (versions 2–4 share the
-// 28-byte header; version 1 lacks the instance field).
-const (
-	headerLenV1 = 20
-	headerLenV2 = 28
-)
+const headerLen = 28
 
 const flagRelayValid = 1 << 0
 
@@ -108,46 +71,8 @@ func payload(m proto.Message) ([]byte, error) {
 	return val, nil
 }
 
-// Encode serializes m in the current (version 5) format.
+// Encode serializes m.
 func Encode(m proto.Message) ([]byte, error) {
-	return encode28(m, Version)
-}
-
-// EncodeV4 serializes m in the version-4 coalesced-relay format. It
-// refuses the chunked-transfer kinds that vocabulary cannot express;
-// like the other EncodeVn helpers it exists so tests and tooling can
-// exercise the back-compat decode path.
-func EncodeV4(m proto.Message) ([]byte, error) {
-	if m.Kind > proto.MsgRBPullResp {
-		return nil, fmt.Errorf("wire: version 4 cannot carry %v[%v]", m.Kind, m.Tag.Mod)
-	}
-	return encode28(m, VersionRelay)
-}
-
-// EncodeV3 serializes m in the version-3 KV/snapshot format. It refuses
-// the coalesced-relay kinds that vocabulary cannot express; like EncodeV1
-// and EncodeV2 it exists so tests and tooling can exercise the
-// back-compat decode path.
-func EncodeV3(m proto.Message) ([]byte, error) {
-	if m.Kind > proto.MsgSnapResponse || m.Tag.Mod > proto.ModSnap {
-		return nil, fmt.Errorf("wire: version 3 cannot carry %v[%v]", m.Kind, m.Tag.Mod)
-	}
-	return encode28(m, VersionKV)
-}
-
-// EncodeV2 serializes m in the version-2 log format. It refuses the KV
-// and snapshot-transfer kinds that vocabulary cannot express; like
-// EncodeV1 it exists so tests and tooling can exercise the back-compat
-// decode path.
-func EncodeV2(m proto.Message) ([]byte, error) {
-	if m.Kind > proto.MsgEARelay || m.Tag.Mod > proto.ModDecide {
-		return nil, fmt.Errorf("wire: version 2 cannot carry %v[%v]", m.Kind, m.Tag.Mod)
-	}
-	return encode28(m, VersionLog)
-}
-
-// encode28 writes the shared 28-byte-header layout of versions 2–4.
-func encode28(m proto.Message, version byte) ([]byte, error) {
 	val, err := payload(m)
 	if err != nil {
 		return nil, err
@@ -155,8 +80,8 @@ func encode28(m proto.Message, version byte) ([]byte, error) {
 	if m.Instance < 0 {
 		return nil, fmt.Errorf("wire: negative instance %d", m.Instance)
 	}
-	buf := make([]byte, headerLenV2+len(val))
-	buf[0] = version
+	buf := make([]byte, headerLen+len(val))
+	buf[0] = Version
 	buf[1] = byte(m.Kind)
 	buf[2] = byte(m.Tag.Mod)
 	if m.Kind == proto.MsgEARelay && !m.Opt.IsBot() {
@@ -166,75 +91,30 @@ func encode28(m proto.Message, version byte) ([]byte, error) {
 	binary.LittleEndian.PutUint32(buf[12:], uint32(int32(m.Origin)))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(m.Instance))
 	binary.LittleEndian.PutUint32(buf[24:], uint32(len(val)))
-	copy(buf[headerLenV2:], val)
+	copy(buf[headerLen:], val)
 	return buf, nil
 }
 
-// EncodeV1 serializes m in the legacy single-shot format. It refuses
-// messages that the old vocabulary cannot express (instance ≠ 0, and the
-// KV/snapshot-transfer kinds of the later versions); it exists so tests
-// and tooling can exercise the back-compat decode path (the transport
-// itself always sends the current version).
-func EncodeV1(m proto.Message) ([]byte, error) {
-	if m.Kind > proto.MsgEARelay || m.Tag.Mod > proto.ModDecide {
-		return nil, fmt.Errorf("wire: version 1 cannot carry %v[%v]", m.Kind, m.Tag.Mod)
-	}
-	if m.Instance != 0 {
-		return nil, fmt.Errorf("wire: version 1 cannot carry instance %d", m.Instance)
-	}
-	val, err := payload(m)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, headerLenV1+len(val))
-	buf[0] = VersionLegacy
-	buf[1] = byte(m.Kind)
-	buf[2] = byte(m.Tag.Mod)
-	if m.Kind == proto.MsgEARelay && !m.Opt.IsBot() {
-		buf[3] |= flagRelayValid
-	}
-	binary.LittleEndian.PutUint64(buf[4:], uint64(m.Tag.Round))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(int32(m.Origin)))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(len(val)))
-	copy(buf[headerLenV1:], val)
-	return buf, nil
-}
-
-// Decode parses a message body in either supported version. It validates
-// ranges defensively: the bytes may come from a Byzantine peer.
+// Decode parses a message body. It validates ranges defensively: the
+// bytes may come from a Byzantine peer.
 func Decode(b []byte) (proto.Message, error) {
 	var m proto.Message
 	if len(b) < 1 {
 		return m, fmt.Errorf("wire: short message (%d bytes)", len(b))
 	}
-	headerLen := headerLenV2
-	// Each version enforces its own vocabulary: frames claiming an old
-	// version must not smuggle in kinds that version never defined.
-	maxKind, maxMod := proto.MsgSnapAck, proto.ModRBRelay
-	switch b[0] {
-	case Version:
-	case VersionRelay:
-		maxKind = proto.MsgRBPullResp
-	case VersionKV:
-		maxKind, maxMod = proto.MsgSnapResponse, proto.ModSnap
-	case VersionLog:
-		maxKind, maxMod = proto.MsgEARelay, proto.ModDecide
-	case VersionLegacy:
-		headerLen = headerLenV1
-		maxKind, maxMod = proto.MsgEARelay, proto.ModDecide
-	default:
+	if b[0] != Version {
 		return m, fmt.Errorf("wire: unsupported version %d", b[0])
 	}
 	if len(b) < headerLen {
 		return m, fmt.Errorf("wire: short message (%d bytes)", len(b))
 	}
 	kind := proto.MsgKind(b[1])
-	if kind < proto.MsgRBInit || kind > maxKind {
-		return m, fmt.Errorf("wire: invalid kind %d for version %d", b[1], b[0])
+	if kind < proto.MsgRBInit || kind > proto.MsgSnapAck {
+		return m, fmt.Errorf("wire: invalid kind %d", b[1])
 	}
 	mod := proto.Module(b[2])
-	if mod < proto.ModConsCB0 || mod > maxMod {
-		return m, fmt.Errorf("wire: invalid module %d for version %d", b[2], b[0])
+	if mod < proto.ModConsCB0 || mod > proto.ModRBRelay {
+		return m, fmt.Errorf("wire: invalid module %d", b[2])
 	}
 	round := int64(binary.LittleEndian.Uint64(b[4:]))
 	if round < 0 {
@@ -244,14 +124,11 @@ func Decode(b []byte) (proto.Message, error) {
 	if origin < 0 {
 		return m, fmt.Errorf("wire: negative origin %d", origin)
 	}
-	var instance int64
-	if b[0] != VersionLegacy {
-		instance = int64(binary.LittleEndian.Uint64(b[16:]))
-		if instance < 0 {
-			return m, fmt.Errorf("wire: negative instance %d", instance)
-		}
+	instance := int64(binary.LittleEndian.Uint64(b[16:]))
+	if instance < 0 {
+		return m, fmt.Errorf("wire: negative instance %d", instance)
 	}
-	vlen := binary.LittleEndian.Uint32(b[headerLen-4:])
+	vlen := binary.LittleEndian.Uint32(b[24:])
 	if vlen > MaxValueLen {
 		return m, fmt.Errorf("wire: value length %d exceeds limit", vlen)
 	}

@@ -126,69 +126,6 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 }
 
-// TestV1RoundTrip checks the legacy encode → current decode path: a
-// version-1 peer's frames must decode to the same message with instance 0.
-func TestV1RoundTrip(t *testing.T) {
-	for _, kind := range allKinds {
-		for _, mod := range allModules {
-			m := proto.Message{
-				Kind:   kind,
-				Tag:    proto.Tag{Mod: mod, Round: 11},
-				Origin: 2,
-			}
-			if kind == proto.MsgEARelay {
-				m.Opt = types.Some("x")
-			} else {
-				m.Val = "x"
-			}
-			b, err := EncodeV1(m)
-			if err != nil {
-				t.Fatalf("EncodeV1(%v): %v", m, err)
-			}
-			if b[0] != VersionLegacy {
-				t.Fatalf("EncodeV1 wrote version %d", b[0])
-			}
-			if len(b) != headerLenV1+1 {
-				t.Fatalf("EncodeV1 frame is %d bytes, want %d", len(b), headerLenV1+1)
-			}
-			got, err := Decode(b)
-			if err != nil {
-				t.Fatalf("Decode(EncodeV1(%v)): %v", m, err)
-			}
-			if got != m {
-				t.Errorf("v1 round trip: got %+v, want %+v", got, m)
-			}
-			if got.Instance != 0 {
-				t.Errorf("v1 frame decoded to instance %v", got.Instance)
-			}
-		}
-	}
-}
-
-// TestV1BotRelay checks the legacy ⊥-relay encoding specifically.
-func TestV1BotRelay(t *testing.T) {
-	m := proto.Message{Kind: proto.MsgEARelay, Tag: proto.Tag{Mod: proto.ModEA, Round: 2}, Opt: types.Bot}
-	b, err := EncodeV1(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Opt.IsBot() {
-		t.Error("v1 ⊥ relay decoded as non-⊥")
-	}
-}
-
-// TestEncodeV1RejectsInstance: the old vocabulary cannot carry instances.
-func TestEncodeV1RejectsInstance(t *testing.T) {
-	m := proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModDecide}, Instance: 3, Val: "x"}
-	if _, err := EncodeV1(m); err == nil {
-		t.Fatal("EncodeV1 accepted a nonzero instance")
-	}
-}
-
 func TestEncodeRejectsNegativeInstance(t *testing.T) {
 	m := proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModDecide}, Instance: -1, Val: "x"}
 	if _, err := Encode(m); err == nil {
@@ -207,7 +144,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		substr string
 	}{
 		{"short", func(b []byte) []byte { return b[:10] }, "short"},
-		{"truncated header", func(b []byte) []byte { return b[:headerLenV2-1] }, "short"},
+		{"truncated header", func(b []byte) []byte { return b[:headerLen-1] }, "short"},
 		{"empty", func(b []byte) []byte { return nil }, "short"},
 		{"bad version", func(b []byte) []byte { b[0] = 9; return b }, "version"},
 		{"bad kind zero", func(b []byte) []byte { b[1] = 0; return b }, "kind"},
@@ -249,44 +186,6 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsMalformedV1 re-runs the malformed-frame matrix against
-// the legacy header layout (value length at offset 16).
-func TestDecodeRejectsMalformedV1(t *testing.T) {
-	valid, err := EncodeV1(proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModDecide}, Origin: 1, Val: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		name   string
-		mutate func([]byte) []byte
-		substr string
-	}{
-		{"truncated header", func(b []byte) []byte { return b[:headerLenV1-1] }, "short"},
-		{"bad kind", func(b []byte) []byte { b[1] = 0; return b }, "kind"},
-		{"bad module", func(b []byte) []byte { b[2] = 99; return b }, "module"},
-		{"length mismatch", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[16:], 500)
-			return b
-		}, "mismatch"},
-		{"length over limit", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[16:], MaxValueLen+1)
-			return b
-		}, "limit"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			b := tt.mutate(bytes.Clone(valid))
-			_, err := Decode(b)
-			if err == nil {
-				t.Fatal("malformed v1 frame accepted")
-			}
-			if !strings.Contains(err.Error(), tt.substr) {
-				t.Errorf("error %q does not mention %q", err, tt.substr)
-			}
-		})
-	}
-}
-
 func TestBotRelayWithPayloadRejected(t *testing.T) {
 	b, err := Encode(proto.Message{Kind: proto.MsgEARelay, Tag: proto.Tag{Mod: proto.ModEA, Round: 1}, Opt: types.Bot})
 	if err != nil {
@@ -305,20 +204,56 @@ func TestEncodeRejectsHugeValue(t *testing.T) {
 	if _, err := Encode(proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModDecide}, Val: huge}); err == nil {
 		t.Fatal("oversized value accepted")
 	}
-	if _, err := EncodeV1(proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModDecide}, Val: huge}); err == nil {
-		t.Fatal("oversized value accepted by EncodeV1")
+}
+
+// withVersion returns a copy of frame claiming version v.
+func withVersion(frame []byte, v byte) []byte {
+	b := bytes.Clone(frame)
+	b[0] = v
+	return b
+}
+
+// TestDecodeRejectsOtherVersions: there is one wire version. An
+// otherwise valid frame of every kind is refused under every other
+// version byte, before any other field is looked at.
+func TestDecodeRejectsOtherVersions(t *testing.T) {
+	for kind := proto.MsgRBInit; kind <= proto.MsgSnapAck; kind++ {
+		m := proto.Message{Kind: kind, Tag: proto.Tag{Mod: proto.ModEA, Round: 2}, Instance: 3, Origin: 1}
+		if kind == proto.MsgEARelay {
+			m.Opt = types.Some("v")
+		} else {
+			m.Val = "v"
+		}
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatalf("Encode(%v): %v", kind, err)
+		}
+		if got, err := Decode(frame); err != nil || got != m {
+			t.Fatalf("%v: version %d frame: got %+v, %v", kind, Version, got, err)
+		}
+		for v := 0; v < 256; v++ {
+			if v == Version {
+				continue
+			}
+			_, err := Decode(withVersion(frame, byte(v)))
+			if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+				t.Errorf("%v frame claiming version %d: err = %v, want unsupported version", kind, v, err)
+			}
+		}
 	}
 }
 
 // FuzzDecode ensures Decode never panics on arbitrary bytes and that valid
-// decodes re-encode canonically in their own version.
+// decodes re-encode canonically — which a frame of any other version
+// cannot, so accepting one fails here too. The committed corpus under
+// testdata/fuzz holds v1, v2 and v4 frames earlier codecs accepted: they
+// are must-reject regressions now.
 func FuzzDecode(f *testing.F) {
 	seed, _ := Encode(proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModDecide}, Origin: 1, Val: "x"})
-	seedV1, _ := EncodeV1(proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModDecide}, Origin: 1, Val: "x"})
-	seedV2, _ := EncodeV2(proto.Message{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 2}, Instance: 5, Origin: 3, Val: "y"})
+	echo, _ := Encode(proto.Message{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 2}, Instance: 5, Origin: 3, Val: "y"})
 	f.Add(seed)
-	f.Add(seedV1)
-	f.Add(seedV2)
+	f.Add(withVersion(seed, 1))
+	f.Add(withVersion(echo, 2))
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	// Snapshot-transfer frames, valid and deliberately malformed: the
@@ -330,25 +265,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add(snapResp)
 	f.Add(snapResp[:len(snapResp)-4]) // truncated payload
 	forgedKind := bytes.Clone(snapResp)
-	forgedKind[1] = byte(proto.MsgRBPullResp) + 1 // past the v4 vocabulary
+	forgedKind[1] = byte(proto.MsgSnapAck) + 1 // past the vocabulary
 	f.Add(forgedKind)
-	forgedVersion := bytes.Clone(snapReq)
-	forgedVersion[0] = VersionLog // snap kind smuggled into v2
-	f.Add(forgedVersion)
-	// Coalesced-relay frames: a vector carrying opaque entry bytes, a
-	// pull, and the same vector smuggled into v3 (which must reject it).
+	f.Add(withVersion(snapReq, 2))
+	// Coalesced-relay frames: a vector carrying opaque entry bytes and a
+	// pull.
 	vec, _ := Encode(proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: "entry-vector-bytes"})
 	pull, _ := Encode(proto.Message{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: "0123456789abcdef"})
 	f.Add(vec)
 	f.Add(pull)
-	seedV3, _ := EncodeV3(proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: 12})
-	f.Add(seedV3)
-	forgedV3 := bytes.Clone(vec)
-	forgedV3[0] = VersionKV // relay kind smuggled into v3
-	f.Add(forgedV3)
-	// Chunk-streaming frames (wire v5): a chunk with a binary body, a
-	// 40-byte range ack, and the chunk kind smuggled into v4 (which must
-	// reject it).
+	f.Add(withVersion(snapReq, 3))
+	f.Add(withVersion(vec, 3))
+	// Chunk-streaming frames: a chunk with a binary body and a 40-byte
+	// range ack.
 	chunkBody := make([]byte, 72)
 	for i := range chunkBody {
 		chunkBody[i] = byte(i * 11)
@@ -357,27 +286,13 @@ func FuzzDecode(f *testing.F) {
 	ack, _ := Encode(proto.Message{Kind: proto.MsgSnapAck, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: 24, Val: types.Value(chunkBody[:40])})
 	f.Add(chunk)
 	f.Add(ack)
-	forgedV4 := bytes.Clone(chunk)
-	forgedV4[0] = VersionRelay // chunk kind smuggled into v4
-	f.Add(forgedV4)
+	f.Add(withVersion(chunk, 4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
 			return
 		}
-		// Valid decodes must re-encode to the same bytes in their version.
-		enc := Encode
-		switch data[0] {
-		case VersionLegacy:
-			enc = EncodeV1
-		case VersionLog:
-			enc = EncodeV2
-		case VersionKV:
-			enc = EncodeV3
-		case VersionRelay:
-			enc = EncodeV4
-		}
-		b, err2 := enc(m)
+		b, err2 := Encode(m)
 		if err2 != nil {
 			t.Fatalf("decoded message fails to encode: %v", err2)
 		}
@@ -411,56 +326,6 @@ func TestV3KVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2RoundTrip: EncodeV2 frames still decode (instance preserved), and
-// the v2 vocabulary excludes the KV kinds.
-func TestV2RoundTrip(t *testing.T) {
-	m := proto.Message{
-		Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 3},
-		Instance: 42, Origin: 2, Val: "v",
-	}
-	b, err := EncodeV2(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != VersionLog {
-		t.Fatalf("EncodeV2 wrote version %d", b[0])
-	}
-	got, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != m {
-		t.Fatalf("round trip: got %+v want %+v", got, m)
-	}
-	if _, err := EncodeV2(proto.Message{Kind: proto.MsgKVRequest, Tag: proto.Tag{Mod: proto.ModKV}}); err == nil {
-		t.Fatal("EncodeV2 accepted a KV kind")
-	}
-}
-
-// TestOldVersionsRejectKVVocabulary: a frame claiming version 1 or 2 must
-// not smuggle in kinds/modules those versions never defined.
-func TestOldVersionsRejectKVVocabulary(t *testing.T) {
-	b, err := Encode(proto.Message{Kind: proto.MsgKVRequest, Tag: proto.Tag{Mod: proto.ModKV}, Val: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := bytes.Clone(b)
-	forged[0] = VersionLog
-	if _, err := Decode(forged); err == nil {
-		t.Fatal("v2 frame with KV kind accepted")
-	}
-	// Same via the module byte only.
-	b2, err := Encode(proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModKV}, Origin: 1, Val: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged = bytes.Clone(b2)
-	forged[0] = VersionLog
-	if _, err := Decode(forged); err == nil {
-		t.Fatal("v2 frame with KV module accepted")
-	}
-}
-
 // TestV3SnapRoundTrip: the current version carries the snapshot-transfer
 // vocabulary; the Instance field carries the boundary.
 func TestV3SnapRoundTrip(t *testing.T) {
@@ -483,46 +348,6 @@ func TestV3SnapRoundTrip(t *testing.T) {
 		if got != m {
 			t.Fatalf("round trip: got %+v want %+v", got, m)
 		}
-	}
-}
-
-// TestOldVersionsRejectSnapVocabulary: frames claiming version 1 or 2
-// must not smuggle in the snapshot-transfer kinds/module those versions
-// never defined.
-func TestOldVersionsRejectSnapVocabulary(t *testing.T) {
-	req, err := Encode(proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, version := range []byte{VersionLog, VersionLegacy} {
-		forged := bytes.Clone(req)
-		forged[0] = version
-		if version == VersionLegacy {
-			// v1 has no instance field; rebuild a frame of its length with
-			// the forged kind so only the vocabulary check can reject it.
-			forged = forged[:headerLenV1]
-			binary.LittleEndian.PutUint32(forged[16:], 0)
-		}
-		if _, err := Decode(forged); err == nil {
-			t.Fatalf("v%d frame with snap kind accepted", version)
-		}
-	}
-	// Same via the module byte only.
-	b, err := Encode(proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModSnap}, Origin: 1, Val: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := bytes.Clone(b)
-	forged[0] = VersionLog
-	if _, err := Decode(forged); err == nil {
-		t.Fatal("v2 frame with snap module accepted")
-	}
-	// EncodeV2/EncodeV1 refuse the vocabulary at the source.
-	if _, err := EncodeV2(proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}}); err == nil {
-		t.Fatal("EncodeV2 accepted a snap kind")
-	}
-	if _, err := EncodeV1(proto.Message{Kind: proto.MsgSnapResponse, Tag: proto.Tag{Mod: proto.ModSnap}}); err == nil {
-		t.Fatal("EncodeV1 accepted a snap kind")
 	}
 }
 
@@ -550,76 +375,6 @@ func TestV4RelayRoundTrip(t *testing.T) {
 		if got != m {
 			t.Fatalf("round trip: got %+v want %+v", got, m)
 		}
-	}
-}
-
-// TestV3RoundTrip: EncodeV3 frames still decode unchanged, and the v3
-// vocabulary excludes the coalesced-relay kinds.
-func TestV3RoundTrip(t *testing.T) {
-	for _, m := range []proto.Message{
-		{Kind: proto.MsgSnapResponse, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: 40, Val: "snapshot"},
-		{Kind: proto.MsgKVRequest, Tag: proto.Tag{Mod: proto.ModKV}, Val: "cmd"},
-		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 3}, Instance: 42, Origin: 2, Val: "v"},
-	} {
-		b, err := EncodeV3(m)
-		if err != nil {
-			t.Fatalf("EncodeV3(%v): %v", m, err)
-		}
-		if b[0] != VersionKV {
-			t.Fatalf("EncodeV3 wrote version %d, want %d", b[0], VersionKV)
-		}
-		got, err := Decode(b)
-		if err != nil {
-			t.Fatalf("Decode: %v", err)
-		}
-		if got != m {
-			t.Fatalf("round trip: got %+v want %+v", got, m)
-		}
-	}
-	if _, err := EncodeV3(proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}}); err == nil {
-		t.Fatal("EncodeV3 accepted a relay kind")
-	}
-}
-
-// TestOldVersionsRejectRelayVocabulary: frames claiming versions 1–3 must
-// not smuggle in the coalesced-relay kinds/module those versions never
-// defined, and the per-version encoders refuse them at the source.
-func TestOldVersionsRejectRelayVocabulary(t *testing.T) {
-	vec, err := Encode(proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 1, Val: "entries"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, version := range []byte{VersionKV, VersionLog, VersionLegacy} {
-		forged := bytes.Clone(vec)
-		forged[0] = version
-		if version == VersionLegacy {
-			// v1 has no instance field; rebuild a frame of its length with
-			// the forged kind so only the vocabulary check can reject it.
-			forged = forged[:headerLenV1]
-			binary.LittleEndian.PutUint32(forged[16:], 0)
-		}
-		if _, err := Decode(forged); err == nil {
-			t.Fatalf("v%d frame with relay kind accepted", version)
-		}
-	}
-	// Same via the module byte only.
-	b, err := Encode(proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 1, Val: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := bytes.Clone(b)
-	forged[0] = VersionKV
-	if _, err := Decode(forged); err == nil {
-		t.Fatal("v3 frame with relay module accepted")
-	}
-	if _, err := EncodeV3(proto.Message{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}}); err == nil {
-		t.Fatal("EncodeV3 accepted a relay kind")
-	}
-	if _, err := EncodeV2(proto.Message{Kind: proto.MsgRBPullResp, Tag: proto.Tag{Mod: proto.ModRBRelay}}); err == nil {
-		t.Fatal("EncodeV2 accepted a relay kind")
-	}
-	if _, err := EncodeV1(proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}}); err == nil {
-		t.Fatal("EncodeV1 accepted a relay kind")
 	}
 }
 
@@ -655,7 +410,7 @@ func TestVectorFrameMalformed(t *testing.T) {
 		}, "mismatch"},
 		{"truncated payload", func(b []byte) []byte { return b[:len(b)-3] }, "mismatch"},
 		{"trailing garbage", func(b []byte) []byte { return append(b, 0xFF) }, "mismatch"},
-		{"downgraded version", func(b []byte) []byte { b[0] = VersionKV; return b }, "kind"},
+		{"downgraded version", func(b []byte) []byte { b[0] = 3; return b }, "version"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -689,10 +444,10 @@ func TestSnapFrameMalformed(t *testing.T) {
 		{"kind past vocabulary", func(b []byte) []byte { b[1] = byte(proto.MsgSnapAck) + 1; return b }, "kind"},
 		{"module past vocabulary", func(b []byte) []byte { b[2] = byte(proto.ModRBRelay) + 1; return b }, "module"},
 		{"chunk kind downgraded to v4", func(b []byte) []byte {
-			b[0] = VersionRelay
+			b[0] = 4
 			b[1] = byte(proto.MsgSnapChunk)
 			return b
-		}, "kind"},
+		}, "version"},
 		{"negative boundary", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[16:], 1<<63)
 			return b
@@ -749,42 +504,6 @@ func TestV5ChunkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOldVersionsRejectChunkVocabulary: every pre-v5 version refuses
-// frames claiming the chunk kinds, whether forged on the wire or asked
-// of the old encoders directly — a Byzantine peer cannot smuggle chunk
-// traffic past a replica speaking an older dialect.
-func TestOldVersionsRejectChunkVocabulary(t *testing.T) {
-	for _, kind := range []proto.MsgKind{proto.MsgSnapChunk, proto.MsgSnapAck} {
-		frame, err := Encode(proto.Message{Kind: kind, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: 3, Val: "body"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, version := range []byte{VersionRelay, VersionKV, VersionLog, VersionLegacy} {
-			forged := bytes.Clone(frame)
-			forged[0] = version
-			if version == VersionLegacy {
-				forged = forged[:headerLenV1]
-				binary.LittleEndian.PutUint32(forged[16:], 0)
-			}
-			if _, err := Decode(forged); err == nil {
-				t.Fatalf("v%d frame with kind %v accepted", version, kind)
-			}
-		}
-		if _, err := EncodeV4(proto.Message{Kind: kind, Tag: proto.Tag{Mod: proto.ModSnap}}); err == nil {
-			t.Fatalf("EncodeV4 accepted chunk kind %v", kind)
-		}
-		if _, err := EncodeV3(proto.Message{Kind: kind, Tag: proto.Tag{Mod: proto.ModSnap}}); err == nil {
-			t.Fatalf("EncodeV3 accepted chunk kind %v", kind)
-		}
-		if _, err := EncodeV2(proto.Message{Kind: kind, Tag: proto.Tag{Mod: proto.ModSnap}}); err == nil {
-			t.Fatalf("EncodeV2 accepted chunk kind %v", kind)
-		}
-		if _, err := EncodeV1(proto.Message{Kind: kind, Tag: proto.Tag{Mod: proto.ModSnap}}); err == nil {
-			t.Fatalf("EncodeV1 accepted chunk kind %v", kind)
-		}
-	}
-}
-
 // TestChunkFrameMalformed: the malformed-frame matrix against a v5
 // chunk frame — the megabyte-bearing frame a Byzantine peer is most
 // motivated to corrupt.
@@ -808,10 +527,10 @@ func TestChunkFrameMalformed(t *testing.T) {
 		{"kind past vocabulary", func(b []byte) []byte { b[1] = byte(proto.MsgSnapAck) + 1; return b }, "kind"},
 		{"module past vocabulary", func(b []byte) []byte { b[2] = byte(proto.ModRBRelay) + 1; return b }, "module"},
 		{"ack kind downgraded to v4", func(b []byte) []byte {
-			b[0] = VersionRelay
+			b[0] = 4
 			b[1] = byte(proto.MsgSnapAck)
 			return b
-		}, "kind"},
+		}, "version"},
 		{"negative instance", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[16:], 1<<63)
 			return b

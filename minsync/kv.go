@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/kv"
 	"repro/internal/network"
 	"repro/internal/runner"
@@ -154,13 +153,9 @@ func SimulateKV(cfg KVConfig) (*KVResult, error) {
 		BatchSize: cfg.BatchSize, Pipeline: cfg.Pipeline,
 		TimeUnit: cfg.TimeUnit, K: cfg.K, MaxRounds: cfg.MaxRounds,
 	})
-	byz := make(map[types.ProcID]harness.Behavior, len(cfg.Byzantine))
-	for id, f := range cfg.Byzantine {
-		b, err := f.behavior(lc.Engine, cfg.Seed+int64(id))
-		if err != nil {
-			return nil, fmt.Errorf("minsync: process %v: %w", id, err)
-		}
-		byz[id] = b
+	byz, err := byzantine(cfg.Byzantine, lc.Engine, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	recoverAt := make(map[types.ProcID]types.Time, len(cfg.RecoverAt))
 	for id, at := range cfg.RecoverAt {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/log"
 	"repro/internal/network"
 	"repro/internal/runner"
@@ -112,13 +111,9 @@ func SimulateLog(cfg LogConfig) (*LogResult, error) {
 		return nil, fmt.Errorf("minsync: no commands")
 	}
 	ecfg := logEngineConfig(cfg)
-	byz := make(map[types.ProcID]harness.Behavior, len(cfg.Byzantine))
-	for id, f := range cfg.Byzantine {
-		b, err := f.behavior(ecfg.Engine, cfg.Seed+int64(id))
-		if err != nil {
-			return nil, fmt.Errorf("minsync: process %v: %w", id, err)
-		}
-		byz[id] = b
+	byz, err := byzantine(cfg.Byzantine, ecfg.Engine, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	spec := runner.LogSpec{
 		Params:      p,

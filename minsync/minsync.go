@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/check"
 	"repro/internal/combin"
 	"repro/internal/core"
@@ -40,6 +39,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/network"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/types"
 )
 
@@ -109,40 +109,43 @@ func Bisource(p ProcID, in, out []ProcID, gst, delta time.Duration) Synchrony {
 // String describes the synchrony assumption.
 func (s Synchrony) String() string { return s.describe }
 
-// FaultKind enumerates Byzantine behavior presets.
-type FaultKind int
+// FaultKind enumerates the Byzantine behavior presets — the scenario
+// engine's vocabulary (see internal/adversary for semantics).
+type FaultKind = scenario.FaultKind
 
-// Byzantine behavior presets (see internal/adversary for semantics).
+// Byzantine behavior presets.
 const (
-	// FaultSilent crashes from the start.
-	FaultSilent FaultKind = iota + 1
-	// FaultCrashAt runs correctly then omits all sends from After on.
-	FaultCrashAt
-	// FaultEquivocate sends conflicting values to different processes.
-	FaultEquivocate
-	// FaultMuteCoordinator withholds its EA_COORD championing messages.
-	FaultMuteCoordinator
-	// FaultPoison champions and pushes an unproposed value everywhere.
-	FaultPoison
-	// FaultRandom randomly drops and flips outgoing messages.
-	FaultRandom
-	// FaultSpam floods conflicting and duplicate protocol messages.
-	FaultSpam
-	// FaultFakeDecide RB-broadcasts a forged DECIDE.
-	FaultFakeDecide
+	FaultSilent          = scenario.FaultSilent
+	FaultRelayOnly       = scenario.FaultRelayOnly
+	FaultCrashAt         = scenario.FaultCrashAt
+	FaultEquivocate      = scenario.FaultEquivocate
+	FaultMuteCoordinator = scenario.FaultMuteCoordinator
+	FaultPoison          = scenario.FaultPoison
+	FaultRandom          = scenario.FaultRandom
+	FaultSpam            = scenario.FaultSpam
+	FaultFakeDecide      = scenario.FaultFakeDecide
+	FaultHashEquivocate  = scenario.FaultHashEquivocate
 )
 
-// Fault configures one Byzantine process.
-type Fault struct {
-	Kind FaultKind
-	// Value is the value the attacker works with (its proposal for
-	// engine-backed attackers; the forged/poison value for the others).
-	Value Value
-	// Alt is the second value for FaultEquivocate / the flip set for
-	// FaultRandom (with Value).
-	Alt Value
-	// After is the crash instant for FaultCrashAt.
-	After time.Duration
+// Fault configures one Byzantine process of a Simulate, SimulateLog or
+// SimulateKV run. Empty fields take the scenario engine's defaults over
+// the one-value pool {"byz"}: Value and Alt default to "byz", except
+// FaultPoison's Alt ("poison!"), FaultSpam's Value ("spam!"),
+// FaultFakeDecide's Value ("forged!") and FaultHashEquivocate's Value (a
+// payload long enough to be hashed); After ≤ 0 means 40 ms.
+type Fault = scenario.Fault
+
+// byzantine materializes a config's fault presets.
+func byzantine(faults map[ProcID]Fault, ecfg core.Config, seed int64) (map[types.ProcID]harness.Behavior, error) {
+	byz := make(map[types.ProcID]harness.Behavior, len(faults))
+	for id, f := range faults {
+		b, err := f.Behavior(ecfg, []types.Value{"byz"}, seed+int64(id))
+		if err != nil {
+			return nil, fmt.Errorf("minsync: process %v: %w", id, err)
+		}
+		byz[id] = b
+	}
+	return byz, nil
 }
 
 // SimConfig configures one simulated consensus execution.
@@ -234,13 +237,9 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	if cfg.StrongRelayBaseline {
 		ecfg.Relay = ea.RelayQuorum
 	}
-	byz := make(map[types.ProcID]harness.Behavior, len(cfg.Byzantine))
-	for id, f := range cfg.Byzantine {
-		b, err := f.behavior(ecfg, cfg.Seed+int64(id))
-		if err != nil {
-			return nil, fmt.Errorf("minsync: process %v: %w", id, err)
-		}
-		byz[id] = b
+	byz, err := byzantine(cfg.Byzantine, ecfg, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	spec := runner.Spec{
 		Params:    p,
@@ -278,38 +277,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		out.Report = check.All(res.Log, g)
 	}
 	return out, nil
-}
-
-// behavior maps a Fault preset to an internal behavior.
-func (f Fault) behavior(ecfg core.Config, seed int64) (harness.Behavior, error) {
-	v := f.Value
-	if v == "" {
-		v = "byz"
-	}
-	alt := f.Alt
-	if alt == "" {
-		alt = v
-	}
-	switch f.Kind {
-	case FaultSilent:
-		return adversary.Silent(), nil
-	case FaultCrashAt:
-		return adversary.CrashAt(ecfg, v, f.After), nil
-	case FaultEquivocate:
-		return adversary.Equivocator(ecfg, [2]types.Value{v, alt}), nil
-	case FaultMuteCoordinator:
-		return adversary.MuteCoordinator(ecfg, v), nil
-	case FaultPoison:
-		return adversary.PoisonCoordinator(ecfg, v, alt), nil
-	case FaultRandom:
-		return adversary.RandomlyByzantine(ecfg, v, []types.Value{v, alt}, seed, 0.2, 0.3), nil
-	case FaultSpam:
-		return adversary.SpamStreams(v, 64), nil
-	case FaultFakeDecide:
-		return adversary.FakeDecide(v), nil
-	default:
-		return nil, fmt.Errorf("unknown fault kind %d", int(f.Kind))
-	}
 }
 
 // MaxM returns the largest feasible m for (n, t): ⌊(n−(t+1))/t⌋ (§2.3).
