@@ -10,25 +10,39 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// reservePorts grabs n distinct loopback ports by listening and closing.
-// The tiny close-to-reuse race is acceptable in a test.
+// reservePorts grabs n loopback ports no earlier call in this process
+// handed out: the listeners of one call stay open until it has them all
+// (the kernel may otherwise give the port just closed straight back), and
+// a port seen before is skipped. The close-to-reuse race against OTHER
+// processes is acceptable in a test.
 func reservePorts(t *testing.T, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
+	reservedMu.Lock()
+	defer reservedMu.Unlock()
+	var addrs []string
+	for len(addrs) < n {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
+		defer ln.Close()
+		if addr := ln.Addr().String(); !reserved[addr] {
+			reserved[addr] = true
+			addrs = append(addrs, addr)
+		}
 	}
 	return addrs
 }
+
+var (
+	reservedMu sync.Mutex
+	reserved   = make(map[string]bool)
+)
 
 // httpGet fetches a URL with retries until the deadline, returning the
 // body of the first 200 response.

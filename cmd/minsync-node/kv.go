@@ -3,9 +3,9 @@
 // through two edges that share one admission-controlled command pool
 // (internal/txpool):
 //
-//   - a raw TCP listener (-kv-listen) speaking wire-codec v3 bodies
-//     (MsgKVRequest / MsgKVResponse) behind a 4-byte little-endian length
-//     prefix, and
+//   - a raw TCP listener (-kv-listen) speaking wire-codec bodies
+//     (MsgKVRequest / MsgKVResponse, see docs/wire.md) behind a 4-byte
+//     little-endian length prefix, and
 //   - an HTTP/JSON API (-http) from internal/httpapi: POST /v1/tx,
 //     GET /v1/kv/{key}, GET /v1/status (see docs/api.md).
 //
@@ -142,9 +142,13 @@ type kvEdge struct {
 
 // propose hands a newly-admitted command to the ordering layer: on the
 // node loop, answer from the session cache if the command already
-// applied, otherwise submit it locally and forward it to every peer
-// (recreating the PBFT-style client-broadcast model — a batch only makes
-// progress if every correct replica eventually proposes the command).
+// applied, otherwise forward it to every peer (recreating the PBFT-style
+// client-broadcast model — a batch only makes progress if every correct
+// replica eventually proposes the command) and submit it locally. The
+// forward goes first: Submit opens an instance for the command at once,
+// and on each link the command must precede the INIT that carries it, or
+// the peer joins the instance before it holds the command and proposes a
+// different batch.
 func (e *kvEdge) propose(c kv.Command, enc types.Value) error {
 	k := txpool.Key{Client: c.Client, Seq: c.Seq}
 	posted := e.node.Post(func() {
@@ -160,14 +164,14 @@ func (e *kvEdge) propose(c kv.Command, enc types.Value) error {
 			}
 			return
 		}
-		if err := e.rep.Engine.Submit(enc); err != nil {
-			stdlog.Printf("submit: %v", err)
-		}
 		fwd := proto.Message{Kind: proto.MsgKVRequest, Tag: proto.Tag{Mod: proto.ModKV}, Val: enc}
 		for _, peer := range e.peers {
 			if err := e.tr.Send(peer, fwd); err != nil {
 				stdlog.Printf("forward to %v: %v", peer, err)
 			}
+		}
+		if err := e.rep.Engine.Submit(enc); err != nil {
+			stdlog.Printf("submit: %v", err)
 		}
 	})
 	if !posted {
@@ -319,10 +323,9 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 			Persist:       persist,
 			Log:           cfg,
 			SnapshotEvery: opts.SnapEvery,
-			// The idle-rejoin fix: with -snapshot-refresh, the boundary is
-			// re-stamped on an instance cadence even when no entries land, so
-			// a replica restarting into a long-idle cluster always finds a
-			// corroborable snapshot past its own position.
+			// The instance-count floor under the entry cadence: instances
+			// that commit nothing still get snapshotted over and compacted
+			// (replica.DefaultSnapshotRefresh has the why).
 			SnapshotRefresh: types.Instance(opts.SnapRefresh),
 			Compact:         opts.Compact,
 			// Snapshot state transfer makes the crash-recovery story real
@@ -388,19 +391,23 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 // status is the one document served by both /statusz (the telemetry
 // listener) and the HTTP edge's /v1/status: operators see consensus
 // position, snapshot boundary AND admission pressure in one place.
+// pending_commands and in_flight_instances both zero on every replica is
+// a quiescent cluster: nothing submitted is unordered, no instance open.
 func (e *kvEdge) status() map[string]any {
 	doc := probeStatus(e.node.Post, func() map[string]any {
 		rep := e.rep
 		st := map[string]any{
-			"mode":              "kv",
-			"applied_entries":   rep.Applier.Applied(),
-			"applied_instances": rep.Engine.Applied(),
-			"retired_instances": rep.Engine.Retired(),
-			"batch":             rep.Engine.BatchSize(),
-			"pipeline":          rep.Engine.Pipeline(),
-			"keys":              rep.Store.Len(),
-			"sessions":          rep.Store.Sessions(),
-			"snapshots_taken":   rep.Applier.Snapshots(),
+			"mode":                "kv",
+			"applied_entries":     rep.Applier.Applied(),
+			"applied_instances":   rep.Engine.Applied(),
+			"pending_commands":    rep.Engine.Pending(),
+			"in_flight_instances": rep.Engine.InFlight(),
+			"retired_instances":   rep.Engine.Retired(),
+			"batch":               rep.Engine.BatchSize(),
+			"pipeline":            rep.Engine.Pipeline(),
+			"keys":                rep.Store.Len(),
+			"sessions":            rep.Store.Sessions(),
+			"snapshots_taken":     rep.Applier.Snapshots(),
 		}
 		if snap, ok := rep.Applier.Latest(); ok {
 			st["snapshot_boundary"] = snap.Instance

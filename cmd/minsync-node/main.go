@@ -42,6 +42,7 @@ import (
 	"repro/internal/netx"
 	"repro/internal/obs"
 	"repro/internal/proto"
+	"repro/internal/replica"
 	"repro/internal/rt"
 	"repro/internal/types"
 )
@@ -62,7 +63,7 @@ func main() {
 
 		metricsF    = flag.String("metrics", "", "serve /metrics, /statusz and /debug/pprof/ on this address (empty = off)")
 		traceDir    = flag.String("trace-dir", "", "kv mode: attach causal command tracing and write flight-recorder dumps into this directory on a stall or lag signal (empty = off; merge dumps with minsync-trace)")
-		snapRefresh = flag.Int("snapshot-refresh", 0, "kv mode: re-stamp the snapshot every N applied instances even when idle, so rejoining replicas always find a fresh transfer boundary (0 = off)")
+		snapRefresh = flag.Int("snapshot-refresh", int(replica.DefaultSnapshotRefresh), "kv mode: snapshot (and compact) at least every N applied instances even when they carried no entries, so command-less instances cannot pile up uncompacted and rejoining replicas find a fresh transfer boundary (0 = off)")
 
 		kvMode    = flag.Bool("kv", false, "replicated-KV mode: serve gets/puts over TCP")
 		kvListen  = flag.String("kv-listen", "127.0.0.1:0", "kv mode: client listener address")

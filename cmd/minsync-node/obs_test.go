@@ -108,7 +108,10 @@ func TestStatuszDuringSnapshotInstall(t *testing.T) {
 // minsync_* series name its sources spell must appear on a `-kv` node's
 // /metrics, and /statusz must still carry applied_entries (the
 // benchmark's convergence check). Renaming a counter then fails here
-// instead of silently zeroing a per-layer metric.
+// instead of silently zeroing a per-layer metric. The same goes for what
+// operators and the e2e tests read off a node: the relay's drop counters
+// (the idle wedge was four of them climbing unseen) and the status
+// fields that say whether the ordering layer is at rest.
 func TestBenchmarkReadsExistingTelemetry(t *testing.T) {
 	files, err := filepath.Glob("../../benchmark/*.go")
 	if err != nil || len(files) == 0 {
@@ -166,6 +169,14 @@ func TestBenchmarkReadsExistingTelemetry(t *testing.T) {
 			t.Errorf("benchmark/%s reads %s, which a -kv node no longer exports", file, name)
 		}
 	}
+	for _, name := range []string{
+		"minsync_rb_park_drops_total", "minsync_rb_scope_drops_total", "minsync_rb_window_drops_total",
+		"minsync_rb_cache_drops_total", "minsync_rb_bad_frames_total",
+	} {
+		if !have[name] {
+			t.Errorf("a -kv node does not export the relay's %s", name)
+		}
+	}
 
 	resp, err = http.Get(base + "/statusz")
 	if err != nil {
@@ -176,7 +187,9 @@ func TestBenchmarkReadsExistingTelemetry(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := doc["applied_entries"]; !ok {
-		t.Errorf("status document lost applied_entries: %v", doc)
+	for _, key := range []string{"applied_entries", "applied_instances", "pending_commands", "in_flight_instances"} {
+		if _, ok := doc[key]; !ok {
+			t.Errorf("status document lost %s: %v", key, doc)
+		}
 	}
 }

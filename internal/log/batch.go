@@ -20,13 +20,15 @@
 //     decided batch makes progress. Commit deduplication makes overlapping
 //     batches safe.
 //
-//   - Instance starts are symmetric: every process proposes in instances
-//     0..Pipeline−1 at Start, and proposes in instance i+Pipeline exactly
-//     when it APPLIES instance i with the commit target not yet reached.
-//     Because the applied prefix is identical at all correct processes,
-//     they start exactly the same instance set, which is what the per-
-//     instance termination proof needs (all correct processes participate
-//     in every started instance).
+//   - All correct processes participate in every started instance, which
+//     is what the per-instance termination proof needs. FIFO mode gets
+//     there by symmetry: every process proposes in instances
+//     0..Pipeline−1 at Start, and in instance i+Pipeline exactly when it
+//     APPLIES instance i with the commit target not yet reached; the
+//     applied prefix is identical everywhere, so the started sets are
+//     too. Canonical mode starts an instance only when there is
+//     something to decide and gets there by joining: a message naming an
+//     instance makes its receiver propose in it (Engine.demanded).
 //
 // This file is the batch codec: how a slice of commands becomes the
 // opaque value a consensus instance decides.

@@ -37,12 +37,15 @@ type Config struct {
 	Engine core.Config
 	// BatchSize caps the commands per proposed batch (default 16).
 	BatchSize int
-	// Pipeline is the number of instances in flight, W (default 4):
-	// instance i+W starts when instance i is applied. With
-	// CanonicalBatches it is also the number of lanes the pending set is
-	// striped over, which makes it a cluster-wide parameter like n and t:
-	// replicas that disagree on it propose different batches for the same
-	// instance and decide ⊥ until they agree.
+	// Pipeline is the window of instances that may be in flight, W
+	// (default 4): this process never proposes at or past applied+W. In
+	// FIFO mode the window is kept full — instance i+W starts when
+	// instance i is applied. With CanonicalBatches an instance inside the
+	// window starts only on demand (see Engine.demanded), and W is also
+	// the number of lanes the pending set is striped over, which makes it
+	// a cluster-wide parameter like n and t: replicas that disagree on it
+	// propose different batches for the same instance and decide ⊥ until
+	// they agree.
 	Pipeline int
 	// MaxLead bounds how far past the local apply point an inbound
 	// message's instance may be before it is dropped (default 256). It
@@ -107,10 +110,16 @@ type Config struct {
 	// convergence: once the forwards propagate, identical pending sets
 	// produce identical batches for every instance. Apply-time content
 	// dedup keeps the committed sequence exactly-once where the batches
-	// of in-flight instances overlap (shallow queues). Off by default:
-	// simulation runs submit symmetrically (identical FIFO everywhere),
-	// and the digest-pinned scenario fixtures depend on submission-order
-	// batches.
+	// of in-flight instances overlap (shallow queues).
+	//
+	// Canonical mode also starts instances on demand instead of keeping
+	// the window full (Engine.demanded): an instance opens for a pending
+	// command no own in-flight proposal carries, or to join one a peer
+	// opened, so an idle cluster decides nothing; and a peer's CB[0] INIT
+	// doubles as a forward of the commands in its batch (Engine.learn).
+	// Off by default: simulation runs submit symmetrically (identical
+	// FIFO everywhere), and the digest-pinned scenario fixtures depend on
+	// submission-order batches and the always-full window.
 	CanonicalBatches bool
 	// Coalesce enables the reliable-broadcast coalescing relay
 	// (rb.Relay): every ECHO/READY the replica originates within one
@@ -159,6 +168,9 @@ type Engine struct {
 
 	nextStart types.Instance // next instance this process will propose in
 	applied   types.Instance // instances [0, applied) are applied
+	// named is one past the highest instance an accepted message named:
+	// canonical mode joins every instance below it (see demanded).
+	named types.Instance
 
 	// Submitted, uncommitted commands. FIFO mode queues them in arrival
 	// order in pending; canonical mode keeps them in lanes — Pipeline
@@ -168,9 +180,15 @@ type Engine struct {
 	pending    []types.Value
 	lanes      [][]types.Value
 	pendingSet map[types.Value]int
-	inFlight   map[types.Value]int // commands inside own undecided batches; only FIFO selection reads it
-	committed  map[types.Value]struct{}
-	entries    []Entry // retained suffix: entries [entriesBase, Committed())
+	// inFlight counts, per command, the own proposals carrying it that
+	// are not yet released: FIFO mode releases a batch when its instance
+	// decides (selection skips in-flight commands), canonical mode when
+	// it is applied. uncovered is the number of pending commands with no
+	// such proposal — canonical mode's reason to open an instance.
+	inFlight  map[types.Value]int
+	uncovered int
+	committed map[types.Value]struct{}
+	entries   []Entry // retained suffix: entries [entriesBase, Committed())
 
 	floor       types.Instance // instances < floor are compacted away
 	entriesBase int            // entries below this index were trimmed
@@ -194,8 +212,8 @@ var _ proto.Handler = (*Engine)(nil)
 // instance pairs one consensus engine with its instance-scoped state.
 type instance struct {
 	eng      *core.Engine
-	ownBatch []types.Value // commands this process proposed (until decided)
-	proposed bool
+	ownBatch []types.Value // commands this process proposed (until released)
+	proposal types.Value   // the encoded batch it proposed ("" = none yet)
 }
 
 // New builds a log engine (idle until Start).
@@ -254,24 +272,60 @@ func New(cfg Config) (*Engine, error) {
 	return l, nil
 }
 
-// Start opens the pipeline: the engine proposes in instances
-// 0..Pipeline−1. Submit may be called before or after Start; commands
-// submitted before are carried by the initial batches.
+// Start opens the pipeline: in FIFO mode the engine proposes in the
+// Pipeline instances from its apply point, in canonical mode in as many
+// of them as there is demand for (see demanded). Submit may be called
+// before or after Start; commands submitted before are carried by the
+// initial batches.
 func (l *Engine) Start() error {
 	if l.running {
 		return fmt.Errorf("log: Start called twice")
 	}
 	l.running = true
-	for w := 0; w < l.cfg.Pipeline; w++ {
+	l.fill()
+	return l.err
+}
+
+// fill proposes in every instance the start rule allows right now. It
+// runs wherever an input of the rule changes: Start, Submit, dispatch,
+// after each apply and after InstallSnapshot.
+func (l *Engine) fill() {
+	for l.running && !l.closed && l.nextStart < l.applied+types.Instance(l.cfg.Pipeline) && l.demanded() {
 		l.startNext()
 	}
-	return l.err
+}
+
+// demanded is the start rule inside the window. FIFO mode keeps the
+// window full. Canonical mode proposes in instance nextStart only when
+// there is something to decide:
+//
+//	(a) a pending command that none of this process's proposals in
+//	    not-yet-applied instances carries, or
+//	(b) a message naming an instance at or past nextStart — some process
+//	    opened it, and it needs n−t proposers to terminate, so this one
+//	    joins it and every instance before it.
+//
+// Coverage is released at apply, not at decide: a decided batch waiting
+// for its predecessors still pins its commands in pending, and opening
+// another instance for them would order them twice. With deep queues (a)
+// always holds and the window stays full, exactly the FIFO schedule; an
+// idle cluster satisfies neither and decides nothing.
+func (l *Engine) demanded() bool {
+	return !l.cfg.CanonicalBatches || l.uncovered > 0 || l.nextStart < l.named
 }
 
 // Submit enqueues a client command for ordering. Commands are identified
 // by content: re-submitting a pending or committed command is a no-op
 // (idempotent client retries). The reserved ⊥ value is rejected.
 func (l *Engine) Submit(cmd types.Value) error {
+	err := l.enqueue(cmd)
+	l.fill()
+	return err
+}
+
+// enqueue is Submit without the start rule: learn enqueues a whole batch
+// before any instance may open for it.
+func (l *Engine) enqueue(cmd types.Value) error {
 	if cmd == types.BotValue {
 		return fmt.Errorf("log: cannot submit the reserved ⊥ value")
 	}
@@ -293,6 +347,9 @@ func (l *Engine) Submit(cmd types.Value) error {
 		l.pending = append(l.pending, cmd)
 	}
 	l.pendingSet[cmd] = lane
+	if l.inFlight[cmd] == 0 {
+		l.uncovered++
+	}
 	l.cfg.Tracer.OnSubmit(cmd)
 	return nil
 }
@@ -354,11 +411,43 @@ func (l *Engine) dispatch(from types.ProcID, m proto.Message) {
 		}
 		return
 	}
+	l.named = max(l.named, i+1)
+	if l.cfg.CanonicalBatches {
+		l.learn(from, m)
+		l.fill()
+	}
 	inst := l.getInstance(i)
 	if inst == nil {
 		return
 	}
 	inst.eng.OnMessage(from, m)
+}
+
+// learn makes a proposal double as a forward: the CB[0] INIT a process
+// sends for its own batch carries the commands it holds, and a replica
+// that has not heard of them yet (the originator's forward is still on a
+// slower link) enqueues them before it decides whether to start — so it
+// joins the instance with the same batch instead of an empty one, which
+// would split the proposals and decide ⊥. The trust is that of a
+// forwarded MsgKVRequest, which any peer may send unasked: the batch
+// must decode and hold at most BatchSize commands, and only INITs for
+// instances inside the window count, so a Byzantine peer plants at most
+// one batch per open instance.
+func (l *Engine) learn(from types.ProcID, m proto.Message) {
+	if m.Kind != proto.MsgRBInit || m.Tag.Mod != proto.ModConsCB0 || from != m.Origin ||
+		m.Instance < l.applied || m.Instance >= l.applied+types.Instance(l.cfg.Pipeline) {
+		return
+	}
+	if inst := l.insts[m.Instance]; inst != nil && inst.proposal == m.Val {
+		return // the batch this process proposed itself: nothing new in it
+	}
+	cmds, err := DecodeBatch(m.Val)
+	if err != nil || len(cmds) > l.cfg.BatchSize {
+		return
+	}
+	for _, c := range cmds {
+		_ = l.enqueue(c) // a ⊥ command is the only error: skip it
+	}
 }
 
 // getInstance lazily builds the consensus engine of instance i. Engines
@@ -406,19 +495,17 @@ func (l *Engine) getInstance(i types.Instance) *instance {
 	inst := &instance{eng: eng}
 	l.insts[i] = inst
 	if backfill {
-		inst.proposed = true
-		if err := eng.Propose(EncodeBatch(nil)); err != nil && l.err == nil {
+		inst.proposal = EncodeBatch(nil)
+		if err := eng.Propose(inst.proposal); err != nil && l.err == nil {
 			l.err = fmt.Errorf("log: backfill instance %v: %w", i, err)
 		}
 	}
 	return inst
 }
 
-// startNext proposes in the next instance of the pipeline.
+// startNext proposes in the next instance of the pipeline; fill decides
+// when.
 func (l *Engine) startNext() {
-	if l.closed {
-		return
-	}
 	i := l.nextStart
 	l.nextStart++
 	inst := l.getInstance(i)
@@ -427,9 +514,13 @@ func (l *Engine) startNext() {
 	}
 	batch := l.nextBatch(i)
 	inst.ownBatch = batch
-	inst.proposed = true
+	inst.proposal = EncodeBatch(batch)
 	for _, c := range batch {
-		l.inFlight[c]++
+		if l.inFlight[c]++; l.inFlight[c] == 1 {
+			if _, pending := l.pendingSet[c]; pending {
+				l.uncovered--
+			}
+		}
 	}
 	if tr := l.cfg.Tracer; tr != nil {
 		tr.OnPropose(i)
@@ -442,9 +533,23 @@ func (l *Engine) startNext() {
 		m.ProposedCommands.Add(uint64(len(batch)))
 		l.syncGauges(m)
 	}
-	if err := inst.eng.Propose(EncodeBatch(batch)); err != nil && l.err == nil {
+	if err := inst.eng.Propose(inst.proposal); err != nil && l.err == nil {
 		l.err = fmt.Errorf("log: instance %v: %w", i, err)
 	}
+}
+
+// release ends the coverage inst's own batch gave its commands: those
+// still pending count as uncovered again.
+func (l *Engine) release(inst *instance) {
+	for _, c := range inst.ownBatch {
+		if l.inFlight[c]--; l.inFlight[c] <= 0 {
+			delete(l.inFlight, c)
+			if _, pending := l.pendingSet[c]; pending {
+				l.uncovered++
+			}
+		}
+	}
+	inst.ownBatch = nil
 }
 
 // syncGauges refreshes the live-level gauges; callers pass the non-nil
@@ -536,13 +641,8 @@ func (l *Engine) onInstanceDecided(i types.Instance, v types.Value) {
 		return
 	}
 	l.decided[i] = v
-	if inst := l.insts[i]; inst != nil {
-		for _, c := range inst.ownBatch {
-			if l.inFlight[c]--; l.inFlight[c] <= 0 {
-				delete(l.inFlight, c)
-			}
-		}
-		inst.ownBatch = nil
+	if inst := l.insts[i]; inst != nil && !l.cfg.CanonicalBatches {
+		l.release(inst)
 	}
 	l.tryApply()
 }
@@ -563,6 +663,9 @@ func (l *Engine) tryApply() {
 		delete(l.decided, l.applied)
 		i := l.applied
 		l.applied++
+		// An instance decided through its peers alone (before Start, or
+		// closed) is not one to propose in any more.
+		l.nextStart = max(l.nextStart, l.applied)
 		newly := 0
 		if v != types.BotValue {
 			if cmds, err := DecodeBatch(v); err == nil {
@@ -591,6 +694,12 @@ func (l *Engine) tryApply() {
 				m.NoOps.Inc()
 			}
 		}
+		if inst := l.insts[i]; inst != nil {
+			// Canonical mode releases here: what the decision did not
+			// commit (⊥, or a peer's batch) is uncovered again and
+			// re-opens an instance below.
+			l.release(inst)
+		}
 		if l.cfg.OnApply != nil {
 			// The hook may snapshot and call Compact re-entrantly; Compact
 			// touches only state below the applied boundary, so the loop's
@@ -603,7 +712,7 @@ func (l *Engine) tryApply() {
 		if l.cfg.Target > 0 && l.Committed() >= l.cfg.Target {
 			l.closed = true
 		}
-		l.startNext()
+		l.fill()
 	}
 }
 
@@ -702,9 +811,11 @@ func (l *Engine) Compact(floor types.Instance) int {
 // the committed prefix it is on every other correct replica.
 //
 // After the jump the pipeline restarts at the boundary: nextStart moves
-// to max(nextStart, boundary) and proposals refill the window, so the
-// replica resumes proposing symmetrically with the cluster. Buffered
-// decisions at or past the boundary then apply normally via tryApply.
+// to max(nextStart, boundary) and fill proposes in what the start rule
+// allows there — the whole window in FIFO mode, the instances peers
+// already named in canonical mode — so the replica resumes proposing
+// with the cluster. Buffered decisions at or past the boundary then
+// apply normally via tryApply.
 //
 // Errors: boundary must exceed the current apply point (stale snapshots
 // are the caller's problem to filter), index must not run behind the
@@ -742,11 +853,7 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 		if !ok {
 			continue
 		}
-		for _, c := range inst.ownBatch {
-			if l.inFlight[c]--; l.inFlight[c] <= 0 {
-				delete(l.inFlight, c)
-			}
-		}
+		l.release(inst)
 		inst.eng.Halt()
 		delete(l.insts, i)
 		l.retired++
@@ -777,6 +884,7 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 	// peers, which propose it.
 	l.pending, l.lanes = nil, nil
 	l.pendingSet = make(map[types.Value]int)
+	l.uncovered = 0
 	l.applied = boundary
 	// The dedup window's floor: the suffix's first instance, exactly
 	// where every peer's compaction left ITS floor at this boundary — so
@@ -802,12 +910,8 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 	if l.relay != nil {
 		l.relay.RetireInstancesBefore(l.floor)
 	}
-	if l.nextStart < boundary {
-		l.nextStart = boundary
-	}
-	for !l.closed && l.nextStart < l.applied+types.Instance(l.cfg.Pipeline) {
-		l.startNext()
-	}
+	l.nextStart = max(l.nextStart, boundary)
+	l.fill()
 	l.tryApply()
 	return nil
 }
@@ -889,6 +993,9 @@ func (l *Engine) removePending(c types.Value) {
 		return
 	}
 	delete(l.pendingSet, c)
+	if l.inFlight[c] == 0 {
+		l.uncovered--
+	}
 	if l.cfg.CanonicalBatches {
 		k, _ := slices.BinarySearch(l.lanes[lane], c)
 		l.lanes[lane] = slices.Delete(l.lanes[lane], k, k+1)
@@ -921,6 +1028,18 @@ func (l *Engine) Applied() types.Instance { return l.applied }
 
 // Pending returns the number of submitted, uncommitted commands.
 func (l *Engine) Pending() int { return len(l.pendingSet) }
+
+// InFlight returns the number of instances this process proposed in and
+// has not applied yet.
+func (l *Engine) InFlight() int { return int(l.nextStart - l.applied) }
+
+// Quiescent reports that the engine has nothing to decide: no pending
+// command, no own instance in flight, and no message named an instance
+// at or past the apply point. An idle canonical engine rests here, and a
+// frozen apply position then means "nothing was asked", not "stalled".
+func (l *Engine) Quiescent() bool {
+	return len(l.pendingSet) == 0 && l.nextStart == l.applied && l.named <= l.applied
+}
 
 // BatchSize returns the effective batch cap (default applied).
 func (l *Engine) BatchSize() int { return l.cfg.BatchSize }

@@ -233,6 +233,19 @@ type RBMetrics struct {
 	FrameEntries    *Histogram
 	Pulls           *Counter
 	ParkDrops       *Counter
+	// The relay's other defensive drops. All four stay at zero on a
+	// healthy cluster of correct processes: ScopeDrops counts vector
+	// entries refused because the dedup-scope table was full (or the
+	// origin names no process) — state that only compaction retires, so a
+	// climbing value means instances are piling up uncompacted and honest
+	// ECHO/READY traffic is being lost; WindowDrops entries outside the
+	// engine's delivery window, passed on without relay state; CacheDrops
+	// remote values not cached at the byte budget; BadFrames malformed
+	// carrier frames.
+	ScopeDrops  *Counter
+	WindowDrops *Counter
+	CacheDrops  *Counter
+	BadFrames   *Counter
 }
 
 // FrameEntriesBuckets are the entries-per-frame histogram bounds: the
@@ -254,6 +267,10 @@ func NewRBMetrics(r *Registry, labels string) *RBMetrics {
 		FrameEntries:    r.Histogram(WithLabels("minsync_rb_frame_entries", labels), FrameEntriesBuckets),
 		Pulls:           r.Counter(WithLabels("minsync_rb_pulls_total", labels)),
 		ParkDrops:       r.Counter(WithLabels("minsync_rb_park_drops_total", labels)),
+		ScopeDrops:      r.Counter(WithLabels("minsync_rb_scope_drops_total", labels)),
+		WindowDrops:     r.Counter(WithLabels("minsync_rb_window_drops_total", labels)),
+		CacheDrops:      r.Counter(WithLabels("minsync_rb_cache_drops_total", labels)),
+		BadFrames:       r.Counter(WithLabels("minsync_rb_bad_frames_total", labels)),
 	}
 }
 

@@ -287,7 +287,8 @@ type RelayConfig struct {
 	// instance the sink would accept, or honest traffic is lost.
 	Window func(i types.Instance) bool
 	// Metrics, if non-nil, receives the coalescing instruments
-	// (FramesCoalesced, FrameEntries, Pulls, ParkDrops). Passive.
+	// (FramesCoalesced, FrameEntries, Pulls and the drop counters).
+	// Passive.
 	Metrics *obs.RBMetrics
 	// Tracer, if non-nil, records an xtrace rb_relay span per flushed
 	// vector frame (entry count in the note). Passive.
@@ -397,6 +398,9 @@ func NewRelay(cfg RelayConfig) *Relay {
 	}
 	if cfg.MaxCacheBytes <= 0 {
 		cfg.MaxCacheBytes = defaultMaxCacheBytes
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = &obs.RBMetrics{} // nil instruments: every update is a no-op
 	}
 	return &Relay{
 		env:      cfg.Env,
@@ -509,10 +513,8 @@ func (r *Relay) Flush() {
 	}
 	r.framesOut++
 	r.entriesOut += uint64(n)
-	if mm := r.metrics; mm != nil {
-		mm.FramesCoalesced.Inc()
-		mm.FrameEntries.Observe(int64(n))
-	}
+	r.metrics.FramesCoalesced.Inc()
+	r.metrics.FrameEntries.Observe(int64(n))
 	r.tracer.RBEvent(xtrace.StageRBRelay, xtrace.NoInstance, 0)
 	r.env.Broadcast(proto.Message{
 		Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay},
@@ -562,6 +564,7 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 	entries, err := decodeEntriesInto(r.scratch, m.Val)
 	if err != nil {
 		r.badFrames++
+		r.metrics.BadFrames.Inc()
 		return
 	}
 	r.scratch = entries[:0]
@@ -580,6 +583,7 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 		// protocol instance.
 		if r.window != nil && !r.window(e.Instance) {
 			r.windowDrops++
+			r.metrics.WindowDrops.Inc()
 			r.deliver(from, e, e.Val)
 			continue
 		}
@@ -590,6 +594,7 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 		// and always in range.)
 		if e.Origin < 1 || int(e.Origin) > r.n {
 			r.scopeDrops++
+			r.metrics.ScopeDrops.Inc()
 			continue
 		}
 		scope := dedupScope{inst: e.Instance, mod: e.Tag.Mod, round: e.Tag.Round}
@@ -597,6 +602,7 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 		if bits == nil {
 			if len(r.seenBits) >= maxDedupScopes {
 				r.scopeDrops++
+				r.metrics.ScopeDrops.Inc()
 				continue
 			}
 			bits = make([]uint64, (2*r.n*r.n+63)/64)
@@ -654,9 +660,7 @@ func (r *Relay) deliver(from types.ProcID, e Entry, v types.Value) {
 func (r *Relay) park(from types.ProcID, e Entry, h hashKey) bool {
 	if r.parkedLen >= r.maxPark {
 		r.parkDrops++
-		if mm := r.metrics; mm != nil {
-			mm.ParkDrops.Inc()
-		}
+		r.metrics.ParkDrops.Inc()
 		return false
 	}
 	r.parked[h] = append(r.parked[h], parkedRef{
@@ -673,9 +677,7 @@ func (r *Relay) park(from types.ProcID, e Entry, h hashKey) bool {
 	}
 	pulls[from] = struct{}{}
 	r.pulls++
-	if mm := r.metrics; mm != nil {
-		mm.Pulls.Inc()
-	}
+	r.metrics.Pulls.Inc()
 	r.env.Send(from, proto.Message{
 		Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay},
 		Origin: r.env.ID(), Val: types.Value(h[:]),
@@ -688,6 +690,7 @@ func (r *Relay) park(from types.ProcID, e Entry, h hashKey) bool {
 func (r *Relay) onPull(from types.ProcID, m proto.Message) {
 	if len(m.Val) != HashLen {
 		r.badFrames++
+		r.metrics.BadFrames.Inc()
 		return
 	}
 	var h hashKey
@@ -749,6 +752,7 @@ func (r *Relay) learn(v types.Value, inst types.Instance, own bool) {
 		r.cacheBytes += cost
 	} else {
 		r.cacheDrops++
+		r.metrics.CacheDrops.Inc()
 	}
 	// Deliver after the cache insert so re-entrant pulls triggered by the
 	// deliveries can already be answered.

@@ -30,6 +30,18 @@ import (
 // in-flight batch still finds its commands in the content-dedup window.
 const DefaultCompactKeep types.Instance = 4
 
+// DefaultSnapshotRefresh is the Config.SnapshotRefresh a live node runs
+// with unless told otherwise (minsync-node's -snapshot-refresh default):
+// a snapshot, and with Compact the retirement of everything below it, at
+// least every 64 applied instances whether or not they carried entries.
+// Snapshots by entry count alone leave command-less instances — ⊥
+// decisions, or empty ones a Byzantine peer keeps opening — uncompacted
+// forever, and per-instance state that only a snapshot retires (the
+// relay's dedup scopes first) then fills its cap and drops honest
+// traffic for good. Under load the entry cadence comes first and this
+// one never fires.
+const DefaultSnapshotRefresh types.Instance = 64
+
 // Config assembles a Replica.
 type Config struct {
 	// Env is the process environment (required).

@@ -227,3 +227,117 @@ func TestBootStatsMatchSMBoot(t *testing.T) {
 		t.Fatalf("New restored %d entries, sm.Boot %d (or different state)", rep.Applier.Applied(), app.Applied())
 	}
 }
+
+// TestCommandlessInstancesStayCompacted pins the idle wedge. The replica
+// assembly runs with minsync-node's default flags while a Byzantine peer
+// keeps naming the next instance — an empty proposal for instance i+1 the
+// moment it sees traffic for i — so the three correct replicas join and
+// decide 4 000 consecutive instances that carry no command. Snapshots by
+// entry count never fire on such a run; without the instance-count floor
+// (DefaultSnapshotRefresh) nothing is compacted, the relay's dedup-scope
+// table fills near instance 2 730, every later ECHO/READY is dropped, and
+// the cluster stops deciding for good. With it the instances are applied
+// and retired as they come, and a command submitted afterwards commits.
+func TestCommandlessInstancesStayCompacted(t *testing.T) {
+	const empties = 4000
+	w, err := harness.New(harness.Config{
+		Params:   params,
+		Topology: network.FullySynchronous(params.N, types.Duration(2*time.Millisecond)),
+		Seed:     1,
+		BotOK:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	correct := params.AllProcs()[:3]
+	reps := make(map[types.ProcID]*replica.Replica)
+	for _, id := range correct {
+		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
+			cfg := replica.Config{ // the -kv flag defaults of cmd/minsync-node
+				Env:             env,
+				SnapshotEvery:   16,
+				SnapshotRefresh: replica.DefaultSnapshotRefresh,
+				Compact:         true,
+				Transfer:        true,
+				TransferRetry:   time.Second,
+				TransferProbe:   2 * time.Second,
+			}
+			cfg.Log.BatchSize, cfg.Log.Pipeline = 16, 4
+			cfg.Log.CanonicalBatches, cfg.Log.Coalesce = true, true
+			cfg.Log.Engine.TimeUnit = types.Duration(50 * time.Millisecond)
+			rep, err := replica.New(cfg)
+			if err != nil {
+				t.Fatalf("replica %v: %v", id, err)
+			}
+			reps[id] = rep
+			env.SetTimer(0, func() {
+				if err := rep.Engine.Start(); err != nil {
+					t.Errorf("replica %v: start: %v", id, err)
+				}
+			})
+			return rep.Handler
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[id].Engine.SetRetirer(w.Node(id))
+	}
+	err = w.SetBehavior(4, func(env proto.Env) proto.Handler {
+		named := types.Instance(0)
+		name := func(upTo types.Instance) {
+			for ; named <= upTo && named < empties; named++ {
+				env.Broadcast(proto.Message{
+					Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModConsCB0},
+					Instance: named, Origin: 4, Val: log.EncodeBatch(nil),
+				})
+			}
+		}
+		env.SetTimer(0, func() { name(0) })
+		return proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
+			if m.Kind == proto.MsgRBInit && from != env.ID() {
+				name(m.Instance + 1)
+			}
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	idle := func() bool {
+		for _, rep := range reps {
+			if rep.Engine.Applied() < empties || !rep.Engine.Quiescent() {
+				return false
+			}
+		}
+		return true
+	}
+	for at := types.Time(time.Second); !idle(); at += types.Time(time.Second) {
+		if at > types.Time(10*time.Minute) {
+			for id, rep := range reps {
+				t.Logf("replica %v: applied %v instances, floor %v, %d in flight, relay scope drops %d",
+					id, rep.Engine.Applied(), rep.Engine.Floor(), rep.Engine.InFlight(), rep.Engine.Relay().ScopeDrops())
+			}
+			t.Fatalf("the cluster stopped deciding before instance %d", empties)
+		}
+		w.Run(at, 0)
+	}
+	cmd := kv.Command{Op: kv.OpPut, Client: 1, Seq: 1, Key: "after", Val: "the-empties"}.Encode()
+	for _, rep := range reps {
+		_ = rep.Engine.Submit(cmd)
+	}
+	w.Run(w.Sched.Now()+types.Time(10*time.Second), 0)
+	for id, rep := range reps {
+		if rep.Applier.Applied() != 1 || rep.Engine.Committed() != 1 {
+			t.Errorf("replica %v applied %d entries after %v instances", id, rep.Applier.Applied(), rep.Engine.Applied())
+		}
+		if rep.Engine.NoOps() < empties {
+			t.Errorf("replica %v: only %d command-less instances, the run proved nothing", id, rep.Engine.NoOps())
+		}
+		if drops := rep.Engine.Relay().ScopeDrops(); drops != 0 {
+			t.Errorf("replica %v: relay dropped %d entries at the dedup-scope cap", id, drops)
+		}
+		if kept := rep.Engine.Instances(); kept > 2*int(replica.DefaultSnapshotRefresh) {
+			t.Errorf("replica %v still holds %d instance engines", id, kept)
+		}
+	}
+}

@@ -109,13 +109,16 @@ type Config struct {
 	// (0 = snapshots disabled).
 	SnapshotEvery int
 	// RefreshEvery, when > 0, re-stamps the snapshot every RefreshEvery
-	// applied INSTANCES even if no new entries arrived — the idle-rejoin
-	// fix. A long-idle cluster churns ⊥ instances without entries, so an
-	// entry-cadence snapshot boundary goes stale; a replica restarting
-	// into that cluster installs the stale boundary, ends up more than
-	// MaxLead instances behind, and its transfer requests are declined
-	// ("snapshot not past the requester's boundary") forever. Refreshing
-	// at no-op boundaries keeps a fresh boundary on offer. Determinism is
+	// applied INSTANCES even if no new entries arrived. Instances that
+	// commit nothing — ⊥ decisions, empty instances a Byzantine peer keeps
+	// opening — never move an entry-cadence boundary, so without this floor
+	// the boundary goes stale and nothing below the frontier is compacted:
+	// a replica restarting into such a run installs the stale boundary,
+	// ends up more than MaxLead instances behind, and its transfer
+	// requests are declined ("snapshot not past the requester's boundary")
+	// forever, while the hosts' per-instance state grows without bound.
+	// Refreshing at no-op boundaries keeps a fresh boundary on offer (and
+	// the host compacting; see replica.DefaultSnapshotRefresh). Determinism is
 	// preserved because the refresh instant is a pure function of the
 	// applied instance sequence and the refreshed state is a pure function
 	// of the applied prefix — every correct replica re-stamps byte-
@@ -240,8 +243,8 @@ func (a *Applier) OnCommit(e log.Entry) {
 // snapshot never splits an instance's batch and its covered-instance
 // watermark is exact. With RefreshEvery set, a snapshot is also
 // re-stamped after RefreshEvery instances without an entry-cadence
-// snapshot, keeping the boundary fresh across idle (⊥-churning)
-// stretches; see Config.RefreshEvery.
+// snapshot, keeping the boundary fresh across stretches of instances
+// that commit nothing; see Config.RefreshEvery.
 func (a *Applier) OnApply(i types.Instance, newly int) {
 	if a.poisoned != nil {
 		return
@@ -445,10 +448,10 @@ func (a *Applier) installSnapshot(s Snapshot, retained []log.Entry, boot bool) e
 	if sha256.Sum256(s.Data) != s.Digest {
 		return fmt.Errorf("sm: snapshot data does not hash to its stamped digest")
 	}
-	// Strictly more entries always advances. Equal entries is the idle-
-	// refresh shape (Config.RefreshEvery): same applied prefix, later
-	// instance boundary — identical state, but adopting the stamp is what
-	// lets a rejoiner realign its log with an idle cluster's frontier.
+	// Strictly more entries always advances. Equal entries is the refresh
+	// shape (Config.RefreshEvery): same applied prefix, later instance
+	// boundary — identical state, but adopting the stamp is what lets a
+	// rejoiner realign its log with the cluster's instance frontier.
 	if index < a.applied || (index == a.applied && a.hasSnap && instance <= a.snap.Instance) {
 		return fmt.Errorf("sm: snapshot (%d entries, boundary %v) is not ahead of (%d, %v)",
 			index, instance, a.applied, a.snap.Instance)

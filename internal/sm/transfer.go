@@ -193,6 +193,9 @@ type LogControl interface {
 	Committed() int
 	// Closed reports whether the engine stopped starting new instances.
 	Closed() bool
+	// Quiescent reports that the engine has nothing to decide: nothing
+	// pending, nothing in flight, no undecided instance seen.
+	Quiescent() bool
 	// InstallSnapshot jumps the engine to a peer snapshot's boundary,
 	// seeding its retained entries and content dedup from the transfer's
 	// retained suffix.
@@ -216,11 +219,12 @@ type TransferConfig struct {
 	// different positions serve different snapshots until t+1 align.
 	RetryEvery types.Duration
 	// StallProbe is the cadence of the stall detector (default 50ms): if
-	// the engine is open but the apply position has not advanced since
-	// the previous probe, a fetch request goes out even without inbound
-	// MaxLead pressure — the cluster may have finished and gone quiet,
-	// leaving no message stream to trigger on. 0 keeps the default; < 0
-	// disables probing (pressure-only triggering).
+	// the engine is open and has something to decide, but the apply
+	// position has not advanced since the previous probe, a fetch request
+	// goes out even without inbound MaxLead pressure — the cluster may
+	// have finished and gone quiet, leaving no message stream to trigger
+	// on. 0 keeps the default; < 0 disables probing (pressure-only
+	// triggering).
 	StallProbe types.Duration
 	// ServeEvery rate-limits responses per requester (default
 	// RetryEvery/2): request spam must not amplify into snapshot floods.
@@ -459,12 +463,19 @@ func (t *Transfer) armRetry() {
 // their FINAL snapshot is the convergence point, and nobody is sending
 // the messages that would otherwise trigger a fetch. The probe re-arms
 // until the engine closes, so an open laggard keeps pulling.
+//
+// A quiescent engine is not a stalled one: a demand-driven log that was
+// asked nothing applies nothing, and reading that as a stall would have
+// every replica of an idle cluster broadcast a SNAP_REQ per probe,
+// forever. A replica that is behind without knowing it finds out from
+// the first instance its peers open — their messages end its quiescence
+// (or trip the MaxLead guard) — and the next probe fetches.
 func (t *Transfer) probe() {
 	if t.cfg.Log.Closed() {
 		return // converged (or shut down): let the world drain
 	}
 	applied := t.cfg.Log.Applied()
-	if applied == t.lastProbe && !t.fetching {
+	if applied == t.lastProbe && !t.fetching && !t.cfg.Log.Quiescent() {
 		t.startFetch()
 	}
 	t.lastProbe = applied
@@ -475,10 +486,10 @@ func (t *Transfer) probe() {
 // retained suffix) iff it is ahead of the requester's boundary, at most
 // once per ServeEvery per requester.
 //
-// A long-idle cluster is the degenerate case here: ⊥ instances carry no
-// entries, so the entry-cadence snapshot boundary freezes while applied
-// instances run ahead, and a rejoining replica that already holds that
-// stale boundary would be declined by everyone forever. The fix lives at
+// A run of command-less instances is the degenerate case here: they
+// carry no entries, so the entry-cadence snapshot boundary freezes while
+// applied instances run ahead, and a rejoining replica that already holds
+// that stale boundary would be declined by everyone forever. The fix lives at
 // snapshot-TAKING time, not here: sm.Config.RefreshEvery re-stamps the
 // snapshot at deterministic instance boundaries, so serve always has a
 // fresh boundary to offer while remaining byte-identical across correct

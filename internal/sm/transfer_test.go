@@ -196,12 +196,14 @@ type fakeLog struct {
 	applied   types.Instance
 	committed int
 	closed    bool
+	quiescent bool
 	installs  []types.Instance
 }
 
 func (f *fakeLog) Applied() types.Instance { return f.applied }
 func (f *fakeLog) Committed() int          { return f.committed }
 func (f *fakeLog) Closed() bool            { return f.closed }
+func (f *fakeLog) Quiescent() bool         { return f.quiescent }
 func (f *fakeLog) InstallSnapshot(b types.Instance, idx int, retained []log.Entry) error {
 	f.installs = append(f.installs, b)
 	f.applied = b
@@ -328,6 +330,33 @@ func TestTransferPressureTriggersFetch(t *testing.T) {
 	tr.OnDroppedAhead(41) // fetch already in flight: no second broadcast
 	if tr.Requests() != 1 {
 		t.Fatalf("duplicate fetch round: requests=%d", tr.Requests())
+	}
+}
+
+// TestTransferProbeIgnoresQuiescence: a frozen apply position is a stall
+// only while the engine has something to decide. An idle demand-driven
+// engine applies nothing for as long as nobody asks it anything, and its
+// probe must stay silent; the first thing to decide arms it again.
+func TestTransferProbeIgnoresQuiescence(t *testing.T) {
+	app, err := New(Config{Machine: kv.NewStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg := &fakeLog{quiescent: true}
+	tr, env, _ := newTestTransfer(t, app, lg)
+	fire := func() { // the probe re-arms itself: run the latest timer
+		env.timers[len(env.timers)-1]()
+	}
+	for k := 0; k < 3; k++ {
+		fire()
+	}
+	if tr.Requests() != 0 {
+		t.Fatalf("idle engine probed as stalled: %d requests", tr.Requests())
+	}
+	lg.quiescent = false
+	fire()
+	if tr.Requests() != 1 {
+		t.Fatalf("stalled engine not probed: %d requests", tr.Requests())
 	}
 }
 
