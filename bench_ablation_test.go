@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md §3 calls out: the
+// Ablation benchmarks for the implementation's design choices: the
 // fast-path semantics, the relay acceptance rule, per-channel FIFO, trace
 // recording overhead, and the first-message deduplication layer under
 // spam. These quantify what each choice costs or saves on the same
@@ -12,8 +12,8 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/ea"
-	"repro/internal/exp"
 	"repro/internal/harness"
+	"repro/internal/network"
 	"repro/internal/runner"
 	"repro/internal/types"
 )
@@ -206,21 +206,39 @@ func BenchmarkAblationBotMode(b *testing.B) {
 	}
 }
 
+// splitterDuelSpec is the E7/E10 configuration (internal/scenario's duel)
+// at n=4 with the splitter's stream delay exposed: a minimal
+// ◇⟨t+1⟩bisource at p4 (in-channel from p3, out-channel to p1, timely from
+// the start), balanced inputs, and the ConsensusSplitter starving each
+// process of its successor's streams.
+func splitterDuelSpec(seed int64, delay time.Duration) runner.Spec {
+	return runner.Spec{
+		Params: types.Params{N: 4, T: 1, M: 2},
+		Topology: network.PlantBisource(4, network.BisourceSpec{
+			P: 4, In: []types.ProcID{3}, Out: []types.ProcID{1}, Delta: delta,
+		}),
+		Policy: network.UniformDelay{Min: types.Duration(time.Millisecond), Max: types.Duration(5 * time.Millisecond)},
+		Adv: adversary.ConsensusSplitter{
+			Target: map[types.ProcID]types.ProcID{1: 2, 2: 3, 3: 4, 4: 1}, N: 4,
+			Delay:      types.Duration(delay),
+			CoordDelay: types.Duration(600 * time.Second),
+		},
+		Seed:      seed,
+		Proposals: map[types.ProcID]types.Value{1: "a", 2: "b", 3: "a", 4: "b"},
+		Engine:    core.Config{TimeUnit: unit, MaxRounds: 200},
+	}
+}
+
 // BenchmarkAblationSplitterStrength scales the splitter adversary's
 // stream delay and measures the decision latency growth — the cost of
 // asynchrony hostility with the bisource held fixed.
 func BenchmarkAblationSplitterStrength(b *testing.B) {
-	p := types.Params{N: 4, T: 1, M: 2}
 	for _, d := range []time.Duration{100 * time.Millisecond, time.Second, 10 * time.Second} {
 		d := d
 		b.Run(d.String(), func(b *testing.B) {
 			var last *runner.Result
 			for i := 0; i < b.N; i++ {
-				spec := exp.SplitterDuelSpec(p, int64(i), ea.RelayAnyF, 4)
-				adv := spec.Adv.(adversary.ConsensusSplitter)
-				adv.Delay = types.Duration(d)
-				spec.Adv = adv
-				res, err := runner.Run(spec)
+				res, err := runner.Run(splitterDuelSpec(int64(i), d))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,9 +1,10 @@
-// Package repro holds the repository-level benchmark harness: one
-// benchmark per reproduction experiment of EXPERIMENTS.md (the paper is a
-// theory paper, so the "tables and figures" are its analytical claims —
-// see DESIGN.md §4 for the experiment ↔ claim mapping), plus
-// micro-benchmarks of the hot substrates (wire codec, event scheduler,
-// combinatorial unranking).
+// Package repro holds the root module's smoke benchmarks: the
+// replicated-log throughput sweeps, a slice of the scenario matrix, the
+// design-choice ablations (bench_ablation_test.go) and micro-benchmarks of
+// the simulation substrates (event scheduler, combinatorial unranking).
+// They catch setup regressions and give working numbers; performance
+// claims are made with benchmark/run.sh against BENCHMARK.json, and the
+// paper's claims are reproduced by `minsync-sim -exp` (docs/paper-map.md).
 //
 // Custom metrics reported per op:
 //
@@ -20,20 +21,20 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/combin"
 	"repro/internal/core"
-	"repro/internal/ea"
-	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/network"
-	"repro/internal/obs"
-	"repro/internal/proto"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/types"
-	"repro/internal/wire"
+)
+
+// Standard timing of the root benchmarks.
+const (
+	unit  = types.Duration(10 * time.Millisecond)
+	delta = types.Duration(2 * time.Millisecond)
 )
 
 // consensusSpec builds a standard full-synchrony consensus spec.
@@ -56,11 +57,11 @@ func consensusSpec(n int, seed int64, byz func(id types.ProcID) harness.Behavior
 	}
 	return runner.Spec{
 		Params:    p,
-		Topology:  network.FullySynchronous(n, exp.Delta),
+		Topology:  network.FullySynchronous(n, delta),
 		Seed:      seed,
 		Proposals: props,
 		Byzantine: byzm,
-		Engine:    core.Config{TimeUnit: exp.Unit},
+		Engine:    core.Config{TimeUnit: unit},
 	}
 }
 
@@ -71,296 +72,37 @@ func reportRun(b *testing.B, rounds, msgs, vtimeMS float64) {
 	b.ReportMetric(vtimeMS, "vtime_ms/op")
 }
 
-// BenchmarkE1RB: one full reliable-broadcast wave (correct sender) per op.
-func BenchmarkE1RB(b *testing.B) {
-	for _, n := range []int{4, 7, 10} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := types.Params{N: n, T: (n - 1) / 3, M: 1}
-			var msgs uint64
-			for i := 0; i < b.N; i++ {
-				ok, _, sent := exp.RBWave(p, "correct", int64(i))
-				if !ok {
-					b.Fatal("RB wave failed")
-				}
-				msgs = sent
-			}
-			b.ReportMetric(float64(msgs), "msgs/op")
-		})
-	}
-}
-
-// BenchmarkE2CB: one cooperative-broadcast instance (with colluding
-// Byzantine value) per op.
-func BenchmarkE2CB(b *testing.B) {
-	for _, n := range []int{4, 7, 10} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := types.Params{N: n, T: (n - 1) / 3, M: 2}
-			for i := 0; i < b.N; i++ {
-				ret, excl, _ := exp.CBWave(p, int64(i))
-				if !ret || !excl {
-					b.Fatal("CB wave failed")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE3AC: one adopt-commit instance (split inputs) per op.
-func BenchmarkE3AC(b *testing.B) {
-	for _, n := range []int{4, 7} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := types.Params{N: n, T: (n - 1) / 3, M: 2}
-			for i := 0; i < b.N; i++ {
-				term, quasi, _ := exp.ACWave(p, false, int64(i))
-				if !term || !quasi {
-					b.Fatal("AC wave failed")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE4EA: one EA round under the fast-path attack scenario per op
-// (FastPathContinue semantics, which terminate).
-func BenchmarkE4EA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		returned, _ := exp.EAScenario(ea.FastPathContinue, int64(i))
-		if len(returned) != 3 {
-			b.Fatal("EA round failed")
-		}
-	}
-}
-
-// BenchmarkE5Consensus: full consensus, mixed inputs, equivocating
-// Byzantine processes, per system size.
-func BenchmarkE5Consensus(b *testing.B) {
-	for _, n := range []int{4, 7, 10, 13} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var last *runner.Result
-			for i := 0; i < b.N; i++ {
-				spec := consensusSpec(n, int64(i), func(types.ProcID) harness.Behavior {
-					return adversary.Equivocator(core.Config{TimeUnit: exp.Unit}, [2]types.Value{"a", "b"})
-				})
-				res, err := runner.Run(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllDecided() {
-					b.Fatal("no decision")
-				}
-				last = res
-			}
-			reportRun(b, float64(last.MaxDecideRound()), float64(last.Messages), float64(last.MaxDecideTime())/1e6)
-		})
-	}
-}
-
-// BenchmarkE6Feasibility: the feasible boundary case m = MaxM per op.
-func BenchmarkE6Feasibility(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		spec := consensusSpec(7, int64(i), nil)
-		res, err := runner.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllDecided() {
-			b.Fatal("no decision at the feasibility boundary")
-		}
-	}
-}
-
-// BenchmarkE7AlphaN: minimal-bisource topology under the splitter
-// adversary — the α·n bound workload.
-func BenchmarkE7AlphaN(b *testing.B) {
-	for _, n := range []int{4, 7} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := types.Params{N: n, T: (n - 1) / 3, M: 2}
-			var last *runner.Result
-			for i := 0; i < b.N; i++ {
-				res, err := runner.Run(exp.SplitterDuelSpec(p, int64(i), ea.RelayAnyF, types.ProcID(n)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllDecided() {
-					b.Fatal("no decision under minimal synchrony")
-				}
-				last = res
-			}
-			reportRun(b, float64(last.MaxDecideRound()), float64(last.Messages), float64(last.MaxDecideTime())/1e6)
-		})
-	}
-}
-
-// BenchmarkE8KSweep: the §5.4 tuning parameter k.
-func BenchmarkE8KSweep(b *testing.B) {
-	p := types.Params{N: 7, T: 2, M: 2}
-	for k := 0; k <= p.T; k++ {
-		k := k
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var last *runner.Result
-			for i := 0; i < b.N; i++ {
-				spec := consensusSpec(7, int64(i), nil)
-				spec.Engine.K = k
-				res, err := runner.Run(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllDecided() {
-					b.Fatal("no decision")
-				}
-				last = res
-			}
-			bound, _ := combin.NewRoundPlan(p.N, p.Quorum()+k)
-			b.ReportMetric(float64(bound.WorstCaseRounds()), "bound_rounds")
-			reportRun(b, float64(last.MaxDecideRound()), float64(last.Messages), float64(last.MaxDecideTime())/1e6)
-		})
-	}
-}
-
-// BenchmarkE9FastPath: the two line-4 semantics on the stall scenario.
-// Literal mode leaves p4 blocked (fewer deliveries, fewer messages);
-// continue mode terminates everyone.
-func BenchmarkE9FastPath(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		m    ea.FastPathMode
-		want int
-	}{
-		{"literal", ea.FastPathReturnOnly, 2},
-		{"continue", ea.FastPathContinue, 3},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var msgs uint64
-			for i := 0; i < b.N; i++ {
-				returned, sent := exp.EAScenario(mode.m, int64(i))
-				if len(returned) != mode.want {
-					b.Fatalf("returned %d, want %d", len(returned), mode.want)
-				}
-				msgs = sent
-			}
-			b.ReportMetric(float64(msgs), "msgs/op")
-		})
-	}
-}
-
-// BenchmarkE10Minimality: paper vs strong-relay baseline under minimal
-// synchrony. The baseline runs to its round cap (no decision).
-func BenchmarkE10Minimality(b *testing.B) {
-	p := types.Params{N: 4, T: 1, M: 2}
-	b.Run("paper", func(b *testing.B) {
-		var last *runner.Result
-		for i := 0; i < b.N; i++ {
-			res, err := runner.Run(exp.SplitterDuelSpec(p, int64(i), ea.RelayAnyF, 4))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.AllDecided() {
-				b.Fatal("paper algorithm must decide")
-			}
-			last = res
-		}
-		reportRun(b, float64(last.MaxDecideRound()), float64(last.Messages), float64(last.MaxDecideTime())/1e6)
-	})
-	b.Run("baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			spec := exp.SplitterDuelSpec(p, int64(i), ea.RelayQuorum, 4)
-			spec.Engine.MaxRounds = 16 // keep the stalling run bounded
-			res, err := runner.Run(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.AllDecided() {
-				b.Fatal("baseline should not decide under minimal synchrony")
-			}
-		}
-	})
-}
-
-// BenchmarkE11Messages: message complexity growth with n.
-func BenchmarkE11Messages(b *testing.B) {
-	for _, n := range []int{4, 7, 10, 13} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var msgs uint64
-			for i := 0; i < b.N; i++ {
-				res, err := runner.Run(consensusSpec(n, int64(i), nil))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllDecided() {
-					b.Fatal("no decision")
-				}
-				msgs = res.Messages
-			}
-			b.ReportMetric(float64(msgs), "msgs/op")
-			b.ReportMetric(float64(msgs)/float64(n*n*n), "msgs_per_n3/op")
-		})
-	}
-}
-
-// BenchmarkE12BotVariant: the §7 ⊥-default variant on a full split.
-func BenchmarkE12BotVariant(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		spec := runner.Spec{
-			Params:    types.Params{N: 4, T: 1, M: 4},
-			Topology:  network.FullySynchronous(4, exp.Delta),
-			Seed:      int64(i),
-			Proposals: map[types.ProcID]types.Value{1: "w", 2: "x", 3: "y", 4: "z"},
-			Engine:    core.Config{TimeUnit: exp.Unit, BotMode: true},
-		}
-		res, err := runner.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		v, ok := res.CommonDecision()
-		if !ok || v != types.BotValue {
-			b.Fatalf("full split must decide ⊥, got %q (%v)", v, ok)
-		}
-	}
-}
-
-// BenchmarkGSTSweep: one ◇bisource run with GST = 500ms per op (the
-// figure-style latency series is produced by cmd/minsync-exp -exp GST).
-func BenchmarkGSTSweep(b *testing.B) {
-	gst := types.Time(500 * time.Millisecond)
-	var last *runner.Result
-	for i := 0; i < b.N; i++ {
-		topo := network.PlantBisource(4, network.BisourceSpec{
-			P: 2, In: []types.ProcID{1}, Out: []types.ProcID{3}, GST: gst, Delta: exp.Delta,
-		})
-		spec := runner.Spec{
-			Params:    types.Params{N: 4, T: 1, M: 2},
-			Topology:  topo,
-			Policy:    network.UniformDelay{Min: types.Duration(5 * time.Millisecond), Max: types.Duration(60 * time.Millisecond)},
-			Seed:      int64(i),
-			Proposals: map[types.ProcID]types.Value{1: "a", 2: "b", 3: "a"},
-			Byzantine: map[types.ProcID]harness.Behavior{4: adversary.RBRelayOnly()},
-			Engine:    core.Config{TimeUnit: exp.Unit, MaxRounds: 500},
-		}
-		res, err := runner.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllDecided() {
-			b.Fatal("no decision after GST")
-		}
-		last = res
-	}
-	reportRun(b, float64(last.MaxDecideRound()), float64(last.Messages), float64(last.MaxDecideTime())/1e6)
-}
-
 // --- replicated-log throughput ----------------------------------------------
 
-// logThroughputSpec builds a replicated-log workload of `workload`
-// commands (the canonical builder lives in exp).
+// logThroughputSpec is the replicated-log throughput workload of
+// BenchmarkLogThroughput/BenchmarkLogScaleN: `workload` distinct commands
+// ordered by a full-synchrony n-process log engine with the given batch
+// size and pipeline depth.
 func logThroughputSpec(n, batch, pipeline, workload int, seed int64) runner.LogSpec {
-	return exp.LogWorkloadSpec(n, batch, pipeline, workload, seed)
+	cmds := make([]types.Value, workload)
+	for i := range cmds {
+		cmds[i] = types.Value(fmt.Sprintf("cmd-%04d", i))
+	}
+	spec := runner.LogSpec{
+		Params:   types.Params{N: n, T: (n - 1) / 3},
+		Topology: network.FullySynchronous(n, delta),
+		Seed:     seed,
+		Commands: cmds,
+		Deadline: types.Time(10 * time.Minute),
+	}
+	spec.Log.Engine.TimeUnit = unit
+	spec.Log.BatchSize = batch
+	spec.Log.Pipeline = pipeline
+	return spec
+}
+
+// coalescedLogThroughputSpec is logThroughputSpec with the
+// reliable-broadcast coalescing relay enabled (log.Config.Coalesce) — the
+// workload the large-n cells and the rb-coalesce scenarios measure.
+func coalescedLogThroughputSpec(n, batch, pipeline, workload int, seed int64) runner.LogSpec {
+	spec := logThroughputSpec(n, batch, pipeline, workload, seed)
+	spec.Log.Coalesce = true
+	return spec
 }
 
 // BenchmarkLogThroughput: the replicated-log engine committing a
@@ -383,7 +125,7 @@ func BenchmarkLogThroughput(b *testing.B) {
 	}
 	b.Run("canonical/batch=32/pipeline=4", func(b *testing.B) {
 		benchLogThroughput(b, func(seed int64) runner.LogSpec {
-			spec := exp.CoalescedLogWorkloadSpec(4, 32, 4, 200, seed)
+			spec := coalescedLogThroughputSpec(4, 32, 4, 200, seed)
 			spec.Log.CanonicalBatches = true
 			return spec
 		})
@@ -417,73 +159,6 @@ func benchLogThroughput(b *testing.B, specFor func(seed int64) runner.LogSpec) {
 	}
 	b.ReportMetric(float64(insts), "instances/op")
 	b.ReportMetric(float64(last.Messages)/200, "msgs_per_cmd/op")
-}
-
-// BenchmarkLogThroughputObs is BenchmarkLogThroughput with a live obs
-// registry attached (per-replica log/RB/dedup bundles plus the shared
-// commit-latency histogram) — identical sub-benchmark names so benchstat
-// can diff the two directly after `sed s/LogThroughputObs/LogThroughput/`.
-// CI's telemetry-overhead guard runs exactly that comparison and warns
-// when the instrumented run regresses beyond noise (~3%).
-func BenchmarkLogThroughputObs(b *testing.B) {
-	for _, batch := range []int{8, 32} {
-		for _, pipeline := range []int{1, 4} {
-			batch, pipeline := batch, pipeline
-			b.Run(fmt.Sprintf("batch=%d/pipeline=%d", batch, pipeline), func(b *testing.B) {
-				reg := obs.NewRegistry()
-				for i := 0; i < b.N; i++ {
-					spec := logThroughputSpec(4, batch, pipeline, 200, int64(i))
-					spec.Obs = reg
-					res, err := runner.RunLog(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.AllCommitted(200) {
-						b.Fatalf("only %d/200 commands committed", res.MinCommitted())
-					}
-				}
-				if obs.NewCommitLatency(reg).Count() == 0 {
-					b.Fatal("registry attached but no commit latency observed")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkLogThroughputTraced is BenchmarkLogThroughput with causal
-// command tracing attached (internal/xtrace: per-command spans, flight
-// recorder, stage histograms) on top of a live obs registry — identical
-// sub-benchmark names so benchstat can diff against the baseline after
-// `sed s/LogThroughputTraced/LogThroughput/`. CI's tracing-overhead
-// guard runs exactly that comparison, warn-only at ~3%.
-func BenchmarkLogThroughputTraced(b *testing.B) {
-	for _, batch := range []int{8, 32} {
-		for _, pipeline := range []int{1, 4} {
-			batch, pipeline := batch, pipeline
-			b.Run(fmt.Sprintf("batch=%d/pipeline=%d", batch, pipeline), func(b *testing.B) {
-				reg := obs.NewRegistry()
-				spans := 0
-				for i := 0; i < b.N; i++ {
-					spec := logThroughputSpec(4, batch, pipeline, 200, int64(i))
-					spec.Obs = reg
-					spec.Trace = &runner.TraceSpec{}
-					res, err := runner.RunLog(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.AllCommitted(200) {
-						b.Fatalf("only %d/200 commands committed", res.MinCommitted())
-					}
-					for _, d := range res.TraceDumps("bench") {
-						spans += int(d.Total)
-					}
-				}
-				if spans == 0 {
-					b.Fatal("tracing attached but no spans recorded")
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkLogScaleN: log throughput as the system grows, up to n=100
@@ -537,7 +212,7 @@ func BenchmarkLogScaleNCoalesce(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var last *runner.LogResult
 			for i := 0; i < b.N; i++ {
-				res, err := runner.RunLog(exp.CoalescedLogWorkloadSpec(n, 16, 4, workload, int64(i)))
+				res, err := runner.RunLog(coalescedLogThroughputSpec(n, 16, 4, workload, int64(i)))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -555,38 +230,6 @@ func BenchmarkLogScaleNCoalesce(b *testing.B) {
 }
 
 // --- substrate micro-benchmarks ---------------------------------------------
-
-// BenchmarkWireEncode / BenchmarkWireDecode: the codec hot path.
-func BenchmarkWireEncode(b *testing.B) {
-	m := proto.Message{
-		Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 42},
-		Origin: 7, Val: "some-consensus-proposal-value",
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.Encode(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireDecode decodes the same frame repeatedly.
-func BenchmarkWireDecode(b *testing.B) {
-	m := proto.Message{
-		Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 42},
-		Origin: 7, Val: "some-consensus-proposal-value",
-	}
-	buf, err := wire.Encode(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkScheduler: raw event throughput of the simulation kernel.
 func BenchmarkScheduler(b *testing.B) {
@@ -673,41 +316,6 @@ func BenchmarkScenarioMatrix(b *testing.B) {
 			}
 			b.ReportMetric(msgs/float64(b.N), "msgs/op")
 			b.ReportMetric(vtime/float64(b.N), "vtime_ms/op")
-		})
-	}
-}
-
-// BenchmarkKVService: the full replicated-KV stack (log → applier →
-// sessions) committing a 240-command workload, with and without
-// snapshot-driven log compaction. The retained_insts/op metric is the
-// bounded-state story: with compaction the per-instance state held at the
-// end of the run is a small constant margin instead of the whole history
-// (retired_insts/op shows what was freed wholesale).
-func BenchmarkKVService(b *testing.B) {
-	const workload = 240
-	for _, compact := range []bool{false, true} {
-		compact := compact
-		b.Run(fmt.Sprintf("compact=%v", compact), func(b *testing.B) {
-			var live, retired float64
-			for i := 0; i < b.N; i++ {
-				spec := exp.KVWorkloadSpec(4, workload, int64(i+1))
-				if !compact {
-					spec.SnapshotEvery = 0
-					spec.Compact = false
-				}
-				res, err := runner.RunKV(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.StatesAgree() {
-					b.Fatal("state digests disagree")
-				}
-				eng := res.Engines[res.Correct[0]]
-				live = float64(eng.Instances())
-				retired = float64(eng.Retired())
-			}
-			b.ReportMetric(live, "retained_insts/op")
-			b.ReportMetric(retired, "retired_insts/op")
 		})
 	}
 }

@@ -5,8 +5,13 @@
 // random` samples the cross-product from the seed. One-off hand-assembled
 // executions go through the library instead (minsync.Simulate, examples/).
 //
-// It exits 1 when any property violation (or stale digest expectation) is
-// found, 2 on a usage error.
+// `-exp <id>|all` runs the paper's claim experiments instead (E5–E12 and
+// the GST sweep; docs/paper-map.md has the claims → experiments table):
+// each prints its claim, a measurement table over the seeds (three from
+// -seed on, unless -seeds lists them) and a PASS/FAIL verdict.
+//
+// It exits 1 when any property violation or failed experiment is found, 2
+// on a usage error.
 //
 // Examples:
 //
@@ -15,6 +20,8 @@
 //	minsync-sim -scenario bisource-splitter -seed 7 -v
 //	minsync-sim -scenario random -seed 99
 //	minsync-sim -scenario log-baseline -deadline 1ms    # forced violation, exit 1
+//	minsync-sim -exp all
+//	minsync-sim -exp E7 -seeds 1,2,3,4,5
 package main
 
 import (
@@ -29,6 +36,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/xtrace"
 	"repro/minsync"
 )
@@ -39,6 +47,7 @@ func main() {
 
 type flags struct {
 	scenario    string
+	exp         string
 	seed        int64
 	seeds       string
 	workers     int
@@ -53,7 +62,8 @@ type flags struct {
 func run(args []string, out io.Writer) int {
 	var f flags
 	fs := flag.NewFlagSet("minsync-sim", flag.ContinueOnError)
-	fs.StringVar(&f.scenario, "scenario", "", "registry name, 'all', or 'random' (required)")
+	fs.StringVar(&f.scenario, "scenario", "", "registry name, 'all', or 'random' (this or -exp is required)")
+	fs.StringVar(&f.exp, "exp", "", "claim experiment id (E5..E12, GST) or 'all'")
 	fs.Int64Var(&f.seed, "seed", 1, "random seed (identical seeds replay identically)")
 	fs.StringVar(&f.seeds, "seeds", "", "comma list of seeds (overrides -seed)")
 	fs.IntVar(&f.workers, "workers", runtime.NumCPU(), "concurrent scenario executions")
@@ -64,17 +74,14 @@ func run(args []string, out io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if f.scenario == "" {
+	if (f.scenario == "") == (f.exp == "") {
 		fs.Usage()
 		return 2
 	}
-	return runCells(f, out)
-}
-
-// runCells executes the requested scenario cells and prints the
-// machine-readable table. Exit code 1 on any violation or error.
-func runCells(f flags, out io.Writer) int {
 	seeds := []int64{f.seed}
+	if f.exp != "" {
+		seeds = append(seeds, f.seed+1, f.seed+2)
+	}
 	if f.seeds != "" {
 		seeds = seeds[:0]
 		for _, part := range splitNonEmpty(f.seeds) {
@@ -85,7 +92,49 @@ func runCells(f flags, out io.Writer) int {
 			}
 			seeds = append(seeds, s)
 		}
+		if len(seeds) == 0 {
+			// A sweep of nothing would pass: CI's greps count rows.
+			log.Printf("-seeds %q lists no seed", f.seeds)
+			return 2
+		}
 	}
+	if f.exp != "" {
+		return runExperiments(f, seeds, out)
+	}
+	return runCells(f, seeds, out)
+}
+
+// runExperiments runs the requested claim experiments over the seeds and
+// prints each one's claim, table and verdict. Exit code 1 on any FAIL.
+func runExperiments(f flags, seeds []int64, out io.Writer) int {
+	var ids []string
+	ran, failed := 0, 0
+	for _, e := range scenario.Experiments() {
+		ids = append(ids, e.ID)
+		if !strings.EqualFold(f.exp, "all") && !strings.EqualFold(f.exp, e.ID) {
+			continue
+		}
+		ran++
+		res := e.Run(seeds, f.deadline)
+		fmt.Fprintln(out, res)
+		if !res.Pass {
+			failed++
+		}
+	}
+	switch {
+	case ran == 0:
+		log.Printf("unknown experiment %q; available: %s (or 'all')", f.exp, strings.Join(ids, ", "))
+		return 2
+	case failed > 0:
+		log.Printf("%d experiment(s) FAILED", failed)
+		return 1
+	}
+	return 0
+}
+
+// runCells executes the requested scenario cells and prints the
+// machine-readable table. Exit code 1 on any violation or error.
+func runCells(f flags, seeds []int64, out io.Writer) int {
 	var specs []minsync.Scenario
 	switch f.scenario {
 	case "all":

@@ -9,7 +9,8 @@ import (
 // TestRunExitCodes pins the binary's contract with CI: 0 on a passing
 // cell, 1 on a property violation (a -deadline too short for a scenario
 // that expects termination is the documented way to inject one), 2 on a
-// usage error.
+// usage error — which includes a seed list that names no seed (a sweep
+// of nothing must not be green) — and the same for -exp.
 func TestRunExitCodes(t *testing.T) {
 	tests := []struct {
 		name string
@@ -22,6 +23,12 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown scenario", []string{"-scenario", "no-such-scenario"}, 2, ""},
 		{"no scenario", nil, 2, ""},
 		{"bad seed list", []string{"-scenario", "log-baseline", "-seeds", "1,x"}, 2, ""},
+		{"empty seed list", []string{"-scenario", "baseline-sync", "-seeds", ","}, 2, ""},
+		{"empty seed list, random", []string{"-scenario", "random", "-seeds", ","}, 2, ""},
+		{"passing experiment", []string{"-exp", "e7", "-seeds", "1"}, 0, "| 4 | 1 | 16 "},
+		{"failing experiment", []string{"-exp", "E7", "-deadline", "1ms"}, 1, "| 4 | 1 | 16 "},
+		{"unknown experiment", []string{"-exp", "E99"}, 2, ""},
+		{"experiment and scenario", []string{"-exp", "E7", "-scenario", "log-baseline"}, 2, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -120,31 +120,40 @@ func TestObligationUnanimousCommit(t *testing.T) {
 func TestQuasiAgreementUnderSplit(t *testing.T) {
 	// Mixed proposals across many schedules: if any correct process
 	// commits v, every correct process must return ⟨−, v⟩.
-	for seed := int64(0); seed < 40; seed++ {
-		p := types.Params{N: 7, T: 2, M: 2}
-		props := map[types.ProcID]types.Value{1: "a", 2: "a", 3: "a", 4: "b", 5: "b"}
-		byz := map[types.ProcID]harness.Behavior{6: silent, 7: silent}
-		aw := newACWorld(t, p, seed, props, byz)
-		aw.w.Run(0, 0)
-		var committed types.Value
-		for id := types.ProcID(1); id <= 5; id++ {
-			o, ok := aw.outcomes[id]
-			if !ok {
-				t.Fatalf("seed %d: %v: AC did not terminate", seed, id)
-			}
-			if o.Commit {
-				if committed != "" && committed != o.Val {
-					t.Fatalf("seed %d: two different commits %q %q", seed, committed, o.Val)
+	for _, c := range []struct {
+		p     types.Params
+		props map[types.ProcID]types.Value
+		byz   map[types.ProcID]harness.Behavior
+	}{
+		{types.Params{N: 4, T: 1, M: 2}, map[types.ProcID]types.Value{1: "a", 2: "a", 3: "b"},
+			map[types.ProcID]harness.Behavior{4: silent}},
+		{types.Params{N: 7, T: 2, M: 2}, map[types.ProcID]types.Value{1: "a", 2: "a", 3: "a", 4: "b", 5: "b"},
+			map[types.ProcID]harness.Behavior{6: silent, 7: silent}},
+	} {
+		correct := types.ProcID(len(c.props))
+		for seed := int64(0); seed < 40; seed++ {
+			aw := newACWorld(t, c.p, seed, c.props, c.byz)
+			aw.w.Run(0, 0)
+			var committed types.Value
+			for id := types.ProcID(1); id <= correct; id++ {
+				o, ok := aw.outcomes[id]
+				if !ok {
+					t.Fatalf("n=%d seed %d: %v: AC did not terminate", c.p.N, seed, id)
 				}
-				committed = o.Val
+				if o.Commit {
+					if committed != "" && committed != o.Val {
+						t.Fatalf("n=%d seed %d: two different commits %q %q", c.p.N, seed, committed, o.Val)
+					}
+					committed = o.Val
+				}
 			}
-		}
-		if committed == "" {
-			continue
-		}
-		for id := types.ProcID(1); id <= 5; id++ {
-			if o := aw.outcomes[id]; o.Val != committed {
-				t.Fatalf("seed %d: %v returned ⟨−,%q⟩ but %q was committed", seed, id, o.Val, committed)
+			if committed == "" {
+				continue
+			}
+			for id := types.ProcID(1); id <= correct; id++ {
+				if o := aw.outcomes[id]; o.Val != committed {
+					t.Fatalf("n=%d seed %d: %v returned ⟨−,%q⟩ but %q was committed", c.p.N, seed, id, o.Val, committed)
+				}
 			}
 		}
 	}

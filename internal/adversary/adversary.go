@@ -1,6 +1,6 @@
 // Package adversary is the attack library: Byzantine process behaviors and
 // network-scheduling adversaries used by tests, benchmarks and the
-// experiment harness to exercise the fault model of the paper (§2.1). A
+// scenario engine to exercise the fault model of the paper (§2.1). A
 // Byzantine process "behaves arbitrarily": it may crash, stay mute, send
 // conflicting values to different processes, push values nobody proposed,
 // spam duplicates, or run the correct protocol with selective deviations.

@@ -27,14 +27,15 @@
 //
 // # Reproduction notes
 //
-// Fast-path liveness (see DESIGN.md §3): read literally, a process that
-// returns at line 4 never arms its timer and thus — with a silent
-// Byzantine coordinator — never broadcasts a relay, which can leave slower
-// correct processes short of the n−t relays of line 6. FastPathContinue
+// Fast-path liveness: read literally, a process that returns at line 4
+// never arms its timer and thus — with a silent Byzantine coordinator —
+// never broadcasts a relay, which can leave slower correct processes
+// short of the n−t relays of line 6. FastPathContinue
 // (default) arms the timer even on a fast-path return, keeping every
 // correct process a relay participant, which is what the Claim C proof of
 // Lemma 3 assumes. FastPathReturnOnly reproduces the literal text;
-// experiment E9 exhibits the stall.
+// TestFastPathLiteralStalls exhibits the stall (the missing Lemma 2 proof
+// is in the unavailable tech report [6]).
 //
 // RelayQuorum is a deliberately *stronger-synchrony* baseline used by
 // experiment E10: it accepts the coordinator's value only when n−t

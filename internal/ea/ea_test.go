@@ -152,16 +152,18 @@ func TestValidityUnanimous(t *testing.T) {
 			})
 		},
 	}
-	ew := newEAWorld(t, p, 5, eaOpts{}, byz)
-	ew.proposeAll(t, 1, map[types.ProcID]types.Value{2: "v", 3: "v", 4: "v"})
-	ew.w.Run(0, 0)
-	for id := types.ProcID(2); id <= 4; id++ {
-		got, ok := ew.procs[id].returns[1]
-		if !ok {
-			t.Fatalf("%v: EA did not return", id)
-		}
-		if got != "v" {
-			t.Fatalf("%v returned %q, want v (validity violated)", id, got)
+	for seed := int64(0); seed < 10; seed++ {
+		ew := newEAWorld(t, p, seed, eaOpts{}, byz)
+		ew.proposeAll(t, 1, map[types.ProcID]types.Value{2: "v", 3: "v", 4: "v"})
+		ew.w.Run(0, 0)
+		for id := types.ProcID(2); id <= 4; id++ {
+			got, ok := ew.procs[id].returns[1]
+			if !ok {
+				t.Fatalf("seed %d: %v: EA did not return", seed, id)
+			}
+			if got != "v" {
+				t.Fatalf("seed %d: %v returned %q, want v (validity violated)", seed, id, got)
+			}
 		}
 	}
 }
@@ -171,12 +173,14 @@ func TestTerminationMixedInputsSilentCoordinator(t *testing.T) {
 	// invocation must still terminate (via timers → ⊥ relays → line 9).
 	p := types.Params{N: 4, T: 1, M: 2}
 	byz := map[types.ProcID]harness.Behavior{1: silentRB} // coord(1) silent
-	ew := newEAWorld(t, p, 7, eaOpts{}, byz)
-	ew.proposeAll(t, 1, map[types.ProcID]types.Value{2: "a", 3: "a", 4: "b"})
-	ew.w.Run(0, 0)
-	for id := types.ProcID(2); id <= 4; id++ {
-		if _, ok := ew.procs[id].returns[1]; !ok {
-			t.Fatalf("%v: EA did not terminate with silent coordinator", id)
+	for seed := int64(0); seed < 10; seed++ {
+		ew := newEAWorld(t, p, seed, eaOpts{}, byz)
+		ew.proposeAll(t, 1, map[types.ProcID]types.Value{2: "a", 3: "a", 4: "b"})
+		ew.w.Run(0, 0)
+		for id := types.ProcID(2); id <= 4; id++ {
+			if _, ok := ew.procs[id].returns[1]; !ok {
+				t.Fatalf("seed %d: %v: EA did not terminate with silent coordinator", seed, id)
+			}
 		}
 	}
 }
@@ -205,7 +209,8 @@ func TestCoordinatorChampioningReachesSlowPath(t *testing.T) {
 }
 
 // antiFastPathAdv delays the EA_PROP2 messages from one process to a set
-// of peers, engineering a fast-path split (see DESIGN.md §3).
+// of peers, engineering a fast-path split (see package ea's reproduction
+// notes).
 type antiFastPathAdv struct {
 	from  types.ProcID
 	to    map[types.ProcID]bool
@@ -223,7 +228,7 @@ func (a antiFastPathAdv) MessageDelay(from, to types.ProcID, _ types.Time, paylo
 	return 0, false
 }
 
-// buildFastPathStall constructs the E9 scenario: n=4, t=1, Byzantine mute
+// buildFastPathStall constructs the fast-path stall scenario: n=4, t=1, Byzantine mute
 // coordinator p1 that (a) RB-broadcasts CB_VAL(b) so that b becomes valid,
 // (b) equivocates PROP2 (a to p2/p3, b to p4), (c) never sends EA_COORD.
 // The network adversary delays p4's PROP2 to p2/p3 so their line-3 windows
@@ -267,7 +272,7 @@ func buildFastPathStall(t *testing.T, mode ea.FastPathMode) *eaWorld {
 }
 
 func TestFastPathLiteralStalls(t *testing.T) {
-	// Reproduction finding (E9): with the literal Figure 3 semantics,
+	// Reproduction finding: with the literal Figure 3 semantics,
 	// fast-path returners never arm their timers; with a mute Byzantine
 	// coordinator, p4 cannot collect n−t relays and its EA_propose never
 	// returns — an apparent liveness gap of the conference text.

@@ -1,6 +1,6 @@
 // Package harness assembles simulated worlds: a deterministic scheduler, a
 // network with the desired synchrony topology, and one protocol node per
-// process. Tests, benchmarks, examples and the experiment CLI all build
+// process. Tests, benchmarks, examples and the scenario engine all build
 // their runs through this package.
 //
 // The harness is protocol-agnostic: each process is given a Behavior

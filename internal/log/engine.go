@@ -131,18 +131,6 @@ type Config struct {
 	// legacy fixtures must run without it; live clusters and the
 	// rb-coalesce-* scenarios turn it on.
 	Coalesce bool
-	// CoalesceQuantum overrides the relay flush period
-	// (default rb.DefaultQuantum). Only meaningful with Coalesce.
-	CoalesceQuantum types.Duration
-	// AutoCompactLag, when > 0, compacts instance i as soon as instance
-	// i+AutoCompactLag is applied — the "retire wholesale when an instance
-	// commits" mode for pure log runs that keep no snapshots. 0 disables
-	// it (the default: compaction changes which late messages still get
-	// echo service, hence the message schedule, so digest-pinned runs must
-	// leave it off). State-machine runs should compact via snapshots
-	// (sm.Applier + Compact) instead, so recovery always has a snapshot
-	// covering the trimmed prefix.
-	AutoCompactLag types.Instance
 }
 
 // Retirer releases per-instance message-dedup state below an instance
@@ -255,7 +243,6 @@ func New(cfg Config) (*Engine, error) {
 		l.relay = rb.NewRelay(rb.RelayConfig{
 			Env:     cfg.Env,
 			Sink:    l.dispatch,
-			Quantum: cfg.CoalesceQuantum,
 			Metrics: cfg.Engine.RBMetrics,
 			Tracer:  cfg.Tracer,
 			// The dispatch guards, as a predicate: the relay allocates
@@ -705,9 +692,6 @@ func (l *Engine) tryApply() {
 			// touches only state below the applied boundary, so the loop's
 			// own bookkeeping (decided, applied) stays coherent.
 			l.cfg.OnApply(i, newly)
-		}
-		if lag := l.cfg.AutoCompactLag; lag > 0 && l.applied > lag {
-			l.Compact(l.applied - lag)
 		}
 		if l.cfg.Target > 0 && l.Committed() >= l.cfg.Target {
 			l.closed = true

@@ -427,25 +427,6 @@ func TestCompactForgetsContentDedup(t *testing.T) {
 	}
 }
 
-func TestAutoCompactLag(t *testing.T) {
-	eng, _ := newTestEngine(t, Config{Pipeline: 8, AutoCompactLag: 2})
-	rec := &retireRecorder{}
-	eng.SetRetirer(rec)
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for i := types.Instance(0); i < 6; i++ {
-		eng.onInstanceDecided(i, EncodeBatch([]types.Value{types.Value("c" + i.String())}))
-	}
-	// applied = 6, lag = 2 ⇒ floor must trail at 4.
-	if eng.Floor() != 4 {
-		t.Fatalf("floor=%v, want 4", eng.Floor())
-	}
-	if eng.Retired() != 4 {
-		t.Fatalf("retired=%d, want 4", eng.Retired())
-	}
-}
-
 func TestOnApplyHookOrderAndCounts(t *testing.T) {
 	type applyRec struct {
 		inst  types.Instance

@@ -139,31 +139,34 @@ func equivocator(id types.ProcID, tag proto.Tag) harness.Behavior {
 }
 
 func TestTermination2Agreement(t *testing.T) {
-	// Equivocating Byzantine sender: either nobody delivers, or everyone
+	// Equivocating Byzantine sender p_n: either nobody delivers, or everyone
 	// delivers the same value (RB-Termination-2 + agreement on content).
-	for seed := int64(0); seed < 20; seed++ {
-		p := types.Params{N: 7, T: 2, M: 1}
-		byz := map[types.ProcID]harness.Behavior{7: equivocator(7, testTag)}
-		rw := newRBWorld(t, p, network.FullyAsynchronous(7), seed, byz)
-		rw.w.Run(0, 0)
-		var vals []types.Value
-		count := 0
-		for id := types.ProcID(1); id <= 6; id++ {
-			got := rw.delivered[id]
-			if len(got) > 1 {
-				t.Fatalf("seed %d: %v delivered twice", seed, id)
+	for _, n := range []int{4, 7, 10} {
+		for seed := int64(0); seed < 20; seed++ {
+			p := types.Params{N: n, T: (n - 1) / 3, M: 1}
+			sender := types.ProcID(n)
+			byz := map[types.ProcID]harness.Behavior{sender: equivocator(sender, testTag)}
+			rw := newRBWorld(t, p, network.FullyAsynchronous(n), seed, byz)
+			rw.w.Run(0, 0)
+			var vals []types.Value
+			count := 0
+			for id := types.ProcID(1); id < sender; id++ {
+				got := rw.delivered[id]
+				if len(got) > 1 {
+					t.Fatalf("n=%d seed %d: %v delivered twice", n, seed, id)
+				}
+				if len(got) == 1 {
+					count++
+					vals = append(vals, got[0].val)
+				}
 			}
-			if len(got) == 1 {
-				count++
-				vals = append(vals, got[0].val)
+			if count != 0 && count != n-1 {
+				t.Fatalf("n=%d seed %d: only %d/%d correct processes delivered (termination-2 violated)", n, seed, count, n-1)
 			}
-		}
-		if count != 0 && count != 6 {
-			t.Fatalf("seed %d: only %d/6 correct processes delivered (termination-2 violated)", seed, count)
-		}
-		for _, v := range vals {
-			if v != vals[0] {
-				t.Fatalf("seed %d: divergent deliveries %v", seed, vals)
+			for _, v := range vals {
+				if v != vals[0] {
+					t.Fatalf("n=%d seed %d: divergent deliveries %v", n, seed, vals)
+				}
 			}
 		}
 	}

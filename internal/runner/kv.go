@@ -327,13 +327,6 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 	if spec.Compact && spec.SnapshotEvery <= 0 {
 		return nil, fmt.Errorf("runner: Compact requires SnapshotEvery > 0")
 	}
-	if spec.Log.AutoCompactLag > 0 {
-		// Snapshot-driven compaction is the only safe mode under a state
-		// machine: AutoCompactLag trims entries without a covering
-		// snapshot, which would leave Recover with a gap and poison the
-		// applier.
-		return nil, fmt.Errorf("runner: AutoCompactLag is a pure-log knob; KV runs compact via SnapshotEvery+Compact")
-	}
 	if spec.Transfer && spec.SnapshotEvery <= 0 {
 		return nil, fmt.Errorf("runner: Transfer requires SnapshotEvery > 0 (peers serve snapshots)")
 	}

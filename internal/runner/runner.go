@@ -2,7 +2,7 @@
 // simulation harness: it instantiates one core.Engine per correct process
 // and the requested Byzantine behaviors, runs the world to completion (or
 // deadline / event budget), and collects decisions, rounds, message counts
-// and the trace log into a Result. Tests, benchmarks, the experiment CLI
+// and the trace log into a Result. Tests, benchmarks, the scenario engine
 // and the public minsync API all run through it.
 package runner
 

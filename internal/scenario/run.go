@@ -27,7 +27,7 @@ type Outcome struct {
 	// Name and Seed identify the run.
 	Name string
 	Seed int64
-	// Workload is the workload family ("consensus" / "log").
+	// Workload is the workload family ("consensus" / "log" / "kv").
 	Workload string
 	// Pass reports whether every checked property held (including the
 	// liveness expectation, when the spec promises one).
@@ -55,6 +55,17 @@ type Outcome struct {
 	// only by RunTraced; log/kv workloads). Informational: never part of
 	// the digest.
 	Trace []*xtrace.Dump
+
+	// What the experiment tables need beyond the above (consensus
+	// workloads only; like Trace outside both Digest and String): the
+	// largest decision round and latest decision instant among correct
+	// processes (0 if none decided), the value every correct process
+	// decided (empty unless all decided and agree), and the count of
+	// RB-broadcast and RB-delivery events.
+	DecideRound types.Round
+	DecideTime  time.Duration
+	Decision    types.Value
+	RBStreams   int
 }
 
 // String renders one machine-readable table row (tab-separated):
@@ -84,6 +95,11 @@ type Prepared struct {
 	topo   *network.Topology
 	cmds   []types.Value
 	kvCmds []kv.Command
+	// tweak, when set, adjusts the materialised consensus runner.Spec
+	// just before it runs: the experiments' handle for the few engine
+	// and adversary knobs the declarative vocabulary deliberately has no
+	// field for (see cell.tweak).
+	tweak func(*runner.Spec)
 }
 
 // Prepare validates the spec and materializes its immutable parts.
@@ -360,7 +376,7 @@ func runConsensus(p *Prepared, seed int64, reg *obs.Registry) (*Outcome, error) 
 	for i, id := range correct {
 		props[id] = vals[i%len(vals)]
 	}
-	res, err := runner.Run(runner.Spec{
+	spec := runner.Spec{
 		Params:    s.Params(),
 		Topology:  p.topo,
 		Policy:    s.policy(seed),
@@ -373,7 +389,11 @@ func runConsensus(p *Prepared, seed int64, reg *obs.Registry) (*Outcome, error) 
 		Engine:    ecfg,
 		Deadline:  s.deadline(),
 		Obs:       reg,
-	})
+	}
+	if p.tweak != nil {
+		p.tweak(&spec)
+	}
+	res, err := runner.Run(spec)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
@@ -393,7 +413,12 @@ func runConsensus(p *Prepared, seed int64, reg *obs.Registry) (*Outcome, error) 
 		Events:   res.Events,
 		End:      time.Duration(res.End),
 		Stalled:  len(res.Stalled),
+
+		DecideRound: res.MaxDecideRound(),
+		DecideTime:  time.Duration(res.MaxDecideTime()),
+		RBStreams:   rbStreams(res.Log),
 	}
+	o.Decision, _ = res.CommonDecision()
 	h := sha256.New()
 	digestTrace(h, res.Log)
 	for _, id := range res.Correct {

@@ -369,10 +369,8 @@ func (a *Applier) Recover(retained []log.Entry) error {
 	if !a.hasSnap {
 		// Crash before the first snapshot: recovery is a full replay from
 		// an empty machine, possible only if the machine can zero itself
-		// and the whole log is still retained. Snapshot-driven hosts
-		// guarantee that (they only Compact below a snapshot); engines
-		// running the pure-log AutoCompactLag mode do NOT, which is why
-		// runner.RunKV rejects that combination up front.
+		// and the whole log is still retained. Hosts guarantee that: they
+		// only Compact below a snapshot.
 		r, ok := a.cfg.Machine.(Resetter)
 		if !ok {
 			return fmt.Errorf("sm: no snapshot to recover from and machine cannot Reset")

@@ -175,8 +175,8 @@ type SimConfig struct {
 	// BotMode enables the §7 ⊥-default validity variant.
 	BotMode bool
 	// LiteralFastPath selects the literal Figure 3 line-4 semantics
-	// instead of the default continue-in-background semantics (see
-	// DESIGN.md §3 for why the default deviates).
+	// instead of the default continue-in-background semantics (package
+	// internal/ea's reproduction notes say why the default deviates).
 	LiteralFastPath bool
 	// StrongRelayBaseline swaps the EA relay rule for the ⟨n−t⟩bisource
 	// baseline (experiment E10).

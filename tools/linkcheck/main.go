@@ -2,12 +2,16 @@
 // resolve: every relative `[text](path)` and `[text](path#anchor)` target
 // must exist on disk, relative to the file that references it. External
 // links (http/https/mailto) and pure in-page anchors (#...) are skipped —
-// this is a dead-FILE-reference gate, not a web crawler. CI runs it over
-// docs/*.md and README.md so documentation cannot drift away from the
+// this is a dead-FILE-reference gate, not a web crawler. In *.go files it
+// checks the markdown documents that comments cite by name: a bare name
+// must exist at the repository root or under docs/, one with a path
+// relative to the root (the working directory) — comments cited a design
+// document that never existed for twenty PRs. CI runs it over docs/*.md,
+// README.md and the Go tree so documentation cannot drift away from the
 // tree it describes.
 //
-// Usage: linkcheck <file-or-dir> [...]
-// Directories are walked for *.md files.
+// Usage: linkcheck <file-or-dir> [...]   (from the repository root)
+// Directories are walked for *.md and *.go files.
 package main
 
 import (
@@ -21,6 +25,10 @@ import (
 // linkRe matches inline markdown links; images share the syntax bar the
 // leading '!', which the pattern tolerates.
 var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+
+// docNameRe matches a markdown file cited in a Go comment, bare or with a
+// path (glob patterns like docs/*.md do not match).
+var docNameRe = regexp.MustCompile(`[\w./-]*[\w-]\.md\b`)
 
 // codeSpanRe strips inline code spans before link extraction — protocol
 // notation like `EA_PROP2[r](aux)` is link-shaped but not a link.
@@ -43,7 +51,7 @@ func main() {
 			continue
 		}
 		err = filepath.WalkDir(arg, func(path string, d os.DirEntry, err error) error {
-			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".md") {
+			if err == nil && !d.IsDir() && (strings.HasSuffix(path, ".md") || strings.HasSuffix(path, ".go")) {
 				files = append(files, path)
 			}
 			return err
@@ -55,7 +63,11 @@ func main() {
 	}
 	dead := 0
 	for _, f := range files {
-		dead += check(f)
+		if strings.HasSuffix(f, ".go") {
+			dead += checkGo(f)
+		} else {
+			dead += check(f)
+		}
 	}
 	if dead > 0 {
 		fmt.Fprintf(os.Stderr, "linkcheck: %d dead file reference(s)\n", dead)
@@ -64,17 +76,42 @@ func main() {
 	fmt.Printf("linkcheck: %d file(s), all intra-repo links resolve\n", len(files))
 }
 
-// check reports dead references in one markdown file.
-func check(file string) int {
+// checkGo reports the markdown files that one Go file's comments cite
+// but the tree does not have.
+func checkGo(file string) int {
+	dead := 0
+	for i, line := range lines(file) {
+		_, comment, _ := strings.Cut(line, "//")
+		for _, name := range docNameRe.FindAllString(comment, -1) {
+			_, err := os.Stat(filepath.FromSlash(name))
+			if err != nil && !strings.Contains(name, "/") {
+				_, err = os.Stat(filepath.Join("docs", name))
+			}
+			if err != nil {
+				fmt.Printf("%s:%d: comment cites %q, which exists neither at the repository root nor under docs/\n", file, i+1, name)
+				dead++
+			}
+		}
+	}
+	return dead
+}
+
+// lines reads a file to check.
+func lines(file string) []string {
 	data, err := os.ReadFile(file)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "linkcheck: %v\n", err)
 		os.Exit(2)
 	}
+	return strings.Split(string(data), "\n")
+}
+
+// check reports dead references in one markdown file.
+func check(file string) int {
 	dir := filepath.Dir(file)
 	dead := 0
 	inFence := false
-	for i, line := range strings.Split(string(data), "\n") {
+	for i, line := range lines(file) {
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
 			inFence = !inFence
 			continue
