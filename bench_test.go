@@ -96,77 +96,53 @@ func logThroughputSpec(n, batch, pipeline, workload int, seed int64) runner.LogS
 	return spec
 }
 
-// coalescedLogThroughputSpec is logThroughputSpec with the
-// reliable-broadcast coalescing relay enabled (log.Config.Coalesce) — the
-// workload the large-n cells and the rb-coalesce scenarios measure.
-func coalescedLogThroughputSpec(n, batch, pipeline, workload int, seed int64) runner.LogSpec {
-	spec := logThroughputSpec(n, batch, pipeline, workload, seed)
-	spec.Log.Coalesce = true
-	return spec
-}
-
 // BenchmarkLogThroughput: the replicated-log engine committing a
 // 200-command workload, swept over batch size and pipeline depth. The
 // headline metric is cmds_per_sec_v — committed commands per second of
 // virtual time; instances/op and msgs_per_cmd/op expose where the
-// throughput comes from (fewer consensus instances per command). The
-// canonical cell is the live engine setting (CanonicalBatches + Coalesce)
-// with every lane deeper than a batch: its instances/op is what
-// lane-striping keeps near 200/32 and would be P× that without it.
+// throughput comes from (fewer consensus instances per command). With
+// every lane deeper than a batch, instances/op is what lane-striping
+// keeps near 200/batch; it would be pipeline× that without it.
 func BenchmarkLogThroughput(b *testing.B) {
 	for _, batch := range []int{8, 32} {
 		for _, pipeline := range []int{1, 4} {
 			b.Run(fmt.Sprintf("batch=%d/pipeline=%d", batch, pipeline), func(b *testing.B) {
-				benchLogThroughput(b, func(seed int64) runner.LogSpec {
-					return logThroughputSpec(4, batch, pipeline, 200, seed)
-				})
+				var last *runner.LogResult
+				for i := 0; i < b.N; i++ {
+					res, err := runner.RunLog(logThroughputSpec(4, batch, pipeline, 200, int64(i)))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !res.AllCommitted(200) {
+						b.Fatalf("only %d/200 commands committed", res.MinCommitted())
+					}
+					if !res.Consistent() {
+						b.Fatal("logs inconsistent")
+					}
+					last = res
+				}
+				vsec := time.Duration(last.End).Seconds()
+				b.ReportMetric(200/vsec, "cmds_per_sec_v")
+				var insts types.Instance
+				for _, id := range last.Correct {
+					if a := last.Engines[id].Applied(); a > insts {
+						insts = a
+					}
+				}
+				b.ReportMetric(float64(insts), "instances/op")
+				b.ReportMetric(float64(last.Messages)/200, "msgs_per_cmd/op")
 			})
 		}
 	}
-	b.Run("canonical/batch=32/pipeline=4", func(b *testing.B) {
-		benchLogThroughput(b, func(seed int64) runner.LogSpec {
-			spec := coalescedLogThroughputSpec(4, 32, 4, 200, seed)
-			spec.Log.CanonicalBatches = true
-			return spec
-		})
-	})
-}
-
-// benchLogThroughput runs one BenchmarkLogThroughput cell: the spec of
-// iteration i is specFor(i), over 200 commands.
-func benchLogThroughput(b *testing.B, specFor func(seed int64) runner.LogSpec) {
-	var last *runner.LogResult
-	for i := 0; i < b.N; i++ {
-		res, err := runner.RunLog(specFor(int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllCommitted(200) {
-			b.Fatalf("only %d/200 commands committed", res.MinCommitted())
-		}
-		if !res.Consistent() {
-			b.Fatal("logs inconsistent")
-		}
-		last = res
-	}
-	vsec := time.Duration(last.End).Seconds()
-	b.ReportMetric(200/vsec, "cmds_per_sec_v")
-	var insts types.Instance
-	for _, id := range last.Correct {
-		if a := last.Engines[id].Applied(); a > insts {
-			insts = a
-		}
-	}
-	b.ReportMetric(float64(insts), "instances/op")
-	b.ReportMetric(float64(last.Messages)/200, "msgs_per_cmd/op")
 }
 
 // BenchmarkLogScaleN: log throughput as the system grows, up to n=100
 // (t=33). Message complexity grows ~n³ per instance, so the command
 // workload shrinks with n to keep single ops in benchmark territory —
 // cmds_per_sec_v is normalized per virtual second and msgs_per_cmd/op per
-// command, so cells stay comparable. The n=100 cell still moves ~15M
-// messages per op: run large sizes with -benchtime 1x; -short skips them.
+// command, so cells stay comparable. docs/rb-coalescing.md records what
+// the n=100 cell measured before the relay carried its ECHO/READY
+// traffic. Run large sizes with -benchtime 1x; -short skips them.
 func BenchmarkLogScaleN(b *testing.B) {
 	for _, c := range []struct{ n, workload int }{
 		{4, 200}, {7, 200}, {16, 64}, {31, 64}, {100, 16},
@@ -193,43 +169,6 @@ func BenchmarkLogScaleN(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkLogScaleNCoalesce: the large BenchmarkLogScaleN cells with the
-// reliable-broadcast coalescing relay ON (log.Config.Coalesce) — the
-// message-complexity fast path that batches cross-instance ECHO/READY
-// traffic into vector frames and references values by hash. Compare
-// msgs_per_cmd/op and deliveries/op against the same-n cells of
-// BenchmarkLogScaleN for the coalescing factor. The n=31 cell runs in CI;
-// n=100 is nightly territory (-short skips it).
-func BenchmarkLogScaleNCoalesce(b *testing.B) {
-	for _, c := range []struct{ n, workload int }{
-		{31, 64}, {100, 16},
-	} {
-		n, workload := c.n, c.workload
-		if testing.Short() && n > 31 {
-			continue
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var last *runner.LogResult
-			for i := 0; i < b.N; i++ {
-				res, err := runner.RunLog(coalescedLogThroughputSpec(n, 16, 4, workload, int64(i)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllCommitted(workload) {
-					b.Fatalf("only %d/%d committed", res.MinCommitted(), workload)
-				}
-				last = res
-			}
-			vsec := time.Duration(last.End).Seconds()
-			b.ReportMetric(float64(workload)/vsec, "cmds_per_sec_v")
-			b.ReportMetric(float64(last.Messages)/float64(workload), "msgs_per_cmd/op")
-			b.ReportMetric(float64(last.Deliveries())/float64(workload), "deliveries_per_cmd/op")
-		})
-	}
-}
-
-// --- substrate micro-benchmarks ---------------------------------------------
 
 // BenchmarkScheduler: raw event throughput of the simulation kernel.
 func BenchmarkScheduler(b *testing.B) {

@@ -112,9 +112,6 @@ type kvOptions struct {
 	// applier flags; PoolCap bounds the admission pool.
 	Batch, Pipeline, SnapEvery, SnapRefresh, PoolCap, Target int
 	Compact                                                  bool
-	// Coalesce batches RB echo/ready traffic into vector frames
-	// (log.Config.Coalesce); on by default for live clusters.
-	Coalesce bool
 	// TraceDir enables causal command tracing (internal/xtrace) and
 	// names the directory where the flight recorder dumps its span ring
 	// on a stall or lag signal ("" = tracing off).
@@ -310,12 +307,6 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 			BatchSize: opts.Batch,
 			Pipeline:  opts.Pipeline,
 			Target:    opts.Target,
-			// Over TCP, forwarded commands reach each replica in a
-			// different order; batch proposals must be a function of the
-			// pending SET or concurrent submissions livelock on split
-			// (⊥) decisions. See log.Config.CanonicalBatches.
-			CanonicalBatches: true,
-			Coalesce:         opts.Coalesce,
 		}
 		cfg.Engine.TimeUnit = types.Duration(opts.Unit)
 		edge.rep, newErr = replica.New(replica.Config{

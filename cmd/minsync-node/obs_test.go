@@ -145,7 +145,7 @@ func TestBenchmarkReadsExistingTelemetry(t *testing.T) {
 	defer node.Stop()
 	mn.Register(1, node)
 	_, err = startKV(node, mn.Attach(1), tel, 1, nil, kvOptions{
-		Batch: 16, Pipeline: 4, SnapEvery: 16, PoolCap: 1024, Compact: true, Coalesce: true,
+		Batch: 16, Pipeline: 4, SnapEvery: 16, PoolCap: 1024, Compact: true,
 		TraceDir: t.TempDir(), // the traced pass: stage histograms registered
 		Unit:     50 * time.Millisecond, Wait: time.Minute,
 	})

@@ -151,6 +151,11 @@ func runCells(f flags, seeds []int64, out io.Writer) int {
 		}
 		specs = []minsync.Scenario{s}
 	}
+	return runSpecs(f, specs, seeds, out)
+}
+
+// runSpecs runs specs × seeds and prints the table.
+func runSpecs(f flags, specs []minsync.Scenario, seeds []int64, out io.Writer) int {
 	if f.deadline > 0 {
 		// Deadline override — also the documented way to *inject* a
 		// violation and watch the exit code: truncating a scenario that

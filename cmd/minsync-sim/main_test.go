@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/minsync"
 )
 
 // TestRunExitCodes pins the binary's contract with CI: 0 on a passing
 // cell, 1 on a property violation (a -deadline too short for a scenario
 // that expects termination is the documented way to inject one), 2 on a
 // usage error — which includes a seed list that names no seed (a sweep
-// of nothing must not be green) — and the same for -exp.
+// of nothing must not be green) — and the same for -exp. A cell that
+// would run forever is a violation too, not a hang.
 func TestRunExitCodes(t *testing.T) {
 	tests := []struct {
 		name string
@@ -47,4 +51,28 @@ func TestRunExitCodes(t *testing.T) {
 			}
 		})
 	}
+	// A world that never drains on its own must end at the default
+	// deadline and report the missing termination — exit 1 — rather than
+	// spin. kv-crash-restart with the power cut at 40 ms is such a world:
+	// nothing is durable yet, the victim comes back through a peer
+	// snapshot, and an engine that joined by transfer never meets the
+	// coverage stop rule, so its stall probe re-arms forever. No
+	// registered scenario fails by itself, so this cell enters below the
+	// name lookup.
+	t.Run("cell that never drains", func(t *testing.T) {
+		stuck, ok := minsync.GetScenario("kv-crash-restart")
+		if !ok {
+			t.Fatal("kv-crash-restart not registered")
+		}
+		stuck.Work.CrashRestartAt = 40 * time.Millisecond
+		var out bytes.Buffer
+		if code := runSpecs(flags{workers: 1, verbose: true}, []minsync.Scenario{stuck}, []int64{1}, &out); code != 1 {
+			t.Fatalf("exit code %d, want 1\n%s", code, out.String())
+		}
+		for _, want := range []string{"\nkv-crash-restart\t1\tkv\tFAIL\t", "\t1m0s\t", "KV-Termination"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("no %q in:\n%s", want, out.String())
+			}
+		}
+	})
 }

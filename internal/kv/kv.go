@@ -287,7 +287,7 @@ type Store struct {
 
 	// metrics mirrors the replicated counters below into live telemetry.
 	// It is observer state, NOT machine state: never part of the snapshot
-	// encoding, never touched by Restore/Reset, so attaching it cannot
+	// encoding, never touched by Restore, so attaching it cannot
 	// perturb state digests.
 	metrics *obs.KVMetrics
 
@@ -354,7 +354,7 @@ func (s *Store) syncMetrics() {
 
 // SetMetrics attaches a live telemetry bundle (obs.NewKVMetrics; nil
 // detaches). The bundle is observer state, independent of the replicated
-// counters: it survives Reset/Restore and is never encoded into
+// counters: it survives Restore and is never encoded into
 // snapshots.
 func (s *Store) SetMetrics(m *obs.KVMetrics) { s.metrics = m }
 
@@ -495,14 +495,6 @@ func decodeStoreSnapshot(b []byte) (data map[string]string, sessions map[uint64]
 		return nil, nil, counters, fmt.Errorf("kv: %d trailing bytes after snapshot", len(rest))
 	}
 	return data, sessions, counters, nil
-}
-
-// Reset zeroes the store in place (sm.Resetter): pre-snapshot crash
-// recovery replays the whole log into an empty machine.
-func (s *Store) Reset() {
-	s.data = make(map[string]string)
-	s.sessions = make(map[uint64]session)
-	s.applies, s.dups, s.stales, s.badCmds = 0, 0, 0, 0
 }
 
 // Get reads a key directly (introspection; replicated reads go through

@@ -20,15 +20,26 @@
 //     decided batch makes progress. Commit deduplication makes overlapping
 //     batches safe.
 //
+//   - The batch of instance i is a pure function of (pending command
+//     set, i, Pipeline) — content-sorted lanes, see Engine.canonicalBatch
+//     — never of arrival order or local decide timing: over real
+//     transports the same commands reach each replica in a different
+//     order, and replicas only make progress when they propose identical
+//     batch encodings.
+//
 //   - All correct processes participate in every started instance, which
-//     is what the per-instance termination proof needs. FIFO mode gets
-//     there by symmetry: every process proposes in instances
-//     0..Pipeline−1 at Start, and in instance i+Pipeline exactly when it
-//     APPLIES instance i with the commit target not yet reached; the
-//     applied prefix is identical everywhere, so the started sets are
-//     too. Canonical mode starts an instance only when there is
-//     something to decide and gets there by joining: a message naming an
-//     instance makes its receiver propose in it (Engine.demanded).
+//     is what the per-instance termination proof needs. An instance
+//     starts only when there is something to decide — a pending command
+//     no own proposal covers — and the others get there by joining: a
+//     message naming an instance makes its receiver propose in it
+//     (Engine.demanded), and the CB[0] INIT that carries a proposal also
+//     forwards its commands (Engine.learn). An idle cluster decides
+//     nothing.
+//
+//   - Every instance's ECHO/READY traffic goes through one coalescing
+//     relay (rb.Relay, docs/rb-coalescing.md): what a replica originates
+//     within a flush quantum, across all in-flight instances, rides one
+//     vector frame per link.
 //
 // This file is the batch codec: how a slice of commands becomes the
 // opaque value a consensus instance decides.

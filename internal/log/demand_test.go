@@ -12,12 +12,12 @@ import (
 	"repro/internal/types"
 )
 
-// Demand-driven starts (canonical mode): Engine.demanded, Engine.learn.
+// Demand-driven starts: Engine.demanded, Engine.learn.
 
-// demandEngine builds a started canonical engine with nothing pending.
+// demandEngine builds a started engine with nothing pending.
 func demandEngine(t *testing.T, batch, pipeline int) (*Engine, *stubEnv) {
 	t.Helper()
-	eng, env := newTestEngine(t, Config{CanonicalBatches: true, BatchSize: batch, Pipeline: pipeline})
+	eng, env := newTestEngine(t, Config{BatchSize: batch, Pipeline: pipeline})
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDemandBotReopens(t *testing.T) {
 // in the rest when applying moves the window over them. Nothing happens
 // before Start; what MaxLead drops names nothing.
 func TestDemandJoin(t *testing.T) {
-	eng, _ := newTestEngine(t, Config{CanonicalBatches: true, Pipeline: 4, MaxLead: 16})
+	eng, _ := newTestEngine(t, Config{Pipeline: 4, MaxLead: 16})
 	eng.OnMessage(3, echoAt(1))
 	if eng.nextStart != 0 {
 		t.Fatalf("joined before Start: %d instances", eng.nextStart)
@@ -240,12 +240,11 @@ func TestDemandDeepQueueKeepsWindowFull(t *testing.T) {
 	}
 }
 
-// TestInitOvertakesForward runs four canonical, coalesced engines where
-// a command is submitted at ONE replica and reaches the others only 40
-// ms later — long after the instance it opened has decided — so on every
-// link the INIT is the first the peer hears of the command. Every
-// command must still commit in one instance, with no ⊥ and no empty
-// instance beside it.
+// TestInitOvertakesForward runs four engines where a command is
+// submitted at ONE replica and reaches the others only 40 ms later — long
+// after the instance it opened has decided — so on every link the INIT is
+// the first the peer hears of the command. Every command must still
+// commit in one instance, with no ⊥ and no empty instance beside it.
 func TestInitOvertakesForward(t *testing.T) {
 	const total = 24
 	params := types.Params{N: 4, T: 1}
@@ -263,7 +262,7 @@ func TestInitOvertakesForward(t *testing.T) {
 	for _, id := range params.AllProcs() {
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
 			cfg := Config{
-				Env: env, Target: total, CanonicalBatches: true, Coalesce: true,
+				Env: env, Target: total,
 				OnCommit: func(e Entry) { logs[id] = append(logs[id], e) },
 			}
 			cfg.Engine.TimeUnit = types.Duration(10 * time.Millisecond)

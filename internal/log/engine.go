@@ -38,14 +38,13 @@ type Config struct {
 	// BatchSize caps the commands per proposed batch (default 16).
 	BatchSize int
 	// Pipeline is the window of instances that may be in flight, W
-	// (default 4): this process never proposes at or past applied+W. In
-	// FIFO mode the window is kept full — instance i+W starts when
-	// instance i is applied. With CanonicalBatches an instance inside the
-	// window starts only on demand (see Engine.demanded), and W is also
-	// the number of lanes the pending set is striped over, which makes it
-	// a cluster-wide parameter like n and t: replicas that disagree on it
-	// propose different batches for the same instance and decide ⊥ until
-	// they agree.
+	// (default 4): this process never proposes at or past applied+W, and
+	// an instance inside the window starts only on demand (see
+	// Engine.demanded). W is also the number of lanes the pending set is
+	// striped over (see canonicalBatch), which makes it a cluster-wide
+	// parameter like n and t: replicas that disagree on it propose
+	// different batches for the same instance and decide ⊥ until they
+	// agree.
 	Pipeline int
 	// MaxLead bounds how far past the local apply point an inbound
 	// message's instance may be before it is dropped (default 256). It
@@ -98,39 +97,8 @@ type Config struct {
 	// relay (flush spans). Passive like Metrics — a traced run stays
 	// schedule-identical to an untraced one.
 	Tracer *xtrace.Tracer
-	// CanonicalBatches, when set, makes the batch of instance i a pure
-	// function of (pending command SET, i, Pipeline) instead of arrival
-	// order and local decide timing — see canonicalBatch for the
-	// lane-striped rule. Live clusters need this for liveness — the
-	// client-broadcast model only makes progress when correct replicas
-	// propose identical batch ENCODINGS, and over real transports the
-	// same forwarded commands arrive at each replica in a different
-	// order, so FIFO batches never converge and every instance decides ⊥
-	// while the commands recycle forever. A function of the set restores
-	// convergence: once the forwards propagate, identical pending sets
-	// produce identical batches for every instance. Apply-time content
-	// dedup keeps the committed sequence exactly-once where the batches
-	// of in-flight instances overlap (shallow queues).
-	//
-	// Canonical mode also starts instances on demand instead of keeping
-	// the window full (Engine.demanded): an instance opens for a pending
-	// command no own in-flight proposal carries, or to join one a peer
-	// opened, so an idle cluster decides nothing; and a peer's CB[0] INIT
-	// doubles as a forward of the commands in its batch (Engine.learn).
-	// Off by default: simulation runs submit symmetrically (identical
-	// FIFO everywhere), and the digest-pinned scenario fixtures depend on
-	// submission-order batches and the always-full window.
-	CanonicalBatches bool
-	// Coalesce enables the reliable-broadcast coalescing relay
-	// (rb.Relay): every ECHO/READY the replica originates within one
-	// flush quantum — across all pipelined instances — rides a single
-	// MsgRBVector frame per link, with large values referenced by content
-	// hash after the INIT carried them (see docs/rb-coalescing.md). This
-	// is the message-complexity fast path for large n. Off by default:
-	// coalescing reschedules the echo/ready traffic, so the digest-pinned
-	// legacy fixtures must run without it; live clusters and the
-	// rb-coalesce-* scenarios turn it on.
-	Coalesce bool
+
+	Coalesce, CanonicalBatches bool // inert, read by nothing: benchmark/sim.go still assigns them; ROADMAP 9(c) deletes them
 }
 
 // Retirer releases per-instance message-dedup state below an instance
@@ -157,22 +125,17 @@ type Engine struct {
 	nextStart types.Instance // next instance this process will propose in
 	applied   types.Instance // instances [0, applied) are applied
 	// named is one past the highest instance an accepted message named:
-	// canonical mode joins every instance below it (see demanded).
+	// the engine joins every instance below it (see demanded).
 	named types.Instance
 
-	// Submitted, uncommitted commands. FIFO mode queues them in arrival
-	// order in pending; canonical mode keeps them in lanes — Pipeline
+	// Submitted, uncommitted commands, kept in lanes — Pipeline
 	// content-sorted queues, allocated at the first Submit. pendingSet
-	// holds every one of them in both modes, mapped to its lane (0 in
-	// FIFO mode).
-	pending    []types.Value
+	// maps every one of them to its lane.
 	lanes      [][]types.Value
 	pendingSet map[types.Value]int
-	// inFlight counts, per command, the own proposals carrying it that
-	// are not yet released: FIFO mode releases a batch when its instance
-	// decides (selection skips in-flight commands), canonical mode when
-	// it is applied. uncovered is the number of pending commands with no
-	// such proposal — canonical mode's reason to open an instance.
+	// inFlight counts, per command, the own proposals carrying it whose
+	// instance is not applied yet. uncovered is the number of pending
+	// commands with no such proposal — the reason to open an instance.
 	inFlight  map[types.Value]int
 	uncovered int
 	committed map[types.Value]struct{}
@@ -192,7 +155,7 @@ type Engine struct {
 	resumed    bool  // engine was realigned from durable state (Resume)
 	err        error // first per-instance construction error, if any
 
-	relay *rb.Relay // coalescing relay (nil unless cfg.Coalesce)
+	relay *rb.Relay // coalescing relay: fronts dispatch, backs every instance env
 }
 
 var _ proto.Handler = (*Engine)(nil)
@@ -239,31 +202,29 @@ func New(cfg Config) (*Engine, error) {
 		inFlight:   make(map[types.Value]int),
 		committed:  make(map[types.Value]struct{}),
 	}
-	if cfg.Coalesce {
-		l.relay = rb.NewRelay(rb.RelayConfig{
-			Env:     cfg.Env,
-			Sink:    l.dispatch,
-			Metrics: cfg.Engine.RBMetrics,
-			Tracer:  cfg.Tracer,
-			// The dispatch guards, as a predicate: the relay allocates
-			// state (value cache, dedup bitmaps, parking lot) only for
-			// traffic dispatch would accept, so instances a Byzantine
-			// peer fabricates far ahead of the pipeline cannot grow
-			// relay memory — they are dropped (and counted against the
-			// lag signal) exactly like loose messages.
-			Window: func(i types.Instance) bool {
-				return i >= l.floor && i < l.applied+l.cfg.MaxLead
-			},
-		})
-	}
+	l.relay = rb.NewRelay(rb.RelayConfig{
+		Env:     cfg.Env,
+		Sink:    l.dispatch,
+		Metrics: cfg.Engine.RBMetrics,
+		Tracer:  cfg.Tracer,
+		// The dispatch guards, as a predicate: the relay allocates state
+		// (value cache, dedup bitmaps, parking lot) only for traffic
+		// dispatch would accept, so instances a Byzantine peer fabricates
+		// far ahead of the pipeline cannot grow relay memory — they are
+		// dropped (and counted against the lag signal) exactly like loose
+		// messages.
+		Window: func(i types.Instance) bool {
+			return i >= l.floor && i < l.applied+l.cfg.MaxLead
+		},
+	})
 	return l, nil
 }
 
-// Start opens the pipeline: in FIFO mode the engine proposes in the
-// Pipeline instances from its apply point, in canonical mode in as many
-// of them as there is demand for (see demanded). Submit may be called
-// before or after Start; commands submitted before are carried by the
-// initial batches.
+// Start opens the pipeline: the engine proposes in as many of the
+// Pipeline instances from its apply point as there is demand for (see
+// demanded) — none on an idle cluster. Submit may be called before or
+// after Start; commands submitted before are carried by the initial
+// batches.
 func (l *Engine) Start() error {
 	if l.running {
 		return fmt.Errorf("log: Start called twice")
@@ -282,9 +243,8 @@ func (l *Engine) fill() {
 	}
 }
 
-// demanded is the start rule inside the window. FIFO mode keeps the
-// window full. Canonical mode proposes in instance nextStart only when
-// there is something to decide:
+// demanded is the start rule inside the window: the engine proposes in
+// instance nextStart only when there is something to decide:
 //
 //	(a) a pending command that none of this process's proposals in
 //	    not-yet-applied instances carries, or
@@ -295,10 +255,10 @@ func (l *Engine) fill() {
 // Coverage is released at apply, not at decide: a decided batch waiting
 // for its predecessors still pins its commands in pending, and opening
 // another instance for them would order them twice. With deep queues (a)
-// always holds and the window stays full, exactly the FIFO schedule; an
-// idle cluster satisfies neither and decides nothing.
+// always holds and the window stays full; an idle cluster satisfies
+// neither and decides nothing.
 func (l *Engine) demanded() bool {
-	return !l.cfg.CanonicalBatches || l.uncovered > 0 || l.nextStart < l.named
+	return l.uncovered > 0 || l.nextStart < l.named
 }
 
 // Submit enqueues a client command for ordering. Commands are identified
@@ -322,17 +282,12 @@ func (l *Engine) enqueue(cmd types.Value) error {
 	if _, dup := l.pendingSet[cmd]; dup {
 		return nil
 	}
-	lane := 0
-	if l.cfg.CanonicalBatches {
-		if l.lanes == nil {
-			l.lanes = make([][]types.Value, l.cfg.Pipeline)
-		}
-		lane = laneOf(cmd, l.cfg.Pipeline)
-		k, _ := slices.BinarySearch(l.lanes[lane], cmd)
-		l.lanes[lane] = slices.Insert(l.lanes[lane], k, cmd)
-	} else {
-		l.pending = append(l.pending, cmd)
+	if l.lanes == nil {
+		l.lanes = make([][]types.Value, l.cfg.Pipeline)
 	}
+	lane := laneOf(cmd, l.cfg.Pipeline)
+	k, _ := slices.BinarySearch(l.lanes[lane], cmd)
+	l.lanes[lane] = slices.Insert(l.lanes[lane], k, cmd)
 	l.pendingSet[cmd] = lane
 	if l.inFlight[cmd] == 0 {
 		l.uncovered++
@@ -352,26 +307,14 @@ func (l *Engine) Close() { l.closed = true }
 func (l *Engine) SetRetirer(r Retirer) { l.retirer = r }
 
 // OnMessage implements proto.Handler: demultiplex to the instance engine.
-// With coalescing on, the relay fronts the dispatch — it consumes its
-// carrier frames (unpacking each vector entry back into the loose
-// message it replaces and feeding it to dispatch, where the MaxLead and
-// floor guards apply per entry exactly as they would per loose message)
-// and passively learns INIT values for the echo-by-hash cache.
+// The relay fronts the dispatch — it consumes its carrier frames
+// (unpacking each vector entry back into the loose message it replaces
+// and feeding it to dispatch, where the MaxLead and floor guards apply
+// per entry exactly as they would per loose message) and passively
+// learns INIT values for the echo-by-hash cache.
 func (l *Engine) OnMessage(from types.ProcID, m proto.Message) {
-	if l.relay != nil {
-		if l.relay.Inbound(from, m) {
-			return
-		}
-	} else {
-		switch m.Kind {
-		case proto.MsgRBVector, proto.MsgRBPull, proto.MsgRBPullResp:
-			// Coalescing off: the carrier kinds have no consumer here.
-			// They bypass proto.Node's first-message rule and carry
-			// Instance 0, so falling through would route them —
-			// undeduplicated — into a live core.Engine instance; drop
-			// them instead (mixed clusters, Byzantine senders).
-			return
-		}
+	if l.relay.Inbound(from, m) {
+		return
 	}
 	l.dispatch(from, m)
 }
@@ -399,10 +342,8 @@ func (l *Engine) dispatch(from types.ProcID, m proto.Message) {
 		return
 	}
 	l.named = max(l.named, i+1)
-	if l.cfg.CanonicalBatches {
-		l.learn(from, m)
-		l.fill()
-	}
+	l.learn(from, m)
+	l.fill()
 	inst := l.getInstance(i)
 	if inst == nil {
 		return
@@ -455,19 +396,13 @@ func (l *Engine) getInstance(i types.Instance) *instance {
 	// purely to give restarted peers their quorum. Gated on resumed:
 	// outside durable restarts this path is unreachable (engines for
 	// applied instances always exist until compacted, and compacted ones
-	// are dropped before dispatch), and the gate keeps the pre-existing
-	// digest-pinned schedules byte-identical.
+	// are dropped before dispatch).
 	backfill := l.resumed && i < l.applied
 	ecfg := l.cfg.Engine
-	base := l.cfg.Env
-	if l.relay != nil {
-		// The relay sits between the instance envs and the real
-		// environment, so every instance's ECHO/READY broadcasts land in
-		// the shared coalescing buffer (that sharing IS the
-		// cross-instance batching).
-		base = l.relay
-	}
-	ecfg.Env = &instEnv{base: base, id: i}
+	// The relay sits between the instance envs and the real environment,
+	// so every instance's ECHO/READY broadcasts land in the shared
+	// coalescing buffer (that sharing IS the cross-instance batching).
+	ecfg.Env = &instEnv{base: l.relay, id: i}
 	ecfg.BotMode = true
 	ecfg.Tracer = l.cfg.Tracer
 	ecfg.TraceInstance = i
@@ -499,7 +434,7 @@ func (l *Engine) startNext() {
 	if inst == nil {
 		return
 	}
-	batch := l.nextBatch(i)
+	batch := l.canonicalBatch(i)
 	inst.ownBatch = batch
 	inst.proposal = EncodeBatch(batch)
 	for _, c := range batch {
@@ -547,29 +482,8 @@ func (l *Engine) syncGauges(m *obs.LogMetrics) {
 	m.PipelineDepth.Set(int64(l.nextStart - l.applied))
 }
 
-// nextBatch selects the up to BatchSize pending commands this process
-// proposes in instance i. In FIFO mode it takes them in arrival order,
-// skipping commands already riding in one of this process's undecided
-// batches, which partitions the queue across the pipeline.
-func (l *Engine) nextBatch(i types.Instance) []types.Value {
-	if l.cfg.CanonicalBatches {
-		return l.canonicalBatch(i)
-	}
-	var batch []types.Value
-	for _, c := range l.pending {
-		if l.inFlight[c] > 0 {
-			continue
-		}
-		batch = append(batch, c)
-		if len(batch) >= l.cfg.BatchSize {
-			break
-		}
-	}
-	return batch
-}
-
-// canonicalBatch is the CanonicalBatches rule. Every pending command
-// belongs to lane laneOf(c) of Pipeline lanes; instance i's home lane is
+// canonicalBatch selects the up to BatchSize pending commands this
+// process proposes in instance i. Every pending command belongs to lane laneOf(c) of Pipeline lanes; instance i's home lane is
 // i mod Pipeline. The batch is the sorted head of the home lane, then —
 // while it is short of BatchSize — it spills into the sorted heads of
 // lanes home+1, home+2, … in turn.
@@ -628,9 +542,6 @@ func (l *Engine) onInstanceDecided(i types.Instance, v types.Value) {
 		return
 	}
 	l.decided[i] = v
-	if inst := l.insts[i]; inst != nil && !l.cfg.CanonicalBatches {
-		l.release(inst)
-	}
 	l.tryApply()
 }
 
@@ -682,9 +593,9 @@ func (l *Engine) tryApply() {
 			}
 		}
 		if inst := l.insts[i]; inst != nil {
-			// Canonical mode releases here: what the decision did not
-			// commit (⊥, or a peer's batch) is uncovered again and
-			// re-opens an instance below.
+			// Coverage ends at apply, not at decide: what the decision
+			// did not commit (⊥, or a peer's batch) is uncovered again
+			// and re-opens an instance below.
 			l.release(inst)
 		}
 		if l.cfg.OnApply != nil {
@@ -760,9 +671,7 @@ func (l *Engine) Compact(floor types.Instance) int {
 	if l.retirer != nil {
 		l.retirer.RetireInstancesBefore(floor)
 	}
-	if l.relay != nil {
-		l.relay.RetireInstancesBefore(floor)
-	}
+	l.relay.RetireInstancesBefore(floor)
 	return released
 }
 
@@ -796,9 +705,8 @@ func (l *Engine) Compact(floor types.Instance) int {
 //
 // After the jump the pipeline restarts at the boundary: nextStart moves
 // to max(nextStart, boundary) and fill proposes in what the start rule
-// allows there — the whole window in FIFO mode, the instances peers
-// already named in canonical mode — so the replica resumes proposing
-// with the cluster. Buffered decisions at or past the boundary then
+// allows there — the instances peers already named — so the replica
+// resumes proposing with the cluster. Buffered decisions at or past the boundary then
 // apply normally via tryApply.
 //
 // Errors: boundary must exceed the current apply point (stale snapshots
@@ -866,7 +774,7 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 	// in the client-broadcast model every command was submitted to all
 	// replicas, so anything genuinely uncommitted is still pending at the
 	// peers, which propose it.
-	l.pending, l.lanes = nil, nil
+	l.lanes = nil
 	l.pendingSet = make(map[types.Value]int)
 	l.uncovered = 0
 	l.applied = boundary
@@ -891,9 +799,7 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 	if l.retirer != nil {
 		l.retirer.RetireInstancesBefore(l.floor)
 	}
-	if l.relay != nil {
-		l.relay.RetireInstancesBefore(l.floor)
-	}
+	l.relay.RetireInstancesBefore(l.floor)
 	l.nextStart = max(l.nextStart, boundary)
 	l.fill()
 	l.tryApply()
@@ -959,18 +865,12 @@ func (l *Engine) Resume(boundary types.Instance, base int, retained []Entry) err
 	if l.retirer != nil {
 		l.retirer.RetireInstancesBefore(l.floor)
 	}
-	if l.relay != nil {
-		l.relay.RetireInstancesBefore(l.floor)
-	}
+	l.relay.RetireInstancesBefore(l.floor)
 	return nil
 }
 
-// Resumed reports whether this engine was realigned from durable state.
-func (l *Engine) Resumed() bool { return l.resumed }
-
 // removePending deletes c from the pending commands: a binary search in
-// its lane, or in FIFO mode a linear scan (batches are small and the
-// queue holds only uncommitted commands).
+// its lane.
 func (l *Engine) removePending(c types.Value) {
 	lane, ok := l.pendingSet[c]
 	if !ok {
@@ -980,17 +880,8 @@ func (l *Engine) removePending(c types.Value) {
 	if l.inFlight[c] == 0 {
 		l.uncovered--
 	}
-	if l.cfg.CanonicalBatches {
-		k, _ := slices.BinarySearch(l.lanes[lane], c)
-		l.lanes[lane] = slices.Delete(l.lanes[lane], k, k+1)
-		return
-	}
-	for k, p := range l.pending {
-		if p == c {
-			l.pending = append(l.pending[:k], l.pending[k+1:]...)
-			return
-		}
-	}
+	k, _ := slices.BinarySearch(l.lanes[lane], c)
+	l.lanes[lane] = slices.Delete(l.lanes[lane], k, k+1)
 }
 
 // Entries returns the retained committed-entry suffix (shared slice;
@@ -1019,7 +910,7 @@ func (l *Engine) InFlight() int { return int(l.nextStart - l.applied) }
 
 // Quiescent reports that the engine has nothing to decide: no pending
 // command, no own instance in flight, and no message named an instance
-// at or past the apply point. An idle canonical engine rests here, and a
+// at or past the apply point. An idle engine rests here, and a
 // frozen apply position then means "nothing was asked", not "stalled".
 func (l *Engine) Quiescent() bool {
 	return len(l.pendingSet) == 0 && l.nextStart == l.applied && l.named <= l.applied
@@ -1028,9 +919,9 @@ func (l *Engine) Quiescent() bool {
 // BatchSize returns the effective batch cap (default applied).
 func (l *Engine) BatchSize() int { return l.cfg.BatchSize }
 
-// Pipeline returns the effective pipeline depth (default applied). It
-// must agree across a cluster running CanonicalBatches, which is why
-// /statusz reports it.
+// Pipeline returns the effective pipeline depth and lane count (default
+// applied). It must agree across the cluster, which is why /statusz
+// reports it.
 func (l *Engine) Pipeline() int { return l.cfg.Pipeline }
 
 // NoOps returns how many applied instances committed nothing new
@@ -1072,8 +963,7 @@ func (l *Engine) Instance(i types.Instance) *core.Engine {
 // Instances returns the number of instantiated consensus engines.
 func (l *Engine) Instances() int { return len(l.insts) }
 
-// Relay exposes the coalescing relay for introspection (nil unless
-// Config.Coalesce was set).
+// Relay exposes the coalescing relay for introspection (never nil).
 func (l *Engine) Relay() *rb.Relay { return l.relay }
 
 // instEnv wraps the process environment for one instance: outgoing

@@ -51,6 +51,20 @@ func newTestEngine(t *testing.T, cfg Config) (*Engine, *stubEnv) {
 	return eng, env
 }
 
+// startFull starts eng with its whole window in flight: nothing is
+// pending, so a peer's message naming the window's last instance makes
+// it join them all (Engine.demanded (b)).
+func startFull(t *testing.T, eng *Engine) {
+	t.Helper()
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	eng.OnMessage(3, echoAt(types.Instance(eng.Pipeline())-1))
+	if eng.InFlight() != eng.Pipeline() {
+		t.Fatalf("%d instances in flight, want %d", eng.InFlight(), eng.Pipeline())
+	}
+}
+
 func TestSubmitIdempotent(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{})
 	if err := eng.Submit("a"); err != nil {
@@ -78,51 +92,6 @@ func TestStartTwice(t *testing.T) {
 	}
 	if err := eng.Start(); err == nil {
 		t.Fatal("second Start accepted")
-	}
-}
-
-func TestStartOpensPipelineInstances(t *testing.T) {
-	eng, env := newTestEngine(t, Config{Pipeline: 3})
-	if err := eng.Submit("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Instances() != 3 {
-		t.Fatalf("Start opened %d instances, want 3", eng.Instances())
-	}
-	// Every outgoing message must be stamped with an instance in [0, 3).
-	seen := map[types.Instance]bool{}
-	for _, m := range env.sent {
-		if m.Instance < 0 || m.Instance >= 3 {
-			t.Fatalf("message stamped with instance %v", m.Instance)
-		}
-		seen[m.Instance] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("traffic on %d instances, want 3", len(seen))
-	}
-}
-
-func TestInFlightCommandsNotReProposed(t *testing.T) {
-	eng, _ := newTestEngine(t, Config{Pipeline: 2, BatchSize: 8})
-	for _, c := range []types.Value{"a", "b"} {
-		if err := eng.Submit(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// Instance 0's batch carries a and b; instance 1 must not re-propose
-	// them while 0 is undecided.
-	i0, i1 := eng.insts[0], eng.insts[1]
-	if len(i0.ownBatch) != 2 {
-		t.Fatalf("instance 0 batch: %q", i0.ownBatch)
-	}
-	if len(i1.ownBatch) != 0 {
-		t.Fatalf("instance 1 re-proposed in-flight commands: %q", i1.ownBatch)
 	}
 }
 
@@ -154,7 +123,7 @@ func TestMaxLeadGuard(t *testing.T) {
 	if eng.DroppedAhead() != 1 {
 		t.Fatalf("far-ahead instance not dropped (drops=%d)", eng.DroppedAhead())
 	}
-	if eng.Instances() != 1 {
+	if eng.Instances() != 0 {
 		t.Fatalf("far-ahead instance instantiated an engine (insts=%d)", eng.Instances())
 	}
 	// Negative instances (impossible off the wire, but defensive).
@@ -163,33 +132,17 @@ func TestMaxLeadGuard(t *testing.T) {
 	if eng.DroppedAhead() != 2 {
 		t.Fatal("negative instance not dropped")
 	}
-	// In-window instances are accepted.
+	// In-window instances are accepted: instance 3 gets its engine (and
+	// instance 0 this process's proposal — the join rule).
 	m.Instance = 3
 	eng.OnMessage(2, m)
-	if eng.Instances() != 2 {
-		t.Fatal("in-window instance not instantiated")
-	}
-}
-
-func TestUncoalescedEngineDropsCarrierKinds(t *testing.T) {
-	eng, _ := newTestEngine(t, Config{Pipeline: 1}) // Coalesce off
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	before := eng.Instances()
-	// The carrier kinds bypass proto.Node dedup and carry Instance 0; an
-	// uncoalesced engine must drop them, not route them into instance 0.
-	for _, k := range []proto.MsgKind{proto.MsgRBVector, proto.MsgRBPull, proto.MsgRBPullResp} {
-		eng.OnMessage(2, proto.Message{Kind: k, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: "junk"})
-	}
-	if eng.Instances() != before || eng.DroppedAhead() != 0 || eng.DroppedRetired() != 0 {
-		t.Fatalf("carrier kinds routed: insts=%d ahead=%d retired=%d",
-			eng.Instances(), eng.DroppedAhead(), eng.DroppedRetired())
+	if eng.Instance(3) == nil || eng.Instances() != 2 {
+		t.Fatalf("in-window instance not instantiated (insts=%d)", eng.Instances())
 	}
 }
 
 func TestCoalescedEngineWindowGuardsRelayState(t *testing.T) {
-	eng, _ := newTestEngine(t, Config{Pipeline: 1, MaxLead: 8, Coalesce: true})
+	eng, _ := newTestEngine(t, Config{Pipeline: 1, MaxLead: 8})
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +175,17 @@ func TestCoalescedEngineWindowGuardsRelayState(t *testing.T) {
 
 func TestCloseStopsNewInstances(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{Pipeline: 2})
+	if err := eng.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
-	// Deciding instance 0 would normally start instance 2.
-	eng.onInstanceDecided(0, EncodeBatch(nil))
-	if eng.Instances() != 2 {
+	// Instance 0 deciding ⊥ leaves "a" uncovered, which would normally
+	// start instance 1.
+	eng.onInstanceDecided(0, types.BotValue)
+	if eng.Instances() != 1 {
 		t.Fatalf("closed engine opened a new instance (insts=%d)", eng.Instances())
 	}
 	if eng.Applied() != 1 {
@@ -329,9 +286,7 @@ func TestCompactRetiresWholesale(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{Pipeline: 4})
 	rec := &retireRecorder{}
 	eng.SetRetirer(rec)
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
+	startFull(t, eng)
 	eng.onInstanceDecided(0, EncodeBatch([]types.Value{"a", "b"}))
 	eng.onInstanceDecided(1, EncodeBatch([]types.Value{"c"}))
 	eng.onInstanceDecided(2, EncodeBatch([]types.Value{"d"}))
@@ -382,9 +337,7 @@ func TestCompactClampsToApplied(t *testing.T) {
 
 func TestCompactDropsRetiredInstanceTraffic(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{Pipeline: 2})
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
+	startFull(t, eng)
 	eng.onInstanceDecided(0, EncodeBatch([]types.Value{"a"}))
 	eng.Compact(1)
 	m := proto.Message{
@@ -500,6 +453,8 @@ func TestInstallSnapshotJumpsAndSeeds(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// The cluster is already at instance 11: a peer named it.
+	eng.OnMessage(3, echoAt(11))
 	// Snapshot covers 5 entries through instance 10; the retained window
 	// holds the last two ("a" committed at i8, "b" at i9).
 	retained := installRetained(5, pair(8, "a"), pair(9, "b"))
@@ -515,7 +470,7 @@ func TestInstallSnapshotJumpsAndSeeds(t *testing.T) {
 	if got := eng.EntriesBase(); got != 3 {
 		t.Fatalf("entriesBase=%d, want 3", got)
 	}
-	// The pipeline reopened at the boundary.
+	// The pipeline reopened at the boundary, in the instances peers named.
 	if eng.insts[10] == nil || eng.insts[11] == nil {
 		t.Fatal("pipeline not reopened at boundary")
 	}
@@ -538,9 +493,7 @@ func TestInstallSnapshotJumpsAndSeeds(t *testing.T) {
 
 func TestInstallSnapshotHaltsRetiredInstances(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{Pipeline: 2})
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
+	startFull(t, eng)
 	i0 := eng.Instance(0)
 	if err := eng.InstallSnapshot(6, 3, nil); err != nil {
 		t.Fatal(err)
@@ -592,6 +545,7 @@ func TestInstallSnapshotClosesAtTarget(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
+	eng.OnMessage(3, echoAt(9)) // a named instance: joined, unless closed
 	if err := eng.InstallSnapshot(9, 5, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +553,7 @@ func TestInstallSnapshotClosesAtTarget(t *testing.T) {
 		t.Fatal("engine open past Target after install")
 	}
 	// No proposals into instances nobody else will run.
-	if eng.insts[9] != nil {
+	if eng.insts[9].proposal != "" {
 		t.Fatal("closed engine reopened the pipeline")
 	}
 }
@@ -649,11 +603,11 @@ func depthCmds(depths ...int) []types.Value {
 	return out
 }
 
-// canonicalEngine builds a canonical-mode engine (never started) holding
-// cmds, submitted in the order given.
+// canonicalEngine builds an engine (never started) holding cmds,
+// submitted in the order given.
 func canonicalEngine(t *testing.T, batch, pipeline int, cmds []types.Value) *Engine {
 	t.Helper()
-	eng, _ := newTestEngine(t, Config{CanonicalBatches: true, BatchSize: batch, Pipeline: pipeline})
+	eng, _ := newTestEngine(t, Config{BatchSize: batch, Pipeline: pipeline})
 	for _, c := range cmds {
 		if err := eng.Submit(c); err != nil {
 			t.Fatal(err)
@@ -689,11 +643,11 @@ func TestLaneOfIsPinned(t *testing.T) {
 	}
 }
 
-// TestCanonicalBatches: engines that received the same commands in
+// TestCanonicalBatchIgnoresArrivalOrder: engines that received the same commands in
 // different arrival orders propose identical batches in every instance
 // (the liveness requirement of live clusters, where forwarded commands
 // arrive at each replica in transport order).
-func TestCanonicalBatches(t *testing.T) {
+func TestCanonicalBatchIgnoresArrivalOrder(t *testing.T) {
 	cmds := depthCmds(7, 0, 3, 12)
 	a := canonicalEngine(t, 5, 4, cmds)
 	for seed := int64(1); seed <= 3; seed++ {
@@ -703,7 +657,7 @@ func TestCanonicalBatches(t *testing.T) {
 		})
 		b := canonicalEngine(t, 5, 4, shuffled)
 		for i := types.Instance(0); i < 9; i++ {
-			if ba, bb := a.nextBatch(i), b.nextBatch(i); !slices.Equal(ba, bb) {
+			if ba, bb := a.canonicalBatch(i), b.canonicalBatch(i); !slices.Equal(ba, bb) {
 				t.Fatalf("seed %d instance %v: %q vs %q", seed, i, ba, bb)
 			}
 		}
@@ -732,21 +686,21 @@ func TestCanonicalBatchHomeLaneThenSpill(t *testing.T) {
 		5: lanes[1][:6],                          // i mod Pipeline, not i
 		6: from3,
 	} {
-		if got := eng.nextBatch(i); !slices.Equal(got, want) {
+		if got := eng.canonicalBatch(i); !slices.Equal(got, want) {
 			t.Errorf("instance %v proposes %q, want %q", i, got, want)
 		}
 	}
 }
 
-// TestCanonicalBatchesDisjointAtDepth: with every lane at least BatchSize
+// TestCanonicalBatchDisjointAtDepth: with every lane at least BatchSize
 // deep, the Pipeline instances in flight carry pairwise disjoint batches
 // — the pipeline orders P batches, not one batch P times.
-func TestCanonicalBatchesDisjointAtDepth(t *testing.T) {
+func TestCanonicalBatchDisjointAtDepth(t *testing.T) {
 	eng := canonicalEngine(t, 8, 4, depthCmds(8, 9, 10, 11))
 	for _, first := range []types.Instance{0, 6} {
 		seen := map[types.Value]types.Instance{}
 		for i := first; i < first+4; i++ {
-			batch := eng.nextBatch(i)
+			batch := eng.canonicalBatch(i)
 			if len(batch) != 8 {
 				t.Fatalf("instance %v carries %d commands, want 8", i, len(batch))
 			}
@@ -770,7 +724,7 @@ func TestCanonicalBatchShallowCarriesEverything(t *testing.T) {
 		want := slices.Clone(set)
 		slices.Sort(want)
 		for i := types.Instance(0); i < 8; i++ {
-			got := eng.nextBatch(i)
+			got := eng.canonicalBatch(i)
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%d pending: instance %v carries %q", len(set), i, got)
@@ -787,7 +741,7 @@ func TestCanonicalBatchOneLaneSkew(t *testing.T) {
 	eng := canonicalEngine(t, 8, 4, cmds)
 	slices.Sort(cmds)
 	for i := types.Instance(0); i < 8; i++ {
-		if got := eng.nextBatch(i); !slices.Equal(got, cmds[:8]) {
+		if got := eng.canonicalBatch(i); !slices.Equal(got, cmds[:8]) {
 			t.Fatalf("instance %v carries %q, want %q", i, got, cmds[:8])
 		}
 	}
@@ -798,7 +752,7 @@ func TestCanonicalBatchOneLaneSkew(t *testing.T) {
 // must not depend on it.
 func TestCanonicalBatchIgnoresInFlight(t *testing.T) {
 	eng := canonicalEngine(t, 4, 2, depthCmds(6, 6))
-	before := [][]types.Value{eng.nextBatch(2), eng.nextBatch(3)}
+	before := [][]types.Value{eng.canonicalBatch(2), eng.canonicalBatch(3)}
 	if err := eng.Start(); err != nil { // instances 0 and 1 now in flight
 		t.Fatal(err)
 	}
@@ -806,13 +760,13 @@ func TestCanonicalBatchIgnoresInFlight(t *testing.T) {
 		t.Fatalf("in-flight batches %q / %q, want %q / %q", eng.insts[0].ownBatch, eng.insts[1].ownBatch, before[0], before[1])
 	}
 	for k, i := range []types.Instance{2, 3} {
-		if got := eng.nextBatch(i); !slices.Equal(got, before[k]) {
+		if got := eng.canonicalBatch(i); !slices.Equal(got, before[k]) {
 			t.Fatalf("instance %v: %q with instances in flight, %q without", i, got, before[k])
 		}
 	}
 	// Deciding one frees its lane's head; the other lane's batch stays.
 	eng.onInstanceDecided(0, EncodeBatch(before[0]))
-	if got := eng.nextBatch(3); !slices.Equal(got, before[1]) {
+	if got := eng.canonicalBatch(3); !slices.Equal(got, before[1]) {
 		t.Fatalf("instance 3 after instance 0 committed: %q, want %q", got, before[1])
 	}
 	if got := eng.insts[2].ownBatch; len(got) != 4 || slices.ContainsFunc(got, func(c types.Value) bool { return slices.Contains(before[0], c) }) {
@@ -836,36 +790,16 @@ func TestCanonicalPendingBookkeeping(t *testing.T) {
 	if eng.Pending() != 4 || eng.Committed() != 2 {
 		t.Fatalf("pending=%d committed=%d, want 4 and 2", eng.Pending(), eng.Committed())
 	}
-	if got := eng.nextBatch(5); len(got) != 4 || slices.Contains(got, cmds[1]) {
+	if got := eng.canonicalBatch(5); len(got) != 4 || slices.Contains(got, cmds[1]) {
 		t.Fatalf("batch after commit: %q", got)
 	}
 	if err := eng.InstallSnapshot(10, 5, nil); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Pending() != 0 || len(eng.nextBatch(12)) != 0 {
-		t.Fatalf("install kept %d pending (batch %q)", eng.Pending(), eng.nextBatch(12))
+	if eng.Pending() != 0 || len(eng.canonicalBatch(12)) != 0 {
+		t.Fatalf("install kept %d pending (batch %q)", eng.Pending(), eng.canonicalBatch(12))
 	}
-	if err := eng.Submit("later"); err != nil || eng.Pending() != 1 || len(eng.nextBatch(12)) != 1 {
+	if err := eng.Submit("later"); err != nil || eng.Pending() != 1 || len(eng.canonicalBatch(12)) != 1 {
 		t.Fatalf("submit after install: err=%v pending=%d", err, eng.Pending())
-	}
-}
-
-// TestFIFOBatches: default (FIFO) selection keeps arrival order and
-// partitions the queue across in-flight batches: digest-pinned
-// simulation runs must not change shape.
-func TestFIFOBatches(t *testing.T) {
-	f, _ := newTestEngine(t, Config{BatchSize: 2})
-	for _, c := range []types.Value{"cmd-c", "cmd-a", "cmd-b"} {
-		if err := f.Submit(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if batch := f.nextBatch(0); batch[0] != "cmd-c" || batch[1] != "cmd-a" {
-		t.Fatalf("FIFO selection changed: %v", batch)
-	}
-	f.inFlight["cmd-c"]++
-	f.inFlight["cmd-a"]++
-	if batch := f.nextBatch(1); len(batch) != 1 || batch[0] != "cmd-b" {
-		t.Fatalf("FIFO partition = %v, want [cmd-b]", batch)
 	}
 }

@@ -63,7 +63,6 @@ func TestCanonicalLanesConvergeUnderSkew(t *testing.T) {
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
 			cfg := Config{
 				Env: env, BatchSize: batch, Pipeline: pipeline, Target: total,
-				CanonicalBatches: true, Coalesce: true,
 				OnCommit: func(e Entry) { logs[id] = append(logs[id], e) },
 			}
 			cfg.Engine.TimeUnit = types.Duration(10 * time.Millisecond)

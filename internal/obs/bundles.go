@@ -65,7 +65,8 @@ func NewLogMetrics(r *Registry, labels string) *LogMetrics {
 type SMMetrics struct {
 	// Applies counts committed entries fed to the machine; Snapshots the
 	// snapshots taken and SnapshotBytes their encoded sizes; Recoveries
-	// successful crash-recoveries; Installs adopted peer snapshots.
+	// durable boots that restored state from the replica's own store
+	// (sm.Boot); Installs adopted peer snapshots.
 	Applies       *Counter
 	Snapshots     *Counter
 	SnapshotBytes *Counter

@@ -52,9 +52,10 @@ type Config struct {
 	// entry and New boots from the medium (a no-op when it is fresh).
 	Persist store.Persister
 	// Log carries the engine knobs (Engine, BatchSize, Pipeline, MaxLead,
-	// Target, CanonicalBatches, Coalesce, …). Env, OnCommit, OnApply,
-	// OnDroppedAhead and Tracer are set by New, and so are Metrics and
-	// Engine.RBMetrics when Obs is non-nil.
+	// Target): there is one engine, so simulator and node differ in
+	// nothing else here. Env, OnCommit, OnApply, OnDroppedAhead and Tracer
+	// are set by New, and so are Metrics and Engine.RBMetrics when Obs is
+	// non-nil.
 	Log log.Config
 	// SnapshotEvery is the applier's snapshot cadence in entries (0 =
 	// off); SnapshotRefresh re-stamps the snapshot every so many applied

@@ -46,10 +46,6 @@ func config(env proto.Env, persist store.Persister, onCommit func(log.Entry)) re
 	cfg.Log.BatchSize = 4
 	cfg.Log.Pipeline = 2
 	cfg.Log.Target = len(workload())
-	// Arrival order differs per replica on real time; canonical batches
-	// keep proposals a function of the pending set (the live setting).
-	cfg.Log.CanonicalBatches = true
-	cfg.Log.Coalesce = true
 	cfg.Log.Engine.TimeUnit = types.Duration(10 * time.Millisecond)
 	return cfg
 }
@@ -263,7 +259,6 @@ func TestCommandlessInstancesStayCompacted(t *testing.T) {
 				TransferProbe:   2 * time.Second,
 			}
 			cfg.Log.BatchSize, cfg.Log.Pipeline = 16, 4
-			cfg.Log.CanonicalBatches, cfg.Log.Coalesce = true, true
 			cfg.Log.Engine.TimeUnit = types.Duration(50 * time.Millisecond)
 			rep, err := replica.New(cfg)
 			if err != nil {

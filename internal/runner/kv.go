@@ -66,28 +66,23 @@ type KVSpec struct {
 	// boundary (echo service margin for mildly lagging peers; default
 	// replica.DefaultCompactKeep).
 	CompactKeep types.Instance
-	// RecoverAt schedules crash-recoveries: at each mapped virtual time
-	// the process discards its live state and rebuilds it from its latest
-	// snapshot plus the retained log suffix (sm.Applier.Recover).
-	RecoverAt map[types.ProcID]types.Time
 	// Durable attaches a per-replica durable store (store.Memory) to
 	// every correct replica: committed entries are write-ahead logged,
 	// applied boundaries marked, and snapshots stamped (sm.Config.Persist)
 	// before application proceeds, so a simulated crash-restart can
-	// rebuild the replica from its own "disk" (sm.Boot). Off by default —
-	// with it off the stack runs the exact pre-persistence code path.
+	// rebuild the replica from its own "disk" (sm.Boot). Off by default.
 	Durable bool
 	// CrashRestart schedules simulated power failures: at each mapped
 	// virtual time the process is powered off (harness.World.Kill — its
 	// dispatcher drops, outbound sends are fenced, pending timer callbacks
 	// are voided) and RestartDelay later rebuilt as a FRESH incarnation
 	// that boots from its durable store (replica.New over the same
-	// store.Memory), not from a peer snapshot transfer. Requires Durable. Unlike
-	// RecoverAt, which rebuilds only the applier in place, this loses ALL
-	// volatile state: engine, dedup dispatcher, transfer layer, timers.
-	// The rebooted incarnation re-submits the whole workload (commit
-	// dedup drops what already landed) because the crashed incarnation's
-	// pending commands died with it.
+	// store.Memory), not from a peer snapshot transfer. Requires Durable.
+	// The crash loses ALL volatile state: machine, engine, dedup
+	// dispatcher, transfer layer, timers. The rebooted incarnation
+	// re-submits the whole workload (commit dedup drops what already
+	// landed) because the crashed incarnation's pending commands died
+	// with it.
 	CrashRestart map[types.ProcID]types.Time
 	// RestartDelay is the downtime between power-off and reboot
 	// (default 25ms of virtual time).
@@ -97,8 +92,7 @@ type KVSpec struct {
 	// instances behind fetches a corroborated peer snapshot and resumes
 	// from its boundary instead of stalling forever. Requires
 	// SnapshotEvery > 0 (there must be snapshots to serve). Off by
-	// default: the transfer layer arms probe timers and can inject
-	// request/response traffic, which perturbs digest-pinned schedules.
+	// default.
 	Transfer bool
 	// TransferRetry and TransferProbe override sm.TransferConfig's
 	// RetryEvery/StallProbe cadences (0 = the sm defaults).
@@ -143,8 +137,10 @@ type KVResult struct {
 	// SnapshotLog records every snapshot each correct process took, in
 	// order (Index/Instance/Digest; Data omitted).
 	SnapshotLog map[types.ProcID][]sm.Snapshot
-	// RecoverErrs records failed Recover calls (nil entries are success).
-	RecoverErrs map[types.ProcID]error
+	// ApplierErrs records the correct processes whose applier ended the
+	// run poisoned (sm.Applier.Err: a failed install, boot or persist
+	// write) — replicas that stopped applying.
+	ApplierErrs map[types.ProcID]error
 	// Transfers maps each correct process to the sm.Transfer layer's
 	// install count (snapshots adopted from peers); TransferServed counts
 	// snapshots it served to peers. Both empty unless KVSpec.Transfer.
@@ -353,7 +349,7 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		Appliers:       make(map[types.ProcID]*sm.Applier),
 		StateDigests:   make(map[types.ProcID][32]byte),
 		SnapshotLog:    make(map[types.ProcID][]sm.Snapshot),
-		RecoverErrs:    make(map[types.ProcID]error),
+		ApplierErrs:    make(map[types.ProcID]error),
 		Transfers:      make(map[types.ProcID]int),
 		TransferServed: make(map[types.ProcID]int),
 		Covered:        make(map[types.ProcID]int),
@@ -462,18 +458,6 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 			for k, c := range encoded {
 				env.SetTimer(types.Duration(k)*spec.SubmitEvery, func() { _ = eng.Submit(c) })
 			}
-			if at, ok := spec.RecoverAt[id]; ok && !reboot {
-				env.SetTimer(types.Duration(at), func() {
-					if err := app.Recover(eng.Entries()); err != nil {
-						res.RecoverErrs[id] = err
-						return
-					}
-					env.Trace().Emit(trace.Event{
-						At: env.Now(), Kind: trace.KindKVRecover, Proc: id,
-						Aux: fmt.Sprintf("replayed-to=%d", app.Applied()),
-					})
-				})
-			}
 			// A Start failure is the engine's sticky Err, surfaced after
 			// the run.
 			env.SetTimer(0, func() { _ = eng.Start() })
@@ -532,10 +516,8 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 	for _, id := range res.Correct {
 		if app := res.Appliers[id]; app != nil {
 			res.StateDigests[id] = app.StateDigest()
-			if err := app.Err(); err != nil && res.RecoverErrs[id] == nil {
-				// A poisoned applier (failed Recover after state mutation)
-				// stopped applying; surface it as a recovery failure.
-				res.RecoverErrs[id] = err
+			if err := app.Err(); err != nil {
+				res.ApplierErrs[id] = err
 			}
 		}
 		if tr := trs[id]; tr != nil {

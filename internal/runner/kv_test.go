@@ -143,6 +143,20 @@ func TestKVClientRetriesStayExactlyOnce(t *testing.T) {
 			cmds = append(cmds, retry)
 		}
 	}
+	// Content dedup absorbs a byte-identical retry before the session
+	// layer sees it, and a re-encoded mid-workload retry usually lands as
+	// stale (its client has moved on). A re-encoded retry of each client's
+	// FINAL command is the guaranteed cache hit: nothing later advances
+	// the watermark, so whichever copy applies second is a duplicate.
+	last := make(map[uint64]kv.Command)
+	for _, c := range base {
+		last[c.Client] = c
+	}
+	for client := uint64(1); client <= 3; client++ {
+		retry := last[client]
+		retry.Val += "#tail-retry"
+		cmds = append(cmds, retry)
+	}
 	spec := kvSpec(4, 1, 5)
 	spec.Commands = cmds
 	spec.Log.BatchSize = 4
@@ -181,25 +195,34 @@ func TestKVClientRetriesStayExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestKVRecoverMidRun: a replica loses power mid-run with compaction on
+// and NO transfer layer to fall back on, and recovers from its own store
+// alone — stamped snapshot plus write-ahead suffix — while the others
+// never notice.
 func TestKVRecoverMidRun(t *testing.T) {
 	spec := kvSpec(4, 80, 7)
 	spec.SnapshotEvery = 8
 	spec.Compact = true
 	spec.SubmitEvery = types.Duration(time.Millisecond)
-	spec.RecoverAt = map[types.ProcID]types.Time{2: types.Time(60 * time.Millisecond)}
+	spec.Durable = true
+	spec.CrashRestart = map[types.ProcID]types.Time{2: types.Time(150 * time.Millisecond)}
+	spec.RestartDelay = types.Duration(4 * time.Millisecond)
 	res, err := RunKV(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.RecoverErrs[2]; err != nil {
+	if err := res.BootErrs[2]; err != nil {
 		t.Fatalf("recover failed: %v", err)
 	}
-	if res.Appliers[2].Recoveries() != 1 {
-		t.Fatal("recovery did not run")
+	if st := res.Boots[2]; !st.HadSnapshot || st.Boundary == 0 {
+		t.Fatalf("recovery did not run from a snapshot: %+v", st)
 	}
-	if !res.AllCommitted(80) || !res.Consistent() || !res.StatesAgree() {
-		t.Fatalf("post-recovery run degraded: committed=%d consistent=%v states=%v",
-			res.MinCommitted(), res.Consistent(), res.StatesAgree())
+	if len(res.ApplierErrs) != 0 {
+		t.Fatalf("poisoned appliers: %v", res.ApplierErrs)
+	}
+	if !res.CoveredAll() || !res.Consistent() || !res.StatesAgree() {
+		t.Fatalf("post-recovery run degraded: covered=%v consistent=%v states=%v",
+			res.Covered, res.Consistent(), res.StatesAgree())
 	}
 }
 
@@ -371,7 +394,10 @@ func TestKVCrashRestart(t *testing.T) {
 		spec.SnapshotEvery = 8
 		spec.Durable = true
 		spec.Transfer = true
-		spec.CrashRestart = map[types.ProcID]types.Time{2: types.Time(40 * time.Millisecond)}
+		// 150 ms is mid-stream: about six of the run's fourteen instances
+		// are applied and a snapshot is stamped, so the store has both to
+		// give back.
+		spec.CrashRestart = map[types.ProcID]types.Time{2: types.Time(150 * time.Millisecond)}
 		spec.RestartDelay = types.Duration(4 * time.Millisecond)
 		spec.Obs = obs.NewRegistry()
 		res, err := RunKV(spec)
@@ -392,8 +418,8 @@ func TestKVCrashRestart(t *testing.T) {
 		if !ok {
 			t.Fatalf("seed %d: replica 2 never rebooted", seed)
 		}
-		if st.Boundary == 0 {
-			t.Fatalf("seed %d: reboot recovered nothing (boundary 0) — crash landed before any commit", seed)
+		if st.Boundary == 0 || !st.HadSnapshot {
+			t.Fatalf("seed %d: reboot recovered %+v — crash landed before the store held a boundary and a snapshot", seed, st)
 		}
 		if !res.CoveredAll() {
 			t.Fatalf("seed %d: coverage incomplete after restart: %v of %d", seed, res.Covered, res.Distinct)
@@ -523,8 +549,6 @@ func TestKVPipelineOrdersDistinctBatches(t *testing.T) {
 	spec.Commands = kvWorkload(cmds, 16, 64)
 	spec.Log.BatchSize = batch
 	spec.Log.Pipeline = pipeline
-	spec.Log.CanonicalBatches = true
-	spec.Log.Coalesce = true
 	res, err := RunKV(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/runner"
+	"repro/internal/trace"
 )
 
 // kvGoldenScenarios is the curated slice used by the session-semantics
@@ -241,8 +243,10 @@ func TestCrashRestartScenariosSweep(t *testing.T) {
 // the severed replica completes a CHUNKED snapshot download (state past
 // TransferInlineMax — chunk frames are only ever emitted for manifest
 // transfers) while the adversary destroys every 2nd chunk frame, via
-// the retry path's range re-requests. The drop counter proves the loss
-// episode actually bit.
+// the retry path's range re-requests. The scenario's own property blocks
+// are the assertions: KV-Transfer (a snapshot was installed, under
+// MaxLead pressure, and the states converged) and KV-ChunkLoss (the drop
+// counter proves the loss episode actually bit).
 func TestChunkLossScenarioSweep(t *testing.T) {
 	s, ok := Get("transfer-chunk-loss")
 	if !ok {
@@ -260,26 +264,10 @@ func TestChunkLossScenarioSweep(t *testing.T) {
 		if !o.Pass {
 			t.Fatalf("seed %d failed:\n%v", seed, o.Report.Violations)
 		}
-		spec, err := p.kvRunnerSpec(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := runner.RunKV(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Transfers[1] == 0 {
-			t.Fatalf("seed %d: severed replica installed no snapshot", seed)
-		}
-		if res.Engines[1].DroppedAhead() == 0 {
-			t.Fatalf("seed %d: no MaxLead pressure — replay was not impossible", seed)
-		}
-		cl := chunkLossIn(spec.Adv)
-		if cl == nil {
-			t.Fatalf("seed %d: no ChunkLoss adversary materialized", seed)
-		}
-		if cl.Dropped == 0 {
-			t.Fatalf("seed %d: chunk-loss episode never destroyed a frame", seed)
+		for _, family := range []string{"kv-transfer", "kv-chunk-loss"} {
+			if o.Report.Checked[family] == 0 {
+				t.Fatalf("seed %d: property %s was not evaluated", seed, family)
+			}
 		}
 	}
 }
@@ -300,6 +288,49 @@ func TestDurableScenariosDeterministic(t *testing.T) {
 		}
 		if a.Digest != b.Digest {
 			t.Fatalf("%s digest not reproducible:\n  %s\n  %s", name, a.Digest, b.Digest)
+		}
+	}
+}
+
+// TestKVIdleBurst: kv-idle-burst submits one command every 500 ms while
+// a Byzantine process names instances 0..63 during the first 640 ms. The
+// correct replicas must join every named instance (each needs their n−t
+// proposals to terminate) and open one more per later command — and
+// nothing else: for the 400 ms before each of the last three commands
+// the trace is empty, not one message or timer of any process. A cluster
+// that kept its window full would apply hundreds of instances here.
+func TestKVIdleBurst(t *testing.T) {
+	const named = 64 // adversary.HashEquivocation frames in Fault.Behavior
+	for _, seed := range []int64{1, 3, 7} {
+		res := runKVSpec(t, "kv-idle-burst", seed)
+		if !res.CoveredAll() || !res.Consistent() || !res.StatesAgree() {
+			t.Fatalf("seed %d: covered=%v consistent=%v states=%v", seed, res.Covered, res.Consistent(), res.StatesAgree())
+		}
+		cmds := res.Distinct
+		for _, id := range res.Correct {
+			eng := res.Engines[id]
+			if a := int(eng.Applied()); a < named || a > named+cmds {
+				t.Errorf("seed %d: replica %v applied %d instances, want the %d named plus at most one per command (%d)",
+					seed, id, a, named, cmds)
+			}
+			if eng.InFlight() != 0 || eng.Pending() != 0 {
+				t.Errorf("seed %d: replica %v ended with %d in flight, %d pending", seed, id, eng.InFlight(), eng.Pending())
+			}
+		}
+		noise := 0
+		res.Log.ForEach(func(ev trace.Event) {
+			at := time.Duration(ev.At)
+			for k := cmds - 3; k < cmds; k++ {
+				submit := time.Duration(k) * 500 * time.Millisecond
+				if at >= submit-400*time.Millisecond && at < submit {
+					if noise++; noise == 1 {
+						t.Errorf("seed %d: %v at %v, inside the idle gap before command %d", seed, ev.Kind, at, k)
+					}
+				}
+			}
+		})
+		if noise > 1 {
+			t.Errorf("seed %d: %d events inside the idle gaps", seed, noise)
 		}
 	}
 }

@@ -34,7 +34,6 @@ func Random(seed int64) Spec {
 			Commands:  8 + rng.Intn(17), // 8..24
 			BatchSize: []int{4, 8, 16}[rng.Intn(3)],
 			Pipeline:  []int{1, 2, 4}[rng.Intn(3)],
-			Coalesce:  rng.Intn(2) == 0,
 		}
 		s.M = 1
 	case 2:
@@ -52,7 +51,6 @@ func Random(seed int64) Spec {
 			s.Work.Compact = rng.Intn(2) == 0
 			s.Work.CompactKeep = 2
 		}
-		s.Work.Coalesce = rng.Intn(2) == 0
 		s.M = 1
 	default:
 		s.Work = Work{Kind: WorkConsensus, BotMode: rng.Intn(3) == 0}

@@ -232,38 +232,32 @@ var registry = []Spec{
 		ExpectTermination: true,
 	},
 
-	// --- Coalesced-relay log workloads (rb.Relay fast path) -------------
-	// The same total-order properties as the log-* family, with the
-	// message-coalescing relay ON — pinning that vector framing,
-	// echo-by-hash and the pull path reproduce byte-identical commits
-	// under hostile schedules and a vector-forging adversary.
+	// --- Relay-hostile log workloads (rb.Relay) --------------------------
+	// The same total-order properties as the log-* family under the
+	// schedules and the adversary that stress the coalescing relay —
+	// pinning that vector framing, echo-by-hash and the pull path
+	// reproduce byte-identical commits there. (Every log/KV scenario runs
+	// the relay; these are the ones aimed at it.)
 	{
-		Name: "rb-coalesce-async", Desc: "n=4 coalesced log, fully asynchronous (safety only)",
+		Name: "rb-coalesce-async", Desc: "n=4 log, fully asynchronous (safety only)",
 		N: 4, T: 1, M: 1,
 		Net:  Net{Kind: NetAsync},
-		Work: Work{Kind: WorkLog, Commands: 16, Coalesce: true},
+		Work: Work{Kind: WorkLog, Commands: 16},
 	},
 	{
-		Name: "rb-coalesce-bisource", Desc: "n=4 coalesced log, minimal bisource, one silent replica",
+		Name: "rb-coalesce-bisource", Desc: "n=4 log, minimal bisource, one silent replica",
 		N: 4, T: 1, M: 1,
 		Faults:            []Fault{{Kind: FaultSilent}},
 		Net:               Net{Kind: NetBisource},
-		Work:              Work{Kind: WorkLog, Commands: 16, Coalesce: true},
+		Work:              Work{Kind: WorkLog, Commands: 16},
 		ExpectTermination: true,
 	},
 	{
-		Name: "rb-coalesce-partition", Desc: "n=4 coalesced log across a healing partition",
-		N: 4, T: 1, M: 1,
-		Net:               Net{Kind: NetEventual, GST: 100 * time.Millisecond, PartitionCut: 2},
-		Work:              Work{Kind: WorkLog, Commands: 16, Coalesce: true},
-		ExpectTermination: true,
-	},
-	{
-		Name: "rb-coalesce-hashspam", Desc: "n=4 coalesced log vs forged-vector hash equivocation",
+		Name: "rb-coalesce-hashspam", Desc: "n=4 log vs forged-vector hash equivocation",
 		N: 4, T: 1, M: 1,
 		Faults:            []Fault{{Kind: FaultHashEquivocate}},
 		Net:               Net{Kind: NetFull},
-		Work:              Work{Kind: WorkLog, Commands: 24, Coalesce: true},
+		Work:              Work{Kind: WorkLog, Commands: 24},
 		ExpectTermination: true,
 	},
 
@@ -302,14 +296,14 @@ var registry = []Spec{
 		ExpectTermination: true,
 	},
 	{
-		Name: "kv-snapshot-recover", Desc: "n=4 KV, one replica crash-recovers from its snapshot mid-run",
+		Name: "kv-snapshot-recover", Desc: "n=4 KV, one replica crash-recovers from its stamped snapshot + WAL suffix mid-run",
 		N: 4, T: 1, M: 1,
 		Net: Net{Kind: NetFull},
 		Work: Work{
 			Kind: WorkKV, Commands: 48, BatchSize: 4,
 			SnapshotEvery: 6, Compact: true, CompactKeep: 2,
 			SubmitEvery: time.Millisecond,
-			RecoverAt:   60 * time.Millisecond,
+			Durable:     true, CrashRestartAt: 300 * time.Millisecond, RestartDelay: 4 * time.Millisecond,
 		},
 		ExpectTermination: true,
 	},
@@ -331,6 +325,26 @@ var registry = []Spec{
 		Work: Work{
 			Kind: WorkKV, Commands: 120, BatchSize: 4, Pipeline: 2,
 			SnapshotEvery: 8, Compact: true, CompactKeep: 2,
+		},
+		ExpectTermination: true,
+	},
+
+	// --- Demand-driven starts: idle, then a burst ------------------------
+	// One command every 500 ms, each a burst of its own (the workload
+	// vocabulary has one uniform SubmitEvery). For its 64 frames — 640 ms,
+	// through the first two commands — the Byzantine process names an
+	// instance every 10 ms and the join rule makes the correct replicas
+	// propose in each; every later command then finds a cluster silent for
+	// longer than any timer and must open exactly the instance it needs.
+	// TestKVIdleBurst counts the instances and checks the silences.
+	{
+		Name: "kv-idle-burst", Desc: "n=4 KV: lone commands 500 ms apart into an idle cluster while a hash-equivocator names 64 instances",
+		N: 4, T: 1, M: 1,
+		Faults: []Fault{{Kind: FaultHashEquivocate, After: 72 * time.Millisecond}},
+		Net:    Net{Kind: NetFull, Delta: 2 * time.Millisecond},
+		Work: Work{
+			Kind: WorkKV, Commands: 6, Pipeline: 4,
+			SubmitEvery: 500 * time.Millisecond,
 		},
 		ExpectTermination: true,
 	},
@@ -417,7 +431,7 @@ var registry = []Spec{
 			Kind: WorkKV, Commands: 80,
 			SubmitEvery:   time.Millisecond,
 			SnapshotEvery: 8, Compact: true, CompactKeep: 2,
-			Durable: true, CrashRestartAt: 40 * time.Millisecond, RestartDelay: 4 * time.Millisecond,
+			Durable: true, CrashRestartAt: 150 * time.Millisecond, RestartDelay: 4 * time.Millisecond,
 			Transfer: true,
 		},
 		ExpectTermination: true,
@@ -431,7 +445,7 @@ var registry = []Spec{
 			Kind: WorkKV, Commands: 70,
 			SubmitEvery:   time.Millisecond,
 			SnapshotEvery: 8, Compact: true, CompactKeep: 2,
-			Durable: true, CrashRestartAt: 40 * time.Millisecond, RestartDelay: 4 * time.Millisecond,
+			Durable: true, CrashRestartAt: 150 * time.Millisecond, RestartDelay: 4 * time.Millisecond,
 			Transfer: true,
 		},
 		ExpectTermination: true,

@@ -195,7 +195,8 @@ const (
 	WorkLog
 	// WorkKV is a replicated-KV-service run: the full state-machine
 	// stack — log, applier, key-value store with client sessions — with
-	// optional snapshots, log compaction and mid-run crash recovery.
+	// optional snapshots, log compaction, durable crash-restart and peer
+	// state transfer.
 	WorkKV
 )
 
@@ -232,12 +233,6 @@ type Work struct {
 	BatchSize, Pipeline int
 	// SubmitEvery staggers the WorkLog/WorkKV command submissions.
 	SubmitEvery time.Duration
-	// Coalesce turns on the reliable-broadcast message-coalescing relay
-	// (rb.Relay via log.Config.Coalesce) on every correct replica. Off by
-	// default so legacy scenarios keep their pinned golden digests; the
-	// rb-coalesce-* family and scenario.Random opt in. WorkLog/WorkKV
-	// only — single-shot consensus runs no log engine.
-	Coalesce bool
 
 	// --- WorkKV workload shape --------------------------------------
 
@@ -255,9 +250,8 @@ type Work struct {
 	// end of the workload; the store must reject them as stale.
 	OutOfOrder bool
 
-	// --- WorkKV snapshot / compaction / recovery lifecycle ----------
-	// All default to off so that legacy scenarios (and their pinned
-	// golden digests) are untouched; new KV scenarios opt in.
+	// --- WorkKV snapshot / compaction lifecycle ----------------------
+	// All default to off; KV scenarios opt in.
 
 	// SnapshotEvery is the applier snapshot cadence in applied entries
 	// (0 = snapshots off).
@@ -266,9 +260,6 @@ type Work struct {
 	// snapshot; CompactKeep is the retained-instance margin (default 4).
 	Compact     bool
 	CompactKeep int
-	// RecoverAt > 0 crash-recovers the lowest-ID correct replica at this
-	// virtual time (snapshot restore + retained-suffix replay).
-	RecoverAt time.Duration
 
 	// ValueBytes > 0 pads every put value to this size. Large values fatten
 	// the machine state past sm.TransferInlineMax, forcing snapshot
@@ -283,17 +274,15 @@ type Work struct {
 	// Durable attaches a durable store (internal/store) to every correct
 	// replica: committed entries are write-ahead logged, applied
 	// boundaries marked, snapshots stamped — before application proceeds
-	// (sm.Config.Persist). Off by default: with it off the stack runs the
-	// exact pre-persistence code path and every legacy golden digest is
-	// untouched. The KV-Durable check ("applied ⊇ fsync'd") activates
-	// with it.
+	// (sm.Config.Persist). Off by default. The KV-Durable check
+	// ("applied ⊇ fsync'd") activates with it.
 	Durable bool
 	// CrashRestartAt > 0 powers the lowest-ID correct replica OFF at this
 	// virtual time (harness.World.Kill: volatile state, timers and dedup
 	// bookkeeping die with the incarnation) and reboots it RestartDelay
 	// later from its durable store alone (sm.Boot — no peer help).
-	// Requires Durable. Unlike RecoverAt, which rebuilds only the applier
-	// in place, this is a full power cycle of the whole replica stack.
+	// Requires Durable. This is the one crash model: a full power cycle
+	// of the whole replica stack, recovered the way production does.
 	CrashRestartAt time.Duration
 	// RestartDelay is the downtime between power-off and reboot (0 = the
 	// runner default, 25ms). The curated crash-restart scenarios use 4ms:
@@ -342,8 +331,8 @@ type Spec struct {
 	// correct process must decide (or commit the whole workload). Leave
 	// false for schedules with no synchrony promise (NetAsync).
 	ExpectTermination bool
-	// Deadline bounds virtual time (0 = run to drain, except NetAsync
-	// which defaults to 3 s).
+	// Deadline bounds virtual time (0 = 60 s, which no passing run
+	// reaches; NetAsync defaults to 3 s and Splitter schedules to 24 h).
 	Deadline time.Duration
 	// MaxRounds caps each engine's round loop (0 = engine default,
 	// except NetAsync which defaults to 48).
@@ -389,9 +378,6 @@ func (s Spec) Validate() error {
 	if s.Work.Kind != WorkConsensus && s.Work.Kind != WorkLog && s.Work.Kind != WorkKV {
 		return fmt.Errorf("scenario %s: unknown workload kind %v", s.Name, s.Work.Kind)
 	}
-	if s.Work.Coalesce && s.Work.Kind == WorkConsensus {
-		return fmt.Errorf("scenario %s: Coalesce requires a log-backed workload", s.Name)
-	}
 	for _, f := range s.Faults {
 		if f.Kind == FaultHashEquivocate && s.Work.Kind == WorkConsensus {
 			return fmt.Errorf("scenario %s: hash-equivocate targets the log relay path, not single-shot consensus", s.Name)
@@ -400,7 +386,7 @@ func (s Spec) Validate() error {
 	if s.Work.Compact && s.Work.SnapshotEvery <= 0 {
 		return fmt.Errorf("scenario %s: Compact requires SnapshotEvery > 0", s.Name)
 	}
-	if (s.Work.SnapshotEvery > 0 || s.Work.Compact || s.Work.RecoverAt > 0 || s.Work.Transfer || s.Work.MaxLead > 0 ||
+	if (s.Work.SnapshotEvery > 0 || s.Work.Compact || s.Work.Transfer || s.Work.MaxLead > 0 ||
 		s.Work.ValueBytes > 0 || s.Work.Durable || s.Work.CrashRestartAt > 0 || s.Work.RestartDelay > 0) && s.Work.Kind != WorkKV {
 		return fmt.Errorf("scenario %s: snapshot/compaction/recovery/transfer/durability knobs require the kv workload", s.Name)
 	}
@@ -417,9 +403,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Work.RestartDelay > 0 && s.Work.CrashRestartAt <= 0 {
 		return fmt.Errorf("scenario %s: RestartDelay without CrashRestartAt has nothing to delay", s.Name)
-	}
-	if s.Work.CrashRestartAt > 0 && s.Work.RecoverAt > 0 {
-		return fmt.Errorf("scenario %s: CrashRestartAt and RecoverAt both target the lowest-ID correct replica — pick one recovery mode", s.Name)
 	}
 	if s.Work.ValueBytes > 0 {
 		// A whole command batch travels as ONE consensus value, and a live

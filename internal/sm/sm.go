@@ -14,10 +14,12 @@
 // A snapshot makes everything before it disposable: the OnSnapshot hook is
 // where the hosting runtime retires pre-snapshot per-instance state
 // wholesale (log.Engine.Compact), which is what bounds memory on long
-// runs. It also makes crash recovery local: Recover rebuilds the machine
-// from the latest snapshot plus the log suffix the engine still retains,
-// verifying on the way that re-encoding the restored state reproduces the
-// snapshot digest (a cheap nondeterminism detector).
+// runs. It also makes crash recovery local: with a durable store
+// (Config.Persist) Boot rebuilds the machine from the stamped snapshot
+// plus the write-ahead log suffix, verifying on the way that re-encoding
+// the restored state reproduces the snapshot digest (a cheap
+// nondeterminism detector); a replica with no usable disk catches up from
+// its peers instead (Transfer, Install).
 package sm
 
 import (
@@ -31,13 +33,6 @@ import (
 	"repro/internal/types"
 	"repro/internal/xtrace"
 )
-
-// Resetter is an optional Machine extension: zero the state in place.
-// Machines that implement it can Recover even before any snapshot exists
-// (full log replay from empty state).
-type Resetter interface {
-	Reset()
-}
 
 // Machine is a deterministic application state machine. All methods are
 // called from the hosting runtime's single event loop.
@@ -182,10 +177,9 @@ type Applier struct {
 	// Config.RetainedEntries); it travels with the snapshot in transfers.
 	snapRetained []log.Entry
 
-	recoveries int
-	installs   int   // peer snapshots installed via Install
-	boots      int   // local durable snapshots restored via Boot
-	poisoned   error // set when a failed Recover/Install left the state undefined
+	installs int   // peer snapshots installed via Install
+	boots    int   // local durable snapshots restored via Boot
+	poisoned error // set when a failed Install/Boot left the state undefined
 }
 
 // New builds an Applier.
@@ -206,8 +200,9 @@ func New(cfg Config) (*Applier, error) {
 // (index-contiguous), which is exactly what log.Config.OnCommit delivers.
 func (a *Applier) OnCommit(e log.Entry) {
 	if a.poisoned != nil {
-		// A failed Recover left machine state and apply position out of
-		// sync; applying further entries would silently fork the replica.
+		// A failed Install or Boot left machine state and apply position
+		// out of sync; applying further entries would silently fork the
+		// replica.
 		// The replica behaves as crashed from here on (see Err).
 		return
 	}
@@ -334,9 +329,6 @@ func (a *Applier) Applied() int { return a.applied }
 // Snapshots returns how many snapshots have been taken.
 func (a *Applier) Snapshots() int { return a.taken }
 
-// Recoveries returns how many times Recover ran.
-func (a *Applier) Recoveries() int { return a.recoveries }
-
 // StateDigest hashes the machine's current state (SHA-256 over its
 // Snapshot encoding). Equal digests across replicas at equal applied
 // counts certify byte-identical state.
@@ -346,65 +338,12 @@ func (a *Applier) StateDigest() [32]byte { return Digest(a.cfg.Machine) }
 // encoding).
 func Digest(m Machine) [32]byte { return sha256.Sum256(m.Snapshot()) }
 
-// Recover models a crash-restart: it discards the live machine state,
-// restores the latest snapshot, verifies the restored state re-encodes to
-// the snapshot digest, and re-applies the retained log suffix (entries
-// the engine still holds past the snapshot index). After Recover the
-// machine is byte-identical to an uncrashed replica at the same applied
-// count.
-//
-// retained is the engine's retained entry suffix (log.Engine.Entries());
-// it must cover [snapshot.Index, applied), which compaction guarantees:
-// the engine only trims entries below the snapshot floor it was given.
-// Once the live state has been touched, any subsequent failure poisons
-// the applier: machine state and apply position can no longer be trusted
-// to agree, so OnCommit becomes a no-op (the replica behaves as crashed)
-// and Err reports why. Failures detected before any mutation leave the
-// applier fully usable.
-func (a *Applier) Recover(retained []log.Entry) error {
-	if a.poisoned != nil {
-		return a.poisoned
-	}
-	target := a.applied
-	if !a.hasSnap {
-		// Crash before the first snapshot: recovery is a full replay from
-		// an empty machine, possible only if the machine can zero itself
-		// and the whole log is still retained. Hosts guarantee that: they
-		// only Compact below a snapshot.
-		r, ok := a.cfg.Machine.(Resetter)
-		if !ok {
-			return fmt.Errorf("sm: no snapshot to recover from and machine cannot Reset")
-		}
-		r.Reset()
-		a.applied, a.sinceSnap = 0, 0
-		return a.replay(retained, target)
-	}
-	_, _, machine, err := DecodeSnapshot(a.snap.Data)
-	if err != nil {
-		return err
-	}
-	if err := a.cfg.Machine.Restore(machine); err != nil {
-		return a.poison(fmt.Errorf("sm: restore: %w", err))
-	}
-	// Determinism check: the restored state must re-encode to the bytes we
-	// snapshotted. A mismatch means the machine is nondeterministic (or
-	// Restore is lossy) — exactly the bug class snapshots must not paper
-	// over.
-	redo := encodeSnapshot(a.snap.Index, a.snap.Instance, a.cfg.Machine.Snapshot())
-	if sha256.Sum256(redo) != a.snap.Digest {
-		return a.poison(fmt.Errorf("sm: restored state does not reproduce snapshot digest (nondeterministic machine?)"))
-	}
-	a.applied = a.snap.Index
-	a.sinceSnap = 0
-	return a.replay(retained, target)
-}
-
 // Install replaces the machine state with a peer's snapshot: the state-
 // transfer path for a replica that can no longer catch up by replay
 // (compaction retired the echo service it needed — see log.Config.MaxLead).
-// Unlike Recover it moves FORWARD: s must cover strictly more entries
-// than are currently applied, and no retained-suffix replay follows —
-// the snapshot IS the new apply position.
+// It only moves FORWARD: s must cover strictly more entries than are
+// currently applied, and no retained-suffix replay follows — the
+// snapshot IS the new apply position.
 //
 // Validation is two-staged. Before any mutation: the header must decode,
 // the stamped digest must match the data bytes, and the position must
@@ -483,9 +422,9 @@ func (a *Applier) Installs() int { return a.installs }
 // Boots returns how many local durable snapshots Boot has restored.
 func (a *Applier) Boots() int { return a.boots }
 
-// Err returns the poisoning error of a failed Recover, if any. A
-// poisoned applier ignores further entries (the replica is effectively
-// crashed) — hosting runtimes should surface this.
+// Err returns the poisoning error of a failed Install, Boot or persist
+// write, if any. A poisoned applier ignores further entries (the replica
+// is effectively crashed) — hosting runtimes should surface this.
 func (a *Applier) Err() error { return a.poisoned }
 
 func (a *Applier) poison(err error) error {
@@ -493,9 +432,9 @@ func (a *Applier) poison(err error) error {
 	return err
 }
 
-// replay re-applies retained entries from the current apply position up
-// to target. The machine has already been reset/restored, so any failure
-// here poisons the applier.
+// replay re-applies Boot's recovered entries from the current apply
+// position up to target. The machine has already been restored, so any
+// failure here poisons the applier.
 func (a *Applier) replay(retained []log.Entry, target int) error {
 	for _, e := range retained {
 		if e.Index < a.applied {
@@ -514,7 +453,6 @@ func (a *Applier) replay(retained []log.Entry, target int) error {
 	if a.applied != target {
 		return a.poison(fmt.Errorf("sm: replay stopped at %d of %d entries", a.applied, target))
 	}
-	a.recoveries++
 	if m := a.cfg.Metrics; m != nil {
 		m.Recoveries.Inc()
 	}

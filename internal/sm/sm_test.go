@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/kv"
 	"repro/internal/log"
+	"repro/internal/store"
 	"repro/internal/types"
 )
 
@@ -112,92 +113,90 @@ func TestApplierPanicsOnGap(t *testing.T) {
 	a.OnCommit(log.Entry{Index: 3, Instance: 0, Cmd: kv.Command{Op: kv.OpPut, Key: "k"}.Encode()})
 }
 
+// Crash recovery is Boot from the replica's own store (the in-place
+// Applier.Recover the simulator once used is gone); these drive it at the
+// applier level, internal/replica and the crash-restart runs end to end.
+
+// resumeRec is a BootControl that records the Resume call.
+type resumeRec struct {
+	boundary types.Instance
+	base     int
+	retained []log.Entry
+}
+
+func (r *resumeRec) Resume(b types.Instance, base int, retained []log.Entry) error {
+	r.boundary, r.base, r.retained = b, base, retained
+	return nil
+}
+
 func TestRecoverFromSnapshotPlusSuffix(t *testing.T) {
-	store := kv.NewStore()
-	var retained []log.Entry
-	a, err := New(Config{Machine: store, SnapshotEvery: 10})
+	disk := store.NewMemory()
+	a, err := New(Config{Machine: kv.NewStore(), SnapshotEvery: 10, Persist: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build the entry list alongside so we can hand Recover a suffix.
-	inst := types.Instance(0)
-	for i := 0; i < 30; i++ {
-		cmd := kv.Command{Op: kv.OpPut, Client: 2, Seq: uint64(i + 1),
-			Key: fmt.Sprintf("k%d", i%5), Val: fmt.Sprintf("v%d", i)}
-		e := log.Entry{Index: i, Instance: inst, Cmd: cmd.Encode()}
-		retained = append(retained, e)
-		a.OnCommit(e)
-		if (i+1)%3 == 0 {
-			a.OnApply(inst, 3)
-			inst++
-		}
-	}
-	want := a.StateDigest()
+	frontier := feed(t, a, 0, 30, 3, 0)
 	snap, ok := a.Latest()
-	if !ok {
-		t.Fatal("no snapshot")
+	if !ok || snap.Index >= 30 {
+		t.Fatalf("want a snapshot with a suffix behind it, got %+v ok=%v", snap, ok)
 	}
 
-	// Corrupt the live state, then recover: snapshot + suffix must rebuild
-	// the exact bytes. Only entries ≥ snapshot index are needed.
-	store.Apply(kv.Command{Op: kv.OpPut, Client: 0, Key: "corruption", Val: "x"}.Encode())
-	if a.StateDigest() == want {
-		t.Fatal("corruption had no effect?")
-	}
-	if err := a.Recover(retained[snap.Index:]); err != nil {
+	// The crash loses the machine; the disk alone must rebuild its exact
+	// bytes: stamped snapshot, then only the entries past it.
+	b, _ := New(Config{Machine: kv.NewStore(), SnapshotEvery: 10, Persist: disk})
+	var eng resumeRec
+	st, err := Boot(disk, b, &eng)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.StateDigest() != want {
-		t.Fatal("recovered state differs from pre-crash state")
+	if b.StateDigest() != a.StateDigest() || b.Applied() != 30 {
+		t.Fatalf("recovered state differs from pre-crash state (applied=%d)", b.Applied())
 	}
-	if a.Applied() != 30 || a.Recoveries() != 1 {
-		t.Fatalf("applied=%d recoveries=%d", a.Applied(), a.Recoveries())
+	if !st.HadSnapshot || st.SnapIndex != snap.Index || st.Replayed != 30-snap.Index || b.Boots() != 1 || b.Installs() != 0 {
+		t.Fatalf("boot stats %+v, snapshot at %d, boots=%d installs=%d", st, snap.Index, b.Boots(), b.Installs())
+	}
+	if eng.boundary != frontier || eng.base+len(eng.retained) != 30 {
+		t.Fatalf("engine resumed at %v with entries [%d,%d), want %v and 30", eng.boundary, eng.base, eng.base+len(eng.retained), frontier)
 	}
 }
 
 func TestRecoverWithoutSnapshotFullReplay(t *testing.T) {
-	store := kv.NewStore()
-	a, _ := New(Config{Machine: store}) // snapshots disabled
-	var all []log.Entry
-	for i := 0; i < 12; i++ {
-		cmd := kv.Command{Op: kv.OpPut, Client: 1, Seq: uint64(i + 1), Key: "k", Val: fmt.Sprintf("%d", i)}
-		e := log.Entry{Index: i, Instance: types.Instance(i), Cmd: cmd.Encode()}
-		all = append(all, e)
-		a.OnCommit(e)
-		a.OnApply(types.Instance(i), 1)
-	}
-	want := a.StateDigest()
-	store.Apply(kv.Command{Op: kv.OpDel, Client: 0, Key: "k"}.Encode())
-	if err := a.Recover(all); err != nil {
+	disk := store.NewMemory()
+	a, _ := New(Config{Machine: kv.NewStore(), Persist: disk}) // snapshots disabled
+	feed(t, a, 0, 12, 1, 0)
+	b, _ := New(Config{Machine: kv.NewStore(), Persist: disk})
+	var eng resumeRec
+	st, err := Boot(disk, b, &eng)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.StateDigest() != want {
+	if st.HadSnapshot || st.Replayed != 12 || eng.base != 0 || len(eng.retained) != 12 {
+		t.Fatalf("boot stats %+v, resumed entries [%d,%d)", st, eng.base, eng.base+len(eng.retained))
+	}
+	if b.StateDigest() != a.StateDigest() {
 		t.Fatal("full replay diverged")
 	}
 }
 
 func TestRecoverDetectsGapInRetained(t *testing.T) {
-	a, _ := New(Config{Machine: kv.NewStore(), SnapshotEvery: 2})
-	var all []log.Entry
-	for i := 0; i < 8; i++ {
-		e := log.Entry{Index: i, Instance: types.Instance(i),
-			Cmd: kv.Command{Op: kv.OpPut, Key: "k", Val: "v"}.Encode()}
-		all = append(all, e)
-		a.OnCommit(e)
-		a.OnApply(types.Instance(i), 1)
+	disk := store.NewMemory()
+	for _, i := range []int{0, 1, 3, 4} { // the write-ahead log lost entry 2
+		_ = disk.AppendEntry(log.Entry{Index: i, Instance: types.Instance(i),
+			Cmd: kv.Command{Op: kv.OpPut, Key: "k", Val: "v"}.Encode()})
+		_ = disk.MarkApplied(types.Instance(i + 1))
 	}
-	snap, _ := a.Latest()
-	// Drop one mid-suffix entry: the replay must refuse, not skip.
-	suffix := append([]log.Entry{}, all[snap.Index:]...)
-	if len(suffix) > 2 {
-		suffix = append(suffix[:1], suffix[2:]...)
-		if err := a.Recover(suffix); err == nil {
-			t.Fatal("gap in retained entries not detected")
-		}
+	a, _ := New(Config{Machine: kv.NewStore(), Persist: disk})
+	// The replay must refuse, not skip — and the half-replayed machine is
+	// not one to keep applying to.
+	if _, err := Boot(disk, a, &resumeRec{}); err == nil {
+		t.Fatal("gap in the durable entries not detected")
+	}
+	if a.Err() == nil {
+		t.Fatal("failed boot did not poison the applier")
 	}
 }
 
-// nondetMachine snapshots differently every time — Recover must refuse it.
+// nondetMachine snapshots differently every time — Boot must refuse it.
 type nondetMachine struct {
 	kv.Store
 	n int
@@ -218,25 +217,26 @@ func (m *nondetMachine) Restore(b []byte) error {
 }
 
 func TestRecoverDetectsNondeterminism(t *testing.T) {
-	m := &nondetMachine{Store: *kv.NewStore()}
-	a, _ := New(Config{Machine: m, SnapshotEvery: 1})
-	e := log.Entry{Index: 0, Instance: 0, Cmd: kv.Command{Op: kv.OpPut, Key: "k", Val: "v"}.Encode()}
-	a.OnCommit(e)
+	disk := store.NewMemory()
+	a, _ := New(Config{Machine: &nondetMachine{Store: *kv.NewStore()}, SnapshotEvery: 1, Persist: disk})
+	a.OnCommit(log.Entry{Index: 0, Instance: 0, Cmd: kv.Command{Op: kv.OpPut, Key: "k", Val: "v"}.Encode()})
 	a.OnApply(0, 1)
 	if _, ok := a.Latest(); !ok {
 		t.Fatal("no snapshot")
 	}
-	if err := a.Recover(nil); err == nil {
+	// n differs from the crashed incarnation's, as any hidden input would.
+	b, _ := New(Config{Machine: &nondetMachine{Store: *kv.NewStore(), n: 7}, SnapshotEvery: 1, Persist: disk})
+	if _, err := Boot(disk, b, &resumeRec{}); err == nil {
 		t.Fatal("nondeterministic machine not detected")
 	}
-	// The failed recovery touched live state, so the applier is poisoned:
-	// it must refuse further entries instead of silently forking.
-	if a.Err() == nil {
+	// The failed boot touched live state, so the applier is poisoned: it
+	// must refuse further entries instead of silently forking.
+	if b.Err() == nil {
 		t.Fatal("failed recovery did not poison the applier")
 	}
-	before := a.Applied()
-	a.OnCommit(log.Entry{Index: before, Instance: 1, Cmd: kv.Command{Op: kv.OpPut, Key: "k2", Val: "v"}.Encode()})
-	if a.Applied() != before {
+	before := b.Applied()
+	b.OnCommit(log.Entry{Index: before, Instance: 1, Cmd: kv.Command{Op: kv.OpPut, Key: "k2", Val: "v"}.Encode()})
+	if b.Applied() != before {
 		t.Fatal("poisoned applier applied an entry")
 	}
 }

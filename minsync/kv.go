@@ -44,7 +44,8 @@ type KVConfig struct {
 	SubmitEvery time.Duration
 	// BatchSize caps commands per proposed batch (default 16).
 	BatchSize int
-	// Pipeline is the number of consensus instances in flight (default 4).
+	// Pipeline is the window of consensus instances in flight and the
+	// lane count of the batch rule (see LogConfig.Pipeline; default 4).
 	Pipeline int
 	// SnapshotEvery is the snapshot cadence in applied entries
 	// (0 = snapshots off).
@@ -54,10 +55,6 @@ type KVConfig struct {
 	// applied instances below the boundary (default 4).
 	Compact     bool
 	CompactKeep int
-	// RecoverAt schedules crash-recoveries: at each mapped virtual time
-	// the process rebuilds its state from its latest snapshot plus the
-	// retained log suffix.
-	RecoverAt map[ProcID]time.Duration
 	// Transfer enables peer snapshot state transfer: a replica that falls
 	// more than MaxLead instances behind fetches a t+1-corroborated peer
 	// snapshot and resumes from its boundary (requires SnapshotEvery > 0).
@@ -114,11 +111,10 @@ type KVResult struct {
 	// counters: commands applied, retries answered from cache, regressed
 	// sequence numbers rejected.
 	Applies, Duplicates, Stales uint64
-	// Snapshots is the reference replica's snapshot count; Recoveries the
-	// number of successful crash-recoveries across replicas; Transfers the
+	// Snapshots is the reference replica's snapshot count; Transfers the
 	// number of peer snapshots installed across replicas (0 unless
 	// KVConfig.Transfer).
-	Snapshots, Recoveries, Transfers int
+	Snapshots, Transfers int
 	// RetiredInstances / LiveInstances show compaction at the reference
 	// replica: consensus instances released vs still held.
 	RetiredInstances, LiveInstances int
@@ -157,10 +153,6 @@ func SimulateKV(cfg KVConfig) (*KVResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	recoverAt := make(map[types.ProcID]types.Time, len(cfg.RecoverAt))
-	for id, at := range cfg.RecoverAt {
-		recoverAt[id] = types.Time(at)
-	}
 	spec := runner.KVSpec{
 		Params:        p,
 		Topology:      cfg.Synchrony.topology(cfg.N),
@@ -173,7 +165,6 @@ func SimulateKV(cfg KVConfig) (*KVResult, error) {
 		SnapshotEvery: cfg.SnapshotEvery,
 		Compact:       cfg.Compact,
 		CompactKeep:   types.Instance(cfg.CompactKeep),
-		RecoverAt:     recoverAt,
 		Transfer:      cfg.Transfer,
 		Deadline:      types.Time(cfg.Deadline),
 	}
@@ -188,9 +179,9 @@ func SimulateKV(cfg KVConfig) (*KVResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("minsync: %w", err)
 	}
-	for id, rerr := range res.RecoverErrs {
-		if rerr != nil {
-			return nil, fmt.Errorf("minsync: recovery at %v: %w", id, rerr)
+	for _, id := range res.Correct {
+		if err := res.ApplierErrs[id]; err != nil {
+			return nil, fmt.Errorf("minsync: replica %v stopped applying: %w", id, err)
 		}
 	}
 	out := &KVResult{
@@ -219,9 +210,6 @@ func SimulateKV(cfg KVConfig) (*KVResult, error) {
 		out.Get = store.Get
 	}
 	for _, id := range res.Correct {
-		if app := res.Appliers[id]; app != nil {
-			out.Recoveries += app.Recoveries()
-		}
 		out.Transfers += res.Transfers[id]
 	}
 	return out, nil

@@ -75,25 +75,3 @@ func TestSimulateKVDeterministic(t *testing.T) {
 		t.Fatalf("digests differ across identical runs: %s vs %s", a, b)
 	}
 }
-
-func TestSimulateKVRecover(t *testing.T) {
-	res, err := SimulateKV(KVConfig{
-		N: 4, T: 1,
-		Commands:      kvTestWorkload(40),
-		SubmitEvery:   time.Millisecond,
-		SnapshotEvery: 6,
-		Compact:       true,
-		RecoverAt:     map[ProcID]time.Duration{3: 50 * time.Millisecond},
-		Seed:          3,
-		Deadline:      10 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Recoveries != 1 {
-		t.Fatalf("recoveries=%d", res.Recoveries)
-	}
-	if !res.AllCommitted || !res.StatesAgree {
-		t.Fatalf("post-recovery degraded: %+v", res)
-	}
-}

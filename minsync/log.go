@@ -37,7 +37,11 @@ type LogConfig struct {
 	SubmitEvery time.Duration
 	// BatchSize caps commands per proposed batch (default 16).
 	BatchSize int
-	// Pipeline is the number of consensus instances in flight (default 4).
+	// Pipeline is the window of consensus instances that may be in flight
+	// (default 4); an instance inside it starts only when there is a
+	// command to order or a peer opened it. It is also the number of
+	// content-hashed lanes the pending commands are striped over, one
+	// lane per in-flight instance, so all replicas must agree on it.
 	Pipeline int
 	// Byzantine maps faulty processes to behaviors. The stock single-shot
 	// attackers direct their protocol traffic at instance 0; FaultSilent
