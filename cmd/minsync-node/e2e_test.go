@@ -165,6 +165,9 @@ func TestE2EClusterTelemetry(t *testing.T) {
 			"# TYPE minsync_rt_posted_total counter",
 			"minsync_wire_frames_total",
 			"minsync_rb_delivers_total",
+			`minsync_rb_flushes_total{cause="idle"}`,
+			`minsync_rb_flushes_total{cause="timer"}`,
+			`minsync_rb_flushes_total{cause="full"}`,
 			"minsync_log_committed_total",
 			"minsync_kv_applies_total",
 			"# TYPE minsync_commit_latency_ns histogram",

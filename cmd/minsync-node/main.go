@@ -106,7 +106,16 @@ func main() {
 
 	tel := newTelemetry(*metricsF, self, params)
 
-	var node *rt.Node
+	// The node exists before the transport accepts its first connection:
+	// peers under load have a frame for a restarted replica within a
+	// fraction of a millisecond of its listener opening, and what arrives
+	// before Start waits in the inbox. The transport is bound below; the
+	// node sends nothing before Start.
+	send := &sendAdapter{}
+	node, err := newNode(tel, self, params, send)
+	if err != nil {
+		stdlog.Fatal(err)
+	}
 	tr, err := netx.Listen(netx.Config{
 		Self:    self,
 		Addrs:   addrs,
@@ -131,11 +140,7 @@ func main() {
 		stdlog.Fatal(err)
 	}
 	defer tr.Close()
-
-	node, err = newNode(tel, self, params, sendAdapter{tr})
-	if err != nil {
-		stdlog.Fatal(err)
-	}
+	send.tr = tr
 	defer node.Stop()
 
 	if *kvMode {

@@ -183,6 +183,11 @@ func (w *World) DroppedDuplicates() uint64 {
 // binds a fresh env to the process's CURRENT power generation; Kill bumps
 // the generation, so a dead incarnation's env (captured in its timers and
 // protocol closures) fails the live check forever after.
+//
+// It deliberately does not implement proto.IdleNotifier: a step costs no
+// virtual time, so the world is "out of input" after every delivery, and
+// a relay flushing that often stops coalescing (measured: sim-batch
+// rb.entries_per_frame 3.29 → 1.05, sim.msgs_per_cmd 44.9 → 109.8).
 type env struct {
 	world *World
 	id    types.ProcID

@@ -89,6 +89,12 @@ func TestEnvBasics(t *testing.T) {
 			if env.Trace() == nil {
 				t.Error("trace sink nil")
 			}
+			// A zero-cost step is out of input after every delivery: on
+			// virtual time the relay's grid stands in for a backlog
+			// (docs/rb-coalescing.md, "Flush semantics").
+			if _, ok := env.(proto.IdleNotifier); ok {
+				t.Error("the virtual-time env must not implement proto.IdleNotifier")
+			}
 			return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
 		}); err != nil {
 			t.Fatal(err)

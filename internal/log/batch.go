@@ -38,8 +38,8 @@
 //
 //   - Every instance's ECHO/READY traffic goes through one coalescing
 //     relay (rb.Relay, docs/rb-coalescing.md): what a replica originates
-//     within a flush quantum, across all in-flight instances, rides one
-//     vector frame per link.
+//     before it runs out of input (at most a flush quantum), across all
+//     in-flight instances, rides one vector frame per link.
 //
 // This file is the batch codec: how a slice of commands becomes the
 // opaque value a consensus instance decides.

@@ -234,6 +234,14 @@ type RBMetrics struct {
 	FrameEntries    *Histogram
 	Pulls           *Counter
 	ParkDrops       *Counter
+	// FlushesIdle/Timer/Full split FramesCoalesced by what ended the hold
+	// (one series, label cause): the host ran out of input, the
+	// quantum-grid timer fired first, the buffer filled. A timer share
+	// near 1 on a lightly loaded node means coalescing is costing each
+	// hop a hold of up to one quantum.
+	FlushesIdle  *Counter
+	FlushesTimer *Counter
+	FlushesFull  *Counter
 	// The relay's other defensive drops. All four stay at zero on a
 	// healthy cluster of correct processes: ScopeDrops counts vector
 	// entries refused because the dedup-scope table was full (or the
@@ -259,6 +267,9 @@ func NewRBMetrics(r *Registry, labels string) *RBMetrics {
 	if r == nil {
 		return nil
 	}
+	flushes := func(cause string) *Counter {
+		return r.Counter(WithLabels("minsync_rb_flushes_total", JoinLabels(labels, `cause="`+cause+`"`)))
+	}
 	return &RBMetrics{
 		Broadcasts:      r.Counter(WithLabels("minsync_rb_broadcasts_total", labels)),
 		Echoes:          r.Counter(WithLabels("minsync_rb_echoes_total", labels)),
@@ -268,6 +279,9 @@ func NewRBMetrics(r *Registry, labels string) *RBMetrics {
 		FrameEntries:    r.Histogram(WithLabels("minsync_rb_frame_entries", labels), FrameEntriesBuckets),
 		Pulls:           r.Counter(WithLabels("minsync_rb_pulls_total", labels)),
 		ParkDrops:       r.Counter(WithLabels("minsync_rb_park_drops_total", labels)),
+		FlushesIdle:     flushes("idle"),
+		FlushesTimer:    flushes("timer"),
+		FlushesFull:     flushes("full"),
 		ScopeDrops:      r.Counter(WithLabels("minsync_rb_scope_drops_total", labels)),
 		WindowDrops:     r.Counter(WithLabels("minsync_rb_window_drops_total", labels)),
 		CacheDrops:      r.Counter(WithLabels("minsync_rb_cache_drops_total", labels)),

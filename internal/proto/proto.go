@@ -263,6 +263,9 @@ func (p *MsgPool) Put(pm *Message) {
 // Env is everything a protocol module may do to the outside world. The
 // simulation runtime and the real-time runtime both implement it, so the
 // protocol code in rb/cb/ac/ea/core runs unchanged under either.
+//
+// A host may additionally implement IdleNotifier; modules discover it by
+// type assertion and must work without it.
 type Env interface {
 	// ID returns the process running this module.
 	ID() types.ProcID
@@ -279,6 +282,21 @@ type Env interface {
 	SetTimer(d types.Duration, fn func()) (cancel func())
 	// Trace is the event sink (never nil; may be trace.Discard).
 	Trace() trace.Sink
+}
+
+// IdleNotifier is the one optional interface of an Env: a host that can
+// tell when it has run out of input — nothing queued for this process,
+// the next step would block — runs every registered fn at that moment, on
+// the same single thread as every other call into the module. The
+// real-time host (internal/rt) implements it; rb.Relay uses it to flush
+// what it is holding rather than wait for its grid timer. The
+// virtual-time host (internal/harness) deliberately does not: a step that
+// costs no time is "out of input" after every delivery, so there the
+// relay's time grid is what stands in for a backlog.
+type IdleNotifier interface {
+	// OnIdle registers fn. It may send; the host handles the self-sends
+	// before it blocks.
+	OnIdle(fn func())
 }
 
 // Handler consumes already-deduplicated protocol messages.

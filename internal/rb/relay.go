@@ -1,11 +1,12 @@
 // relay.go is the message-coalescing fast path of the reliable-broadcast
-// layer: rb.Relay batches every ECHO/READY a process originates within
-// one flush quantum — across ALL pipelined log instances — into a single
-// MsgRBVector frame per link, and shrinks the dominant phases further by
-// referencing values by content hash once the INIT has carried them in
-// full (echo-by-hash, with a pull path for the rare hash-before-value
-// arrival). See docs/rb-coalescing.md for the frame layout and the full
-// correctness argument.
+// layer: rb.Relay batches every ECHO/READY a process originates while it
+// still has input to handle — across ALL pipelined log instances, held
+// for at most one flush quantum — into a single MsgRBVector frame per
+// link, and shrinks the dominant phases further by referencing values by
+// content hash once the INIT has carried them in full (echo-by-hash, with
+// a pull path for the rare hash-before-value arrival). See
+// docs/rb-coalescing.md for the frame layout, the three flush triggers and
+// the full correctness argument.
 //
 // Correctness in one paragraph: coalescing changes FRAMING and VALUE
 // INDIRECTION only, never the counting logic. On the receive side every
@@ -59,10 +60,13 @@ const HashLen = 16
 // pull path.
 const InlineMax = 24
 
-// DefaultQuantum is the default relay flush period. Flushes are aligned
-// to the absolute time grid (multiples of the quantum since time zero),
-// so under simulated time all processes flush at identical instants and
-// a step's cross-instance traffic coalesces maximally.
+// DefaultQuantum is the longest the relay holds a buffered entry: the
+// hold bound under load. The flush timer is aligned to the absolute time
+// grid (multiples of the quantum since time zero), so under simulated
+// time all processes flush at identical instants and a step's
+// cross-instance traffic coalesces maximally. On a host that reports
+// running out of input (proto.IdleNotifier) the relay flushes then, and
+// the grid instant is reached only while input keeps arriving.
 const DefaultQuantum = 2 * time.Millisecond
 
 // Vector frame hard bounds — defensive limits against forged frames.
@@ -254,13 +258,10 @@ type RelayConfig struct {
 	// exactly as a deduplicating dispatcher would deliver it. The hosting
 	// engine passes its per-instance dispatch here.
 	Sink func(from types.ProcID, m proto.Message)
-	// Quantum is the flush period (default DefaultQuantum). Flushes align
-	// to the absolute grid: the timer fires at the next multiple of the
-	// quantum, so co-scheduled processes flush at identical virtual-time
-	// instants.
-	Quantum types.Duration
 	// MaxBuffer flushes the outbound buffer early when it holds this many
-	// entries (default 2048) — a latency/memory bound for live mode.
+	// entries (default 2048) — a bound on the buffer's memory and on the
+	// size of one vector frame. It bounds no latency: holding ends when
+	// the host runs out of input or at the DefaultQuantum grid instant.
 	MaxBuffer int
 	// MaxParked caps the total hash-before-value entries parked awaiting
 	// resolution (default 4096); beyond it entries are dropped and
@@ -287,8 +288,8 @@ type RelayConfig struct {
 	// instance the sink would accept, or honest traffic is lost.
 	Window func(i types.Instance) bool
 	// Metrics, if non-nil, receives the coalescing instruments
-	// (FramesCoalesced, FrameEntries, Pulls and the drop counters).
-	// Passive.
+	// (FramesCoalesced, FrameEntries, the flushes by cause, Pulls and the
+	// drop counters). Passive.
 	Metrics *obs.RBMetrics
 	// Tracer, if non-nil, records an xtrace rb_relay span per flushed
 	// vector frame (entry count in the note). Passive.
@@ -305,7 +306,6 @@ type RelayConfig struct {
 type Relay struct {
 	env      proto.Env
 	sink     func(from types.ProcID, m proto.Message)
-	quantum  types.Duration
 	maxBuf   int
 	maxPark  int
 	maxCache int
@@ -343,6 +343,8 @@ type Relay struct {
 
 	framesOut   uint64
 	entriesOut  uint64
+	flushes     [numFlushCauses]uint64
+	flushSeries [numFlushCauses]*obs.Counter
 	pulls       uint64
 	parkDrops   uint64
 	dupEntries  uint64
@@ -382,14 +384,22 @@ type parkedRef struct {
 	instance types.Instance
 }
 
+// flushCause is what ended a hold: every flushed frame has exactly one.
+type flushCause int
+
+const (
+	flushIdle  flushCause = iota // the host ran out of input
+	flushTimer                   // the quantum-grid instant arrived first
+	flushFull                    // the buffer reached MaxBuffer
+	numFlushCauses
+)
+
 var _ proto.Env = (*Relay)(nil)
 
 // NewRelay builds the coalescing relay. cfg.Env and cfg.Sink are
-// required.
+// required. When cfg.Env is a proto.IdleNotifier the relay also flushes
+// each time the host runs out of input.
 func NewRelay(cfg RelayConfig) *Relay {
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = DefaultQuantum
-	}
 	if cfg.MaxBuffer <= 0 {
 		cfg.MaxBuffer = defaultMaxBuffer
 	}
@@ -402,10 +412,9 @@ func NewRelay(cfg RelayConfig) *Relay {
 	if cfg.Metrics == nil {
 		cfg.Metrics = &obs.RBMetrics{} // nil instruments: every update is a no-op
 	}
-	return &Relay{
+	r := &Relay{
 		env:      cfg.Env,
 		sink:     cfg.Sink,
-		quantum:  cfg.Quantum,
 		maxBuf:   cfg.MaxBuffer,
 		maxPark:  cfg.MaxParked,
 		maxCache: cfg.MaxCacheBytes,
@@ -417,7 +426,16 @@ func NewRelay(cfg RelayConfig) *Relay {
 		cache:    make(map[hashKey]*cacheVal),
 		parked:   make(map[hashKey][]parkedRef),
 		pulled:   make(map[hashKey]map[types.ProcID]struct{}),
+		flushSeries: [numFlushCauses]*obs.Counter{
+			flushIdle:  cfg.Metrics.FlushesIdle,
+			flushTimer: cfg.Metrics.FlushesTimer,
+			flushFull:  cfg.Metrics.FlushesFull,
+		},
 	}
+	if host, ok := cfg.Env.(proto.IdleNotifier); ok {
+		host.OnIdle(r.Flush)
+	}
+	return r
 }
 
 // proto.Env pass-throughs: the relay is transparent for everything but
@@ -462,7 +480,8 @@ func (r *Relay) Broadcast(m proto.Message) {
 }
 
 // buffer queues one ECHO/READY, hashing large values, and arranges the
-// flush: at the next quantum-grid instant, or immediately at MaxBuffer.
+// latest flush: at the next quantum-grid instant, or immediately at
+// MaxBuffer. An idle host flushes sooner (Flush).
 func (r *Relay) buffer(m proto.Message) {
 	e := Entry{Kind: m.Kind, Tag: m.Tag, Origin: m.Origin, Instance: m.Instance, Val: m.Val}
 	if len(m.Val) > InlineMax {
@@ -475,27 +494,29 @@ func (r *Relay) buffer(m proto.Message) {
 	}
 	r.buf = append(r.buf, e)
 	if len(r.buf) >= r.maxBuf {
-		r.Flush()
+		r.flush(flushFull)
 		return
 	}
 	if r.cancelFlush == nil {
-		d := r.quantum - types.Duration(int64(r.env.Now())%int64(r.quantum))
-		if d <= 0 {
-			d = r.quantum
-		}
+		d := DefaultQuantum - time.Duration(int64(r.env.Now())%int64(DefaultQuantum))
 		r.cancelFlush = r.env.SetTimer(d, r.onFlushTimer)
 	}
 }
 
 func (r *Relay) onFlushTimer() {
 	r.cancelFlush = nil
-	r.Flush()
+	r.flush(flushTimer)
 }
 
-// Flush drains the outbound buffer into one MsgRBVector broadcast.
-// ECHO/READY are broadcasts, so the entry vector is identical for every
-// destination and is encoded exactly once per flush.
-func (r *Relay) Flush() {
+// Flush sends what the relay is holding now: the hook an idle host runs
+// (proto.IdleNotifier). With nothing buffered it does nothing.
+func (r *Relay) Flush() { r.flush(flushIdle) }
+
+// flush drains the outbound buffer into one MsgRBVector broadcast and
+// cancels the pending grid timer. ECHO/READY are broadcasts, so the entry
+// vector is identical for every destination and is encoded exactly once
+// per flush.
+func (r *Relay) flush(cause flushCause) {
 	if r.cancelFlush != nil {
 		r.cancelFlush()
 		r.cancelFlush = nil
@@ -513,6 +534,8 @@ func (r *Relay) Flush() {
 	}
 	r.framesOut++
 	r.entriesOut += uint64(n)
+	r.flushes[cause]++
+	r.flushSeries[cause].Inc()
 	r.metrics.FramesCoalesced.Inc()
 	r.metrics.FrameEntries.Observe(int64(n))
 	r.tracer.RBEvent(xtrace.StageRBRelay, xtrace.NoInstance, 0)
@@ -807,6 +830,19 @@ func (r *Relay) FramesOut() uint64 { return r.framesOut }
 
 // EntriesOut returns the total entries carried by flushed frames.
 func (r *Relay) EntriesOut() uint64 { return r.entriesOut }
+
+// IdleFlushes, TimerFlushes and FullFlushes split FramesOut by what
+// ended the hold. IdleFlushes returns the number of frames flushed
+// because the host ran out of input (proto.IdleNotifier).
+func (r *Relay) IdleFlushes() uint64 { return r.flushes[flushIdle] }
+
+// TimerFlushes returns the number of frames flushed at the quantum-grid
+// instant: how often coalescing cost a hold of up to one quantum.
+func (r *Relay) TimerFlushes() uint64 { return r.flushes[flushTimer] }
+
+// FullFlushes returns the number of frames flushed because the buffer
+// reached MaxBuffer.
+func (r *Relay) FullFlushes() uint64 { return r.flushes[flushFull] }
 
 // Pulls returns the number of hash-resolution requests sent.
 func (r *Relay) Pulls() uint64 { return r.pulls }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/trace"
 	"repro/internal/types"
+	"repro/internal/xtrace"
 )
 
 // relayEnv is a manual-clock environment: sends and broadcasts are
@@ -297,6 +298,91 @@ func TestRelayFlushesAtMaxBuffer(t *testing.T) {
 	}
 	if r.Buffered() != 0 {
 		t.Fatalf("buffer not drained: %d", r.Buffered())
+	}
+	if r.FullFlushes() != 1 || r.IdleFlushes()+r.TimerFlushes() != 0 {
+		t.Fatalf("flush causes idle=%d timer=%d full=%d, want full only", r.IdleFlushes(), r.TimerFlushes(), r.FullFlushes())
+	}
+}
+
+// idleEnv is relayEnv on a host that reports running out of input
+// (proto.IdleNotifier); idle() is that moment.
+type idleEnv struct {
+	*relayEnv
+	hooks []func()
+}
+
+var _ proto.IdleNotifier = (*idleEnv)(nil)
+
+func (e *idleEnv) OnIdle(fn func()) { e.hooks = append(e.hooks, fn) }
+
+func (e *idleEnv) idle() {
+	for _, fn := range e.hooks {
+		fn()
+	}
+}
+
+func TestRelayFlushesOnIdle(t *testing.T) {
+	env := &idleEnv{relayEnv: newRelayEnv()}
+	rec := xtrace.NewRecorder(16)
+	r := NewRelay(RelayConfig{
+		Env:    env,
+		Sink:   func(types.ProcID, proto.Message) {},
+		Tracer: xtrace.New(xtrace.Config{Proc: 1, Recorder: rec}),
+	})
+	if len(env.hooks) != 1 {
+		t.Fatalf("relay registered %d idle hooks, want 1", len(env.hooks))
+	}
+
+	// An idle host with nothing buffered: no frame, no span, no count.
+	env.idle()
+	if len(env.bcast) != 0 || r.FramesOut() != 0 || r.IdleFlushes() != 0 || rec.Total() != 0 {
+		t.Fatalf("empty idle: %d broadcasts, %d frames, %d idle flushes, %d spans",
+			len(env.bcast), r.FramesOut(), r.IdleFlushes(), rec.Total())
+	}
+
+	r.Broadcast(echoMsg(1, 0, "v0"))
+	r.Broadcast(echoMsg(2, 1, "v1"))
+	r.Broadcast(proto.Message{Kind: proto.MsgRBReady, Tag: relayTag, Origin: 1, Instance: 0, Val: "v0"})
+	if len(env.bcast) != 0 || r.Buffered() != 3 || len(env.timers) != 1 {
+		t.Fatalf("before idle: %d broadcasts, %d buffered, %d timers", len(env.bcast), r.Buffered(), len(env.timers))
+	}
+	env.idle()
+	if len(env.bcast) != 1 || env.bcast[0].Kind != proto.MsgRBVector {
+		t.Fatalf("idle sent %+v, want one vector frame", env.bcast)
+	}
+	entries, err := DecodeEntries(env.bcast[0].Val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 || r.Buffered() != 0 {
+		t.Fatalf("frame carries %d entries, %d still buffered", len(entries), r.Buffered())
+	}
+	// The grid timer armed for those entries is cancelled, so the grid
+	// instant sends nothing more.
+	if env.timers[0].fn != nil {
+		t.Fatal("idle flush left the grid timer pending")
+	}
+	env.fireTimers()
+	env.idle()
+	if len(env.bcast) != 1 {
+		t.Fatalf("%d broadcasts after the grid instant, want 1", len(env.bcast))
+	}
+	if r.FramesOut() != 1 || r.IdleFlushes() != 1 || r.TimerFlushes() != 0 || r.FullFlushes() != 0 {
+		t.Fatalf("frames=%d idle=%d timer=%d full=%d", r.FramesOut(), r.IdleFlushes(), r.TimerFlushes(), r.FullFlushes())
+	}
+	if spans := rec.Snapshot(); len(spans) != 1 || spans[0].Stage != xtrace.StageRBRelay {
+		t.Fatalf("spans %+v, want one rb_relay", spans)
+	}
+
+	// The next hold arms a fresh timer; if input keeps arriving until the
+	// grid instant, the timer is what ends it.
+	r.Broadcast(echoMsg(3, 2, "v2"))
+	if len(env.timers) != 2 {
+		t.Fatalf("%d timers, want a second one for the new hold", len(env.timers))
+	}
+	env.fireTimers()
+	if len(env.bcast) != 2 || r.IdleFlushes() != 1 || r.TimerFlushes() != 1 {
+		t.Fatalf("%d broadcasts, idle=%d timer=%d", len(env.bcast), r.IdleFlushes(), r.TimerFlushes())
 	}
 }
 

@@ -111,7 +111,8 @@ func runLogCluster(t *testing.T, replicas []*logReplica, cmds []types.Value, wai
 }
 
 // TestLogOverMemNetwork runs a 4-replica log on the in-memory real-time
-// transport: 30 commands, identical committed sequences everywhere.
+// transport: 30 commands, identical committed sequences everywhere, the
+// relays flushing on the host's idle signal.
 func TestLogOverMemNetwork(t *testing.T) {
 	const n, target = 4, 30
 	params := types.Params{N: n, T: 1}
@@ -139,6 +140,25 @@ func TestLogOverMemNetwork(t *testing.T) {
 		cmds[i] = types.Value(fmt.Sprintf("mem-cmd-%03d", i))
 	}
 	runLogCluster(t, replicas, cmds, 30*time.Second)
+
+	// rt reports running out of input, so the relay's holds end there at
+	// least some of the time, and every frame has exactly one cause.
+	for i, r := range replicas {
+		counts := make(chan [4]uint64, 1)
+		relay := r.eng.Relay()
+		if !r.node.Post(func() {
+			counts <- [4]uint64{relay.IdleFlushes(), relay.TimerFlushes(), relay.FullFlushes(), relay.FramesOut()}
+		}) {
+			t.Fatal("node stopped before the relay was read")
+		}
+		c := <-counts
+		if c[0] == 0 {
+			t.Errorf("replica %d: no idle-caused flush in %d frames", i+1, c[3])
+		}
+		if c[0]+c[1]+c[2] != c[3] {
+			t.Errorf("replica %d: idle %d + timer %d + full %d != %d frames", i+1, c[0], c[1], c[2], c[3])
+		}
+	}
 }
 
 // TestLogOverTCP runs the same workload across four real TCP transports on

@@ -50,6 +50,10 @@ type Node struct {
 	wg    sync.WaitGroup
 	once  sync.Once
 
+	// idleHooks run when the loop is out of input (proto.IdleNotifier).
+	// Loop-owned like selfQ: registered from build or a posted closure.
+	idleHooks []func()
+
 	trace   trace.Sink
 	metrics *obs.NodeMetrics
 
@@ -115,38 +119,78 @@ func (n *Node) Start(build func(env proto.Env) proto.Handler) {
 		defer n.wg.Done()
 		n.dispatcher = proto.NewNode(build(&env{node: n}))
 		close(ready)
-		for {
-			// Self-deliveries first: they model the always-timely self
-			// channel (paper §4) and must never wait behind a full inbox.
-			if len(n.selfQ) > 0 {
-				fn := n.selfQ[0]
-				n.selfQ = n.selfQ[1:]
-				fn()
-				continue
-			}
+		n.loop()
+	}()
+	<-ready
+}
+
+// loop runs the node until Stop. Every step handles one queued closure;
+// when nothing is queued — selfQ empty and a non-blocking poll of the
+// inbox finds nothing — the idle hooks run once and the loop blocks.
+func (n *Node) loop() {
+	// fed: input was handled since the idle hooks last ran. The hooks run
+	// once per drain, not in a spin: a hook that sends to itself feeds the
+	// loop again (its self-sends are handled before the loop blocks, and
+	// may leave more for the hooks to do), one that does nothing does not.
+	fed := false
+	for {
+		// Self-deliveries first: they model the always-timely self
+		// channel (paper §4) and must never wait behind a full inbox.
+		if n.runSelf() {
+			fed = true
+			continue
+		}
+		if !fed {
 			select {
 			case fn := <-n.inbox:
 				fn()
+				fed = true
 			case <-n.stop:
-				// Drain whatever is already queued, then exit.
-				for {
-					if len(n.selfQ) > 0 {
-						fn := n.selfQ[0]
-						n.selfQ = n.selfQ[1:]
-						fn()
-						continue
-					}
-					select {
-					case fn := <-n.inbox:
-						fn()
-					default:
-						return
-					}
-				}
+				n.drain()
+				return
+			}
+			continue
+		}
+		select {
+		case fn := <-n.inbox:
+			fn()
+		case <-n.stop:
+			n.drain()
+			return
+		default:
+			fed = false
+			for _, hook := range n.idleHooks {
+				hook()
 			}
 		}
-	}()
-	<-ready
+	}
+}
+
+// runSelf handles the oldest self-delivery, if any.
+func (n *Node) runSelf() bool {
+	if len(n.selfQ) == 0 {
+		return false
+	}
+	fn := n.selfQ[0]
+	n.selfQ = n.selfQ[1:]
+	fn()
+	return true
+}
+
+// drain handles whatever is already queued when the node stops. The idle
+// hooks are not run: nothing they would send is needed after Stop.
+func (n *Node) drain() {
+	for {
+		if n.runSelf() {
+			continue
+		}
+		select {
+		case fn := <-n.inbox:
+			fn()
+		default:
+			return
+		}
+	}
 }
 
 // Post schedules fn on the loop goroutine. It blocks if the inbox is full
@@ -195,7 +239,10 @@ type env struct {
 	node *Node
 }
 
-var _ proto.Env = (*env)(nil)
+var (
+	_ proto.Env          = (*env)(nil)
+	_ proto.IdleNotifier = (*env)(nil)
+)
 
 func (e *env) ID() types.ProcID     { return e.node.id }
 func (e *env) Params() types.Params { return e.node.params }
@@ -243,6 +290,10 @@ func (e *env) SetTimer(d types.Duration, fn func()) (cancel func()) {
 }
 
 func (e *env) Trace() trace.Sink { return e.node.trace }
+
+// OnIdle implements proto.IdleNotifier: fn runs on the loop goroutine each
+// time the loop has handled input and finds nothing more queued.
+func (e *env) OnIdle(fn func()) { e.node.idleHooks = append(e.node.idleHooks, fn) }
 
 // --- In-memory transport ----------------------------------------------------
 
