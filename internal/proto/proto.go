@@ -295,8 +295,12 @@ type Env interface {
 // relay's time grid is what stands in for a backlog.
 type IdleNotifier interface {
 	// OnIdle registers fn. It may send; the host handles the self-sends
-	// before it blocks.
-	OnIdle(fn func())
+	// before it blocks. fn returns 0 when it is done, or how long from
+	// now it wants to run again: the host then runs it once more after
+	// that long — sooner if input arrives and runs out again first —
+	// keeping the time to well under a millisecond's precision, which a
+	// module's own SetTimer need not have.
+	OnIdle(fn func() (again types.Duration))
 }
 
 // Handler consumes already-deduplicated protocol messages.

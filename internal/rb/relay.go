@@ -5,8 +5,8 @@
 // link, and shrinks the dominant phases further by referencing values by
 // content hash once the INIT has carried them in full (echo-by-hash, with
 // a pull path for the rare hash-before-value arrival). See
-// docs/rb-coalescing.md for the frame layout, the three flush triggers and
-// the full correctness argument.
+// docs/rb-coalescing.md for the frame layout, the three flush triggers,
+// the pacing of the idle one and the full correctness argument.
 //
 // Correctness in one paragraph: coalescing changes FRAMING and VALUE
 // INDIRECTION only, never the counting logic. On the receive side every
@@ -65,9 +65,22 @@ const InlineMax = 24
 // grid (multiples of the quantum since time zero), so under simulated
 // time all processes flush at identical instants and a step's
 // cross-instance traffic coalesces maximally. On a host that reports
-// running out of input (proto.IdleNotifier) the relay flushes then, and
-// the grid instant is reached only while input keeps arriving.
+// running out of input (proto.IdleNotifier) the relay flushes then —
+// IdleGap after the previous frame at the earliest — and the grid instant
+// is reached only while input keeps arriving.
 const DefaultQuantum = 2 * time.Millisecond
+
+// IdleGap is the least time between one frame and the next that an idle
+// host's hook sends (Flush). The hops of a decision are a dependent chain
+// a fraction of a millisecond apart on loopback; flushing at every one of
+// them makes a lightly loaded cluster processor-bound, and its latency
+// then follows whatever the machine's kernel paths cost that minute
+// (docs/rb-coalescing.md, "Pacing", has the measurements). A hold of at
+// most IdleGap lets the ECHOs and READYs of concurrent instances share
+// frames again and ends the READY hop on a timer. Sized to today's hop
+// cost (≈ 0.4 ms); it should come down with it. The grid timer and
+// MaxBuffer are not paced.
+const IdleGap = 800 * time.Microsecond
 
 // Vector frame hard bounds — defensive limits against forged frames.
 const (
@@ -261,7 +274,8 @@ type RelayConfig struct {
 	// MaxBuffer flushes the outbound buffer early when it holds this many
 	// entries (default 2048) — a bound on the buffer's memory and on the
 	// size of one vector frame. It bounds no latency: holding ends when
-	// the host runs out of input or at the DefaultQuantum grid instant.
+	// the host runs out of input (IdleGap after the previous frame at the
+	// earliest) or at the DefaultQuantum grid instant.
 	MaxBuffer int
 	// MaxParked caps the total hash-before-value entries parked awaiting
 	// resolution (default 4096); beyond it entries are dropped and
@@ -342,6 +356,7 @@ type Relay struct {
 	pulled    map[hashKey]map[types.ProcID]struct{}
 
 	framesOut   uint64
+	lastFrame   types.Time // when the latest frame left: paces idle flushes
 	entriesOut  uint64
 	flushes     [numFlushCauses]uint64
 	flushSeries [numFlushCauses]*obs.Counter
@@ -398,7 +413,7 @@ var _ proto.Env = (*Relay)(nil)
 
 // NewRelay builds the coalescing relay. cfg.Env and cfg.Sink are
 // required. When cfg.Env is a proto.IdleNotifier the relay also flushes
-// each time the host runs out of input.
+// when the host runs out of input, paced by IdleGap (Flush).
 func NewRelay(cfg RelayConfig) *Relay {
 	if cfg.MaxBuffer <= 0 {
 		cfg.MaxBuffer = defaultMaxBuffer
@@ -426,6 +441,8 @@ func NewRelay(cfg RelayConfig) *Relay {
 		cache:    make(map[hashKey]*cacheVal),
 		parked:   make(map[hashKey][]parkedRef),
 		pulled:   make(map[hashKey]map[types.ProcID]struct{}),
+		// No frame has left yet: the first idle flush is not held.
+		lastFrame: -types.Time(IdleGap),
 		flushSeries: [numFlushCauses]*obs.Counter{
 			flushIdle:  cfg.Metrics.FlushesIdle,
 			flushTimer: cfg.Metrics.FlushesTimer,
@@ -508,9 +525,21 @@ func (r *Relay) onFlushTimer() {
 	r.flush(flushTimer)
 }
 
-// Flush sends what the relay is holding now: the hook an idle host runs
-// (proto.IdleNotifier). With nothing buffered it does nothing.
-func (r *Relay) Flush() { r.flush(flushIdle) }
+// Flush is the hook an idle host runs (proto.IdleNotifier): it sends
+// what the relay is holding, unless the last frame left less than IdleGap
+// ago — then it sends nothing and says how long until it may, and the
+// host runs it again then. The grid timer stays armed meanwhile. With
+// nothing buffered it does nothing.
+func (r *Relay) Flush() (again types.Duration) {
+	if len(r.buf) == 0 {
+		return 0
+	}
+	if wait := IdleGap - time.Duration(r.env.Now()-r.lastFrame); wait > 0 {
+		return wait
+	}
+	r.flush(flushIdle)
+	return 0
+}
 
 // flush drains the outbound buffer into one MsgRBVector broadcast and
 // cancels the pending grid timer. ECHO/READY are broadcasts, so the entry
@@ -533,6 +562,7 @@ func (r *Relay) flush(cause flushCause) {
 		return
 	}
 	r.framesOut++
+	r.lastFrame = r.env.Now()
 	r.entriesOut += uint64(n)
 	r.flushes[cause]++
 	r.flushSeries[cause].Inc()

@@ -308,17 +308,19 @@ func TestRelayFlushesAtMaxBuffer(t *testing.T) {
 // (proto.IdleNotifier); idle() is that moment.
 type idleEnv struct {
 	*relayEnv
-	hooks []func()
+	hooks []func() types.Duration
 }
 
 var _ proto.IdleNotifier = (*idleEnv)(nil)
 
-func (e *idleEnv) OnIdle(fn func()) { e.hooks = append(e.hooks, fn) }
+func (e *idleEnv) OnIdle(fn func() types.Duration) { e.hooks = append(e.hooks, fn) }
 
-func (e *idleEnv) idle() {
+// idle runs the hooks and returns the longest wait one of them asked for.
+func (e *idleEnv) idle() (again types.Duration) {
 	for _, fn := range e.hooks {
-		fn()
+		again = max(again, fn())
 	}
+	return again
 }
 
 func TestRelayFlushesOnIdle(t *testing.T) {
@@ -333,8 +335,11 @@ func TestRelayFlushesOnIdle(t *testing.T) {
 		t.Fatalf("relay registered %d idle hooks, want 1", len(env.hooks))
 	}
 
-	// An idle host with nothing buffered: no frame, no span, no count.
-	env.idle()
+	// An idle host with nothing buffered: no frame, no span, no count, and
+	// nothing to come back for.
+	if again := env.idle(); again != 0 {
+		t.Fatalf("empty idle asked to run again in %v", again)
+	}
 	if len(env.bcast) != 0 || r.FramesOut() != 0 || r.IdleFlushes() != 0 || rec.Total() != 0 {
 		t.Fatalf("empty idle: %d broadcasts, %d frames, %d idle flushes, %d spans",
 			len(env.bcast), r.FramesOut(), r.IdleFlushes(), rec.Total())
@@ -346,7 +351,9 @@ func TestRelayFlushesOnIdle(t *testing.T) {
 	if len(env.bcast) != 0 || r.Buffered() != 3 || len(env.timers) != 1 {
 		t.Fatalf("before idle: %d broadcasts, %d buffered, %d timers", len(env.bcast), r.Buffered(), len(env.timers))
 	}
-	env.idle()
+	if again := env.idle(); again != 0 {
+		t.Fatalf("idle flush asked to run again in %v", again)
+	}
 	if len(env.bcast) != 1 || env.bcast[0].Kind != proto.MsgRBVector {
 		t.Fatalf("idle sent %+v, want one vector frame", env.bcast)
 	}
@@ -383,6 +390,55 @@ func TestRelayFlushesOnIdle(t *testing.T) {
 	env.fireTimers()
 	if len(env.bcast) != 2 || r.IdleFlushes() != 1 || r.TimerFlushes() != 1 {
 		t.Fatalf("%d broadcasts, idle=%d timer=%d", len(env.bcast), r.IdleFlushes(), r.TimerFlushes())
+	}
+}
+
+// Idle flushes are paced: less than IdleGap after a frame left — whatever
+// ended that hold — an idle host's hook sends nothing, leaves the grid
+// timer armed, and asks to be run again when the gap is over.
+func TestRelayPacesIdleFlushes(t *testing.T) {
+	env := &idleEnv{relayEnv: newRelayEnv()}
+	r := NewRelay(RelayConfig{Env: env, Sink: func(types.ProcID, proto.Message) {}})
+	r.Broadcast(echoMsg(1, 0, "v0"))
+	env.idle()
+	if len(env.bcast) != 1 {
+		t.Fatalf("%d broadcasts, want the first idle flush", len(env.bcast))
+	}
+
+	env.now += types.Time(IdleGap / 4)
+	r.Broadcast(echoMsg(2, 1, "v1"))
+	if again := env.idle(); again != IdleGap-IdleGap/4 {
+		t.Fatalf("idle inside the gap asked for %v, want %v", again, IdleGap-IdleGap/4)
+	}
+	env.now += types.Time(IdleGap / 4)
+	r.Broadcast(echoMsg(3, 2, "v2"))
+	if again := env.idle(); again != IdleGap/2 {
+		t.Fatalf("second idle inside the gap asked for %v, want %v", again, IdleGap/2)
+	}
+	if len(env.bcast) != 1 || r.Buffered() != 2 || env.timers[1].fn == nil {
+		t.Fatalf("inside the gap: %d broadcasts, %d buffered, grid timer pending=%v",
+			len(env.bcast), r.Buffered(), env.timers[1].fn != nil)
+	}
+
+	env.now += types.Time(IdleGap / 2)
+	if again := env.idle(); again != 0 {
+		t.Fatalf("idle at the end of the gap asked for %v", again)
+	}
+	if len(env.bcast) != 2 || r.Buffered() != 0 || r.IdleFlushes() != 2 || env.timers[1].fn != nil {
+		t.Fatalf("after the gap: %d broadcasts, %d buffered, idle=%d, grid timer pending=%v",
+			len(env.bcast), r.Buffered(), r.IdleFlushes(), env.timers[1].fn != nil)
+	}
+
+	// The gap is measured from the last frame of any cause, and does not
+	// hold the grid timer back.
+	r.Broadcast(echoMsg(4, 3, "v3"))
+	env.fireTimers()
+	if len(env.bcast) != 3 || r.TimerFlushes() != 1 {
+		t.Fatalf("%d broadcasts, timer=%d, want the grid flush", len(env.bcast), r.TimerFlushes())
+	}
+	r.Broadcast(echoMsg(5, 4, "v4"))
+	if again := env.idle(); again != IdleGap {
+		t.Fatalf("idle right after a grid flush asked for %v, want %v", again, IdleGap)
 	}
 }
 
