@@ -164,6 +164,10 @@ func TestE2EClusterTelemetry(t *testing.T) {
 		for _, want := range []string{
 			"# TYPE minsync_rt_posted_total counter",
 			"minsync_wire_frames_total",
+			`minsync_wire_dropped_frames_total{reason="down"}`,
+			`minsync_wire_dropped_frames_total{reason="stalled"}`,
+			"# TYPE minsync_wire_queue_bytes gauge",
+			`minsync_wire_queue_bytes{peer="`,
 			"minsync_rb_delivers_total",
 			`minsync_rb_flushes_total{cause="idle"}`,
 			`minsync_rb_flushes_total{cause="timer"}`,

@@ -1,6 +1,8 @@
 // Package netx is a TCP transport for the consensus stack: length-prefixed
 // frames of wire-encoded messages over one connection per ordered peer
-// pair, with lazy dialing and an identification handshake.
+// pair, with an identification handshake. Each peer has a link: Send
+// queues on it and returns, and the link's writer goroutine dials, writes
+// and fails on its own time, so the caller's step never waits for a peer.
 //
 // Model note: the paper assumes reliable authenticated point-to-point
 // channels — a peer cannot impersonate another (§2.1). This transport
@@ -12,12 +14,16 @@
 package netx
 
 import (
+	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -26,8 +32,28 @@ import (
 	"repro/internal/wire"
 )
 
-// maxFrame bounds incoming frames (wire's value limit plus header slack).
-const maxFrame = wire.MaxValueLen + 64
+const (
+	// maxFrame bounds incoming frames (wire's value limit plus header slack).
+	maxFrame = wire.MaxValueLen + 64
+	// maxQueueBytes bounds what one link holds unwritten. It limits memory
+	// only: a peer that reads drains its link far faster than a process
+	// fills 64 MiB, so a frame refused here is one the peer stopped taking.
+	maxQueueBytes = 64 << 20
+	// A link whose dial fails refuses frames for a backoff that doubles
+	// from minBackoff up to maxBackoff, and is reset by a successful dial.
+	minBackoff = 10 * time.Millisecond
+	maxBackoff = time.Second
+	// closeGrace is how long Close lets the writers put what Send already
+	// accepted on live connections.
+	closeGrace = 100 * time.Millisecond
+	// readBuffer sizes each inbound connection's bufio.Reader.
+	readBuffer = 32 << 10
+)
+
+// stallTimeout is how long a write may make no progress before the link
+// decides the peer is not reading. A variable only so that the package's
+// tests can shorten it (export_test.go); Listen copies it.
+var stallTimeout = 5 * time.Second
 
 // RecvFunc consumes inbound messages. It is called from per-connection
 // reader goroutines; callers must serialize internally (internal/rt posts
@@ -49,29 +75,28 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// Metrics, if non-nil, is the wire telemetry bundle
 	// (obs.NewWireMetrics): frames and bytes by direction and message
-	// kind, per-peer frame counts, dials and rejected frames. Passive;
-	// increments happen beside the existing stats counters.
+	// kind, per-peer frame counts and queue depth, dials, dropped and
+	// rejected frames. Passive; increments happen beside the existing
+	// stats counters.
 	Metrics *obs.WireMetrics
 }
 
 // Transport moves protocol messages over TCP.
 type Transport struct {
-	cfg Config
-	ln  net.Listener
+	cfg   Config
+	ln    net.Listener
+	links map[types.ProcID]*link // one per peer, fixed by Listen
+	stall time.Duration
 
-	mu    sync.Mutex
-	out   map[types.ProcID]net.Conn // outbound connections (send path)
-	stats struct {
-		sent, received, rejected uint64
-	}
+	sent, received, rejected atomic.Uint64
 
-	closed  chan struct{}
-	closeMu sync.Once
-	wg      sync.WaitGroup
+	ctx    context.Context // cancelled by Close
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
-// Listen starts the transport: it binds Addrs[Self] and serves inbound
-// connections until Close.
+// Listen starts the transport: it binds Addrs[Self], serves inbound
+// connections and starts one link per other process, until Close.
 func Listen(cfg Config) (*Transport, error) {
 	if cfg.Recv == nil {
 		return nil, errors.New("netx: nil Recv")
@@ -90,11 +115,26 @@ func Listen(cfg Config) (*Transport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netx: listen %s: %w", addr, err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	t := &Transport{
 		cfg:    cfg,
 		ln:     ln,
-		out:    make(map[types.ProcID]net.Conn),
-		closed: make(chan struct{}),
+		links:  make(map[types.ProcID]*link, len(cfg.Addrs)),
+		stall:  stallTimeout,
+		ctx:    ctx,
+		cancel: cancel,
+	}
+	for id, addr := range cfg.Addrs {
+		if id == cfg.Self {
+			continue
+		}
+		l := &link{t: t, peer: id, addr: addr, wake: make(chan struct{}, 1)}
+		if wm := cfg.Metrics; wm != nil {
+			l.queued = wm.QueueBytes[int(id)]
+		}
+		t.links[id] = l
+		t.wg.Add(1)
+		go l.run()
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -104,39 +144,24 @@ func Listen(cfg Config) (*Transport, error) {
 // Addr returns the actual listen address (useful with ":0").
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
 
-// Sent and Received report frame counters.
-func (t *Transport) Sent() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats.sent
-}
+// Sent reports frames written to peers.
+func (t *Transport) Sent() uint64 { return t.sent.Load() }
 
 // Received reports accepted inbound frames.
-func (t *Transport) Received() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats.received
-}
+func (t *Transport) Received() uint64 { return t.received.Load() }
 
 // Rejected reports malformed inbound frames dropped.
-func (t *Transport) Rejected() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats.rejected
-}
+func (t *Transport) Rejected() uint64 { return t.rejected.Load() }
 
 func (t *Transport) acceptLoop() {
 	defer t.wg.Done()
 	for {
 		conn, err := t.ln.Accept()
 		if err != nil {
-			select {
-			case <-t.closed:
-				return
-			default:
+			if t.ctx.Err() == nil {
 				t.cfg.Logf("netx %v: accept: %v", t.cfg.Self, err)
-				return
 			}
+			return
 		}
 		t.wg.Add(1)
 		go t.serveConn(conn)
@@ -156,155 +181,337 @@ func (t *Transport) serveConn(conn net.Conn) {
 	go func() {
 		defer t.wg.Done()
 		select {
-		case <-t.closed:
+		case <-t.ctx.Done():
 			conn.Close()
 		case <-done:
 		}
 	}()
 
-	hello, err := readFrame(conn)
-	if err != nil || len(hello) != 4 {
+	r := bufio.NewReaderSize(conn, readBuffer)
+	peer, err := readHello(r)
+	if err != nil {
 		t.cfg.Logf("netx %v: bad handshake from %s: %v", t.cfg.Self, conn.RemoteAddr(), err)
 		return
 	}
-	peer := types.ProcID(binary.LittleEndian.Uint32(hello))
 	if _, known := t.cfg.Addrs[peer]; !known || peer == t.cfg.Self {
 		t.cfg.Logf("netx %v: unknown peer id %v from %s", t.cfg.Self, peer, conn.RemoteAddr())
 		return
 	}
 	for {
-		body, err := readFrame(conn)
+		body, err := readFrame(r)
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				select {
-				case <-t.closed:
-				default:
-					t.cfg.Logf("netx %v: read from %v: %v", t.cfg.Self, peer, err)
-				}
+			if !errors.Is(err, io.EOF) && t.ctx.Err() == nil {
+				t.cfg.Logf("netx %v: read from %v: %v", t.cfg.Self, peer, err)
 			}
 			return
 		}
 		m, err := wire.Decode(body)
 		if err != nil {
 			// Byzantine garbage: count and drop, never crash.
-			t.mu.Lock()
-			t.stats.rejected++
-			t.mu.Unlock()
+			t.rejected.Add(1)
 			if wm := t.cfg.Metrics; wm != nil {
 				wm.Rejected.Inc()
 			}
 			continue
 		}
-		t.mu.Lock()
-		t.stats.received++
-		t.mu.Unlock()
+		t.received.Add(1)
 		t.cfg.Metrics.Recv(int(m.Kind), int(peer), len(body))
 		t.cfg.Recv(peer, m)
 	}
 }
 
-// Send transmits m to peer, dialing lazily. A failed connection is dropped
-// and redialed once; the network model tolerates (finite) retries at the
-// caller's pace.
+// Send encodes m and queues it on the link to peer `to`; it never dials,
+// writes or blocks. A nil error means the frame is queued: the link
+// writes its frames in order and drops them only if the connection fails
+// (see link). A link that is backing off after a failed dial, or that
+// holds maxQueueBytes unwritten, refuses the frame with an error and
+// counts the drop.
 func (t *Transport) Send(to types.ProcID, m proto.Message) error {
-	select {
-	case <-t.closed:
+	if t.ctx.Err() != nil {
 		return errors.New("netx: transport closed")
-	default:
+	}
+	l, ok := t.links[to]
+	if !ok {
+		return fmt.Errorf("netx: no link to %v", to)
 	}
 	body, err := wire.Encode(m)
 	if err != nil {
 		return fmt.Errorf("netx: encode: %w", err)
 	}
-	for attempt := 0; attempt < 2; attempt++ {
-		conn, err := t.conn(to)
-		if err != nil {
-			return err
-		}
-		if err := writeFrame(conn, body); err != nil {
-			t.dropConn(to, conn)
-			continue
-		}
-		t.mu.Lock()
-		t.stats.sent++
-		t.mu.Unlock()
-		t.cfg.Metrics.Sent(int(m.Kind), int(to), len(body))
-		return nil
-	}
-	return fmt.Errorf("netx: send to %v failed after retry", to)
+	return l.enqueue(frame{kind: m.Kind, body: body})
 }
 
-// conn returns (dialing if needed) the outbound connection to peer.
-func (t *Transport) conn(to types.ProcID) (net.Conn, error) {
-	t.mu.Lock()
-	if c, ok := t.out[to]; ok {
-		t.mu.Unlock()
-		return c, nil
-	}
-	t.mu.Unlock()
-
-	addr, ok := t.cfg.Addrs[to]
-	if !ok {
-		return nil, fmt.Errorf("netx: no address for %v", to)
-	}
-	c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("netx: dial %v (%s): %w", to, addr, err)
-	}
-	// Handshake: identify ourselves.
-	hello := make([]byte, 4)
-	binary.LittleEndian.PutUint32(hello, uint32(t.cfg.Self))
-	if err := writeFrame(c, hello); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("netx: handshake to %v: %w", to, err)
-	}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if existing, ok := t.out[to]; ok {
-		// Raced with another sender; keep the first connection.
-		c.Close()
-		return existing, nil
-	}
-	t.out[to] = c
-	if wm := t.cfg.Metrics; wm != nil {
-		wm.Connects.Inc()
-	}
-	return c, nil
-}
-
-func (t *Transport) dropConn(to types.ProcID, c net.Conn) {
-	t.mu.Lock()
-	if t.out[to] == c {
-		delete(t.out, to)
-	}
-	t.mu.Unlock()
-	c.Close()
-}
-
-// Close shuts the transport down and waits for its goroutines.
+// Close shuts the transport down and waits for its goroutines. Frames
+// already queued on a connected link get closeGrace to go out; a writer
+// blocked on a peer that is not reading is cut off at the same moment.
 func (t *Transport) Close() error {
-	t.closeMu.Do(func() { close(t.closed) })
+	t.cancel()
 	err := t.ln.Close()
-	t.mu.Lock()
-	for id, c := range t.out {
-		c.Close()
-		delete(t.out, id)
+	for _, l := range t.links {
+		l.mu.Lock()
+		if l.conn != nil {
+			l.conn.SetWriteDeadline(time.Now().Add(closeGrace))
+		}
+		l.mu.Unlock()
 	}
-	t.mu.Unlock()
 	t.wg.Wait()
 	return err
 }
 
-// writeFrame writes a u32-length-prefixed frame.
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// frame is one encoded message waiting on a link.
+type frame struct {
+	kind proto.MsgKind
+	body []byte
+}
+
+// link is the outbound channel to one peer. Send appends to its queue;
+// its writer goroutine owns everything that can block: the dial with
+// backoff, the handshake, and writev of the whole queue under a write
+// deadline. A connection that fails — dial refused, write error, or no
+// write progress for stallTimeout (the peer is not reading) — loses the
+// frames on it and queued behind it, counted as dropped; nothing is
+// resent, recovery is the protocol's (sm.Transfer). A healthy link never
+// drops.
+type link struct {
+	t      *Transport
+	peer   types.ProcID
+	addr   string
+	wake   chan struct{} // capacity 1: one pending signal covers any number of frames
+	queued *obs.Gauge
+
+	mu      sync.Mutex
+	queue   []frame  // accepted, not yet taken by the writer
+	pending int      // bytes queued or being written
+	down    bool     // the last dial failed; refuse frames until the backoff ends
+	conn    net.Conn // written only by the writer (under mu), read by Close
+
+	// Writer-owned scratch, reused across batches.
+	spare []frame
+	hdrs  []byte
+	iov   net.Buffers
+}
+
+func (l *link) enqueue(f frame) error {
+	l.mu.Lock()
+	if l.down {
+		l.mu.Unlock()
+		l.dropped(1, false)
+		return fmt.Errorf("netx: link to %v is down", l.peer)
+	}
+	size := 4 + len(f.body)
+	if l.pending+size > maxQueueBytes {
+		l.mu.Unlock()
+		l.dropped(1, true)
+		return fmt.Errorf("netx: link to %v is full", l.peer)
+	}
+	l.queue = append(l.queue, f)
+	l.pending += size
+	l.queued.Set(int64(l.pending))
+	l.mu.Unlock()
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+	return nil
+}
+
+// run is the writer: each wake-up takes the whole queue and writes it in
+// one writev, dialing first if there is no connection.
+func (l *link) run() {
+	defer l.t.wg.Done()
+	defer l.closeConn()
+	backoff := minBackoff
+	for {
+		select {
+		case <-l.wake:
+		case <-l.t.ctx.Done():
+			// Closing: what Send accepted goes out on a live connection
+			// within closeGrace; nothing is dialed.
+			if batch := l.take(); len(batch) > 0 {
+				if l.conn == nil || l.write(batch) != nil {
+					l.fail(len(batch), false, false)
+				}
+			}
+			return
+		}
+		batch := l.take()
+		if len(batch) == 0 {
+			continue
+		}
+		if l.conn == nil {
+			if err := l.dial(); err != nil {
+				if backoff == minBackoff && l.t.ctx.Err() == nil {
+					l.t.cfg.Logf("netx %v: link to %v down: %v", l.t.cfg.Self, l.peer, err)
+				}
+				l.fail(len(batch), false, true)
+				select {
+				case <-time.After(backoff):
+				case <-l.t.ctx.Done():
+					return
+				}
+				backoff = min(2*backoff, maxBackoff)
+				l.mu.Lock()
+				l.down = false
+				l.mu.Unlock()
+				continue
+			}
+			backoff = minBackoff
+		}
+		if err := l.write(batch); err != nil {
+			stalled := errors.Is(err, os.ErrDeadlineExceeded)
+			if l.t.ctx.Err() == nil {
+				l.t.cfg.Logf("netx %v: write to %v: %v", l.t.cfg.Self, l.peer, err)
+			}
+			l.closeConn()
+			l.fail(len(batch), stalled, false)
+		}
+	}
+}
+
+// take hands the writer everything queued, swapping in the spare slice.
+func (l *link) take() []frame {
+	l.mu.Lock()
+	batch := l.queue
+	l.queue = l.spare[:0]
+	l.mu.Unlock()
+	l.spare = nil
+	return batch
+}
+
+// dial connects and sends the handshake: a 4-byte frame holding Self.
+func (l *link) dial() error {
+	d := net.Dialer{Timeout: l.t.cfg.DialTimeout}
+	c, err := d.DialContext(l.t.ctx, "tcp", l.addr)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(body)
-	return err
+	var hello [8]byte
+	binary.LittleEndian.PutUint32(hello[0:], 4)
+	binary.LittleEndian.PutUint32(hello[4:], uint32(l.t.cfg.Self))
+	c.SetWriteDeadline(time.Now().Add(l.t.stall))
+	if _, err := c.Write(hello[:]); err != nil {
+		c.Close()
+		return fmt.Errorf("handshake: %w", err)
+	}
+	l.mu.Lock()
+	l.conn = c
+	l.mu.Unlock()
+	if wm := l.t.cfg.Metrics; wm != nil {
+		wm.Connects.Inc()
+	}
+	return nil
+}
+
+// write sends batch as one writev — every frame's length prefix and body —
+// and counts it. A write cut off by the deadline after making progress is
+// resumed under a fresh one (the peer is reading, slowly); one that made
+// none means the peer stopped reading.
+func (l *link) write(batch []frame) error {
+	if need := 4 * len(batch); cap(l.hdrs) < need {
+		l.hdrs = make([]byte, need)
+	}
+	bytes := 0
+	iov := l.iov[:0]
+	for i, f := range batch {
+		hdr := l.hdrs[4*i : 4*i+4]
+		binary.LittleEndian.PutUint32(hdr, uint32(len(f.body)))
+		iov = append(iov, hdr, f.body)
+		bytes += 4 + len(f.body)
+	}
+	bufs := iov
+	var err error
+	for {
+		l.armDeadline()
+		var n int64
+		n, err = bufs.WriteTo(l.conn)
+		if err == nil || n == 0 || !errors.Is(err, os.ErrDeadlineExceeded) || l.t.ctx.Err() != nil {
+			break
+		}
+	}
+	clear(iov)
+	l.iov = iov[:0]
+	if err != nil {
+		return err
+	}
+	l.t.sent.Add(uint64(len(batch)))
+	for _, f := range batch {
+		l.t.cfg.Metrics.Sent(int(f.kind), int(l.peer), len(f.body))
+	}
+	clear(batch)
+	l.spare = batch[:0]
+	l.mu.Lock()
+	l.pending -= bytes
+	l.queued.Set(int64(l.pending))
+	l.mu.Unlock()
+	return nil
+}
+
+// armDeadline gives the next write stallTimeout, or closeGrace once the
+// transport is closing. It holds mu, as Close does when it shortens the
+// deadline, so a write never starts with a deadline Close has not seen.
+func (l *link) armDeadline() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	d := l.t.stall
+	if l.t.ctx.Err() != nil {
+		d = closeGrace
+	}
+	l.conn.SetWriteDeadline(time.Now().Add(d))
+}
+
+// fail drops the n frames the writer holds and everything queued behind
+// them, counting them as stalled or down; down also makes Send refuse
+// frames until the writer's backoff ends.
+func (l *link) fail(n int, stalled, down bool) {
+	l.mu.Lock()
+	n += len(l.queue)
+	clear(l.queue)
+	l.queue = l.queue[:0]
+	l.pending = 0
+	l.down = down
+	l.queued.Set(0)
+	l.mu.Unlock()
+	l.dropped(n, stalled)
+}
+
+func (l *link) dropped(n int, stalled bool) {
+	wm := l.t.cfg.Metrics
+	if wm == nil {
+		return
+	}
+	if stalled {
+		wm.DroppedStalled.Add(uint64(n))
+	} else {
+		wm.DroppedDown.Add(uint64(n))
+	}
+}
+
+func (l *link) closeConn() {
+	l.mu.Lock()
+	c := l.conn
+	l.conn = nil
+	l.mu.Unlock()
+	if c != nil {
+		c.Close()
+	}
+}
+
+// readHello reads the identification frame: a length of exactly 4, then
+// the dialer's process ID. The length is checked before anything is
+// allocated, so an unidentified dialer cannot make the node hold a
+// maxFrame buffer.
+func readHello(r io.Reader) (types.ProcID, error) {
+	var b [8]byte
+	if _, err := io.ReadFull(r, b[:4]); err != nil {
+		return 0, err
+	}
+	if n := binary.LittleEndian.Uint32(b[:4]); n != 4 {
+		return 0, fmt.Errorf("netx: hello frame of %d bytes", n)
+	}
+	if _, err := io.ReadFull(r, b[4:]); err != nil {
+		return 0, err
+	}
+	return types.ProcID(binary.LittleEndian.Uint32(b[4:])), nil
 }
 
 // readFrame reads one frame, enforcing the size bound.

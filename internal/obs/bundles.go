@@ -316,12 +316,13 @@ func NewNodeMetrics(r *Registry, labels string) *NodeMetrics {
 const maxWireKind = 16
 
 // WireMetrics instruments a TCP transport (internal/netx): frames and
-// bytes by direction and wire kind, per-peer frame counts, connection
-// churn. Kind lookup is a direct array index so the per-frame cost is
-// one atomic add per series.
+// bytes by direction and wire kind, per-peer frame counts and outbound
+// queue depth, connection churn and dropped frames. Kind lookup is a
+// direct array index so the per-frame cost is one atomic add per series.
 type WireMetrics struct {
 	// FramesSent/BytesSent and FramesRecv/BytesRecv are indexed by wire
-	// kind (index 0 = out-of-range "other").
+	// kind (index 0 = out-of-range "other"). Sent frames are frames
+	// written to the connection, not frames queued.
 	FramesSent [maxWireKind]*Counter
 	BytesSent  [maxWireKind]*Counter
 	FramesRecv [maxWireKind]*Counter
@@ -329,10 +330,19 @@ type WireMetrics struct {
 	// PeerSent/PeerRecv count frames exchanged with each configured peer.
 	PeerSent map[int]*Counter
 	PeerRecv map[int]*Counter
+	// QueueBytes is each peer link's outbound backlog: bytes queued or
+	// being written.
+	QueueBytes map[int]*Gauge
 	// Connects counts successful dials (first connect and reconnects
 	// alike); Rejected counts inbound frames discarded before dispatch.
 	Connects *Counter
 	Rejected *Counter
+	// DroppedDown counts outbound frames lost to a link without a
+	// connection (dial failed, or the write failed); DroppedStalled those
+	// lost to a peer that stopped reading (no write progress within the
+	// link's deadline, or a full queue).
+	DroppedDown    *Counter
+	DroppedStalled *Counter
 }
 
 // NewWireMetrics registers the transport bundle. kinds is the number of
@@ -345,11 +355,17 @@ func NewWireMetrics(r *Registry, labels string, kinds int, kindName func(int) st
 	if kinds >= maxWireKind {
 		kinds = maxWireKind - 1
 	}
+	dropped := func(reason string) *Counter {
+		return r.Counter(WithLabels("minsync_wire_dropped_frames_total", JoinLabels(labels, `reason="`+reason+`"`)))
+	}
 	m := &WireMetrics{
-		PeerSent: make(map[int]*Counter, len(peers)),
-		PeerRecv: make(map[int]*Counter, len(peers)),
-		Connects: r.Counter(WithLabels("minsync_wire_connects_total", labels)),
-		Rejected: r.Counter(WithLabels("minsync_wire_rejected_frames_total", labels)),
+		PeerSent:       make(map[int]*Counter, len(peers)),
+		PeerRecv:       make(map[int]*Counter, len(peers)),
+		QueueBytes:     make(map[int]*Gauge, len(peers)),
+		Connects:       r.Counter(WithLabels("minsync_wire_connects_total", labels)),
+		Rejected:       r.Counter(WithLabels("minsync_wire_rejected_frames_total", labels)),
+		DroppedDown:    dropped("down"),
+		DroppedStalled: dropped("stalled"),
 	}
 	series := func(base, dir, kind string) *Counter {
 		lbl := JoinLabels(labels, `dir="`+dir+`"`, `kind="`+kind+`"`)
@@ -371,6 +387,8 @@ func NewWireMetrics(r *Registry, labels string, kinds int, kindName func(int) st
 			JoinLabels(labels, `dir="sent"`, `peer="`+peer+`"`)))
 		m.PeerRecv[p] = r.Counter(WithLabels("minsync_wire_peer_frames_total",
 			JoinLabels(labels, `dir="recv"`, `peer="`+peer+`"`)))
+		m.QueueBytes[p] = r.Gauge(WithLabels("minsync_wire_queue_bytes",
+			JoinLabels(labels, `peer="`+peer+`"`)))
 	}
 	return m
 }

@@ -227,6 +227,19 @@ func TestWireMetrics(t *testing.T) {
 	if got := m.FramesRecv[2].Value(); got != 2 {
 		t.Fatalf("frames recv kind 2 = %d", got)
 	}
+	m.QueueBytes[3].Set(40)
+	m.DroppedStalled.Add(2)
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	for _, want := range []string{
+		`minsync_wire_queue_bytes{proc="1",peer="3"} 40`,
+		`minsync_wire_dropped_frames_total{proc="1",reason="down"} 0`,
+		`minsync_wire_dropped_frames_total{proc="1",reason="stalled"} 2`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, b.String())
+		}
+	}
 	var nilM *WireMetrics
 	nilM.Sent(1, 2, 3) // must not panic
 	nilM.Recv(1, 2, 3)

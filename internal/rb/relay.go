@@ -77,10 +77,10 @@ const DefaultQuantum = 2 * time.Millisecond
 // then follows whatever the machine's kernel paths cost that minute
 // (docs/rb-coalescing.md, "Pacing", has the measurements). A hold of at
 // most IdleGap lets the ECHOs and READYs of concurrent instances share
-// frames again and ends the READY hop on a timer. Sized to today's hop
-// cost (≈ 0.4 ms); it should come down with it. The grid timer and
-// MaxBuffer are not paced.
-const IdleGap = 800 * time.Microsecond
+// frames again. Sized to the hop cost left once netx writes off the event
+// loop (one writev per link per drain, no dial on the loop); it should
+// come down with it. The grid timer and MaxBuffer are not paced.
+const IdleGap = 400 * time.Microsecond
 
 // Vector frame hard bounds — defensive limits against forged frames.
 const (

@@ -164,6 +164,45 @@ func TestLogOverMemNetwork(t *testing.T) {
 // TestLogOverTCP runs the same workload across four real TCP transports on
 // localhost — the full wire-codec-v2 path end to end.
 func TestLogOverTCP(t *testing.T) {
+	runTCPLog(t, nil)
+}
+
+// TestLogOverTCPStalledPeer: process 4 accepts connections and never reads
+// from them. The other three — exactly n−t — commit every command: their
+// event loops never wait on its links.
+func TestLogOverTCPStalledPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	runTCPLog(t, map[types.ProcID]string{4: ln.Addr().String()})
+}
+
+// runTCPLog runs 20 commands through a 4-replica log over TCP transports
+// on localhost. The processes in absent are not started; they are
+// reachable at the given addresses, or not at all.
+func runTCPLog(t *testing.T, absent map[types.ProcID]string) {
 	const n, target = 4, 20
 	params := types.Params{N: n, T: 1}
 
@@ -171,6 +210,10 @@ func TestLogOverTCP(t *testing.T) {
 	// the full address map up front (same idiom as the netx tests).
 	addrs := make(map[types.ProcID]string, n)
 	for _, id := range params.AllProcs() {
+		if addr, ok := absent[id]; ok {
+			addrs[id] = addr
+			continue
+		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -181,6 +224,9 @@ func TestLogOverTCP(t *testing.T) {
 	transports := make(map[types.ProcID]*netx.Transport, n)
 	nodes := make(map[types.ProcID]*rt.Node, n)
 	for _, id := range params.AllProcs() {
+		if _, ok := absent[id]; ok {
+			continue
+		}
 		id := id
 		tr, err := netx.Listen(netx.Config{
 			Self:  id,
@@ -199,7 +245,10 @@ func TestLogOverTCP(t *testing.T) {
 	}
 	replicas := make([]*logReplica, 0, n)
 	for _, id := range params.AllProcs() {
-		tr := transports[id]
+		tr, ok := transports[id]
+		if !ok {
+			continue
+		}
 		node, err := rt.NewNode(rt.NodeConfig{ID: id, Params: params, Transport: tcpAdapter{tr}})
 		if err != nil {
 			t.Fatal(err)

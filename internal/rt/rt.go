@@ -24,8 +24,8 @@ import (
 
 // Transport moves messages between processes.
 type Transport interface {
-	// Send transmits m from the owning node to peer `to`. Implementations
-	// must not block indefinitely.
+	// Send transmits m from the owning node to peer `to`. It is called on
+	// the event loop, so implementations must not block.
 	Send(to types.ProcID, m proto.Message) error
 }
 
