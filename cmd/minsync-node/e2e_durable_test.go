@@ -347,6 +347,9 @@ func TestE2ERestartUnderLoad(t *testing.T) {
 			if dir := c.dataDirs[0]; dir != "" && !strings.Contains(c.logs[0].String(), "booted from "+dir) {
 				t.Errorf("no durable boot in the log:\n%s", c.logs[0])
 			}
+			if n := c.counter(0, "minsync_transfer_chunks_received_total"); n < 1 {
+				t.Errorf("replica 1 installed a snapshot without receiving a chunk (%v)", n)
+			}
 			stopLoad()
 
 			c.waitQuiescent()

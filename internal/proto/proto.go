@@ -34,14 +34,14 @@ const (
 	// path entirely.
 	MsgKVRequest  // KV_REQ(encoded kv.Command)
 	MsgKVResponse // KV_RESP(encoded kv.Response)
-	// The snapshot-transfer kinds (wire codec v3, module ModSnap) carry
-	// peer-to-peer state transfer for replicas that compaction has left
-	// unable to catch up by replay: a request names the requester's
-	// applied boundary, a response carries one digest-stamped sm.Snapshot
-	// in a single frame. Unlike every kind above they are exempt from the
+	// The snapshot-transfer kinds (module ModSnap) carry peer-to-peer
+	// state transfer for replicas that compaction has left unable to
+	// catch up by replay: a request names the requester's applied
+	// boundary, a response carries the manifest of the server's latest
+	// snapshot payload. Unlike every kind above they are exempt from the
 	// first-message-only rule (see Node.Dispatch).
 	MsgSnapRequest  // SNAP_REQ(Instance = requester's applied boundary)
-	MsgSnapResponse // SNAP_RESP(digest ‖ snapshot bytes; Instance = snapshot boundary)
+	MsgSnapResponse // SNAP_RESP(sm manifest; Instance = snapshot boundary)
 	// The coalesced-relay kinds (wire codec v4, module ModRBRelay) carry
 	// the message-batching fast path of the reliable-broadcast layer
 	// (rb.Relay): a vector frame packs every ECHO/READY a process
@@ -55,12 +55,11 @@ const (
 	MsgRBVector   // RB_VECTOR(encoded entry vector; see rb.EncodeEntries)
 	MsgRBPull     // RB_PULL(Val = value hash being resolved)
 	MsgRBPullResp // RB_PULLR(Val = the full value; receiver re-hashes to match)
-	// The chunked snapshot-transfer kinds (wire codec v5, module ModSnap)
-	// carry transfer payloads too large for one frame: the server answers a
-	// SNAP_REQ with a manifest (still a MsgSnapResponse) listing per-chunk
-	// hashes, the requester acknowledges with the range of chunks it still
-	// needs (MsgSnapAck), and the server streams the chunks point-to-point
-	// (MsgSnapChunk). Like the other transfer kinds they bypass the
+	// The chunk kinds (module ModSnap) carry the payload a manifest
+	// describes: once t+1 peers sent the same manifest, the requester
+	// acknowledges with the range of chunks it still needs (MsgSnapAck),
+	// and a server streams the chunks point-to-point (MsgSnapChunk).
+	// Like the other transfer kinds they bypass the
 	// first-message-only rule (see Node.Dispatch): a requester legitimately
 	// re-requests lost ranges under the same dedup identity, and every
 	// chunk self-validates against the manifest's hash list.

@@ -36,6 +36,12 @@ import (
 // and the argument that the new rows are right is not this file but the
 // unmodified LOG-*/KV-* property blocks passing on them (430/430 cells
 // at seeds 1–10).
+//
+// Re-recorded a third time, the four kv-lag-transfer and
+// kv-lag-transfer-n7 rows only, when snapshot transfer lost its
+// one-frame inline form: those rejoins now fetch a manifest and then
+// chunks, one round trip more. The other 82 rows stayed byte-identical,
+// and KV-Transfer passes on all 430 cells at seeds 1–10.
 func TestGoldenDigests(t *testing.T) {
 	table, err := os.ReadFile("../../bench/golden_digests.tsv")
 	if err != nil {

@@ -240,10 +240,9 @@ func TestCrashRestartScenariosSweep(t *testing.T) {
 }
 
 // TestChunkLossScenarioSweep: across seeds 1..7 of transfer-chunk-loss,
-// the severed replica completes a CHUNKED snapshot download (state past
-// TransferInlineMax — chunk frames are only ever emitted for manifest
-// transfers) while the adversary destroys every 2nd chunk frame, via
-// the retry path's range re-requests. The scenario's own property blocks
+// the severed replica completes a multi-chunk snapshot download while
+// the adversary destroys every 2nd chunk frame, via the retry path's
+// range re-requests. The scenario's own property blocks
 // are the assertions: KV-Transfer (a snapshot was installed, under
 // MaxLead pressure, and the states converged) and KV-ChunkLoss (the drop
 // counter proves the loss episode actually bit).

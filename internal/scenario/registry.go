@@ -372,15 +372,12 @@ var registry = []Spec{
 		},
 		ExpectTermination: true,
 	},
-	// The chunk-loss variant forces the transfer payload past the inline
-	// frame budget (ValueBytes fattens the machine state), so the sync
-	// runs the manifest/chunk protocol — and then destroys every second
-	// chunk frame mid-download (ChunkDropEvery). The laggard must notice
-	// the holes and re-request exactly the missing ranges; KV-ChunkLoss
-	// proves frames really were lost, KV-Transfer that the sync still
-	// converged. Single-frame transfer cannot pass this scenario even in
-	// a lossless run: the payload exceeds sm.TransferInlineMax by design
-	// (the size-cliff regression test pins the arithmetic).
+	// The chunk-loss variant fattens the machine state (ValueBytes) until
+	// the transfer payload spans several chunks, then destroys every
+	// second chunk frame mid-download (ChunkDropEvery). The laggard must
+	// notice the holes and re-request exactly the missing ranges;
+	// KV-ChunkLoss proves frames really were lost, KV-Transfer that the
+	// sync still converged.
 	{
 		Name: "transfer-chunk-loss", Desc: "n=4 KV: multi-chunk snapshot sync completes despite every 2nd chunk frame lost",
 		N: 4, T: 1, M: 1,

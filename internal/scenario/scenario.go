@@ -262,11 +262,9 @@ type Work struct {
 	CompactKeep int
 
 	// ValueBytes > 0 pads every put value to this size. Large values fatten
-	// the machine state past sm.TransferInlineMax, forcing snapshot
-	// transfers through the chunked manifest protocol instead of the
-	// historical single frame; the transfer-chunk-loss scenario pins that
-	// path. Bounded so one command batch still fits a wire frame (see
-	// Validate).
+	// the machine state until a snapshot transfer streams several chunks;
+	// the transfer-chunk-loss scenario pins that. Bounded so one command
+	// batch still fits a wire frame (see Validate).
 	ValueBytes int
 
 	// --- WorkKV durable storage / crash-restart ----------------------

@@ -71,7 +71,7 @@ func Boot(p store.Persister, a *Applier, eng BootControl) (BootStats, error) {
 	var combined []log.Entry
 	base := 0
 	if rec.SnapPayload != nil {
-		s, retained, _, derr := DecodeTransfer(types.Value(rec.SnapPayload))
+		s, retained, derr := DecodeTransfer(types.Value(rec.SnapPayload))
 		if derr != nil {
 			return st, fmt.Errorf("sm: boot snapshot payload: %w", derr)
 		}

@@ -1,30 +1,26 @@
-// Chunked snapshot transfer: the codec side.
+// Snapshot transfer: the manifest, chunk and ack codecs.
 //
 // A transfer payload (EncodeTransfer: snapshot + retained dedup window)
-// historically traveled as ONE wire frame, which caps the shippable
-// machine state at the codec's MaxValueLen — a replicated KV holding a
-// few multi-MB values simply could not be transferred. Chunking lifts
-// the cliff without touching the trust model:
+// always travels in chunks, however small it is, so no payload hits the
+// codec's one-frame MaxValueLen cliff and there is one path to test:
 //
-//	SNAP_RESP  carries a one-byte form tag. Form 0 is the inline payload
-//	           (small states: exactly the historical single frame, one
-//	           byte longer). Form 1 is a MANIFEST: the payload digest,
-//	           the snapshot position, and the SHA-256 of every chunk.
+//	SNAP_RESP  carries a MANIFEST: the payload digest, the snapshot
+//	           position, and the SHA-256 of every chunk.
 //	SNAP_ACK   requester → server: "send me chunks [From, From+Window)
 //	           of payload Digest". Re-sent for whatever range is still
 //	           missing, which is the whole loss-recovery story.
 //	SNAP_CHUNK server → requester: one chunk, tagged with the payload
 //	           digest and its index.
 //
-// The t+1 corroboration moves to the MANIFEST bytes: the manifest is a
+// The t+1 corroboration is over the MANIFEST bytes: the manifest is a
 // pure function of the payload (itself a pure function of the committed
 // prefix), so correct replicas produce byte-identical manifests and
 // t+1 matching copies pin every chunk hash before a single chunk is
 // fetched. Each arriving chunk is checked against its pinned hash, so a
 // Byzantine server can withhold (the ack re-requests from another
 // corroborator) but never corrupt; the assembled payload is re-hashed
-// against the manifest digest and then travels the exact validation
-// path an inline payload does (DecodeTransfer → Applier.Install).
+// against the manifest digest and then validated by DecodeTransfer and
+// Applier.Install.
 package sm
 
 import (
@@ -34,21 +30,6 @@ import (
 
 	"repro/internal/types"
 )
-
-// Transfer response form tags (first byte of every SNAP_RESP value).
-const (
-	// TransferFormInline marks a complete EncodeTransfer payload.
-	TransferFormInline = 0
-	// TransferFormManifest marks an EncodeManifest body.
-	TransferFormManifest = 1
-)
-
-// TransferInlineMax is the largest payload served inline (form 0).
-// Anything bigger goes through the manifest/chunk protocol. Well under
-// wire.MaxValueLen so an inline frame always fits the codec; big enough
-// that the simulation suites' small states keep the historical
-// single-frame schedule.
-const TransferInlineMax = 64 << 10
 
 // TransferChunkSize is the chunk payload size (except the final chunk).
 // With the 36-byte chunk header the frame stays far inside
@@ -69,10 +50,9 @@ const TransferChunkWindow = 16
 // TransferStallLimit is how many consecutive retry firings a chunk
 // download may go without receiving a single new chunk before the
 // fetcher abandons it and re-corroborates from scratch. Staleness is
-// invisible to the fetcher: the serve side silently ignores acks whose
-// payload digest no longer matches its current snapshot (the retained
-// suffix grows while the boundary stands still, so same-instance
-// payloads drift), and a download pinned to such a digest would
+// invisible to the fetcher: a server answers acks only for the payload
+// it last served, so once every corroborator has served a newer
+// snapshot to someone, a download pinned to the old digest would
 // otherwise retry forever. Abandoning also clears the manifest
 // candidate's corroboration, so restarting the download takes t+1
 // fresh senders — one Byzantine replay of the dead manifest cannot
@@ -142,8 +122,7 @@ func BuildManifest(index int, instance types.Instance, payload []byte) (Manifest
 // u32 chunk count, followed by the payload digest and the chunk hashes.
 const manifestHeaderLen = 8 + 8 + 8 + 4
 
-// EncodeManifest flattens a manifest (without the form tag — the
-// transfer layer prepends it).
+// EncodeManifest flattens a manifest: the SNAP_RESP value.
 func EncodeManifest(m Manifest) []byte {
 	buf := make([]byte, manifestHeaderLen+chunkDigestLen+len(m.Hashes)*32)
 	binary.LittleEndian.PutUint64(buf, uint64(m.Index))

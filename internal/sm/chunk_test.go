@@ -262,9 +262,9 @@ func FuzzDecodeAck(f *testing.F) {
 
 // --- chunked transfer: protocol and aggressors -------------------------------
 
-// buildBigSnapshot builds an applier whose transfer payload exceeds
-// TransferInlineMax by several chunks: `vals` values of `valBytes`
-// bytes each, snapshotted at the final entry.
+// buildBigSnapshot builds an applier whose transfer payload spans
+// several chunks: `vals` values of `valBytes` bytes each, snapshotted at
+// the final entry.
 func buildBigSnapshot(t *testing.T, vals, valBytes int) (*Applier, Snapshot, []log.Entry) {
 	t.Helper()
 	a, err := New(Config{Machine: kv.NewStore(), SnapshotEvery: vals})
@@ -308,7 +308,6 @@ func newChunkFixture(t *testing.T) *chunkFixture {
 	app, s, retained := buildBigSnapshot(t, 3, 220<<10) // ~660 KiB state: 3 chunks
 	serverLog := &fakeLog{applied: s.Instance, committed: s.Index}
 	server, serverEnv, _ := newTestTransfer(t, app, serverLog)
-	_ = serverEnv
 
 	lagApp, err := New(Config{Machine: kv.NewStore()})
 	if err != nil {
@@ -318,9 +317,6 @@ func newChunkFixture(t *testing.T) *chunkFixture {
 	lag, lagEnv, _ := newTestTransfer(t, lagApp, lagLog)
 
 	payload := []byte(EncodeTransfer(s, retained))
-	if len(payload) <= TransferInlineMax {
-		t.Fatalf("fixture state of %d bytes fits inline — not a chunk test", len(payload))
-	}
 	mf, err := BuildManifest(s.Index, s.Instance, payload)
 	if err != nil {
 		t.Fatal(err)
@@ -334,14 +330,14 @@ func newChunkFixture(t *testing.T) *chunkFixture {
 	if len(lagEnv.bcast) != 1 || lagEnv.bcast[0].Kind != proto.MsgSnapRequest {
 		t.Fatal("no fetch broadcast")
 	}
-	// Server answers with the manifest form.
+	// Server answers with the manifest.
 	server.OnMessage(1, proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: 0})
 	if len(serverEnv.sent) != 1 {
 		t.Fatal("server did not serve")
 	}
 	resp := serverEnv.sent[0].m
-	if resp.Kind != proto.MsgSnapResponse || []byte(resp.Val)[0] != TransferFormManifest {
-		t.Fatalf("served form %v, want manifest", resp.Kind)
+	if resp.Kind != proto.MsgSnapResponse || resp.Val != types.Value(EncodeManifest(mf)) {
+		t.Fatalf("served %v, want the payload's manifest", resp.Kind)
 	}
 	// Two distinct senders corroborate (t+1 = 2): download starts.
 	lag.OnMessage(2, resp)
@@ -550,6 +546,40 @@ func TestAckForgeryBounded(t *testing.T) {
 	})
 	if len(fx.serverEnv.sent) != before+1 {
 		t.Fatalf("tail ack served %d frames, want 1", len(fx.serverEnv.sent)-before)
+	}
+}
+
+// TestAckServedAfterSnapshotMoves: a server answers acks for the payload
+// it served even after it has taken a newer snapshot — the normal case
+// when snapshots are taken every instance — and the laggard installs the
+// snapshot it corroborated.
+func TestAckServedAfterSnapshotMoves(t *testing.T) {
+	app, a, _ := buildBigSnapshot(t, 2, 40<<10) // one chunk
+	server := newXferPeer(t, app)
+	resp := server.respond(t)
+	// The server applies on and snapshots B before the laggard's ack for
+	// A arrives.
+	feed(t, app, a.Index, 2, 1, a.Instance)
+	if b, _ := app.Latest(); b.Instance <= a.Instance {
+		t.Fatalf("no newer snapshot: %v after %v", b.Instance, a.Instance)
+	}
+	lagApp, err := New(Config{Machine: kv.NewStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lagLog := &fakeLog{}
+	lag, lagEnv, _ := newTestTransfer(t, lagApp, lagLog)
+	peers := map[types.ProcID]xferPeer{2: server, 3: server}
+	offer(lag, lagEnv, peers, 2, resp)
+	offer(lag, lagEnv, peers, 3, resp)
+	if server.tr.ChunksServed() != 1 {
+		t.Fatalf("ack for the served snapshot got %d chunks, want 1", server.tr.ChunksServed())
+	}
+	if lag.Installs() != 1 || len(lagLog.installs) != 1 || lagLog.installs[0] != a.Instance {
+		t.Fatalf("laggard installs=%d at %v, want snapshot A at %v", lag.Installs(), lagLog.installs, a.Instance)
+	}
+	if got, _ := lagApp.Latest(); got.Digest != a.Digest {
+		t.Fatal("installed state is not snapshot A")
 	}
 }
 

@@ -10,18 +10,14 @@
 // away. Transfer closes that gap the way self-stabilizing protocols do —
 // by converging from a peer's CURRENT state instead of its history.
 //
-// The protocol is a request, a form-tagged response, and — for payloads
-// too large for one frame — a chunk stream (module proto.ModSnap):
+// The protocol is a request, a manifest response, and a chunk stream
+// (module proto.ModSnap); a transfer of any size takes the same path:
 //
 //	SNAP_REQ   — broadcast by a lagging replica; Instance carries the
 //	             requester's applied boundary so peers with nothing newer
 //	             can decline silently.
-//	SNAP_RESP  — form 0 (inline): one digest-stamped transfer payload in
-//	             a single frame (EncodeTransfer), sent point-to-point.
-//	             Form 1 (manifest): the payload's position, length and
-//	             per-chunk SHA-256 list (EncodeManifest) — served when
-//	             the payload exceeds TransferInlineMax, which a single
-//	             wire frame could not carry (wire codec v5).
+//	SNAP_RESP  — the payload's position, length and per-chunk SHA-256
+//	             list (EncodeManifest), sent point-to-point.
 //	SNAP_ACK   — requester → server: the next chunk range wanted of a
 //	             corroborated manifest's payload. Re-sent (by the retry
 //	             timer) for whatever range is still missing, which is how
@@ -33,10 +29,9 @@
 //
 // Trust model: a snapshot is installed only when (a) its bytes hash to
 // the stamped digest, (b) t+1 DISTINCT peers served byte-identical
-// copies — of the payload itself on the inline path, of the MANIFEST on
-// the chunked path (the manifest is a pure function of the payload, so
-// t+1 matching manifests pin every chunk hash before a single chunk is
-// fetched) — and (c) the restored state re-encodes to the digest
+// MANIFESTS (the manifest is a pure function of the payload, so t+1
+// matching manifests pin every chunk hash before a single chunk is
+// fetched) and (c) the restored state re-encodes to the digest
 // (Applier.Install). Because at most t peers are Byzantine, t+1 matching
 // copies always include one from a correct replica, and correct replicas
 // only serve what their own deterministic apply produced — so an
@@ -60,7 +55,7 @@ import (
 	"repro/internal/types"
 )
 
-// transferDigestLen prefixes every SNAP_RESP payload.
+// transferDigestLen prefixes every transfer payload.
 const transferDigestLen = 32
 
 // maxTransferEntries bounds the retained-suffix count in a transfer
@@ -68,19 +63,21 @@ const transferDigestLen = 32
 // allocation; real windows are CompactKeep-sized).
 const maxTransferEntries = 1 << 20
 
-// maxCandidates bounds the corroboration table. Unmatched payloads hold
-// full snapshot bytes, and a Byzantine peer can mint unlimited DISTINCT
-// well-formed payloads (the digest is unsigned), so the table must not
-// grow with attacker effort. On overflow the table is cleared wholesale:
-// correct peers re-serve on the next retry, so an attacker must win the
-// refill race on every round forever to starve a fetch — and can never
-// corrupt one (installs still need t+1 matching senders).
+// maxCandidates bounds the corroboration table. Each unmatched manifest
+// holds up to MaxManifestChunks hashes (≤ 128 KiB), and a Byzantine peer
+// can mint unlimited DISTINCT well-formed manifests (they are unsigned),
+// so the table must not grow with attacker effort. On overflow it is
+// cleared wholesale: correct peers re-serve on the next retry, so an
+// attacker must win the refill race on every round forever to starve a
+// fetch — and can never corrupt one (installs still need t+1 matching
+// senders).
 const maxCandidates = 32
 
 // EncodeTransfer wraps a snapshot and the retained entry suffix captured
-// at its boundary into one self-validating wire payload:
+// at its boundary into one self-validating payload, the bytes a
+// manifest's chunks carry and a durable snapshot stamp holds:
 //
-//	SHA-256 over everything after it (the corroboration digest)
+//	SHA-256 over everything after it
 //	u32 snapshot length ‖ snapshot bytes (sm encodeSnapshot layout)
 //	u32 entry count, then per entry: u64 index ‖ u64 instance ‖
 //	u32 command length ‖ command bytes
@@ -90,8 +87,8 @@ const maxCandidates = 32
 // and a receiver without it would commit the next in-flight duplicate
 // its peers skip. Both parts are pure functions of the committed prefix,
 // so every correct replica produces byte-identical payloads for the same
-// boundary — which is what lets the requester corroborate them by
-// digest across t+1 senders.
+// boundary — which is what lets the requester corroborate their
+// manifests across t+1 senders.
 func EncodeTransfer(s Snapshot, retained []log.Entry) types.Value {
 	size := transferDigestLen + 4 + len(s.Data) + 4
 	for _, e := range retained {
@@ -118,56 +115,54 @@ func EncodeTransfer(s Snapshot, retained []log.Entry) types.Value {
 	return types.Value(buf)
 }
 
-// DecodeTransfer parses and validates a SNAP_RESP payload: the body must
-// hash to the carried digest, the snapshot header must decode, and the
-// entry list must be well-formed. The bytes may come from a Byzantine
-// peer, so every failure is a normal error, never a panic. The returned
-// digest is the payload digest (over snapshot AND entries) — the
-// corroboration key; the Snapshot's own Digest field is recomputed from
-// its bytes.
-func DecodeTransfer(v types.Value) (s Snapshot, retained []log.Entry, payload [32]byte, err error) {
+// DecodeTransfer parses and validates a transfer payload (an assembled
+// download or a durable stamp): the body must hash to the carried digest,
+// the snapshot header must decode, and the entry list must be
+// well-formed. The bytes may come from a Byzantine peer, so every failure
+// is a normal error, never a panic. The Snapshot's Digest field is
+// recomputed from its bytes.
+func DecodeTransfer(v types.Value) (s Snapshot, retained []log.Entry, err error) {
 	b := []byte(v)
 	if len(b) < transferDigestLen+8+snapHeaderLen {
-		return s, nil, payload, fmt.Errorf("sm: transfer frame of %d bytes is too short", len(b))
+		return s, nil, fmt.Errorf("sm: transfer frame of %d bytes is too short", len(b))
 	}
-	copy(payload[:], b[:transferDigestLen])
 	body := b[transferDigestLen:]
-	if sha256.Sum256(body) != payload {
-		return s, nil, payload, fmt.Errorf("sm: transfer body does not hash to its digest")
+	if sha256.Sum256(body) != [32]byte(b[:transferDigestLen]) {
+		return s, nil, fmt.Errorf("sm: transfer body does not hash to its digest")
 	}
 	snapLen := binary.LittleEndian.Uint32(body)
 	rest := body[4:]
 	if uint64(snapLen) > uint64(len(rest)) {
-		return s, nil, payload, fmt.Errorf("sm: snapshot length %d exceeds payload", snapLen)
+		return s, nil, fmt.Errorf("sm: snapshot length %d exceeds payload", snapLen)
 	}
 	s.Data = rest[:snapLen]
 	rest = rest[snapLen:]
 	s.Digest = sha256.Sum256(s.Data)
 	if s.Index, s.Instance, _, err = DecodeSnapshot(s.Data); err != nil {
-		return s, nil, payload, err
+		return s, nil, err
 	}
 	if len(rest) < 4 {
-		return s, nil, payload, fmt.Errorf("sm: truncated entry count")
+		return s, nil, fmt.Errorf("sm: truncated entry count")
 	}
 	count := binary.LittleEndian.Uint32(rest)
 	rest = rest[4:]
 	if count > maxTransferEntries || uint64(count)*20 > uint64(len(rest)) {
-		return s, nil, payload, fmt.Errorf("sm: entry count %d exceeds payload", count)
+		return s, nil, fmt.Errorf("sm: entry count %d exceeds payload", count)
 	}
 	retained = make([]log.Entry, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 20 {
-			return s, nil, payload, fmt.Errorf("sm: truncated entry %d", i)
+			return s, nil, fmt.Errorf("sm: truncated entry %d", i)
 		}
 		idx := binary.LittleEndian.Uint64(rest)
 		inst := binary.LittleEndian.Uint64(rest[8:])
 		cmdLen := binary.LittleEndian.Uint32(rest[16:])
 		rest = rest[20:]
 		if uint64(cmdLen) > uint64(len(rest)) {
-			return s, nil, payload, fmt.Errorf("sm: entry %d command length %d exceeds payload", i, cmdLen)
+			return s, nil, fmt.Errorf("sm: entry %d command length %d exceeds payload", i, cmdLen)
 		}
 		if idx > 1<<62 || inst > 1<<62 {
-			return s, nil, payload, fmt.Errorf("sm: entry %d position out of range", i)
+			return s, nil, fmt.Errorf("sm: entry %d position out of range", i)
 		}
 		retained = append(retained, log.Entry{
 			Index:    int(idx),
@@ -177,9 +172,9 @@ func DecodeTransfer(v types.Value) (s Snapshot, retained []log.Entry, payload [3
 		rest = rest[cmdLen:]
 	}
 	if len(rest) != 0 {
-		return s, nil, payload, fmt.Errorf("sm: %d trailing bytes after transfer payload", len(rest))
+		return s, nil, fmt.Errorf("sm: %d trailing bytes after transfer payload", len(rest))
 	}
-	return s, retained, payload, nil
+	return s, retained, nil
 }
 
 // LogControl is the slice of the replicated-log engine Transfer drives:
@@ -247,18 +242,14 @@ type Transfer struct {
 	fetching    bool
 	fetchFrom   types.Instance // applied position when the fetch started
 	cancelRetry func()
-	// candidates accumulates inline responses of the current and past
-	// fetch rounds keyed by digest; senders is the corroboration set.
-	// Entries for boundaries we have meanwhile passed are filtered at
-	// install time, not eagerly.
-	candidates map[[32]byte]*candidate
-	// manifests is the chunked path's corroboration table, keyed by the
-	// hash of the manifest ENCODING; same overflow defense as candidates.
+	// manifests accumulates the responses of the current and past fetch
+	// rounds, keyed by the hash of the manifest ENCODING (see
+	// maxCandidates for its overflow defense).
 	manifests map[[32]byte]*manifestCandidate
 	// dl is the in-flight chunk download, nil when none.
 	dl *download
-	// chunkCache memoizes the chunk-serving state of the current
-	// snapshot so acks do not re-encode the payload per window.
+	// chunkCache is the serving state of the snapshot last served: each
+	// snapshot is encoded and hashed once, and acks are answered from it.
 	chunkCache *serveChunks
 	lastServed map[types.ProcID]types.Time
 	lastAcked  map[types.ProcID]types.Time
@@ -271,13 +262,6 @@ type Transfer struct {
 	chServed  int
 	chRecv    int
 	chRejects int
-}
-
-// candidate is one inline payload digest's corroboration state.
-type candidate struct {
-	snap     Snapshot
-	retained []log.Entry
-	senders  map[types.ProcID]struct{}
 }
 
 // manifestCandidate is one manifest encoding's corroboration state.
@@ -316,15 +300,13 @@ func (d *download) firstMissing() int {
 	return d.scan
 }
 
-// serveChunks is the serve-side cache of the current snapshot's chunked
-// form.
+// serveChunks is the serve-side cache of one snapshot's payload and
+// manifest.
 type serveChunks struct {
 	snapDigest [32]byte // which snapshot this cache was built from
 	payload    []byte
-	manifest   types.Value // form-tagged SNAP_RESP value
-	digest     [32]byte    // payload digest (the key acks carry)
-	count      int
-	instance   types.Instance
+	mf         Manifest
+	manifest   types.Value // EncodeManifest(mf): the SNAP_RESP value
 }
 
 var _ proto.Handler = (*Transfer)(nil)
@@ -345,7 +327,6 @@ func NewTransfer(cfg TransferConfig) (*Transfer, error) {
 	}
 	t := &Transfer{
 		cfg:        cfg,
-		candidates: make(map[[32]byte]*candidate),
 		manifests:  make(map[[32]byte]*manifestCandidate),
 		lastServed: make(map[types.ProcID]types.Time),
 		lastAcked:  make(map[types.ProcID]types.Time),
@@ -424,10 +405,10 @@ func (t *Transfer) request() {
 // so a server that withholds chunks (crashed or Byzantine) delays the
 // download by one retry period, not forever. A download that makes NO
 // progress for TransferStallLimit consecutive firings is presumed
-// stale (the serve side drops acks for superseded payloads silently;
-// see the constant's comment) and abandoned: its manifest candidate is
-// dropped so only t+1 fresh senders can revive that exact payload, and
-// a fresh SNAP_REQ re-corroborates whatever the cluster serves now.
+// stale (see the constant's comment) and abandoned: its manifest
+// candidate is dropped so only t+1 fresh senders can revive that exact
+// payload, and a fresh SNAP_REQ re-corroborates whatever the cluster
+// serves now.
 func (t *Transfer) armRetry() {
 	t.cancelRetry = t.cfg.Env.SetTimer(t.cfg.RetryEvery, func() {
 		if !t.fetching || t.cfg.Log.Closed() || t.cfg.Log.Applied() > t.fetchFrom {
@@ -482,9 +463,9 @@ func (t *Transfer) probe() {
 	t.cfg.Env.SetTimer(t.cfg.StallProbe, t.probe)
 }
 
-// serve answers one SNAP_REQ: send our latest snapshot (with its
-// retained suffix) iff it is ahead of the requester's boundary, at most
-// once per ServeEvery per requester.
+// serve answers one SNAP_REQ: send the manifest of our latest snapshot
+// (with its retained suffix) iff it is ahead of the requester's boundary,
+// at most once per ServeEvery per requester.
 //
 // A run of command-less instances is the degenerate case here: they
 // carry no entries, so the entry-cadence snapshot boundary freezes while
@@ -517,65 +498,43 @@ func (t *Transfer) serve(from types.ProcID, reqBoundary types.Instance) {
 			Aux: fmt.Sprintf("idx=%d inst=%v digest=%x", snap.Index, snap.Instance, snap.Digest[:8]),
 		})
 	}
-	payload := []byte(EncodeTransfer(snap, retained))
-	var val types.Value
-	if len(payload) <= TransferInlineMax {
-		// Small state: the historical single frame, form-tagged.
-		val = InlineTransfer(types.Value(payload))
-	} else {
-		sc := t.serveChunksFor(snap, payload)
-		if sc == nil {
-			return // beyond even the chunked bound; nothing to offer
-		}
-		val = sc.manifest
+	sc := t.serveChunksFor(snap, retained)
+	if sc == nil {
+		return // past the chunked bound; nothing to offer
 	}
 	env.Send(from, proto.Message{
 		Kind:     proto.MsgSnapResponse,
 		Tag:      proto.Tag{Mod: proto.ModSnap},
 		Instance: snap.Instance,
-		Val:      val,
+		Val:      sc.manifest,
 	})
 }
 
-// InlineTransfer form-tags a complete transfer payload as a SNAP_RESP
-// value (the small-state form the serve path sends; exported for tests
-// and tooling that fabricate responses).
-func InlineTransfer(payload types.Value) types.Value {
-	buf := make([]byte, 1+len(payload))
-	buf[0] = TransferFormInline
-	copy(buf[1:], []byte(payload))
-	return types.Value(buf)
-}
-
-// serveChunksFor returns (building and caching if needed) the chunk
-// serving state of the given snapshot; nil if the payload cannot be
-// chunked (past MaxManifestChunks).
-func (t *Transfer) serveChunksFor(snap Snapshot, payload []byte) *serveChunks {
+// serveChunksFor returns the serving state of the given snapshot,
+// encoding and caching it unless it is already the cached one; nil if
+// the payload cannot be chunked (past MaxManifestChunks).
+func (t *Transfer) serveChunksFor(snap Snapshot, retained []log.Entry) *serveChunks {
 	if sc := t.chunkCache; sc != nil && sc.snapDigest == snap.Digest {
 		return sc
 	}
+	payload := []byte(EncodeTransfer(snap, retained))
 	mf, err := BuildManifest(snap.Index, snap.Instance, payload)
 	if err != nil {
 		return nil
 	}
-	body := EncodeManifest(mf)
-	buf := make([]byte, 1+len(body))
-	buf[0] = TransferFormManifest
-	copy(buf[1:], body)
 	t.chunkCache = &serveChunks{
 		snapDigest: snap.Digest,
 		payload:    payload,
-		manifest:   types.Value(buf),
-		digest:     mf.Payload,
-		count:      mf.ChunkCount(),
-		instance:   snap.Instance,
+		mf:         mf,
+		manifest:   types.Value(EncodeManifest(mf)),
 	}
 	return t.chunkCache
 }
 
-// onAck serves one requested chunk range of the current snapshot's
-// payload. A digest naming anything else is stale (the snapshot moved
-// on) and is ignored without offense; the range is clamped, and acks are
+// onAck serves one requested chunk range of the payload this replica
+// last served, even if it has taken newer snapshots since. A digest
+// naming anything else is stale (a newer manifest was served since) and
+// is ignored without offense; the range is clamped, and acks are
 // rate-limited per requester — one ack can yield at most
 // TransferChunkWindow chunk frames, so the amplification is bounded
 // both per message and per time.
@@ -585,22 +544,9 @@ func (t *Transfer) onAck(from types.ProcID, m proto.Message) {
 		t.rejectChunk()
 		return
 	}
-	snap, retained, ok := t.cfg.Applier.LatestTransfer()
-	if !ok {
-		return
-	}
 	sc := t.chunkCache
-	if sc == nil || sc.snapDigest != snap.Digest {
-		payload := []byte(EncodeTransfer(snap, retained))
-		if len(payload) <= TransferInlineMax {
-			return // current snapshot is inline-sized; no chunks to serve
-		}
-		if sc = t.serveChunksFor(snap, payload); sc == nil {
-			return
-		}
-	}
-	if digest != sc.digest {
-		return // stale ack for a superseded snapshot
+	if sc == nil || digest != sc.mf.Payload {
+		return // stale ack for a payload no longer cached
 	}
 	env := t.cfg.Env
 	now := env.Now()
@@ -609,21 +555,14 @@ func (t *Transfer) onAck(from types.ProcID, m proto.Message) {
 		return
 	}
 	t.lastAcked[from] = now
-	end := f + w
-	if end > sc.count {
-		end = sc.count
-	}
+	end := min(f+w, sc.mf.ChunkCount())
 	for i := f; i < end; i++ {
 		lo := i * TransferChunkSize
-		hi := lo + TransferChunkSize
-		if hi > len(sc.payload) {
-			hi = len(sc.payload)
-		}
 		env.Send(from, proto.Message{
 			Kind:     proto.MsgSnapChunk,
 			Tag:      proto.Tag{Mod: proto.ModSnap},
-			Instance: sc.instance,
-			Val:      EncodeChunk(sc.digest, i, sc.payload[lo:hi]),
+			Instance: sc.mf.Instance,
+			Val:      EncodeChunk(sc.mf.Payload, i, sc.payload[lo:lo+sc.mf.ChunkLen(i)]),
 		})
 		t.chServed++
 		if mm := t.cfg.Metrics; mm != nil {
@@ -632,69 +571,23 @@ func (t *Transfer) onAck(from types.ProcID, m proto.Message) {
 	}
 }
 
-// consider dispatches one SNAP_RESP on its form tag: inline payloads
-// corroborate and install directly, manifests corroborate and then
-// start a chunk download.
+// consider corroborates one SNAP_RESP manifest and, at t+1 matching
+// senders, starts (or joins) the chunk download. The corroboration key
+// is the hash of the manifest ENCODING, so any disagreement — position,
+// length, a single chunk hash — forks the candidate.
 func (t *Transfer) consider(from types.ProcID, m proto.Message) {
-	b := []byte(m.Val)
-	if len(b) == 0 {
-		t.reject()
-		return
-	}
-	switch b[0] {
-	case TransferFormInline:
-		t.considerInline(from, types.Value(b[1:]), m.Instance)
-	case TransferFormManifest:
-		t.considerManifest(from, b[1:], m.Instance)
-	default:
-		t.reject()
-	}
-}
-
-// considerInline validates one inline payload and installs once t+1
-// distinct peers corroborate the same payload digest (snapshot AND
-// retained suffix).
-func (t *Transfer) considerInline(from types.ProcID, v types.Value, inst types.Instance) {
-	s, retained, payload, err := DecodeTransfer(v)
-	if err != nil || s.Instance != inst {
+	body := []byte(m.Val)
+	mf, err := DecodeManifest(body)
+	if err != nil || mf.Instance != m.Instance {
 		t.reject()
 		return
 	}
 	// Stale iff it advances neither position. An equal entry index with a
 	// later boundary is NOT stale: that is an idle cluster's refreshed
 	// snapshot (sm.Config.RefreshEvery), and adopting it is exactly how a
-	// rejoiner escapes the idle-rejoin gap. s.Instance > Log.Applied()
+	// rejoiner escapes the idle-rejoin gap. mf.Instance > Log.Applied()
 	// implies it is also past our own snapshot boundary (a boundary never
 	// exceeds the applied frontier), so Install's equality guard holds.
-	if s.Instance <= t.cfg.Log.Applied() || s.Index < t.cfg.Applier.Applied() {
-		return // stale by the time it arrived; not an offense
-	}
-	c := t.candidates[payload]
-	if c == nil {
-		if len(t.candidates) >= maxCandidates {
-			t.candidates = make(map[[32]byte]*candidate)
-			t.reject()
-		}
-		c = &candidate{snap: s, retained: retained, senders: make(map[types.ProcID]struct{})}
-		t.candidates[payload] = c
-	}
-	c.senders[from] = struct{}{}
-	if len(c.senders) < t.cfg.Env.Params().T+1 {
-		return
-	}
-	t.install(c.snap, c.retained)
-}
-
-// considerManifest corroborates one manifest and, at t+1 matching
-// senders, starts (or joins) the chunk download. The corroboration key
-// is the hash of the manifest ENCODING, so any disagreement — position,
-// length, a single chunk hash — forks the candidate.
-func (t *Transfer) considerManifest(from types.ProcID, body []byte, inst types.Instance) {
-	mf, err := DecodeManifest(body)
-	if err != nil || mf.Instance != inst {
-		t.reject()
-		return
-	}
 	if mf.Instance <= t.cfg.Log.Applied() || mf.Index < t.cfg.Applier.Applied() {
 		return // stale by the time it arrived; not an offense
 	}
@@ -814,7 +707,7 @@ func (t *Transfer) assemble(d *download) {
 		t.reject()
 		return
 	}
-	s, retained, _, err := DecodeTransfer(types.Value(payload))
+	s, retained, err := DecodeTransfer(types.Value(payload))
 	if err != nil || s.Index != d.mf.Index || s.Instance != d.mf.Instance {
 		t.reject()
 		return
@@ -833,10 +726,10 @@ func (t *Transfer) rejectChunk() {
 	}
 }
 
-// install commits to a corroborated snapshot: state machine first
+// install commits to a downloaded snapshot: state machine first
 // (Applier.Install re-checks the digest end to end), then the ordering
 // layer (LogControl.InstallSnapshot). The preconditions were checked in
-// consider and Install re-validates, so a failure here means the machine
+// assemble and Install re-validates, so a failure here means the machine
 // itself misbehaved — the applier poisons itself and the hosting runtime
 // surfaces it; the fetch stops either way.
 func (t *Transfer) install(s Snapshot, retained []log.Entry) {
@@ -866,7 +759,6 @@ func (t *Transfer) install(s Snapshot, retained []log.Entry) {
 	// Candidates at or below the installed boundary are dead; drop
 	// everything — fresher ones will re-accumulate if we are still
 	// behind, and keeping stale data only risks re-counting old senders.
-	t.candidates = make(map[[32]byte]*candidate)
 	t.manifests = make(map[[32]byte]*manifestCandidate)
 	t.stopFetch()
 	if t.cfg.OnInstall != nil {
@@ -874,7 +766,7 @@ func (t *Transfer) install(s Snapshot, retained []log.Entry) {
 	}
 }
 
-// reject counts one discarded candidate payload.
+// reject counts one discarded response or assembled payload.
 func (t *Transfer) reject() {
 	t.rejected++
 	if m := t.cfg.Metrics; m != nil {

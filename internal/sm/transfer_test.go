@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func buildSnapshot(t *testing.T, entries int) (*Applier, Snapshot, []log.Entry) 
 func TestTransferRoundTrip(t *testing.T) {
 	_, s, retained := buildSnapshot(t, 8)
 	v := EncodeTransfer(s, retained)
-	got, gotRetained, payload, err := DecodeTransfer(v)
+	got, gotRetained, err := DecodeTransfer(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,20 +49,15 @@ func TestTransferRoundTrip(t *testing.T) {
 	if len(gotRetained) != 1 || gotRetained[0] != retained[0] {
 		t.Fatalf("retained drifted: %+v", gotRetained)
 	}
-	var zero [32]byte
-	if payload == zero {
-		t.Fatal("zero payload digest")
-	}
-	// Same inputs, same payload digest (corroboration depends on it).
-	_, _, payload2, err := DecodeTransfer(EncodeTransfer(s, retained))
-	if err != nil || payload2 != payload {
-		t.Fatalf("payload digest not deterministic: %x vs %x (%v)", payload[:4], payload2[:4], err)
+	// Same inputs, same bytes (manifest corroboration depends on it).
+	if EncodeTransfer(s, retained) != v {
+		t.Fatal("transfer payload not deterministic")
 	}
 }
 
 func TestTransferEmptyRetained(t *testing.T) {
 	_, s, _ := buildSnapshot(t, 4)
-	got, retained, _, err := DecodeTransfer(EncodeTransfer(s, nil))
+	got, retained, err := DecodeTransfer(EncodeTransfer(s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +81,39 @@ func TestTransferRejectsTampering(t *testing.T) {
 	}
 	for _, tt := range tests {
 		b := append([]byte(nil), valid...)
-		if _, _, _, err := DecodeTransfer(types.Value(tt.mutate(b))); err == nil {
+		if _, _, err := DecodeTransfer(types.Value(tt.mutate(b))); err == nil {
 			t.Errorf("%s: accepted", tt.name)
 		}
 	}
+}
+
+// FuzzDecodeTransfer: DecodeTransfer parses every assembled download and
+// every durable stamp sm.Boot reads back. It must never panic, and what
+// it accepts must re-encode byte-identically. Each input is also tried
+// with its digest re-stamped, so mutations reach the parser behind the
+// hash check.
+func FuzzDecodeTransfer(f *testing.F) {
+	snap := Snapshot{Data: encodeSnapshot(3, 2, kv.NewStore().Snapshot())}
+	f.Add([]byte(EncodeTransfer(snap, []log.Entry{{Index: 2, Instance: 1, Cmd: "c"}})))
+	f.Add([]byte(EncodeTransfer(snap, nil)))
+	f.Add([]byte{})
+	f.Add(make([]byte, transferDigestLen+8+snapHeaderLen))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		restamped := bytes.Clone(data)
+		if len(restamped) >= transferDigestLen {
+			d := sha256.Sum256(restamped[transferDigestLen:])
+			copy(restamped, d[:])
+		}
+		for _, b := range [][]byte{data, restamped} {
+			s, retained, err := DecodeTransfer(types.Value(b))
+			if err != nil {
+				continue
+			}
+			if string(EncodeTransfer(s, retained)) != string(b) {
+				t.Fatalf("decode/encode not canonical for %x", b)
+			}
+		}
+	})
 }
 
 // --- Applier.Install ---------------------------------------------------------
@@ -252,27 +277,73 @@ func TestTransferServesAndDeclines(t *testing.T) {
 
 const time1s = 1_000_000_000
 
+// xferPeer is a serving replica in handler tests: a real Transfer over a
+// snapshot-holding applier, and the env that records what it sends.
+type xferPeer struct {
+	tr  *Transfer
+	env *xferEnv
+}
+
+func newXferPeer(t *testing.T, app *Applier) xferPeer {
+	t.Helper()
+	s, _ := app.Latest()
+	tr, env, _ := newTestTransfer(t, app, &fakeLog{applied: s.Instance, committed: s.Index})
+	return xferPeer{tr, env}
+}
+
+// respond has the peer serve a requester at boundary 0 and returns its
+// SNAP_RESP.
+func (p xferPeer) respond(t *testing.T) proto.Message {
+	t.Helper()
+	before := len(p.env.sent)
+	p.tr.OnMessage(1, proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}})
+	if len(p.env.sent) != before+1 || p.env.sent[before].m.Kind != proto.MsgSnapResponse {
+		t.Fatal("peer did not serve a SNAP_RESP")
+	}
+	return p.env.sent[before].m
+}
+
+// offer delivers resp to the laggard as sent by from, then plays the
+// chunk exchange it may start: every ack the laggard sends to one of
+// peers is answered by that peer's Transfer and its chunks delivered
+// back, until the laggard asks for nothing more.
+func offer(lag *Transfer, lagEnv *xferEnv, peers map[types.ProcID]xferPeer, from types.ProcID, resp proto.Message) {
+	next := len(lagEnv.sent)
+	lag.OnMessage(from, resp)
+	for ; next < len(lagEnv.sent); next++ {
+		out := lagEnv.sent[next]
+		p, ok := peers[out.to]
+		if !ok || out.m.Kind != proto.MsgSnapAck {
+			continue
+		}
+		before := len(p.env.sent)
+		p.tr.OnMessage(lagEnv.id, out.m)
+		for _, in := range p.env.sent[before:] {
+			lag.OnMessage(out.to, in.m)
+		}
+	}
+}
+
 func TestTransferInstallsOnCorroboration(t *testing.T) {
-	_, s, retained := buildSnapshot(t, 8)
+	peerApp, s, _ := buildSnapshot(t, 8)
+	peer := newXferPeer(t, peerApp)
+	peers := map[types.ProcID]xferPeer{2: peer, 3: peer}
 	lagApp, err := New(Config{Machine: kv.NewStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lg := &fakeLog{}
-	tr, _, _ := newTestTransfer(t, lagApp, lg)
-	resp := proto.Message{
-		Kind: proto.MsgSnapResponse, Tag: proto.Tag{Mod: proto.ModSnap},
-		Instance: s.Instance, Val: InlineTransfer(EncodeTransfer(s, retained)),
-	}
-	tr.OnMessage(2, resp)
-	if tr.Installs() != 0 {
+	tr, env, _ := newTestTransfer(t, lagApp, lg)
+	resp := peer.respond(t)
+	offer(tr, env, peers, 2, resp)
+	if tr.Installs() != 0 || tr.Downloading() {
 		t.Fatal("installed on a single sender (t+1 = 2 required)")
 	}
-	tr.OnMessage(2, resp) // same sender again: still one voice
-	if tr.Installs() != 0 {
+	offer(tr, env, peers, 2, resp) // same sender again: still one voice
+	if tr.Installs() != 0 || tr.Downloading() {
 		t.Fatal("duplicate sender counted twice")
 	}
-	tr.OnMessage(3, resp)
+	offer(tr, env, peers, 3, resp)
 	if tr.Installs() != 1 {
 		t.Fatalf("installs=%d after t+1 distinct senders", tr.Installs())
 	}
@@ -285,22 +356,34 @@ func TestTransferInstallsOnCorroboration(t *testing.T) {
 }
 
 func TestTransferRejectsForgedResponses(t *testing.T) {
-	_, s, retained := buildSnapshot(t, 8)
+	peerApp, s, retained := buildSnapshot(t, 8)
+	resp := newXferPeer(t, peerApp).respond(t)
 	lagApp, err := New(Config{Machine: kv.NewStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr, _, _ := newTestTransfer(t, lagApp, &fakeLog{})
-	v := []byte(EncodeTransfer(s, retained))
-	v[50] ^= 1 // corrupt the body
-	tr.OnMessage(2, proto.Message{Kind: proto.MsgSnapResponse, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: s.Instance, Val: InlineTransfer(types.Value(v))})
+	forged := resp
+	forged.Val = resp.Val[:len(resp.Val)-1] // corrupt the manifest
+	tr.OnMessage(2, forged)
 	if tr.Rejected() != 1 || tr.Installs() != 0 {
 		t.Fatalf("forged response: rejected=%d installs=%d", tr.Rejected(), tr.Installs())
 	}
-	// Frame/payload boundary contradiction.
-	tr.OnMessage(2, proto.Message{Kind: proto.MsgSnapResponse, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: s.Instance + 1, Val: InlineTransfer(EncodeTransfer(s, retained))})
+	// Frame/manifest boundary contradiction.
+	forged = resp
+	forged.Instance++
+	tr.OnMessage(2, forged)
 	if tr.Rejected() != 2 {
 		t.Fatalf("boundary contradiction accepted: rejected=%d", tr.Rejected())
+	}
+	// A complete payload behind the retired inline form byte is no
+	// manifest, from however many senders.
+	inline := resp
+	inline.Val = "\x00" + EncodeTransfer(s, retained)
+	tr.OnMessage(2, inline)
+	tr.OnMessage(3, inline)
+	if tr.Rejected() != 4 || tr.Installs() != 0 || tr.Downloading() {
+		t.Fatalf("inline payload: rejected=%d installs=%d", tr.Rejected(), tr.Installs())
 	}
 }
 
@@ -406,10 +489,10 @@ func TestTransferIdleRejoinGap(t *testing.T) {
 	if s1.Instance != 19 {
 		t.Fatalf("refreshed boundary = %v, want 19", s1.Instance)
 	}
-	srvTr, srvEnv, _ := newTestTransfer(t, fresh1, &fakeLog{applied: 20, committed: 8})
-	srvTr.OnMessage(3, proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: stale.Instance})
-	if srvTr.Served() != 1 || len(srvEnv.sent) != 1 {
-		t.Fatalf("refreshed peer declined: served=%d", srvTr.Served())
+	srv := newXferPeer(t, fresh1)
+	srv.tr.OnMessage(3, proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: stale.Instance})
+	if srv.tr.Served() != 1 || len(srv.env.sent) != 1 {
+		t.Fatalf("refreshed peer declined: served=%d", srv.tr.Served())
 	}
 
 	// ...and two independent replicas' refreshed payloads are byte-
@@ -423,16 +506,10 @@ func TestTransferIdleRejoinGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg := &fakeLog{applied: stale.Instance, committed: stale.Index}
-	rejoinTr, _, _ := newTestTransfer(t, rejoinApp, lg)
-	for i, peer := range []*Applier{fresh1, fresh2} {
-		s, retained, ok := peer.LatestTransfer()
-		if !ok {
-			t.Fatal("refreshed peer has no snapshot")
-		}
-		rejoinTr.OnMessage(types.ProcID(2+i), proto.Message{
-			Kind: proto.MsgSnapResponse, Tag: proto.Tag{Mod: proto.ModSnap},
-			Instance: s.Instance, Val: InlineTransfer(EncodeTransfer(s, retained)),
-		})
+	rejoinTr, rejoinEnv, _ := newTestTransfer(t, rejoinApp, lg)
+	peers := map[types.ProcID]xferPeer{2: srv, 3: newXferPeer(t, fresh2)}
+	for id := types.ProcID(2); id <= 3; id++ {
+		offer(rejoinTr, rejoinEnv, peers, id, peers[id].respond(t))
 	}
 	if rejoinTr.Installs() != 1 {
 		t.Fatalf("refreshed snapshot not corroborated: installs=%d rejected=%d", rejoinTr.Installs(), rejoinTr.Rejected())

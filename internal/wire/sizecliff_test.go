@@ -3,8 +3,8 @@
 // wire.MaxValueLen caps a single frame's value at 1 MiB, so a machine
 // state past that bound simply could not travel as the historical
 // one-frame SNAP_RESP — the transfer subsystem hit a hard cliff at the
-// codec. This test pins both sides of the cliff: the single-frame path
-// MUST keep failing for a multi-MB payload (the bound is a Byzantine
+// codec. This test pins both sides of the cliff: a single frame MUST
+// keep failing for a multi-MB payload (the bound is a Byzantine
 // allocation defense, not an accident), and the manifest/chunk path
 // MUST carry the same payload end to end, every frame comfortably
 // inside the codec bound, reassembling byte-identically even when the
@@ -52,11 +52,10 @@ func TestSizeCliffChunkedSucceeds(t *testing.T) {
 		t.Fatalf("chunked path refused the payload the single frame cannot carry: %v", err)
 	}
 
-	// The manifest frame itself (form byte + encoding) fits the codec.
-	mfVal := append([]byte{sm.TransferFormManifest}, sm.EncodeManifest(mf)...)
+	// The manifest frame itself fits the codec.
 	mfFrame, err := wire.Encode(proto.Message{
 		Kind: proto.MsgSnapResponse, Tag: proto.Tag{Mod: proto.ModSnap},
-		Instance: 40, Val: types.Value(mfVal),
+		Instance: 40, Val: types.Value(sm.EncodeManifest(mf)),
 	})
 	if err != nil {
 		t.Fatalf("manifest frame over the codec bound: %v", err)
@@ -125,7 +124,7 @@ func TestChunkFrameHeadroom(t *testing.T) {
 		TotalLen: sm.MaxManifestChunks * sm.TransferChunkSize,
 		Hashes:   make([][32]byte, sm.MaxManifestChunks),
 	}
-	if n := 1 + len(sm.EncodeManifest(bigManifest)); n > wire.MaxValueLen {
+	if n := len(sm.EncodeManifest(bigManifest)); n > wire.MaxValueLen {
 		t.Fatalf("maximal manifest frame (%d bytes) exceeds wire.MaxValueLen (%d)", n, wire.MaxValueLen)
 	}
 }

@@ -25,12 +25,11 @@
 // layer (proto.MsgRBVector / proto.MsgRBPull / proto.MsgRBPullResp,
 // module proto.ModRBRelay — a vector frame's entry list rides in the
 // value bytes, see rb.EncodeEntries and docs/rb-coalescing.md) and the
-// replica-to-replica snapshot transfer (module proto.ModSnap). A
-// transfer payload is bounded by MaxValueLen per frame: a small state
-// travels inline in one proto.MsgSnapResponse, a larger one as a
-// manifest (still a MsgSnapResponse) plus a stream of self-validating
-// proto.MsgSnapChunk frames re-requested by proto.MsgSnapAck — see sm's
-// chunk codec and docs/persistence.md.
+// replica-to-replica snapshot transfer (module proto.ModSnap). Every
+// transfer travels as a manifest (proto.MsgSnapResponse) plus a stream
+// of self-validating proto.MsgSnapChunk frames re-requested by
+// proto.MsgSnapAck, so no state of any size meets the MaxValueLen frame
+// bound — see sm's chunk codec and docs/persistence.md.
 //
 // Frames on the wire are length-prefixed by the transport; this package
 // only encodes message bodies.
