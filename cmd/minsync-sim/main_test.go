@@ -53,23 +53,26 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	// A world that never drains on its own must end at the default
 	// deadline and report the missing termination — exit 1 — rather than
-	// spin. kv-crash-restart with the power cut at 40 ms is such a world:
-	// nothing is durable yet, the victim comes back through a peer
-	// snapshot, and an engine that joined by transfer never meets the
-	// coverage stop rule, so its stall probe re-arms forever. No
-	// registered scenario fails by itself, so this cell enters below the
-	// name lookup.
+	// spin. kv-partition-heal cut 2|2 with GST and heal 10 min away is
+	// such a world by construction: neither side holds the n−t = 3
+	// processes an instance needs, and nothing crosses the cut before the
+	// 60 s deadline. No registered scenario fails by itself, so this cell
+	// enters below the name lookup.
 	t.Run("cell that never drains", func(t *testing.T) {
-		stuck, ok := minsync.GetScenario("kv-crash-restart")
+		stuck, ok := minsync.GetScenario("kv-partition-heal")
 		if !ok {
-			t.Fatal("kv-crash-restart not registered")
+			t.Fatal("kv-partition-heal not registered")
 		}
-		stuck.Work.CrashRestartAt = 40 * time.Millisecond
+		if stuck.N != 4 || stuck.Net.PartitionCut != 2 {
+			t.Fatalf("kv-partition-heal is no longer n=4 cut 2|2: %+v", stuck.Net)
+		}
+		stuck.Net.GST = 10 * time.Minute
+		stuck.Net.HealAt = 10 * time.Minute
 		var out bytes.Buffer
 		if code := runSpecs(flags{workers: 1, verbose: true}, []minsync.Scenario{stuck}, []int64{1}, &out); code != 1 {
 			t.Fatalf("exit code %d, want 1\n%s", code, out.String())
 		}
-		for _, want := range []string{"\nkv-crash-restart\t1\tkv\tFAIL\t", "\t1m0s\t", "KV-Termination"} {
+		for _, want := range []string{"\nkv-partition-heal\t1\tkv\tFAIL\t", "\t1m0s\t", "KV-Termination"} {
 			if !strings.Contains(out.String(), want) {
 				t.Errorf("no %q in:\n%s", want, out.String())
 			}

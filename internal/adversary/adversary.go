@@ -114,12 +114,12 @@ func CrashAt(cfg core.Config, v types.Value, d types.Duration) harness.Behavior 
 // Equivocator runs the protocol proposing vals[0] but splits the value
 // space per receiver on every value-carrying message: receivers with odd
 // IDs see vals[0], even IDs see vals[1]. This equivocates CB_VAL /
-// AC_EST RB-INITs (which Bracha RB neutralizes) and EA_PROP2 / EA_COORD
-// plain messages (which it cannot).
+// AC_EST RB-INITs (which Bracha RB neutralizes) and EA_PROP2 / EA_COORD /
+// DECIDE plain messages (which it cannot).
 func Equivocator(cfg core.Config, vals [2]types.Value) harness.Behavior {
 	return engineWith(cfg, vals[0], func(env proto.Env, to types.ProcID, m proto.Message) (proto.Message, bool) {
 		switch m.Kind {
-		case proto.MsgRBInit, proto.MsgEAProp2, proto.MsgEACoord:
+		case proto.MsgRBInit, proto.MsgEAProp2, proto.MsgEACoord, proto.MsgDecide:
 			if m.Origin != types.NoProc && m.Origin != env.ID() {
 				return m, true // relaying someone else's RB: leave intact
 			}
@@ -200,8 +200,9 @@ func RandomlyByzantine(cfg core.Config, v types.Value, values []types.Value, see
 }
 
 // SpamStreams floods every process with conflicting RB-INITs and duplicate
-// EA messages carrying value w on rounds 1..rounds — a pure noise attacker
-// testing the first-message rule and the CB validity filters.
+// EA and DECIDE messages carrying value w on rounds 1..rounds — a pure
+// noise attacker testing the first-message rule and the CB validity
+// filters.
 func SpamStreams(w types.Value, rounds types.Round) harness.Behavior {
 	return func(env proto.Env) proto.Handler {
 		layer := rb.New(env, func(types.ProcID, proto.Tag, types.Value) {})
@@ -219,7 +220,9 @@ func SpamStreams(w types.Value, rounds types.Round) harness.Behavior {
 					env.Broadcast(proto.Message{Kind: proto.MsgEARelay, Tag: eaTag, Opt: types.Some(w)})
 				}
 			}
-			layer.Broadcast(proto.Tag{Mod: proto.ModDecide}, w)
+			for i := 0; i < 3; i++ {
+				env.Broadcast(decide(w))
+			}
 		})
 		return proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
 			layer.OnMessage(from, m)
@@ -227,14 +230,20 @@ func SpamStreams(w types.Value, rounds types.Round) harness.Behavior {
 	}
 }
 
-// FakeDecide RB-broadcasts DECIDE(w) immediately: alone (fewer than t+1
-// senders) it must never cause a decision on w.
+// decide is the DECIDE(w) a correct committer would send.
+func decide(w types.Value) proto.Message {
+	return proto.Message{Kind: proto.MsgDecide, Tag: proto.Tag{Mod: proto.ModDecide}, Val: w}
+}
+
+// FakeDecide sends DECIDE(w) immediately and otherwise only relays
+// reliable broadcasts: alone (fewer than t+1 senders) it must never make a
+// correct process forward or decide w.
 func FakeDecide(w types.Value) harness.Behavior {
 	return func(env proto.Env) proto.Handler {
 		layer := rb.New(env, func(types.ProcID, proto.Tag, types.Value) {})
 		env.SetTimer(0, func() {
 			note(env, "fake-decide", w)
-			layer.Broadcast(proto.Tag{Mod: proto.ModDecide}, w)
+			env.Broadcast(decide(w))
 		})
 		return proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
 			layer.OnMessage(from, m)
@@ -293,7 +302,7 @@ func HashEquivocation(w types.Value, every types.Duration, frames int) harness.B
 					forged,
 					forged, // in-frame duplicate
 					stale,  // below any later compaction floor
-					{Kind: proto.MsgRBReady, Tag: proto.Tag{Mod: proto.ModDecide},
+					{Kind: proto.MsgRBReady, Tag: proto.Tag{Mod: proto.ModACEst, Round: 1},
 						Origin: env.ID(), Instance: types.Instance(round - 1), Val: w},
 				})
 				if err != nil {
@@ -401,13 +410,13 @@ func (a ConsensusSplitter) MessageDelay(from, to types.ProcID, _ types.Time, pay
 	}
 	switch m.Kind {
 	case proto.MsgRBInit, proto.MsgRBEcho, proto.MsgRBReady:
-		// Starve every (non-DECIDE) reliable-broadcast stream of the
-		// targeted origin: CB[0] splits the initial estimates, the EA and
-		// AC cooperative broadcasts split the per-round first-qualified
-		// values (defeating the unification that lines 1 of Figs. 1-2
-		// would otherwise provide), and the AC_EST stream keeps the
-		// quorum windows split so MFA adoption never converges.
-		if m.Tag.Mod != proto.ModDecide && m.Origin == a.Target[to] {
+		// Starve every reliable-broadcast stream of the targeted origin:
+		// CB[0] splits the initial estimates, the EA and AC cooperative
+		// broadcasts split the per-round first-qualified values
+		// (defeating the unification that lines 1 of Figs. 1-2 would
+		// otherwise provide), and the AC_EST stream keeps the quorum
+		// windows split so MFA adoption never converges.
+		if m.Origin == a.Target[to] {
 			return a.Delay, true
 		}
 	}

@@ -240,9 +240,9 @@ func TestConsensusSplitterSelectivity(t *testing.T) {
 	if d, ok := a.MessageDelay(4, 2, 0, proto.Message{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 1}, Origin: 3}); !ok || d != types.Duration(time.Second) {
 		t.Fatalf("targeted stream delay = %v, %v", d, ok)
 	}
-	// ...but not the DECIDE stream, other origins, or other receivers.
-	if _, ok := a.MessageDelay(4, 2, 0, proto.Message{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModDecide}, Origin: 3}); ok {
-		t.Fatal("DECIDE stream must never be delayed")
+	// ...but not DECIDE, other origins, or other receivers.
+	if _, ok := a.MessageDelay(3, 2, 0, proto.Message{Kind: proto.MsgDecide, Tag: proto.Tag{Mod: proto.ModDecide}, Val: "a"}); ok {
+		t.Fatal("DECIDE must never be delayed")
 	}
 	if _, ok := a.MessageDelay(4, 2, 0, proto.Message{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 1}, Origin: 1}); ok {
 		t.Fatal("untargeted origin delayed")

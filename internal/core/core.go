@@ -9,17 +9,41 @@
 //	line 4     v ← EA.EA_propose(r, est)             — liveness (◇⟨t+1⟩bisource)
 //	line 5     if v ∈ CB[0].cb_valid { est ← v }     — validity filter
 //	line 6     ⟨tag, est⟩ ← AC[r].AC_propose(est)    — safety
-//	line 7     if tag = commit { RB-broadcast DECIDE(est) }
-//	decision   on DECIDE(v) RB-delivered from t+1 distinct processes: decide v
+//	line 7     if tag = commit { broadcast DECIDE(est) }
+//	decision   on DECIDE(v) from t+1 distinct processes: broadcast DECIDE(v) once
+//	           on DECIDE(v) from 2t+1 distinct processes: decide v
 //
 // Consensus properties: CONS-Termination, CONS-Validity (a decided value
 // was proposed by a correct process — or is ⊥ in the §7 BotMode variant)
 // and CONS-Agreement.
 //
+// # Deviations from Figure 4
+//
+// DECIDE is one plain message, not a reliable broadcast. Line 7
+// RB-broadcasts it and decides on t+1 deliveries; here a DECIDE is
+// amplified the way Bracha amplifies READY, which gives the same
+// guarantee in one message delay instead of three. Safety: a correct
+// process sends DECIDE(v) only after committing v or receiving DECIDE(v)
+// from t+1 processes, one of them correct — so every correct DECIDE
+// traces back to a correct commit of v, AC makes every correct commit the
+// same value, and no correct process sends two DECIDEs or one for another
+// value. t Byzantine senders never reach t+1 alone. Termination: a
+// decider received 2t+1 DECIDEs, at least t+1 of them from correct
+// processes; every correct process receives those, forwards its own, and
+// then receives n−t ≥ 2t+1.
+//
+// A committer enters the next round lazily. A process that commits in
+// round r starts round r+1 only once it receives an EA or AC message
+// naming a round ≥ r+1 (at once if it already has one). A correct process
+// that did not commit in round r always starts r+1 and RB-broadcasts its
+// EA value, which wakes every committer; if every correct process
+// committed, their n−t ≥ 2t+1 DECIDEs decide everyone. Fault-free, this
+// skips a whole round-(r+1) CB wave that nothing would use.
+//
 // A deciding process halts its round loop but keeps serving the reliable
 // broadcast and the open abstractions of earlier rounds, so slower correct
-// processes are never starved; they decide through the same t+1 DECIDE
-// deliveries (RB-Termination-2).
+// processes are never starved. An engine stalled or halted before it
+// decided still counts DECIDEs, so it still forwards its own at t+1.
 package core
 
 import (
@@ -92,6 +116,11 @@ type Engine struct {
 	est      types.Value
 	haveEst  bool
 	round    types.Round
+
+	// named is the highest round an EA or AC message named; parked marks
+	// a committer waiting for a message naming round > round (lazy entry).
+	named  types.Round
+	parked bool
 
 	sentDecide    bool
 	commitRound   types.Round // round of this process's own commit (0 if none)
@@ -220,23 +249,43 @@ func (e *Engine) onEAReturn(r types.Round, v types.Value) {
 	e.getAC(r).Propose(e.est)
 }
 
-// onACDone is lines 6-8.
+// onACDone is lines 6-8. A commit broadcasts DECIDE and parks the loop
+// until some process names the next round (see the package comment).
 func (e *Engine) onACDone(r types.Round, o ac.Outcome) {
 	if e.decided || e.stalled || r != e.round {
 		return
 	}
 	e.est = o.Val
-	if o.Commit && !e.sentDecide {
-		e.sentDecide = true
-		e.commitRound = r
-		e.cfg.Env.Trace().Emit(trace.Event{
-			At: e.cfg.Env.Now(), Kind: trace.KindConsCommitBcast, Proc: e.cfg.Env.ID(),
-			Round: r, Value: o.Val,
-		})
-		e.rbl.Broadcast(proto.Tag{Mod: proto.ModDecide}, o.Val)
+	if o.Commit {
+		if e.commitRound == 0 {
+			e.commitRound = r
+		}
+		e.sendDecide(o.Val, "commit")
+		if e.named <= r {
+			e.parked = true
+			return
+		}
 	}
 	e.startRound(r + 1)
 }
+
+// sendDecide broadcasts this process's one DECIDE; why says what caused
+// it (a commit, or t+1 DECIDEs forwarded).
+func (e *Engine) sendDecide(v types.Value, why string) {
+	if e.sentDecide {
+		return
+	}
+	e.sentDecide = true
+	e.cfg.Env.Trace().Emit(trace.Event{
+		At: e.cfg.Env.Now(), Kind: trace.KindConsDecideSend, Proc: e.cfg.Env.ID(),
+		Round: e.round, Value: v, Aux: why,
+	})
+	e.cfg.Env.Broadcast(proto.Message{Kind: proto.MsgDecide, Tag: decideTag, Val: v})
+}
+
+// decideTag is the one tag a DECIDE carries; with Origin unset it is one
+// first-message identity per sender and instance (proto.Node).
+var decideTag = proto.Tag{Mod: proto.ModDecide}
 
 // getAC lazily creates the adopt-commit object of round r. Messages can
 // arrive for rounds we have not reached yet; their objects buffer state
@@ -261,9 +310,27 @@ func (e *Engine) getAC(r types.Round) *ac.Instance {
 	return inst
 }
 
-// OnMessage implements proto.Handler: route RB submessages to the RB
-// layer, EA plain messages to the EA object.
+// OnMessage implements proto.Handler: route DECIDEs to the decision
+// rule, RB submessages to the RB layer, EA plain messages to the EA
+// object. Any EA or AC message naming a later round wakes a parked
+// committer first.
 func (e *Engine) OnMessage(from types.ProcID, m proto.Message) {
+	if m.Kind == proto.MsgDecide {
+		if m.Tag == decideTag && m.Origin == types.NoProc {
+			e.onDecide(from, m.Val)
+		}
+		return
+	}
+	switch m.Tag.Mod {
+	case proto.ModEACB, proto.ModEA, proto.ModACCB, proto.ModACEst:
+		if m.Tag.Round > e.named {
+			e.named = m.Tag.Round
+			if e.parked && e.named > e.round {
+				e.parked = false
+				e.startRound(e.round + 1)
+			}
+		}
+	}
 	if e.rbl.OnMessage(from, m) {
 		return
 	}
@@ -285,21 +352,24 @@ func (e *Engine) onRBDeliver(origin types.ProcID, tag proto.Tag, v types.Value) 
 		if tag.Round >= 1 && tag.Round <= e.cfg.MaxRounds {
 			e.getAC(tag.Round).OnEstDeliver(origin, v)
 		}
-	case proto.ModDecide:
-		e.onDecideDeliver(origin, v)
 	}
 }
 
-// onDecideDeliver is Fig. 4 line 9: decide on t+1 matching DECIDEs.
-func (e *Engine) onDecideDeliver(origin types.ProcID, v types.Value) {
+// onDecide counts one sender's DECIDE(v): forward at t+1, decide at 2t+1.
+// The first-message rule lets each sender count once.
+func (e *Engine) onDecide(from types.ProcID, v types.Value) {
 	set := e.decideSupport[v]
 	if set == nil {
 		s := types.NewProcSet()
 		set = &s
 		e.decideSupport[v] = set
 	}
-	set.Add(origin)
-	if set.Len() >= e.cfg.Env.Params().T+1 && !e.decided {
+	set.Add(from)
+	p := e.cfg.Env.Params()
+	if set.Len() >= p.ReadyAmplify() {
+		e.sendDecide(v, "forward")
+	}
+	if set.Len() >= p.ReadyDeliver() && !e.decided {
 		e.decided = true
 		e.decision = v
 		e.decidedAt = e.cfg.Env.Now()
@@ -348,7 +418,7 @@ func (e *Engine) DecidedAt() types.Time { return e.decidedAt }
 
 // DecidedRound returns the consensus round of the decision: the round of
 // this process's own commit when it committed, otherwise the round-loop
-// position when the t+1 DECIDE deliveries arrived (0 if undecided).
+// position when the 2t+1th DECIDE arrived (0 if undecided).
 func (e *Engine) DecidedRound() types.Round { return e.decidedRound }
 
 // Round returns the current round counter (0 before the loop starts).

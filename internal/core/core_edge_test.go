@@ -11,21 +11,44 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/network"
+	"repro/internal/proto"
+	"repro/internal/rb"
 	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
 
-// TestLateProcessDecidesThroughDecideQuorum: a process whose proposal is
-// delayed until long after everyone else decided must still decide — the
-// DECIDE stream is an RB stream, so RB-Termination-2 carries the t+1
-// quorum to it regardless of its own progress.
-func TestLateProcessDecidesThroughDecideQuorum(t *testing.T) {
-	p := types.Params{N: 4, T: 1, M: 2}
-	spec := baseSpec(p, 31)
+// lateProposerSpec: p4 proposes at 10 s, long after p1–p3 decided.
+func lateProposerSpec() runner.Spec {
+	spec := baseSpec(types.Params{N: 4, T: 1, M: 2}, 31)
 	spec.Proposals = map[types.ProcID]types.Value{1: "a", 2: "a", 3: "a", 4: "b"}
 	spec.ProposeAt = map[types.ProcID]types.Duration{4: types.Duration(10 * time.Second)}
-	res, err := runner.Run(spec)
+	return spec
+}
+
+// slowProcessSpec: every channel into and out of p3 is slowed by 2–3 s,
+// so p3 trails the others.
+func slowProcessSpec() runner.Spec {
+	slow := map[[2]types.ProcID]bool{}
+	for i := types.ProcID(1); i <= 4; i++ {
+		if i != 3 {
+			slow[[2]types.ProcID{i, 3}] = true
+			slow[[2]types.ProcID{3, i}] = true
+		}
+	}
+	spec := baseSpec(types.Params{N: 4, T: 1, M: 2}, 33)
+	spec.Topology = network.FullyAsynchronous(4)
+	spec.Adv = adversary.NewTargetedDelay(slow, types.Duration(2*time.Second), types.Duration(time.Second), 33)
+	spec.Proposals = map[types.ProcID]types.Value{1: "a", 2: "a", 3: "b", 4: "a"}
+	return spec
+}
+
+// TestLateProcessDecidesThroughDecideQuorum: a process whose proposal is
+// delayed until long after everyone else decided must still decide — the
+// DECIDEs of the others reach it whatever its own progress, and 2t+1 of
+// them decide it.
+func TestLateProcessDecidesThroughDecideQuorum(t *testing.T) {
+	res, err := runner.Run(lateProposerSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,22 +66,9 @@ func TestLateProcessDecidesThroughDecideQuorum(t *testing.T) {
 
 // TestDecidedEngineKeepsServingRB: after deciding, engines must keep
 // relaying RB traffic so a slow correct process can finish open instances.
-// We slow every channel into and out of p3 so it trails the others, then
-// verify it still converges after they decided.
+// p3 trails the others and must still converge after they decided.
 func TestDecidedEngineKeepsServingRB(t *testing.T) {
-	p := types.Params{N: 4, T: 1, M: 2}
-	slow := map[[2]types.ProcID]bool{}
-	for i := 1; i <= 4; i++ {
-		if i != 3 {
-			slow[[2]types.ProcID{types.ProcID(i), 3}] = true
-			slow[[2]types.ProcID{3, types.ProcID(i)}] = true
-		}
-	}
-	spec := baseSpec(p, 33)
-	spec.Topology = network.FullyAsynchronous(4)
-	spec.Adv = adversary.NewTargetedDelay(slow, types.Duration(2*time.Second), types.Duration(time.Second), 33)
-	spec.Proposals = map[types.ProcID]types.Value{1: "a", 2: "a", 3: "b", 4: "a"}
-	res, err := runner.Run(spec)
+	res, err := runner.Run(slowProcessSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +81,9 @@ func TestDecidedEngineKeepsServingRB(t *testing.T) {
 	assertSafety(t, res, map[types.Value]bool{"a": true, "b": true}, false)
 }
 
-// TestForgedDecideValuesCannotMix: Byzantine processes RB-broadcast DECIDE
-// for different forged values; since each value needs t+1 distinct
-// origins, no forged value can be decided with only t Byzantine senders.
+// TestForgedDecideValuesCannotMix: t Byzantine processes send
+// DECIDE(forged). Forwarding needs t+1 senders, so no correct process
+// sends DECIDE(forged) — let alone decides it.
 func TestForgedDecideValuesCannotMix(t *testing.T) {
 	p := types.Params{N: 7, T: 2, M: 2}
 	spec := baseSpec(p, 35)
@@ -86,6 +96,11 @@ func TestForgedDecideValuesCannotMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, e := range res.Log.Filter(trace.ByKind(trace.KindConsDecideSend)) {
+		if e.Value == "forged" {
+			t.Fatalf("%v sent DECIDE(forged) on only t forged DECIDEs: %v", e.Proc, e)
+		}
+	}
 	for id, v := range res.Decisions {
 		if v == "forged" {
 			t.Fatalf("%v decided the forged value with only t DECIDE senders", id)
@@ -94,6 +109,209 @@ func TestForgedDecideValuesCannotMix(t *testing.T) {
 	if !res.AllDecided() {
 		t.Fatal("run must still decide")
 	}
+}
+
+// decideEquivocator relays reliable broadcasts and, at time 0, sends
+// DECIDE(a) to the lower half of the processes and DECIDE(b) to the rest.
+func decideEquivocator(a, b types.Value) harness.Behavior {
+	return func(env proto.Env) proto.Handler {
+		layer := rb.New(env, func(types.ProcID, proto.Tag, types.Value) {})
+		env.SetTimer(0, func() {
+			for _, to := range env.Params().AllProcs() {
+				v := a
+				if int(to) > env.Params().N/2 {
+					v = b
+				}
+				env.Send(to, proto.Message{Kind: proto.MsgDecide, Tag: proto.Tag{Mod: proto.ModDecide}, Val: v})
+			}
+		})
+		return proto.HandlerFunc(func(from types.ProcID, m proto.Message) { layer.OnMessage(from, m) })
+	}
+}
+
+// TestDecideEquivocatorsSplitNoOne: t processes equivocate DECIDE — a to
+// half the processes, b to the rest — while the correct ones propose a
+// mix of a and b. Every correct process decides the same value, and none
+// sends a DECIDE for any other.
+func TestDecideEquivocatorsSplitNoOne(t *testing.T) {
+	p := types.Params{N: 7, T: 2, M: 2}
+	for seed := int64(0); seed < 10; seed++ {
+		spec := baseSpec(p, seed)
+		spec.Topology = network.EventuallySynchronous(p.N, types.Time(50*time.Millisecond), delta)
+		spec.Proposals = correctProposals(p, 2, "a", "b")
+		spec.Byzantine = map[types.ProcID]harness.Behavior{
+			6: decideEquivocator("a", "b"),
+			7: decideEquivocator("b", "a"),
+		}
+		res, err := runner.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := res.CommonDecision()
+		if !ok {
+			t.Fatalf("seed %d: split or undecided: %v (stalled %v)", seed, res.Decisions, res.Stalled)
+		}
+		for _, e := range res.Log.Filter(trace.ByKind(trace.KindConsDecideSend)) {
+			if e.Proc < 6 && e.Value != v {
+				t.Fatalf("seed %d: %v sent DECIDE(%s) but all decided %s", seed, e.Proc, e.Value, v)
+			}
+		}
+	}
+}
+
+// silenceAfter destroys every message proc sends from instant at on — a
+// process that goes silent right after deciding.
+type silenceAfter struct {
+	proc types.ProcID
+	at   types.Time
+}
+
+func (silenceAfter) MessageDelay(types.ProcID, types.ProcID, types.Time, any) (types.Duration, bool) {
+	return 0, false
+}
+
+func (s silenceAfter) DropMessage(from, _ types.ProcID, at types.Time, _ any) bool {
+	return from == s.proc && at >= s.at
+}
+
+// TestLateDecidersWhenFirstDeciderFallsSilent replays both late-decider
+// runs above with the first decider muted from the instant it decides:
+// the DECIDE it sent before still counts, and the others' DECIDEs carry
+// the late process to 2t+1.
+func TestLateDecidersWhenFirstDeciderFallsSilent(t *testing.T) {
+	for name, mk := range map[string]func() runner.Spec{"late proposer": lateProposerSpec, "slow process": slowProcessSpec} {
+		first, err := runner.Run(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var who types.ProcID
+		for _, id := range first.Correct {
+			if who == types.NoProc || first.DecideTime[id] < first.DecideTime[who] {
+				who = id
+			}
+		}
+		spec := mk() // a fresh adversary: TargetedDelay draws from its own source
+		spec.Adv = adversary.Chain{spec.Adv, silenceAfter{proc: who, at: first.DecideTime[who]}}
+		res, err := runner.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AllDecided() {
+			t.Fatalf("%s: with %v silent from its decision at %v on, not all decided: %v",
+				name, who, first.DecideTime[who], res.Decisions)
+		}
+		assertSafety(t, res, map[types.Value]bool{"a": true, "b": true}, false)
+	}
+}
+
+// arrivals is a scheduling adversary that draws every delay itself (1–20
+// ms on a fully asynchronous topology), so it knows when each message
+// lands, and records per receiver and round the earliest arrival of a
+// peer's EA or AC message naming that round.
+type arrivals struct {
+	rng   *rand.Rand
+	first map[types.ProcID]map[types.Round]types.Time
+}
+
+func (a *arrivals) MessageDelay(from, to types.ProcID, at types.Time, payload any) (types.Duration, bool) {
+	d := types.Duration(1+a.rng.Intn(20)) * types.Duration(time.Millisecond)
+	if m, ok := proto.AsMessage(payload); ok && from != to {
+		switch m.Tag.Mod {
+		case proto.ModEACB, proto.ModEA, proto.ModACCB, proto.ModACEst:
+			if a.first[to] == nil {
+				a.first[to] = make(map[types.Round]types.Time)
+			}
+			if prev, seen := a.first[to][m.Tag.Round]; !seen || at.Add(d) < prev {
+				a.first[to][m.Tag.Round] = at.Add(d)
+			}
+		}
+	}
+	return d, true
+}
+
+// reached reports when the first message naming a round ≥ r reached p.
+func (a *arrivals) reached(p types.ProcID, r types.Round) (types.Time, bool) {
+	var first types.Time
+	found := false
+	for round, at := range a.first[p] {
+		if round >= r && (!found || at < first) {
+			first, found = at, true
+		}
+	}
+	return first, found
+}
+
+// TestLazyRoundEntry searches asynchronous runs, with a mute Byzantine
+// coordinator in round 1, for rounds where one correct process commits
+// while another adopts (rare: no registered scenario has one). Every
+// process decides, and a committer that starts round r+1 does so only
+// once a message naming round r+1 or later reached it — in at least one
+// run strictly after its own commit, so the wait was real.
+func TestLazyRoundEntry(t *testing.T) {
+	p := types.Params{N: 4, T: 1, M: 2}
+	split, waited := 0, 0
+	for seed := int64(1); seed <= 300 && (split == 0 || waited == 0); seed++ {
+		arr := &arrivals{rng: rand.New(rand.NewSource(seed)), first: make(map[types.ProcID]map[types.Round]types.Time)}
+		spec := baseSpec(p, seed)
+		spec.Topology = network.FullyAsynchronous(p.N)
+		spec.Adv = arr
+		spec.Proposals = map[types.ProcID]types.Value{2: "a", 3: "a", 4: "b"}
+		spec.Byzantine = map[types.ProcID]harness.Behavior{1: adversary.MuteCoordinator(core.Config{TimeUnit: unit}, "b")}
+		spec.Engine.MaxRounds = 64
+		res, err := runner.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commitAt := map[types.Round]map[types.ProcID]types.Time{}
+		adopted := map[types.Round]bool{}
+		for _, e := range res.Log.Filter(trace.ByKind(trace.KindACReturn)) {
+			if _, correct := spec.Proposals[e.Proc]; !correct {
+				continue
+			}
+			if e.Aux == "commit" {
+				if commitAt[e.Round] == nil {
+					commitAt[e.Round] = map[types.ProcID]types.Time{}
+				}
+				commitAt[e.Round][e.Proc] = e.At
+			} else {
+				adopted[e.Round] = true
+			}
+		}
+		starts := map[types.ProcID]map[types.Round]types.Time{}
+		for _, e := range res.Log.Filter(trace.ByKind(trace.KindConsRoundStart)) {
+			if starts[e.Proc] == nil {
+				starts[e.Proc] = map[types.Round]types.Time{}
+			}
+			starts[e.Proc][e.Round] = e.At
+		}
+		for r, committers := range commitAt {
+			if !adopted[r] {
+				continue
+			}
+			split++
+			if _, ok := res.CommonDecision(); !ok {
+				t.Fatalf("seed %d: commit/adopt split in round %d, then no common decision: %v", seed, r, res.Decisions)
+			}
+			for c, at := range committers {
+				start, ok := starts[c][r+1]
+				if !ok {
+					continue // decided before anything woke it
+				}
+				arrived, ok := arr.reached(c, r+1)
+				if !ok || arrived > start {
+					t.Fatalf("seed %d: %v committed in round %d at %v and started round %d at %v, before any message named it (first at %v, %v)",
+						seed, c, r, at, r+1, start, arrived, ok)
+				}
+				if start > at {
+					waited++
+				}
+			}
+		}
+	}
+	if split == 0 || waited == 0 {
+		t.Fatalf("found %d commit/adopt splits and %d committers that waited", split, waited)
+	}
+	t.Logf("%d commit/adopt splits, %d committers waited for a later round", split, waited)
 }
 
 // TestRandomizedSafetySweep is the schedule-fuzz test: random topologies,
@@ -217,11 +435,15 @@ func TestDecideEventHasCommitRound(t *testing.T) {
 			t.Fatalf("%v: DecideRound = %d, want 1 (unanimous first-round commit)", id, got)
 		}
 	}
-	// The trace round counter may legitimately read 2 (the loop moved on
-	// while DECIDE was in flight); both views must exist coherently.
-	decides := res.Log.Filter(trace.ByKind(trace.KindConsDecide))
-	if len(decides) != 4 {
+	// Lazy round entry: a unanimous round 1 commits everywhere, so no
+	// process ever names round 2 and none starts it.
+	if decides := res.Log.Filter(trace.ByKind(trace.KindConsDecide)); len(decides) != 4 {
 		t.Fatalf("decide events = %d", len(decides))
+	}
+	for _, e := range res.Log.Filter(trace.ByKind(trace.KindConsRoundStart)) {
+		if e.Round > 1 {
+			t.Fatalf("%v started round %d after a unanimous commit", e.Proc, e.Round)
+		}
 	}
 }
 

@@ -83,6 +83,29 @@ func TestUnanimousNoFaults(t *testing.T) {
 	}
 }
 
+// TestDecisionCriticalPath counts a fault-free decision in message
+// delays: with every channel at exactly δ the last process decides at
+// 14δ — CB[0], EA round 1's CB, EA_PROP2, AC's CB and AC_EST (3+3+1+3+3)
+// plus the one plain DECIDE hop.
+func TestDecisionCriticalPath(t *testing.T) {
+	for _, n := range []int{4, 7, 10} {
+		p := types.Params{N: n, T: (n - 1) / 3, M: 2}
+		spec := baseSpec(p, 1)
+		spec.Policy = network.FixedDelay{D: delta}
+		spec.Proposals = correctProposals(p, 0, "v")
+		res, err := runner.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AllDecided() {
+			t.Fatalf("n=%d: not all decided: %v", n, res.Decisions)
+		}
+		if got, want := res.MaxDecideTime(), types.Time(14*delta); got != want {
+			t.Errorf("n=%d: last decision at %v = %.2fδ, want 14δ", n, got, float64(got)/float64(delta))
+		}
+	}
+}
+
 func TestMixedInputsWithCrashes(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		p := types.Params{N: 7, T: 2, M: 2}

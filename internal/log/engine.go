@@ -629,7 +629,7 @@ func (l *Engine) tryApply() {
 // Safety of retiring instance engines mid-run: an engine is only retired
 // after this replica applied its decision, by which point the replica has
 // broadcast every contribution the instance will ever need from it (a
-// decided core engine halts its round loop and has already RB-broadcast
+// decided core engine halts its round loop and has already sent its
 // DECIDE). Laggards therefore still receive all previously sent traffic;
 // what they lose is the retired replica's future echo service, which a
 // snapshot-based state transfer — Recover on the sm layer — replaces.

@@ -17,7 +17,7 @@ import (
 
 // MsgKind enumerates wire message kinds. The first three are Bracha
 // reliable-broadcast submessages; the EA kinds are the plain (best-effort)
-// broadcasts of Figure 3.
+// broadcasts of Figure 3, and MsgDecide, the last, is Figure 4's DECIDE.
 type MsgKind int
 
 // Message kinds.
@@ -65,6 +65,12 @@ const (
 	// chunk self-validates against the manifest's hash list.
 	MsgSnapChunk // SNAP_CHUNK(digest ‖ chunk index ‖ bytes; see sm chunk codec)
 	MsgSnapAck   // SNAP_ACK(digest ‖ from ‖ window: the next range wanted)
+	// MsgDecide is Fig. 4's DECIDE as one plain message (module
+	// ModDecide, Round 0, Origin unset): a committer sends it, a process
+	// that received it from t+1 senders forwards its own, and 2t+1
+	// decide (see internal/core). Like EA_PROP2 it obeys the
+	// first-message-only rule: one per sender and instance.
+	MsgDecide // DECIDE(v)
 )
 
 // String implements fmt.Stringer. A switch, not a map: tracing and error
@@ -102,6 +108,8 @@ func (k MsgKind) String() string {
 		return "SNAP_CHUNK"
 	case MsgSnapAck:
 		return "SNAP_ACK"
+	case MsgDecide:
+		return "DECIDE"
 	default:
 		return fmt.Sprintf("MsgKind(%d)", int(k))
 	}
@@ -125,8 +133,8 @@ const (
 	ModACCB
 	// ModACEst is the RB stream of AC_EST messages of round r (Fig. 2 line 2).
 	ModACEst
-	// ModDecide is the RB stream of DECIDE messages (Fig. 4 line 7);
-	// Round is always 0.
+	// ModDecide tags the plain DECIDE messages (MsgDecide, Fig. 4 line
+	// 7); Round is always 0. It names no RB stream.
 	ModDecide
 	// ModKV tags the client-facing KV request/response messages of the
 	// replicated KV service; Round is always 0.
@@ -168,7 +176,7 @@ func (m Module) String() string {
 }
 
 // Tag identifies a protocol instance: a module family plus the round it
-// belongs to (0 for the round-less instances CB[0] and DECIDE).
+// belongs to (0 for the round-less CB[0] and DECIDE).
 type Tag struct {
 	Mod   Module
 	Round types.Round

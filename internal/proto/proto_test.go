@@ -92,7 +92,7 @@ func TestStringers(t *testing.T) {
 	if !strings.Contains(relay.String(), "⊥") {
 		t.Errorf("relay String = %q", relay.String())
 	}
-	rb := Message{Kind: MsgRBInit, Tag: Tag{Mod: ModDecide}, Origin: 3, Val: "v"}
+	rb := Message{Kind: MsgRBInit, Tag: Tag{Mod: ModACEst, Round: 2}, Origin: 3, Val: "v"}
 	s := rb.String()
 	if !strings.Contains(s, "p3") || !strings.Contains(s, "v") {
 		t.Errorf("rb String = %q", s)
@@ -105,12 +105,12 @@ func TestStringers(t *testing.T) {
 
 // Every declared kind and module must have a name.
 func TestNamesComplete(t *testing.T) {
-	for k := MsgRBInit; k <= MsgEARelay; k++ {
+	for k := MsgRBInit; k <= MsgDecide; k++ {
 		if strings.HasPrefix(k.String(), "MsgKind(") {
 			t.Errorf("kind %d unnamed", int(k))
 		}
 	}
-	for m := ModConsCB0; m <= ModDecide; m++ {
+	for m := ModConsCB0; m <= ModRBRelay; m++ {
 		if strings.HasPrefix(m.String(), "Module(") {
 			t.Errorf("module %d unnamed", int(m))
 		}
@@ -132,6 +132,21 @@ func TestDedupPerInstance(t *testing.T) {
 	}
 	if n.LiveInstances() != 3 {
 		t.Fatalf("live instance sub-maps = %d, want 3", n.LiveInstances())
+	}
+}
+
+// TestDecideOncePerSender: a sender's first DECIDE in an instance is the
+// one that counts; a second one, even for another value, is dropped.
+func TestDecideOncePerSender(t *testing.T) {
+	var got []Message
+	n := NewNode(HandlerFunc(func(from types.ProcID, m Message) { got = append(got, m) }))
+	decide := Message{Kind: MsgDecide, Tag: Tag{Mod: ModDecide}, Instance: 4, Val: "a"}
+	n.Dispatch(2, decide)
+	decide.Val = "b"
+	n.Dispatch(2, decide)
+	n.Dispatch(3, decide)
+	if len(got) != 2 || got[0].Val != "a" || got[1].Val != "b" || n.Dropped != 1 {
+		t.Fatalf("delivered %v, dropped %d; want p2's a and p3's b, one drop", got, n.Dropped)
 	}
 }
 

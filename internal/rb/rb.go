@@ -16,8 +16,8 @@
 //	on ≥ 2t+1 READY(v):                     deliver v (once)
 //
 // One Layer multiplexes every RB instance of a process; instances are
-// identified by (origin, tag), so the same layer serves CB_VAL, AC_EST and
-// DECIDE streams for all rounds simultaneously.
+// identified by (origin, tag), so the same layer serves the CB_VAL and
+// AC_EST streams of all rounds simultaneously.
 package rb
 
 import (

@@ -134,7 +134,7 @@ func EncodeEntries(entries []Entry) ([]byte, error) {
 		if e.Kind != proto.MsgRBEcho && e.Kind != proto.MsgRBReady {
 			return nil, fmt.Errorf("rb: vector entry cannot carry %v", e.Kind)
 		}
-		if e.Tag.Mod < proto.ModConsCB0 || e.Tag.Mod > proto.ModDecide {
+		if e.Tag.Mod < proto.ModConsCB0 || e.Tag.Mod > proto.ModACEst {
 			return nil, fmt.Errorf("rb: vector entry cannot carry module %v", e.Tag.Mod)
 		}
 		if e.Tag.Round < 0 || e.Origin < 0 || e.Instance < 0 {
@@ -212,7 +212,7 @@ func decodeEntriesInto(dst []Entry, v types.Value) ([]Entry, error) {
 			return nil, fmt.Errorf("rb: invalid entry kind %d", v[off])
 		}
 		mod := proto.Module(v[off+1])
-		if mod < proto.ModConsCB0 || mod > proto.ModDecide {
+		if mod < proto.ModConsCB0 || mod > proto.ModACEst {
 			return nil, fmt.Errorf("rb: invalid entry module %d", v[off+1])
 		}
 		if v[off+2]&^byte(entryFlagHashed) != 0 {

@@ -97,7 +97,7 @@ func TestEntriesRoundTrip(t *testing.T) {
 	hash := hashValue(big)
 	entries := []Entry{
 		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModConsCB0}, Origin: 1, Instance: 0, Val: "small"},
-		{Kind: proto.MsgRBReady, Tag: proto.Tag{Mod: proto.ModDecide, Round: 9}, Origin: 7, Instance: 41, Val: ""},
+		{Kind: proto.MsgRBReady, Tag: proto.Tag{Mod: proto.ModACEst, Round: 9}, Origin: 7, Instance: 41, Val: ""},
 		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModEACB, Round: 1 << 30}, Origin: 3, Instance: 1 << 40, Hashed: true, Val: types.Value(hash[:])},
 	}
 	enc, err := EncodeEntries(entries)
@@ -120,12 +120,13 @@ func TestEntriesRoundTrip(t *testing.T) {
 
 func TestEncodeEntriesRejectsBadVocabulary(t *testing.T) {
 	for _, e := range []Entry{
-		{Kind: proto.MsgRBInit, Tag: relayTag, Origin: 1, Val: "x"},                      // INIT never coalesces
-		{Kind: proto.MsgRBVector, Tag: relayTag, Origin: 1, Val: "x"},                    // no nesting
-		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModKV}, Origin: 1, Val: "x"},   // module out of range
-		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: relayTag.Mod, Round: -1}, Origin: 1}, // negative round
-		{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 1, Instance: -4},                  // negative instance
-		{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 1, Hashed: true, Val: "short"},    // bad hash length
+		{Kind: proto.MsgRBInit, Tag: relayTag, Origin: 1, Val: "x"},                        // INIT never coalesces
+		{Kind: proto.MsgRBVector, Tag: relayTag, Origin: 1, Val: "x"},                      // no nesting
+		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModKV}, Origin: 1, Val: "x"},     // module out of range
+		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModDecide}, Origin: 1, Val: "x"}, // DECIDE is no RB stream
+		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: relayTag.Mod, Round: -1}, Origin: 1},   // negative round
+		{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 1, Instance: -4},                    // negative instance
+		{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 1, Hashed: true, Val: "short"},      // bad hash length
 	} {
 		if _, err := EncodeEntries([]Entry{e}); err == nil {
 			t.Errorf("EncodeEntries accepted %+v", e)
@@ -158,6 +159,7 @@ func TestDecodeEntriesRejectsMalformed(t *testing.T) {
 		}, "limit"},
 		{"bad kind", func(b []byte) []byte { b[4] = byte(proto.MsgRBInit); return b }, "kind"},
 		{"bad module", func(b []byte) []byte { b[5] = 99; return b }, "module"},
+		{"decide module", func(b []byte) []byte { b[5] = byte(proto.ModDecide); return b }, "module"},
 		{"unknown flags", func(b []byte) []byte { b[6] = 0x80; return b }, "flags"},
 		{"negative round", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[7:], 1<<63)

@@ -393,6 +393,17 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 				seen = make(map[types.Value]struct{}, len(distinct))
 				seenBy[id] = seen
 			}
+			// cover credits one distinct workload command. Default stop
+			// rule: close once every distinct workload command is covered —
+			// a deterministic function of the applied prefix, so instance
+			// starts stay symmetric.
+			cover := func(c types.Value) {
+				seen[c] = struct{}{}
+				res.Covered[id] = len(seen)
+				if spec.Target <= 0 && len(seen) >= len(distinct) {
+					rep.Engine.Close()
+				}
+			}
 			rep, newErr = replica.New(replica.Config{
 				Env:             env,
 				Persist:         res.Durables[id],
@@ -417,25 +428,31 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 				},
 				OnCommit: func(e log.Entry) {
 					res.Logs[id] = append(res.Logs[id], e)
-					// Default stop rule: close once every distinct workload
-					// command committed. Duplicate re-commits (possible after
-					// compaction forgets the content dedup) and forged
-					// commands from Byzantine batches don't count toward it —
-					// a deterministic function of the applied prefix, so
-					// instance starts stay symmetric.
+					// Duplicate re-commits (possible after compaction forgets
+					// the content dedup) and forged commands from Byzantine
+					// batches cover nothing.
 					if _, workload := distinct[e.Cmd]; !workload {
 						return
 					}
 					if _, dup := seen[e.Cmd]; dup {
 						return
 					}
-					seen[e.Cmd] = struct{}{}
-					res.Covered[id] = len(seen)
 					if res.CommitLatency != nil {
 						res.CommitLatency.Observe(int64(env.Now() - submitAt[e.Cmd]))
 					}
-					if spec.Target <= 0 && len(seen) >= len(distinct) {
-						rep.Engine.Close()
+					cover(e.Cmd)
+				},
+				// A peer snapshot skips the commits below its boundary: the
+				// recorded log restarts at the engine's retained suffix (the
+				// suffix form Consistent and ReferenceDivergence expect),
+				// and every workload command the installed sessions already
+				// reflect is covered.
+				OnInstall: func(sm.Snapshot) {
+					res.Logs[id] = slices.Clone(rep.Engine.Entries())
+					for k, c := range spec.Commands {
+						if _, dup := seen[encoded[k]]; !dup && c.Client != 0 && rep.Store.SessionSeq(c.Client) >= c.Seq {
+							cover(encoded[k])
+						}
 					}
 				},
 			})

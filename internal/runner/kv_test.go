@@ -384,7 +384,7 @@ func TestKVDurablePassive(t *testing.T) {
 // gone: engine, applier, dedup dispatcher, timers) and rebooted shortly
 // after from its durable store alone. It must resume at its fsync'd
 // boundary (applied ⊇ fsync'd), catch the instances decided after its
-// reboot through the DECIDE quorum stream, and reconverge to the
+// reboot through its peers' DECIDEs, and reconverge to the
 // cluster state with ZERO peer snapshot installs — the transfer layer is
 // armed precisely to prove it stays idle.
 func TestKVCrashRestart(t *testing.T) {

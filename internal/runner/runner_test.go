@@ -138,8 +138,8 @@ func TestStalledReporting(t *testing.T) {
 }
 
 func TestProposeAtStaggered(t *testing.T) {
-	// A late proposer may still decide early: Fig. 4 line 9 is a standing
-	// rule, so t+1 DECIDE deliveries from faster peers decide for it. The
+	// A late proposer may still decide early: the decision rule is a
+	// standing one, so 2t+1 DECIDEs from faster peers decide for it. The
 	// run must terminate with full agreement either way.
 	spec := okSpec(5)
 	spec.ProposeAt = map[types.ProcID]types.Duration{2: types.Duration(100 * time.Millisecond)}

@@ -41,7 +41,7 @@ func TestExperiments(t *testing.T) {
 		"E7":  {2: {"16", "147"}},
 		"E8":  {3: {"147", "49", "7"}},
 		"E10": {2: {"3/3", "0/3"}, 3: {"0", "4"}},
-		"E11": {2: {"936", "4620", "13020", "28080"}}, // 936 is also BENCHMARK.json's core.decide_msgs
+		"E11": {2: {"628", "3094", "8710", "18772"}, 5: {"80", "224", "440", "728"}}, // 628 is also BENCHMARK.json's core.decide_msgs
 		"E12": {1: {"3/3", "", "", "0/3"}, 2: {"must", "may", "may", "never"}},
 	}
 	var ids []string

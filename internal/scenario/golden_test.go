@@ -42,6 +42,12 @@ import (
 // one-frame inline form: those rejoins now fetch a manifest and then
 // chunks, one round trip more. The other 82 rows stayed byte-identical,
 // and KV-Transfer passes on all 430 cells at seeds 1–10.
+//
+// Re-recorded a fourth time, all 86 rows, when DECIDE became one
+// amplified plain message and a committer began entering the next round
+// only once a peer names it: every schedule moved. The transfer scenarios
+// lost their entry-count stop rule in the same change. All 430 cells at
+// seeds 1–10 and every claim experiment pass with the checkers unmodified.
 func TestGoldenDigests(t *testing.T) {
 	table, err := os.ReadFile("../../bench/golden_digests.tsv")
 	if err != nil {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -188,8 +189,8 @@ func TestLagTransferDeterministic(t *testing.T) {
 // TestCrashRestartScenariosSweep: across seeds 1..7, the power-cycled
 // replica of the durable crash-restart scenarios reboots from its own
 // disk image (non-trivial boundary, no boot error) and reconverges
-// WITHOUT a single peer snapshot transfer — the t+1 DECIDE quorums of
-// instances decided after the reboot carry it across the blackout, and
+// WITHOUT a single peer snapshot transfer — the DECIDEs of instances
+// decided after the reboot carry it across the blackout, and
 // the armed transfer layer stays idle on both ends.
 func TestCrashRestartScenariosSweep(t *testing.T) {
 	for _, name := range []string{"kv-crash-restart", "kv-crash-restart-n7"} {
@@ -234,6 +235,46 @@ func TestCrashRestartScenariosSweep(t *testing.T) {
 			}
 			if d := res.DurablePrefix(); d != "" {
 				t.Fatalf("%s seed %d: durable prefix invariant: %s", name, seed, d)
+			}
+		}
+	}
+}
+
+// TestCrashInstantSweep moves the power cycle of both crash-restart
+// scenarios across 100–200 ms in 10 ms steps (seed 1). Some instants leave
+// the rebooted replica past the peers' compaction floor, so it must
+// install a peer snapshot: KV-CrashRestart's zero-transfer clause then
+// reports that, and the log below is the table to pick a registry instant
+// from. Everything else must hold at every instant — log order, replay,
+// state agreement, termination — and the run must drain well inside a
+// second of virtual time rather than spin to the 60 s cap.
+func TestCrashInstantSweep(t *testing.T) {
+	guarded := []string{"LOG-", "KV-ReferenceReplay", "KV-StateAgreement", "KV-Termination"}
+	for _, name := range []string{"kv-crash-restart", "kv-crash-restart-n7"} {
+		s, ok := Get(name)
+		if !ok {
+			t.Fatalf("scenario %q not registered", name)
+		}
+		for at := 100 * time.Millisecond; at <= 200*time.Millisecond; at += 10 * time.Millisecond {
+			s.Work.CrashRestartAt = at
+			o, err := Run(s, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaned := 0
+			for _, v := range o.Report.Violations {
+				if strings.HasPrefix(v, "KV-CrashRestart") {
+					leaned++
+				}
+				for _, g := range guarded {
+					if strings.HasPrefix(v, g) {
+						t.Errorf("%s crash at %v: %s", name, at, v)
+					}
+				}
+			}
+			t.Logf("%s crash at %v: end %v, %d KV-CrashRestart report(s)", name, at, o.End, leaned)
+			if o.End >= time.Second {
+				t.Errorf("%s crash at %v: ran to %v of virtual time", name, at, o.End)
 			}
 		}
 	}

@@ -416,10 +416,13 @@ var registry = []Spec{
 	// timers and dedup bookkeeping die with the incarnation, and the
 	// reboot reads ONLY the replica's durable store (sm.Boot). The 4ms
 	// blackout is shorter than one consensus decision at the 10ms
-	// TimeUnit, so every instance decided while the replica was dark
-	// still reaches it afterwards through the t+1 DECIDE quorum stream
-	// (RB-Termination-2) — the transfer layer is armed precisely to prove
-	// it stays idle. KV-Durable pins "applied ⊇ fsync'd" on top.
+	// TimeUnit, so an instance decided while the replica was dark still
+	// reaches it afterwards: t+1 of its peers' DECIDEs arrive after the
+	// reboot, it forwards its own, and that makes 2t+1. The transfer
+	// layer is armed precisely to prove it stays idle; an instant where
+	// more DECIDEs fell into the blackout needs a peer snapshot instead,
+	// and TestCrashInstantSweep's table names those instants (none is
+	// the 150 ms used here). KV-Durable pins "applied ⊇ fsync'd" on top.
 	{
 		Name: "kv-crash-restart", Desc: "n=4 durable KV: replica power-cycled mid-stream reboots from disk, zero peer transfers",
 		N: 4, T: 1, M: 1,

@@ -573,25 +573,6 @@ func (p *Prepared) kvRunnerSpec(seed int64) (runner.KVSpec, error) {
 		}
 		spec.RestartDelay = types.Duration(w.RestartDelay)
 	}
-	if w.Transfer && w.CrashRestartAt <= 0 {
-		// Entry-count stop rule: the default distinct-coverage rule could
-		// never close a transferred replica (it skips the pre-boundary
-		// prefix and so never "covers" those commands itself). The
-		// workload is duplicate-free under Transfer (Validate enforces
-		// it) and installs cannot manufacture duplicates (InstallSnapshot
-		// drops the pending queue), so the distinct count IS the entry
-		// count — provided submissions end before the heal (a command
-		// submitted after an install could re-enqueue a skipped-prefix
-		// command; the curated specs keep SubmitEvery·Commands < HealAt).
-		//
-		// NOT under CrashRestartAt: there the transfer layer is armed only
-		// to prove it stays IDLE — the rebooted replica resumes from disk
-		// and keeps committing the suffix itself, so the distinct-coverage
-		// rule works, and an entry count would be wrong anyway (the reboot
-		// re-submits the workload, and a duplicate whose dedup record was
-		// compacted away can legitimately commit twice).
-		spec.Target = len(p.kvCmds)
-	}
 	return spec, nil
 }
 
@@ -674,7 +655,7 @@ func runKV(p *Prepared, seed int64, reg *obs.Registry, tr *runner.TraceSpec) (*O
 		// boot recovered real state from its own durable store, and — with
 		// the transfer layer armed precisely to prove this — reconvergence
 		// used ZERO peer snapshot transfers: everything the replica missed
-		// during the blackout reached it through its t+1 DECIDE quorums.
+		// during the blackout reached it through its peers' DECIDEs.
 		report.Observe("kv-crash-restart")
 		victim := s.CorrectProcs()[0]
 		for id, berr := range res.BootErrs {
@@ -751,13 +732,9 @@ func runKV(p *Prepared, seed int64, reg *obs.Registry, tr *runner.TraceSpec) (*O
 		// duplicate can legitimately commit twice, so entry counts can
 		// both overshoot and (by closing engines early) undershoot.
 		if w.Transfer && w.CrashRestartAt <= 0 {
-			// A transferred replica adopts the skipped prefix as STATE,
-			// not as commits, so its own coverage undercounts by design.
 			// Termination here means the cluster committed every distinct
-			// command somewhere (the kv-transfer check above pins the
-			// laggard's state to the cluster's). A crash-restarted replica
-			// keeps its coverage across the power cycle instead, so the
-			// full CoveredAll rule applies to it.
+			// command somewhere; the kv-transfer check above pins the
+			// laggard's state to the cluster's.
 			maxCovered := 0
 			for _, id := range res.Correct {
 				if res.Covered[id] > maxCovered {

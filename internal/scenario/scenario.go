@@ -50,7 +50,7 @@ const (
 	FaultRandom
 	// FaultSpam floods conflicting and duplicate protocol messages.
 	FaultSpam
-	// FaultFakeDecide RB-broadcasts a forged DECIDE.
+	// FaultFakeDecide broadcasts a forged DECIDE.
 	FaultFakeDecide
 	// FaultHashEquivocate attacks the coalesced relay path: it sends
 	// per-receiver forged MsgRBVector frames carrying equivocating value
@@ -286,7 +286,7 @@ type Work struct {
 	// runner default, 25ms). The curated crash-restart scenarios use 4ms:
 	// shorter than one consensus decision at the default TimeUnit, so
 	// every instance decided across the blackout still reaches the
-	// rebooted replica through its t+1 DECIDE quorum and reconvergence
+	// rebooted replica through its peers' DECIDEs and reconvergence
 	// needs zero peer snapshot transfers — which is exactly what the
 	// KV-CrashRestart check asserts.
 	RestartDelay time.Duration
@@ -296,12 +296,7 @@ type Work struct {
 	// Transfer enables snapshot state transfer (sm.Transfer) on every
 	// correct replica: a replica that falls more than MaxLead instances
 	// behind fetches a t+1-corroborated peer snapshot and resumes from
-	// its boundary. Requires SnapshotEvery > 0. Transfer runs close
-	// their engines on a raw entry-count target (the transferred replica
-	// never re-commits the prefix it skipped, so the default
-	// distinct-coverage stop rule could never release it), which is why
-	// Retries/OutOfOrder — whose duplicate commits would satisfy an
-	// entry count early — are rejected alongside it.
+	// its boundary. Requires SnapshotEvery > 0.
 	Transfer bool
 	// MaxLead overrides the log engine's replay horizon (0 = default
 	// 256). Lag-transfer scenarios shrink it so a partitioned replica
@@ -388,13 +383,8 @@ func (s Spec) Validate() error {
 		s.Work.ValueBytes > 0 || s.Work.Durable || s.Work.CrashRestartAt > 0 || s.Work.RestartDelay > 0) && s.Work.Kind != WorkKV {
 		return fmt.Errorf("scenario %s: snapshot/compaction/recovery/transfer/durability knobs require the kv workload", s.Name)
 	}
-	if s.Work.Transfer {
-		if s.Work.SnapshotEvery <= 0 {
-			return fmt.Errorf("scenario %s: Transfer requires SnapshotEvery > 0", s.Name)
-		}
-		if s.Work.Retries > 0 || s.Work.OutOfOrder {
-			return fmt.Errorf("scenario %s: Transfer is incompatible with Retries/OutOfOrder (entry-count stop rule)", s.Name)
-		}
+	if s.Work.Transfer && s.Work.SnapshotEvery <= 0 {
+		return fmt.Errorf("scenario %s: Transfer requires SnapshotEvery > 0", s.Name)
 	}
 	if s.Work.CrashRestartAt > 0 && !s.Work.Durable {
 		return fmt.Errorf("scenario %s: CrashRestartAt requires Durable (the reboot reads the store)", s.Name)

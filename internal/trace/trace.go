@@ -52,7 +52,7 @@ const (
 	// Consensus.
 	KindConsPropose
 	KindConsRoundStart
-	KindConsCommitBcast // DECIDE RB-broadcast after a commit
+	KindConsDecideSend // DECIDE broadcast; Aux "commit" or "forward" (t+1 received)
 	KindConsDecide
 
 	// Byzantine action annotations (emitted by adversary behaviors).
@@ -110,8 +110,8 @@ func (k Kind) String() string {
 		return "cons-propose"
 	case KindConsRoundStart:
 		return "cons-round"
-	case KindConsCommitBcast:
-		return "cons-commit"
+	case KindConsDecideSend:
+		return "cons-decide-send"
 	case KindConsDecide:
 		return "cons-decide"
 	case KindByzAction:

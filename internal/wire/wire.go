@@ -108,7 +108,7 @@ func Decode(b []byte) (proto.Message, error) {
 		return m, fmt.Errorf("wire: short message (%d bytes)", len(b))
 	}
 	kind := proto.MsgKind(b[1])
-	if kind < proto.MsgRBInit || kind > proto.MsgSnapAck {
+	if kind < proto.MsgRBInit || kind > proto.MsgDecide {
 		return m, fmt.Errorf("wire: invalid kind %d", b[1])
 	}
 	mod := proto.Module(b[2])

@@ -13,7 +13,7 @@ import (
 
 var allKinds = []proto.MsgKind{
 	proto.MsgRBInit, proto.MsgRBEcho, proto.MsgRBReady,
-	proto.MsgEAProp2, proto.MsgEACoord, proto.MsgEARelay,
+	proto.MsgEAProp2, proto.MsgEACoord, proto.MsgEARelay, proto.MsgDecide,
 }
 
 var allModules = []proto.Module{
@@ -38,7 +38,8 @@ func TestRoundTripBasic(t *testing.T) {
 	tests := []proto.Message{
 		{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModConsCB0}, Origin: 1, Val: "hello"},
 		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 42}, Origin: 7, Val: ""},
-		{Kind: proto.MsgRBReady, Tag: proto.Tag{Mod: proto.ModDecide}, Origin: 3, Val: "decision"},
+		{Kind: proto.MsgRBReady, Tag: proto.Tag{Mod: proto.ModACCB, Round: 2}, Origin: 3, Val: "ready"},
+		{Kind: proto.MsgDecide, Tag: proto.Tag{Mod: proto.ModDecide}, Val: "decision"},
 		{Kind: proto.MsgEAProp2, Tag: proto.Tag{Mod: proto.ModEA, Round: 9}, Val: "aux"},
 		{Kind: proto.MsgEACoord, Tag: proto.Tag{Mod: proto.ModEA, Round: 1 << 40}, Val: "w"},
 		{Kind: proto.MsgEARelay, Tag: proto.Tag{Mod: proto.ModEA, Round: 5}, Opt: types.Some("v")},
@@ -217,7 +218,7 @@ func withVersion(frame []byte, v byte) []byte {
 // otherwise valid frame of every kind is refused under every other
 // version byte, before any other field is looked at.
 func TestDecodeRejectsOtherVersions(t *testing.T) {
-	for kind := proto.MsgRBInit; kind <= proto.MsgSnapAck; kind++ {
+	for kind := proto.MsgRBInit; kind <= proto.MsgDecide; kind++ {
 		m := proto.Message{Kind: kind, Tag: proto.Tag{Mod: proto.ModEA, Round: 2}, Instance: 3, Origin: 1}
 		if kind == proto.MsgEARelay {
 			m.Opt = types.Some("v")
@@ -265,7 +266,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(snapResp)
 	f.Add(snapResp[:len(snapResp)-4]) // truncated payload
 	forgedKind := bytes.Clone(snapResp)
-	forgedKind[1] = byte(proto.MsgSnapAck) + 1 // past the vocabulary
+	forgedKind[1] = byte(proto.MsgDecide) + 1 // past the vocabulary
 	f.Add(forgedKind)
 	f.Add(withVersion(snapReq, 2))
 	// Coalesced-relay frames: a vector carrying opaque entry bytes and a
@@ -393,7 +394,7 @@ func TestVectorFrameMalformed(t *testing.T) {
 		mutate func([]byte) []byte
 		substr string
 	}{
-		{"kind past vocabulary", func(b []byte) []byte { b[1] = byte(proto.MsgSnapAck) + 1; return b }, "kind"},
+		{"kind past vocabulary", func(b []byte) []byte { b[1] = byte(proto.MsgDecide) + 1; return b }, "kind"},
 		{"module past vocabulary", func(b []byte) []byte { b[2] = byte(proto.ModRBRelay) + 1; return b }, "module"},
 		{"forged flags", func(b []byte) []byte { b[3] = 0x80; return b }, "flags"},
 		{"negative round", func(b []byte) []byte {
@@ -441,7 +442,7 @@ func TestSnapFrameMalformed(t *testing.T) {
 		mutate func([]byte) []byte
 		substr string
 	}{
-		{"kind past vocabulary", func(b []byte) []byte { b[1] = byte(proto.MsgSnapAck) + 1; return b }, "kind"},
+		{"kind past vocabulary", func(b []byte) []byte { b[1] = byte(proto.MsgDecide) + 1; return b }, "kind"},
 		{"module past vocabulary", func(b []byte) []byte { b[2] = byte(proto.ModRBRelay) + 1; return b }, "module"},
 		{"chunk kind downgraded to v4", func(b []byte) []byte {
 			b[0] = 4
@@ -524,7 +525,7 @@ func TestChunkFrameMalformed(t *testing.T) {
 		mutate func([]byte) []byte
 		substr string
 	}{
-		{"kind past vocabulary", func(b []byte) []byte { b[1] = byte(proto.MsgSnapAck) + 1; return b }, "kind"},
+		{"kind past vocabulary", func(b []byte) []byte { b[1] = byte(proto.MsgDecide) + 1; return b }, "kind"},
 		{"module past vocabulary", func(b []byte) []byte { b[2] = byte(proto.ModRBRelay) + 1; return b }, "module"},
 		{"ack kind downgraded to v4", func(b []byte) []byte {
 			b[0] = 4

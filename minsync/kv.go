@@ -59,9 +59,7 @@ type KVConfig struct {
 	// more than MaxLead instances behind fetches a t+1-corroborated peer
 	// snapshot and resumes from its boundary (requires SnapshotEvery > 0).
 	// With Transfer on, engines stop on a raw entry-count target (Target,
-	// default len(Commands)) instead of distinct-command coverage — a
-	// transferred replica adopts the skipped prefix as state, never as
-	// local commits, so coverage could not release it.
+	// default len(Commands)) instead of distinct-command coverage.
 	Transfer bool
 	// MaxLead overrides the log engine's replay horizon (0 = default 256).
 	MaxLead int
