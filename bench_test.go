@@ -24,6 +24,7 @@ import (
 	"repro/internal/combin"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/kv"
 	"repro/internal/network"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -75,15 +76,15 @@ func reportRun(b *testing.B, rounds, msgs, vtimeMS float64) {
 // --- replicated-log throughput ----------------------------------------------
 
 // logThroughputSpec is the replicated-log throughput workload of
-// BenchmarkLogThroughput/BenchmarkLogScaleN: `workload` distinct commands
-// ordered by a full-synchrony n-process log engine with the given batch
-// size and pipeline depth.
-func logThroughputSpec(n, batch, pipeline, workload int, seed int64) runner.LogSpec {
-	cmds := make([]types.Value, workload)
+// BenchmarkLogThroughput/BenchmarkLogScaleN: `workload` distinct
+// sessionless puts ordered by n full-synchrony replicas of the KV service
+// with the given batch size and pipeline depth, snapshots off.
+func logThroughputSpec(n, batch, pipeline, workload int, seed int64) runner.KVSpec {
+	cmds := make([]kv.Command, workload)
 	for i := range cmds {
-		cmds[i] = types.Value(fmt.Sprintf("cmd-%04d", i))
+		cmds[i] = kv.Command{Op: kv.OpPut, Key: fmt.Sprintf("key-%04d", i), Val: "v"}
 	}
-	spec := runner.LogSpec{
+	spec := runner.KVSpec{
 		Params:   types.Params{N: n, T: (n - 1) / 3},
 		Topology: network.FullySynchronous(n, delta),
 		Seed:     seed,
@@ -96,25 +97,25 @@ func logThroughputSpec(n, batch, pipeline, workload int, seed int64) runner.LogS
 	return spec
 }
 
-// BenchmarkLogThroughput: the replicated-log engine committing a
-// 200-command workload, swept over batch size and pipeline depth. The
-// headline metric is cmds_per_sec_v — committed commands per second of
-// virtual time; instances/op and msgs_per_cmd/op expose where the
-// throughput comes from (fewer consensus instances per command). With
+// BenchmarkLogThroughput: the replicated log under the KV service
+// committing a 200-command workload, swept over batch size and pipeline
+// depth. The headline metric is cmds_per_sec_v — committed commands per
+// second of virtual time; instances/op and msgs_per_cmd/op expose where
+// the throughput comes from (fewer consensus instances per command). With
 // every lane deeper than a batch, instances/op is what lane-striping
 // keeps near 200/batch; it would be pipeline× that without it.
 func BenchmarkLogThroughput(b *testing.B) {
 	for _, batch := range []int{8, 32} {
 		for _, pipeline := range []int{1, 4} {
 			b.Run(fmt.Sprintf("batch=%d/pipeline=%d", batch, pipeline), func(b *testing.B) {
-				var last *runner.LogResult
+				var last *runner.KVResult
 				for i := 0; i < b.N; i++ {
-					res, err := runner.RunLog(logThroughputSpec(4, batch, pipeline, 200, int64(i)))
+					res, err := runner.RunKV(logThroughputSpec(4, batch, pipeline, 200, int64(i)))
 					if err != nil {
 						b.Fatal(err)
 					}
-					if !res.AllCommitted(200) {
-						b.Fatalf("only %d/200 commands committed", res.MinCommitted())
+					if !res.CoveredAll() {
+						b.Fatalf("only %d/200 commands committed", res.MinCovered())
 					}
 					if !res.Consistent() {
 						b.Fatal("logs inconsistent")
@@ -152,14 +153,14 @@ func BenchmarkLogScaleN(b *testing.B) {
 			continue
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var last *runner.LogResult
+			var last *runner.KVResult
 			for i := 0; i < b.N; i++ {
-				res, err := runner.RunLog(logThroughputSpec(n, 16, 4, workload, int64(i)))
+				res, err := runner.RunKV(logThroughputSpec(n, 16, 4, workload, int64(i)))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !res.AllCommitted(workload) {
-					b.Fatalf("only %d/%d committed", res.MinCommitted(), workload)
+				if !res.CoveredAll() {
+					b.Fatalf("only %d/%d committed", res.MinCovered(), workload)
 				}
 				last = res
 			}

@@ -159,7 +159,7 @@ func runSpecs(f flags, specs []minsync.Scenario, seeds []int64, out io.Writer) i
 	if f.deadline > 0 {
 		// Deadline override — also the documented way to *inject* a
 		// violation and watch the exit code: truncating a scenario that
-		// expects termination fails its CONS/LOG-Termination check.
+		// expects termination fails its CONS/KV-Termination check.
 		for i := range specs {
 			specs[i].Deadline = f.deadline
 		}

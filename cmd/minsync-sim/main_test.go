@@ -22,8 +22,8 @@ func TestRunExitCodes(t *testing.T) {
 		code int
 		row  string // prefix of the cell's table row, "" when none is printed
 	}{
-		{"passing scenario", []string{"-scenario", "log-baseline"}, 0, "log-baseline\t1\tlog\tPASS\t0\t"},
-		{"forced violation", []string{"-scenario", "log-baseline", "-deadline", "1ms"}, 1, "log-baseline\t1\tlog\tFAIL\t"},
+		{"passing scenario", []string{"-scenario", "log-baseline"}, 0, "log-baseline\t1\tkv\tPASS\t0\t"},
+		{"forced violation", []string{"-scenario", "log-baseline", "-deadline", "1ms"}, 1, "log-baseline\t1\tkv\tFAIL\t"},
 		{"unknown scenario", []string{"-scenario", "no-such-scenario"}, 2, ""},
 		{"no scenario", nil, 2, ""},
 		{"bad seed list", []string{"-scenario", "log-baseline", "-seeds", "1,x"}, 2, ""},

@@ -138,7 +138,7 @@ func (w *World) Kill(id types.ProcID) {
 func (w *World) Env(id types.ProcID) proto.Env { return w.envs[id] }
 
 // Node returns the dedup dispatcher of process id (nil before
-// SetBehavior). The replicated-log runner wires it to the engine as the
+// SetBehavior). The KV runner wires it to the log engine as the
 // compaction Retirer.
 func (w *World) Node(id types.ProcID) *proto.Node { return w.nodes[id] }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/types"
+	"repro/internal/xtrace"
 )
 
 // KVSpec describes one replicated-KV execution on the simulator: every
@@ -25,9 +26,9 @@ import (
 // same client workload is submitted to all of them (clients broadcast
 // requests, the classic BFT model).
 //
-// Unlike LogSpec, the workload may contain duplicate submissions: client
-// retries are the point of the session layer, and the whole stack must
-// stay exactly-once under them.
+// The workload may contain duplicate submissions: client retries are the
+// point of the session layer, and the whole stack must stay exactly-once
+// under them.
 type KVSpec struct {
 	// Params are the (n, t, m) resilience parameters (m is ignored: log
 	// instances run the ⊥-validity variant).
@@ -54,7 +55,8 @@ type KVSpec struct {
 	// Byzantine maps faulty processes to behaviors.
 	Byzantine map[types.ProcID]harness.Behavior
 	// Log carries the engine knobs (Engine, BatchSize, Pipeline, MaxLead).
-	// Env, Target, OnCommit and OnApply are set by the runner.
+	// Env, OnCommit and OnApply are set by the runner, which closes each
+	// engine once it has committed every distinct workload command.
 	Log log.Config
 	// SnapshotEvery is the applier's snapshot cadence in entries
 	// (0 = snapshots off).
@@ -98,12 +100,6 @@ type KVSpec struct {
 	// RetryEvery/StallProbe cadences (0 = the sm defaults).
 	TransferRetry types.Duration
 	TransferProbe types.Duration
-	// Target, when > 0, overrides the stop rule with a raw entry-count
-	// target (log.Config.Target semantics). The default stop rule counts
-	// DISTINCT workload commands instead: under compaction a forgotten
-	// duplicate can legitimately commit twice, and raw entry counts would
-	// let engines close before every distinct command is ordered.
-	Target int
 	// SnapshotRefresh forwards to sm.Config.RefreshEvery: re-stamp the
 	// snapshot every SnapshotRefresh applied instances even when no new
 	// entries landed since the last one, so long-idle clusters keep a
@@ -114,9 +110,12 @@ type KVSpec struct {
 	// shared commit-latency histogram (submission → first local commit).
 	// Passive: an observed run is trace-identical to an unobserved one.
 	Obs *obs.Registry
-	// Trace, if non-nil, attaches causal command tracing per correct
-	// replica (see LogSpec.Trace): spans cover submit → batch →
-	// consensus → apply, with RB phase transitions. Passive.
+	// Trace, if non-nil, attaches causal command tracing: one
+	// xtrace.Tracer with a bounded flight recorder per correct replica,
+	// plus the shared stage-latency histogram bundle when Obs is also set.
+	// Spans cover submit → batch → consensus → apply, with RB phase
+	// transitions. Passive like Obs — a traced run is schedule-identical
+	// to an untraced one (the scenario determinism test pins this).
 	Trace *TraceSpec
 	// Deadline bounds virtual time (0 = run to drain).
 	Deadline types.Time
@@ -124,9 +123,38 @@ type KVSpec struct {
 	MaxEvents uint64
 }
 
+// TraceSpec configures causal tracing (see KVSpec.Trace).
+type TraceSpec struct {
+	// RecorderCap bounds each replica's flight-recorder ring (default
+	// 4096 spans).
+	RecorderCap int
+}
+
+// cap returns the effective recorder capacity.
+func (t *TraceSpec) cap() int {
+	if t == nil || t.RecorderCap <= 0 {
+		return 4096
+	}
+	return t.RecorderCap
+}
+
 // KVResult is the outcome of one replicated-KV execution.
 type KVResult struct {
-	LogResult
+	// Logs holds every correct process's committed command log.
+	Logs map[types.ProcID][]log.Entry
+	// Correct lists the correct processes, ascending.
+	Correct []types.ProcID
+	Totals
+	// CommitLatency is the shared commit-latency histogram (nil unless
+	// KVSpec.Obs).
+	CommitLatency *obs.Histogram
+	// Engines gives access to per-process log engines (introspection).
+	Engines map[types.ProcID]*log.Engine
+	// Tracers holds each correct replica's causal tracer (nil unless
+	// KVSpec.Trace); Stages the shared stage-latency bundle (nil unless
+	// KVSpec.Trace and KVSpec.Obs).
+	Tracers map[types.ProcID]*xtrace.Tracer
+	Stages  *obs.StageMetrics
 	// Stores holds every correct process's live state machine.
 	Stores map[types.ProcID]*kv.Store
 	// Appliers holds the sm layer of every correct process.
@@ -160,6 +188,85 @@ type KVResult struct {
 	// failed — the replica stays powered off for the rest of the run.
 	Boots    map[types.ProcID]sm.BootStats
 	BootErrs map[types.ProcID]error
+}
+
+// newTracer builds replica id's causal tracer on the virtual clock and
+// records it in the result (nil when tracing is off). The first one also
+// registers the stage-latency bundle all of them share.
+func (r *KVResult) newTracer(spec *TraceSpec, reg *obs.Registry, id types.ProcID, env proto.Env) *xtrace.Tracer {
+	if spec == nil {
+		return nil
+	}
+	if r.Tracers == nil {
+		r.Tracers = make(map[types.ProcID]*xtrace.Tracer)
+		r.Stages = obs.NewStageMetrics(reg, "")
+	}
+	r.Tracers[id] = xtrace.New(xtrace.Config{
+		Proc:     id,
+		Now:      env.Now,
+		Recorder: xtrace.NewRecorder(spec.cap()),
+		Stages:   r.Stages,
+	})
+	return r.Tracers[id]
+}
+
+// TraceDumps captures every correct replica's flight recorder, in
+// replica order, labeled with the given run name. Nil without tracing.
+func (r *KVResult) TraceDumps(label string) []*xtrace.Dump {
+	if r.Tracers == nil {
+		return nil
+	}
+	var dumps []*xtrace.Dump
+	for _, id := range r.Correct {
+		if t := r.Tracers[id]; t != nil {
+			dumps = append(dumps, t.Dump(label))
+		}
+	}
+	return dumps
+}
+
+// Consistent reports whether all correct logs agree wherever they
+// overlap (the total-order safety property: no two processes commit
+// different commands at the same index). Alignment is by Entry.Index,
+// not slice position: a replica that joined through snapshot state
+// transfer commits only a suffix of the log locally, and positional
+// comparison would misread that shift as divergence.
+func (r *KVResult) Consistent() bool {
+	for i, a := range r.Correct {
+		for _, b := range r.Correct[i+1:] {
+			la, lb := r.Logs[a], r.Logs[b]
+			if len(la) == 0 || len(lb) == 0 {
+				continue
+			}
+			// Each log is index-contiguous; shift to the common range.
+			lo := la[0].Index
+			if lb[0].Index > lo {
+				lo = lb[0].Index
+			}
+			hi := la[len(la)-1].Index
+			if top := lb[len(lb)-1].Index; top < hi {
+				hi = top
+			}
+			for k := lo; k <= hi; k++ {
+				ea, eb := la[k-la[0].Index], lb[k-lb[0].Index]
+				if ea.Cmd != eb.Cmd || ea.Instance != eb.Instance {
+					return false
+				}
+			}
+		}
+	}
+	return len(r.Correct) > 0
+}
+
+// engineErr surfaces the first correct replica whose engine poisoned
+// itself during the run.
+func (r *KVResult) engineErr() error {
+	for _, id := range r.Correct {
+		if eng := r.Engines[id]; eng != nil && eng.Err() != nil {
+			return fmt.Errorf("runner: log engine %v: %w", id, eng.Err())
+		}
+	}
+	return nil
 }
 
 // MinCovered returns the smallest distinct-command coverage among
@@ -340,11 +447,9 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 	}
 
 	res := &KVResult{
-		LogResult: LogResult{
-			Logs:          make(map[types.ProcID][]log.Entry),
-			Engines:       make(map[types.ProcID]*log.Engine),
-			CommitLatency: obs.NewCommitLatency(spec.Obs),
-		},
+		Logs:           make(map[types.ProcID][]log.Entry),
+		Engines:        make(map[types.ProcID]*log.Engine),
+		CommitLatency:  obs.NewCommitLatency(spec.Obs),
 		Stores:         make(map[types.ProcID]*kv.Store),
 		Appliers:       make(map[types.ProcID]*sm.Applier),
 		StateDigests:   make(map[types.ProcID][32]byte),
@@ -386,28 +491,28 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 			if tracer == nil {
 				tracer = res.newTracer(spec.Trace, spec.Obs, id, env)
 			}
-			cfg := spec.Log
-			cfg.Target = spec.Target
 			seen := seenBy[id]
 			if seen == nil {
 				seen = make(map[types.Value]struct{}, len(distinct))
 				seenBy[id] = seen
 			}
-			// cover credits one distinct workload command. Default stop
-			// rule: close once every distinct workload command is covered —
-			// a deterministic function of the applied prefix, so instance
-			// starts stay symmetric.
+			// cover credits one distinct workload command. The stop rule:
+			// close once every distinct workload command is covered — a
+			// deterministic function of the applied prefix, so instance
+			// starts stay symmetric. Raw entry counts would not do: a
+			// client's byte-identical retry commits once, and after
+			// compaction a forgotten duplicate may commit twice.
 			cover := func(c types.Value) {
 				seen[c] = struct{}{}
 				res.Covered[id] = len(seen)
-				if spec.Target <= 0 && len(seen) >= len(distinct) {
+				if len(seen) >= len(distinct) {
 					rep.Engine.Close()
 				}
 			}
 			rep, newErr = replica.New(replica.Config{
 				Env:             env,
 				Persist:         res.Durables[id],
-				Log:             cfg,
+				Log:             spec.Log,
 				SnapshotEvery:   spec.SnapshotEvery,
 				SnapshotRefresh: spec.SnapshotRefresh,
 				Compact:         spec.Compact,

@@ -1,9 +1,11 @@
-// Package runner orchestrates complete consensus executions on the
-// simulation harness: it instantiates one core.Engine per correct process
-// and the requested Byzantine behaviors, runs the world to completion (or
-// deadline / event budget), and collects decisions, rounds, message counts
-// and the trace log into a Result. Tests, benchmarks, the scenario engine
-// and the public minsync API all run through it.
+// Package runner orchestrates complete executions on the simulation
+// harness. Run places one single-shot core.Engine per correct process;
+// RunKV places one replica of the KV service per correct process, built
+// by replica.New — the assembly minsync-node -kv runs. Both place the
+// requested Byzantine behaviors, run the world to completion (or deadline
+// / event budget), and collect what the run did into a Result or
+// KVResult. Tests, benchmarks, the scenario engine and the public minsync
+// API all run through it.
 package runner
 
 import (
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/log"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/proto"
@@ -74,8 +77,9 @@ type Result struct {
 
 // Totals are the world-level counters every kind of run reports.
 type Totals struct {
-	// Messages is the total point-to-point message count.
-	Messages uint64
+	// Messages is the total point-to-point message count; Dropped is the
+	// number of those the network dropped (partitions, adversary drops).
+	Messages, Dropped uint64
 	// Duplicates counts messages dropped by the first-message rule.
 	Duplicates uint64
 	// End is the virtual time when the run stopped; Stop says why.
@@ -98,8 +102,32 @@ func (t *Totals) run(w *harness.World, deadline types.Time, maxEvents uint64) {
 	t.Events = w.Sched.Executed
 	t.Compactions = w.Sched.Compactions
 	t.Messages = w.Net.Sent()
+	t.Dropped = w.Net.Dropped()
 	t.Duplicates = w.DroppedDuplicates()
 	t.Log = w.Log
+}
+
+// Deliveries returns the number of messages the network actually
+// delivered (sent minus dropped) — the per-run message-volume figure the
+// coalescing work targets.
+func (t *Totals) Deliveries() uint64 { return t.Messages - t.Dropped }
+
+// procLabel renders the per-replica label body shared by every runner
+// bundle, e.g. `proc="2"`.
+func procLabel(id types.ProcID) string {
+	return fmt.Sprintf("proc=%q", fmt.Sprint(id))
+}
+
+// wireNode connects process id's dedup dispatcher — it exists only once
+// SetBehavior succeeded — to its telemetry bundle and, for a log engine,
+// as the Retirer, so Compact retires message-dedup sub-maps in the same
+// stroke as the engine's own per-instance state.
+func wireNode(w *harness.World, id types.ProcID, reg *obs.Registry, eng *log.Engine) {
+	n := w.Node(id)
+	n.SetMetrics(obs.NewDedupMetrics(reg, procLabel(id)))
+	if eng != nil {
+		eng.SetRetirer(n)
+	}
 }
 
 // newWorld validates the resilience parameters, builds the world and

@@ -19,7 +19,7 @@ func TestObservedDigestsUnchanged(t *testing.T) {
 	}{
 		{"baseline-sync", 1},   // consensus
 		{"sync-random-byz", 1}, // consensus + Byzantine
-		{"log-baseline", 1},    // replicated log
+		{"log-baseline", 1},    // KV, snapshots off
 		{"kv-sessions", 7},     // KV + sessions/retries
 		{"kv-lag-transfer", 1}, // KV + compaction + transfer
 	}

@@ -28,15 +28,7 @@ func Random(seed int64) Spec {
 
 	// Workload.
 	switch rng.Intn(8) {
-	case 0, 1:
-		s.Work = Work{
-			Kind:      WorkLog,
-			Commands:  8 + rng.Intn(17), // 8..24
-			BatchSize: []int{4, 8, 16}[rng.Intn(3)],
-			Pipeline:  []int{1, 2, 4}[rng.Intn(3)],
-		}
-		s.M = 1
-	case 2:
+	case 0, 1, 2:
 		s.Work = Work{
 			Kind:      WorkKV,
 			Commands:  16 + rng.Intn(25), // 16..40
@@ -82,7 +74,7 @@ func Random(seed int64) Spec {
 
 	// Fault assignment: 0..t faults drawn from the full preset library.
 	// The vector-forging attack targets the log relay path, so it only
-	// enters the pool for log-backed workloads (Validate rejects it for
+	// enters the pool for kv workloads (Validate rejects it for
 	// single-shot consensus).
 	kinds := []FaultKind{
 		FaultSilent, FaultRelayOnly, FaultCrashAt, FaultEquivocate,

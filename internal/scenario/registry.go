@@ -190,74 +190,76 @@ var registry = []Spec{
 		ExpectTermination: true,
 	},
 
-	// --- Replicated-log workloads ---------------------------------------
+	// --- Total order: the KV service with snapshots off ------------------
+	// The log-* family pins ordering under faults and schedules with the
+	// simplest service on top: no snapshots, no compaction, no transfer.
 	{
-		Name: "log-baseline", Desc: "n=4 full synchrony, 24 commands, batch 8 × pipeline 2",
+		Name: "log-baseline", Desc: "n=4 KV full synchrony, 24 commands, batch 8 × pipeline 2, snapshots off",
 		N: 4, T: 1, M: 1,
 		Net:               Net{Kind: NetFull},
-		Work:              Work{Kind: WorkLog, Commands: 24},
+		Work:              Work{Kind: WorkKV, Commands: 24},
 		ExpectTermination: true,
 	},
 	{
-		Name: "log-silent-replica", Desc: "n=4 log with one silent replica",
+		Name: "log-silent-replica", Desc: "n=4 KV with one silent replica, snapshots off",
 		N: 4, T: 1, M: 1,
 		Faults:            []Fault{{Kind: FaultSilent}},
 		Net:               Net{Kind: NetFull},
-		Work:              Work{Kind: WorkLog, Commands: 24},
+		Work:              Work{Kind: WorkKV, Commands: 24},
 		ExpectTermination: true,
 	},
 	{
-		Name: "log-deep-pipeline", Desc: "n=4 log, batch 4 × pipeline 8, staggered submissions",
+		Name: "log-deep-pipeline", Desc: "n=4 KV, batch 4 × pipeline 8, staggered submissions, snapshots off",
 		N: 4, T: 1, M: 1,
 		Net: Net{Kind: NetFull},
 		Work: Work{
-			Kind: WorkLog, Commands: 32, BatchSize: 4, Pipeline: 8,
+			Kind: WorkKV, Commands: 32, BatchSize: 4, Pipeline: 8,
 			SubmitEvery: time.Millisecond,
 		},
 		ExpectTermination: true,
 	},
 	{
-		Name: "log-partition-heal", Desc: "n=4 log across a healing partition",
+		Name: "log-partition-heal", Desc: "n=4 KV across a healing partition, snapshots off",
 		N: 4, T: 1, M: 1,
 		Net:               Net{Kind: NetEventual, GST: 100 * time.Millisecond, PartitionCut: 2},
-		Work:              Work{Kind: WorkLog, Commands: 16},
+		Work:              Work{Kind: WorkKV, Commands: 16},
 		ExpectTermination: true,
 	},
 	{
-		Name: "log-jitter-classes", Desc: "n=4 log under per-link delay classes with a silent replica",
+		Name: "log-jitter-classes", Desc: "n=4 KV under per-link delay classes with a silent replica, snapshots off",
 		N: 4, T: 1, M: 1,
 		Faults:            []Fault{{Kind: FaultSilent}},
 		Net:               Net{Kind: NetEventual, GST: 80 * time.Millisecond, Jitter: JitterClasses},
-		Work:              Work{Kind: WorkLog, Commands: 16},
+		Work:              Work{Kind: WorkKV, Commands: 16},
 		ExpectTermination: true,
 	},
 
-	// --- Relay-hostile log workloads (rb.Relay) --------------------------
-	// The same total-order properties as the log-* family under the
-	// schedules and the adversary that stress the coalescing relay —
-	// pinning that vector framing, echo-by-hash and the pull path
-	// reproduce byte-identical commits there. (Every log/KV scenario runs
-	// the relay; these are the ones aimed at it.)
+	// --- Relay-hostile workloads (rb.Relay) ------------------------------
+	// The same properties as the log-* family under the schedules and the
+	// adversary that stress the coalescing relay — pinning that vector
+	// framing, echo-by-hash and the pull path reproduce byte-identical
+	// commits there. (Every KV scenario runs the relay; these are the
+	// ones aimed at it.)
 	{
-		Name: "rb-coalesce-async", Desc: "n=4 log, fully asynchronous (safety only)",
+		Name: "rb-coalesce-async", Desc: "n=4 KV, fully asynchronous (safety only), snapshots off",
 		N: 4, T: 1, M: 1,
 		Net:  Net{Kind: NetAsync},
-		Work: Work{Kind: WorkLog, Commands: 16},
+		Work: Work{Kind: WorkKV, Commands: 16},
 	},
 	{
-		Name: "rb-coalesce-bisource", Desc: "n=4 log, minimal bisource, one silent replica",
+		Name: "rb-coalesce-bisource", Desc: "n=4 KV, minimal bisource, one silent replica, snapshots off",
 		N: 4, T: 1, M: 1,
 		Faults:            []Fault{{Kind: FaultSilent}},
 		Net:               Net{Kind: NetBisource},
-		Work:              Work{Kind: WorkLog, Commands: 16},
+		Work:              Work{Kind: WorkKV, Commands: 16},
 		ExpectTermination: true,
 	},
 	{
-		Name: "rb-coalesce-hashspam", Desc: "n=4 log vs forged-vector hash equivocation",
+		Name: "rb-coalesce-hashspam", Desc: "n=4 KV vs forged-vector hash equivocation, snapshots off",
 		N: 4, T: 1, M: 1,
 		Faults:            []Fault{{Kind: FaultHashEquivocate}},
 		Net:               Net{Kind: NetFull},
-		Work:              Work{Kind: WorkLog, Commands: 24},
+		Work:              Work{Kind: WorkKV, Commands: 24},
 		ExpectTermination: true,
 	},
 

@@ -27,7 +27,7 @@ type Outcome struct {
 	// Name and Seed identify the run.
 	Name string
 	Seed int64
-	// Workload is the workload family ("consensus" / "log" / "kv").
+	// Workload is the workload family ("consensus" / "kv").
 	Workload string
 	// Pass reports whether every checked property held (including the
 	// liveness expectation, when the spec promises one).
@@ -37,8 +37,8 @@ type Outcome struct {
 	// Digest is a SHA-256 over the complete trace and the final
 	// decisions/logs: identical seeds must reproduce identical digests.
 	Digest string
-	// Decided counts decided processes (consensus) or the minimum
-	// committed command count (log).
+	// Decided counts decided processes (consensus) or the smallest
+	// distinct-command coverage among correct replicas (kv).
 	Decided int
 	// Messages and Events count network traffic and simulation events.
 	Messages uint64
@@ -52,8 +52,8 @@ type Outcome struct {
 	// when nothing was promised or observations were too sparse).
 	BisourceSeen bool
 	// Trace holds each correct replica's flight-recorder dump (populated
-	// only by RunTraced; log/kv workloads). Informational: never part of
-	// the digest.
+	// only by RunTraced; kv workloads). Informational: never part of the
+	// digest.
 	Trace []*xtrace.Dump
 
 	// What the experiment tables need beyond the above (consensus
@@ -86,14 +86,13 @@ const TableHeader = "scenario\tseed\tworkload\tstatus\tviolations\tdecided\tmsgs
 
 // Prepared is a validated scenario with the seed-independent world
 // ingredients materialized once: the channel topology (read-only during
-// runs, so concurrent seeds share one matrix) and the log workload. The
+// runs, so concurrent seeds share one matrix) and the KV workload. The
 // matrix runner prepares each spec once and reuses it across every seed —
 // the mutable world (scheduler, nodes, engines) is rebuilt per seed, which
 // is what seed-determinism requires.
 type Prepared struct {
 	Spec   Spec
 	topo   *network.Topology
-	cmds   []types.Value
 	kvCmds []kv.Command
 	// tweak, when set, adjusts the materialised consensus runner.Spec
 	// just before it runs: the experiments' handle for the few engine
@@ -108,10 +107,7 @@ func Prepare(s Spec) (*Prepared, error) {
 		return nil, err
 	}
 	p := &Prepared{Spec: s, topo: s.Topology()}
-	switch s.Work.Kind {
-	case WorkLog:
-		p.cmds = logCommands(s.Work)
-	case WorkKV:
+	if s.Work.Kind == WorkKV {
 		p.kvCmds = kvCommands(s.Work)
 	}
 	return p, nil
@@ -132,7 +128,7 @@ func (p *Prepared) RunObserved(seed int64, reg *obs.Registry) (*Outcome, error) 
 }
 
 // RunTraced is RunObserved with causal tracing (internal/xtrace)
-// attached to every correct replica of a log/kv workload; the
+// attached to every correct replica of a kv workload; the
 // per-replica flight-recorder dumps land in Outcome.Trace. Tracing is
 // passive like observation: the Outcome — digest included — stays
 // byte-identical (TestTracedDigestsUnchanged pins this). Consensus
@@ -142,14 +138,10 @@ func (p *Prepared) RunTraced(seed int64, reg *obs.Registry) (*Outcome, error) {
 }
 
 func (p *Prepared) run(seed int64, reg *obs.Registry, tr *runner.TraceSpec) (*Outcome, error) {
-	switch p.Spec.Work.Kind {
-	case WorkLog:
-		return runLog(p, seed, reg, tr)
-	case WorkKV:
+	if p.Spec.Work.Kind == WorkKV {
 		return runKV(p, seed, reg, tr)
-	default:
-		return runConsensus(p, seed, reg)
 	}
+	return runConsensus(p, seed, reg)
 }
 
 // Run executes the scenario under the given seed. The same (spec, seed)
@@ -160,19 +152,6 @@ func Run(s Spec, seed int64) (*Outcome, error) {
 		return nil, err
 	}
 	return p.Run(seed)
-}
-
-// logCommands builds the WorkLog command stream (defaults applied).
-func logCommands(w Work) []types.Value {
-	n := w.Commands
-	if n <= 0 {
-		n = 16
-	}
-	cmds := make([]types.Value, n)
-	for i := range cmds {
-		cmds[i] = types.Value(fmt.Sprintf("cmd-%03d", i))
-	}
-	return cmds
 }
 
 // kvCommands builds the WorkKV client workload (defaults applied): a
@@ -440,84 +419,6 @@ func runConsensus(p *Prepared, seed int64, reg *obs.Registry) (*Outcome, error) 
 	o.Digest = hex.EncodeToString(h.Sum(nil))
 	o.BisourceSeen = s.bisourceSeen(res.Log)
 	o.Pass = report.OK()
-	return o, nil
-}
-
-func runLog(p *Prepared, seed int64, reg *obs.Registry, tr *runner.TraceSpec) (*Outcome, error) {
-	s := p.Spec
-	w := s.Work
-	if w.BatchSize <= 0 {
-		w.BatchSize = 8
-	}
-	if w.Pipeline <= 0 {
-		w.Pipeline = 2
-	}
-	cmds := p.cmds
-	ecfg := s.engineConfig()
-	byz, err := s.byzantine(ecfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	spec := runner.LogSpec{
-		Params:      s.Params(),
-		Topology:    p.topo,
-		Policy:      s.policy(seed),
-		Adv:         s.adversaryFor(seed),
-		FIFO:        s.Net.FIFO,
-		Seed:        seed,
-		Record:      true,
-		Commands:    cmds,
-		SubmitEvery: w.SubmitEvery,
-		Byzantine:   byz,
-		Deadline:    s.deadline(),
-		Obs:         reg,
-		Trace:       tr,
-	}
-	spec.Log.Engine = ecfg
-	spec.Log.BatchSize = w.BatchSize
-	spec.Log.Pipeline = w.Pipeline
-	res, err := runner.RunLog(spec)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-
-	// The trace checkers are single-instance; log runs are verified by
-	// the LOG-* total-order properties on the committed logs instead.
-	report := &check.Report{}
-	report.Observe("log-consistency")
-	if !res.Consistent() {
-		report.Violatef("LOG-Consistency: correct logs are not pairwise prefix-consistent")
-	}
-	if s.ExpectTermination {
-		report.Observe("log-termination")
-		if !res.AllCommitted(len(cmds)) {
-			report.Violatef("LOG-Termination: only %d/%d commands committed everywhere",
-				res.MinCommitted(), len(cmds))
-		}
-	}
-	o := &Outcome{
-		Name:     s.Name,
-		Seed:     seed,
-		Workload: s.Work.Kind.String(),
-		Report:   report,
-		Decided:  res.MinCommitted(),
-		Messages: res.Messages,
-		Events:   res.Events,
-		End:      time.Duration(res.End),
-	}
-	h := sha256.New()
-	digestTrace(h, res.Log)
-	for _, id := range res.Correct {
-		for _, e := range res.Logs[id] {
-			fmt.Fprintf(h, "commit %v %d %v %q\n", id, e.Index, e.Instance, e.Cmd)
-		}
-	}
-	o.Digest = hex.EncodeToString(h.Sum(nil))
-	o.BisourceSeen = s.bisourceSeen(res.Log)
-	o.Pass = report.OK()
-	if tr != nil {
-		o.Trace = res.TraceDumps(traceLabel(s.Name, seed))
-	}
 	return o, nil
 }
 
@@ -884,7 +785,7 @@ func RunMatrixObserved(specs []Spec, seeds []int64, workers int) []MatrixResult 
 }
 
 // RunMatrixTraced is RunMatrixObserved with causal tracing attached to
-// every cell (RunTraced semantics): each log/kv outcome carries its
+// every cell (RunTraced semantics): each kv outcome carries its
 // per-replica flight-recorder dumps in Outcome.Trace — the surface for
 // `minsync-sim -trace-dump`, which writes the dumps of failing cells.
 func RunMatrixTraced(specs []Spec, seeds []int64, workers int) []MatrixResult {

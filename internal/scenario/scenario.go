@@ -2,10 +2,10 @@
 // Byzantine behavior assignments (internal/adversary), network schedules
 // (internal/network timing classes, bisource placement, healing
 // partitions, per-link delay classes, splitter scheduling) and workloads
-// (single-shot consensus in both validity modes, replicated-log runs)
-// into named, seed-deterministic Scenario specs that run on the harness
-// and are verified by the internal/check property families plus the LOG-*
-// total-order properties.
+// (single-shot consensus in both validity modes, the replicated KV
+// service) into named, seed-deterministic Scenario specs that run on the
+// harness and are verified by the internal/check property families plus
+// the LOG-* total-order and KV-* service properties.
 //
 // The paper claims consensus under *minimal* synchrony — one
 // ◇⟨t+1⟩bisource, everything else arbitrarily asynchronous, up to t
@@ -190,11 +190,10 @@ type WorkKind int
 const (
 	// WorkConsensus is one single-shot consensus execution.
 	WorkConsensus WorkKind = iota + 1
-	// WorkLog is a replicated-log run: a command stream totally ordered
-	// by pipelined consensus instances (⊥-validity variant).
-	WorkLog
-	// WorkKV is a replicated-KV-service run: the full state-machine
-	// stack — log, applier, key-value store with client sessions — with
+	// WorkKV is a replicated-KV-service run, each correct replica built
+	// by replica.New as minsync-node -kv builds it: a command stream
+	// totally ordered by pipelined consensus instances (⊥-validity
+	// variant), applied to a key-value store with client sessions, with
 	// optional snapshots, log compaction, durable crash-restart and peer
 	// state transfer.
 	WorkKV
@@ -205,8 +204,6 @@ func (k WorkKind) String() string {
 	switch k {
 	case WorkConsensus:
 		return "consensus"
-	case WorkLog:
-		return "log"
 	case WorkKV:
 		return "kv"
 	default:
@@ -218,7 +215,7 @@ func (k WorkKind) String() string {
 type Work struct {
 	Kind WorkKind
 	// Values is the proposal pool, assigned round-robin over the correct
-	// processes (default {"a", "b"}). For WorkLog it only seeds fault
+	// processes (default {"a", "b"}). For WorkKV it only seeds fault
 	// values.
 	Values []types.Value
 	// BotMode enables the §7 ⊥-default validity variant (single-shot
@@ -226,12 +223,11 @@ type Work struct {
 	BotMode bool
 	// K is the §5.4 tuning parameter.
 	K int
-	// Commands is the WorkLog/WorkKV workload size (default 16 / 24).
+	// Commands is the WorkKV workload size (default 24).
 	Commands int
-	// BatchSize / Pipeline are the WorkLog/WorkKV engine knobs
-	// (defaults 8 / 2).
+	// BatchSize / Pipeline are the WorkKV engine knobs (defaults 8 / 2).
 	BatchSize, Pipeline int
-	// SubmitEvery staggers the WorkLog/WorkKV command submissions.
+	// SubmitEvery staggers the WorkKV command submissions.
 	SubmitEvery time.Duration
 
 	// --- WorkKV workload shape --------------------------------------
@@ -361,14 +357,14 @@ func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: empty name")
 	}
-	botOK := s.Work.BotMode || s.Work.Kind == WorkLog || s.Work.Kind == WorkKV
+	botOK := s.Work.BotMode || s.Work.Kind == WorkKV
 	if err := s.Params().Validate(botOK); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if len(s.Faults) > s.T {
 		return fmt.Errorf("scenario %s: %d faults exceed t=%d", s.Name, len(s.Faults), s.T)
 	}
-	if s.Work.Kind != WorkConsensus && s.Work.Kind != WorkLog && s.Work.Kind != WorkKV {
+	if s.Work.Kind != WorkConsensus && s.Work.Kind != WorkKV {
 		return fmt.Errorf("scenario %s: unknown workload kind %v", s.Name, s.Work.Kind)
 	}
 	for _, f := range s.Faults {

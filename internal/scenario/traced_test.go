@@ -11,14 +11,14 @@ import (
 // tracing (RunTraced) is PASSIVE, exactly like telemetry. Tracers never
 // emit into the digest-hashed trace log, never schedule events and
 // never branch protocol behavior, so a traced cell's digest is
-// byte-identical to the untraced one across log and KV workloads
+// byte-identical to the untraced one across KV workloads
 // (consensus workloads run untraced by definition — no commands).
 func TestTracedDigestsUnchanged(t *testing.T) {
 	cases := []struct {
 		name string
 		seed int64
 	}{
-		{"log-baseline", 1},      // replicated log
+		{"log-baseline", 1},      // KV, snapshots off
 		{"log-deep-pipeline", 2}, // deep pipeline
 		{"kv-sessions", 7},       // KV + sessions/retries
 		{"kv-lag-transfer", 1},   // KV + compaction + transfer

@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/kv"
-	"repro/internal/network"
+	"repro/internal/log"
 	"repro/internal/runner"
 	"repro/internal/types"
 )
@@ -29,11 +30,20 @@ type KVCommand = kv.Command
 // KVResponse is the machine's answer to one command.
 type KVResponse = kv.Response
 
-// KVConfig configures one simulated replicated-KV execution: the full
-// service stack — replicated log, state-machine applier, key-value store
-// with client sessions — on the discrete-event simulator.
+// KVConfig configures one simulated replicated-KV execution: a stream of
+// client commands totally ordered by a pipeline of consensus instances
+// (each one full execution of the paper's algorithm in its §7 ⊥-validity
+// variant), applied by a state-machine applier to a key-value store with
+// client sessions — the replica minsync-node -kv runs, on the
+// discrete-event simulator.
+//
+// The client model is the classic BFT one: every command is submitted to
+// every correct replica (clients broadcast requests), and the engines
+// deduplicate on commit, so overlapping batches are safe.
 type KVConfig struct {
-	// N, T are the paper's resilience parameters (t < n/3).
+	// N, T are the paper's resilience parameters (t < n/3). The m-valued
+	// feasibility bound does not apply: log instances run the ⊥-default
+	// validity variant.
 	N, T int
 	// Commands is the client workload in submission order. Duplicates
 	// (client retries) are allowed — the session layer keeps applies
@@ -44,8 +54,11 @@ type KVConfig struct {
 	SubmitEvery time.Duration
 	// BatchSize caps commands per proposed batch (default 16).
 	BatchSize int
-	// Pipeline is the window of consensus instances in flight and the
-	// lane count of the batch rule (see LogConfig.Pipeline; default 4).
+	// Pipeline is the window of consensus instances that may be in flight
+	// (default 4); an instance inside it starts only when there is a
+	// command to order or a peer opened it. It is also the number of
+	// content-hashed lanes the pending commands are striped over, one
+	// lane per in-flight instance, so all replicas must agree on it.
 	Pipeline int
 	// SnapshotEvery is the snapshot cadence in applied entries
 	// (0 = snapshots off).
@@ -58,15 +71,15 @@ type KVConfig struct {
 	// Transfer enables peer snapshot state transfer: a replica that falls
 	// more than MaxLead instances behind fetches a t+1-corroborated peer
 	// snapshot and resumes from its boundary (requires SnapshotEvery > 0).
-	// With Transfer on, engines stop on a raw entry-count target (Target,
-	// default len(Commands)) instead of distinct-command coverage.
+	// A replica that installs one counts every command the snapshot's
+	// sessions already reflect as committed, so engines stop on
+	// distinct-command coverage with or without it.
 	Transfer bool
 	// MaxLead overrides the log engine's replay horizon (0 = default 256).
 	MaxLead int
-	// Target, when > 0, stops engines after this many committed entries
-	// (only meaningful with Transfer; 0 = len(Commands)).
-	Target int
-	// Byzantine maps faulty processes to behaviors.
+	// Byzantine maps faulty processes to behaviors. The stock single-shot
+	// attackers direct their protocol traffic at instance 0; FaultSilent
+	// affects every instance.
 	Byzantine map[ProcID]Fault
 	// Synchrony is the network timing model (zero value = FullSynchrony
 	// of 5ms).
@@ -80,7 +93,7 @@ type KVConfig struct {
 	TimeUnit time.Duration
 	// K is the §5.4 tuning parameter.
 	K int
-	// MaxRounds caps each instance's round loop.
+	// MaxRounds caps each instance's round loop (0 = 10× the α·n bound).
 	MaxRounds Round
 	// Deadline bounds virtual time (0 = run to completion).
 	Deadline time.Duration
@@ -125,55 +138,37 @@ type KVResult struct {
 }
 
 // SimulateKV runs one replicated-KV execution on the discrete-event
-// simulator: the service-layer counterpart of SimulateLog.
+// simulator: the multi-decision counterpart of Simulate.
 func SimulateKV(cfg KVConfig) (*KVResult, error) {
-	p := types.Params{N: cfg.N, T: cfg.T, M: 1}
-	if cfg.Synchrony.topology == nil {
-		cfg.Synchrony = FullSynchrony(5 * time.Millisecond)
-	}
-	if cfg.TimeUnit <= 0 {
-		cfg.TimeUnit = 10 * time.Millisecond
-	}
-	if cfg.MinDelay <= 0 {
-		cfg.MinDelay = time.Millisecond
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 20 * time.Millisecond
-	}
 	if len(cfg.Commands) == 0 {
 		return nil, fmt.Errorf("minsync: no commands")
 	}
-	lc := logEngineConfig(LogConfig{
-		BatchSize: cfg.BatchSize, Pipeline: cfg.Pipeline,
-		TimeUnit: cfg.TimeUnit, K: cfg.K, MaxRounds: cfg.MaxRounds,
-	})
-	byz, err := byzantine(cfg.Byzantine, lc.Engine, cfg.Seed)
+	topo, policy, unit := timing(cfg.N, cfg.Synchrony, cfg.MinDelay, cfg.MaxDelay, cfg.TimeUnit)
+	ecfg := core.Config{TimeUnit: unit, K: cfg.K, MaxRounds: cfg.MaxRounds}
+	byz, err := byzantine(cfg.Byzantine, ecfg, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	spec := runner.KVSpec{
-		Params:        p,
-		Topology:      cfg.Synchrony.topology(cfg.N),
-		Policy:        network.UniformDelay{Min: cfg.MinDelay, Max: cfg.MaxDelay},
-		Seed:          cfg.Seed,
-		Commands:      cfg.Commands,
-		SubmitEvery:   cfg.SubmitEvery,
-		Byzantine:     byz,
-		Log:           lc,
+	res, err := runner.RunKV(runner.KVSpec{
+		Params:      types.Params{N: cfg.N, T: cfg.T, M: 1},
+		Topology:    topo,
+		Policy:      policy,
+		Seed:        cfg.Seed,
+		Commands:    cfg.Commands,
+		SubmitEvery: cfg.SubmitEvery,
+		Byzantine:   byz,
+		Log: log.Config{
+			Engine:    ecfg,
+			BatchSize: cfg.BatchSize,
+			Pipeline:  cfg.Pipeline,
+			MaxLead:   types.Instance(cfg.MaxLead),
+		},
 		SnapshotEvery: cfg.SnapshotEvery,
 		Compact:       cfg.Compact,
 		CompactKeep:   types.Instance(cfg.CompactKeep),
 		Transfer:      cfg.Transfer,
 		Deadline:      types.Time(cfg.Deadline),
-	}
-	spec.Log.MaxLead = types.Instance(cfg.MaxLead)
-	if cfg.Transfer {
-		spec.Target = cfg.Target
-		if spec.Target <= 0 {
-			spec.Target = len(cfg.Commands)
-		}
-	}
-	res, err := runner.RunKV(spec)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("minsync: %w", err)
 	}

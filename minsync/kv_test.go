@@ -56,6 +56,70 @@ func TestSimulateKV(t *testing.T) {
 	}
 }
 
+// TestSimulateKVOrdering: every correct replica commits the whole
+// workload in one order, and batching pays — far fewer consensus
+// instances than commands.
+func TestSimulateKVOrdering(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  KVConfig
+	}{
+		{"batching", KVConfig{Commands: kvTestWorkload(50), BatchSize: 10, Pipeline: 2, Seed: 1}},
+		{"staggered submissions", KVConfig{Commands: kvTestWorkload(30), SubmitEvery: 2 * time.Millisecond, Seed: 9}},
+		{"silent replica", KVConfig{Commands: kvTestWorkload(24), Byzantine: map[ProcID]Fault{4: {Kind: FaultSilent}}, Seed: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.N, cfg.T = 4, 1
+			cfg.Synchrony = FullSynchrony(2 * time.Millisecond)
+			cfg.Deadline = 5 * time.Minute
+			res, err := SimulateKV(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.AllCommitted || !res.Consistent || !res.StatesAgree {
+				t.Fatalf("committed=%d/%d consistent=%v states=%v",
+					res.MinCommitted, len(cfg.Commands), res.Consistent, res.StatesAgree)
+			}
+			// Without compaction every instance ever started is still live.
+			if res.LiveInstances >= len(cfg.Commands)/2 {
+				t.Fatalf("used %d instances for %d commands", res.LiveInstances, len(cfg.Commands))
+			}
+		})
+	}
+}
+
+func TestSimulateKVRejectsEmptyWorkload(t *testing.T) {
+	if _, err := SimulateKV(KVConfig{N: 4, T: 1}); err == nil {
+		t.Fatal("empty workload accepted")
+	}
+}
+
+// TestSimulateKVTransferDrainsWithRetry: a byte-identical client retry
+// commits once, so a stop rule that counts raw entries never fires and
+// the run lasts until its deadline. Distinct-command coverage drains.
+func TestSimulateKVTransferDrainsWithRetry(t *testing.T) {
+	cmds := kvTestWorkload(12)
+	cmds = append(cmds, cmds[5])
+	res, err := SimulateKV(KVConfig{
+		N: 4, T: 1,
+		Commands:      cmds,
+		SnapshotEvery: 4,
+		Transfer:      true,
+		Seed:          1,
+		Deadline:      30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.AllCommitted || !res.StatesAgree {
+		t.Fatalf("degraded: %+v", res)
+	}
+	if res.Latency >= time.Second {
+		t.Fatalf("run lasted %v of virtual time: it never drained", res.Latency)
+	}
+}
+
 func TestSimulateKVDeterministic(t *testing.T) {
 	run := func() string {
 		res, err := SimulateKV(KVConfig{

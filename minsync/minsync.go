@@ -25,7 +25,11 @@
 //
 // which runs one complete consensus execution on the simulator and returns
 // decisions, rounds, latency, message counts and (optionally) a property
-// report.
+// report. SimulateKV runs many decisions: a replicated key-value service
+// whose client commands are totally ordered by pipelined consensus
+// instances, every correct replica assembled exactly as minsync-node -kv
+// assembles one. The scenario functions run the curated fault × network
+// × workload matrix over both.
 package minsync
 
 import (
@@ -127,8 +131,7 @@ const (
 	FaultHashEquivocate  = scenario.FaultHashEquivocate
 )
 
-// Fault configures one Byzantine process of a Simulate, SimulateLog or
-// SimulateKV run. Empty fields take the scenario engine's defaults over
+// Fault configures one Byzantine process of a Simulate or SimulateKV run. Empty fields take the scenario engine's defaults over
 // the one-value pool {"byz"}: Value and Alt default to "byz", except
 // FaultPoison's Alt ("poison!"), FaultSpam's Value ("spam!"),
 // FaultFakeDecide's Value ("forged!") and FaultHashEquivocate's Value (a
@@ -210,24 +213,32 @@ type SimResult struct {
 	Report *check.Report
 }
 
+// timing resolves the network and timer knobs every simulated run shares,
+// defaults applied: the topology (FullSynchrony of 5ms), the delay policy
+// of asynchronous channels (uniform 1ms–20ms) and the EA time unit
+// (10ms).
+func timing(n int, s Synchrony, minDelay, maxDelay, unit time.Duration) (*network.Topology, network.DelayPolicy, time.Duration) {
+	if s.topology == nil {
+		s = FullSynchrony(5 * time.Millisecond)
+	}
+	if minDelay <= 0 {
+		minDelay = time.Millisecond
+	}
+	if maxDelay <= 0 {
+		maxDelay = 20 * time.Millisecond
+	}
+	if unit <= 0 {
+		unit = 10 * time.Millisecond
+	}
+	return s.topology(n), network.UniformDelay{Min: minDelay, Max: maxDelay}, unit
+}
+
 // Simulate runs one consensus execution on the discrete-event simulator.
 func Simulate(cfg SimConfig) (*SimResult, error) {
-	p := types.Params{N: cfg.N, T: cfg.T, M: cfg.M}
-	if cfg.Synchrony.topology == nil {
-		cfg.Synchrony = FullSynchrony(5 * time.Millisecond)
-	}
-	if cfg.TimeUnit <= 0 {
-		cfg.TimeUnit = 10 * time.Millisecond
-	}
-	if cfg.MinDelay <= 0 {
-		cfg.MinDelay = time.Millisecond
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 20 * time.Millisecond
-	}
+	topo, policy, unit := timing(cfg.N, cfg.Synchrony, cfg.MinDelay, cfg.MaxDelay, cfg.TimeUnit)
 	ecfg := core.Config{
 		K:         cfg.K,
-		TimeUnit:  cfg.TimeUnit,
+		TimeUnit:  unit,
 		BotMode:   cfg.BotMode,
 		MaxRounds: cfg.MaxRounds,
 	}
@@ -242,9 +253,9 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		return nil, err
 	}
 	spec := runner.Spec{
-		Params:    p,
-		Topology:  cfg.Synchrony.topology(cfg.N),
-		Policy:    network.UniformDelay{Min: cfg.MinDelay, Max: cfg.MaxDelay},
+		Params:    types.Params{N: cfg.N, T: cfg.T, M: cfg.M},
+		Topology:  topo,
+		Policy:    policy,
 		Seed:      cfg.Seed,
 		Record:    cfg.Check,
 		Proposals: cfg.Proposals,
