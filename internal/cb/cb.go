@@ -96,10 +96,12 @@ func (i *Instance) Start(v types.Value) {
 	}
 	i.started = true
 	i.startVal = v
-	i.cfg.Env.Trace().Emit(trace.Event{
-		At: i.cfg.Env.Now(), Kind: trace.KindCBBroadcast, Proc: i.cfg.Env.ID(),
-		Round: i.cfg.Tag.Round, Value: v, Aux: i.cfg.Tag.String(),
-	})
+	if trace.Recording(i.cfg.Env.Trace()) {
+		i.cfg.Env.Trace().Emit(trace.Event{
+			At: i.cfg.Env.Now(), Kind: trace.KindCBBroadcast, Proc: i.cfg.Env.ID(),
+			Round: i.cfg.Tag.Round, Value: v, Aux: i.cfg.Tag.String(),
+		})
+	}
 	i.cfg.Broadcast(v)
 	i.maybeReturn()
 }
@@ -154,10 +156,12 @@ func (i *Instance) addValid(v types.Value) {
 	}
 	i.validSet[v] = true
 	i.valid = append(i.valid, v)
-	i.cfg.Env.Trace().Emit(trace.Event{
-		At: i.cfg.Env.Now(), Kind: trace.KindCBValid, Proc: i.cfg.Env.ID(),
-		Round: i.cfg.Tag.Round, Value: v, Aux: i.cfg.Tag.String(),
-	})
+	if trace.Recording(i.cfg.Env.Trace()) {
+		i.cfg.Env.Trace().Emit(trace.Event{
+			At: i.cfg.Env.Now(), Kind: trace.KindCBValid, Proc: i.cfg.Env.ID(),
+			Round: i.cfg.Tag.Round, Value: v, Aux: i.cfg.Tag.String(),
+		})
+	}
 	if i.cfg.OnValid != nil {
 		i.cfg.OnValid(v)
 	}
@@ -169,10 +173,12 @@ func (i *Instance) maybeReturn() {
 	}
 	i.returned = true
 	i.retVal = i.valid[0]
-	i.cfg.Env.Trace().Emit(trace.Event{
-		At: i.cfg.Env.Now(), Kind: trace.KindCBReturn, Proc: i.cfg.Env.ID(),
-		Round: i.cfg.Tag.Round, Value: i.retVal, Aux: i.cfg.Tag.String(),
-	})
+	if trace.Recording(i.cfg.Env.Trace()) {
+		i.cfg.Env.Trace().Emit(trace.Event{
+			At: i.cfg.Env.Now(), Kind: trace.KindCBReturn, Proc: i.cfg.Env.ID(),
+			Round: i.cfg.Tag.Round, Value: i.retVal, Aux: i.cfg.Tag.String(),
+		})
+	}
 	if i.cfg.OnReturn != nil {
 		i.cfg.OnReturn(i.retVal)
 	}

@@ -242,6 +242,9 @@ type RBMetrics struct {
 	FlushesIdle  *Counter
 	FlushesTimer *Counter
 	FlushesFull  *Counter
+	// Hold is the time each flushed frame was held, in nanoseconds: from
+	// the first entry buffered into it to the flush, whatever the cause.
+	Hold *Histogram
 	// The relay's other defensive drops. All four stay at zero on a
 	// healthy cluster of correct processes: ScopeDrops counts vector
 	// entries refused because the dedup-scope table was full (or the
@@ -282,6 +285,7 @@ func NewRBMetrics(r *Registry, labels string) *RBMetrics {
 		FlushesIdle:     flushes("idle"),
 		FlushesTimer:    flushes("timer"),
 		FlushesFull:     flushes("full"),
+		Hold:            r.Histogram(WithLabels("minsync_rb_hold_ns", labels), nil),
 		ScopeDrops:      r.Counter(WithLabels("minsync_rb_scope_drops_total", labels)),
 		WindowDrops:     r.Counter(WithLabels("minsync_rb_window_drops_total", labels)),
 		CacheDrops:      r.Counter(WithLabels("minsync_rb_cache_drops_total", labels)),

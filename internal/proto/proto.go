@@ -295,19 +295,15 @@ type Env interface {
 // tell when it has run out of input — nothing queued for this process,
 // the next step would block — runs every registered fn at that moment, on
 // the same single thread as every other call into the module. The
-// real-time host (internal/rt) implements it; rb.Relay uses it to flush
-// what it is holding rather than wait for its grid timer. The
-// virtual-time host (internal/harness) deliberately does not: a step that
-// costs no time is "out of input" after every delivery, so there the
-// relay's time grid is what stands in for a backlog.
+// real-time host (internal/rt) implements it; rb.Relay uses it to send
+// what it is holding at every such moment rather than wait for its grid
+// timer. The virtual-time host (internal/harness) deliberately does not:
+// a step that costs no time is "out of input" after every delivery, so
+// there the relay's time grid is what stands in for a backlog.
 type IdleNotifier interface {
 	// OnIdle registers fn. It may send; the host handles the self-sends
-	// before it blocks. fn returns 0 when it is done, or how long from
-	// now it wants to run again: the host then runs it once more after
-	// that long — sooner if input arrives and runs out again first —
-	// keeping the time to well under a millisecond's precision, which a
-	// module's own SetTimer need not have.
-	OnIdle(fn func() (again types.Duration))
+	// before it blocks.
+	OnIdle(fn func())
 }
 
 // Handler consumes already-deduplicated protocol messages.

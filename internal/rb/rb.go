@@ -89,10 +89,12 @@ func (l *Layer) SetTracer(t *xtrace.Tracer, inst types.Instance) {
 // INIT(v) to everyone (including self, which triggers the echo phase
 // locally like any other process).
 func (l *Layer) Broadcast(tag proto.Tag, v types.Value) {
-	l.env.Trace().Emit(trace.Event{
-		At: l.env.Now(), Kind: trace.KindRBBroadcast, Proc: l.env.ID(),
-		Round: tag.Round, Value: v, Aux: tag.String(),
-	})
+	if trace.Recording(l.env.Trace()) {
+		l.env.Trace().Emit(trace.Event{
+			At: l.env.Now(), Kind: trace.KindRBBroadcast, Proc: l.env.ID(),
+			Round: tag.Round, Value: v, Aux: tag.String(),
+		})
+	}
 	if m := l.metrics; m != nil {
 		m.Broadcasts.Inc()
 	}
@@ -169,10 +171,12 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 			if mm := l.metrics; mm != nil {
 				mm.Delivers.Inc()
 			}
-			l.env.Trace().Emit(trace.Event{
-				At: l.env.Now(), Kind: trace.KindRBDeliver, Proc: l.env.ID(),
-				Peer: m.Origin, Round: m.Tag.Round, Value: m.Val, Aux: m.Tag.String(),
-			})
+			if trace.Recording(l.env.Trace()) {
+				l.env.Trace().Emit(trace.Event{
+					At: l.env.Now(), Kind: trace.KindRBDeliver, Proc: l.env.ID(),
+					Peer: m.Origin, Round: m.Tag.Round, Value: m.Val, Aux: m.Tag.String(),
+				})
+			}
 			l.tracer.RBEvent(xtrace.StageRBDeliver, l.traceInst, m.Origin)
 			l.deliver(m.Origin, m.Tag, m.Val)
 		}

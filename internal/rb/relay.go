@@ -5,8 +5,8 @@
 // link, and shrinks the dominant phases further by referencing values by
 // content hash once the INIT has carried them in full (echo-by-hash, with
 // a pull path for the rare hash-before-value arrival). See
-// docs/rb-coalescing.md for the frame layout, the three flush triggers,
-// the pacing of the idle one and the full correctness argument.
+// docs/rb-coalescing.md for the frame layout, the three flush triggers
+// and the full correctness argument.
 //
 // Correctness in one paragraph: coalescing changes FRAMING and VALUE
 // INDIRECTION only, never the counting logic. On the receive side every
@@ -65,22 +65,10 @@ const InlineMax = 24
 // grid (multiples of the quantum since time zero), so under simulated
 // time all processes flush at identical instants and a step's
 // cross-instance traffic coalesces maximally. On a host that reports
-// running out of input (proto.IdleNotifier) the relay flushes then —
-// IdleGap after the previous frame at the earliest — and the grid instant
-// is reached only while input keeps arriving.
+// running out of input (proto.IdleNotifier) the relay flushes at every
+// such moment, and the grid instant is reached only while input keeps
+// arriving.
 const DefaultQuantum = 2 * time.Millisecond
-
-// IdleGap is the least time between one frame and the next that an idle
-// host's hook sends (Flush). The hops of a decision are a dependent chain
-// a fraction of a millisecond apart on loopback; flushing at every one of
-// them makes a lightly loaded cluster processor-bound, and its latency
-// then follows whatever the machine's kernel paths cost that minute
-// (docs/rb-coalescing.md, "Pacing", has the measurements). A hold of at
-// most IdleGap lets the ECHOs and READYs of concurrent instances share
-// frames again. Sized to the hop cost left once netx writes off the event
-// loop (one writev per link per drain, no dial on the loop); it should
-// come down with it. The grid timer and MaxBuffer are not paced.
-const IdleGap = 400 * time.Microsecond
 
 // Vector frame hard bounds — defensive limits against forged frames.
 const (
@@ -274,8 +262,7 @@ type RelayConfig struct {
 	// MaxBuffer flushes the outbound buffer early when it holds this many
 	// entries (default 2048) — a bound on the buffer's memory and on the
 	// size of one vector frame. It bounds no latency: holding ends when
-	// the host runs out of input (IdleGap after the previous frame at the
-	// earliest) or at the DefaultQuantum grid instant.
+	// the host runs out of input or at the DefaultQuantum grid instant.
 	MaxBuffer int
 	// MaxParked caps the total hash-before-value entries parked awaiting
 	// resolution (default 4096); beyond it entries are dropped and
@@ -302,8 +289,8 @@ type RelayConfig struct {
 	// instance the sink would accept, or honest traffic is lost.
 	Window func(i types.Instance) bool
 	// Metrics, if non-nil, receives the coalescing instruments
-	// (FramesCoalesced, FrameEntries, the flushes by cause, Pulls and the
-	// drop counters). Passive.
+	// (FramesCoalesced, FrameEntries, the flushes by cause, Hold, Pulls
+	// and the drop counters). Passive.
 	Metrics *obs.RBMetrics
 	// Tracer, if non-nil, records an xtrace rb_relay span per flushed
 	// vector frame (entry count in the note). Passive.
@@ -328,6 +315,7 @@ type Relay struct {
 	tracer   *xtrace.Tracer
 
 	buf         []Entry
+	holdFrom    types.Time // when the first entry of the current hold was buffered
 	cancelFlush func()
 	scratch     []Entry // decode buffer reused across inbound frames
 
@@ -356,7 +344,6 @@ type Relay struct {
 	pulled    map[hashKey]map[types.ProcID]struct{}
 
 	framesOut   uint64
-	lastFrame   types.Time // when the latest frame left: paces idle flushes
 	entriesOut  uint64
 	flushes     [numFlushCauses]uint64
 	flushSeries [numFlushCauses]*obs.Counter
@@ -413,7 +400,7 @@ var _ proto.Env = (*Relay)(nil)
 
 // NewRelay builds the coalescing relay. cfg.Env and cfg.Sink are
 // required. When cfg.Env is a proto.IdleNotifier the relay also flushes
-// when the host runs out of input, paced by IdleGap (Flush).
+// whenever the host runs out of input (Flush).
 func NewRelay(cfg RelayConfig) *Relay {
 	if cfg.MaxBuffer <= 0 {
 		cfg.MaxBuffer = defaultMaxBuffer
@@ -441,8 +428,6 @@ func NewRelay(cfg RelayConfig) *Relay {
 		cache:    make(map[hashKey]*cacheVal),
 		parked:   make(map[hashKey][]parkedRef),
 		pulled:   make(map[hashKey]map[types.ProcID]struct{}),
-		// No frame has left yet: the first idle flush is not held.
-		lastFrame: -types.Time(IdleGap),
 		flushSeries: [numFlushCauses]*obs.Counter{
 			flushIdle:  cfg.Metrics.FlushesIdle,
 			flushTimer: cfg.Metrics.FlushesTimer,
@@ -504,10 +489,12 @@ func (r *Relay) buffer(m proto.Message) {
 	if len(m.Val) > InlineMax {
 		// Cache before hashing: a correct relay can answer pulls for
 		// every value it ever referenced by hash.
-		r.learn(m.Val, m.Instance, true)
-		h := hashValue(m.Val)
+		h := r.learn(m.Val, m.Instance, true)
 		e.Hashed = true
 		e.Val = types.Value(h[:])
+	}
+	if len(r.buf) == 0 {
+		r.holdFrom = r.env.Now()
 	}
 	r.buf = append(r.buf, e)
 	if len(r.buf) >= r.maxBuf {
@@ -515,7 +502,7 @@ func (r *Relay) buffer(m proto.Message) {
 		return
 	}
 	if r.cancelFlush == nil {
-		d := DefaultQuantum - time.Duration(int64(r.env.Now())%int64(DefaultQuantum))
+		d := DefaultQuantum - time.Duration(int64(r.holdFrom)%int64(DefaultQuantum))
 		r.cancelFlush = r.env.SetTimer(d, r.onFlushTimer)
 	}
 }
@@ -526,19 +513,10 @@ func (r *Relay) onFlushTimer() {
 }
 
 // Flush is the hook an idle host runs (proto.IdleNotifier): it sends
-// what the relay is holding, unless the last frame left less than IdleGap
-// ago — then it sends nothing and says how long until it may, and the
-// host runs it again then. The grid timer stays armed meanwhile. With
-// nothing buffered it does nothing.
-func (r *Relay) Flush() (again types.Duration) {
-	if len(r.buf) == 0 {
-		return 0
-	}
-	if wait := IdleGap - time.Duration(r.env.Now()-r.lastFrame); wait > 0 {
-		return wait
-	}
+// what the relay is holding and cancels the grid timer. With nothing
+// buffered it does nothing.
+func (r *Relay) Flush() {
 	r.flush(flushIdle)
-	return 0
 }
 
 // flush drains the outbound buffer into one MsgRBVector broadcast and
@@ -562,12 +540,12 @@ func (r *Relay) flush(cause flushCause) {
 		return
 	}
 	r.framesOut++
-	r.lastFrame = r.env.Now()
 	r.entriesOut += uint64(n)
 	r.flushes[cause]++
 	r.flushSeries[cause].Inc()
 	r.metrics.FramesCoalesced.Inc()
 	r.metrics.FrameEntries.Observe(int64(n))
+	r.metrics.Hold.Observe(int64(r.env.Now() - r.holdFrom))
 	r.tracer.RBEvent(xtrace.StageRBRelay, xtrace.NoInstance, 0)
 	r.env.Broadcast(proto.Message{
 		Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay},
@@ -778,8 +756,8 @@ func (r *Relay) onPullResp(m proto.Message) {
 // Byzantine and never answer. own marks values this process broadcast or
 // echoed itself: those always cache (a correct relay must answer pulls
 // for every value it referenced by hash), while remote learns are held
-// to the cache byte budget.
-func (r *Relay) learn(v types.Value, inst types.Instance, own bool) {
+// to the cache byte budget. It returns v's content hash.
+func (r *Relay) learn(v types.Value, inst types.Instance, own bool) hashKey {
 	h := hashValue(v)
 	if cv, ok := r.cache[h]; ok {
 		// Cached implies nothing parked: parking happens only on cache
@@ -787,7 +765,7 @@ func (r *Relay) learn(v types.Value, inst types.Instance, own bool) {
 		if inst > cv.maxInst {
 			cv.maxInst = inst
 		}
-		return
+		return h
 	}
 	refs := r.parked[h]
 	if len(refs) > 0 {
@@ -814,6 +792,7 @@ func (r *Relay) learn(v types.Value, inst types.Instance, own bool) {
 			Kind: ref.kind, Tag: ref.tag, Origin: ref.origin, Instance: ref.instance, Val: v,
 		})
 	}
+	return h
 }
 
 // RetireInstancesBefore releases relay state below floor in the same

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -310,19 +312,18 @@ func TestRelayFlushesAtMaxBuffer(t *testing.T) {
 // (proto.IdleNotifier); idle() is that moment.
 type idleEnv struct {
 	*relayEnv
-	hooks []func() types.Duration
+	hooks []func()
 }
 
 var _ proto.IdleNotifier = (*idleEnv)(nil)
 
-func (e *idleEnv) OnIdle(fn func() types.Duration) { e.hooks = append(e.hooks, fn) }
+func (e *idleEnv) OnIdle(fn func()) { e.hooks = append(e.hooks, fn) }
 
-// idle runs the hooks and returns the longest wait one of them asked for.
-func (e *idleEnv) idle() (again types.Duration) {
+// idle runs the hooks.
+func (e *idleEnv) idle() {
 	for _, fn := range e.hooks {
-		again = max(again, fn())
+		fn()
 	}
-	return again
 }
 
 func TestRelayFlushesOnIdle(t *testing.T) {
@@ -337,11 +338,8 @@ func TestRelayFlushesOnIdle(t *testing.T) {
 		t.Fatalf("relay registered %d idle hooks, want 1", len(env.hooks))
 	}
 
-	// An idle host with nothing buffered: no frame, no span, no count, and
-	// nothing to come back for.
-	if again := env.idle(); again != 0 {
-		t.Fatalf("empty idle asked to run again in %v", again)
-	}
+	// An idle host with nothing buffered: no frame, no span, no count.
+	env.idle()
 	if len(env.bcast) != 0 || r.FramesOut() != 0 || r.IdleFlushes() != 0 || rec.Total() != 0 {
 		t.Fatalf("empty idle: %d broadcasts, %d frames, %d idle flushes, %d spans",
 			len(env.bcast), r.FramesOut(), r.IdleFlushes(), rec.Total())
@@ -353,9 +351,7 @@ func TestRelayFlushesOnIdle(t *testing.T) {
 	if len(env.bcast) != 0 || r.Buffered() != 3 || len(env.timers) != 1 {
 		t.Fatalf("before idle: %d broadcasts, %d buffered, %d timers", len(env.bcast), r.Buffered(), len(env.timers))
 	}
-	if again := env.idle(); again != 0 {
-		t.Fatalf("idle flush asked to run again in %v", again)
-	}
+	env.idle()
 	if len(env.bcast) != 1 || env.bcast[0].Kind != proto.MsgRBVector {
 		t.Fatalf("idle sent %+v, want one vector frame", env.bcast)
 	}
@@ -395,52 +391,54 @@ func TestRelayFlushesOnIdle(t *testing.T) {
 	}
 }
 
-// Idle flushes are paced: less than IdleGap after a frame left — whatever
-// ended that hold — an idle host's hook sends nothing, leaves the grid
-// timer armed, and asks to be run again when the gap is over.
-func TestRelayPacesIdleFlushes(t *testing.T) {
+// Every idle moment sends what the relay holds, however soon after the
+// previous frame it comes: two idle moments 1 µs apart, each after a
+// fresh entry, send a frame each, both ended by the idle host.
+func TestRelayFlushesEveryIdleMoment(t *testing.T) {
 	env := &idleEnv{relayEnv: newRelayEnv()}
 	r := NewRelay(RelayConfig{Env: env, Sink: func(types.ProcID, proto.Message) {}})
+	for i := 0; i < 2; i++ {
+		r.Broadcast(echoMsg(types.ProcID(i+1), types.Instance(i), "v"))
+		env.idle()
+		if len(env.bcast) != i+1 || r.Buffered() != 0 || r.IdleFlushes() != uint64(i+1) {
+			t.Fatalf("idle moment %d: %d frames, %d buffered, %d idle flushes",
+				i+1, len(env.bcast), r.Buffered(), r.IdleFlushes())
+		}
+		entries, err := DecodeEntries(env.bcast[i].Val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Origin != types.ProcID(i+1) {
+			t.Fatalf("frame %d carries %+v, want only the entry buffered before it", i+1, entries)
+		}
+		if env.timers[i].fn != nil {
+			t.Fatalf("idle moment %d left the grid timer pending", i+1)
+		}
+		env.now += types.Time(time.Microsecond)
+	}
+	if r.TimerFlushes() != 0 || r.FullFlushes() != 0 {
+		t.Fatalf("timer=%d full=%d, want idle flushes only", r.TimerFlushes(), r.FullFlushes())
+	}
+}
+
+// Hold observes, per flushed frame, the time from the first entry
+// buffered into it to the flush, whatever ended the hold.
+func TestRelayObservesHold(t *testing.T) {
+	env := &idleEnv{relayEnv: newRelayEnv()}
+	m := obs.NewRBMetrics(obs.NewRegistry(), "")
+	r := NewRelay(RelayConfig{Env: env, Sink: func(types.ProcID, proto.Message) {}, Metrics: m})
+	env.now = types.Time(DefaultQuantum) / 2
 	r.Broadcast(echoMsg(1, 0, "v0"))
-	env.idle()
-	if len(env.bcast) != 1 {
-		t.Fatalf("%d broadcasts, want the first idle flush", len(env.bcast))
-	}
-
-	env.now += types.Time(IdleGap / 4)
-	r.Broadcast(echoMsg(2, 1, "v1"))
-	if again := env.idle(); again != IdleGap-IdleGap/4 {
-		t.Fatalf("idle inside the gap asked for %v, want %v", again, IdleGap-IdleGap/4)
-	}
-	env.now += types.Time(IdleGap / 4)
+	env.now += types.Time(300 * time.Microsecond)
+	r.Broadcast(echoMsg(2, 1, "v1")) // joins the hold, does not restart it
+	env.now += types.Time(200 * time.Microsecond)
+	env.idle() // held 500 µs
+	env.now += types.Time(100 * time.Microsecond)
 	r.Broadcast(echoMsg(3, 2, "v2"))
-	if again := env.idle(); again != IdleGap/2 {
-		t.Fatalf("second idle inside the gap asked for %v, want %v", again, IdleGap/2)
-	}
-	if len(env.bcast) != 1 || r.Buffered() != 2 || env.timers[1].fn == nil {
-		t.Fatalf("inside the gap: %d broadcasts, %d buffered, grid timer pending=%v",
-			len(env.bcast), r.Buffered(), env.timers[1].fn != nil)
-	}
-
-	env.now += types.Time(IdleGap / 2)
-	if again := env.idle(); again != 0 {
-		t.Fatalf("idle at the end of the gap asked for %v", again)
-	}
-	if len(env.bcast) != 2 || r.Buffered() != 0 || r.IdleFlushes() != 2 || env.timers[1].fn != nil {
-		t.Fatalf("after the gap: %d broadcasts, %d buffered, idle=%d, grid timer pending=%v",
-			len(env.bcast), r.Buffered(), r.IdleFlushes(), env.timers[1].fn != nil)
-	}
-
-	// The gap is measured from the last frame of any cause, and does not
-	// hold the grid timer back.
-	r.Broadcast(echoMsg(4, 3, "v3"))
-	env.fireTimers()
-	if len(env.bcast) != 3 || r.TimerFlushes() != 1 {
-		t.Fatalf("%d broadcasts, timer=%d, want the grid flush", len(env.bcast), r.TimerFlushes())
-	}
-	r.Broadcast(echoMsg(5, 4, "v4"))
-	if again := env.idle(); again != IdleGap {
-		t.Fatalf("idle right after a grid flush asked for %v, want %v", again, IdleGap)
+	env.fireTimers() // the grid instant, 400 µs later
+	if m.Hold.Count() != 2 || m.Hold.Sum() != int64(900*time.Microsecond) {
+		t.Fatalf("hold: %d frames summing %v, want 2 summing 900µs",
+			m.Hold.Count(), time.Duration(m.Hold.Sum()))
 	}
 }
 

@@ -29,8 +29,7 @@ type idleProbe struct {
 	handled  int           // closures posted through post()
 	ran      chan struct{} // one token per hook run
 	got      chan proto.Message
-	onIdle   func()                // extra work of the hook, nil for none
-	again    func() types.Duration // what the hook returns, nil for 0
+	onIdle   func() // extra work of the hook, nil for none
 }
 
 func startIdleProbe(t *testing.T, depth int) *idleProbe {
@@ -50,16 +49,12 @@ func startIdleProbe(t *testing.T, depth int) *idleProbe {
 			return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
 		}
 		p.env = env
-		host.OnIdle(func() (again types.Duration) {
+		host.OnIdle(func() {
 			p.hookRuns++
 			if p.onIdle != nil {
 				p.onIdle()
 			}
-			if p.again != nil {
-				again = p.again()
-			}
 			p.ran <- struct{}{}
-			return again
 		})
 		return proto.HandlerFunc(func(_ types.ProcID, m proto.Message) { p.got <- m })
 	})
@@ -146,32 +141,6 @@ func TestIdleHookSelfSendsAreHandled(t *testing.T) {
 	p.node.Stop()
 	if p.hookRuns != 2 {
 		t.Fatalf("hook ran %d times, want 2 (after the post, after its own self-send)", p.hookRuns)
-	}
-}
-
-// A hook that asks to run again is run again with no input in between —
-// nothing is posted after the first post, so a loop that only waited on
-// the inbox would never come back — once per request, and a hook that
-// stops asking is left alone.
-func TestIdleHookRunsAgainWhenAsked(t *testing.T) {
-	const asks = 5
-	p := startIdleProbe(t, 0)
-	p.again = func() types.Duration {
-		if p.hookRuns <= asks {
-			return 50 * time.Microsecond
-		}
-		return 0
-	}
-	p.post(t, func() {})
-	for i := 0; i < asks+1; i++ {
-		p.awaitHook(t)
-	}
-	// The loop is blocked now: one more drain makes exactly one more run.
-	p.post(t, func() {})
-	p.awaitHook(t)
-	p.node.Stop()
-	if p.hookRuns != asks+2 {
-		t.Fatalf("hook ran %d times, want %d (the post, %d re-runs it asked for, one more post)", p.hookRuns, asks+2, asks)
 	}
 }
 

@@ -52,10 +52,7 @@ type Node struct {
 
 	// idleHooks run when the loop is out of input (proto.IdleNotifier).
 	// Loop-owned like selfQ: registered from build or a posted closure.
-	idleHooks []func() types.Duration
-	// waking: a hook asked to run again and the post that will feed the
-	// loop for it is on its way (wakeIn). Loop-owned.
-	waking bool
+	idleHooks []func()
 
 	trace   trace.Sink
 	metrics *obs.NodeMetrics
@@ -129,9 +126,7 @@ func (n *Node) Start(build func(env proto.Env) proto.Handler) {
 
 // loop runs the node until Stop. Every step handles one queued closure;
 // when nothing is queued — selfQ empty and a non-blocking poll of the
-// inbox finds nothing — the idle hooks run once and the loop blocks; a
-// hook that asks to run again gets the loop fed once more when its time
-// comes (wakeIn).
+// inbox finds nothing — the idle hooks run once and the loop blocks.
 func (n *Node) loop() {
 	// fed: input was handled since the idle hooks last ran. The hooks run
 	// once per drain, not in a spin: a hook that sends to itself feeds the
@@ -164,31 +159,11 @@ func (n *Node) loop() {
 			return
 		default:
 			fed = false
-			var again types.Duration
 			for _, hook := range n.idleHooks {
-				if d := hook(); d > 0 && (again == 0 || d < again) {
-					again = d
-				}
-			}
-			if again > 0 && !n.waking {
-				n.wakeIn(again)
+				hook()
 			}
 		}
 	}
-}
-
-// wakeIn feeds the loop an empty closure d from now, so that it runs out
-// of input — and runs the idle hooks — once more then. One wake-up is in
-// flight at a time: a hook still waiting when it lands says so again.
-// The wait is a sleeping goroutine, not a time.Timer: the runtime rounds
-// a timer on an otherwise idle process up to the next millisecond and
-// more, and these waits are fractions of one.
-func (n *Node) wakeIn(d types.Duration) {
-	n.waking = true
-	go func() {
-		sleep(d)
-		n.Post(func() { n.waking = false })
-	}()
 }
 
 // runSelf handles the oldest self-delivery, if any.
@@ -317,9 +292,8 @@ func (e *env) SetTimer(d types.Duration, fn func()) (cancel func()) {
 func (e *env) Trace() trace.Sink { return e.node.trace }
 
 // OnIdle implements proto.IdleNotifier: fn runs on the loop goroutine each
-// time the loop has handled input and finds nothing more queued, and
-// again after the wait it returns, if any.
-func (e *env) OnIdle(fn func() types.Duration) {
+// time the loop has handled input and finds nothing more queued.
+func (e *env) OnIdle(fn func()) {
 	e.node.idleHooks = append(e.node.idleHooks, fn)
 }
 
