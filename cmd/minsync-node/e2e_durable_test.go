@@ -53,6 +53,29 @@ const clusterN = 4
 // -data-dir.
 func startCluster(t *testing.T, durable ...int) *liveCluster {
 	t.Helper()
+	c := newCluster(t, durable...)
+	c.startAll(clusterN)
+	return c
+}
+
+// startAll starts replicas 0..up-1 and waits until each serves
+// /v1/status.
+func (c *liveCluster) startAll(up int) {
+	c.t.Helper()
+	for i := 0; i < up; i++ {
+		c.start(i)
+	}
+	for i := 0; i < up; i++ {
+		c.waitFor(fmt.Sprintf("replica %d to serve /v1/status", i+1), func() bool {
+			_, ok := c.status(i)
+			return ok
+		})
+	}
+}
+
+// newCluster lays the cluster out and starts none of it.
+func newCluster(t *testing.T, durable ...int) *liveCluster {
+	t.Helper()
 	dir := t.TempDir()
 	c := &liveCluster{
 		t:        t,
@@ -75,15 +98,6 @@ func startCluster(t *testing.T, durable ...int) *liveCluster {
 			c.kill(i)
 		}
 	})
-	for i := range c.procs {
-		c.start(i)
-	}
-	for i := range c.procs {
-		c.waitFor(fmt.Sprintf("replica %d to serve /v1/status", i+1), func() bool {
-			_, ok := c.status(i)
-			return ok
-		})
-	}
 	return c
 }
 
@@ -132,7 +146,9 @@ func (c *liveCluster) waitFor(what string, cond func() bool) {
 	for deadline := time.Now().Add(60 * time.Second); !cond(); {
 		if time.Now().After(deadline) {
 			for i, l := range c.logs {
-				c.t.Logf("--- replica %d (status %v) ---\n%s", i+1, c.statusOrNil(i), tail(l.String(), 15))
+				if l != nil {
+					c.t.Logf("--- replica %d (status %v) ---\n%s", i+1, c.statusOrNil(i), tail(l.String(), 15))
+				}
 			}
 			c.t.Fatalf("timed out waiting for %s", what)
 		}
@@ -393,5 +409,27 @@ func TestE2EIdleQuiescent(t *testing.T) {
 	}
 	if after := c.waitQuiescent(); after <= applied {
 		t.Fatalf("two commands committed yet applied_instances went %v -> %v", applied, after)
+	}
+}
+
+// TestE2EAbsentPeerForwardsQuietly: with replica 4 never started, the
+// serving replica's forward of every command finds that link down. netx
+// counts each refused frame and logs the down link once per backoff; the
+// forward itself must not add a log line per command on the event loop.
+// Skipped under -short.
+func TestE2EAbsentPeerForwardsQuietly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e absent-peer test skipped in -short mode")
+	}
+	c := newCluster(t)
+	c.startAll(clusterN - 1)
+	for k := 0; k < 50; k++ {
+		c.tx(0, 7, "put", fmt.Sprint("key-", k), fmt.Sprint(k))
+	}
+	if down := c.counter(0, `minsync_wire_dropped_frames_total{reason="down"}`); down == 0 {
+		t.Fatal("no frame to the absent peer was refused: the test saw no down link")
+	}
+	if log := c.logs[0].String(); strings.Contains(log, "forward to") {
+		t.Fatalf("the serving replica logged its forwards:\n%s", tail(log, 10))
 	}
 }

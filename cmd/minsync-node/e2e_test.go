@@ -173,6 +173,7 @@ func TestE2EClusterTelemetry(t *testing.T) {
 			`minsync_rb_flushes_total{cause="timer"}`,
 			`minsync_rb_flushes_total{cause="full"}`,
 			"# TYPE minsync_rb_hold_ns histogram",
+			"# TYPE minsync_rb_hashes_total counter",
 			"minsync_log_committed_total",
 			"minsync_kv_applies_total",
 			"# TYPE minsync_commit_latency_ns histogram",

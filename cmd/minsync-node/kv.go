@@ -28,6 +28,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,7 +125,7 @@ type kvOptions struct {
 // loop. One instance per serving replica.
 type kvEdge struct {
 	node   *rt.Node
-	tr     rt.Transport
+	tr     rt.Multicaster
 	tel    *telemetry
 	pool   *txpool.Pool
 	rep    *replica.Replica // built on the node loop and only touched there
@@ -161,12 +162,9 @@ func (e *kvEdge) propose(c kv.Command, enc types.Value) error {
 			}
 			return
 		}
-		fwd := proto.Message{Kind: proto.MsgKVRequest, Tag: proto.Tag{Mod: proto.ModKV}, Val: enc}
-		for _, peer := range e.peers {
-			if err := e.tr.Send(peer, fwd); err != nil {
-				stdlog.Printf("forward to %v: %v", peer, err)
-			}
-		}
+		// Errors are swallowed as rt's env swallows them: netx counts each
+		// refused frame and logs a down link once per backoff.
+		_ = e.tr.Multicast(e.peers, proto.Message{Kind: proto.MsgKVRequest, Tag: proto.Tag{Mod: proto.ModKV}, Val: enc})
 		if err := e.rep.Engine.Submit(enc); err != nil {
 			stdlog.Printf("submit: %v", err)
 		}
@@ -253,7 +251,7 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 
 	edge := &kvEdge{
 		node: node,
-		tr:   tr,
+		tr:   rt.AsMulticaster(tr),
 		tel:  tel,
 		pool: txpool.New(txpool.Config{
 			Capacity: opts.PoolCap,
@@ -263,14 +261,10 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 			Metrics: obs.NewPoolMetrics(tel.registry(), ""),
 			Tracer:  tracer,
 		}),
+		peers:  slices.DeleteFunc(node.Params().AllProcs(), func(p types.ProcID) bool { return p == self }),
 		wait:   opts.Wait,
 		tracer: tracer,
 		done:   make(chan struct{}),
-	}
-	for _, p := range node.Params().AllProcs() {
-		if p != self {
-			edge.peers = append(edge.peers, p)
-		}
 	}
 
 	// Install the forward interceptor before the node loop starts: a
@@ -448,7 +442,7 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 		durable = f
 		defer durable.Close()
 	}
-	edge, err := startKV(node, sendAdapter{tr}, tel, self, durable, opts)
+	edge, err := startKV(node, tr, tel, self, durable, opts)
 	if err != nil {
 		stdlog.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func main() {
 		stdlog.Fatal(err)
 	}
 	defer tr.Close()
-	send.tr = tr
+	send.Transport = tr
 	defer node.Stop()
 
 	if *kvMode {
@@ -221,9 +221,5 @@ func newNode(tel *telemetry, self types.ProcID, params types.Params, tr rt.Trans
 	})
 }
 
-// sendAdapter adapts *netx.Transport to rt.Transport.
-type sendAdapter struct{ tr *netx.Transport }
-
-func (a sendAdapter) Send(to types.ProcID, m proto.Message) error {
-	return a.tr.Send(to, m)
-}
+// sendAdapter lets the node hold the transport before it is bound.
+type sendAdapter struct{ *netx.Transport }

@@ -383,18 +383,23 @@ func (s *Store) exec(c Command) Response {
 // Keys and clients are emitted in sorted order so identical state encodes
 // to identical bytes on every replica.
 func (s *Store) Snapshot() []byte {
+	// The buffer is sized exactly: magic, five counters and the session
+	// count, then each entry and session with its length prefixes.
+	size := 1 + 5*8 + 8
 	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
+	for k, v := range s.data {
 		keys = append(keys, k)
+		size += 4 + len(k) + 4 + len(v)
 	}
 	sort.Strings(keys)
 	clients := make([]uint64, 0, len(s.sessions))
-	for c := range s.sessions {
+	for c, sess := range s.sessions {
 		clients = append(clients, c)
+		size += 8 + 8 + 4 + len(sess.resp)
 	}
 	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
 
-	buf := make([]byte, 0, 64+32*len(keys)+32*len(clients))
+	buf := make([]byte, 0, size)
 	buf = append(buf, snapMagic)
 	var u [8]byte
 	for _, n := range []uint64{s.applies, s.dups, s.stales, s.badCmds, uint64(len(keys))} {

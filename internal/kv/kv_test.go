@@ -220,6 +220,21 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// Snapshot sizes its buffer exactly, so encoding never regrows it.
+func TestSnapshotSizedExactly(t *testing.T) {
+	s := NewStore()
+	for _, n := range []int{0, 1, 40} {
+		for i := 0; i < n; i++ {
+			apply(t, s, Command{Op: OpPut, Client: uint64(i%5 + 1), Seq: uint64(i + 1),
+				Key: fmt.Sprintf("key-%d", i), Val: fmt.Sprintf("%0*d", i, i)})
+		}
+		apply(t, s, Command{Op: OpGet, Client: 9, Seq: uint64(n + 1), Key: "key-0"})
+		if snap := s.Snapshot(); len(snap) != cap(snap) {
+			t.Fatalf("after %d puts: snapshot of %d bytes in a buffer of %d", n, len(snap), cap(snap))
+		}
+	}
+}
+
 func TestRestoreRejectsMalformed(t *testing.T) {
 	s := NewStore()
 	good := s.Snapshot()

@@ -16,3 +16,6 @@ func ShortenStallTimeout(t *testing.T, d time.Duration) {
 
 // MaxFrame is the inbound frame bound.
 const MaxFrame = maxFrame
+
+// ReadBuffer is the largest inbound frame decoded in place.
+const ReadBuffer = readBuffer

@@ -3,6 +3,8 @@
 // pair, with an identification handshake. Each peer has a link: Send
 // queues on it and returns, and the link's writer goroutine dials, writes
 // and fails on its own time, so the caller's step never waits for a peer.
+// Multicast queues one encoding of a message on several links. Inbound, a
+// frame that fits the connection's read buffer is decoded where it lies.
 //
 // Model note: the paper assumes reliable authenticated point-to-point
 // channels — a peer cannot impersonate another (§2.1). This transport
@@ -198,7 +200,7 @@ func (t *Transport) serveConn(conn net.Conn) {
 		return
 	}
 	for {
-		body, err := readFrame(r)
+		body, held, err := readFrame(r)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && t.ctx.Err() == nil {
 				t.cfg.Logf("netx %v: read from %v: %v", t.cfg.Self, peer, err)
@@ -206,6 +208,7 @@ func (t *Transport) serveConn(conn net.Conn) {
 			return
 		}
 		m, err := wire.Decode(body)
+		r.Discard(held)
 		if err != nil {
 			// Byzantine garbage: count and drop, never crash.
 			t.rejected.Add(1)
@@ -227,18 +230,29 @@ func (t *Transport) serveConn(conn net.Conn) {
 // holds maxQueueBytes unwritten, refuses the frame with an error and
 // counts the drop.
 func (t *Transport) Send(to types.ProcID, m proto.Message) error {
+	return t.Multicast([]types.ProcID{to}, m)
+}
+
+// Multicast is Send to every peer in to with one encoding: each link
+// queues the same body, which its writer only reads. A link that refuses
+// the frame does not stop the others; their errors are joined.
+func (t *Transport) Multicast(to []types.ProcID, m proto.Message) error {
 	if t.ctx.Err() != nil {
 		return errors.New("netx: transport closed")
-	}
-	l, ok := t.links[to]
-	if !ok {
-		return fmt.Errorf("netx: no link to %v", to)
 	}
 	body, err := wire.Encode(m)
 	if err != nil {
 		return fmt.Errorf("netx: encode: %w", err)
 	}
-	return l.enqueue(frame{kind: m.Kind, body: body})
+	var errs []error
+	for _, p := range to {
+		if l, ok := t.links[p]; !ok {
+			errs = append(errs, fmt.Errorf("netx: no link to %v", p))
+		} else if err := l.enqueue(frame{kind: m.Kind, body: body}); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Close shuts the transport down and waits for its goroutines. Frames
@@ -514,19 +528,24 @@ func readHello(r io.Reader) (types.ProcID, error) {
 	return types.ProcID(binary.LittleEndian.Uint32(b[4:])), nil
 }
 
-// readFrame reads one frame, enforcing the size bound.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readFrame reads one frame's body, enforcing the size bound. A body that
+// fits r's buffer is returned in place, valid until the next read: the
+// caller Discards its held bytes once decoded. A larger one is copied out.
+func readFrame(r *bufio.Reader) (body []byte, held int, err error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		return nil, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > maxFrame {
-		return nil, fmt.Errorf("netx: frame of %d bytes exceeds limit", n)
+		return nil, 0, fmt.Errorf("netx: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	r.Discard(4)
+	if int(n) <= r.Size() {
+		body, err = r.Peek(int(n))
+		return body, len(body), err
 	}
-	return body, nil
+	body = make([]byte, n)
+	_, err = io.ReadFull(r, body)
+	return body, 0, err
 }

@@ -305,6 +305,96 @@ func TestBackToBackFrames(t *testing.T) {
 	waitFor(t, "every frame is counted as sent", func() bool { return trs[1].Sent() == frames })
 }
 
+// collect records, per receiving process, every message it is handed.
+type collect struct {
+	mu  sync.Mutex
+	got map[types.ProcID][]proto.Message
+}
+
+func (c *collect) recv(n int) map[types.ProcID]netx.RecvFunc {
+	c.got = make(map[types.ProcID][]proto.Message)
+	recv := make(map[types.ProcID]netx.RecvFunc, n)
+	for i := 1; i <= n; i++ {
+		id := types.ProcID(i)
+		recv[id] = func(_ types.ProcID, m proto.Message) {
+			c.mu.Lock()
+			c.got[id] = append(c.got[id], m)
+			c.mu.Unlock()
+		}
+	}
+	return recv
+}
+
+func (c *collect) at(id types.ProcID) []proto.Message {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]proto.Message(nil), c.got[id]...)
+}
+
+// TestMulticastDeliversToEachPeer: one Multicast to three peers reaches
+// each of them as the message that was sent.
+func TestMulticastDeliversToEachPeer(t *testing.T) {
+	var c collect
+	trs, _ := startMesh(t, 4, c.recv(4))
+	msg := initMsg(3, strings.Repeat("b", 2000))
+	peers := []types.ProcID{2, 3, 4}
+	if err := trs[1].Multicast(peers, msg); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range peers {
+		waitFor(t, "every peer receives the message", func() bool { return len(c.at(p)) == 1 })
+		if got := c.at(p)[0]; got != msg {
+			t.Fatalf("peer %v received %+v", p, got)
+		}
+	}
+	waitFor(t, "three frames are counted as sent", func() bool { return trs[1].Sent() == 3 })
+}
+
+// TestMulticastAfterSendInOrder: on one link, frames queued by Send and
+// by Multicast arrive in the order they were queued.
+func TestMulticastAfterSendInOrder(t *testing.T) {
+	const rounds = 500
+	var c collect
+	trs, _ := startMesh(t, 3, c.recv(3))
+	for i := 0; i < rounds; i++ {
+		if err := trs[1].Send(2, initMsg(types.Instance(2*i), "send")); err != nil {
+			t.Fatal(err)
+		}
+		if err := trs[1].Multicast([]types.ProcID{2, 3}, initMsg(types.Instance(2*i+1), "multicast")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "every frame arrives", func() bool { return len(c.at(2)) == 2*rounds && len(c.at(3)) == rounds })
+	for i, m := range c.at(2) {
+		if m.Instance != types.Instance(i) {
+			t.Fatalf("peer 2's frame %d is instance %v", i, m.Instance)
+		}
+	}
+}
+
+// TestFrameLargerThanReadBuffer: frames at, just past and far past the
+// size decoded in place all arrive intact.
+func TestFrameLargerThanReadBuffer(t *testing.T) {
+	var c collect
+	trs, _ := startMesh(t, 2, c.recv(2))
+	const header = 28 // wire's fixed header
+	sizes := []int{netx.ReadBuffer - header, netx.ReadBuffer - header + 1, 300 << 10}
+	for i, size := range sizes {
+		if err := trs[1].Send(2, initMsg(types.Instance(i), strings.Repeat("l", size))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "every frame arrives", func() bool { return len(c.at(2)) == len(sizes) })
+	for i, m := range c.at(2) {
+		if m != initMsg(types.Instance(i), strings.Repeat("l", sizes[i])) {
+			t.Fatalf("frame %d (%d value bytes) arrived altered", i, sizes[i])
+		}
+	}
+	if trs[2].Rejected() != 0 {
+		t.Fatalf("%d frames rejected", trs[2].Rejected())
+	}
+}
+
 // TestCloseWithBlockedWriter: Close returns while a link's writer is stuck
 // writing to a peer that does not read.
 func TestCloseWithBlockedWriter(t *testing.T) {
@@ -360,7 +450,7 @@ func TestConsensusOverTCP(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		id := types.ProcID(i)
 		node, err := rt.NewNode(rt.NodeConfig{
-			ID: id, Params: p, Transport: transportAdapter{trs[id]},
+			ID: id, Params: p, Transport: trs[id],
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -427,11 +517,4 @@ func TestConsensusOverTCP(t *testing.T) {
 	if ref != "a" && ref != "b" {
 		t.Fatalf("invalid decision %q", ref)
 	}
-}
-
-// transportAdapter adapts *netx.Transport to rt.Transport.
-type transportAdapter struct{ tr *netx.Transport }
-
-func (a transportAdapter) Send(to types.ProcID, m proto.Message) error {
-	return a.tr.Send(to, m)
 }

@@ -227,12 +227,13 @@ type RBMetrics struct {
 	// The coalescing-relay instruments (rb.Relay). FramesCoalesced counts
 	// vector frames this process flushed; FrameEntries is the
 	// entries-per-frame distribution (the coalescing factor); Pulls counts
-	// hash-before-value resolution requests sent; ParkDrops counts entries
-	// discarded because the parking lot was full (pressure from
-	// hash-without-value starvation attacks).
+	// hash-before-value resolution requests sent; Hashes the SHA-256s of
+	// values; ParkDrops counts entries discarded because the parking lot
+	// was full (pressure from hash-without-value starvation attacks).
 	FramesCoalesced *Counter
 	FrameEntries    *Histogram
 	Pulls           *Counter
+	Hashes          *Counter
 	ParkDrops       *Counter
 	// FlushesIdle/Timer/Full split FramesCoalesced by what ended the hold
 	// (one series, label cause): the host ran out of input, the
@@ -281,6 +282,7 @@ func NewRBMetrics(r *Registry, labels string) *RBMetrics {
 		FramesCoalesced: r.Counter(WithLabels("minsync_rb_frames_coalesced_total", labels)),
 		FrameEntries:    r.Histogram(WithLabels("minsync_rb_frame_entries", labels), FrameEntriesBuckets),
 		Pulls:           r.Counter(WithLabels("minsync_rb_pulls_total", labels)),
+		Hashes:          r.Counter(WithLabels("minsync_rb_hashes_total", labels)),
 		ParkDrops:       r.Counter(WithLabels("minsync_rb_park_drops_total", labels)),
 		FlushesIdle:     flushes("idle"),
 		FlushesTimer:    flushes("timer"),

@@ -243,13 +243,6 @@ func decodeEntriesInto(dst []Entry, v types.Value) ([]Entry, error) {
 // hashKey is a truncated content hash used as a map key.
 type hashKey [HashLen]byte
 
-func hashValue(v types.Value) hashKey {
-	sum := sha256.Sum256([]byte(v))
-	var h hashKey
-	copy(h[:], sum[:HashLen])
-	return h
-}
-
 // RelayConfig assembles a Relay.
 type RelayConfig struct {
 	// Env is the real process environment the relay wraps (vector frames,
@@ -289,8 +282,8 @@ type RelayConfig struct {
 	// instance the sink would accept, or honest traffic is lost.
 	Window func(i types.Instance) bool
 	// Metrics, if non-nil, receives the coalescing instruments
-	// (FramesCoalesced, FrameEntries, the flushes by cause, Hold, Pulls
-	// and the drop counters). Passive.
+	// (FramesCoalesced, FrameEntries, the flushes by cause, Hold, Pulls,
+	// Hashes and the drop counters). Passive.
 	Metrics *obs.RBMetrics
 	// Tracer, if non-nil, records an xtrace rb_relay span per flushed
 	// vector frame (entry count in the note). Passive.
@@ -332,12 +325,15 @@ type Relay struct {
 	floor    types.Instance
 
 	// cache binds content hashes to values learned from INITs (inbound
-	// and outbound) and from validated pull responses. maxInst tracks the
-	// highest instance referencing the value, for retirement. cacheBytes
-	// is the charged size of the cache, held to maxCache for values of
-	// remote provenance.
+	// and outbound) and from validated pull responses; byVal indexes the
+	// same entries by value, so a value seen again is not hashed again.
+	// maxInst tracks the highest instance referencing the value, for
+	// retirement. cacheBytes is the charged size of the cache, held to
+	// maxCache for values of remote provenance.
 	cache      map[hashKey]*cacheVal
+	byVal      map[types.Value]*cacheVal
 	cacheBytes int
+	hashBuf    []byte // hash's copy of the value: SHA-256 takes bytes
 
 	parked    map[hashKey][]parkedRef
 	parkedLen int
@@ -348,6 +344,7 @@ type Relay struct {
 	flushes     [numFlushCauses]uint64
 	flushSeries [numFlushCauses]*obs.Counter
 	pulls       uint64
+	hashes      uint64
 	parkDrops   uint64
 	dupEntries  uint64
 	badFrames   uint64
@@ -375,6 +372,7 @@ const maxDedupScopes = 1 << 14
 
 type cacheVal struct {
 	val     types.Value
+	ref     types.Value // the hash as a hashed entry's Val
 	maxInst types.Instance
 }
 
@@ -426,6 +424,7 @@ func NewRelay(cfg RelayConfig) *Relay {
 		n:        cfg.Env.Params().N,
 		seenBits: make(map[dedupScope][]uint64),
 		cache:    make(map[hashKey]*cacheVal),
+		byVal:    make(map[types.Value]*cacheVal),
 		parked:   make(map[hashKey][]parkedRef),
 		pulled:   make(map[hashKey]map[types.ProcID]struct{}),
 		flushSeries: [numFlushCauses]*obs.Counter{
@@ -487,11 +486,10 @@ func (r *Relay) Broadcast(m proto.Message) {
 func (r *Relay) buffer(m proto.Message) {
 	e := Entry{Kind: m.Kind, Tag: m.Tag, Origin: m.Origin, Instance: m.Instance, Val: m.Val}
 	if len(m.Val) > InlineMax {
-		// Cache before hashing: a correct relay can answer pulls for
+		// Cache before referencing: a correct relay can answer pulls for
 		// every value it ever referenced by hash.
-		h := r.learn(m.Val, m.Instance, true)
 		e.Hashed = true
-		e.Val = types.Value(h[:])
+		e.Val = r.learn(m.Val, m.Instance, true).ref
 	}
 	if len(r.buf) == 0 {
 		r.holdFrom = r.env.Now()
@@ -741,32 +739,52 @@ func (r *Relay) onPull(from types.ProcID, m proto.Message) {
 // that exact hash resolve, so a Byzantine responder cannot substitute a
 // different value — a wrong value simply resolves nothing.
 func (r *Relay) onPullResp(m proto.Message) {
-	if _, ok := r.parked[hashValue(m.Val)]; !ok {
+	if _, cached := r.byVal[m.Val]; cached {
+		return
+	}
+	h := r.hash(m.Val)
+	if _, ok := r.parked[h]; !ok {
 		// Unsolicited (or already resolved): ignore rather than cache,
 		// so responders cannot stuff the cache with junk bindings.
 		return
 	}
-	r.learn(m.Val, 0, false)
+	r.insert(h, m.Val, 0, false)
 }
 
-// learn binds v's content hash to v, tracking the highest referencing
+// hash returns v's content hash: the relay's only SHA-256, allocating
+// only to grow hashBuf.
+func (r *Relay) hash(v types.Value) hashKey {
+	r.hashes++
+	r.metrics.Hashes.Inc()
+	r.hashBuf = append(r.hashBuf[:0], v...)
+	sum := sha256.Sum256(r.hashBuf)
+	return hashKey(sum[:HashLen])
+}
+
+// learn is insert for a value not hashed yet: a value already cached is
+// found by value and not hashed again.
+func (r *Relay) learn(v types.Value, inst types.Instance, own bool) *cacheVal {
+	cv, ok := r.byVal[v]
+	if !ok {
+		return r.insert(r.hash(v), v, inst, own)
+	}
+	if inst > cv.maxInst {
+		cv.maxInst = inst
+	}
+	return cv
+}
+
+// insert binds hash h to value v, tracking the highest referencing
 // instance for retirement, and resolves any entries parked under that
 // hash — the value may arrive via the INIT after its hash entries did,
 // and the original vector sender (the only peer pulled so far) may be
 // Byzantine and never answer. own marks values this process broadcast or
 // echoed itself: those always cache (a correct relay must answer pulls
 // for every value it referenced by hash), while remote learns are held
-// to the cache byte budget. It returns v's content hash.
-func (r *Relay) learn(v types.Value, inst types.Instance, own bool) hashKey {
-	h := hashValue(v)
-	if cv, ok := r.cache[h]; ok {
-		// Cached implies nothing parked: parking happens only on cache
-		// miss and every insert below drains the hash's parked refs.
-		if inst > cv.maxInst {
-			cv.maxInst = inst
-		}
-		return h
-	}
+// to the cache byte budget. It returns v's cache entry, nil if v was not
+// cached. v must not be cached: cache and byVal hold the same entries, so
+// then h is not cached either (HashLen makes collisions infeasible).
+func (r *Relay) insert(h hashKey, v types.Value, inst types.Instance, own bool) *cacheVal {
 	refs := r.parked[h]
 	if len(refs) > 0 {
 		delete(r.parked, h)
@@ -778,8 +796,11 @@ func (r *Relay) learn(v types.Value, inst types.Instance, own bool) hashKey {
 			}
 		}
 	}
+	var cv *cacheVal
 	if cost := len(v) + cacheEntryOverhead; own || r.cacheBytes+cost <= r.maxCache {
-		r.cache[h] = &cacheVal{val: v, maxInst: inst}
+		cv = &cacheVal{val: v, ref: types.Value(h[:]), maxInst: inst}
+		r.cache[h] = cv
+		r.byVal[v] = cv
 		r.cacheBytes += cost
 	} else {
 		r.cacheDrops++
@@ -792,7 +813,7 @@ func (r *Relay) learn(v types.Value, inst types.Instance, own bool) hashKey {
 			Kind: ref.kind, Tag: ref.tag, Origin: ref.origin, Instance: ref.instance, Val: v,
 		})
 	}
-	return h
+	return cv
 }
 
 // RetireInstancesBefore releases relay state below floor in the same
@@ -812,6 +833,7 @@ func (r *Relay) RetireInstancesBefore(floor types.Instance) {
 	for h, cv := range r.cache {
 		if cv.maxInst < floor {
 			delete(r.cache, h)
+			delete(r.byVal, cv.val)
 			r.cacheBytes -= len(cv.val) + cacheEntryOverhead
 		}
 	}
@@ -855,6 +877,9 @@ func (r *Relay) FullFlushes() uint64 { return r.flushes[flushFull] }
 
 // Pulls returns the number of hash-resolution requests sent.
 func (r *Relay) Pulls() uint64 { return r.pulls }
+
+// Hashes returns the number of content hashes computed.
+func (r *Relay) Hashes() uint64 { return r.hashes }
 
 // ParkDrops returns the number of entries dropped at the parking cap.
 func (r *Relay) ParkDrops() uint64 { return r.parkDrops }

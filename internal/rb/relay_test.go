@@ -2,6 +2,7 @@ package rb
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -92,11 +93,18 @@ func echoMsg(origin types.ProcID, inst types.Instance, v types.Value) proto.Mess
 	return proto.Message{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: origin, Instance: inst, Val: v}
 }
 
+// hashOf is v's content hash computed apart from the relay: the first
+// HashLen bytes of its SHA-256.
+func hashOf(v types.Value) hashKey {
+	sum := sha256.Sum256([]byte(v))
+	return hashKey(sum[:HashLen])
+}
+
 // --- entry codec -------------------------------------------------------------
 
 func TestEntriesRoundTrip(t *testing.T) {
 	big := types.Value(strings.Repeat("v", 100))
-	hash := hashValue(big)
+	hash := hashOf(big)
 	entries := []Entry{
 		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModConsCB0}, Origin: 1, Instance: 0, Val: "small"},
 		{Kind: proto.MsgRBReady, Tag: proto.Tag{Mod: proto.ModACEst, Round: 9}, Origin: 7, Instance: 41, Val: ""},
@@ -190,7 +198,7 @@ func FuzzDecodeEntries(f *testing.F) {
 	seed, _ := EncodeEntries([]Entry{
 		{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 2, Instance: 5, Val: "value"},
 	})
-	hash := hashValue("big-value")
+	hash := hashOf("big-value")
 	hashed, _ := EncodeEntries([]Entry{
 		{Kind: proto.MsgRBReady, Tag: relayTag, Origin: 2, Instance: 5, Hashed: true, Val: types.Value(hash[:])},
 	})
@@ -275,7 +283,7 @@ func TestRelayHashesLargeValues(t *testing.T) {
 	if entries[0].Hashed || entries[0].Val != small {
 		t.Fatalf("small value not inline: %+v", entries[0])
 	}
-	h := hashValue(big)
+	h := hashOf(big)
 	if !entries[1].Hashed || entries[1].Val != types.Value(h[:]) {
 		t.Fatalf("large value not hashed: %+v", entries[1])
 	}
@@ -283,6 +291,80 @@ func TestRelayHashesLargeValues(t *testing.T) {
 	r.Inbound(5, proto.Message{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 5, Val: types.Value(h[:])})
 	if len(env.sent) != 1 || env.sent[0].m.Kind != proto.MsgRBPullResp || env.sent[0].m.Val != big {
 		t.Fatalf("pull not answered: %+v", env.sent)
+	}
+}
+
+// One decision carries the same batch through an INIT, this process's
+// own ECHO and READY, and the later CBs; the relay hashes it once.
+func TestRelayHashesEachValueOnce(t *testing.T) {
+	env := newRelayEnv()
+	m := obs.NewRBMetrics(obs.NewRegistry(), "")
+	r := NewRelay(RelayConfig{Env: env, Sink: func(types.ProcID, proto.Message) {}, Metrics: m})
+	batch := types.Value(strings.Repeat("b", 4096))
+	cb0 := proto.Tag{Mod: proto.ModConsCB0}
+	r.Inbound(2, proto.Message{Kind: proto.MsgRBInit, Tag: cb0, Origin: 2, Instance: 3, Val: batch})
+	r.Broadcast(proto.Message{Kind: proto.MsgRBEcho, Tag: cb0, Origin: 2, Instance: 3, Val: batch})
+	r.Broadcast(proto.Message{Kind: proto.MsgRBReady, Tag: cb0, Origin: 2, Instance: 3, Val: batch})
+	eaCB := proto.Tag{Mod: proto.ModEACB, Round: 1}
+	r.Inbound(3, proto.Message{Kind: proto.MsgRBInit, Tag: eaCB, Origin: 3, Instance: 3, Val: batch})
+	if r.Hashes() != 1 || m.Hashes.Value() != 1 {
+		t.Fatalf("hashed the value %d times (metric %d), want once", r.Hashes(), m.Hashes.Value())
+	}
+	r.Flush()
+	entries, err := DecodeEntries(env.bcast[0].Val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hashOf(batch)
+	for _, e := range entries {
+		if !e.Hashed || e.Val != types.Value(h[:]) {
+			t.Fatalf("entry %+v does not reference the value's hash", e)
+		}
+	}
+}
+
+func TestBufferingLearnedValueAllocatesNothing(t *testing.T) {
+	env := newRelayEnv()
+	r, _ := newTestRelay(env)
+	batch := types.Value(strings.Repeat("b", 4096))
+	r.Inbound(2, proto.Message{Kind: proto.MsgRBInit, Tag: relayTag, Origin: 2, Instance: 3, Val: batch})
+	echo := echoMsg(2, 3, batch)
+	r.Broadcast(echo) // arms the flush timer and sizes the buffer
+	allocs := testing.AllocsPerRun(100, func() {
+		r.buf = r.buf[:0]
+		r.Broadcast(echo)
+	})
+	if allocs != 0 {
+		t.Fatalf("buffering an ECHO for a learned value allocates %v times", allocs)
+	}
+	// Hashing a value the relay has not seen allocates nothing either.
+	if allocs := testing.AllocsPerRun(100, func() { r.hash(batch) }); allocs != 0 {
+		t.Fatalf("hashing a value allocates %v times", allocs)
+	}
+	if r.hash(batch) != hashOf(batch) {
+		t.Fatal("the relay's hash is not the truncated SHA-256")
+	}
+}
+
+func TestRetireRetiresBothIndexes(t *testing.T) {
+	env := newRelayEnv()
+	r, _ := newTestRelay(env)
+	for i := 0; i < 6; i++ {
+		v := types.Value(strings.Repeat(string(rune('a'+i)), 64))
+		if i%2 == 0 {
+			r.Inbound(2, proto.Message{Kind: proto.MsgRBInit, Tag: relayTag, Origin: 2, Instance: types.Instance(i), Val: v})
+		} else {
+			r.Broadcast(echoMsg(2, types.Instance(i), v))
+		}
+	}
+	r.RetireInstancesBefore(3)
+	if len(r.cache) != 3 || len(r.byVal) != len(r.cache) {
+		t.Fatalf("cache %d values, value index %d, want 3 and 3", len(r.cache), len(r.byVal))
+	}
+	for v, cv := range r.byVal {
+		if r.cache[hashOf(v)] != cv {
+			t.Fatalf("value index entry %q is not the cache's", v[:1])
+		}
 	}
 }
 
@@ -505,7 +587,7 @@ func TestInboundHashResolvesFromInitSniff(t *testing.T) {
 	env := newRelayEnv()
 	r, got := newTestRelay(env)
 	big := types.Value(strings.Repeat("x", 64))
-	h := hashValue(big)
+	h := hashOf(big)
 	// The INIT passes through Inbound (not consumed) and seeds the cache.
 	if r.Inbound(2, proto.Message{Kind: proto.MsgRBInit, Tag: relayTag, Origin: 2, Instance: 7, Val: big}) {
 		t.Fatal("INIT consumed by relay")
@@ -525,7 +607,7 @@ func TestInboundHashParksAndPulls(t *testing.T) {
 	env := newRelayEnv()
 	r, got := newTestRelay(env)
 	big := types.Value(strings.Repeat("y", 64))
-	h := hashValue(big)
+	h := hashOf(big)
 	he := Entry{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 2, Instance: 7, Hashed: true, Val: types.Value(h[:])}
 	inboundVector(t, r, 4, []Entry{he})
 	if len(*got) != 0 {
@@ -581,7 +663,7 @@ func TestParkingCapBoundsStarvation(t *testing.T) {
 		MaxParked: 2,
 	})
 	for i := 0; i < 5; i++ {
-		h := hashValue(types.Value(strings.Repeat("z", 64) + string(rune('a'+i))))
+		h := hashOf(types.Value(strings.Repeat("z", 64) + string(rune('a'+i))))
 		inboundVector(t, r, 4, []Entry{
 			{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 2, Instance: types.Instance(i), Hashed: true, Val: types.Value(h[:])},
 		})
@@ -630,7 +712,7 @@ func TestWindowGuardForwardsWithoutAllocating(t *testing.T) {
 		Sink:   func(from types.ProcID, m proto.Message) { got = append(got, sinkRec{from, m}) },
 		Window: func(i types.Instance) bool { return i < 10 },
 	})
-	h := hashValue(types.Value(strings.Repeat("q", 64)))
+	h := hashOf(types.Value(strings.Repeat("q", 64)))
 	inboundVector(t, r, 4, []Entry{
 		{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 2, Instance: 1 << 40, Val: "v"},
 		{Kind: proto.MsgRBReady, Tag: relayTag, Origin: 2, Instance: 1 << 41, Hashed: true, Val: types.Value(h[:])},
@@ -660,7 +742,7 @@ func TestParkDropDoesNotConsumeDedupBit(t *testing.T) {
 	})
 	va := types.Value(strings.Repeat("a", 64))
 	vb := types.Value(strings.Repeat("b", 64))
-	ha, hb := hashValue(va), hashValue(vb)
+	ha, hb := hashOf(va), hashOf(vb)
 	ea := Entry{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 2, Instance: 0, Hashed: true, Val: types.Value(ha[:])}
 	eb := Entry{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 3, Instance: 0, Hashed: true, Val: types.Value(hb[:])}
 	inboundVector(t, r, 4, []Entry{ea}) // parks, fills the lot
@@ -688,7 +770,7 @@ func TestLearnResolvesParkedEntries(t *testing.T) {
 	env := newRelayEnv()
 	r, got := newTestRelay(env)
 	big := types.Value(strings.Repeat("r", 64))
-	h := hashValue(big)
+	h := hashOf(big)
 	// Hash entry arrives before the value; the pulled peer (4) never
 	// answers. The INIT carrying the value must unpark it regardless.
 	inboundVector(t, r, 4, []Entry{
@@ -725,7 +807,7 @@ func TestCacheByteBudgetBoundsRemoteLearns(t *testing.T) {
 	// pulls for everything it referenced by hash.
 	own := types.Value(strings.Repeat("3", 64))
 	r.Broadcast(echoMsg(1, 2, own))
-	ho := hashValue(own)
+	ho := hashOf(own)
 	r.Inbound(5, proto.Message{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 5, Val: types.Value(ho[:])})
 	if len(env.sent) == 0 || env.sent[len(env.sent)-1].m.Val != own {
 		t.Fatalf("own value not cached past the budget: %+v", env.sent)
@@ -777,7 +859,7 @@ func TestRetireInstancesBeforeDropsStaleState(t *testing.T) {
 	inboundVector(t, r, 4, []Entry{
 		{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 2, Instance: 3, Val: "v"},
 	})
-	unresolved := hashValue("never-resolved-value")
+	unresolved := hashOf("never-resolved-value")
 	inboundVector(t, r, 4, []Entry{
 		{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 6, Instance: 2, Hashed: true, Val: types.Value(unresolved[:])},
 	})

@@ -249,7 +249,7 @@ func runTCPLog(t *testing.T, absent map[types.ProcID]string) {
 		if !ok {
 			continue
 		}
-		node, err := rt.NewNode(rt.NodeConfig{ID: id, Params: params, Transport: tcpAdapter{tr}})
+		node, err := rt.NewNode(rt.NodeConfig{ID: id, Params: params, Transport: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,10 +262,4 @@ func runTCPLog(t *testing.T, absent map[types.ProcID]string) {
 		cmds[i] = types.Value(fmt.Sprintf("tcp-cmd-%03d", i))
 	}
 	runLogCluster(t, replicas, cmds, 60*time.Second)
-}
-
-type tcpAdapter struct{ tr *netx.Transport }
-
-func (a tcpAdapter) Send(to types.ProcID, m proto.Message) error {
-	return a.tr.Send(to, m)
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,11 +30,39 @@ type Transport interface {
 	Send(to types.ProcID, m proto.Message) error
 }
 
+// Multicaster is a Transport that sends one message to several peers in
+// one call, encoding it once (netx.Transport). It must not block either.
+type Multicaster interface {
+	Transport
+	Multicast(to []types.ProcID, m proto.Message) error
+}
+
+// AsMulticaster returns tr if it multicasts, else tr with a Multicast
+// that Sends to each peer in turn and returns the first error.
+func AsMulticaster(tr Transport) Multicaster {
+	if mc, ok := tr.(Multicaster); ok {
+		return mc
+	}
+	return sendEach{tr}
+}
+
+type sendEach struct{ Transport }
+
+func (s sendEach) Multicast(to []types.ProcID, m proto.Message) (err error) {
+	for _, p := range to {
+		if e := s.Send(p, m); err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
 // Node hosts a protocol handler on a real-time event loop.
 type Node struct {
 	id        types.ProcID
 	params    types.Params
-	transport Transport
+	transport Multicaster
+	peers     []types.ProcID // every process but this one, for Broadcast
 	start     time.Time
 
 	inbox chan func()
@@ -101,7 +130,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return &Node{
 		id:        cfg.ID,
 		params:    cfg.Params,
-		transport: cfg.Transport,
+		transport: AsMulticaster(cfg.Transport),
+		peers:     slices.DeleteFunc(cfg.Params.AllProcs(), func(p types.ProcID) bool { return p == cfg.ID }),
 		inbox:     make(chan func(), depth),
 		stop:      make(chan struct{}),
 		trace:     sink,
@@ -268,10 +298,10 @@ func (e *env) Send(to types.ProcID, m proto.Message) {
 	_ = e.node.transport.Send(to, m)
 }
 
+// Broadcast is the self-delivery plus one transport call for the peers.
 func (e *env) Broadcast(m proto.Message) {
-	for _, p := range e.node.params.AllProcs() {
-		e.Send(p, m)
-	}
+	e.Send(e.node.id, m)
+	_ = e.node.transport.Multicast(e.node.peers, m)
 }
 
 func (e *env) SetTimer(d types.Duration, fn func()) (cancel func()) {

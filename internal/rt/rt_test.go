@@ -2,10 +2,15 @@ package rt_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/proto"
 	"repro/internal/rt"
 	"repro/internal/types"
 )
@@ -116,6 +121,72 @@ func TestProposeErrors(t *testing.T) {
 	}
 	if err := c.Propose(1, "w"); err == nil {
 		t.Error("second propose must fail")
+	}
+}
+
+// callLog records the transport calls a node makes.
+type callLog struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+func (c *callLog) Send(to types.ProcID, m proto.Message) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls = append(c.calls, fmt.Sprintf("send %v", to))
+	return nil
+}
+
+func (c *callLog) get() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.calls...)
+}
+
+type multicastLog struct{ callLog }
+
+func (c *multicastLog) Multicast(to []types.ProcID, m proto.Message) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls = append(c.calls, fmt.Sprintf("multicast %v", to))
+	return errors.New("a refused link") // swallowed, as Send's are
+}
+
+// A broadcast is the self-delivery plus one transport call for the peers;
+// a transport without Multicast gets one Send per peer instead.
+func TestBroadcastMakesOneTransportCall(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   interface {
+			rt.Transport
+			get() []string
+		}
+		want []string
+	}{
+		{"multicaster", &multicastLog{}, []string{"multicast [p1 p2 p4]"}},
+		{"send only", &callLog{}, []string{"send p1", "send p2", "send p4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node, err := rt.NewNode(rt.NodeConfig{ID: 3, Params: types.Params{N: 4, T: 1}, Transport: tc.tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			self := make(chan proto.Message, 1)
+			var env proto.Env
+			node.Start(func(e proto.Env) proto.Handler {
+				env = e
+				return proto.HandlerFunc(func(_ types.ProcID, m proto.Message) { self <- m })
+			})
+			defer node.Stop()
+			m := proto.Message{Kind: proto.MsgDecide, Tag: proto.Tag{Mod: proto.ModDecide}, Val: "v"}
+			node.Post(func() { env.Broadcast(m) })
+			if got := <-self; got != m {
+				t.Fatalf("self-delivery %+v", got)
+			}
+			if got := tc.tr.get(); !slices.Equal(got, tc.want) {
+				t.Fatalf("transport calls %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 

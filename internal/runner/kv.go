@@ -400,7 +400,7 @@ func (r *KVResult) DurablePrefix() string {
 				id, rec.Boundary, eng.Applied())
 		}
 		if rec.SnapPayload != nil {
-			s, _, derr := sm.DecodeTransfer(types.Value(rec.SnapPayload))
+			s, _, derr := sm.DecodeTransfer(rec.SnapPayload)
 			if derr != nil {
 				return fmt.Sprintf("replica %v: stamped snapshot: %v", id, derr)
 			}

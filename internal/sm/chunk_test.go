@@ -316,7 +316,7 @@ func newChunkFixture(t *testing.T) *chunkFixture {
 	lagLog := &fakeLog{}
 	lag, lagEnv, _ := newTestTransfer(t, lagApp, lagLog)
 
-	payload := []byte(EncodeTransfer(s, retained))
+	payload := EncodeTransfer(s, retained)
 	mf, err := BuildManifest(s.Index, s.Instance, payload)
 	if err != nil {
 		t.Fatal(err)

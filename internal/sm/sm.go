@@ -302,7 +302,7 @@ func (a *Applier) takeSnapshot(instance types.Instance) {
 		// live peer-snapshot installation exercises. With the snapshot
 		// durable, the store's entry prefix below it is dead weight.
 		payload := EncodeTransfer(a.snap, a.snapRetained)
-		if err := p.StampSnapshot(a.snap.Index, a.snap.Instance, []byte(payload)); err != nil {
+		if err := p.StampSnapshot(a.snap.Index, a.snap.Instance, payload); err != nil {
 			a.poison(fmt.Errorf("sm: persist snapshot: %w", err))
 			return
 		}

@@ -89,7 +89,7 @@ const maxCandidates = 32
 // so every correct replica produces byte-identical payloads for the same
 // boundary — which is what lets the requester corroborate their
 // manifests across t+1 senders.
-func EncodeTransfer(s Snapshot, retained []log.Entry) types.Value {
+func EncodeTransfer(s Snapshot, retained []log.Entry) []byte {
 	size := transferDigestLen + 4 + len(s.Data) + 4
 	for _, e := range retained {
 		size += 20 + len(e.Cmd)
@@ -112,7 +112,7 @@ func EncodeTransfer(s Snapshot, retained []log.Entry) types.Value {
 	}
 	digest := sha256.Sum256(buf[transferDigestLen:])
 	copy(buf[:transferDigestLen], digest[:])
-	return types.Value(buf)
+	return buf
 }
 
 // DecodeTransfer parses and validates a transfer payload (an assembled
@@ -120,9 +120,9 @@ func EncodeTransfer(s Snapshot, retained []log.Entry) types.Value {
 // the snapshot header must decode, and the entry list must be
 // well-formed. The bytes may come from a Byzantine peer, so every failure
 // is a normal error, never a panic. The Snapshot's Digest field is
-// recomputed from its bytes.
-func DecodeTransfer(v types.Value) (s Snapshot, retained []log.Entry, err error) {
-	b := []byte(v)
+// recomputed from its bytes. The Snapshot's Data aliases b, which the
+// caller must not modify afterwards.
+func DecodeTransfer(b []byte) (s Snapshot, retained []log.Entry, err error) {
 	if len(b) < transferDigestLen+8+snapHeaderLen {
 		return s, nil, fmt.Errorf("sm: transfer frame of %d bytes is too short", len(b))
 	}
@@ -517,7 +517,7 @@ func (t *Transfer) serveChunksFor(snap Snapshot, retained []log.Entry) *serveChu
 	if sc := t.chunkCache; sc != nil && sc.snapDigest == snap.Digest {
 		return sc
 	}
-	payload := []byte(EncodeTransfer(snap, retained))
+	payload := EncodeTransfer(snap, retained)
 	mf, err := BuildManifest(snap.Index, snap.Instance, payload)
 	if err != nil {
 		return nil
@@ -707,7 +707,7 @@ func (t *Transfer) assemble(d *download) {
 		t.reject()
 		return
 	}
-	s, retained, err := DecodeTransfer(types.Value(payload))
+	s, retained, err := DecodeTransfer(payload)
 	if err != nil || s.Index != d.mf.Index || s.Instance != d.mf.Instance {
 		t.reject()
 		return

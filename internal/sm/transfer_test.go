@@ -50,7 +50,7 @@ func TestTransferRoundTrip(t *testing.T) {
 		t.Fatalf("retained drifted: %+v", gotRetained)
 	}
 	// Same inputs, same bytes (manifest corroboration depends on it).
-	if EncodeTransfer(s, retained) != v {
+	if !bytes.Equal(EncodeTransfer(s, retained), v) {
 		t.Fatal("transfer payload not deterministic")
 	}
 }
@@ -68,7 +68,7 @@ func TestTransferEmptyRetained(t *testing.T) {
 
 func TestTransferRejectsTampering(t *testing.T) {
 	_, s, retained := buildSnapshot(t, 8)
-	valid := []byte(EncodeTransfer(s, retained))
+	valid := EncodeTransfer(s, retained)
 	tests := []struct {
 		name   string
 		mutate func(b []byte) []byte
@@ -81,7 +81,7 @@ func TestTransferRejectsTampering(t *testing.T) {
 	}
 	for _, tt := range tests {
 		b := append([]byte(nil), valid...)
-		if _, _, err := DecodeTransfer(types.Value(tt.mutate(b))); err == nil {
+		if _, _, err := DecodeTransfer(tt.mutate(b)); err == nil {
 			t.Errorf("%s: accepted", tt.name)
 		}
 	}
@@ -94,8 +94,8 @@ func TestTransferRejectsTampering(t *testing.T) {
 // hash check.
 func FuzzDecodeTransfer(f *testing.F) {
 	snap := Snapshot{Data: encodeSnapshot(3, 2, kv.NewStore().Snapshot())}
-	f.Add([]byte(EncodeTransfer(snap, []log.Entry{{Index: 2, Instance: 1, Cmd: "c"}})))
-	f.Add([]byte(EncodeTransfer(snap, nil)))
+	f.Add(EncodeTransfer(snap, []log.Entry{{Index: 2, Instance: 1, Cmd: "c"}}))
+	f.Add(EncodeTransfer(snap, nil))
 	f.Add([]byte{})
 	f.Add(make([]byte, transferDigestLen+8+snapHeaderLen))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -105,11 +105,11 @@ func FuzzDecodeTransfer(f *testing.F) {
 			copy(restamped, d[:])
 		}
 		for _, b := range [][]byte{data, restamped} {
-			s, retained, err := DecodeTransfer(types.Value(b))
+			s, retained, err := DecodeTransfer(b)
 			if err != nil {
 				continue
 			}
-			if string(EncodeTransfer(s, retained)) != string(b) {
+			if !bytes.Equal(EncodeTransfer(s, retained), b) {
 				t.Fatalf("decode/encode not canonical for %x", b)
 			}
 		}
@@ -379,7 +379,7 @@ func TestTransferRejectsForgedResponses(t *testing.T) {
 	// A complete payload behind the retired inline form byte is no
 	// manifest, from however many senders.
 	inline := resp
-	inline.Val = "\x00" + EncodeTransfer(s, retained)
+	inline.Val = "\x00" + types.Value(EncodeTransfer(s, retained))
 	tr.OnMessage(2, inline)
 	tr.OnMessage(3, inline)
 	if tr.Rejected() != 4 || tr.Installs() != 0 || tr.Downloading() {

@@ -54,23 +54,24 @@ const headerLen = 28
 
 const flagRelayValid = 1 << 0
 
-// payload extracts the value bytes a message carries on the wire.
-func payload(m proto.Message) ([]byte, error) {
-	val := []byte(m.Val)
+// payload returns the value a message carries on the wire, without
+// copying it: Encode copies it once, into the frame.
+func payload(m proto.Message) (types.Value, error) {
+	val := m.Val
 	if m.Kind == proto.MsgEARelay {
 		// Relay messages carry OptValue; Val must be empty.
-		val = []byte(m.Opt.V)
+		val = m.Opt.V
 		if m.Opt.IsBot() {
-			val = nil
+			val = ""
 		}
 	}
 	if len(val) > MaxValueLen {
-		return nil, fmt.Errorf("wire: value of %d bytes exceeds limit", len(val))
+		return "", fmt.Errorf("wire: value of %d bytes exceeds limit", len(val))
 	}
 	return val, nil
 }
 
-// Encode serializes m.
+// Encode serializes m into a frame of its own: one allocation.
 func Encode(m proto.Message) ([]byte, error) {
 	val, err := payload(m)
 	if err != nil {

@@ -127,6 +127,25 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 }
 
+// Encode copies the value straight into the frame: one allocation, with
+// no staging copy of the value.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	batch := types.Value(strings.Repeat("c", 4096))
+	for _, m := range []proto.Message{
+		{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModConsCB0}, Origin: 1, Instance: 7, Val: batch},
+		{Kind: proto.MsgEARelay, Tag: proto.Tag{Mod: proto.ModEA, Round: 2}, Opt: types.Some(batch)},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Encode(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("Encode(%v) allocates %v times, want 1", m.Kind, allocs)
+		}
+	}
+}
+
 func TestEncodeRejectsNegativeInstance(t *testing.T) {
 	m := proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModDecide}, Instance: -1, Val: "x"}
 	if _, err := Encode(m); err == nil {
