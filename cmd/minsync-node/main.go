@@ -57,7 +57,7 @@ func main() {
 		batch    = flag.Int("batch", 16, "kv mode: max commands per batch")
 		pipeline = flag.Int("pipeline", 4, "kv mode: consensus instances in flight; cluster-wide like -peers and -t: it also stripes the pending commands into lanes, and replicas that disagree on it propose different batches and decide nothing (compare `pipeline` on /statusz)")
 		unit     = flag.Duration("unit", 50*time.Millisecond, "EA round timer unit")
-		_        = flag.Bool("coalesce", true, "ignored (the relay is always on): benchmark/cluster.go still passes it; ROADMAP 9(c) deletes it")
+		_        = flag.Bool("coalesce", true, "ignored (the relay is always on): benchmark/cluster.go still passes it; ROADMAP 13(c) deletes it")
 		wait     = flag.Duration("wait", 2*time.Minute, "give up after this long")
 		startIn  = flag.Duration("start-in", 2*time.Second, "delay before proposing (lets peers come up)")
 

@@ -45,18 +45,14 @@ type Instance struct {
 	cfg Config
 
 	started  bool
-	startVal types.Value
 	returned bool
-	retVal   types.Value
 
 	// support[v] = distinct RB origins that cb-broadcast v.
-	support map[types.Value]*types.ProcSet
+	support map[types.Value]types.ProcSet
 	// valid is cb_valid in qualification order; validSet indexes it.
 	valid    []types.Value
 	validSet map[types.Value]bool
-	// deliveredOrigins counts distinct origins seen (BotMode witness).
-	deliveredOrigins types.ProcSet
-	botAdded         bool
+	botAdded bool
 }
 
 // Config wires an Instance.
@@ -83,7 +79,7 @@ type Config struct {
 func New(cfg Config) *Instance {
 	return &Instance{
 		cfg:      cfg,
-		support:  make(map[types.Value]*types.ProcSet),
+		support:  make(map[types.Value]types.ProcSet),
 		validSet: make(map[types.Value]bool),
 	}
 }
@@ -95,7 +91,6 @@ func (i *Instance) Start(v types.Value) {
 		panic("cb: Start called twice on a one-shot instance")
 	}
 	i.started = true
-	i.startVal = v
 	if trace.Recording(i.cfg.Env.Trace()) {
 		i.cfg.Env.Trace().Emit(trace.Event{
 			At: i.cfg.Env.Now(), Kind: trace.KindCBBroadcast, Proc: i.cfg.Env.ID(),
@@ -106,22 +101,14 @@ func (i *Instance) Start(v types.Value) {
 	i.maybeReturn()
 }
 
-// Started reports whether Start has been called.
-func (i *Instance) Started() bool { return i.started }
-
 // OnRBDeliver feeds one RB-delivery of this instance's CB_VAL stream
 // (Fig. 1 line 4).
 func (i *Instance) OnRBDeliver(origin types.ProcID, v types.Value) {
 	set := i.support[v]
-	if set == nil {
-		s := types.NewProcSet()
-		set = &s
-		i.support[v] = set
-	}
 	if !set.Add(origin) {
 		return // RB-Unicity makes this impossible from correct RB; guard anyway
 	}
-	i.deliveredOrigins.Add(origin)
+	i.support[v] = set
 	if set.Len() == i.cfg.Env.Params().T+1 {
 		i.addValid(v)
 	}
@@ -172,20 +159,17 @@ func (i *Instance) maybeReturn() {
 		return
 	}
 	i.returned = true
-	i.retVal = i.valid[0]
+	v := i.valid[0]
 	if trace.Recording(i.cfg.Env.Trace()) {
 		i.cfg.Env.Trace().Emit(trace.Event{
 			At: i.cfg.Env.Now(), Kind: trace.KindCBReturn, Proc: i.cfg.Env.ID(),
-			Round: i.cfg.Tag.Round, Value: i.retVal, Aux: i.cfg.Tag.String(),
+			Round: i.cfg.Tag.Round, Value: v, Aux: i.cfg.Tag.String(),
 		})
 	}
 	if i.cfg.OnReturn != nil {
-		i.cfg.OnReturn(i.retVal)
+		i.cfg.OnReturn(v)
 	}
 }
-
-// Returned reports the operation result, if available.
-func (i *Instance) Returned() (types.Value, bool) { return i.retVal, i.returned }
 
 // IsValid reports whether v ∈ cb_valid (Fig. 4 line 5 uses this).
 func (i *Instance) IsValid(v types.Value) bool { return i.validSet[v] }
@@ -197,8 +181,5 @@ func (i *Instance) Valid() []types.Value { return i.valid }
 // Support returns how many distinct origins cb-broadcast v so far
 // (diagnostics and tests).
 func (i *Instance) Support(v types.Value) int {
-	if s := i.support[v]; s != nil {
-		return s.Len()
-	}
-	return 0
+	return i.support[v].Len()
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/proto"
 	"repro/internal/rb"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -236,6 +237,36 @@ func TestSupportCounting(t *testing.T) {
 	}
 	if got := cw.inst[1].Support("zzz"); got != 0 {
 		t.Fatalf("Support(zzz) = %d, want 0", got)
+	}
+}
+
+// paramsEnv is one process that only answers Params and Trace, the two
+// calls OnRBDeliver makes.
+type paramsEnv struct {
+	proto.Env
+	p types.Params
+}
+
+func (e paramsEnv) Params() types.Params { return e.p }
+func (e paramsEnv) Trace() trace.Sink    { return trace.Discard{} }
+
+// Counting a delivery for a value that already has support allocates
+// nothing.
+func TestSupportCountAllocatesNothing(t *testing.T) {
+	const runs = 30
+	p := types.Params{N: 100, T: 33, M: 1} // t+1 = 34 stays out of reach
+	inst := cb.New(cb.Config{Env: paramsEnv{p: p}, Tag: cbTag, Broadcast: func(types.Value) {}})
+	inst.OnRBDeliver(1, "a")
+	origin := types.ProcID(2)
+	allocs := testing.AllocsPerRun(runs, func() {
+		inst.OnRBDeliver(origin, "a")
+		origin++
+	})
+	if allocs != 0 {
+		t.Fatalf("counting a supported value allocates %v times", allocs)
+	}
+	if got := inst.Support("a"); got != runs+2 {
+		t.Fatalf("Support(a) = %d, want %d", got, runs+2)
 	}
 }
 

@@ -114,7 +114,6 @@ type Engine struct {
 
 	proposed bool
 	est      types.Value
-	haveEst  bool
 	round    types.Round
 
 	// named is the highest round an EA or AC message named; parked marks
@@ -124,10 +123,9 @@ type Engine struct {
 
 	sentDecide    bool
 	commitRound   types.Round // round of this process's own commit (0 if none)
-	decideSupport map[types.Value]*types.ProcSet
+	decideSupport map[types.Value]types.ProcSet
 	decided       bool
 	decision      types.Value
-	decidedAt     types.Time
 	decidedRound  types.Round
 	stalled       bool
 }
@@ -161,7 +159,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:           cfg,
 		plan:          plan,
 		acs:           make(map[types.Round]*ac.Instance),
-		decideSupport: make(map[types.Value]*types.ProcSet),
+		decideSupport: make(map[types.Value]types.ProcSet),
 	}
 	e.rbl = rb.New(cfg.Env, e.onRBDeliver)
 	e.rbl.SetMetrics(cfg.RBMetrics)
@@ -212,7 +210,6 @@ func (e *Engine) Propose(v types.Value) error {
 // correct process; enter the round loop.
 func (e *Engine) onCB0Return(v types.Value) {
 	e.est = v
-	e.haveEst = true
 	if !e.decided {
 		e.startRound(1)
 	}
@@ -359,12 +356,9 @@ func (e *Engine) onRBDeliver(origin types.ProcID, tag proto.Tag, v types.Value) 
 // The first-message rule lets each sender count once.
 func (e *Engine) onDecide(from types.ProcID, v types.Value) {
 	set := e.decideSupport[v]
-	if set == nil {
-		s := types.NewProcSet()
-		set = &s
+	if set.Add(from) {
 		e.decideSupport[v] = set
 	}
-	set.Add(from)
 	p := e.cfg.Env.Params()
 	if set.Len() >= p.ReadyAmplify() {
 		e.sendDecide(v, "forward")
@@ -372,7 +366,6 @@ func (e *Engine) onDecide(from types.ProcID, v types.Value) {
 	if set.Len() >= p.ReadyDeliver() && !e.decided {
 		e.decided = true
 		e.decision = v
-		e.decidedAt = e.cfg.Env.Now()
 		// Report the protocol-level round of the decision: the round of
 		// our own commit if we committed, else the loop position when the
 		// DECIDE quorum landed (an upper bound for non-committing
@@ -383,7 +376,7 @@ func (e *Engine) onDecide(from types.ProcID, v types.Value) {
 		}
 		e.eao.CancelTimers()
 		e.cfg.Env.Trace().Emit(trace.Event{
-			At: e.decidedAt, Kind: trace.KindConsDecide, Proc: e.cfg.Env.ID(),
+			At: e.cfg.Env.Now(), Kind: trace.KindConsDecide, Proc: e.cfg.Env.ID(),
 			Round: e.round, Value: v,
 		})
 		if e.cfg.OnDecide != nil {
@@ -413,9 +406,6 @@ func (e *Engine) Halt() {
 // Decision reports the decided value, if any.
 func (e *Engine) Decision() (types.Value, bool) { return e.decision, e.decided }
 
-// DecidedAt returns when the decision happened (zero if undecided).
-func (e *Engine) DecidedAt() types.Time { return e.decidedAt }
-
 // DecidedRound returns the consensus round of the decision: the round of
 // this process's own commit when it committed, otherwise the round-loop
 // position when the 2t+1th DECIDE arrived (0 if undecided).
@@ -429,6 +419,3 @@ func (e *Engine) Stalled() bool { return e.stalled }
 
 // Plan exposes the round plan (experiments consult α and F sets).
 func (e *Engine) Plan() *combin.RoundPlan { return e.plan }
-
-// CB0Valid reports whether v qualified in CB[0] (test introspection).
-func (e *Engine) CB0Valid(v types.Value) bool { return e.cb0.IsValid(v) }

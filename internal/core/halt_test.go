@@ -28,6 +28,32 @@ func (e *haltEnv) SetTimer(d types.Duration, fn func()) (cancel func()) {
 	return func() { e.cancels++ }
 }
 
+// Counting a DECIDE for a value that already has support allocates
+// nothing, up to and including the one that decides.
+func TestDecideCountAllocatesNothing(t *testing.T) {
+	eng, err := New(Config{Env: &haltEnv{}, TimeUnit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.onDecide(1, "v")
+	from := types.ProcID(2)
+	// AllocsPerRun(1, f) calls f twice and counts the second call: p2's
+	// DECIDE is the t+1th (forward), p3's the 2t+1th (decide).
+	allocs := testing.AllocsPerRun(1, func() {
+		eng.onDecide(from, "v")
+		from++
+	})
+	if allocs != 0 {
+		t.Fatalf("the deciding DECIDE count allocates %v times", allocs)
+	}
+	if v, ok := eng.Decision(); !ok || v != "v" || !eng.sentDecide {
+		t.Fatalf("decision (%q, %v), sent DECIDE %v", v, ok, eng.sentDecide)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { eng.onDecide(4, "v") }); allocs != 0 {
+		t.Fatalf("a DECIDE count after the decision allocates %v times", allocs)
+	}
+}
+
 // TestHaltStopsUndecidedEngine: Halt freezes the round loop (reported as
 // Stalled) and cancels whatever EA timers are pending, so a retired
 // instance schedules no further work.

@@ -98,7 +98,7 @@ type Config struct {
 	// schedule-identical to an untraced one.
 	Tracer *xtrace.Tracer
 
-	Coalesce, CanonicalBatches bool // inert, read by nothing: benchmark/sim.go still assigns them; ROADMAP 9(c) deletes them
+	Coalesce, CanonicalBatches bool // inert, read by nothing: benchmark/sim.go still assigns them; ROADMAP 13(c) deletes them
 }
 
 // Retirer releases per-instance message-dedup state below an instance

@@ -297,9 +297,9 @@ func NewRBMetrics(r *Registry, labels string) *RBMetrics {
 
 // NodeMetrics instruments the live runtime loop (internal/rt).
 type NodeMetrics struct {
-	// Posted counts closures enqueued to the event loop (messages, timer
-	// fires, local posts); InboxDepth is the loop backlog after the most
-	// recent enqueue.
+	// Posted counts events enqueued to the event loop (inbound messages,
+	// timer fires, local posts); InboxDepth is the loop backlog after the
+	// most recent enqueue.
 	Posted     *Counter
 	InboxDepth *Gauge
 }

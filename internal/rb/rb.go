@@ -54,15 +54,32 @@ type instance struct {
 	sentEcho  bool
 	sentReady bool
 	delivered bool
-	echoes    map[types.Value]*types.ProcSet
-	readies   map[types.Value]*types.ProcSet
+	// first counts the first value voted for; correct processes all vote
+	// for one value, so more holds only values a Byzantine sender added.
+	first votes
+	more  []votes
 }
 
-func newInstance() *instance {
-	return &instance{
-		echoes:  make(map[types.Value]*types.ProcSet),
-		readies: make(map[types.Value]*types.ProcSet),
+// votes is the ECHO and READY senders of one value.
+type votes struct {
+	val     types.Value
+	echoes  types.ProcSet
+	readies types.ProcSet
+}
+
+// votesFor returns v's tally, taking the inline slot while it is unused.
+func (in *instance) votesFor(v types.Value) *votes {
+	if f := &in.first; f.val == v || f.echoes.Len()+f.readies.Len() == 0 {
+		f.val = v
+		return f
 	}
+	for i := range in.more {
+		if in.more[i].val == v {
+			return &in.more[i]
+		}
+	}
+	in.more = append(in.more, votes{val: v})
+	return &in.more[len(in.more)-1]
 }
 
 // New creates the RB layer for env; deliver receives RB-deliveries.
@@ -120,7 +137,7 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 	key := instKey{origin: m.Origin, tag: m.Tag}
 	inst, ok := l.insts[key]
 	if !ok {
-		inst = newInstance()
+		inst = new(instance)
 		l.insts[key] = inst
 	}
 	p := l.env.Params()
@@ -135,12 +152,7 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 			l.env.Broadcast(proto.Message{Kind: proto.MsgRBEcho, Tag: m.Tag, Origin: m.Origin, Val: m.Val})
 		}
 	case proto.MsgRBEcho:
-		set := inst.echoes[m.Val]
-		if set == nil {
-			s := types.NewProcSet()
-			set = &s
-			inst.echoes[m.Val] = set
-		}
+		set := &inst.votesFor(m.Val).echoes
 		set.Add(from)
 		if set.Len() >= p.EchoQuorum() && !inst.sentReady {
 			inst.sentReady = true
@@ -151,12 +163,7 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 			l.env.Broadcast(proto.Message{Kind: proto.MsgRBReady, Tag: m.Tag, Origin: m.Origin, Val: m.Val})
 		}
 	case proto.MsgRBReady:
-		set := inst.readies[m.Val]
-		if set == nil {
-			s := types.NewProcSet()
-			set = &s
-			inst.readies[m.Val] = set
-		}
+		set := &inst.votesFor(m.Val).readies
 		set.Add(from)
 		if set.Len() >= p.ReadyAmplify() && !inst.sentReady {
 			inst.sentReady = true

@@ -2,6 +2,7 @@ package rb_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/proto"
 	"repro/internal/rb"
+	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -291,6 +293,69 @@ func TestDeliveryUnderEventualSynchronyOnly(t *testing.T) {
 		if len(rw.delivered[id]) != 1 {
 			t.Fatalf("%v: no delivery under eventual synchrony", id)
 		}
+	}
+}
+
+// quietEnv is one process whose sends vanish and whose timers never fire,
+// so an allocation count measures the layer alone.
+type quietEnv struct{ p types.Params }
+
+func (e quietEnv) ID() types.ProcID                                { return 1 }
+func (e quietEnv) Params() types.Params                            { return e.p }
+func (e quietEnv) Now() types.Time                                 { return 0 }
+func (e quietEnv) Send(types.ProcID, proto.Message)                {}
+func (e quietEnv) Broadcast(proto.Message)                         {}
+func (e quietEnv) SetTimer(types.Duration, func()) (cancel func()) { return func() {} }
+func (e quietEnv) Trace() trace.Sink                               { return trace.Discard{} }
+
+// Counting ECHOs and READYs on an existing instance allocates nothing,
+// from the first vote through every threshold to the delivery: the first
+// value's tally lives in the instance.
+func TestVoteCountingAllocatesNothing(t *testing.T) {
+	const runs = 20
+	p := types.Params{N: 7, T: 2, M: 1}
+	delivered := 0
+	l := rb.New(quietEnv{p}, func(types.ProcID, proto.Tag, types.Value) { delivered++ })
+	v := types.Value(strings.Repeat("v", 1024))
+	// AllocsPerRun makes runs+1 calls; each counts on its own instance.
+	for r := types.Round(0); r <= runs; r++ {
+		l.OnMessage(2, proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModACEst, Round: r}, Origin: 2, Val: v})
+	}
+	r, procs := types.Round(0), p.AllProcs()
+	allocs := testing.AllocsPerRun(runs, func() {
+		tag := proto.Tag{Mod: proto.ModACEst, Round: r}
+		for _, from := range procs {
+			l.OnMessage(from, proto.Message{Kind: proto.MsgRBEcho, Tag: tag, Origin: 2, Val: v})
+			l.OnMessage(from, proto.Message{Kind: proto.MsgRBReady, Tag: tag, Origin: 2, Val: v})
+		}
+		r++
+	})
+	if allocs != 0 {
+		t.Fatalf("counting one instance's votes allocates %v times", allocs)
+	}
+	if delivered != runs+1 {
+		t.Fatalf("%d deliveries, want %d", delivered, runs+1)
+	}
+}
+
+// A Byzantine sender's votes for a second value are counted apart from
+// the first value's.
+func TestVotesCountedPerValue(t *testing.T) {
+	p := types.Params{N: 4, T: 1, M: 1}
+	var got []types.Value
+	l := rb.New(quietEnv{p}, func(_ types.ProcID, _ proto.Tag, v types.Value) { got = append(got, v) })
+	vote := func(from types.ProcID, v types.Value) {
+		l.OnMessage(from, proto.Message{Kind: proto.MsgRBReady, Tag: testTag, Origin: 4, Val: v})
+	}
+	vote(4, "x")
+	vote(1, "v")
+	vote(2, "v")
+	if len(got) != 0 {
+		t.Fatalf("delivered %q on two READYs for v and one for x", got)
+	}
+	vote(3, "v")
+	if len(got) != 1 || got[0] != "v" {
+		t.Fatalf("delivered %q, want [v]", got)
 	}
 }
 

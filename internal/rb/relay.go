@@ -310,6 +310,7 @@ type Relay struct {
 	buf         []Entry
 	holdFrom    types.Time // when the first entry of the current hold was buffered
 	cancelFlush func()
+	onTimer     func()  // the grid timer's callback, built once
 	scratch     []Entry // decode buffer reused across inbound frames
 
 	// seenBits mirrors proto.Node's first-message-only rule per entry —
@@ -433,6 +434,10 @@ func NewRelay(cfg RelayConfig) *Relay {
 			flushFull:  cfg.Metrics.FlushesFull,
 		},
 	}
+	r.onTimer = func() {
+		r.cancelFlush = nil
+		r.flush(flushTimer)
+	}
 	if host, ok := cfg.Env.(proto.IdleNotifier); ok {
 		host.OnIdle(r.Flush)
 	}
@@ -501,13 +506,8 @@ func (r *Relay) buffer(m proto.Message) {
 	}
 	if r.cancelFlush == nil {
 		d := DefaultQuantum - time.Duration(int64(r.holdFrom)%int64(DefaultQuantum))
-		r.cancelFlush = r.env.SetTimer(d, r.onFlushTimer)
+		r.cancelFlush = r.env.SetTimer(d, r.onTimer)
 	}
-}
-
-func (r *Relay) onFlushTimer() {
-	r.cancelFlush = nil
-	r.flush(flushTimer)
 }
 
 // Flush is the hook an idle host runs (proto.IdleNotifier): it sends

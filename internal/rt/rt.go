@@ -65,7 +65,7 @@ type Node struct {
 	peers     []types.ProcID // every process but this one, for Broadcast
 	start     time.Time
 
-	inbox chan func()
+	inbox chan event
 	// selfQ is the unbounded self-delivery queue. The protocol stack runs
 	// on the loop goroutine and Sends to itself while handling a message
 	// (every Broadcast includes the sender); routing those through the
@@ -73,11 +73,13 @@ type Node struct {
 	// self-deadlock, since the loop is also the only drainer. Loop-owned:
 	// only the loop goroutine appends (env.Send) and drains (run loop),
 	// so no lock. The queue is bounded in practice by the reentrancy
-	// depth of one handler's sends, not by inbox depth.
-	selfQ []func()
-	stop  chan struct{}
-	wg    sync.WaitGroup
-	once  sync.Once
+	// depth of one handler's sends, not by inbox depth; selfHead is the
+	// next entry to run, and the array is reused once the queue drains.
+	selfQ    []event
+	selfHead int
+	stop     chan struct{}
+	wg       sync.WaitGroup
+	once     sync.Once
 
 	// idleHooks run when the loop is out of input (proto.IdleNotifier).
 	// Loop-owned like selfQ: registered from build or a posted closure.
@@ -87,6 +89,23 @@ type Node struct {
 	metrics *obs.NodeMetrics
 
 	dispatcher *proto.Node
+}
+
+// event is one input of the loop: a message m from a process, or fn (a
+// timer, a probe, anything posted) when fn is non-nil. Messages travel as
+// values, so delivering one allocates nothing.
+type event struct {
+	fn   func()
+	from types.ProcID
+	m    proto.Message
+}
+
+func (n *Node) handle(ev event) {
+	if ev.fn != nil {
+		ev.fn()
+		return
+	}
+	n.dispatcher.Dispatch(ev.from, ev.m)
 }
 
 // NodeConfig configures a Node.
@@ -132,7 +151,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		params:    cfg.Params,
 		transport: AsMulticaster(cfg.Transport),
 		peers:     slices.DeleteFunc(cfg.Params.AllProcs(), func(p types.ProcID) bool { return p == cfg.ID }),
-		inbox:     make(chan func(), depth),
+		inbox:     make(chan event, depth),
 		stop:      make(chan struct{}),
 		trace:     sink,
 		metrics:   cfg.Metrics,
@@ -154,7 +173,7 @@ func (n *Node) Start(build func(env proto.Env) proto.Handler) {
 	<-ready
 }
 
-// loop runs the node until Stop. Every step handles one queued closure;
+// loop runs the node until Stop. Every step handles one queued event;
 // when nothing is queued — selfQ empty and a non-blocking poll of the
 // inbox finds nothing — the idle hooks run once and the loop blocks.
 func (n *Node) loop() {
@@ -172,8 +191,8 @@ func (n *Node) loop() {
 		}
 		if !fed {
 			select {
-			case fn := <-n.inbox:
-				fn()
+			case ev := <-n.inbox:
+				n.handle(ev)
 				fed = true
 			case <-n.stop:
 				n.drain()
@@ -182,8 +201,8 @@ func (n *Node) loop() {
 			continue
 		}
 		select {
-		case fn := <-n.inbox:
-			fn()
+		case ev := <-n.inbox:
+			n.handle(ev)
 		case <-n.stop:
 			n.drain()
 			return
@@ -196,14 +215,19 @@ func (n *Node) loop() {
 	}
 }
 
-// runSelf handles the oldest self-delivery, if any.
+// runSelf handles the oldest self-delivery, if any. The consumed slot is
+// cleared so it holds no message, and a drained queue restarts at the
+// front of its array.
 func (n *Node) runSelf() bool {
-	if len(n.selfQ) == 0 {
+	if n.selfHead == len(n.selfQ) {
 		return false
 	}
-	fn := n.selfQ[0]
-	n.selfQ = n.selfQ[1:]
-	fn()
+	ev := n.selfQ[n.selfHead]
+	n.selfQ[n.selfHead] = event{}
+	if n.selfHead++; n.selfHead == len(n.selfQ) {
+		n.selfQ, n.selfHead = n.selfQ[:0], 0
+	}
+	n.handle(ev)
 	return true
 }
 
@@ -215,8 +239,8 @@ func (n *Node) drain() {
 			continue
 		}
 		select {
-		case fn := <-n.inbox:
-			fn()
+		case ev := <-n.inbox:
+			n.handle(ev)
 		default:
 			return
 		}
@@ -225,14 +249,21 @@ func (n *Node) drain() {
 
 // Post schedules fn on the loop goroutine. It blocks if the inbox is full
 // and reports false once the node is stopping.
-func (n *Node) Post(fn func()) bool {
+func (n *Node) Post(fn func()) bool { return n.post(event{fn: fn}) }
+
+// Deliver feeds an inbound transport message through deduplication on the
+// loop goroutine. Safe to call from any goroutine; it shares Post's
+// inbox, backpressure and metrics, and allocates nothing.
+func (n *Node) Deliver(from types.ProcID, m proto.Message) { n.post(event{from: from, m: m}) }
+
+func (n *Node) post(ev event) bool {
 	select {
 	case <-n.stop:
 		return false
 	default:
 	}
 	select {
-	case n.inbox <- fn:
+	case n.inbox <- ev:
 		if m := n.metrics; m != nil {
 			m.Posted.Inc()
 			m.InboxDepth.Set(int64(len(n.inbox)))
@@ -241,12 +272,6 @@ func (n *Node) Post(fn func()) bool {
 	case <-n.stop:
 		return false
 	}
-}
-
-// Deliver feeds an inbound transport message through deduplication on the
-// loop goroutine. Safe to call from any goroutine.
-func (n *Node) Deliver(from types.ProcID, m proto.Message) {
-	n.Post(func() { n.dispatcher.Dispatch(from, m) })
 }
 
 // Params returns the node's resilience parameters.
@@ -288,8 +313,7 @@ func (e *env) Send(to types.ProcID, m proto.Message) {
 		// loop-owned unbounded self queue — going through the bounded
 		// inbox would deadlock the loop against itself when the inbox is
 		// full (the loop is the drainer).
-		n := e.node
-		n.selfQ = append(n.selfQ, func() { n.dispatcher.Dispatch(n.id, m) })
+		e.node.selfQ = append(e.node.selfQ, event{from: to, m: m})
 		return
 	}
 	// Errors are deliberately swallowed: the model's channels are

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/rt"
 	"repro/internal/types"
@@ -187,6 +188,86 @@ func TestBroadcastMakesOneTransportCall(t *testing.T) {
 				t.Fatalf("transport calls %q, want %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// relayFrame is a message kind the dedup layer passes through, so every
+// copy reaches the handler.
+func relayFrame(v string) proto.Message {
+	return proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Val: types.Value(v)}
+}
+
+// TestTypedInboxOrder: posts, deliveries and self-sends share one loop.
+// Inbox events run in the order they were queued, so each source's are
+// FIFO, and what an event sends to its own process runs before the next
+// inbox event (the always-timely self channel, paper §4). Every post and
+// delivery counts as one posted event; self-sends do not.
+func TestTypedInboxOrder(t *testing.T) {
+	metrics := obs.NewNodeMetrics(obs.NewRegistry(), "")
+	node, err := rt.NewNode(rt.NodeConfig{ID: 1, Params: types.Params{N: 4, T: 1}, Transport: nullTransport{}, Metrics: metrics})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string // loop-owned
+	var env proto.Env
+	node.Start(func(e proto.Env) proto.Handler {
+		env = e
+		return proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
+			got = append(got, fmt.Sprintf("%v:%s", from, m.Val))
+		})
+	})
+	defer node.Stop()
+	gate := make(chan struct{})
+	node.Post(func() { <-gate }) // hold the loop so everything below queues
+	var want []string
+	for i := 0; i < 60; i++ {
+		switch i % 3 {
+		case 0:
+			node.Deliver(2, relayFrame(fmt.Sprint("d", i)))
+			want = append(want, fmt.Sprintf("p2:d%d", i))
+		case 1:
+			node.Deliver(3, relayFrame(fmt.Sprint("d", i)))
+			want = append(want, fmt.Sprintf("p3:d%d", i))
+		case 2:
+			name := fmt.Sprint("post", i)
+			node.Post(func() {
+				got = append(got, name)
+				env.Send(1, relayFrame(name+"a"))
+				env.Broadcast(relayFrame(name + "b"))
+			})
+			want = append(want, name, "p1:"+name+"a", "p1:"+name+"b")
+		}
+	}
+	done := make(chan []string, 1)
+	node.Post(func() { done <- got })
+	close(gate)
+	if got := <-done; !slices.Equal(got, want) {
+		t.Fatalf("handled\n%q\nwant\n%q", got, want)
+	}
+	if got := metrics.Posted.Value(); got != 62 {
+		t.Fatalf("%d posted events, want 62 (60 posts and deliveries, the gate, the reader)", got)
+	}
+}
+
+// Delivering a message into a started node allocates nothing: the
+// message travels through the inbox as a value, not in a closure.
+func TestDeliverAllocatesNothing(t *testing.T) {
+	node, err := rt.NewNode(rt.NodeConfig{ID: 1, Params: types.Params{N: 4, T: 1}, Transport: nullTransport{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handled := make(chan struct{}, 1)
+	node.Start(func(proto.Env) proto.Handler {
+		return proto.HandlerFunc(func(types.ProcID, proto.Message) { handled <- struct{}{} })
+	})
+	defer node.Stop()
+	m := relayFrame("frame")
+	allocs := testing.AllocsPerRun(100, func() {
+		node.Deliver(2, m)
+		<-handled
+	})
+	if allocs != 0 {
+		t.Fatalf("Deliver allocates %v times", allocs)
 	}
 }
 

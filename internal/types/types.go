@@ -8,7 +8,7 @@ package types
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strconv"
 	"time"
 )
@@ -100,90 +100,83 @@ type Duration = time.Duration
 // Add returns t shifted by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
 // String renders the time as a duration since the epoch of the run.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// ProcSet is a set of process IDs. The zero value is an empty, usable set
-// for reads; Add initializes it lazily.
+// MaxProcs is the largest n a run may have (Params.Validate): process IDs
+// 1..MaxProcs are the bits of a ProcSet.
+const MaxProcs = 128
+
+// ProcSet is a set of process IDs held as a bitset, bit id−1 for process
+// id. It is a plain value: the zero value is the empty set and a copy is
+// an independent set. IDs outside 1..MaxProcs are never members.
 type ProcSet struct {
-	m map[ProcID]struct{}
+	w [MaxProcs / 64]uint64
 }
 
 // NewProcSet builds a set from the given members.
 func NewProcSet(ids ...ProcID) ProcSet {
-	s := ProcSet{m: make(map[ProcID]struct{}, len(ids))}
+	var s ProcSet
 	for _, id := range ids {
-		s.m[id] = struct{}{}
+		s.Add(id)
 	}
 	return s
 }
 
-// Add inserts id and reports whether it was newly added.
-func (s *ProcSet) Add(id ProcID) bool {
-	if s.m == nil {
-		s.m = make(map[ProcID]struct{})
+// bit locates id's word and mask; ok is false outside 1..MaxProcs.
+func bit(id ProcID) (word int, mask uint64, ok bool) {
+	i := uint(id) - 1
+	if i >= MaxProcs {
+		return 0, 0, false
 	}
-	if _, ok := s.m[id]; ok {
+	return int(i / 64), 1 << (i % 64), true
+}
+
+// Add inserts id and reports whether it was newly added (false for an ID
+// outside 1..MaxProcs, which is not added).
+func (s *ProcSet) Add(id ProcID) bool {
+	w, mask, ok := bit(id)
+	if !ok || s.w[w]&mask != 0 {
 		return false
 	}
-	s.m[id] = struct{}{}
+	s.w[w] |= mask
 	return true
 }
 
 // Has reports membership.
 func (s ProcSet) Has(id ProcID) bool {
-	_, ok := s.m[id]
-	return ok
+	w, mask, ok := bit(id)
+	return ok && s.w[w]&mask != 0
 }
 
 // Len returns the cardinality.
-func (s ProcSet) Len() int { return len(s.m) }
-
-// Members returns the members in ascending order.
-func (s ProcSet) Members() []ProcID {
-	out := make([]ProcID, 0, len(s.m))
-	for id := range s.m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Intersect returns |s ∩ other|.
-func (s ProcSet) Intersect(other ProcSet) int {
-	small, big := s, other
-	if big.Len() < small.Len() {
-		small, big = big, small
-	}
+func (s ProcSet) Len() int {
 	n := 0
-	for id := range small.m {
-		if big.Has(id) {
-			n++
-		}
+	for _, w := range s.w {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
+// Members returns the members in ascending order.
+func (s ProcSet) Members() []ProcID {
+	out := make([]ProcID, 0, s.Len())
+	for i, w := range s.w {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, ProcID(i*64+bits.TrailingZeros64(w)+1))
+		}
+	}
+	return out
+}
+
 // SubsetOf reports whether every member of s is in other.
 func (s ProcSet) SubsetOf(other ProcSet) bool {
-	for id := range s.m {
-		if !other.Has(id) {
+	for i, w := range s.w {
+		if w&^other.w[i] != 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// Clone returns an independent copy.
-func (s ProcSet) Clone() ProcSet {
-	c := ProcSet{m: make(map[ProcID]struct{}, len(s.m))}
-	for id := range s.m {
-		c.m[id] = struct{}{}
-	}
-	return c
 }
 
 // String implements fmt.Stringer.
@@ -203,11 +196,14 @@ type Params struct {
 }
 
 // Validate checks the model constraints of the paper
-// (n > 1, 0 ≤ t < n/3) and, unless botOK, the m-valued feasibility
-// condition n−t > m·t with m ≥ 1.
+// (n > 1, 0 ≤ t < n/3), n ≤ MaxProcs and, unless botOK, the m-valued
+// feasibility condition n−t > m·t with m ≥ 1.
 func (p Params) Validate(botOK bool) error {
 	if p.N <= 1 {
 		return fmt.Errorf("params: n must be > 1, got %d", p.N)
+	}
+	if p.N > MaxProcs {
+		return fmt.Errorf("params: n must be ≤ %d (types.MaxProcs), got %d", MaxProcs, p.N)
 	}
 	if p.T < 0 {
 		return fmt.Errorf("params: t must be ≥ 0, got %d", p.T)

@@ -1,6 +1,9 @@
 package types
 
 import (
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -69,12 +72,6 @@ func TestProcSetBasics(t *testing.T) {
 func TestProcSetOps(t *testing.T) {
 	a := NewProcSet(1, 2, 3, 4)
 	b := NewProcSet(3, 4, 5)
-	if got := a.Intersect(b); got != 2 {
-		t.Errorf("Intersect = %d, want 2", got)
-	}
-	if got := b.Intersect(a); got != 2 {
-		t.Errorf("Intersect (swapped) = %d, want 2", got)
-	}
 	sub := NewProcSet(2, 3)
 	if !sub.SubsetOf(a) {
 		t.Error("2,3 should be subset of 1..4")
@@ -82,10 +79,74 @@ func TestProcSetOps(t *testing.T) {
 	if b.SubsetOf(a) {
 		t.Error("3,4,5 is not a subset of 1..4")
 	}
-	c := a.Clone()
+	c := a
 	c.Add(9)
 	if a.Has(9) {
-		t.Error("Clone must be independent")
+		t.Error("a copy must be independent")
+	}
+	for _, id := range []ProcID{NoProc, -1, MaxProcs + 1} {
+		if c.Add(id) || c.Has(id) {
+			t.Errorf("%d is outside 1..MaxProcs but was added", id)
+		}
+	}
+	if c.Len() != 5 {
+		t.Errorf("Len = %d after out-of-range adds, want 5", c.Len())
+	}
+}
+
+// TestProcSetModel runs random operations over ids 1..MaxProcs against a
+// map reference.
+func TestProcSetModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var s, other ProcSet
+		ref := make(map[ProcID]bool)
+		otherRef := make(map[ProcID]bool)
+		// Small universes make SubsetOf true often enough to matter.
+		universe := 1 + rng.Intn(MaxProcs)
+		pick := func() ProcID { return ProcID(1 + rng.Intn(universe)) }
+		for op := 0; op < 300; op++ {
+			switch rng.Intn(4) {
+			case 0:
+				id := pick()
+				if got := s.Add(id); got != !ref[id] {
+					t.Fatalf("trial %d: Add(%d) = %v with ref %v", trial, id, got, ref[id])
+				}
+				ref[id] = true
+			case 1:
+				id := pick()
+				other.Add(id)
+				otherRef[id] = true
+			case 2:
+				id := pick()
+				if s.Has(id) != ref[id] {
+					t.Fatalf("trial %d: Has(%d) = %v, want %v", trial, id, s.Has(id), ref[id])
+				}
+			case 3:
+				want := true
+				for id := range ref {
+					want = want && otherRef[id]
+				}
+				if got := s.SubsetOf(other); got != want {
+					t.Fatalf("trial %d: SubsetOf = %v, want %v", trial, got, want)
+				}
+			}
+			if s.Len() != len(ref) {
+				t.Fatalf("trial %d: Len = %d, want %d", trial, s.Len(), len(ref))
+			}
+		}
+		members := s.Members()
+		if len(members) != len(ref) {
+			t.Fatalf("trial %d: %d members, want %d", trial, len(members), len(ref))
+		}
+		for i, id := range members {
+			if !ref[id] {
+				t.Fatalf("trial %d: member %d not in the reference", trial, id)
+			}
+			if i > 0 && members[i-1] >= id {
+				t.Fatalf("trial %d: Members not ascending: %v", trial, members)
+			}
+		}
 	}
 }
 
@@ -108,6 +169,8 @@ func TestParamsValidate(t *testing.T) {
 		{"10-3-2", Params{N: 10, T: 3, M: 2}, false, true},
 		{"10-3-3 infeasible", Params{N: 10, T: 3, M: 3}, false, false},
 		{"10-2-3 feasible", Params{N: 10, T: 2, M: 3}, false, true},
+		{"n at MaxProcs", Params{N: MaxProcs, T: 42, M: 1}, false, true},
+		{"n over MaxProcs", Params{N: MaxProcs + 1, T: 0, M: 1}, true, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -116,6 +179,13 @@ func TestParamsValidate(t *testing.T) {
 				t.Errorf("Validate(%+v, botOK=%v) err=%v, want ok=%v", tt.p, tt.botOK, err, tt.ok)
 			}
 		})
+	}
+}
+
+func TestParamsValidateNamesMaxProcs(t *testing.T) {
+	err := Params{N: MaxProcs + 1, T: 1, M: 1}.Validate(false)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxProcs)) {
+		t.Fatalf("Validate(n=%d) = %v, want an error naming %d", MaxProcs+1, err, MaxProcs)
 	}
 }
 
