@@ -64,7 +64,6 @@ func TestE2EHTTPPool(t *testing.T) {
 
 	const n = 4
 	consAddrs := reservePorts(t, n)
-	kvAddrs := reservePorts(t, n)
 	httpAddrs := reservePorts(t, n)
 	peerList := strings.Join(consAddrs, ",")
 
@@ -75,7 +74,6 @@ func TestE2EHTTPPool(t *testing.T) {
 			"-peers", peerList,
 			"-t", "1",
 			"-kv",
-			"-kv-listen", kvAddrs[i],
 			"-http", httpAddrs[i],
 			"-snapshot-every", "8",
 			"-unit", "50ms",
@@ -257,7 +255,6 @@ func TestE2EHTTPShed(t *testing.T) {
 	node := buildBinary(t, dir, "minsync-node", ".")
 
 	consAddrs := reservePorts(t, 4)
-	kvAddr := reservePorts(t, 1)[0]
 	httpAddr := reservePorts(t, 1)[0]
 
 	cmd := exec.Command(node,
@@ -265,7 +262,6 @@ func TestE2EHTTPShed(t *testing.T) {
 		"-peers", strings.Join(consAddrs, ","),
 		"-t", "1",
 		"-kv",
-		"-kv-listen", kvAddr,
 		"-http", httpAddr,
 		"-pool", "2",
 		"-unit", "50ms",

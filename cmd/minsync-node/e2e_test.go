@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func httpGet(t *testing.T, url string, deadline time.Time) (string, error) {
 
 // TestE2EClusterTelemetry boots a real 4-replica KV cluster over TCP
 // (four OS processes of this very binary), runs a client session against
-// it, and verifies every replica serves all three telemetry endpoint
+// its HTTP edge, and verifies every replica serves all three telemetry endpoint
 // families: Prometheus /metrics, JSON /statusz (with ?trace=N), and
 // /debug/pprof/. Skipped under -short (it builds the binary and needs a
 // few seconds of real time).
@@ -86,7 +87,7 @@ func TestE2EClusterTelemetry(t *testing.T) {
 
 	const n = 4
 	consAddrs := reservePorts(t, n)
-	kvAddrs := reservePorts(t, n)
+	httpAddrs := reservePorts(t, n)
 	metricsAddrs := reservePorts(t, n)
 	peerList := strings.Join(consAddrs, ",")
 
@@ -97,7 +98,7 @@ func TestE2EClusterTelemetry(t *testing.T) {
 			"-peers", peerList,
 			"-t", "1",
 			"-kv",
-			"-kv-listen", kvAddrs[i],
+			"-http", httpAddrs[i],
 			"-metrics", metricsAddrs[i],
 			"-snapshot-every", "4",
 			"-snapshot-refresh", "16",
@@ -130,29 +131,23 @@ func TestE2EClusterTelemetry(t *testing.T) {
 		}
 	}
 
-	// Drive a client session through replica 1: one put, one get. Retry
-	// until the cluster is up (the client fails fast before listeners
-	// exist and blocks on its own -wait once connected).
-	var clientOut []byte
+	// Drive a client session through replica 1: one put, one ordered get.
+	// The put is retried until the cluster is up and commits it.
+	url := "http://" + httpAddrs[0]
+	put := map[string]any{"client": 7, "seq": 1, "op": "put", "key": "user", "value": "ada", "timeout_ms": 5000}
 	for {
-		cl := exec.Command(bin,
-			"-kv-client", kvAddrs[0],
-			"-client-id", "7",
-			"-ops", "put:user=ada,get:user",
-			"-wait", "20s",
-		)
-		out, err := cl.CombinedOutput()
-		if err == nil {
-			clientOut = out
+		code, doc := postTx(t, url, put)
+		if code == http.StatusOK && doc["status"] == "ok" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("kv client never succeeded: %v\n%s", err, out)
+			t.Fatalf("put never committed: status %d, body %v", code, doc)
 		}
 		time.Sleep(300 * time.Millisecond)
 	}
-	if !strings.Contains(string(clientOut), "ada") {
-		t.Fatalf("client did not read back the put: %s", clientOut)
+	get := map[string]any{"client": 7, "seq": 2, "op": "get", "key": "user", "timeout_ms": 5000}
+	if code, doc := postTx(t, url, get); code != http.StatusOK || doc["value"] != "ada" {
+		t.Fatalf("client did not read back the put: status %d, body %v", code, doc)
 	}
 
 	// /metrics: Prometheus exposition with live series on every replica.
@@ -222,5 +217,55 @@ func TestE2EClusterTelemetry(t *testing.T) {
 	// /debug/pprof/: the standard profiling handlers answer.
 	if _, err := httpGet(t, "http://"+metricsAddrs[0]+"/debug/pprof/cmdline", deadline); err != nil {
 		t.Fatalf("/debug/pprof/cmdline: %v", err)
+	}
+}
+
+// TestE2ESingleShot runs the single-shot mode the package comment shows:
+// four processes propose two different values over TCP and every one of
+// them prints the same decision and exits 0. Skipped under -short.
+func TestE2ESingleShot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e cluster test skipped in -short mode")
+	}
+	bin := buildBinary(t, t.TempDir(), "minsync-node", ".")
+	const n = 4
+	peerList := strings.Join(reservePorts(t, n), ",")
+	procs := make([]*exec.Cmd, n)
+	outs := make([]strings.Builder, n) // read only after Wait
+	for i := range procs {
+		procs[i] = exec.Command(bin,
+			"-id", fmt.Sprint(i+1),
+			"-peers", peerList,
+			"-t", "1",
+			"-propose", fmt.Sprintf("v%d", i%2),
+			"-unit", "30ms",
+			"-start-in", "1s",
+			"-wait", "60s",
+		)
+		procs[i].Stdout = &outs[i]
+		procs[i].Stderr = io.Discard
+		if err := procs[i].Start(); err != nil {
+			t.Fatalf("start process %d: %v", i+1, err)
+		}
+		t.Cleanup(func() { procs[i].Process.Kill() })
+	}
+	decided := regexp.MustCompile(`DECIDED "([^"]*)"`)
+	var want string
+	for i, p := range procs {
+		if err := p.Wait(); err != nil {
+			t.Fatalf("process %d: %v\n%s", i+1, err, outs[i].String())
+		}
+		m := decided.FindStringSubmatch(outs[i].String())
+		if m == nil {
+			t.Fatalf("process %d printed no decision:\n%s", i+1, outs[i].String())
+		}
+		if i == 0 {
+			want = m[1]
+		} else if m[1] != want {
+			t.Fatalf("process %d decided %q, process 1 %q", i+1, m[1], want)
+		}
+	}
+	if want != "v0" && want != "v1" {
+		t.Fatalf("decided %q, which nobody proposed", want)
 	}
 }

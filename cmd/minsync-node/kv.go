@@ -1,17 +1,12 @@
 // KV service mode: the replica runs the full state-machine stack — log
 // engine, sm applier, kv store with client sessions — and serves clients
-// through two edges that share one admission-controlled command pool
-// (internal/txpool):
+// through one edge, the HTTP/JSON API (-http) from internal/httpapi:
+// POST /v1/tx, GET /v1/kv/{key}, GET /v1/status (see docs/api.md),
+// fronted by an admission-controlled command pool (internal/txpool).
 //
-//   - a raw TCP listener (-kv-listen) speaking wire-codec bodies
-//     (MsgKVRequest / MsgKVResponse, see docs/wire.md) behind a 4-byte
-//     little-endian length prefix, and
-//   - an HTTP/JSON API (-http) from internal/httpapi: POST /v1/tx,
-//     GET /v1/kv/{key}, GET /v1/status (see docs/api.md).
-//
-// Every operation, reads included, is ordered through the replicated log
-// before it is answered, so answers are linearizable (the HTTP edge's
-// GET /v1/kv/{key} is the documented exception: a locally-applied read).
+// Every POST /v1/tx operation, reads included, is ordered through the
+// replicated log before it is answered, so answers are linearizable;
+// GET /v1/kv/{key} is the documented exception, a locally-applied read.
 // A command submitted to one replica rides that replica's batches;
 // clients that need submission-path fault tolerance send the same
 // (client, seq) command to several replicas — the session table makes the
@@ -20,16 +15,13 @@
 package main
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	stdlog "log"
 	"net"
 	"net/http"
 	"os"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,69 +38,18 @@ import (
 	dstore "repro/internal/store"
 	"repro/internal/txpool"
 	"repro/internal/types"
-	"repro/internal/wire"
 	"repro/internal/xtrace"
 )
 
-// kvFrameMax bounds client frames (defense against rogue clients).
-const kvFrameMax = 1 << 20
-
-func writeKVFrame(w io.Writer, m proto.Message) error {
-	body, err := wire.Encode(m)
-	if err != nil {
-		return err
-	}
-	var lenb [4]byte
-	binary.LittleEndian.PutUint32(lenb[:], uint32(len(body)))
-	if _, err := w.Write(lenb[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-func readKVFrame(r io.Reader) (proto.Message, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		return proto.Message{}, err
-	}
-	n := binary.LittleEndian.Uint32(lenb[:])
-	if n > kvFrameMax {
-		return proto.Message{}, fmt.Errorf("frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return proto.Message{}, err
-	}
-	return wire.Decode(body)
-}
-
-// kvForwardFunc consumes a replica-to-replica MsgKVRequest frame:
-// forwarded client commands must bypass the first-message-only rule (they
-// all share one dedup identity) and go straight to Submit, which is
-// idempotent by content. The Recv hook in main routes ALL MsgKVRequest
-// frames here (or drops them when no forwarder is installed) — they are
-// client vocabulary and must never reach the consensus dispatcher.
-//
-// Peer forwards deliberately bypass the admission pool: the pool bounds
-// CLIENT admissions on the serving replica; a forwarded command was
-// already admitted somewhere, and dropping it here would break the
-// client-broadcast model the forwarding recreates.
-type kvForwardFunc func(from types.ProcID, m proto.Message)
-
-// kvForward is set once by runKVServe and read by transport reader
-// goroutines, hence the atomic box.
-var kvForward atomic.Pointer[kvForwardFunc]
-
 // kvOptions carries the serving-mode knobs from flag parsing.
 type kvOptions struct {
-	// ClientAddr is the raw TCP client listener; HTTPAddr the HTTP/JSON
-	// API listener ("" = HTTP edge off). DataDir is the durable storage
-	// directory ("" = volatile): with it set, the replica write-ahead
-	// logs committed entries and stamps snapshots (store.File), and a
-	// restarted process boots from that directory (replica.New) — applied
-	// prefix restored from disk, no peer transfer needed.
-	ClientAddr, HTTPAddr, DataDir string
+	// HTTPAddr is the HTTP/JSON API listener ("" = no client edge).
+	// DataDir is the durable storage directory ("" = volatile): with it
+	// set, the replica write-ahead logs committed entries and stamps
+	// snapshots (store.File), and a restarted process boots from that
+	// directory (replica.New) — applied prefix restored from disk, no peer
+	// transfer needed.
+	HTTPAddr, DataDir string
 	// Batch/Pipeline/SnapEvery/SnapRefresh/Target mirror the engine and
 	// applier flags; PoolCap bounds the admission pool.
 	Batch, Pipeline, SnapEvery, SnapRefresh, PoolCap, Target int
@@ -120,17 +61,15 @@ type kvOptions struct {
 	Unit, Wait, StartIn time.Duration
 }
 
-// kvEdge is the serving side shared by both client edges: the admission
-// pool plus the propose/read/status callbacks that cross onto the node
-// loop. One instance per serving replica.
+// kvEdge is the serving side behind the HTTP edge: the admission pool
+// plus the propose/read/status callbacks that cross onto the node loop.
+// One instance per serving replica.
 type kvEdge struct {
 	node   *rt.Node
 	tr     rt.Multicaster
-	tel    *telemetry
 	pool   *txpool.Pool
 	rep    *replica.Replica // built on the node loop and only touched there
 	peers  []types.ProcID
-	wait   time.Duration
 	tracer *xtrace.Tracer // nil = tracing off
 	// done closes once -kv-target entries are applied; applied mirrors
 	// Applier.Applied() for the main goroutine's timeout message.
@@ -197,43 +136,10 @@ func (e *kvEdge) read(key string) (string, bool, error) {
 	}
 }
 
-// execute runs one sessioned client command through the pool for the raw
-// TCP edge: admit (shed = StatusBusy), propose if first, wait for the
-// committed response bounded by the serve timeout.
-func (e *kvEdge) execute(c kv.Command, enc types.Value) types.Value {
-	k := txpool.Key{Client: c.Client, Seq: c.Seq}
-	ch, proposed, err := e.pool.Admit(k, enc)
-	if err != nil {
-		return kv.Response{Status: kv.StatusBusy}.Encode()
-	}
-	accepted := time.Now()
-	if proposed {
-		if err := e.propose(c, enc); err != nil {
-			e.pool.Resolve(k, kv.Response{Status: kv.StatusErr}.Encode())
-			return kv.Response{Status: kv.StatusErr}.Encode()
-		}
-	}
-	timer := time.NewTimer(e.wait)
-	defer timer.Stop()
-	select {
-	case resp := <-ch:
-		resolvedAt := e.tracer.Clock()
-		// Client-visible commit latency: request accepted → response
-		// resolved (wall clock; cache hits count, they ARE the fast path
-		// a retrying client sees).
-		e.tel.observeLatency(time.Since(accepted))
-		e.tracer.Respond(enc, resolvedAt)
-		return resp
-	case <-timer.C:
-		e.pool.Forget(k, ch)
-		return kv.Response{Status: kv.StatusErr}.Encode()
-	}
-}
-
 // startKV assembles the serving replica on the node loop — tracer,
-// admission pool, forward interceptor, the replica stack itself
-// (internal/replica) and the status document — without opening a client
-// listener or the pipeline. persist is the durable store (nil = volatile).
+// admission pool, the replica stack itself (internal/replica, which also
+// takes in peers' forwards) and the status document — without opening a
+// client listener or the pipeline. persist is the durable store (nil = volatile).
 func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, persist dstore.Persister, opts kvOptions) (*kvEdge, error) {
 	// Causal tracing is opt-in (-trace-dir) and passive: the tracer
 	// records into its own bounded ring — the flight recorder — dumped
@@ -252,7 +158,6 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 	edge := &kvEdge{
 		node: node,
 		tr:   rt.AsMulticaster(tr),
-		tel:  tel,
 		pool: txpool.New(txpool.Config{
 			Capacity: opts.PoolCap,
 			// An entry whose commit path died must not pin capacity much
@@ -262,27 +167,9 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 			Tracer:  tracer,
 		}),
 		peers:  slices.DeleteFunc(node.Params().AllProcs(), func(p types.ProcID) bool { return p == self }),
-		wait:   opts.Wait,
 		tracer: tracer,
 		done:   make(chan struct{}),
 	}
-
-	// Install the forward interceptor before the node loop starts: a
-	// faster peer can forward client commands during our startup sleep.
-	// Posts enqueued here run after Start builds the replica, so the
-	// closure never sees a nil engine. (The handful of frames that could
-	// arrive before this line are dropped by the Recv hook — losing a
-	// forward is harmless, the forwarding replica proposes the command
-	// itself.)
-	fwd := kvForwardFunc(func(from types.ProcID, m proto.Message) {
-		cmd := m.Val
-		node.Post(func() {
-			if err := edge.rep.Engine.Submit(cmd); err != nil {
-				stdlog.Printf("forwarded submit: %v", err)
-			}
-		})
-	})
-	kvForward.Store(&fwd)
 
 	// progress runs on the loop after every commit and install: either
 	// can satisfy the -kv-target stop rule (an installed snapshot IS the
@@ -428,7 +315,7 @@ func dumpFlight(tracer *xtrace.Tracer, dir, prefix, reason string) {
 }
 
 // runKVServe runs the replica in serving mode: consensus with the peers,
-// client edges answering gets/puts through the admission pool.
+// the HTTP edge answering gets/puts through the admission pool.
 func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.ProcID, opts kvOptions) {
 	// Durable storage: open (or create) the data directory before the
 	// stack is assembled, so the applier's write-ahead discipline covers
@@ -454,12 +341,6 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 		}
 	})
 
-	ln, err := net.Listen("tcp", opts.ClientAddr)
-	if err != nil {
-		stdlog.Fatal(err)
-	}
-	defer ln.Close()
-
 	if opts.HTTPAddr != "" {
 		api, err := httpapi.New(httpapi.Config{
 			Pool:           edge.pool,
@@ -483,18 +364,8 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 		stdlog.Printf("HTTP API on http://%s (/v1/tx, /v1/kv/{key}, /v1/status)", hln.Addr())
 	}
 
-	stdlog.Printf("process %v: consensus on %s, serving KV clients on %s (batch %d, pipeline %d, snapshots every %d, compact %v, pool %d)",
-		self, tr.Addr(), ln.Addr(), opts.Batch, opts.Pipeline, opts.SnapEvery, opts.Compact, edge.pool.Capacity())
-
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go edge.serveConn(conn)
-		}
-	}()
+	stdlog.Printf("process %v: consensus on %s (batch %d, pipeline %d, snapshots every %d, compact %v, pool %d)",
+		self, tr.Addr(), opts.Batch, opts.Pipeline, opts.SnapEvery, opts.Compact, edge.pool.Capacity())
 
 	if opts.Target > 0 {
 		select {
@@ -519,96 +390,4 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 		return
 	}
 	select {} // serve until killed
-}
-
-// serveConn handles one raw TCP client connection: request frames in,
-// response frames out, one at a time, all through the admission pool.
-func (e *kvEdge) serveConn(conn net.Conn) {
-	defer conn.Close()
-	for {
-		m, err := readKVFrame(conn)
-		if err != nil {
-			return
-		}
-		if m.Kind != proto.MsgKVRequest {
-			return
-		}
-		c, err := kv.DecodeCommand(m.Val)
-		var resp types.Value
-		if err != nil || c.Client == 0 || c.Validate() != nil {
-			// Sessionless or malformed commands have no response identity
-			// to wait on; reject them at the edge.
-			resp = kv.Response{Status: kv.StatusErr}.Encode()
-		} else {
-			resp = e.execute(c, m.Val)
-		}
-		if err := writeKVFrame(conn, proto.Message{
-			Kind: proto.MsgKVResponse, Tag: proto.Tag{Mod: proto.ModKV}, Val: resp,
-		}); err != nil {
-			return
-		}
-	}
-}
-
-// runKVClient is the client mode: connect to one or more replicas, run a
-// comma-separated op script ("put:k=v,get:k,del:k"), print each answer.
-// Sending to several replicas exercises the session layer's exactly-once
-// guarantee — the duplicates are answered from the response cache.
-func runKVClient(addrs string, client uint64, script string, timeout time.Duration) {
-	var conns []net.Conn
-	for _, a := range strings.Split(addrs, ",") {
-		conn, err := net.DialTimeout("tcp", strings.TrimSpace(a), timeout)
-		if err != nil {
-			stdlog.Fatalf("dial %s: %v", a, err)
-		}
-		defer conn.Close()
-		conns = append(conns, conn)
-	}
-	seq := uint64(0)
-	for _, op := range strings.Split(script, ",") {
-		op = strings.TrimSpace(op)
-		if op == "" {
-			continue
-		}
-		kind, rest, ok := strings.Cut(op, ":")
-		if !ok {
-			stdlog.Fatalf("bad op %q (want put:k=v, get:k or del:k)", op)
-		}
-		seq++
-		c := kv.Command{Client: client, Seq: seq}
-		switch kind {
-		case "put":
-			k, v, ok := strings.Cut(rest, "=")
-			if !ok {
-				stdlog.Fatalf("bad put %q (want put:k=v)", op)
-			}
-			c.Op, c.Key, c.Val = kv.OpPut, k, v
-		case "get":
-			c.Op, c.Key = kv.OpGet, rest
-		case "del":
-			c.Op, c.Key = kv.OpDel, rest
-		default:
-			stdlog.Fatalf("bad op kind %q", kind)
-		}
-		req := proto.Message{Kind: proto.MsgKVRequest, Tag: proto.Tag{Mod: proto.ModKV}, Val: c.Encode()}
-		for _, conn := range conns {
-			if err := writeKVFrame(conn, req); err != nil {
-				stdlog.Fatalf("send: %v", err)
-			}
-		}
-		for i, conn := range conns {
-			conn.SetReadDeadline(time.Now().Add(timeout))
-			m, err := readKVFrame(conn)
-			if err != nil {
-				stdlog.Fatalf("recv: %v", err)
-			}
-			r, err := kv.DecodeResponse(m.Val)
-			if err != nil {
-				stdlog.Fatalf("bad response: %v", err)
-			}
-			if i == 0 {
-				fmt.Printf("%-16s -> %v\n", op, r)
-			}
-		}
-	}
 }

@@ -15,17 +15,17 @@
 // Replicated-KV mode (-kv): each process runs the multi-instance
 // consensus pipeline of internal/log under the state-machine stack (sm
 // applier + kv store with client sessions, snapshots and log compaction)
-// and serves client gets/puts over a separate TCP listener
-// (-kv-listen). Reads are ordered through the log too, so answers are
-// linearizable:
+// and serves client gets/puts over the HTTP/JSON API (-http; docs/api.md).
+// Commands posted to /v1/tx, reads included, are ordered through the log,
+// so answers are linearizable:
 //
-//	minsync-node -id 1 -peers ...as above... -t 1 -kv -kv-listen 127.0.0.1:9001
+//	minsync-node -id 1 -peers ...as above... -t 1 -kv -http 127.0.0.1:8001
 //	...
-//	minsync-node -kv-client 127.0.0.1:9001 -client-id 7 -ops "put:user=ada,get:user"
+//	curl -s -X POST localhost:8001/v1/tx -d '{"client":7,"seq":1,"op":"put","key":"user","value":"ada"}'
 //
-// The client mode accepts several replica addresses; sending the same
-// (client, seq) command to all of them demonstrates the session layer's
-// exactly-once guarantee.
+// Sending the same (client, seq) command to several replicas is answered
+// once per replica and applied once: the session layer's exactly-once
+// guarantee.
 //
 // The i-th peer address belongs to process i.
 package main
@@ -66,26 +66,15 @@ func main() {
 		snapRefresh = flag.Int("snapshot-refresh", int(replica.DefaultSnapshotRefresh), "kv mode: snapshot (and compact) at least every N applied instances even when they carried no entries, so command-less instances cannot pile up uncompacted and rejoining replicas find a fresh transfer boundary (0 = off)")
 
 		kvMode    = flag.Bool("kv", false, "replicated-KV mode: serve gets/puts over TCP")
-		kvListen  = flag.String("kv-listen", "127.0.0.1:0", "kv mode: client listener address")
+		_         = flag.String("kv-listen", "", "ignored (clients use -http): benchmark/cluster.go still passes it; ROADMAP 13(c) deletes it")
 		dataDir   = flag.String("data-dir", "", "kv mode: durable storage directory — committed entries are write-ahead logged and snapshots stamped there, and a restart boots from it instead of asking peers (empty = volatile)")
 		httpF     = flag.String("http", "", "kv mode: serve the HTTP/JSON API (/v1/tx, /v1/kv/{key}, /v1/status) on this address (empty = off)")
 		poolCap   = flag.Int("pool", 1024, "kv mode: admission pool capacity (pending commands before load shedding)")
 		kvTarget  = flag.Int("kv-target", 0, "kv mode: exit after applying this many commands (0 = serve until killed)")
 		snapEvery = flag.Int("snapshot-every", 16, "kv mode: snapshot cadence in applied entries (0 = off)")
 		compact   = flag.Bool("compact", true, "kv mode: retire pre-snapshot state after each snapshot")
-
-		kvClient = flag.String("kv-client", "", "client mode: comma list of replica kv-listen addresses")
-		clientID = flag.Uint64("client-id", 1, "client mode: session id (nonzero)")
-		ops      = flag.String("ops", "", `client mode: op script, e.g. "put:k=v,get:k,del:k"`)
 	)
 	flag.Parse()
-	if *kvClient != "" {
-		if *clientID == 0 || *ops == "" {
-			stdlog.Fatal("-kv-client needs a nonzero -client-id and an -ops script")
-		}
-		runKVClient(*kvClient, *clientID, *ops, *wait)
-		return
-	}
 	if !*kvMode && *propose == "" {
 		stdlog.Fatal("-propose is required (or use -kv)")
 	}
@@ -120,21 +109,8 @@ func main() {
 		Self:    self,
 		Addrs:   addrs,
 		Metrics: tel.wireMetrics(),
-		Recv: func(from types.ProcID, m proto.Message) {
-			// KV request frames are client vocabulary, never consensus
-			// traffic: route them to the forward interceptor when one is
-			// installed (kv mode) and drop them otherwise — letting one
-			// into the dispatcher would consume the shared dedup identity
-			// and silently swallow every later forward from that peer.
-			if m.Kind == proto.MsgKVRequest {
-				if f := kvForward.Load(); f != nil {
-					(*f)(from, m)
-				}
-				return
-			}
-			node.Deliver(from, m)
-		},
-		Logf: stdlog.Printf,
+		Recv:    node.Deliver,
+		Logf:    stdlog.Printf,
 	})
 	if err != nil {
 		stdlog.Fatal(err)
@@ -145,7 +121,7 @@ func main() {
 
 	if *kvMode {
 		runKVServe(node, tr, tel, self, kvOptions{
-			ClientAddr: *kvListen, HTTPAddr: *httpF, DataDir: *dataDir,
+			HTTPAddr: *httpF, DataDir: *dataDir,
 			Batch: *batch, Pipeline: *pipeline,
 			SnapEvery: *snapEvery, SnapRefresh: *snapRefresh,
 			PoolCap: *poolCap, Target: *kvTarget, Compact: *compact,

@@ -72,7 +72,7 @@ func newTelemetry(addr string, self types.ProcID, params types.Params) *telemetr
 		reg:     reg,
 		ring:    trace.NewRing(traceRingCap),
 		latency: obs.NewCommitLatency(reg),
-		wire: obs.NewWireMetrics(reg, "", int(proto.MsgSnapResponse)+1,
+		wire: obs.NewWireMetrics(reg, "", int(proto.MsgDecide),
 			func(k int) string { return proto.MsgKind(k).String() }, peers),
 		self:    self,
 		params:  params,

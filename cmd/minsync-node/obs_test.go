@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/rt"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -190,6 +191,25 @@ func TestBenchmarkReadsExistingTelemetry(t *testing.T) {
 	for _, key := range []string{"applied_entries", "applied_instances", "pending_commands", "in_flight_instances"} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("status document lost %s: %v", key, doc)
+		}
+	}
+}
+
+// TestWireSeriesPerKind: every wire kind the vocabulary defines has its
+// own frame and byte series on a node's /metrics, so no frame is counted
+// under kind="other" or on a counter nothing exports.
+func TestWireSeriesPerKind(t *testing.T) {
+	tel := newTelemetry("127.0.0.1:0", 1, types.Params{N: 4, T: 1})
+	defer tel.ln.Close()
+	var b strings.Builder
+	if err := tel.reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for k := proto.MsgRBInit; k <= proto.MsgDecide; k++ {
+		for _, series := range []string{"minsync_wire_frames_total", "minsync_wire_bytes_total"} {
+			if want := `dir="recv",kind="` + k.String() + `"}`; !strings.Contains(b.String(), series+"{"+want) {
+				t.Errorf("/metrics has no %s series for %v", series, k)
+			}
 		}
 	}
 }

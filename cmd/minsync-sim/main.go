@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/xtrace"
-	"repro/minsync"
 )
 
 func main() {
@@ -135,27 +134,27 @@ func runExperiments(f flags, seeds []int64, out io.Writer) int {
 // runCells executes the requested scenario cells and prints the
 // machine-readable table. Exit code 1 on any violation or error.
 func runCells(f flags, seeds []int64, out io.Writer) int {
-	var specs []minsync.Scenario
+	var specs []scenario.Spec
 	switch f.scenario {
 	case "all":
-		specs = minsync.AllScenarios()
+		specs = scenario.All()
 	case "random":
 		// One spec sampled from the first seed, swept across all seeds.
-		specs = []minsync.Scenario{minsync.RandomScenario(seeds[0])}
+		specs = []scenario.Spec{scenario.Random(seeds[0])}
 	default:
-		s, ok := minsync.GetScenario(f.scenario)
+		s, ok := scenario.Get(f.scenario)
 		if !ok {
 			log.Printf("unknown scenario %q; available:\n  %s\n  (or 'all' / 'random')",
-				f.scenario, strings.Join(minsync.Scenarios(), "\n  "))
+				f.scenario, strings.Join(scenario.Names(), "\n  "))
 			return 2
 		}
-		specs = []minsync.Scenario{s}
+		specs = []scenario.Spec{s}
 	}
 	return runSpecs(f, specs, seeds, out)
 }
 
 // runSpecs runs specs × seeds and prints the table.
-func runSpecs(f flags, specs []minsync.Scenario, seeds []int64, out io.Writer) int {
+func runSpecs(f flags, specs []scenario.Spec, seeds []int64, out io.Writer) int {
 	if f.deadline > 0 {
 		// Deadline override — also the documented way to *inject* a
 		// violation and watch the exit code: truncating a scenario that
@@ -165,11 +164,11 @@ func runSpecs(f flags, specs []minsync.Scenario, seeds []int64, out io.Writer) i
 		}
 	}
 
-	run := minsync.RunScenarioMatrix
+	run := scenario.RunMatrix
 	if f.metricsDump != "" {
 		// Telemetry is passive: observed cells produce the same outcomes
 		// and trace digests, plus one metric registry per cell to dump.
-		run = minsync.RunScenarioMatrixObserved
+		run = scenario.RunMatrixObserved
 		if err := os.MkdirAll(f.metricsDump, 0o755); err != nil {
 			log.Print(err)
 			return 2
@@ -178,7 +177,7 @@ func runSpecs(f flags, specs []minsync.Scenario, seeds []int64, out io.Writer) i
 	if f.traceDump != "" {
 		// Causal tracing is passive like telemetry (and implies it): each
 		// cell additionally carries per-replica flight-recorder dumps.
-		run = minsync.RunScenarioMatrixTraced
+		run = scenario.RunMatrixTraced
 		if err := os.MkdirAll(f.traceDump, 0o755); err != nil {
 			log.Print(err)
 			return 2
@@ -197,7 +196,7 @@ func runSpecs(f flags, specs []minsync.Scenario, seeds []int64, out io.Writer) i
 			return 2
 		}
 	}
-	fmt.Fprintln(out, minsync.ScenarioTableHeader)
+	fmt.Fprintln(out, scenario.TableHeader)
 	failures := 0
 	for _, r := range results {
 		if r.Err != nil {
@@ -226,7 +225,7 @@ func runSpecs(f flags, specs []minsync.Scenario, seeds []int64, out io.Writer) i
 
 // dumpMetrics writes one Prometheus text-exposition file per observed
 // matrix cell: <dir>/<scenario>_seed<seed>.prom.
-func dumpMetrics(dir string, results []minsync.ScenarioMatrixResult) error {
+func dumpMetrics(dir string, results []scenario.MatrixResult) error {
 	for _, r := range results {
 		if r.Metrics == nil {
 			continue // cell errored before running
@@ -248,7 +247,7 @@ func dumpMetrics(dir string, results []minsync.ScenarioMatrixResult) error {
 // are skipped — the recorder is a forensic tool, and a full-matrix dump
 // would bury the interesting cells (consensus-only workloads carry no
 // commands and produce no dumps either way).
-func dumpTraces(dir string, results []minsync.ScenarioMatrixResult) error {
+func dumpTraces(dir string, results []scenario.MatrixResult) error {
 	wrote := 0
 	for _, r := range results {
 		if r.Err != nil || r.Outcome == nil || r.Outcome.Pass || len(r.Outcome.Trace) == 0 {

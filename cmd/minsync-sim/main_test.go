@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/minsync"
+	"repro/internal/scenario"
 )
 
 // TestRunExitCodes pins the binary's contract with CI: 0 on a passing
@@ -59,7 +59,7 @@ func TestRunExitCodes(t *testing.T) {
 	// 60 s deadline. No registered scenario fails by itself, so this cell
 	// enters below the name lookup.
 	t.Run("cell that never drains", func(t *testing.T) {
-		stuck, ok := minsync.GetScenario("kv-partition-heal")
+		stuck, ok := scenario.Get("kv-partition-heal")
 		if !ok {
 			t.Fatal("kv-partition-heal not registered")
 		}
@@ -69,7 +69,7 @@ func TestRunExitCodes(t *testing.T) {
 		stuck.Net.GST = 10 * time.Minute
 		stuck.Net.HealAt = 10 * time.Minute
 		var out bytes.Buffer
-		if code := runSpecs(flags{workers: 1, verbose: true}, []minsync.Scenario{stuck}, []int64{1}, &out); code != 1 {
+		if code := runSpecs(flags{workers: 1, verbose: true}, []scenario.Spec{stuck}, []int64{1}, &out); code != 1 {
 			t.Fatalf("exit code %d, want 1\n%s", code, out.String())
 		}
 		for _, want := range []string{"\nkv-partition-heal\t1\tkv\tFAIL\t", "\t1m0s\t", "KV-Termination"} {

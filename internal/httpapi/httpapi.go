@@ -145,8 +145,8 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to 429 responses (default
 	// 1s).
 	RetryAfter time.Duration
-	// MaxBodyBytes bounds the POST /v1/tx body (default 1<<20, matching
-	// the wire edge's frame cap).
+	// MaxBodyBytes bounds the POST /v1/tx body (default 1<<20, the same
+	// bound kv.MaxStringLen puts on one key or value).
 	MaxBodyBytes int64
 	// ObserveLatency, if non-nil, receives the accepted→answered wall
 	// time of every tx that resolved (the client-visible commit latency).

@@ -93,12 +93,6 @@ const (
 	StatusStale Status = 'S'
 	// StatusErr: the command bytes did not decode.
 	StatusErr Status = 'E'
-	// StatusBusy: the serving replica's admission pool shed the command
-	// before it reached the ordering layer (backpressure). Nothing was
-	// applied; the client should retry later, ideally against another
-	// replica. This status is produced by the serving edge, never by the
-	// replicated machine itself, so it is never session-cached.
-	StatusBusy Status = 'B'
 )
 
 // String implements fmt.Stringer.
@@ -112,8 +106,6 @@ func (s Status) String() string {
 		return "stale"
 	case StatusErr:
 		return "error"
-	case StatusBusy:
-		return "busy"
 	default:
 		return fmt.Sprintf("Status(%d)", byte(s))
 	}
@@ -229,7 +221,7 @@ func DecodeResponse(v types.Value) (Response, error) {
 	}
 	r.Status = Status(b[1])
 	switch r.Status {
-	case StatusOK, StatusNotFound, StatusStale, StatusErr, StatusBusy:
+	case StatusOK, StatusNotFound, StatusStale, StatusErr:
 	default:
 		return r, fmt.Errorf("kv: unknown status %d", b[1])
 	}

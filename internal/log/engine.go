@@ -307,12 +307,24 @@ func (l *Engine) Close() { l.closed = true }
 func (l *Engine) SetRetirer(r Retirer) { l.retirer = r }
 
 // OnMessage implements proto.Handler: demultiplex to the instance engine.
-// The relay fronts the dispatch — it consumes its carrier frames
-// (unpacking each vector entry back into the loose message it replaces
-// and feeding it to dispatch, where the MaxLead and floor guards apply
-// per entry exactly as they would per loose message) and passively
-// learns INIT values for the echo-by-hash cache.
+// A peer's forwarded client command (MsgKVRequest) is submitted before
+// anything else looks at it. Forwards deliberately bypass the admission
+// pool: the pool bounds CLIENT admissions on the serving replica, a
+// forwarded command was already admitted somewhere, and dropping it here
+// would break the client-broadcast model the forward recreates. Any peer
+// may send one unasked, so it is trusted no further than Submit trusts
+// its caller: content dedup makes a repeat free, and ⊥ is refused.
+//
+// The relay fronts the dispatch of everything else — it consumes its
+// carrier frames (unpacking each vector entry back into the loose message
+// it replaces and feeding it to dispatch, where the MaxLead and floor
+// guards apply per entry exactly as they would per loose message) and
+// passively learns INIT values for the echo-by-hash cache.
 func (l *Engine) OnMessage(from types.ProcID, m proto.Message) {
+	if m.Kind == proto.MsgKVRequest {
+		_ = l.Submit(m.Val) // a ⊥ command is the only error: skip it
+		return
+	}
 	if l.relay.Inbound(from, m) {
 		return
 	}

@@ -258,6 +258,27 @@ func TestBotAndGarbageDecisionsAreNoOps(t *testing.T) {
 	}
 }
 
+// TestForwardSubmits: a peer's forwarded client command is submitted — it
+// is pending, opens an instance and commits — instead of being read as a
+// message of instance 0.
+func TestForwardSubmits(t *testing.T) {
+	var got []types.Value
+	eng, _ := newTestEngine(t, Config{Pipeline: 2, OnCommit: func(e Entry) { got = append(got, e.Cmd) }})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	fwd := proto.Message{Kind: proto.MsgKVRequest, Tag: proto.Tag{Mod: proto.ModKV}, Val: "cmd"}
+	eng.OnMessage(2, fwd)
+	eng.OnMessage(3, fwd) // the same command from another peer: content dedup
+	if eng.Pending() != 1 || eng.InFlight() != 1 {
+		t.Fatalf("pending=%d in flight=%d after a forward, want 1 and 1", eng.Pending(), eng.InFlight())
+	}
+	eng.onInstanceDecided(0, eng.insts[0].proposal)
+	if !slices.Equal(got, []types.Value{"cmd"}) || eng.Pending() != 0 {
+		t.Fatalf("committed %q with %d pending, want the forwarded command alone", got, eng.Pending())
+	}
+}
+
 func TestTargetClosesEngine(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{Pipeline: 1, Target: 2})
 	for _, c := range []types.Value{"a", "b", "c"} {

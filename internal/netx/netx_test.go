@@ -101,7 +101,7 @@ func silentPeer(t *testing.T) (string, <-chan net.Conn) {
 }
 
 func wireMetrics(peers ...int) *obs.WireMetrics {
-	return obs.NewWireMetrics(obs.NewRegistry(), "", int(proto.MsgSnapResponse)+1,
+	return obs.NewWireMetrics(obs.NewRegistry(), "", int(proto.MsgDecide),
 		func(k int) string { return proto.MsgKind(k).String() }, peers)
 }
 

@@ -316,10 +316,10 @@ func NewNodeMetrics(r *Registry, labels string) *NodeMetrics {
 }
 
 // maxWireKind bounds the per-kind counter arrays in WireMetrics. Wire
-// kinds are small positive integers (proto.MsgKind starts at 1); frames
-// whose kind falls outside [1, maxWireKind) are counted under the
-// kind="other" slot at index 0.
-const maxWireKind = 16
+// kinds are small positive integers (proto.MsgKind starts at 1), and a
+// transport registers at most maxWireKind-1 of them; frames whose kind
+// has no series of its own count under kind="other".
+const maxWireKind = 32
 
 // WireMetrics instruments a TCP transport (internal/netx): frames and
 // bytes by direction and wire kind, per-peer frame counts and outbound
@@ -327,8 +327,9 @@ const maxWireKind = 16
 // direct array index so the per-frame cost is one atomic add per series.
 type WireMetrics struct {
 	// FramesSent/BytesSent and FramesRecv/BytesRecv are indexed by wire
-	// kind (index 0 = out-of-range "other"). Sent frames are frames
-	// written to the connection, not frames queued.
+	// kind; index 0 and every index past the registered kinds share the
+	// "other" counters. Sent frames are frames written to the connection,
+	// not frames queued.
 	FramesSent [maxWireKind]*Counter
 	BytesSent  [maxWireKind]*Counter
 	FramesRecv [maxWireKind]*Counter
@@ -352,8 +353,9 @@ type WireMetrics struct {
 }
 
 // NewWireMetrics registers the transport bundle. kinds is the number of
-// valid wire kinds (kind values 1..kinds get their own series), kindName
-// renders a kind label, and peers lists the remote process IDs.
+// valid wire kinds (kind values 1..kinds get their own series; any other
+// kind counts as "other"), kindName renders a kind label, and peers lists
+// the remote process IDs.
 func NewWireMetrics(r *Registry, labels string, kinds int, kindName func(int) string, peers []int) *WireMetrics {
 	if r == nil {
 		return nil
@@ -386,6 +388,10 @@ func NewWireMetrics(r *Registry, labels string, kinds int, kindName func(int) st
 		m.BytesSent[k] = series("minsync_wire_bytes_total", "sent", kind)
 		m.FramesRecv[k] = series("minsync_wire_frames_total", "recv", kind)
 		m.BytesRecv[k] = series("minsync_wire_bytes_total", "recv", kind)
+	}
+	for k := kinds + 1; k < maxWireKind; k++ {
+		m.FramesSent[k], m.BytesSent[k] = m.FramesSent[0], m.BytesSent[0]
+		m.FramesRecv[k], m.BytesRecv[k] = m.FramesRecv[0], m.BytesRecv[0]
 	}
 	for _, p := range peers {
 		peer := strconv.Itoa(p)

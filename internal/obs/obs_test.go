@@ -213,13 +213,18 @@ func TestWireMetrics(t *testing.T) {
 	m.Sent(1, 2, 100)
 	m.Sent(2, 3, 50)
 	m.Sent(99, 2, 7) // out of range → "other"
+	m.Sent(5, 3, 4)  // past the registered kinds, inside the arrays → "other"
 	m.Recv(2, 3, 25)
 	m.Recv(2, 99, 25) // unknown peer: kind series still counts
+	m.Recv(maxWireKind-1, 2, 9)
 	if got := m.FramesSent[1].Value(); got != 1 {
 		t.Fatalf("frames sent kind 1 = %d", got)
 	}
-	if got := m.BytesSent[0].Value(); got != 7 {
-		t.Fatalf("other bytes = %d", got)
+	if got := m.BytesSent[0].Value(); got != 11 {
+		t.Fatalf("other bytes sent = %d, want 11", got)
+	}
+	if got := m.FramesRecv[0].Value(); got != 1 {
+		t.Fatalf("other frames recv = %d, want 1", got)
 	}
 	if got := m.PeerSent[2].Value(); got != 2 {
 		t.Fatalf("peer 2 sent = %d", got)
@@ -235,6 +240,7 @@ func TestWireMetrics(t *testing.T) {
 		`minsync_wire_queue_bytes{proc="1",peer="3"} 40`,
 		`minsync_wire_dropped_frames_total{proc="1",reason="down"} 0`,
 		`minsync_wire_dropped_frames_total{proc="1",reason="stalled"} 2`,
+		`minsync_wire_frames_total{proc="1",dir="sent",kind="other"} 2`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition lacks %q:\n%s", want, b.String())

@@ -28,10 +28,12 @@ const (
 	MsgEAProp2 // EA_PROP2[r](aux)      — Fig. 3 line 2
 	MsgEACoord // EA_COORD[r](w)        — Fig. 3 line 13
 	MsgEARelay // EA_RELAY[r](v | ⊥)    — Fig. 3 line 18
-	// The KV kinds are the client-facing vocabulary of the replicated KV
-	// service (wire codec v3): they travel between clients and replicas,
-	// never between replicas, and bypass the consensus dedup/dispatch
-	// path entirely.
+	// The KV kinds (wire codec v3, module ModKV) belong to the replicated
+	// KV service. MsgKVRequest is a replica-to-replica forward of a client
+	// command: the log engine submits it (see log.Engine.OnMessage), and
+	// like the snapshot kinds below it is exempt from the first-message-
+	// only rule (see Node.Dispatch). MsgKVResponse has no sender; it stays
+	// in the vocabulary because removing a kind takes a new codec version.
 	MsgKVRequest  // KV_REQ(encoded kv.Command)
 	MsgKVResponse // KV_RESP(encoded kv.Response)
 	// The snapshot-transfer kinds (module ModSnap) carry peer-to-peer
@@ -136,8 +138,8 @@ const (
 	// ModDecide tags the plain DECIDE messages (MsgDecide, Fig. 4 line
 	// 7); Round is always 0. It names no RB stream.
 	ModDecide
-	// ModKV tags the client-facing KV request/response messages of the
-	// replicated KV service; Round is always 0.
+	// ModKV tags the KV service's messages (MsgKVRequest forwards);
+	// Round is always 0.
 	ModKV
 	// ModSnap tags the replica-to-replica snapshot-transfer messages
 	// (MsgSnapRequest/MsgSnapResponse); Round is always 0.
@@ -386,10 +388,16 @@ func (n *Node) SetMetrics(m *obs.DedupMetrics) { n.metrics = m }
 // READY entries a vector carries, enforced per entry by rb.Relay with the
 // identical (sender, kind, tag, origin)-per-instance key, so the protocol
 // layers see exactly the stream they would without coalescing.
+//
+// Forwarded client commands (MsgKVRequest) bypass too: every forward from
+// one peer shares one dedup identity, and their Instance 0 lies below any
+// compaction floor. They need neither filter: the log engine submits
+// them, and a submission is idempotent by content (see
+// log.Engine.OnMessage).
 func (n *Node) Dispatch(from types.ProcID, m Message) {
 	switch m.Kind {
 	case MsgSnapRequest, MsgSnapResponse, MsgRBVector, MsgRBPull, MsgRBPullResp,
-		MsgSnapChunk, MsgSnapAck:
+		MsgSnapChunk, MsgSnapAck, MsgKVRequest:
 		n.h.OnMessage(from, m)
 		return
 	}

@@ -219,3 +219,22 @@ func TestSnapFramesBypassDedup(t *testing.T) {
 		t.Fatalf("transfer frames grew dedup sub-maps: %d", n.LiveInstances())
 	}
 }
+
+// TestForwardsBypassDedup: a peer forwards every client command it admits
+// as a MsgKVRequest, and all of its forwards share one dedup identity at
+// Instance 0. Each must reach the handler, before compaction and after.
+func TestForwardsBypassDedup(t *testing.T) {
+	var got []types.Value
+	n := NewNode(HandlerFunc(func(_ types.ProcID, m Message) { got = append(got, m.Val) }))
+	fwd := func(v types.Value) Message { return Message{Kind: MsgKVRequest, Tag: Tag{Mod: ModKV}, Val: v} }
+	n.Dispatch(2, fwd("a"))
+	n.Dispatch(2, fwd("b"))
+	n.RetireInstancesBefore(5)
+	n.Dispatch(2, fwd("c"))
+	if len(got) != 3 || got[1] != "b" || got[2] != "c" || n.Dropped != 0 || n.DroppedRetired != 0 {
+		t.Fatalf("delivered %q, dropped %d, dropped as retired %d; want every forward", got, n.Dropped, n.DroppedRetired)
+	}
+	if n.LiveInstances() != 0 {
+		t.Fatalf("forwards grew dedup sub-maps: %d", n.LiveInstances())
+	}
+}

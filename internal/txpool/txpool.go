@@ -1,9 +1,9 @@
 // Package txpool is the admission-controlled command pool that fronts the
-// log engine on a serving replica. Every client edge (the HTTP/JSON API,
-// the raw wire-v3 TCP listener) pushes commands through one Pool, which
-// decides — before anything reaches the ordering layer — whether the
-// command is fresh work, a duplicate of something already in flight, or
-// load the replica must shed.
+// log engine on a serving replica. The client edge (the HTTP/JSON API,
+// internal/httpapi) pushes commands through one Pool, which decides —
+// before anything reaches the ordering layer — whether the command is
+// fresh work, a duplicate of something already in flight, or load the
+// replica must shed.
 //
 // The pool answers three production concerns the bare engine does not:
 //
@@ -13,8 +13,7 @@
 //     are answered by the same committed response.
 //   - Bounded memory under overload. The pool holds at most Capacity
 //     pending entries; past that, Admit sheds with ErrFull and the edge
-//     translates the error into backpressure (HTTP 429 + Retry-After,
-//     kv.StatusBusy on the wire protocol).
+//     translates the error into backpressure (HTTP 429 + Retry-After).
 //   - Committed-response forwarding. Resolve is driven by the state
 //     machine's apply path on EVERY replica, so whichever replica a
 //     client retries against can answer from its own pool or session

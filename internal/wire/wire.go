@@ -19,17 +19,18 @@
 // value; a change to the layout or the vocabulary is a new version byte
 // and a coordinated upgrade.
 //
-// Besides the consensus kinds the vocabulary covers the client-facing KV
-// service messages (proto.MsgKVRequest / proto.MsgKVResponse, module
-// proto.ModKV), the coalesced-relay carriers of the reliable-broadcast
-// layer (proto.MsgRBVector / proto.MsgRBPull / proto.MsgRBPullResp,
-// module proto.ModRBRelay — a vector frame's entry list rides in the
-// value bytes, see rb.EncodeEntries and docs/rb-coalescing.md) and the
-// replica-to-replica snapshot transfer (module proto.ModSnap). Every
-// transfer travels as a manifest (proto.MsgSnapResponse) plus a stream
-// of self-validating proto.MsgSnapChunk frames re-requested by
-// proto.MsgSnapAck, so no state of any size meets the MaxValueLen frame
-// bound — see sm's chunk codec and docs/persistence.md.
+// Besides the consensus kinds the vocabulary covers the KV service's
+// replica-to-replica command forwards (proto.MsgKVRequest, module
+// proto.ModKV; proto.MsgKVResponse has no sender), the coalesced-relay
+// carriers of the reliable-broadcast layer (proto.MsgRBVector /
+// proto.MsgRBPull / proto.MsgRBPullResp, module proto.ModRBRelay — a
+// vector frame's entry list rides in the value bytes, see
+// rb.EncodeEntries and docs/rb-coalescing.md) and the replica-to-replica
+// snapshot transfer (module proto.ModSnap). Every transfer travels as a
+// manifest (proto.MsgSnapResponse) plus a stream of self-validating
+// proto.MsgSnapChunk frames re-requested by proto.MsgSnapAck, so no
+// state of any size meets the MaxValueLen frame bound — see sm's chunk
+// codec and docs/persistence.md.
 //
 // Frames on the wire are length-prefixed by the transport; this package
 // only encodes message bodies.

@@ -3,7 +3,6 @@ package minsync
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -20,17 +19,8 @@ type ScenarioOutcome = scenario.Outcome
 // outcome or error.
 type ScenarioMatrixResult = scenario.MatrixResult
 
-// ScenarioTableHeader is the column header matching ScenarioOutcome.String.
-const ScenarioTableHeader = scenario.TableHeader
-
 // Scenarios returns the names of the curated scenario registry, sorted.
 func Scenarios() []string { return scenario.Names() }
-
-// AllScenarios returns the curated scenario registry in curation order.
-func AllScenarios() []Scenario { return scenario.All() }
-
-// GetScenario returns the named curated scenario.
-func GetScenario(name string) (Scenario, bool) { return scenario.Get(name) }
 
 // RandomScenario samples the fault × network × workload cross-product
 // deterministically from seed.
@@ -53,38 +43,10 @@ func RunScenario(name string, seed int64) (*ScenarioOutcome, error) {
 	return scenario.Run(s, seed)
 }
 
-// RunScenarioSpec executes a caller-built scenario spec under the given
-// seed.
-func RunScenarioSpec(s Scenario, seed int64) (*ScenarioOutcome, error) {
-	return scenario.Run(s, seed)
-}
-
 // RunScenarioMatrix executes every (scenario, seed) cell concurrently on
 // up to workers goroutines (≤ 0 = 4) and returns the results in cell
 // order. Cells are fully independent simulations, so the matrix
 // parallelizes without perturbing per-cell determinism.
 func RunScenarioMatrix(specs []Scenario, seeds []int64, workers int) []ScenarioMatrixResult {
 	return scenario.RunMatrix(specs, seeds, workers)
-}
-
-// TelemetryRegistry is the live metric registry from the obs layer
-// (counters, gauges, histograms; WritePrometheus renders the text
-// exposition). See docs/observability.md for the metric catalogue.
-type TelemetryRegistry = obs.Registry
-
-// RunScenarioMatrixObserved is RunScenarioMatrix with a fresh telemetry
-// registry attached per cell (returned in each result's Metrics field).
-// Telemetry is passive — outcomes and trace digests are identical to the
-// unobserved run.
-func RunScenarioMatrixObserved(specs []Scenario, seeds []int64, workers int) []ScenarioMatrixResult {
-	return scenario.RunMatrixObserved(specs, seeds, workers)
-}
-
-// RunScenarioMatrixTraced is RunScenarioMatrixObserved with causal
-// command tracing attached per cell: each result's Outcome carries the
-// per-replica flight-recorder dumps (Outcome.Trace) alongside the
-// telemetry registry. Tracing is passive — digests match the untraced
-// run (see docs/tracing.md).
-func RunScenarioMatrixTraced(specs []Scenario, seeds []int64, workers int) []ScenarioMatrixResult {
-	return scenario.RunMatrixTraced(specs, seeds, workers)
 }

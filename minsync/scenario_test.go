@@ -42,8 +42,7 @@ func TestRunScenarioByName(t *testing.T) {
 
 // TestRunScenarioMatrix smoke-tests the public concurrent matrix runner.
 func TestRunScenarioMatrix(t *testing.T) {
-	s1, _ := minsync.GetScenario("baseline-sync")
-	s2, _ := minsync.GetScenario("sync-silent")
+	s1, s2 := minsync.RandomScenario(1), minsync.RandomScenario(2)
 	results := minsync.RunScenarioMatrix([]minsync.Scenario{s1, s2}, []int64{1, 2}, 4)
 	if len(results) != 4 {
 		t.Fatalf("got %d results, want 4", len(results))
