@@ -185,8 +185,8 @@ func runSingleShot(node *rt.Node, tr *netx.Transport, tel *telemetry, self types
 }
 
 // newNode builds the event loop every mode runs on, with the telemetry's
-// trace ring and loop metrics attached (both nil-safe when -metrics is
-// off).
+// trace ring (none when -metrics is off) and its loop metrics (kept
+// private when -metrics is off).
 func newNode(tel *telemetry, self types.ProcID, params types.Params, tr rt.Transport) (*rt.Node, error) {
 	return rt.NewNode(rt.NodeConfig{
 		ID:        self,

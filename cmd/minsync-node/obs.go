@@ -39,8 +39,9 @@ const statusTimeout = 2 * time.Second
 const traceRingCap = 4096
 
 // telemetry owns the live node's observability surface. A nil *telemetry
-// is valid everywhere (metrics off): every bundle getter returns nil,
-// which the instrumented layers treat as "unobserved".
+// is valid everywhere (metrics off): registry returns nil, so every layer
+// counts into private cells nobody exports, and the wire, stage and
+// latency instruments are off.
 type telemetry struct {
 	reg     *obs.Registry
 	ring    *trace.Ring
@@ -198,9 +199,10 @@ func probeStatus(post func(func()) bool, fn func() map[string]any) map[string]an
 	}
 }
 
-// wireNodeObs attaches the dispatcher's dedup-layer bundle. Must run
-// after node.Start — the dispatcher exists only then — so it goes through
-// Post and lands on the loop goroutine before any protocol traffic.
+// wireNodeObs registers the dispatcher's dedup-layer bundle (with metrics
+// off the dispatcher keeps its private cells). Must run after node.Start
+// — the dispatcher exists only then — so it goes through Post and lands
+// on the loop goroutine before any protocol traffic.
 func wireNodeObs(node *rt.Node, t *telemetry) {
 	if t == nil {
 		return

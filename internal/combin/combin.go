@@ -121,13 +121,8 @@ func NewRoundPlan(n, fsize int) (*RoundPlan, error) {
 // N returns the number of processes.
 func (rp *RoundPlan) N() int { return rp.n }
 
-// FSize returns |F(r)|.
-func (rp *RoundPlan) FSize() int { return rp.fsize }
-
-// Alpha returns α = C(n, fsize), the number of distinct F sets.
-func (rp *RoundPlan) Alpha() *big.Int { return new(big.Int).Set(rp.alpha) }
-
-// AlphaUint64 returns α clamped to MaxUint64 (for reporting).
+// AlphaUint64 returns α = C(n, fsize), the number of distinct F sets,
+// clamped to MaxUint64 (for reporting).
 func (rp *RoundPlan) AlphaUint64() uint64 {
 	if !rp.alpha.IsUint64() {
 		return math.MaxUint64

@@ -87,8 +87,9 @@ type Config struct {
 	MaxRounds types.Round
 	// OnDecide, if non-nil, is called exactly once upon decision.
 	OnDecide func(v types.Value)
-	// RBMetrics, if non-nil, instruments the engine's reliable-broadcast
-	// layer (obs.NewRBMetrics). The replicated log copies its core.Config
+	// RBMetrics is the tally of the engine's reliable-broadcast layer
+	// (obs.NewRBMetrics; nil counts into cells nobody reads). The
+	// replicated log copies its core.Config
 	// into every instance, so one bundle aggregates RB volume across all
 	// instances of a replica. Passive; never alters the protocol.
 	RBMetrics *obs.RBMetrics

@@ -85,7 +85,7 @@ const (
 type Config struct {
 	// Env is the process environment.
 	Env proto.Env
-	// Plan maps rounds to coordinators and F sets; its FSize is n−t+k.
+	// Plan maps rounds to coordinators and F sets of n−t+k processes.
 	Plan *combin.RoundPlan
 	// BroadcastCB RB-broadcasts the EA_PROP1 value of round r on the
 	// ModEACB/r stream (the engine owns the RB layer).

@@ -174,7 +174,7 @@ func (w *World) Run(deadline types.Time, maxEvents uint64) sim.StopReason {
 func (w *World) DroppedDuplicates() uint64 {
 	var total uint64
 	for _, n := range w.nodes {
-		total += n.Dropped
+		total += n.Dropped()
 	}
 	return total
 }

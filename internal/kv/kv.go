@@ -294,6 +294,7 @@ func NewStore() *Store {
 	return &Store{
 		data:     make(map[string]string),
 		sessions: make(map[uint64]session),
+		metrics:  obs.NewKVMetrics(nil, ""),
 	}
 }
 
@@ -304,25 +305,19 @@ func (s *Store) Apply(cmd types.Value) types.Value {
 	c, err := DecodeCommand(cmd)
 	if err != nil {
 		s.badCmds++
-		if m := s.metrics; m != nil {
-			m.BadCommands.Inc()
-		}
+		s.metrics.BadCommands.Inc()
 		return Response{Status: StatusErr}.Encode()
 	}
 	if c.Client != 0 {
 		sess, ok := s.sessions[c.Client]
 		if ok && c.Seq == sess.seq {
 			s.dups++
-			if m := s.metrics; m != nil {
-				m.SessionDups.Inc()
-			}
+			s.metrics.SessionDups.Inc()
 			return sess.resp
 		}
 		if ok && c.Seq < sess.seq {
 			s.stales++
-			if m := s.metrics; m != nil {
-				m.SessionStales.Inc()
-			}
+			s.metrics.SessionStales.Inc()
 			return Response{Status: StatusStale}.Encode()
 		}
 		resp := s.exec(c).Encode()
@@ -337,17 +332,15 @@ func (s *Store) Apply(cmd types.Value) types.Value {
 
 // syncMetrics refreshes the live telemetry after a state-mutating apply.
 func (s *Store) syncMetrics() {
-	if m := s.metrics; m != nil {
-		m.Applies.Inc()
-		m.Keys.Set(int64(len(s.data)))
-		m.Sessions.Set(int64(len(s.sessions)))
-	}
+	s.metrics.Applies.Inc()
+	s.metrics.Keys.Set(int64(len(s.data)))
+	s.metrics.Sessions.Set(int64(len(s.sessions)))
 }
 
-// SetMetrics attaches a live telemetry bundle (obs.NewKVMetrics; nil
-// detaches). The bundle is observer state, independent of the replicated
-// counters: it survives Restore and is never encoded into
-// snapshots.
+// SetMetrics sets the telemetry bundle (obs.NewKVMetrics; a store starts
+// with private cells, and m must be non-nil). The bundle is observer
+// state, independent of the replicated counters: it survives Restore and
+// is never encoded into snapshots.
 func (s *Store) SetMetrics(m *obs.KVMetrics) { s.metrics = m }
 
 // exec runs the operation against the data map.

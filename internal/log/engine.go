@@ -85,10 +85,12 @@ type Config struct {
 	// from this hook; snapshots at instance boundaries are what make log
 	// compaction exact.
 	OnApply func(i types.Instance, newly int)
-	// Metrics, if non-nil, is the engine's telemetry bundle
-	// (obs.NewLogMetrics). Instruments are passive pre-registered atomic
-	// cells: increments never schedule events or alter protocol behavior,
-	// so an observed run stays schedule-identical to an unobserved one.
+	// Metrics is the engine's tally (obs.NewLogMetrics), which its
+	// accessors read; nil counts into private cells. Instruments are
+	// passive atomic cells: increments never schedule events or alter
+	// protocol behavior, so an observed run stays schedule-identical to an
+	// unobserved one. A nil Engine.RBMetrics likewise gets private cells,
+	// shared by the relay and every instance's rb layer.
 	Metrics *obs.LogMetrics
 	// Tracer, if non-nil, attaches causal command tracing
 	// (internal/xtrace): span emission at submission, batch formation,
@@ -143,17 +145,12 @@ type Engine struct {
 
 	floor       types.Instance // instances < floor are compacted away
 	entriesBase int            // entries below this index were trimmed
-	retired     int            // instance engines released by Compact/Install
-	installs    int            // snapshots installed via InstallSnapshot
 	retirer     Retirer        // optional dedup retirement hook
 
-	noOps      int    // applied instances that committed nothing new
-	dropsAhead uint64 // messages dropped by the MaxLead guard
-	dropsBelow uint64 // messages dropped for compacted instances
-	running    bool
-	closed     bool
-	resumed    bool  // engine was realigned from durable state (Resume)
-	err        error // first per-instance construction error, if any
+	running bool
+	closed  bool
+	resumed bool  // engine was realigned from durable state (Resume)
+	err     error // first per-instance construction error, if any
 
 	relay *rb.Relay // coalescing relay: fronts dispatch, backs every instance env
 }
@@ -193,6 +190,12 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxLead < types.Instance(cfg.Pipeline)+1 {
 		cfg.MaxLead = types.Instance(cfg.Pipeline) + 1
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewLogMetrics(nil, "")
+	}
+	if cfg.Engine.RBMetrics == nil {
+		cfg.Engine.RBMetrics = obs.NewRBMetrics(nil, "")
 	}
 	l := &Engine{
 		cfg:        cfg,
@@ -335,10 +338,7 @@ func (l *Engine) OnMessage(from types.ProcID, m proto.Message) {
 func (l *Engine) dispatch(from types.ProcID, m proto.Message) {
 	i := m.Instance
 	if i < 0 || i >= l.applied+l.cfg.MaxLead {
-		l.dropsAhead++
-		if m := l.cfg.Metrics; m != nil {
-			m.DroppedAhead.Inc()
-		}
+		l.cfg.Metrics.DroppedAhead.Inc()
 		if l.cfg.OnDroppedAhead != nil && i > 0 {
 			l.cfg.OnDroppedAhead(i)
 		}
@@ -347,10 +347,7 @@ func (l *Engine) dispatch(from types.ProcID, m proto.Message) {
 	if i < l.floor {
 		// The instance was compacted: its state is gone and its outcome is
 		// already reflected in the applied prefix (and any snapshot).
-		l.dropsBelow++
-		if m := l.cfg.Metrics; m != nil {
-			m.DroppedRetired.Inc()
-		}
+		l.cfg.Metrics.DroppedRetired.Inc()
 		return
 	}
 	l.named = max(l.named, i+1)
@@ -462,11 +459,9 @@ func (l *Engine) startNext() {
 			tr.OnBatched(c, i)
 		}
 	}
-	if m := l.cfg.Metrics; m != nil {
-		m.Proposals.Inc()
-		m.ProposedCommands.Add(uint64(len(batch)))
-		l.syncGauges(m)
-	}
+	l.cfg.Metrics.Proposals.Inc()
+	l.cfg.Metrics.ProposedCommands.Add(uint64(len(batch)))
+	l.syncGauges()
 	if err := inst.eng.Propose(inst.proposal); err != nil && l.err == nil {
 		l.err = fmt.Errorf("log: instance %v: %w", i, err)
 	}
@@ -486,9 +481,9 @@ func (l *Engine) release(inst *instance) {
 	inst.ownBatch = nil
 }
 
-// syncGauges refreshes the live-level gauges; callers pass the non-nil
-// bundle they already loaded.
-func (l *Engine) syncGauges(m *obs.LogMetrics) {
+// syncGauges refreshes the live-level gauges.
+func (l *Engine) syncGauges() {
+	m := l.cfg.Metrics
 	m.AppliedInstances.Set(int64(l.applied))
 	m.PendingCommands.Set(int64(len(l.pendingSet)))
 	m.PipelineDepth.Set(int64(l.nextStart - l.applied))
@@ -565,9 +560,7 @@ func (l *Engine) tryApply() {
 	for {
 		v, ok := l.decided[l.applied]
 		if !ok {
-			if m := l.cfg.Metrics; m != nil {
-				l.syncGauges(m)
-			}
+			l.syncGauges()
 			return
 		}
 		delete(l.decided, l.applied)
@@ -588,9 +581,7 @@ func (l *Engine) tryApply() {
 					e := Entry{Index: l.entriesBase + len(l.entries), Instance: i, Cmd: c}
 					l.entries = append(l.entries, e)
 					newly++
-					if m := l.cfg.Metrics; m != nil {
-						m.Committed.Inc()
-					}
+					l.cfg.Metrics.Committed.Inc()
 					l.cfg.Tracer.OnCommitted(c, i)
 					if l.cfg.OnCommit != nil {
 						l.cfg.OnCommit(e)
@@ -599,10 +590,7 @@ func (l *Engine) tryApply() {
 			}
 		}
 		if newly == 0 {
-			l.noOps++
-			if m := l.cfg.Metrics; m != nil {
-				m.NoOps.Inc()
-			}
+			l.cfg.Metrics.NoOps.Inc()
 		}
 		if inst := l.insts[i]; inst != nil {
 			// Coverage ends at apply, not at decide: what the decision
@@ -675,11 +663,8 @@ func (l *Engine) Compact(floor types.Instance) int {
 		l.entriesBase += trim
 	}
 	l.floor = floor
-	l.retired += released
-	if m := l.cfg.Metrics; m != nil {
-		m.Compactions.Inc()
-		m.RetiredInstances.Add(uint64(released))
-	}
+	l.cfg.Metrics.Compactions.Inc()
+	l.cfg.Metrics.RetiredInstances.Add(uint64(released))
 	if l.retirer != nil {
 		l.retirer.RetireInstancesBefore(floor)
 	}
@@ -748,7 +733,6 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 		}
 		prevInst = e.Instance
 	}
-	retiredBefore := l.retired
 	// Instance-number order, not map order: Halt cancels timers in the
 	// shared scheduler, and determinism requires an iteration order that
 	// is a pure function of the engine state.
@@ -760,7 +744,7 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 		l.release(inst)
 		inst.eng.Halt()
 		delete(l.insts, i)
-		l.retired++
+		l.cfg.Metrics.RetiredInstances.Inc()
 	}
 	for i := range l.decided {
 		if i < boundary {
@@ -798,11 +782,7 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 	if len(l.entries) > 0 {
 		l.floor = l.entries[0].Instance
 	}
-	l.installs++
-	if m := l.cfg.Metrics; m != nil {
-		m.SnapshotInstalls.Inc()
-		m.RetiredInstances.Add(uint64(l.retired - retiredBefore))
-	}
+	l.cfg.Metrics.SnapshotInstalls.Inc()
 	if l.cfg.Target > 0 && l.Committed() >= l.cfg.Target {
 		// The snapshot alone satisfies the stop rule; don't reopen the
 		// pipeline just to propose into instances nobody else will run.
@@ -938,24 +918,24 @@ func (l *Engine) Pipeline() int { return l.cfg.Pipeline }
 
 // NoOps returns how many applied instances committed nothing new
 // (⊥ decisions, undecodable batches, or fully duplicate batches).
-func (l *Engine) NoOps() int { return l.noOps }
+func (l *Engine) NoOps() int { return int(l.cfg.Metrics.NoOps.Value()) }
 
 // DroppedAhead returns how many messages the MaxLead guard dropped.
-func (l *Engine) DroppedAhead() uint64 { return l.dropsAhead }
+func (l *Engine) DroppedAhead() uint64 { return l.cfg.Metrics.DroppedAhead.Value() }
 
 // DroppedRetired returns how many messages arrived for compacted
 // instances.
-func (l *Engine) DroppedRetired() uint64 { return l.dropsBelow }
+func (l *Engine) DroppedRetired() uint64 { return l.cfg.Metrics.DroppedRetired.Value() }
 
 // Floor returns the compaction floor: instances < Floor are retired.
 func (l *Engine) Floor() types.Instance { return l.floor }
 
 // Retired returns how many instance engines Compact and InstallSnapshot
 // have released.
-func (l *Engine) Retired() int { return l.retired }
+func (l *Engine) Retired() int { return int(l.cfg.Metrics.RetiredInstances.Value()) }
 
 // Installs returns how many peer snapshots InstallSnapshot has applied.
-func (l *Engine) Installs() int { return l.installs }
+func (l *Engine) Installs() int { return int(l.cfg.Metrics.SnapshotInstalls.Value()) }
 
 // Closed reports whether the engine stopped starting new instances.
 func (l *Engine) Closed() bool { return l.closed }

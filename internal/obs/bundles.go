@@ -2,16 +2,51 @@ package obs
 
 import "strconv"
 
-// This file defines the per-layer metric bundles: plain structs of
-// pre-registered instruments that the protocol packages hold as nil-able
-// pointers. Each New*Metrics constructor returns nil when the registry is
-// nil, and every instrument method no-ops on nil, so an uninstrumented
-// run costs exactly one nil check per site.
+// This file defines the metric bundles: plain structs of instruments.
+// The per-layer ones (Log, SM, KV, Transfer, Pool, Dedup, RB, Node) are
+// their layer's only tally: the layer always counts into them and its
+// accessors read them. A registry decides only whether a count is
+// exported: with one, New*Metrics registers every cell under its series
+// name; with nil, it returns private cells nobody exports. The Wire,
+// Stage and commit-latency instruments are nil without a registry, and
+// their consumers read nil as "off".
 //
 // The labels argument is a pre-joined label body (usually `proc="3"`,
-// built with Name/JoinLabels) stamped onto every series the bundle
+// built with JoinLabels) stamped onto every series the bundle
 // registers; pass "" for a single-process registry. Metric names are
 // catalogued in docs/observability.md.
+
+// cells hands out one bundle's instruments: registered in r under the
+// bundle's labels, or private when r is nil.
+type cells struct {
+	r      *Registry
+	labels string
+}
+
+// counter returns the named counter.
+func (c cells) counter(name string) *Counter {
+	if c.r == nil {
+		return new(Counter)
+	}
+	return c.r.Counter(WithLabels(name, c.labels))
+}
+
+// gauge returns the named gauge.
+func (c cells) gauge(name string) *Gauge {
+	if c.r == nil {
+		return new(Gauge)
+	}
+	return c.r.Gauge(WithLabels(name, c.labels))
+}
+
+// histogram returns the named histogram over bounds (nil =
+// DefaultLatencyBuckets).
+func (c cells) histogram(name string, bounds []int64) *Histogram {
+	if c.r == nil {
+		return newHistogram(bounds)
+	}
+	return c.r.Histogram(WithLabels(name, c.labels), bounds)
+}
 
 // LogMetrics instruments the replicated-log engine (internal/log).
 type LogMetrics struct {
@@ -40,24 +75,23 @@ type LogMetrics struct {
 	PipelineDepth    *Gauge
 }
 
-// NewLogMetrics registers the log-engine bundle.
+// NewLogMetrics builds the log-engine bundle, registered in r when r is
+// non-nil.
 func NewLogMetrics(r *Registry, labels string) *LogMetrics {
-	if r == nil {
-		return nil
-	}
+	c := cells{r, labels}
 	return &LogMetrics{
-		Proposals:        r.Counter(WithLabels("minsync_log_proposals_total", labels)),
-		ProposedCommands: r.Counter(WithLabels("minsync_log_proposed_commands_total", labels)),
-		Committed:        r.Counter(WithLabels("minsync_log_committed_total", labels)),
-		NoOps:            r.Counter(WithLabels("minsync_log_noop_instances_total", labels)),
-		DroppedAhead:     r.Counter(WithLabels("minsync_log_dropped_ahead_total", labels)),
-		DroppedRetired:   r.Counter(WithLabels("minsync_log_dropped_retired_total", labels)),
-		Compactions:      r.Counter(WithLabels("minsync_log_compactions_total", labels)),
-		RetiredInstances: r.Counter(WithLabels("minsync_log_instances_retired_total", labels)),
-		SnapshotInstalls: r.Counter(WithLabels("minsync_log_snapshot_installs_total", labels)),
-		AppliedInstances: r.Gauge(WithLabels("minsync_log_applied_instances", labels)),
-		PendingCommands:  r.Gauge(WithLabels("minsync_log_pending_commands", labels)),
-		PipelineDepth:    r.Gauge(WithLabels("minsync_log_pipeline_depth", labels)),
+		Proposals:        c.counter("minsync_log_proposals_total"),
+		ProposedCommands: c.counter("minsync_log_proposed_commands_total"),
+		Committed:        c.counter("minsync_log_committed_total"),
+		NoOps:            c.counter("minsync_log_noop_instances_total"),
+		DroppedAhead:     c.counter("minsync_log_dropped_ahead_total"),
+		DroppedRetired:   c.counter("minsync_log_dropped_retired_total"),
+		Compactions:      c.counter("minsync_log_compactions_total"),
+		RetiredInstances: c.counter("minsync_log_instances_retired_total"),
+		SnapshotInstalls: c.counter("minsync_log_snapshot_installs_total"),
+		AppliedInstances: c.gauge("minsync_log_applied_instances"),
+		PendingCommands:  c.gauge("minsync_log_pending_commands"),
+		PipelineDepth:    c.gauge("minsync_log_pipeline_depth"),
 	}
 }
 
@@ -74,17 +108,16 @@ type SMMetrics struct {
 	Installs      *Counter
 }
 
-// NewSMMetrics registers the applier bundle.
+// NewSMMetrics builds the applier bundle, registered in r when r is
+// non-nil.
 func NewSMMetrics(r *Registry, labels string) *SMMetrics {
-	if r == nil {
-		return nil
-	}
+	c := cells{r, labels}
 	return &SMMetrics{
-		Applies:       r.Counter(WithLabels("minsync_sm_applies_total", labels)),
-		Snapshots:     r.Counter(WithLabels("minsync_sm_snapshots_total", labels)),
-		SnapshotBytes: r.Counter(WithLabels("minsync_sm_snapshot_bytes_total", labels)),
-		Recoveries:    r.Counter(WithLabels("minsync_sm_recoveries_total", labels)),
-		Installs:      r.Counter(WithLabels("minsync_sm_installs_total", labels)),
+		Applies:       c.counter("minsync_sm_applies_total"),
+		Snapshots:     c.counter("minsync_sm_snapshots_total"),
+		SnapshotBytes: c.counter("minsync_sm_snapshot_bytes_total"),
+		Recoveries:    c.counter("minsync_sm_recoveries_total"),
+		Installs:      c.counter("minsync_sm_installs_total"),
 	}
 }
 
@@ -103,18 +136,17 @@ type KVMetrics struct {
 	Sessions *Gauge
 }
 
-// NewKVMetrics registers the KV-store bundle.
+// NewKVMetrics builds the KV-store bundle, registered in r when r is
+// non-nil.
 func NewKVMetrics(r *Registry, labels string) *KVMetrics {
-	if r == nil {
-		return nil
-	}
+	c := cells{r, labels}
 	return &KVMetrics{
-		Applies:       r.Counter(WithLabels("minsync_kv_applies_total", labels)),
-		SessionDups:   r.Counter(WithLabels("minsync_kv_session_dups_total", labels)),
-		SessionStales: r.Counter(WithLabels("minsync_kv_session_stales_total", labels)),
-		BadCommands:   r.Counter(WithLabels("minsync_kv_bad_commands_total", labels)),
-		Keys:          r.Gauge(WithLabels("minsync_kv_keys", labels)),
-		Sessions:      r.Gauge(WithLabels("minsync_kv_sessions", labels)),
+		Applies:       c.counter("minsync_kv_applies_total"),
+		SessionDups:   c.counter("minsync_kv_session_dups_total"),
+		SessionStales: c.counter("minsync_kv_session_stales_total"),
+		BadCommands:   c.counter("minsync_kv_bad_commands_total"),
+		Keys:          c.gauge("minsync_kv_keys"),
+		Sessions:      c.gauge("minsync_kv_sessions"),
 	}
 }
 
@@ -137,19 +169,18 @@ type TransferMetrics struct {
 	ChunkRejected  *Counter
 }
 
-// NewTransferMetrics registers the transfer bundle.
+// NewTransferMetrics builds the transfer bundle, registered in r when r
+// is non-nil.
 func NewTransferMetrics(r *Registry, labels string) *TransferMetrics {
-	if r == nil {
-		return nil
-	}
+	c := cells{r, labels}
 	return &TransferMetrics{
-		Requests:       r.Counter(WithLabels("minsync_transfer_requests_total", labels)),
-		Served:         r.Counter(WithLabels("minsync_transfer_served_total", labels)),
-		Installs:       r.Counter(WithLabels("minsync_transfer_installs_total", labels)),
-		Rejected:       r.Counter(WithLabels("minsync_transfer_rejected_total", labels)),
-		ChunksServed:   r.Counter(WithLabels("minsync_transfer_chunks_served_total", labels)),
-		ChunksReceived: r.Counter(WithLabels("minsync_transfer_chunks_received_total", labels)),
-		ChunkRejected:  r.Counter(WithLabels("minsync_transfer_chunk_rejected_total", labels)),
+		Requests:       c.counter("minsync_transfer_requests_total"),
+		Served:         c.counter("minsync_transfer_served_total"),
+		Installs:       c.counter("minsync_transfer_installs_total"),
+		Rejected:       c.counter("minsync_transfer_rejected_total"),
+		ChunksServed:   c.counter("minsync_transfer_chunks_served_total"),
+		ChunksReceived: c.counter("minsync_transfer_chunks_received_total"),
+		ChunkRejected:  c.counter("minsync_transfer_chunk_rejected_total"),
 	}
 }
 
@@ -172,18 +203,17 @@ type PoolMetrics struct {
 	Pending *Gauge
 }
 
-// NewPoolMetrics registers the admission-pool bundle.
+// NewPoolMetrics builds the admission-pool bundle, registered in r when
+// r is non-nil.
 func NewPoolMetrics(r *Registry, labels string) *PoolMetrics {
-	if r == nil {
-		return nil
-	}
+	c := cells{r, labels}
 	return &PoolMetrics{
-		Admitted: r.Counter(WithLabels("minsync_pool_admitted_total", labels)),
-		Deduped:  r.Counter(WithLabels("minsync_pool_deduped_total", labels)),
-		Shed:     r.Counter(WithLabels("minsync_pool_shed_total", labels)),
-		Resolved: r.Counter(WithLabels("minsync_pool_resolved_total", labels)),
-		Expired:  r.Counter(WithLabels("minsync_pool_expired_total", labels)),
-		Pending:  r.Gauge(WithLabels("minsync_pool_pending", labels)),
+		Admitted: c.counter("minsync_pool_admitted_total"),
+		Deduped:  c.counter("minsync_pool_deduped_total"),
+		Shed:     c.counter("minsync_pool_shed_total"),
+		Resolved: c.counter("minsync_pool_resolved_total"),
+		Expired:  c.counter("minsync_pool_expired_total"),
+		Pending:  c.gauge("minsync_pool_pending"),
 	}
 }
 
@@ -201,16 +231,15 @@ type DedupMetrics struct {
 	LiveInstances *Gauge
 }
 
-// NewDedupMetrics registers the dispatcher bundle.
+// NewDedupMetrics builds the dispatcher bundle, registered in r when r
+// is non-nil.
 func NewDedupMetrics(r *Registry, labels string) *DedupMetrics {
-	if r == nil {
-		return nil
-	}
+	c := cells{r, labels}
 	return &DedupMetrics{
-		DroppedDuplicates: r.Counter(WithLabels("minsync_dedup_dropped_total", labels)),
-		DroppedRetired:    r.Counter(WithLabels("minsync_dedup_dropped_retired_total", labels)),
-		RetiredInstances:  r.Counter(WithLabels("minsync_dedup_retired_instances_total", labels)),
-		LiveInstances:     r.Gauge(WithLabels("minsync_dedup_live_instances", labels)),
+		DroppedDuplicates: c.counter("minsync_dedup_dropped_total"),
+		DroppedRetired:    c.counter("minsync_dedup_dropped_retired_total"),
+		RetiredInstances:  c.counter("minsync_dedup_retired_instances_total"),
+		LiveInstances:     c.gauge("minsync_dedup_live_instances"),
 	}
 }
 
@@ -259,6 +288,11 @@ type RBMetrics struct {
 	WindowDrops *Counter
 	CacheDrops  *Counter
 	BadFrames   *Counter
+	// DupEntries counts vector entries dropped by the relay's per-entry
+	// first-message rule: a repeat of a (sender, kind, tag, origin) already
+	// seen for its instance. Correct senders repeat none, so a rising
+	// count names a Byzantine or replaying peer.
+	DupEntries *Counter
 }
 
 // FrameEntriesBuckets are the entries-per-frame histogram bounds: the
@@ -266,32 +300,32 @@ type RBMetrics struct {
 // pipeline-wide batches of a loaded large-n run.
 var FrameEntriesBuckets = []int64{1, 2, 5, 10, 20, 50, 100, 200, 500}
 
-// NewRBMetrics registers the reliable-broadcast bundle.
+// NewRBMetrics builds the reliable-broadcast bundle, registered in r
+// when r is non-nil.
 func NewRBMetrics(r *Registry, labels string) *RBMetrics {
-	if r == nil {
-		return nil
-	}
+	c := cells{r, labels}
 	flushes := func(cause string) *Counter {
-		return r.Counter(WithLabels("minsync_rb_flushes_total", JoinLabels(labels, `cause="`+cause+`"`)))
+		return cells{r, JoinLabels(labels, `cause="`+cause+`"`)}.counter("minsync_rb_flushes_total")
 	}
 	return &RBMetrics{
-		Broadcasts:      r.Counter(WithLabels("minsync_rb_broadcasts_total", labels)),
-		Echoes:          r.Counter(WithLabels("minsync_rb_echoes_total", labels)),
-		Readies:         r.Counter(WithLabels("minsync_rb_readies_total", labels)),
-		Delivers:        r.Counter(WithLabels("minsync_rb_delivers_total", labels)),
-		FramesCoalesced: r.Counter(WithLabels("minsync_rb_frames_coalesced_total", labels)),
-		FrameEntries:    r.Histogram(WithLabels("minsync_rb_frame_entries", labels), FrameEntriesBuckets),
-		Pulls:           r.Counter(WithLabels("minsync_rb_pulls_total", labels)),
-		Hashes:          r.Counter(WithLabels("minsync_rb_hashes_total", labels)),
-		ParkDrops:       r.Counter(WithLabels("minsync_rb_park_drops_total", labels)),
+		Broadcasts:      c.counter("minsync_rb_broadcasts_total"),
+		Echoes:          c.counter("minsync_rb_echoes_total"),
+		Readies:         c.counter("minsync_rb_readies_total"),
+		Delivers:        c.counter("minsync_rb_delivers_total"),
+		FramesCoalesced: c.counter("minsync_rb_frames_coalesced_total"),
+		FrameEntries:    c.histogram("minsync_rb_frame_entries", FrameEntriesBuckets),
+		Pulls:           c.counter("minsync_rb_pulls_total"),
+		Hashes:          c.counter("minsync_rb_hashes_total"),
+		ParkDrops:       c.counter("minsync_rb_park_drops_total"),
 		FlushesIdle:     flushes("idle"),
 		FlushesTimer:    flushes("timer"),
 		FlushesFull:     flushes("full"),
-		Hold:            r.Histogram(WithLabels("minsync_rb_hold_ns", labels), nil),
-		ScopeDrops:      r.Counter(WithLabels("minsync_rb_scope_drops_total", labels)),
-		WindowDrops:     r.Counter(WithLabels("minsync_rb_window_drops_total", labels)),
-		CacheDrops:      r.Counter(WithLabels("minsync_rb_cache_drops_total", labels)),
-		BadFrames:       r.Counter(WithLabels("minsync_rb_bad_frames_total", labels)),
+		Hold:            c.histogram("minsync_rb_hold_ns", nil),
+		ScopeDrops:      c.counter("minsync_rb_scope_drops_total"),
+		WindowDrops:     c.counter("minsync_rb_window_drops_total"),
+		CacheDrops:      c.counter("minsync_rb_cache_drops_total"),
+		BadFrames:       c.counter("minsync_rb_bad_frames_total"),
+		DupEntries:      c.counter("minsync_rb_dup_entries_total"),
 	}
 }
 
@@ -304,14 +338,13 @@ type NodeMetrics struct {
 	InboxDepth *Gauge
 }
 
-// NewNodeMetrics registers the runtime bundle.
+// NewNodeMetrics builds the runtime bundle, registered in r when r is
+// non-nil.
 func NewNodeMetrics(r *Registry, labels string) *NodeMetrics {
-	if r == nil {
-		return nil
-	}
+	c := cells{r, labels}
 	return &NodeMetrics{
-		Posted:     r.Counter(WithLabels("minsync_rt_posted_total", labels)),
-		InboxDepth: r.Gauge(WithLabels("minsync_rt_inbox_depth", labels)),
+		Posted:     c.counter("minsync_rt_posted_total"),
+		InboxDepth: c.gauge("minsync_rt_inbox_depth"),
 	}
 }
 
@@ -466,7 +499,7 @@ var StageNames = []string{StageAdmitWait, StageBatchWait, StageConsensus, StageA
 const StageLatencyName = "minsync_stage_latency_ns"
 
 // StageMetrics bundles the five per-command stage-latency histograms
-// an xtrace.Tracer feeds. Passive; nil-safe like every bundle.
+// an xtrace.Tracer feeds. Passive; nil (off) without a registry.
 type StageMetrics struct {
 	AdmitWait *Histogram
 	BatchWait *Histogram
@@ -494,31 +527,22 @@ func NewStageMetrics(r *Registry, labels string) *StageMetrics {
 	}
 }
 
-// Stage returns the histogram for a stage key (nil for unknown keys or
-// a nil bundle).
-func (m *StageMetrics) Stage(name string) *Histogram {
-	if m == nil {
-		return nil
-	}
-	switch name {
-	case StageAdmitWait:
-		return m.AdmitWait
-	case StageBatchWait:
-		return m.BatchWait
-	case StageConsensus:
-		return m.Consensus
-	case StageApply:
-		return m.Apply
-	case StageRespond:
-		return m.Respond
-	}
-	return nil
-}
-
 // Observe records one stage latency in nanoseconds. Nil-safe on the
 // bundle and tolerant of unknown stage keys.
 func (m *StageMetrics) Observe(stage string, ns int64) {
-	if h := m.Stage(stage); h != nil {
-		h.Observe(ns)
+	if m == nil {
+		return
+	}
+	switch stage {
+	case StageAdmitWait:
+		m.AdmitWait.Observe(ns)
+	case StageBatchWait:
+		m.BatchWait.Observe(ns)
+	case StageConsensus:
+		m.Consensus.Observe(ns)
+	case StageApply:
+		m.Apply.Observe(ns)
+	case StageRespond:
+		m.Respond.Observe(ns)
 	}
 }

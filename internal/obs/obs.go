@@ -9,20 +9,21 @@
 //     mutex once; after that every Add/Set/Observe is a plain atomic on a
 //     pre-registered cell. TestHotPathAllocs pins the zero-allocation
 //     property with testing.AllocsPerRun.
-//  2. Observation must not perturb the observed world. Instruments never
-//     schedule events, never branch protocol behavior, and are threaded
-//     as nil-able pointers so an unobserved run pays one predictable nil
-//     check per site — the golden scenario digests stay byte-identical
-//     with a registry attached (see internal/scenario's determinism
-//     test).
+//  2. Layers always count; a registry only exports. A layer's bundle is
+//     its only tally (its accessors read the cells), so an unobserved run
+//     counts exactly like an observed one: built on a nil registry, a
+//     bundle holds private cells nobody exports. Instruments never
+//     schedule events or branch protocol behavior — the golden scenario
+//     digests stay byte-identical with a registry attached (see
+//     internal/scenario's determinism test).
 //  3. Snapshots are consistent enough for monitoring: readers see each
 //     cell atomically, not the registry at one instant. That is the
 //     standard Prometheus client contract.
 //
 // Metric names follow Prometheus conventions (`minsync_<layer>_<what>_total`
 // for counters); labels ride inside the name string (build them with
-// Name), and the text-exposition writer groups series into families by
-// splitting at the label brace. The full catalogue lives in
+// WithLabels and JoinLabels), and the text-exposition writer groups
+// series into families by splitting at the label brace. The full catalogue lives in
 // docs/observability.md.
 package obs
 
@@ -231,7 +232,9 @@ func DefaultLatencyBuckets() []int64 {
 // type panics: that is a programming error, not a runtime condition.
 //
 // A nil *Registry is valid and returns nil instruments everywhere, which
-// in turn no-op — "telemetry off" needs no branches in calling code.
+// in turn no-op: the wire, stage and commit-latency instruments are "off"
+// that way. The per-layer bundles built on a nil registry count into
+// private cells instead (see bundles.go).
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -388,33 +391,6 @@ func (r *Registry) names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Name assembles a full series name from a base metric name and label
-// pairs: Name("x_total", "proc", "1") == `x_total{proc="1"}`. No labels
-// returns the base unchanged. Values are used verbatim (callers pass
-// identifiers, not arbitrary strings). Panics on an odd pair count.
-func Name(base string, kv ...string) string {
-	if len(kv) == 0 {
-		return base
-	}
-	if len(kv)%2 != 0 {
-		panic("obs: Name needs key/value pairs")
-	}
-	var b strings.Builder
-	b.WriteString(base)
-	b.WriteByte('{')
-	for i := 0; i < len(kv); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(kv[i])
-		b.WriteString(`="`)
-		b.WriteString(kv[i+1])
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
 }
 
 // JoinLabels merges label bodies (the part between braces) into one,

@@ -149,6 +149,38 @@ func TestHotPathAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("hot path allocates %v per run, want 0", n)
 	}
+	// A bundle built on no registry counts into private cells, at the same
+	// cost.
+	rb := NewRBMetrics(nil, "")
+	if n := testing.AllocsPerRun(1000, func() {
+		rb.Pulls.Inc()
+		rb.FrameEntries.Observe(7)
+		rb.Hold.Observe(1_500_000)
+	}); n != 0 {
+		t.Fatalf("private-cell hot path allocates %v per run, want 0", n)
+	}
+	if rb.Pulls.Value() == 0 || rb.FrameEntries.Count() == 0 {
+		t.Fatal("a bundle without a registry does not count")
+	}
+}
+
+// TestBundleExportsOnlyWithRegistry: the same bundle counts with or
+// without a registry; only a registry puts its series on the exposition.
+func TestBundleExportsOnlyWithRegistry(t *testing.T) {
+	private := NewLogMetrics(nil, "")
+	private.NoOps.Inc()
+	if private.NoOps.Value() != 1 {
+		t.Fatalf("private NoOps = %d, want 1", private.NoOps.Value())
+	}
+	reg := NewRegistry()
+	m := NewLogMetrics(reg, `proc="2"`)
+	m.NoOps.Inc()
+	if got := reg.Snapshot().Counters[`minsync_log_noop_instances_total{proc="2"}`]; got != 1 {
+		t.Fatalf("registered NoOps series = %d, want 1", got)
+	}
+	if NewLogMetrics(reg, `proc="2"`).NoOps != m.NoOps {
+		t.Fatal("re-building a bundle on the same registry and labels must re-acquire its cells")
+	}
 }
 
 // TestWritePrometheusGolden pins the text exposition format byte for
@@ -156,8 +188,8 @@ func TestHotPathAllocs(t *testing.T) {
 // deterministic ordering.
 func TestWritePrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter(Name("minsync_log_committed_total", "proc", "1")).Add(12)
-	reg.Counter(Name("minsync_log_committed_total", "proc", "2")).Add(9)
+	reg.Counter(WithLabels("minsync_log_committed_total", `proc="1"`)).Add(12)
+	reg.Counter(WithLabels("minsync_log_committed_total", `proc="2"`)).Add(9)
 	reg.Gauge("minsync_dedup_live_instances").Set(3)
 	h := reg.Histogram("minsync_commit_latency_ns", []int64{1000, 10000})
 	h.Observe(500)
@@ -188,12 +220,6 @@ minsync_log_committed_total{proc="2"} 9
 // TestNameHelpers covers the label assembly helpers used by every
 // bundle constructor.
 func TestNameHelpers(t *testing.T) {
-	if got := Name("x_total"); got != "x_total" {
-		t.Fatalf("Name no labels = %q", got)
-	}
-	if got := Name("x_total", "proc", "1", "kind", "echo"); got != `x_total{proc="1",kind="echo"}` {
-		t.Fatalf("Name = %q", got)
-	}
 	if got := JoinLabels("", `a="1"`, "", `b="2"`); got != `a="1",b="2"` {
 		t.Fatalf("JoinLabels = %q", got)
 	}

@@ -344,27 +344,35 @@ type instKey struct {
 // layer compacts it (RetireInstancesBefore) — the flat set of earlier
 // releases grew without bound on long log runs.
 type Node struct {
-	h     Handler
-	seen  map[types.Instance]map[instKey]struct{}
-	floor types.Instance // instances < floor are retired
-	// Dropped counts discarded duplicates (Byzantine spam metric).
-	Dropped uint64
-	// DroppedRetired counts messages for instances already retired by
-	// RetireInstancesBefore (late traffic after compaction).
-	DroppedRetired uint64
-	// metrics mirrors the drop counters into live telemetry (SetMetrics).
-	metrics *obs.DedupMetrics
+	h       Handler
+	seen    map[types.Instance]map[instKey]struct{}
+	floor   types.Instance    // instances < floor are retired
+	metrics *obs.DedupMetrics // the drop counters and live-instance gauge
 }
 
-// NewNode wraps h with duplicate suppression.
+// NewNode wraps h with duplicate suppression. It counts into private
+// cells until SetMetrics hands it a registered bundle.
 func NewNode(h Handler) *Node {
-	return &Node{h: h, seen: make(map[types.Instance]map[instKey]struct{}, 8)}
+	return &Node{
+		h:       h,
+		seen:    make(map[types.Instance]map[instKey]struct{}, 8),
+		metrics: obs.NewDedupMetrics(nil, ""),
+	}
 }
 
-// SetMetrics attaches a live telemetry bundle (obs.NewDedupMetrics; nil
-// detaches). Passive mirrors of the public drop counters plus a live-
-// instance gauge; never alters dispatch behavior.
+// SetMetrics replaces the node's tally with m (obs.NewDedupMetrics),
+// which Dropped and DroppedRetired then read. Call it before the first
+// Dispatch: counts already made stay in the cells replaced. Passive;
+// never alters dispatch behavior.
 func (n *Node) SetMetrics(m *obs.DedupMetrics) { n.metrics = m }
+
+// Dropped returns the number of discarded duplicates (Byzantine spam
+// metric).
+func (n *Node) Dropped() uint64 { return n.metrics.DroppedDuplicates.Value() }
+
+// DroppedRetired returns the number of messages for instances already
+// retired by RetireInstancesBefore (late traffic after compaction).
+func (n *Node) DroppedRetired() uint64 { return n.metrics.DroppedRetired.Value() }
 
 // Dispatch feeds one raw network delivery through deduplication.
 //
@@ -402,10 +410,7 @@ func (n *Node) Dispatch(from types.ProcID, m Message) {
 		return
 	}
 	if m.Instance < n.floor {
-		n.DroppedRetired++
-		if mm := n.metrics; mm != nil {
-			mm.DroppedRetired.Inc()
-		}
+		n.metrics.DroppedRetired.Inc()
 		return
 	}
 	sub, ok := n.seen[m.Instance]
@@ -418,16 +423,11 @@ func (n *Node) Dispatch(from types.ProcID, m Message) {
 		// amortized.
 		sub = make(map[instKey]struct{})
 		n.seen[m.Instance] = sub
-		if mm := n.metrics; mm != nil {
-			mm.LiveInstances.Set(int64(len(n.seen)))
-		}
+		n.metrics.LiveInstances.Set(int64(len(n.seen)))
 	}
 	k := instKey{From: from, Kind: m.Kind, Tag: m.Tag, Origin: m.Origin}
 	if _, dup := sub[k]; dup {
-		n.Dropped++
-		if mm := n.metrics; mm != nil {
-			mm.DroppedDuplicates.Inc()
-		}
+		n.metrics.DroppedDuplicates.Inc()
 		return
 	}
 	sub[k] = struct{}{}
@@ -450,21 +450,10 @@ func (n *Node) RetireInstancesBefore(floor types.Instance) {
 		}
 	}
 	n.floor = floor
-	if mm := n.metrics; mm != nil {
-		mm.RetiredInstances.Add(uint64(retired))
-		mm.LiveInstances.Set(int64(len(n.seen)))
-	}
+	n.metrics.RetiredInstances.Add(uint64(retired))
+	n.metrics.LiveInstances.Set(int64(len(n.seen)))
 }
 
 // LiveInstances returns the number of instance dedup sub-maps currently
 // held (memory introspection).
 func (n *Node) LiveInstances() int { return len(n.seen) }
-
-// Broadcast is a helper for modules that need the paper's best-effort
-// broadcast given only a point-to-point Send (used by Byzantine behaviors
-// that equivocate: they bypass Env.Broadcast and call Send per peer).
-func BroadcastVia(env Env, m Message) {
-	for _, p := range env.Params().AllProcs() {
-		env.Send(p, m)
-	}
-}

@@ -20,8 +20,8 @@ func TestDedup(t *testing.T) {
 	if len(got) != 1 || got[0].Val != "a" {
 		t.Fatalf("dedup failed: %v", got)
 	}
-	if n.Dropped != 1 {
-		t.Fatalf("Dropped = %d", n.Dropped)
+	if n.Dropped() != 1 {
+		t.Fatalf("Dropped = %d", n.Dropped())
 	}
 	// Different sender: accepted.
 	n.Dispatch(3, m1)
@@ -52,8 +52,8 @@ func TestKeyFields(t *testing.T) {
 	n.Dispatch(5, m)
 	m.Val = "y"
 	n.Dispatch(5, m)
-	if delivered != 1 || n.Dropped != 1 {
-		t.Fatalf("delivered=%d dropped=%d: dedup identity must ignore the payload value", delivered, n.Dropped)
+	if delivered != 1 || n.Dropped() != 1 {
+		t.Fatalf("delivered=%d dropped=%d: dedup identity must ignore the payload value", delivered, n.Dropped())
 	}
 	// Each identity component distinguishes: changing any accepts again.
 	for _, mm := range []Message{
@@ -127,8 +127,8 @@ func TestDedupPerInstance(t *testing.T) {
 		m.Instance = inst
 		n.Dispatch(2, m)
 	}
-	if len(got) != 3 || n.Dropped != 2 {
-		t.Fatalf("delivered %d dropped %d, want 3/2", len(got), n.Dropped)
+	if len(got) != 3 || n.Dropped() != 2 {
+		t.Fatalf("delivered %d dropped %d, want 3/2", len(got), n.Dropped())
 	}
 	if n.LiveInstances() != 3 {
 		t.Fatalf("live instance sub-maps = %d, want 3", n.LiveInstances())
@@ -145,8 +145,8 @@ func TestDecideOncePerSender(t *testing.T) {
 	decide.Val = "b"
 	n.Dispatch(2, decide)
 	n.Dispatch(3, decide)
-	if len(got) != 2 || got[0].Val != "a" || got[1].Val != "b" || n.Dropped != 1 {
-		t.Fatalf("delivered %v, dropped %d; want p2's a and p3's b, one drop", got, n.Dropped)
+	if len(got) != 2 || got[0].Val != "a" || got[1].Val != "b" || n.Dropped() != 1 {
+		t.Fatalf("delivered %v, dropped %d; want p2's a and p3's b, one drop", got, n.Dropped())
 	}
 }
 
@@ -168,8 +168,8 @@ func TestRetireInstancesBefore(t *testing.T) {
 	m.Instance = 1
 	m.Origin = 4 // would be a fresh key if the instance were live
 	n.Dispatch(2, m)
-	if n.DroppedRetired != 1 || n.LiveInstances() != 2 {
-		t.Fatalf("retired traffic: droppedRetired=%d live=%d", n.DroppedRetired, n.LiveInstances())
+	if n.DroppedRetired() != 1 || n.LiveInstances() != 2 {
+		t.Fatalf("retired traffic: droppedRetired=%d live=%d", n.DroppedRetired(), n.LiveInstances())
 	}
 	if delivered != 5 {
 		t.Fatalf("delivered = %d, want 5", delivered)
@@ -183,8 +183,8 @@ func TestRetireInstancesBefore(t *testing.T) {
 	m.Instance = 4
 	m.Origin = 3
 	n.Dispatch(2, m)
-	if n.Dropped != 1 {
-		t.Fatalf("live-instance dedup broken: dropped=%d", n.Dropped)
+	if n.Dropped() != 1 {
+		t.Fatalf("live-instance dedup broken: dropped=%d", n.Dropped())
 	}
 }
 
@@ -198,15 +198,15 @@ func TestSnapFramesBypassDedup(t *testing.T) {
 	req := Message{Kind: MsgSnapRequest, Tag: Tag{Mod: ModSnap}, Instance: 2}
 	n.Dispatch(3, req)
 	n.Dispatch(3, req) // an identical retry must get through
-	if delivered != 2 || n.Dropped != 0 {
-		t.Fatalf("retry deduplicated: delivered=%d dropped=%d", delivered, n.Dropped)
+	if delivered != 2 || n.Dropped() != 0 {
+		t.Fatalf("retry deduplicated: delivered=%d dropped=%d", delivered, n.Dropped())
 	}
 	// Below the retirement floor: still delivered (a request's boundary
 	// instance is usually below the server's compaction floor).
 	n.RetireInstancesBefore(10)
 	n.Dispatch(3, req)
-	if delivered != 3 || n.DroppedRetired != 0 {
-		t.Fatalf("floor applied to transfer frame: delivered=%d droppedRetired=%d", delivered, n.DroppedRetired)
+	if delivered != 3 || n.DroppedRetired() != 0 {
+		t.Fatalf("floor applied to transfer frame: delivered=%d droppedRetired=%d", delivered, n.DroppedRetired())
 	}
 	resp := Message{Kind: MsgSnapResponse, Tag: Tag{Mod: ModSnap}, Instance: 1 << 30, Val: "payload"}
 	n.Dispatch(2, resp)
@@ -231,8 +231,8 @@ func TestForwardsBypassDedup(t *testing.T) {
 	n.Dispatch(2, fwd("b"))
 	n.RetireInstancesBefore(5)
 	n.Dispatch(2, fwd("c"))
-	if len(got) != 3 || got[1] != "b" || got[2] != "c" || n.Dropped != 0 || n.DroppedRetired != 0 {
-		t.Fatalf("delivered %q, dropped %d, dropped as retired %d; want every forward", got, n.Dropped, n.DroppedRetired)
+	if len(got) != 3 || got[1] != "b" || got[2] != "c" || n.Dropped() != 0 || n.DroppedRetired() != 0 {
+		t.Fatalf("delivered %q, dropped %d, dropped as retired %d; want every forward", got, n.Dropped(), n.DroppedRetired())
 	}
 	if n.LiveInstances() != 0 {
 		t.Fatalf("forwards grew dedup sub-maps: %d", n.LiveInstances())

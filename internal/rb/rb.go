@@ -82,16 +82,26 @@ func (in *instance) votesFor(v types.Value) *votes {
 	return &in.more[len(in.more)-1]
 }
 
+// unread is the bundle of every Layer given none. A Layer is built per
+// consensus instance and has no accessor reading its counts, so one set
+// of private cells serves them all.
+var unread = obs.NewRBMetrics(nil, "")
+
 // New creates the RB layer for env; deliver receives RB-deliveries.
 func New(env proto.Env, deliver DeliverFunc) *Layer {
-	return &Layer{env: env, deliver: deliver, insts: make(map[instKey]*instance)}
+	return &Layer{env: env, deliver: deliver, insts: make(map[instKey]*instance), metrics: unread}
 }
 
-// SetMetrics attaches a live telemetry bundle (obs.NewRBMetrics; nil
-// detaches). Counts the echo/ready traffic this process ORIGINATES — the
-// Θ(n²) amplification volume — plus deliveries; passive, never alters
-// the protocol.
-func (l *Layer) SetMetrics(m *obs.RBMetrics) { l.metrics = m }
+// SetMetrics sets the telemetry bundle (obs.NewRBMetrics; nil counts into
+// cells nobody reads). Counts the echo/ready traffic this process
+// ORIGINATES — the Θ(n²) amplification volume — plus deliveries;
+// passive, never alters the protocol.
+func (l *Layer) SetMetrics(m *obs.RBMetrics) {
+	if m == nil {
+		m = unread
+	}
+	l.metrics = m
+}
 
 // SetTracer attaches a causal tracer (nil detaches) and the consensus
 // instance this layer's spans belong to. Passive like SetMetrics: the
@@ -112,9 +122,7 @@ func (l *Layer) Broadcast(tag proto.Tag, v types.Value) {
 			Round: tag.Round, Value: v, Aux: tag.String(),
 		})
 	}
-	if m := l.metrics; m != nil {
-		m.Broadcasts.Inc()
-	}
+	l.metrics.Broadcasts.Inc()
 	l.env.Broadcast(proto.Message{Kind: proto.MsgRBInit, Tag: tag, Origin: l.env.ID(), Val: v})
 }
 
@@ -145,9 +153,7 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 	case proto.MsgRBInit:
 		if !inst.sentEcho {
 			inst.sentEcho = true
-			if mm := l.metrics; mm != nil {
-				mm.Echoes.Inc()
-			}
+			l.metrics.Echoes.Inc()
 			l.tracer.RBEvent(xtrace.StageRBEcho, l.traceInst, m.Origin)
 			l.env.Broadcast(proto.Message{Kind: proto.MsgRBEcho, Tag: m.Tag, Origin: m.Origin, Val: m.Val})
 		}
@@ -156,9 +162,7 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 		set.Add(from)
 		if set.Len() >= p.EchoQuorum() && !inst.sentReady {
 			inst.sentReady = true
-			if mm := l.metrics; mm != nil {
-				mm.Readies.Inc()
-			}
+			l.metrics.Readies.Inc()
 			l.tracer.RBEvent(xtrace.StageRBReady, l.traceInst, m.Origin)
 			l.env.Broadcast(proto.Message{Kind: proto.MsgRBReady, Tag: m.Tag, Origin: m.Origin, Val: m.Val})
 		}
@@ -167,17 +171,13 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 		set.Add(from)
 		if set.Len() >= p.ReadyAmplify() && !inst.sentReady {
 			inst.sentReady = true
-			if mm := l.metrics; mm != nil {
-				mm.Readies.Inc()
-			}
+			l.metrics.Readies.Inc()
 			l.tracer.RBEvent(xtrace.StageRBReady, l.traceInst, m.Origin)
 			l.env.Broadcast(proto.Message{Kind: proto.MsgRBReady, Tag: m.Tag, Origin: m.Origin, Val: m.Val})
 		}
 		if set.Len() >= p.ReadyDeliver() && !inst.delivered {
 			inst.delivered = true
-			if mm := l.metrics; mm != nil {
-				mm.Delivers.Inc()
-			}
+			l.metrics.Delivers.Inc()
 			if trace.Recording(l.env.Trace()) {
 				l.env.Trace().Emit(trace.Event{
 					At: l.env.Now(), Kind: trace.KindRBDeliver, Proc: l.env.ID(),

@@ -281,9 +281,10 @@ type RelayConfig struct {
 	// values outside it are not learned. The predicate must accept every
 	// instance the sink would accept, or honest traffic is lost.
 	Window func(i types.Instance) bool
-	// Metrics, if non-nil, receives the coalescing instruments
-	// (FramesCoalesced, FrameEntries, the flushes by cause, Hold, Pulls,
-	// Hashes and the drop counters). Passive.
+	// Metrics is the relay's tally (FramesCoalesced, FrameEntries, the
+	// flushes by cause, Hold, Pulls, Hashes and the drop counters), which
+	// its accessors read; nil counts into private cells
+	// (obs.NewRBMetrics(nil, "")). Passive.
 	Metrics *obs.RBMetrics
 	// Tracer, if non-nil, records an xtrace rb_relay span per flushed
 	// vector frame (entry count in the note). Passive.
@@ -340,18 +341,7 @@ type Relay struct {
 	parkedLen int
 	pulled    map[hashKey]map[types.ProcID]struct{}
 
-	framesOut   uint64
-	entriesOut  uint64
-	flushes     [numFlushCauses]uint64
-	flushSeries [numFlushCauses]*obs.Counter
-	pulls       uint64
-	hashes      uint64
-	parkDrops   uint64
-	dupEntries  uint64
-	badFrames   uint64
-	scopeDrops  uint64
-	windowDrops uint64
-	cacheDrops  uint64
+	flushes [numFlushCauses]*obs.Counter // metrics' flush counters, by cause
 }
 
 // dedupScope identifies one dedup bitmap: a log instance and the tag of
@@ -411,7 +401,7 @@ func NewRelay(cfg RelayConfig) *Relay {
 		cfg.MaxCacheBytes = defaultMaxCacheBytes
 	}
 	if cfg.Metrics == nil {
-		cfg.Metrics = &obs.RBMetrics{} // nil instruments: every update is a no-op
+		cfg.Metrics = obs.NewRBMetrics(nil, "")
 	}
 	r := &Relay{
 		env:      cfg.Env,
@@ -428,7 +418,7 @@ func NewRelay(cfg RelayConfig) *Relay {
 		byVal:    make(map[types.Value]*cacheVal),
 		parked:   make(map[hashKey][]parkedRef),
 		pulled:   make(map[hashKey]map[types.ProcID]struct{}),
-		flushSeries: [numFlushCauses]*obs.Counter{
+		flushes: [numFlushCauses]*obs.Counter{
 			flushIdle:  cfg.Metrics.FlushesIdle,
 			flushTimer: cfg.Metrics.FlushesTimer,
 			flushFull:  cfg.Metrics.FlushesFull,
@@ -537,10 +527,7 @@ func (r *Relay) flush(cause flushCause) {
 		// than send a frame peers would reject.
 		return
 	}
-	r.framesOut++
-	r.entriesOut += uint64(n)
-	r.flushes[cause]++
-	r.flushSeries[cause].Inc()
+	r.flushes[cause].Inc()
 	r.metrics.FramesCoalesced.Inc()
 	r.metrics.FrameEntries.Observe(int64(n))
 	r.metrics.Hold.Observe(int64(r.env.Now() - r.holdFrom))
@@ -592,7 +579,6 @@ func (r *Relay) Inbound(from types.ProcID, m proto.Message) bool {
 func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 	entries, err := decodeEntriesInto(r.scratch, m.Val)
 	if err != nil {
-		r.badFrames++
 		r.metrics.BadFrames.Inc()
 		return
 	}
@@ -611,7 +597,6 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 		// instances the sink rejects too, so the forward never reaches a
 		// protocol instance.
 		if r.window != nil && !r.window(e.Instance) {
-			r.windowDrops++
 			r.metrics.WindowDrops.Inc()
 			r.deliver(from, e, e.Val)
 			continue
@@ -622,7 +607,6 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 		// allocate dedup state. (The sender index is link-authenticated
 		// and always in range.)
 		if e.Origin < 1 || int(e.Origin) > r.n {
-			r.scopeDrops++
 			r.metrics.ScopeDrops.Inc()
 			continue
 		}
@@ -630,7 +614,6 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 		bits := r.seenBits[scope]
 		if bits == nil {
 			if len(r.seenBits) >= maxDedupScopes {
-				r.scopeDrops++
 				r.metrics.ScopeDrops.Inc()
 				continue
 			}
@@ -643,7 +626,7 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 		}
 		mask := uint64(1) << (idx & 63)
 		if bits[idx>>6]&mask != 0 {
-			r.dupEntries++
+			r.metrics.DupEntries.Inc()
 			continue
 		}
 		if !e.Hashed {
@@ -688,7 +671,6 @@ func (r *Relay) deliver(from types.ProcID, e Entry, v types.Value) {
 // not consume the entry's dedup identity (see onVector).
 func (r *Relay) park(from types.ProcID, e Entry, h hashKey) bool {
 	if r.parkedLen >= r.maxPark {
-		r.parkDrops++
 		r.metrics.ParkDrops.Inc()
 		return false
 	}
@@ -705,7 +687,6 @@ func (r *Relay) park(from types.ProcID, e Entry, h hashKey) bool {
 		return true
 	}
 	pulls[from] = struct{}{}
-	r.pulls++
 	r.metrics.Pulls.Inc()
 	r.env.Send(from, proto.Message{
 		Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay},
@@ -718,7 +699,6 @@ func (r *Relay) park(from types.ProcID, e Entry, h hashKey) bool {
 // ignored (the puller retries against other referencing senders).
 func (r *Relay) onPull(from types.ProcID, m proto.Message) {
 	if len(m.Val) != HashLen {
-		r.badFrames++
 		r.metrics.BadFrames.Inc()
 		return
 	}
@@ -754,7 +734,6 @@ func (r *Relay) onPullResp(m proto.Message) {
 // hash returns v's content hash: the relay's only SHA-256, allocating
 // only to grow hashBuf.
 func (r *Relay) hash(v types.Value) hashKey {
-	r.hashes++
 	r.metrics.Hashes.Inc()
 	r.hashBuf = append(r.hashBuf[:0], v...)
 	sum := sha256.Sum256(r.hashBuf)
@@ -803,7 +782,6 @@ func (r *Relay) insert(h hashKey, v types.Value, inst types.Instance, own bool) 
 		r.byVal[v] = cv
 		r.cacheBytes += cost
 	} else {
-		r.cacheDrops++
 		r.metrics.CacheDrops.Inc()
 	}
 	// Deliver after the cache insert so re-entrant pulls triggered by the
@@ -854,54 +832,55 @@ func (r *Relay) RetireInstancesBefore(floor types.Instance) {
 	}
 }
 
-// Introspection for tests and result accounting.
+// Introspection for tests and result accounting: the counts read the
+// relay's metrics cells.
 
 // FramesOut returns the number of vector frames flushed.
-func (r *Relay) FramesOut() uint64 { return r.framesOut }
+func (r *Relay) FramesOut() uint64 { return r.metrics.FramesCoalesced.Value() }
 
 // EntriesOut returns the total entries carried by flushed frames.
-func (r *Relay) EntriesOut() uint64 { return r.entriesOut }
+func (r *Relay) EntriesOut() uint64 { return uint64(r.metrics.FrameEntries.Sum()) }
 
 // IdleFlushes, TimerFlushes and FullFlushes split FramesOut by what
 // ended the hold. IdleFlushes returns the number of frames flushed
 // because the host ran out of input (proto.IdleNotifier).
-func (r *Relay) IdleFlushes() uint64 { return r.flushes[flushIdle] }
+func (r *Relay) IdleFlushes() uint64 { return r.flushes[flushIdle].Value() }
 
 // TimerFlushes returns the number of frames flushed at the quantum-grid
 // instant: how often coalescing cost a hold of up to one quantum.
-func (r *Relay) TimerFlushes() uint64 { return r.flushes[flushTimer] }
+func (r *Relay) TimerFlushes() uint64 { return r.flushes[flushTimer].Value() }
 
 // FullFlushes returns the number of frames flushed because the buffer
 // reached MaxBuffer.
-func (r *Relay) FullFlushes() uint64 { return r.flushes[flushFull] }
+func (r *Relay) FullFlushes() uint64 { return r.flushes[flushFull].Value() }
 
 // Pulls returns the number of hash-resolution requests sent.
-func (r *Relay) Pulls() uint64 { return r.pulls }
+func (r *Relay) Pulls() uint64 { return r.metrics.Pulls.Value() }
 
 // Hashes returns the number of content hashes computed.
-func (r *Relay) Hashes() uint64 { return r.hashes }
+func (r *Relay) Hashes() uint64 { return r.metrics.Hashes.Value() }
 
 // ParkDrops returns the number of entries dropped at the parking cap.
-func (r *Relay) ParkDrops() uint64 { return r.parkDrops }
+func (r *Relay) ParkDrops() uint64 { return r.metrics.ParkDrops.Value() }
 
 // DupEntries returns the number of vector entries dropped as duplicates
 // by the first-message rule.
-func (r *Relay) DupEntries() uint64 { return r.dupEntries }
+func (r *Relay) DupEntries() uint64 { return r.metrics.DupEntries.Value() }
 
 // BadFrames returns the number of malformed carrier frames rejected.
-func (r *Relay) BadFrames() uint64 { return r.badFrames }
+func (r *Relay) BadFrames() uint64 { return r.metrics.BadFrames.Value() }
 
 // ScopeDrops returns the number of entries dropped defensively before
 // dedup: non-process origins, and entries past the dedup-scope cap.
-func (r *Relay) ScopeDrops() uint64 { return r.scopeDrops }
+func (r *Relay) ScopeDrops() uint64 { return r.metrics.ScopeDrops.Value() }
 
 // WindowDrops returns the number of vector entries outside the engine's
 // live window, forwarded unresolved without allocating relay state.
-func (r *Relay) WindowDrops() uint64 { return r.windowDrops }
+func (r *Relay) WindowDrops() uint64 { return r.metrics.WindowDrops.Value() }
 
 // CacheDrops returns the number of remote value learns dropped at the
 // cache byte budget.
-func (r *Relay) CacheDrops() uint64 { return r.cacheDrops }
+func (r *Relay) CacheDrops() uint64 { return r.metrics.CacheDrops.Value() }
 
 // CacheBytes returns the charged size of the hash-value cache.
 func (r *Relay) CacheBytes() int { return r.cacheBytes }

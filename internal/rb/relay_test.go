@@ -583,6 +583,24 @@ func TestInboundEntryDedupMirrorsFirstMessageRule(t *testing.T) {
 	}
 }
 
+// A vector repeating one (sender, kind, tag, origin) entry puts the
+// dropped repeat on /metrics: the registered series rises by one.
+func TestDupEntriesExported(t *testing.T) {
+	env := newRelayEnv()
+	reg := obs.NewRegistry()
+	r := NewRelay(RelayConfig{
+		Env:     env,
+		Sink:    func(types.ProcID, proto.Message) {},
+		Metrics: obs.NewRBMetrics(reg, `proc="1"`),
+	})
+	e := Entry{Kind: proto.MsgRBReady, Tag: relayTag, Origin: 3, Instance: 2, Val: "v"}
+	inboundVector(t, r, 4, []Entry{e, e})
+	series := reg.Snapshot().Counters[`minsync_rb_dup_entries_total{proc="1"}`]
+	if series != 1 || r.DupEntries() != 1 {
+		t.Fatalf("minsync_rb_dup_entries_total=%d DupEntries=%d, want 1 and 1", series, r.DupEntries())
+	}
+}
+
 func TestInboundHashResolvesFromInitSniff(t *testing.T) {
 	env := newRelayEnv()
 	r, got := newTestRelay(env)

@@ -53,9 +53,8 @@ type Config struct {
 	Persist store.Persister
 	// Log carries the engine knobs (Engine, BatchSize, Pipeline, MaxLead,
 	// Target): there is one engine, so simulator and node differ in
-	// nothing else here. Env, OnCommit, OnApply, OnDroppedAhead and Tracer
-	// are set by New, and so are Metrics and Engine.RBMetrics when Obs is
-	// non-nil.
+	// nothing else here. Env, OnCommit, OnApply, OnDroppedAhead, Tracer,
+	// Metrics and Engine.RBMetrics are set by New.
 	Log log.Config
 	// SnapshotEvery is the applier's snapshot cadence in entries (0 =
 	// off); SnapshotRefresh re-stamps the snapshot every so many applied
@@ -75,8 +74,10 @@ type Config struct {
 	TransferRetry types.Duration
 	TransferProbe types.Duration
 	// Obs, if non-nil, registers the kv/sm/log/RB/transfer bundles under
-	// Labels (`proc="2"`; "" on a live node). Registration is idempotent:
-	// a rebooted incarnation with the same pair keeps the same cells.
+	// Labels (`proc="2"`; "" on a live node); nil keeps them private.
+	// Registration is idempotent: a rebooted incarnation with the same
+	// pair keeps the same cells, so its counts, accessors included, run on
+	// from the dead incarnation's.
 	Obs    *obs.Registry
 	Labels string
 	// Tracer, if non-nil, records causal command spans in every layer.
@@ -157,10 +158,8 @@ func New(cfg Config) (*Replica, error) {
 	lc := cfg.Log
 	lc.Env = cfg.Env
 	lc.Tracer = cfg.Tracer
-	if cfg.Obs != nil {
-		lc.Metrics = obs.NewLogMetrics(cfg.Obs, cfg.Labels)
-		lc.Engine.RBMetrics = obs.NewRBMetrics(cfg.Obs, cfg.Labels)
-	}
+	lc.Metrics = obs.NewLogMetrics(cfg.Obs, cfg.Labels)
+	lc.Engine.RBMetrics = obs.NewRBMetrics(cfg.Obs, cfg.Labels)
 	lc.OnCommit = r.Applier.OnCommit
 	if cfg.OnCommit != nil {
 		lc.OnCommit = func(e log.Entry) {

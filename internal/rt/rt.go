@@ -125,8 +125,8 @@ type NodeConfig struct {
 	// history). Nil keeps the historical behavior: events are discarded,
 	// and trace.Recording short-circuits their construction entirely.
 	Trace trace.Sink
-	// Metrics, if non-nil, is the event-loop telemetry bundle
-	// (obs.NewNodeMetrics).
+	// Metrics is the event loop's tally (obs.NewNodeMetrics); nil counts
+	// into private cells.
 	Metrics *obs.NodeMetrics
 }
 
@@ -145,6 +145,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	sink := cfg.Trace
 	if sink == nil {
 		sink = trace.Discard{}
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewNodeMetrics(nil, "")
 	}
 	return &Node{
 		id:        cfg.ID,
@@ -264,10 +267,8 @@ func (n *Node) post(ev event) bool {
 	}
 	select {
 	case n.inbox <- ev:
-		if m := n.metrics; m != nil {
-			m.Posted.Inc()
-			m.InboxDepth.Set(int64(len(n.inbox)))
-		}
+		n.metrics.Posted.Inc()
+		n.metrics.InboxDepth.Set(int64(len(n.inbox)))
 		return true
 	case <-n.stop:
 		return false

@@ -105,10 +105,13 @@ type KVSpec struct {
 	// entries landed since the last one, so long-idle clusters keep a
 	// fresh transfer boundary for rejoining replicas (0 = off).
 	SnapshotRefresh types.Instance
-	// Obs, if non-nil, attaches live telemetry to every correct replica:
+	// Obs, if non-nil, exports every correct replica's telemetry:
 	// log/sm/kv/transfer/RB/dedup bundles labeled proc="<id>" plus one
 	// shared commit-latency histogram (submission → first local commit).
-	// Passive: an observed run is trace-identical to an unobserved one.
+	// The bundles exist either way — nil counts them into a registry of
+	// the run's own — so the layers' accessors read the same counts, one
+	// per process across crash-restarts, observed or not. Passive: an
+	// observed run is trace-identical to an unobserved one.
 	Obs *obs.Registry
 	// Trace, if non-nil, attaches causal command tracing: one
 	// xtrace.Tracer with a bounded flight recorder per correct replica,
@@ -463,8 +466,12 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		Boots:          make(map[types.ProcID]sm.BootStats),
 		BootErrs:       make(map[types.ProcID]error),
 	}
+	reg := spec.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	var submitAt map[types.Value]types.Time
-	if spec.Obs != nil {
+	if res.CommitLatency != nil {
 		submitAt = make(map[types.Value]types.Time, len(distinct))
 		for k, c := range encoded {
 			if _, dup := submitAt[c]; !dup { // retries keep the first submit time
@@ -476,7 +483,8 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 	// Per-replica distinct-coverage sets live OUTSIDE the incarnation
 	// closures: a crash-restarted replica keeps counting from where its
 	// dead incarnation left off (coverage is a property of the process,
-	// not of one boot). The same holds for its telemetry cells and its
+	// not of one boot). The same holds for its telemetry cells in reg —
+	// and so for every layer count its accessors read — and for its
 	// flight recorder, which replica.New and the tracer map re-acquire.
 	seenBy := make(map[types.ProcID]map[types.Value]struct{})
 	// boot places one incarnation of correct replica id: the first and
@@ -520,7 +528,7 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 				Transfer:        spec.Transfer,
 				TransferRetry:   spec.TransferRetry,
 				TransferProbe:   spec.TransferProbe,
-				Obs:             spec.Obs,
+				Obs:             reg,
 				Labels:          procLabel(id),
 				Tracer:          tracer,
 				OnSnapshot: func(s sm.Snapshot) {
@@ -589,7 +597,7 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 			err = newErr
 		}
 		if err == nil {
-			wireNode(w, id, spec.Obs, rep.Engine)
+			wireNode(w, id, reg, rep.Engine)
 		}
 		return err
 	}

@@ -119,9 +119,10 @@ func procLabel(id types.ProcID) string {
 }
 
 // wireNode connects process id's dedup dispatcher — it exists only once
-// SetBehavior succeeded — to its telemetry bundle and, for a log engine,
-// as the Retirer, so Compact retires message-dedup sub-maps in the same
-// stroke as the engine's own per-instance state.
+// SetBehavior succeeded — to its telemetry bundle (registered in reg when
+// reg is non-nil) and, for a log engine, as the Retirer, so Compact
+// retires message-dedup sub-maps in the same stroke as the engine's own
+// per-instance state.
 func wireNode(w *harness.World, id types.ProcID, reg *obs.Registry, eng *log.Engine) {
 	n := w.Node(id)
 	n.SetMetrics(obs.NewDedupMetrics(reg, procLabel(id)))
@@ -242,9 +243,7 @@ func Run(spec Spec) (*Result, error) {
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
 			cfg := spec.Engine
 			cfg.Env = env
-			if spec.Obs != nil {
-				cfg.RBMetrics = obs.NewRBMetrics(spec.Obs, procLabel(id))
-			}
+			cfg.RBMetrics = obs.NewRBMetrics(spec.Obs, procLabel(id))
 			cfg.OnDecide = func(dv types.Value) {
 				res.Decisions[id] = dv
 				res.DecideTime[id] = env.Now()

@@ -18,7 +18,7 @@ var kvGoldenScenarios = []string{"kv-mixed", "kv-sessions", "kv-snapshot-recover
 // runKVSpec executes a curated KV scenario and returns the raw runner
 // result (the scenario Outcome compresses it to pass/fail; these tests
 // assert on the underlying state). It builds the spec through the same
-// kvRunnerSpec helper the scenario engine uses, so the tests exercise the
+// KVSpec helper the scenario engine uses, so the tests exercise the
 // exact configuration that runs in production sweeps.
 func runKVSpec(t *testing.T, name string, seed int64) *runner.KVResult {
 	t.Helper()
@@ -30,7 +30,7 @@ func runKVSpec(t *testing.T, name string, seed int64) *runner.KVResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := p.kvRunnerSpec(seed)
+	spec, err := p.KVSpec(seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,13 +96,3 @@ func Random(seed int64) Spec {
 	s.ExpectTermination = s.Net.Kind != NetAsync
 	return s
 }
-
-// RandomBatch samples count specs from consecutive seeds starting at
-// seed (convenience for sweeps).
-func RandomBatch(seed int64, count int) []Spec {
-	out := make([]Spec, 0, count)
-	for i := 0; i < count; i++ {
-		out = append(out, Random(seed+int64(i)))
-	}
-	return out
-}

@@ -427,10 +427,11 @@ func traceLabel(name string, seed int64) string {
 	return fmt.Sprintf("%s/seed=%d", name, seed)
 }
 
-// kvRunnerSpec materializes the runner spec of a prepared KV scenario at
-// one seed (shared by runKV and the scenario-level KV tests, so tests
-// always exercise the exact configuration the engine runs).
-func (p *Prepared) kvRunnerSpec(seed int64) (runner.KVSpec, error) {
+// KVSpec materializes the runner spec of a prepared KV scenario at one
+// seed, unobserved and untraced (shared by runKV and the KV tests here
+// and in internal/runner, so tests always exercise the exact
+// configuration the engine runs).
+func (p *Prepared) KVSpec(seed int64) (runner.KVSpec, error) {
 	s := p.Spec
 	w := s.Work
 	if w.BatchSize <= 0 {
@@ -480,7 +481,7 @@ func (p *Prepared) kvRunnerSpec(seed int64) (runner.KVSpec, error) {
 func runKV(p *Prepared, seed int64, reg *obs.Registry, tr *runner.TraceSpec) (*Outcome, error) {
 	s := p.Spec
 	w := s.Work
-	spec, err := p.kvRunnerSpec(seed)
+	spec, err := p.KVSpec(seed)
 	if err != nil {
 		return nil, err
 	}

@@ -129,9 +129,9 @@ type Config struct {
 	// OnResponse fires with the machine's response to every applied entry
 	// (client reply path; nil = discard).
 	OnResponse func(e log.Entry, resp types.Value)
-	// Metrics, if non-nil, is the applier's telemetry bundle
-	// (obs.NewSMMetrics). Passive pre-registered atomic cells; increments
-	// never alter apply or snapshot behavior.
+	// Metrics is the applier's tally (obs.NewSMMetrics), which its
+	// accessors read; nil counts into private cells. Passive atomic cells;
+	// increments never alter apply or snapshot behavior.
 	Metrics *obs.SMMetrics
 	// Tracer, if non-nil, records the apply stage of each committed
 	// command (internal/xtrace). Passive.
@@ -172,12 +172,10 @@ type Applier struct {
 
 	snap    Snapshot // latest
 	hasSnap bool
-	taken   int // snapshots taken (including discarded ones)
 	// snapRetained is the retained entry suffix captured with snap (see
 	// Config.RetainedEntries); it travels with the snapshot in transfers.
 	snapRetained []log.Entry
 
-	installs int   // peer snapshots installed via Install
 	boots    int   // local durable snapshots restored via Boot
 	poisoned error // set when a failed Install/Boot left the state undefined
 }
@@ -192,6 +190,9 @@ func New(cfg Config) (*Applier, error) {
 	}
 	if cfg.RefreshEvery < 0 {
 		return nil, fmt.Errorf("sm: negative RefreshEvery %d", cfg.RefreshEvery)
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewSMMetrics(nil, "")
 	}
 	return &Applier{cfg: cfg}, nil
 }
@@ -225,9 +226,7 @@ func (a *Applier) OnCommit(e log.Entry) {
 	a.cfg.Tracer.OnApplied(e.Cmd, e.Instance)
 	a.applied++
 	a.sinceSnap++
-	if m := a.cfg.Metrics; m != nil {
-		m.Applies.Inc()
-	}
+	a.cfg.Metrics.Applies.Inc()
 	if a.cfg.OnResponse != nil {
 		a.cfg.OnResponse(e, resp)
 	}
@@ -278,12 +277,9 @@ func (a *Applier) takeSnapshot(instance types.Instance) {
 		Data:     data,
 	}
 	a.hasSnap = true
-	a.taken++
 	a.sinceSnap = 0
-	if m := a.cfg.Metrics; m != nil {
-		m.Snapshots.Inc()
-		m.SnapshotBytes.Add(uint64(len(data)))
-	}
+	a.cfg.Metrics.Snapshots.Inc()
+	a.cfg.Metrics.SnapshotBytes.Add(uint64(len(data)))
 	if a.cfg.OnSnapshot != nil {
 		a.cfg.OnSnapshot(a.snap)
 	}
@@ -327,7 +323,7 @@ func (a *Applier) LatestTransfer() (Snapshot, []log.Entry, bool) {
 func (a *Applier) Applied() int { return a.applied }
 
 // Snapshots returns how many snapshots have been taken.
-func (a *Applier) Snapshots() int { return a.taken }
+func (a *Applier) Snapshots() int { return int(a.cfg.Metrics.Snapshots.Value()) }
 
 // StateDigest hashes the machine's current state (SHA-256 over its
 // Snapshot encoding). Equal digests across replicas at equal applied
@@ -408,16 +404,13 @@ func (a *Applier) installSnapshot(s Snapshot, retained []log.Entry, boot bool) e
 	if boot {
 		a.boots++
 	} else {
-		a.installs++
-		if m := a.cfg.Metrics; m != nil {
-			m.Installs.Inc()
-		}
+		a.cfg.Metrics.Installs.Inc()
 	}
 	return nil
 }
 
 // Installs returns how many peer snapshots Install has applied.
-func (a *Applier) Installs() int { return a.installs }
+func (a *Applier) Installs() int { return int(a.cfg.Metrics.Installs.Value()) }
 
 // Boots returns how many local durable snapshots Boot has restored.
 func (a *Applier) Boots() int { return a.boots }
@@ -453,8 +446,6 @@ func (a *Applier) replay(retained []log.Entry, target int) error {
 	if a.applied != target {
 		return a.poison(fmt.Errorf("sm: replay stopped at %d of %d entries", a.applied, target))
 	}
-	if m := a.cfg.Metrics; m != nil {
-		m.Recoveries.Inc()
-	}
+	a.cfg.Metrics.Recoveries.Inc()
 	return nil
 }

@@ -226,8 +226,9 @@ type TransferConfig struct {
 	ServeEvery types.Duration
 	// OnInstall, if non-nil, fires after each successful install.
 	OnInstall func(s Snapshot)
-	// Metrics, if non-nil, is the transfer telemetry bundle
-	// (obs.NewTransferMetrics). Passive; never alters protocol behavior.
+	// Metrics is the transfer layer's tally (obs.NewTransferMetrics),
+	// which its accessors read; nil counts into private cells. Passive;
+	// never alters protocol behavior.
 	Metrics *obs.TransferMetrics
 }
 
@@ -254,14 +255,6 @@ type Transfer struct {
 	lastServed map[types.ProcID]types.Time
 	lastAcked  map[types.ProcID]types.Time
 	lastProbe  types.Instance // applied position at the previous probe
-
-	requests  int
-	served    int
-	installs  int
-	rejected  int
-	chServed  int
-	chRecv    int
-	chRejects int
 }
 
 // manifestCandidate is one manifest encoding's corroboration state.
@@ -325,6 +318,9 @@ func NewTransfer(cfg TransferConfig) (*Transfer, error) {
 	if cfg.ServeEvery <= 0 {
 		cfg.ServeEvery = cfg.RetryEvery / 2
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewTransferMetrics(nil, "")
+	}
 	t := &Transfer{
 		cfg:        cfg,
 		manifests:  make(map[[32]byte]*manifestCandidate),
@@ -375,10 +371,7 @@ func (t *Transfer) startFetch() {
 
 // request broadcasts one SNAP_REQ carrying our applied boundary.
 func (t *Transfer) request() {
-	t.requests++
-	if m := t.cfg.Metrics; m != nil {
-		m.Requests.Inc()
-	}
+	t.cfg.Metrics.Requests.Inc()
 	env := t.cfg.Env
 	if trace.Recording(env.Trace()) {
 		env.Trace().Emit(trace.Event{
@@ -488,10 +481,7 @@ func (t *Transfer) serve(from types.ProcID, reqBoundary types.Instance) {
 		return
 	}
 	t.lastServed[from] = now
-	t.served++
-	if m := t.cfg.Metrics; m != nil {
-		m.Served.Inc()
-	}
+	t.cfg.Metrics.Served.Inc()
 	if trace.Recording(env.Trace()) {
 		env.Trace().Emit(trace.Event{
 			At: now, Kind: trace.KindSnapServe, Proc: env.ID(), Peer: from,
@@ -564,10 +554,7 @@ func (t *Transfer) onAck(from types.ProcID, m proto.Message) {
 			Instance: sc.mf.Instance,
 			Val:      EncodeChunk(sc.mf.Payload, i, sc.payload[lo:lo+sc.mf.ChunkLen(i)]),
 		})
-		t.chServed++
-		if mm := t.cfg.Metrics; mm != nil {
-			mm.ChunksServed.Inc()
-		}
+		t.cfg.Metrics.ChunksServed.Inc()
 	}
 }
 
@@ -679,10 +666,7 @@ func (t *Transfer) onChunk(from types.ProcID, m proto.Message) {
 	}
 	d.chunks[idx] = append([]byte(nil), data...)
 	d.have++
-	t.chRecv++
-	if mm := t.cfg.Metrics; mm != nil {
-		mm.ChunksReceived.Inc()
-	}
+	t.cfg.Metrics.ChunksReceived.Inc()
 	if d.have == d.mf.ChunkCount() {
 		t.assemble(d)
 		return
@@ -720,10 +704,7 @@ func (t *Transfer) assemble(d *download) {
 
 // rejectChunk counts one discarded chunk-protocol frame.
 func (t *Transfer) rejectChunk() {
-	t.chRejects++
-	if mm := t.cfg.Metrics; mm != nil {
-		mm.ChunkRejected.Inc()
-	}
+	t.cfg.Metrics.ChunkRejected.Inc()
 }
 
 // install commits to a downloaded snapshot: state machine first
@@ -745,10 +726,7 @@ func (t *Transfer) install(s Snapshot, retained []log.Entry) {
 		t.stopFetch()
 		return
 	}
-	t.installs++
-	if m := t.cfg.Metrics; m != nil {
-		m.Installs.Inc()
-	}
+	t.cfg.Metrics.Installs.Inc()
 	env := t.cfg.Env
 	if trace.Recording(env.Trace()) {
 		env.Trace().Emit(trace.Event{
@@ -768,10 +746,7 @@ func (t *Transfer) install(s Snapshot, retained []log.Entry) {
 
 // reject counts one discarded response or assembled payload.
 func (t *Transfer) reject() {
-	t.rejected++
-	if m := t.cfg.Metrics; m != nil {
-		m.Rejected.Inc()
-	}
+	t.cfg.Metrics.Rejected.Inc()
 }
 
 // stopFetch ends the in-flight fetch round and any chunk download.
@@ -785,28 +760,28 @@ func (t *Transfer) stopFetch() {
 }
 
 // Requests returns how many SNAP_REQ broadcasts went out.
-func (t *Transfer) Requests() int { return t.requests }
+func (t *Transfer) Requests() int { return int(t.cfg.Metrics.Requests.Value()) }
 
 // Served returns how many snapshots this replica served to peers.
-func (t *Transfer) Served() int { return t.served }
+func (t *Transfer) Served() int { return int(t.cfg.Metrics.Served.Value()) }
 
 // Installs returns how many corroborated snapshots were installed.
-func (t *Transfer) Installs() int { return t.installs }
+func (t *Transfer) Installs() int { return int(t.cfg.Metrics.Installs.Value()) }
 
 // Rejected returns how many responses failed validation (bad digest,
 // malformed bytes, or an install-time inconsistency).
-func (t *Transfer) Rejected() int { return t.rejected }
+func (t *Transfer) Rejected() int { return int(t.cfg.Metrics.Rejected.Value()) }
 
 // ChunksServed returns how many chunk frames this replica sent.
-func (t *Transfer) ChunksServed() int { return t.chServed }
+func (t *Transfer) ChunksServed() int { return int(t.cfg.Metrics.ChunksServed.Value()) }
 
 // ChunksReceived returns how many chunk frames were accepted into a
 // download.
-func (t *Transfer) ChunksReceived() int { return t.chRecv }
+func (t *Transfer) ChunksReceived() int { return int(t.cfg.Metrics.ChunksReceived.Value()) }
 
 // ChunkRejected returns how many chunk-protocol frames were discarded
 // (malformed, forged hash, off-manifest range).
-func (t *Transfer) ChunkRejected() int { return t.chRejects }
+func (t *Transfer) ChunkRejected() int { return int(t.cfg.Metrics.ChunkRejected.Value()) }
 
 // Downloading reports whether a chunk download is in flight (test and
 // introspection hook).

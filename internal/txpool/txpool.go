@@ -65,8 +65,8 @@ type Config struct {
 	// submitted while the cluster had no quorum) cannot pin pool capacity
 	// forever.
 	TTL time.Duration
-	// Metrics, if non-nil, mirrors the pool counters into live telemetry
-	// (obs.NewPoolMetrics).
+	// Metrics is the pool's tally (obs.NewPoolMetrics), which Stats reads;
+	// nil counts into private cells.
 	Metrics *obs.PoolMetrics
 	// Tracer, if non-nil, opens each freshly-admitted command's causal
 	// trace (internal/xtrace admit edge). Passive.
@@ -86,15 +86,13 @@ type Pool struct {
 	cap     int
 	ttl     time.Duration
 	pending map[Key]*entry
-	stats   Stats
 	metrics *obs.PoolMetrics
 	tracer  *xtrace.Tracer
 }
 
-// Stats is a point-in-time copy of the pool's lifetime counters. The
-// counters are maintained internally (independent of any obs registry) so
-// hosts can surface admission pressure on /statusz even with telemetry
-// off.
+// Stats is a point-in-time copy of the pool's lifetime counters, read
+// from its metrics cells: the pool counts with or without a registry, so
+// hosts can surface admission pressure on /statusz with telemetry off.
 type Stats struct {
 	// Admitted counts fresh entries created; Deduped arrivals that joined
 	// a pending entry; Shed arrivals rejected at capacity; Resolved
@@ -112,6 +110,9 @@ func New(cfg Config) *Pool {
 	}
 	if cfg.TTL <= 0 {
 		cfg.TTL = 2 * time.Minute
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewPoolMetrics(nil, "")
 	}
 	return &Pool{
 		cap:     cfg.Capacity,
@@ -142,32 +143,22 @@ func (p *Pool) Admit(k Key, cmd types.Value) (ch <-chan types.Value, proposed bo
 	p.mu.Lock()
 	if e, ok := p.pending[k]; ok {
 		e.waiters = append(e.waiters, c)
-		p.stats.Deduped++
+		p.metrics.Deduped.Inc()
 		p.mu.Unlock()
-		if m := p.metrics; m != nil {
-			m.Deduped.Inc()
-		}
 		return c, false, nil
 	}
 	if len(p.pending) >= p.cap {
 		p.sweepLocked(time.Now())
 	}
 	if len(p.pending) >= p.cap {
-		p.stats.Shed++
+		p.metrics.Shed.Inc()
 		p.mu.Unlock()
-		if m := p.metrics; m != nil {
-			m.Shed.Inc()
-		}
 		return nil, false, ErrFull
 	}
 	p.pending[k] = &entry{waiters: []chan types.Value{c}, deadline: time.Now().Add(p.ttl)}
-	p.stats.Admitted++
-	depth := len(p.pending)
+	p.metrics.Admitted.Inc()
+	p.metrics.Pending.Set(int64(len(p.pending)))
 	p.mu.Unlock()
-	if m := p.metrics; m != nil {
-		m.Admitted.Inc()
-		m.Pending.Set(int64(depth))
-	}
 	if cmd != "" {
 		p.tracer.OnAdmit(cmd)
 	}
@@ -187,13 +178,9 @@ func (p *Pool) Resolve(k Key, resp types.Value) bool {
 		return false
 	}
 	delete(p.pending, k)
-	p.stats.Resolved++
-	depth := len(p.pending)
+	p.metrics.Resolved.Inc()
+	p.metrics.Pending.Set(int64(len(p.pending)))
 	p.mu.Unlock()
-	if m := p.metrics; m != nil {
-		m.Resolved.Inc()
-		m.Pending.Set(int64(depth))
-	}
 	for _, c := range e.waiters {
 		select {
 		case c <- resp:
@@ -228,15 +215,10 @@ func (p *Pool) sweepLocked(now time.Time) {
 	for k, e := range p.pending {
 		if now.After(e.deadline) {
 			delete(p.pending, k)
-			p.stats.Expired++
-			if m := p.metrics; m != nil {
-				m.Expired.Inc()
-			}
+			p.metrics.Expired.Inc()
 		}
 	}
-	if m := p.metrics; m != nil {
-		m.Pending.Set(int64(len(p.pending)))
-	}
+	p.metrics.Pending.Set(int64(len(p.pending)))
 }
 
 // Depth returns the live number of pending entries.
@@ -253,7 +235,13 @@ func (p *Pool) Capacity() int { return p.cap }
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := p.stats
-	s.Pending = len(p.pending)
-	return s
+	m := p.metrics
+	return Stats{
+		Admitted: m.Admitted.Value(),
+		Deduped:  m.Deduped.Value(),
+		Shed:     m.Shed.Value(),
+		Resolved: m.Resolved.Value(),
+		Expired:  m.Expired.Value(),
+		Pending:  len(p.pending),
+	}
 }
