@@ -70,8 +70,8 @@ func httpGet(t *testing.T, url string, deadline time.Time) (string, error) {
 // TestE2EClusterTelemetry boots a real 4-replica KV cluster over TCP
 // (four OS processes of this very binary), runs a client session against
 // its HTTP edge, and verifies every replica serves all three telemetry endpoint
-// families: Prometheus /metrics, JSON /statusz (with ?trace=N), and
-// /debug/pprof/. Skipped under -short (it builds the binary and needs a
+// families: Prometheus /metrics, JSON /statusz (with ?trace=N, the
+// flight recorder's newest spans under -trace-dir), and /debug/pprof/. Skipped under -short (it builds the binary and needs a
 // few seconds of real time).
 func TestE2EClusterTelemetry(t *testing.T) {
 	if testing.Short() {
@@ -100,6 +100,7 @@ func TestE2EClusterTelemetry(t *testing.T) {
 			"-kv",
 			"-http", httpAddrs[i],
 			"-metrics", metricsAddrs[i],
+			"-trace-dir", filepath.Join(dir, "traces"),
 			"-snapshot-every", "4",
 			"-snapshot-refresh", "16",
 			"-unit", "50ms",
@@ -188,7 +189,8 @@ func TestE2EClusterTelemetry(t *testing.T) {
 	}
 
 	// /statusz: JSON document with identity, applied position, snapshot
-	// boundary, session count — and ?trace=N returns recent events.
+	// boundary, session count — and ?trace=N returns the flight
+	// recorder's newest spans.
 	for i, addr := range metricsAddrs {
 		body, err := httpGet(t, "http://"+addr+"/statusz?trace=10", deadline)
 		if err != nil {
@@ -209,8 +211,18 @@ func TestE2EClusterTelemetry(t *testing.T) {
 		if applied, ok := doc["applied_entries"].(float64); !ok || applied < 2 {
 			t.Errorf("replica %d applied %v entries, want >= 2", i+1, doc["applied_entries"])
 		}
-		if lines, ok := doc["trace"].([]any); !ok || len(lines) == 0 {
-			t.Errorf("replica %d /statusz?trace=10 returned no events", i+1)
+		spans, ok := doc["trace"].([]any)
+		if !ok || len(spans) == 0 || len(spans) > 10 {
+			t.Errorf("replica %d /statusz?trace=10 returned %v, want 1..10 spans", i+1, doc["trace"])
+			continue
+		}
+		for _, sp := range spans {
+			if span, ok := sp.(map[string]any); !ok || span["stage"] == nil || span["proc"] != float64(i+1) {
+				t.Errorf("replica %d /statusz?trace=10 holds %v, not one of its spans", i+1, sp)
+			}
+		}
+		if total, ok := doc["trace_total"].(float64); !ok || total < float64(len(spans)) {
+			t.Errorf("replica %d trace_total %v below its %d-span window", i+1, doc["trace_total"], len(spans))
 		}
 	}
 

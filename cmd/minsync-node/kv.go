@@ -142,16 +142,16 @@ func (e *kvEdge) read(key string) (string, bool, error) {
 // client listener or the pipeline. persist is the durable store (nil = volatile).
 func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, persist dstore.Persister, opts kvOptions) (*kvEdge, error) {
 	// Causal tracing is opt-in (-trace-dir) and passive: the tracer
-	// records into its own bounded ring — the flight recorder — dumped
-	// only on a stall or lag signal. Stage latencies flow into the
-	// telemetry registry (nil-safe when -metrics is off).
+	// records into its own bounded ring — the flight recorder — dumped on
+	// a stall or lag signal and read by /statusz?trace=N. Stage latencies
+	// flow into the telemetry registry.
 	var tracer *xtrace.Tracer
 	if opts.TraceDir != "" {
 		tracer = xtrace.New(xtrace.Config{
 			Proc:     self,
 			Now:      func() types.Time { return types.Time(time.Now().UnixNano()) },
-			Recorder: xtrace.NewRecorder(traceRingCap),
-			Stages:   obs.NewStageMetrics(tel.registry(), ""),
+			Recorder: xtrace.NewRecorder(flightCap),
+			Stages:   obs.NewStageMetrics(tel.reg, ""),
 		})
 	}
 
@@ -163,7 +163,7 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 			// An entry whose commit path died must not pin capacity much
 			// longer than any client would wait for it.
 			TTL:     opts.Wait,
-			Metrics: obs.NewPoolMetrics(tel.registry(), ""),
+			Metrics: obs.NewPoolMetrics(tel.reg, ""),
 			Tracer:  tracer,
 		}),
 		peers:  slices.DeleteFunc(node.Params().AllProcs(), func(p types.ProcID) bool { return p == self }),
@@ -209,7 +209,7 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 			Transfer:      true,
 			TransferRetry: time.Second,
 			TransferProbe: 2 * time.Second,
-			Obs:           tel.registry(),
+			Obs:           tel.reg,
 			Tracer:        tracer,
 			OnCommit:      func(log.Entry) { progress() },
 			OnSnapshot: func(s sm.Snapshot) {
@@ -255,8 +255,8 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 	if newErr != nil {
 		return nil, newErr
 	}
-	wireNodeObs(node, tel)
 	tel.setStatus(edge.status)
+	tel.tracer.Store(tracer)
 	return edge, nil
 }
 

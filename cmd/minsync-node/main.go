@@ -61,11 +61,11 @@ func main() {
 		wait     = flag.Duration("wait", 2*time.Minute, "give up after this long")
 		startIn  = flag.Duration("start-in", 2*time.Second, "delay before proposing (lets peers come up)")
 
-		metricsF    = flag.String("metrics", "", "serve /metrics, /statusz and /debug/pprof/ on this address (empty = off)")
+		metricsF    = flag.String("metrics", "", "serve /metrics, /statusz and /debug/pprof/ on this address (empty = no listener; the node counts either way)")
 		traceDir    = flag.String("trace-dir", "", "kv mode: attach causal command tracing and write flight-recorder dumps into this directory on a stall or lag signal (empty = off; merge dumps with minsync-trace)")
 		snapRefresh = flag.Int("snapshot-refresh", int(replica.DefaultSnapshotRefresh), "kv mode: snapshot (and compact) at least every N applied instances even when they carried no entries, so command-less instances cannot pile up uncompacted and rejoining replicas find a fresh transfer boundary (0 = off)")
 
-		kvMode    = flag.Bool("kv", false, "replicated-KV mode: serve gets/puts over TCP")
+		kvMode    = flag.Bool("kv", false, "replicated-KV mode: replicate a KV store and serve gets/puts through the HTTP/JSON API (-http)")
 		_         = flag.String("kv-listen", "", "ignored (clients use -http): benchmark/cluster.go still passes it; ROADMAP 13(c) deletes it")
 		dataDir   = flag.String("data-dir", "", "kv mode: durable storage directory — committed entries are write-ahead logged and snapshots stamped there, and a restart boots from it instead of asking peers (empty = volatile)")
 		httpF     = flag.String("http", "", "kv mode: serve the HTTP/JSON API (/v1/tx, /v1/kv/{key}, /v1/status) on this address (empty = off)")
@@ -108,7 +108,7 @@ func main() {
 	tr, err := netx.Listen(netx.Config{
 		Self:    self,
 		Addrs:   addrs,
-		Metrics: tel.wireMetrics(),
+		Metrics: tel.wire,
 		Recv:    node.Deliver,
 		Logf:    stdlog.Printf,
 	})
@@ -141,7 +141,7 @@ func runSingleShot(node *rt.Node, tr *netx.Transport, tel *telemetry, self types
 		eng, err := core.New(core.Config{
 			Env:       env,
 			TimeUnit:  types.Duration(unit),
-			RBMetrics: obs.NewRBMetrics(tel.registry(), ""),
+			RBMetrics: obs.NewRBMetrics(tel.reg, ""),
 			OnDecide: func(v types.Value) {
 				select {
 				case decided <- v:
@@ -160,7 +160,6 @@ func runSingleShot(node *rt.Node, tr *netx.Transport, tel *telemetry, self types
 		stdlog.Fatal(engErr)
 	}
 
-	wireNodeObs(node, tel)
 	tel.setStatus(func() map[string]any {
 		return probeStatus(node.Post, func() map[string]any {
 			return map[string]any{"mode": "single-shot", "proposing": propose}
@@ -184,16 +183,15 @@ func runSingleShot(node *rt.Node, tr *netx.Transport, tel *telemetry, self types
 	}
 }
 
-// newNode builds the event loop every mode runs on, with the telemetry's
-// trace ring (none when -metrics is off) and its loop metrics (kept
-// private when -metrics is off).
+// newNode builds the event loop every mode runs on, counting its loop
+// and dispatcher tallies into the telemetry's registry.
 func newNode(tel *telemetry, self types.ProcID, params types.Params, tr rt.Transport) (*rt.Node, error) {
 	return rt.NewNode(rt.NodeConfig{
 		ID:        self,
 		Params:    params,
 		Transport: tr,
-		Trace:     tel.traceSink(),
-		Metrics:   obs.NewNodeMetrics(tel.registry(), ""),
+		Metrics:   obs.NewNodeMetrics(tel.reg, ""),
+		Dedup:     obs.NewDedupMetrics(tel.reg, ""),
 	})
 }
 

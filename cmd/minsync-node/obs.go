@@ -1,17 +1,19 @@
-// Live-node telemetry: -metrics starts an HTTP listener with three
-// endpoint families —
+// Live-node telemetry. Every node builds the obs registry, and every
+// layer of the stack (wire transport, event loop, dispatcher, RB, log
+// engine, applier, KV store, transfer, admission pool, commit latency)
+// counts into it whether or not anything reads it. -metrics only opens
+// an HTTP listener on it, with three endpoint families —
 //
 //	/metrics        Prometheus text exposition of the obs registry
 //	/statusz        one JSON document: node identity, applied position,
 //	                snapshot boundary, session count, transfer state;
-//	                ?trace=N appends the last N protocol trace events
-//	                from the node's bounded ring buffer
+//	                ?trace=N appends the last N spans of the node's flight
+//	                recorder (kv mode with -trace-dir only)
 //	/debug/pprof/   the standard Go profiling handlers
 //
-// The registry is wired through every layer of the stack (wire transport,
-// dispatcher, RB, log engine, applier, KV store, transfer), all of it
-// passive atomic counters — serving a scrape never touches the node loop.
-// Only /statusz crosses into it, via one Post round trip with a timeout.
+// The counts are passive atomics — serving a scrape never touches the
+// node loop. Only /statusz crosses into it, via one Post round trip with
+// a timeout.
 package main
 
 import (
@@ -20,64 +22,58 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/netx"
 	"repro/internal/obs"
-	"repro/internal/proto"
-	"repro/internal/rt"
-	"repro/internal/trace"
 	"repro/internal/types"
+	"repro/internal/xtrace"
 )
 
 // statusTimeout bounds the /statusz status probe: a wedged node loop must
 // degrade the endpoint, not wedge the scraper too.
 const statusTimeout = 2 * time.Second
 
-// traceRingCap bounds the /statusz?trace=N history window.
-const traceRingCap = 4096
+// flightCap bounds the flight recorder: the spans a stall or lag dump
+// holds, and the window /statusz?trace=N reads.
+const flightCap = 4096
 
-// telemetry owns the live node's observability surface. A nil *telemetry
-// is valid everywhere (metrics off): registry returns nil, so every layer
-// counts into private cells nobody exports, and the wire, stage and
-// latency instruments are off.
+// telemetry owns the live node's observability surface: the registry
+// every layer counts into, the instruments the node itself feeds, and
+// the optional HTTP listener that exports them.
 type telemetry struct {
 	reg     *obs.Registry
-	ring    *trace.Ring
 	latency *obs.Histogram
 	wire    *obs.WireMetrics
-	ln      net.Listener
+	ln      net.Listener // nil without -metrics
 	self    types.ProcID
 	params  types.Params
 	started time.Time
 	// status is the mode-specific probe, installed once serving starts.
 	// It may block up to statusTimeout (one node.Post round trip).
 	status atomic.Pointer[func() map[string]any]
+	// tracer is the kv mode's causal tracer, handed over by startKV; its
+	// flight recorder answers /statusz?trace=N. Nil without -trace-dir.
+	tracer atomic.Pointer[xtrace.Tracer]
 }
 
-// newTelemetry builds the registry and starts the HTTP listener, or
-// returns nil (metrics off) when addr is empty.
+// newTelemetry builds the registry and the node's own instruments, and
+// starts the HTTP listener unless addr is empty.
 func newTelemetry(addr string, self types.ProcID, params types.Params) *telemetry {
-	if addr == "" {
-		return nil
-	}
 	reg := obs.NewRegistry()
-	peers := make([]int, 0, params.N-1)
-	for _, p := range params.AllProcs() {
-		if p != self {
-			peers = append(peers, int(p))
-		}
-	}
 	t := &telemetry{
 		reg:     reg,
-		ring:    trace.NewRing(traceRingCap),
 		latency: obs.NewCommitLatency(reg),
-		wire: obs.NewWireMetrics(reg, "", int(proto.MsgDecide),
-			func(k int) string { return proto.MsgKind(k).String() }, peers),
+		wire:    netx.NewMetrics(reg, slices.DeleteFunc(params.AllProcs(), func(p types.ProcID) bool { return p == self })),
 		self:    self,
 		params:  params,
 		started: time.Now(),
+	}
+	if addr == "" {
+		return t
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -98,47 +94,12 @@ func newTelemetry(addr string, self types.ProcID, params types.Params) *telemetr
 	return t
 }
 
-// registry returns the registry (nil when telemetry is off), for the
-// per-layer bundle constructors — all of which accept a nil registry.
-func (t *telemetry) registry() *obs.Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
-}
-
-// traceSink returns the bounded ring (nil = keep rt's Discard default).
-func (t *telemetry) traceSink() trace.Sink {
-	if t == nil {
-		return nil
-	}
-	return t.ring
-}
-
-// wireMetrics returns the transport bundle for netx.Config.
-func (t *telemetry) wireMetrics() *obs.WireMetrics {
-	if t == nil {
-		return nil
-	}
-	return t.wire
-}
-
 // observeLatency records one client-visible commit latency (wall clock,
 // nanoseconds): request accepted → response resolved.
-func (t *telemetry) observeLatency(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.latency.Observe(d.Nanoseconds())
-}
+func (t *telemetry) observeLatency(d time.Duration) { t.latency.Observe(d.Nanoseconds()) }
 
 // setStatus installs the mode-specific /statusz probe.
-func (t *telemetry) setStatus(fn func() map[string]any) {
-	if t == nil {
-		return
-	}
-	t.status.Store(&fn)
-}
+func (t *telemetry) setStatus(fn func() map[string]any) { t.status.Store(&fn) }
 
 func (t *telemetry) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -148,32 +109,34 @@ func (t *telemetry) serveMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (t *telemetry) serveStatusz(w http.ResponseWriter, r *http.Request) {
-	doc := map[string]any{
-		"id":             t.self,
-		"n":              t.params.N,
-		"t":              t.params.T,
-		"uptime_seconds": time.Since(t.started).Seconds(),
-		"trace_total":    t.ring.Total(),
-	}
-	if fn := t.status.Load(); fn != nil {
-		for k, v := range (*fn)() {
-			doc[k] = v
-		}
-	}
+	rec := t.tracer.Load().Recorder()
+	window := -1
 	if q := r.URL.Query().Get("trace"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
 			http.Error(w, "trace must be a non-negative integer", http.StatusBadRequest)
 			return
 		}
-		events := t.ring.Last(n)
-		lines := make([]string, len(events))
-		var buf []byte
-		for i, e := range events {
-			buf = e.AppendTo(buf[:0])
-			lines[i] = string(buf)
+		if rec == nil {
+			http.Error(w, "no flight recorder: ?trace=N needs a -kv node run with -trace-dir", http.StatusBadRequest)
+			return
 		}
-		doc["trace"] = lines
+		window = n
+	}
+	doc := map[string]any{
+		"id":             t.self,
+		"n":              t.params.N,
+		"t":              t.params.T,
+		"uptime_seconds": time.Since(t.started).Seconds(),
+		"trace_total":    rec.Total(),
+	}
+	if fn := t.status.Load(); fn != nil {
+		for k, v := range (*fn)() {
+			doc[k] = v
+		}
+	}
+	if window >= 0 {
+		doc["trace"] = rec.Last(window)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -197,17 +160,4 @@ func probeStatus(post func(func()) bool, fn func() map[string]any) map[string]an
 	case <-time.After(statusTimeout):
 		return map[string]any{"error": "status probe timed out (node loop busy)"}
 	}
-}
-
-// wireNodeObs registers the dispatcher's dedup-layer bundle (with metrics
-// off the dispatcher keeps its private cells). Must run after node.Start
-// — the dispatcher exists only then — so it goes through Post and lands
-// on the loop goroutine before any protocol traffic.
-func wireNodeObs(node *rt.Node, t *telemetry) {
-	if t == nil {
-		return
-	}
-	node.Post(func() {
-		node.Dispatcher().SetMetrics(obs.NewDedupMetrics(t.reg, ""))
-	})
 }

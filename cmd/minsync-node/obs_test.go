@@ -3,29 +3,34 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/kv"
+	"repro/internal/netx"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/rt"
-	"repro/internal/trace"
 	"repro/internal/types"
+	"repro/internal/xtrace"
 )
 
 // TestStatuszDuringSnapshotInstall pins the telemetry degradation
 // contract: /statusz must answer even while the node loop is busy
 // installing a snapshot (or otherwise wedged), because the status probe
 // crosses onto the loop with a bounded timeout. The edge-side fields —
-// identity, uptime, the ?trace=N ring window — must still be served,
-// with the loop-side portion degraded to an error, and concurrent trace
-// emissions (the loop keeps receiving frames during an install) must
-// not race the readers.
+// identity, uptime, the ?trace=N flight-recorder window — must still be
+// served, with the loop-side portion degraded to an error, and concurrent
+// span emissions (the loop keeps receiving frames during an install)
+// must not race the readers.
 func TestStatuszDuringSnapshotInstall(t *testing.T) {
 	params := types.Params{N: 4, T: 1, M: 2}
 	tel := newTelemetry("127.0.0.1:0", 2, params)
@@ -62,7 +67,11 @@ func TestStatuszDuringSnapshotInstall(t *testing.T) {
 		})
 	})
 
-	// Protocol traffic keeps flowing into the ring during the install.
+	// Protocol traffic keeps flowing into the flight recorder during the
+	// install.
+	tracer := xtrace.New(xtrace.Config{Proc: 2, Recorder: xtrace.NewRecorder(flightCap)})
+	tel.tracer.Store(tracer)
+	tracer.RBEvent(xtrace.StageRBEcho, 0, 1)
 	stop := make(chan struct{})
 	var emitter sync.WaitGroup
 	emitter.Add(1)
@@ -73,7 +82,7 @@ func TestStatuszDuringSnapshotInstall(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tel.ring.Emit(trace.Event{Kind: trace.KindSend, Round: types.Round(i)})
+				tracer.RBEvent(xtrace.StageRBEcho, types.Instance(i), 1)
 			}
 		}
 	}()
@@ -98,9 +107,134 @@ func TestStatuszDuringSnapshotInstall(t *testing.T) {
 	if doc["id"] == nil || doc["n"] == nil {
 		t.Fatalf("edge-side identity fields missing: %v", doc)
 	}
-	evs, ok := doc["trace"].([]any)
-	if !ok || len(evs) == 0 {
+	spans, ok := doc["trace"].([]any)
+	if !ok || len(spans) == 0 || len(spans) > 8 {
 		t.Fatalf("?trace=8 window missing mid-install: %v", doc["trace"])
+	}
+	if span, ok := spans[0].(map[string]any); !ok || span["stage"] != string(xtrace.StageRBEcho) {
+		t.Fatalf("?trace=8 spans are not encoded as in a dump: %v", spans[0])
+	}
+	if total, ok := doc["trace_total"].(float64); !ok || total < float64(len(spans)) {
+		t.Fatalf("trace_total %v below the window's %d spans", doc["trace_total"], len(spans))
+	}
+}
+
+// TestStatuszTraceNeedsRecorder: a node without a flight recorder
+// (single-shot mode, or -kv without -trace-dir) answers ?trace=N with 400
+// and says which flag it lacks; plain /statusz still answers.
+func TestStatuszTraceNeedsRecorder(t *testing.T) {
+	tel := newTelemetry("127.0.0.1:0", 1, types.Params{N: 4, T: 1})
+	defer tel.ln.Close()
+	tel.setStatus(func() map[string]any { return map[string]any{"mode": "single-shot"} })
+	base := "http://" + tel.ln.Addr().String() + "/statusz"
+	resp, err := http.Get(base + "?trace=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "-trace-dir") {
+		t.Fatalf("?trace=1 without a recorder: %d %q, want 400 naming -trace-dir", resp.StatusCode, body)
+	}
+	resp, err = http.Get(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/statusz without ?trace: %d", resp.StatusCode)
+	}
+}
+
+// TestKVCountsWithoutListener: without -metrics a -kv node still builds
+// its registry and counts into it — wire frames and commit latency
+// included — and opens no listener.
+func TestKVCountsWithoutListener(t *testing.T) {
+	params := types.Params{N: 4, T: 1}
+	tel := newTelemetry("", 1, params)
+	if tel.ln != nil {
+		t.Fatal("newTelemetry opened a listener without an address")
+	}
+	// Process 2 is a bare transport that only counts; 3 and 4 are down.
+	ports := reservePorts(t, 4)
+	addrs := make(map[types.ProcID]string, 4)
+	for i, a := range ports {
+		addrs[types.ProcID(i+1)] = a
+	}
+	var got atomic.Int64
+	peer, err := netx.Listen(netx.Config{Self: 2, Addrs: addrs, Recv: func(types.ProcID, proto.Message) { got.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	send := &sendAdapter{}
+	node, err := newNode(tel, 1, params, send)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	tr, err := netx.Listen(netx.Config{Self: 1, Addrs: addrs, Metrics: tel.wire, Recv: node.Deliver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	send.Transport = tr
+	edge, err := startKV(node, tr, tel, 1, nil, kvOptions{
+		Batch: 16, Pipeline: 4, SnapEvery: 16, PoolCap: 1024, Compact: true,
+		Unit: 50 * time.Millisecond, Wait: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A proposal forwards the command to every peer before it is batched.
+	c := kv.Command{Op: kv.OpPut, Client: 7, Seq: 1, Key: "k", Val: "v"}
+	if err := edge.propose(c, c.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	tel.observeLatency(3 * time.Millisecond)
+	sentSeries := `minsync_wire_frames_total{dir="sent",kind="` + proto.MsgKVRequest.String() + `"}`
+	deadline := time.Now().Add(30 * time.Second)
+	for tel.reg.Snapshot().Counters[sentSeries] == 0 || got.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the forward never counted: %s = %d, peer received %d",
+				sentSeries, tel.reg.Snapshot().Counters[sentSeries], got.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := tel.reg.Snapshot().Histograms[obs.CommitLatencyName].Count; n != 1 {
+		t.Fatalf("%s holds %d observations, want 1", obs.CommitLatencyName, n)
+	}
+}
+
+// TestDedupCountsFramesBeforeStart: frames a restarted replica receives
+// before its loop starts wait in the inbox and are dispatched first; the
+// duplicates among them count on the node's registry, not in cells
+// nobody exports.
+func TestDedupCountsFramesBeforeStart(t *testing.T) {
+	params := types.Params{N: 4, T: 1}
+	tel := newTelemetry("", 1, params)
+	mn := rt.NewMemNetwork()
+	node, err := newNode(tel, 1, params, mn.Attach(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	mn.Register(1, node)
+	echo := proto.Message{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModConsCB0}, Instance: 1, Origin: 3, Val: "v"}
+	node.Deliver(2, echo)
+	node.Deliver(2, echo)
+	if _, err := startKV(node, mn.Attach(1), tel, 1, nil, kvOptions{
+		Batch: 16, Pipeline: 4, SnapEvery: 16, PoolCap: 1024, Compact: true,
+		Unit: 50 * time.Millisecond, Wait: time.Minute,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The inbox is FIFO: once a post runs, both frames were dispatched.
+	done := make(chan struct{})
+	node.Post(func() { close(done) })
+	<-done
+	if got := tel.reg.Snapshot().Counters["minsync_dedup_dropped_total"]; got != 1 {
+		t.Fatalf("minsync_dedup_dropped_total = %d, want 1", got)
 	}
 }
 

@@ -3,6 +3,8 @@ package netx
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ShortenStallTimeout makes transports Listened by t after this call
@@ -19,3 +21,6 @@ const MaxFrame = maxFrame
 
 // ReadBuffer is the largest inbound frame decoded in place.
 const ReadBuffer = readBuffer
+
+// Metrics returns the bundle the transport counts into, private or not.
+func (t *Transport) Metrics() *obs.WireMetrics { return t.cfg.Metrics }

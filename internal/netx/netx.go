@@ -25,7 +25,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -75,11 +74,10 @@ type Config struct {
 	DialTimeout time.Duration
 	// Logf, if non-nil, receives diagnostic lines.
 	Logf func(format string, args ...any)
-	// Metrics, if non-nil, is the wire telemetry bundle
-	// (obs.NewWireMetrics): frames and bytes by direction and message
-	// kind, per-peer frame counts and queue depth, dials, dropped and
-	// rejected frames. Passive; increments happen beside the existing
-	// stats counters.
+	// Metrics is the transport's tally (NewMetrics): frames and bytes by
+	// direction and message kind, per-peer frame counts and queue depth,
+	// dials, dropped and rejected frames. Sent, Received and Rejected read
+	// it. Nil counts into private cells nobody exports.
 	Metrics *obs.WireMetrics
 }
 
@@ -89,8 +87,6 @@ type Transport struct {
 	ln    net.Listener
 	links map[types.ProcID]*link // one per peer, fixed by Listen
 	stall time.Duration
-
-	sent, received, rejected atomic.Uint64
 
 	ctx    context.Context // cancelled by Close
 	cancel context.CancelFunc
@@ -113,6 +109,15 @@ func Listen(cfg Config) (*Transport, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	if cfg.Metrics == nil {
+		peers := make([]types.ProcID, 0, len(cfg.Addrs))
+		for id := range cfg.Addrs {
+			if id != cfg.Self {
+				peers = append(peers, id)
+			}
+		}
+		cfg.Metrics = NewMetrics(nil, peers)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("netx: listen %s: %w", addr, err)
@@ -130,10 +135,7 @@ func Listen(cfg Config) (*Transport, error) {
 		if id == cfg.Self {
 			continue
 		}
-		l := &link{t: t, peer: id, addr: addr, wake: make(chan struct{}, 1)}
-		if wm := cfg.Metrics; wm != nil {
-			l.queued = wm.QueueBytes[int(id)]
-		}
+		l := &link{t: t, peer: id, addr: addr, wake: make(chan struct{}, 1), queued: cfg.Metrics.QueueBytes[int(id)]}
 		t.links[id] = l
 		t.wg.Add(1)
 		go l.run()
@@ -146,14 +148,34 @@ func Listen(cfg Config) (*Transport, error) {
 // Addr returns the actual listen address (useful with ":0").
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
 
-// Sent reports frames written to peers.
-func (t *Transport) Sent() uint64 { return t.sent.Load() }
+// NewMetrics builds the wire bundle of a transport whose peers are
+// peers, registered in r when r is non-nil: one series per wire kind
+// through proto.MsgDecide, and one per peer.
+func NewMetrics(r *obs.Registry, peers []types.ProcID) *obs.WireMetrics {
+	ids := make([]int, len(peers))
+	for i, p := range peers {
+		ids[i] = int(p)
+	}
+	return obs.NewWireMetrics(r, "", int(proto.MsgDecide), func(k int) string { return proto.MsgKind(k).String() }, ids)
+}
 
-// Received reports accepted inbound frames.
-func (t *Transport) Received() uint64 { return t.received.Load() }
+// Sent reports frames written to peers: the sum of the per-peer series.
+func (t *Transport) Sent() uint64 { return sum(t.cfg.Metrics.PeerSent) }
+
+// Received reports accepted inbound frames: the sum of the per-peer
+// series.
+func (t *Transport) Received() uint64 { return sum(t.cfg.Metrics.PeerRecv) }
 
 // Rejected reports malformed inbound frames dropped.
-func (t *Transport) Rejected() uint64 { return t.rejected.Load() }
+func (t *Transport) Rejected() uint64 { return t.cfg.Metrics.Rejected.Value() }
+
+func sum(cs map[int]*obs.Counter) uint64 {
+	var n uint64
+	for _, c := range cs {
+		n += c.Value()
+	}
+	return n
+}
 
 func (t *Transport) acceptLoop() {
 	defer t.wg.Done()
@@ -211,13 +233,9 @@ func (t *Transport) serveConn(conn net.Conn) {
 		r.Discard(held)
 		if err != nil {
 			// Byzantine garbage: count and drop, never crash.
-			t.rejected.Add(1)
-			if wm := t.cfg.Metrics; wm != nil {
-				wm.Rejected.Inc()
-			}
+			t.cfg.Metrics.Rejected.Inc()
 			continue
 		}
-		t.received.Add(1)
 		t.cfg.Metrics.Recv(int(m.Kind), int(peer), len(body))
 		t.cfg.Recv(peer, m)
 	}
@@ -410,9 +428,7 @@ func (l *link) dial() error {
 	l.mu.Lock()
 	l.conn = c
 	l.mu.Unlock()
-	if wm := l.t.cfg.Metrics; wm != nil {
-		wm.Connects.Inc()
-	}
+	l.t.cfg.Metrics.Connects.Inc()
 	return nil
 }
 
@@ -447,7 +463,6 @@ func (l *link) write(batch []frame) error {
 	if err != nil {
 		return err
 	}
-	l.t.sent.Add(uint64(len(batch)))
 	for _, f := range batch {
 		l.t.cfg.Metrics.Sent(int(f.kind), int(l.peer), len(f.body))
 	}
@@ -489,14 +504,10 @@ func (l *link) fail(n int, stalled, down bool) {
 }
 
 func (l *link) dropped(n int, stalled bool) {
-	wm := l.t.cfg.Metrics
-	if wm == nil {
-		return
-	}
 	if stalled {
-		wm.DroppedStalled.Add(uint64(n))
+		l.t.cfg.Metrics.DroppedStalled.Add(uint64(n))
 	} else {
-		wm.DroppedDown.Add(uint64(n))
+		l.t.cfg.Metrics.DroppedDown.Add(uint64(n))
 	}
 }
 

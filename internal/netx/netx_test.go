@@ -100,9 +100,26 @@ func silentPeer(t *testing.T) (string, <-chan net.Conn) {
 	return ln.Addr().String(), accepted
 }
 
-func wireMetrics(peers ...int) *obs.WireMetrics {
-	return obs.NewWireMetrics(obs.NewRegistry(), "", int(proto.MsgDecide),
-		func(k int) string { return proto.MsgKind(k).String() }, peers)
+func wireMetrics(peers ...types.ProcID) *obs.WireMetrics {
+	return netx.NewMetrics(obs.NewRegistry(), peers)
+}
+
+// sendGarbage dials addr, identifies as claim and writes one frame that
+// does not decode.
+func sendGarbage(t *testing.T, addr string, claim types.ProcID) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	hello := make([]byte, 8)
+	binary.LittleEndian.PutUint32(hello[0:], 4) // frame length
+	binary.LittleEndian.PutUint32(hello[4:], uint32(claim))
+	garbage := []byte{3, 0, 0, 0, 0xFF, 0xFF, 0xFF}
+	if _, err := conn.Write(append(hello, garbage...)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // waitFor polls cond until it holds; the deadline only keeps a broken
@@ -161,22 +178,7 @@ func TestMalformedFramesRejected(t *testing.T) {
 		2: func(types.ProcID, proto.Message) { t.Error("garbage delivered") },
 	}
 	trs, addrs := startMesh(t, 2, recv)
-	// Raw dial with valid handshake then garbage frame.
-	conn, err := net.Dial("tcp", addrs[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hello[0:], 4) // frame length
-	binary.LittleEndian.PutUint32(hello[4:], 1) // claim to be p1
-	if _, err := conn.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	garbage := []byte{3, 0, 0, 0, 0xFF, 0xFF, 0xFF}
-	if _, err := conn.Write(garbage); err != nil {
-		t.Fatal(err)
-	}
+	sendGarbage(t, addrs[2], 1) // a valid handshake, then garbage
 	waitFor(t, "the garbage frame is counted as rejected", func() bool { return trs[2].Rejected() > 0 })
 }
 
@@ -226,6 +228,77 @@ func TestHelloLengthChecked(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatal("the node wrote to an unidentified dialer")
+	}
+}
+
+// TestCountsAreWireSeries: a transport's Sent, Received and Rejected are
+// its wire series summed, both when a registry exports them and when
+// Metrics is nil and the transport counts into private cells.
+func TestCountsAreWireSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
+	var got atomic.Int64
+	recv := func(types.ProcID, proto.Message) { got.Add(1) }
+	a := listen(t, netx.Config{Self: 1, Addrs: addrs, Recv: recv, Metrics: netx.NewMetrics(reg, []types.ProcID{2})})
+	b := listen(t, netx.Config{Self: 2, Addrs: addrs, Recv: recv})
+	const frames = 40
+	for i := 0; i < frames; i++ {
+		if err := a.Send(2, initMsg(types.Instance(i), "a")); err != nil {
+			t.Fatal(err)
+		}
+		decide := proto.Message{Kind: proto.MsgDecide, Tag: proto.Tag{Mod: proto.ModDecide}, Instance: types.Instance(i), Val: "b"}
+		if err := b.Send(1, decide); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendGarbage(t, addrs[1], 2)
+	sendGarbage(t, addrs[2], 1)
+	waitFor(t, "every frame is counted", func() bool {
+		return got.Load() == 2*frames && a.Sent() == frames && b.Sent() == frames &&
+			a.Rejected() == 1 && b.Rejected() == 1
+	})
+
+	// a exports: its counts are the sums of its series on the exposition.
+	snap := reg.Snapshot()
+	series := func(prefix string) uint64 {
+		var n uint64
+		for name, v := range snap.Counters {
+			if strings.HasPrefix(name, prefix) {
+				n += v
+			}
+		}
+		return n
+	}
+	for _, c := range []struct {
+		what      string
+		got, want uint64
+	}{
+		{"Sent vs frames sent", a.Sent(), series(`minsync_wire_frames_total{dir="sent"`)},
+		{"Sent vs peer frames sent", a.Sent(), series(`minsync_wire_peer_frames_total{dir="sent"`)},
+		{"Received vs frames recv", a.Received(), series(`minsync_wire_frames_total{dir="recv"`)},
+		{"Received vs peer frames recv", a.Received(), series(`minsync_wire_peer_frames_total{dir="recv"`)},
+		{"Rejected vs rejected frames", a.Rejected(), series(`minsync_wire_rejected_frames_total`)},
+	} {
+		if c.got != c.want {
+			t.Errorf("registry: %s: %d != %d", c.what, c.got, c.want)
+		}
+	}
+
+	// b counts into private cells: the same identities hold over them.
+	m := b.Metrics()
+	var sent, recvd uint64
+	for k := 0; k <= int(proto.MsgDecide); k++ {
+		sent += m.FramesSent[k].Value()
+		recvd += m.FramesRecv[k].Value()
+	}
+	if b.Sent() != sent || b.Sent() != m.PeerSent[1].Value() || m.FramesSent[proto.MsgDecide].Value() != frames {
+		t.Errorf("private: Sent %d, kind series %d, peer series %d", b.Sent(), sent, m.PeerSent[1].Value())
+	}
+	if b.Received() != recvd || b.Received() != m.PeerRecv[1].Value() || b.Received() != frames {
+		t.Errorf("private: Received %d, kind series %d, peer series %d", b.Received(), recvd, m.PeerRecv[1].Value())
+	}
+	if b.Rejected() != m.Rejected.Value() {
+		t.Errorf("private: Rejected %d, series %d", b.Rejected(), m.Rejected.Value())
 	}
 }
 

@@ -2,14 +2,11 @@ package obs
 
 import "strconv"
 
-// This file defines the metric bundles: plain structs of instruments.
-// The per-layer ones (Log, SM, KV, Transfer, Pool, Dedup, RB, Node) are
-// their layer's only tally: the layer always counts into them and its
-// accessors read them. A registry decides only whether a count is
-// exported: with one, New*Metrics registers every cell under its series
-// name; with nil, it returns private cells nobody exports. The Wire,
-// Stage and commit-latency instruments are nil without a registry, and
-// their consumers read nil as "off".
+// This file defines the metric bundles: plain structs of instruments,
+// each its layer's only tally: the layer always counts into it and its
+// accessors read it. A registry decides only whether a count is
+// exported: with one, every constructor registers each cell under its
+// series name; with nil, it returns private cells nobody exports.
 //
 // The labels argument is a pre-joined label body (usually `proc="3"`,
 // built with JoinLabels) stamped onto every series the bundle
@@ -385,55 +382,48 @@ type WireMetrics struct {
 	DroppedStalled *Counter
 }
 
-// NewWireMetrics registers the transport bundle. kinds is the number of
-// valid wire kinds (kind values 1..kinds get their own series; any other
-// kind counts as "other"), kindName renders a kind label, and peers lists
-// the remote process IDs.
+// NewWireMetrics builds the transport bundle, registered in r when r is
+// non-nil. kinds is the number of valid wire kinds (kind values 1..kinds
+// get their own series; any other kind counts as "other"), kindName
+// renders a kind label, and peers lists the remote process IDs.
 func NewWireMetrics(r *Registry, labels string, kinds int, kindName func(int) string, peers []int) *WireMetrics {
-	if r == nil {
-		return nil
-	}
 	if kinds >= maxWireKind {
 		kinds = maxWireKind - 1
 	}
+	c := cells{r, labels}
 	dropped := func(reason string) *Counter {
-		return r.Counter(WithLabels("minsync_wire_dropped_frames_total", JoinLabels(labels, `reason="`+reason+`"`)))
+		return cells{r, JoinLabels(labels, `reason="`+reason+`"`)}.counter("minsync_wire_dropped_frames_total")
 	}
 	m := &WireMetrics{
 		PeerSent:       make(map[int]*Counter, len(peers)),
 		PeerRecv:       make(map[int]*Counter, len(peers)),
 		QueueBytes:     make(map[int]*Gauge, len(peers)),
-		Connects:       r.Counter(WithLabels("minsync_wire_connects_total", labels)),
-		Rejected:       r.Counter(WithLabels("minsync_wire_rejected_frames_total", labels)),
+		Connects:       c.counter("minsync_wire_connects_total"),
+		Rejected:       c.counter("minsync_wire_rejected_frames_total"),
 		DroppedDown:    dropped("down"),
 		DroppedStalled: dropped("stalled"),
-	}
-	series := func(base, dir, kind string) *Counter {
-		lbl := JoinLabels(labels, `dir="`+dir+`"`, `kind="`+kind+`"`)
-		return r.Counter(WithLabels(base, lbl))
 	}
 	for k := 0; k <= kinds; k++ {
 		kind := "other"
 		if k > 0 {
 			kind = kindName(k)
 		}
-		m.FramesSent[k] = series("minsync_wire_frames_total", "sent", kind)
-		m.BytesSent[k] = series("minsync_wire_bytes_total", "sent", kind)
-		m.FramesRecv[k] = series("minsync_wire_frames_total", "recv", kind)
-		m.BytesRecv[k] = series("minsync_wire_bytes_total", "recv", kind)
+		sent := cells{r, JoinLabels(labels, `dir="sent"`, `kind="`+kind+`"`)}
+		recv := cells{r, JoinLabels(labels, `dir="recv"`, `kind="`+kind+`"`)}
+		m.FramesSent[k] = sent.counter("minsync_wire_frames_total")
+		m.BytesSent[k] = sent.counter("minsync_wire_bytes_total")
+		m.FramesRecv[k] = recv.counter("minsync_wire_frames_total")
+		m.BytesRecv[k] = recv.counter("minsync_wire_bytes_total")
 	}
 	for k := kinds + 1; k < maxWireKind; k++ {
 		m.FramesSent[k], m.BytesSent[k] = m.FramesSent[0], m.BytesSent[0]
 		m.FramesRecv[k], m.BytesRecv[k] = m.FramesRecv[0], m.BytesRecv[0]
 	}
 	for _, p := range peers {
-		peer := strconv.Itoa(p)
-		m.PeerSent[p] = r.Counter(WithLabels("minsync_wire_peer_frames_total",
-			JoinLabels(labels, `dir="sent"`, `peer="`+peer+`"`)))
-		m.PeerRecv[p] = r.Counter(WithLabels("minsync_wire_peer_frames_total",
-			JoinLabels(labels, `dir="recv"`, `peer="`+peer+`"`)))
-		m.QueueBytes[p] = r.Gauge(WithLabels("minsync_wire_queue_bytes",
-			JoinLabels(labels, `peer="`+peer+`"`)))
+		peer := `peer="` + strconv.Itoa(p) + `"`
+		m.PeerSent[p] = cells{r, JoinLabels(labels, `dir="sent"`, peer)}.counter("minsync_wire_peer_frames_total")
+		m.PeerRecv[p] = cells{r, JoinLabels(labels, `dir="recv"`, peer)}.counter("minsync_wire_peer_frames_total")
+		m.QueueBytes[p] = cells{r, JoinLabels(labels, peer)}.gauge("minsync_wire_queue_bytes")
 	}
 	return m
 }
@@ -447,22 +437,15 @@ func kindIndex(kind int) int {
 }
 
 // Sent records one outbound frame of the given wire kind and body size.
-// Safe on a nil receiver.
 func (m *WireMetrics) Sent(kind, peer, bytes int) {
-	if m == nil {
-		return
-	}
 	i := kindIndex(kind)
 	m.FramesSent[i].Inc()
 	m.BytesSent[i].Add(uint64(bytes))
 	m.PeerSent[peer].Inc()
 }
 
-// Recv records one inbound frame. Safe on a nil receiver.
+// Recv records one inbound frame.
 func (m *WireMetrics) Recv(kind, peer, bytes int) {
-	if m == nil {
-		return
-	}
 	i := kindIndex(kind)
 	m.FramesRecv[i].Inc()
 	m.BytesRecv[i].Add(uint64(bytes))
@@ -474,10 +457,11 @@ func (m *WireMetrics) Recv(kind, peer, bytes int) {
 // it so bench tooling can find it by name.
 const CommitLatencyName = "minsync_commit_latency_ns"
 
-// NewCommitLatency registers the end-to-end commit-latency histogram
-// (submission → first local commit, in nanoseconds).
+// NewCommitLatency builds the end-to-end commit-latency histogram
+// (submission → first local commit, in nanoseconds), registered in r
+// when r is non-nil.
 func NewCommitLatency(r *Registry) *Histogram {
-	return r.Histogram(CommitLatencyName, nil)
+	return cells{r, ""}.histogram(CommitLatencyName, nil)
 }
 
 // Stage keys for the per-command stage-latency breakdown (see
@@ -499,7 +483,7 @@ var StageNames = []string{StageAdmitWait, StageBatchWait, StageConsensus, StageA
 const StageLatencyName = "minsync_stage_latency_ns"
 
 // StageMetrics bundles the five per-command stage-latency histograms
-// an xtrace.Tracer feeds. Passive; nil (off) without a registry.
+// an xtrace.Tracer feeds.
 type StageMetrics struct {
 	AdmitWait *Histogram
 	BatchWait *Histogram
@@ -508,15 +492,12 @@ type StageMetrics struct {
 	Respond   *Histogram
 }
 
-// NewStageMetrics registers the stage-latency histograms under the
-// given extra labels (each cell also carries stage="..."). Returns nil
-// when r is nil so callers stay passive by default.
+// NewStageMetrics builds the stage-latency histograms under the given
+// extra labels (each cell also carries stage="..."), registered in r
+// when r is non-nil.
 func NewStageMetrics(r *Registry, labels string) *StageMetrics {
-	if r == nil {
-		return nil
-	}
 	h := func(stage string) *Histogram {
-		return r.Histogram(WithLabels(StageLatencyName, JoinLabels(labels, `stage="`+stage+`"`)), nil)
+		return cells{r, JoinLabels(labels, `stage="`+stage+`"`)}.histogram(StageLatencyName, nil)
 	}
 	return &StageMetrics{
 		AdmitWait: h(StageAdmitWait),
@@ -527,12 +508,9 @@ func NewStageMetrics(r *Registry, labels string) *StageMetrics {
 	}
 }
 
-// Observe records one stage latency in nanoseconds. Nil-safe on the
-// bundle and tolerant of unknown stage keys.
+// Observe records one stage latency in nanoseconds, ignoring unknown
+// stage keys.
 func (m *StageMetrics) Observe(stage string, ns int64) {
-	if m == nil {
-		return
-	}
 	switch stage {
 	case StageAdmitWait:
 		m.AdmitWait.Observe(ns)

@@ -1,7 +1,9 @@
 // Package obs is the live telemetry layer: a registry of named counters,
 // gauges and fixed-bucket histograms that every working layer of the
 // stack (log engine, state machine, KV store, snapshot transfer, message
-// dedup, reliable broadcast, wire transport) increments as it runs.
+// dedup, reliable broadcast, event loop, wire transport, command stages,
+// commit latency) increments as it runs, whether or not anything exports
+// the counts.
 //
 // Design constraints, in order:
 //
@@ -231,10 +233,9 @@ func DefaultLatencyBuckets() []int64 {
 // series. Asking for a name already registered as a different instrument
 // type panics: that is a programming error, not a runtime condition.
 //
-// A nil *Registry is valid and returns nil instruments everywhere, which
-// in turn no-op: the wire, stage and commit-latency instruments are "off"
-// that way. The per-layer bundles built on a nil registry count into
-// private cells instead (see bundles.go).
+// A nil *Registry returns nil (no-op) instruments from these methods; the
+// bundle constructors never ask it, and build private cells instead (see
+// bundles.go), so a nil registry only means "not exported".
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter

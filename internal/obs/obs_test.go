@@ -272,7 +272,27 @@ func TestWireMetrics(t *testing.T) {
 			t.Errorf("exposition lacks %q:\n%s", want, b.String())
 		}
 	}
-	var nilM *WireMetrics
-	nilM.Sent(1, 2, 3) // must not panic
-	nilM.Recv(1, 2, 3)
+	private := NewWireMetrics(nil, "", 2, kindName, []int{2})
+	private.Sent(1, 2, 3)
+	private.Recv(1, 2, 3)
+	if private.PeerSent[2].Value() != 1 || private.FramesRecv[1].Value() != 1 {
+		t.Fatal("a wire bundle without a registry does not count")
+	}
+}
+
+// TestEveryConstructorCountsWithoutRegistry: the stage and commit-latency
+// instruments count into private cells on a nil registry, like every
+// bundle.
+func TestEveryConstructorCountsWithoutRegistry(t *testing.T) {
+	st := NewStageMetrics(nil, "")
+	st.Observe(StageApply, 5)
+	st.Observe("unknown", 5)
+	if st.Apply.Count() != 1 {
+		t.Fatalf("private apply stage = %d observations, want 1", st.Apply.Count())
+	}
+	h := NewCommitLatency(nil)
+	h.Observe(7)
+	if h.Count() != 1 {
+		t.Fatalf("private commit latency = %d observations, want 1", h.Count())
+	}
 }

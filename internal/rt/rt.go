@@ -85,8 +85,8 @@ type Node struct {
 	// Loop-owned like selfQ: registered from build or a posted closure.
 	idleHooks []func()
 
-	trace   trace.Sink
 	metrics *obs.NodeMetrics
+	dedup   *obs.DedupMetrics
 
 	dispatcher *proto.Node
 }
@@ -120,14 +120,13 @@ type NodeConfig struct {
 	// own self-sends bypass the bound (see Node.selfQ): backpressure is
 	// for other goroutines, never the drainer itself.
 	InboxDepth int
-	// Trace, if non-nil, receives the protocol stack's trace events (a
-	// bounded *trace.Ring lets /statusz?trace=N answer with recent
-	// history). Nil keeps the historical behavior: events are discarded,
-	// and trace.Recording short-circuits their construction entirely.
-	Trace trace.Sink
 	// Metrics is the event loop's tally (obs.NewNodeMetrics); nil counts
 	// into private cells.
 	Metrics *obs.NodeMetrics
+	// Dedup is the dispatcher's tally (obs.NewDedupMetrics), handed to it
+	// before the loop handles anything, so frames delivered before Start
+	// count there too; nil counts into private cells.
+	Dedup *obs.DedupMetrics
 }
 
 // NewNode creates a node; Start must be called before use.
@@ -142,10 +141,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if depth <= 0 {
 		depth = 4096
 	}
-	sink := cfg.Trace
-	if sink == nil {
-		sink = trace.Discard{}
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewNodeMetrics(nil, "")
 	}
@@ -156,8 +151,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		peers:     slices.DeleteFunc(cfg.Params.AllProcs(), func(p types.ProcID) bool { return p == cfg.ID }),
 		inbox:     make(chan event, depth),
 		stop:      make(chan struct{}),
-		trace:     sink,
 		metrics:   cfg.Metrics,
+		dedup:     cfg.Dedup,
 	}, nil
 }
 
@@ -170,6 +165,9 @@ func (n *Node) Start(build func(env proto.Env) proto.Handler) {
 	go func() {
 		defer n.wg.Done()
 		n.dispatcher = proto.NewNode(build(&env{node: n}))
+		if n.dedup != nil {
+			n.dispatcher.SetMetrics(n.dedup)
+		}
 		close(ready)
 		n.loop()
 	}()
@@ -344,7 +342,9 @@ func (e *env) SetTimer(d types.Duration, fn func()) (cancel func()) {
 	}
 }
 
-func (e *env) Trace() trace.Sink { return e.node.trace }
+// Trace discards: a live node's history is its xtrace flight recorder,
+// and trace.Recording lets the layers skip building events at all.
+func (e *env) Trace() trace.Sink { return trace.Discard{} }
 
 // OnIdle implements proto.IdleNotifier: fn runs on the loop goroutine each
 // time the loop has handled input and finds nothing more queued.

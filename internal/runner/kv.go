@@ -115,7 +115,7 @@ type KVSpec struct {
 	Obs *obs.Registry
 	// Trace, if non-nil, attaches causal command tracing: one
 	// xtrace.Tracer with a bounded flight recorder per correct replica,
-	// plus the shared stage-latency histogram bundle when Obs is also set.
+	// plus the shared stage-latency histogram bundle.
 	// Spans cover submit → batch → consensus → apply, with RB phase
 	// transitions. Passive like Obs — a traced run is schedule-identical
 	// to an untraced one (the scenario determinism test pins this).
@@ -148,14 +148,13 @@ type KVResult struct {
 	// Correct lists the correct processes, ascending.
 	Correct []types.ProcID
 	Totals
-	// CommitLatency is the shared commit-latency histogram (nil unless
-	// KVSpec.Obs).
+	// CommitLatency is the shared commit-latency histogram, registered in
+	// KVSpec.Obs (or the run's own registry without one). Never nil.
 	CommitLatency *obs.Histogram
 	// Engines gives access to per-process log engines (introspection).
 	Engines map[types.ProcID]*log.Engine
-	// Tracers holds each correct replica's causal tracer (nil unless
-	// KVSpec.Trace); Stages the shared stage-latency bundle (nil unless
-	// KVSpec.Trace and KVSpec.Obs).
+	// Tracers holds each correct replica's causal tracer; Stages the
+	// shared stage-latency bundle. Both nil unless KVSpec.Trace.
 	Tracers map[types.ProcID]*xtrace.Tracer
 	Stages  *obs.StageMetrics
 	// Stores holds every correct process's live state machine.
@@ -449,10 +448,14 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		distinct[encoded[i]] = struct{}{}
 	}
 
+	reg := spec.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	res := &KVResult{
 		Logs:           make(map[types.ProcID][]log.Entry),
 		Engines:        make(map[types.ProcID]*log.Engine),
-		CommitLatency:  obs.NewCommitLatency(spec.Obs),
+		CommitLatency:  obs.NewCommitLatency(reg),
 		Stores:         make(map[types.ProcID]*kv.Store),
 		Appliers:       make(map[types.ProcID]*sm.Applier),
 		StateDigests:   make(map[types.ProcID][32]byte),
@@ -466,17 +469,10 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		Boots:          make(map[types.ProcID]sm.BootStats),
 		BootErrs:       make(map[types.ProcID]error),
 	}
-	reg := spec.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	var submitAt map[types.Value]types.Time
-	if res.CommitLatency != nil {
-		submitAt = make(map[types.Value]types.Time, len(distinct))
-		for k, c := range encoded {
-			if _, dup := submitAt[c]; !dup { // retries keep the first submit time
-				submitAt[c] = types.Time(types.Duration(k) * spec.SubmitEvery)
-			}
+	submitAt := make(map[types.Value]types.Time, len(distinct))
+	for k, c := range encoded {
+		if _, dup := submitAt[c]; !dup { // retries keep the first submit time
+			submitAt[c] = types.Time(types.Duration(k) * spec.SubmitEvery)
 		}
 	}
 	trs := make(map[types.ProcID]*sm.Transfer)
@@ -497,7 +493,7 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
 			tracer := res.Tracers[id]
 			if tracer == nil {
-				tracer = res.newTracer(spec.Trace, spec.Obs, id, env)
+				tracer = res.newTracer(spec.Trace, reg, id, env)
 			}
 			seen := seenBy[id]
 			if seen == nil {
@@ -550,9 +546,7 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 					if _, dup := seen[e.Cmd]; dup {
 						return
 					}
-					if res.CommitLatency != nil {
-						res.CommitLatency.Observe(int64(env.Now() - submitAt[e.Cmd]))
-					}
+					res.CommitLatency.Observe(int64(env.Now() - submitAt[e.Cmd]))
 					cover(e.Cmd)
 				},
 				// A peer snapshot skips the commits below its boundary: the

@@ -628,10 +628,14 @@ func TestKVObserved(t *testing.T) {
 			t.Fatalf("replica %v log length diverged under observation", id)
 		}
 	}
-	// Latency: every correct replica observes each distinct command once.
+	// Latency: every correct replica observes each distinct command once,
+	// whether or not a registry exports the histogram.
 	want := uint64(res.Distinct * len(res.Correct))
 	if got := res.CommitLatency.Count(); got != want {
 		t.Fatalf("latency observations = %d, want %d", got, want)
+	}
+	if got := plain.CommitLatency.Count(); got != want {
+		t.Fatalf("unobserved latency observations = %d, want %d", got, want)
 	}
 	if res.CommitLatency.Quantile(0.5) <= 0 {
 		t.Fatal("p50 commit latency is zero")

@@ -762,9 +762,10 @@ type MatrixResult struct {
 	Seed    int64
 	Outcome *Outcome
 	Err     error
-	// Metrics is the cell's private telemetry registry, populated only by
-	// RunMatrixObserved (nil from RunMatrix). Telemetry is passive, so the
-	// outcome — digest included — is identical either way.
+	// Metrics is the cell's telemetry registry, which its runner counts
+	// into (nil only when the cell errored before running). Telemetry is
+	// passive, so the outcome — digest included — is what an unobserved
+	// run produces.
 	Metrics *obs.Registry
 }
 
@@ -773,27 +774,22 @@ type MatrixResult struct {
 // (seed-major within each spec). Each spec is prepared once — validation,
 // topology and workload materialization are shared by all of its seeds —
 // while every cell still builds an independent mutable world, so cells
-// share no mutable state.
+// share no mutable state. Every cell counts into a fresh registry of its
+// own, returned in MatrixResult.Metrics — the surface for `minsync-sim
+// -metrics-dump`.
 func RunMatrix(specs []Spec, seeds []int64, workers int) []MatrixResult {
-	return runMatrix(specs, seeds, workers, false, false)
+	return runMatrix(specs, seeds, workers, false)
 }
 
-// RunMatrixObserved is RunMatrix with a fresh telemetry registry attached
-// to every cell, returned in MatrixResult.Metrics — the matrix-dump
-// surface for `minsync-sim -metrics-dump`.
-func RunMatrixObserved(specs []Spec, seeds []int64, workers int) []MatrixResult {
-	return runMatrix(specs, seeds, workers, true, false)
-}
-
-// RunMatrixTraced is RunMatrixObserved with causal tracing attached to
-// every cell (RunTraced semantics): each kv outcome carries its
-// per-replica flight-recorder dumps in Outcome.Trace — the surface for
-// `minsync-sim -trace-dump`, which writes the dumps of failing cells.
+// RunMatrixTraced is RunMatrix with causal tracing attached to every
+// cell (RunTraced semantics): each kv outcome carries its per-replica
+// flight-recorder dumps in Outcome.Trace — the surface for `minsync-sim
+// -trace-dump`, which writes the dumps of failing cells.
 func RunMatrixTraced(specs []Spec, seeds []int64, workers int) []MatrixResult {
-	return runMatrix(specs, seeds, workers, true, true)
+	return runMatrix(specs, seeds, workers, true)
 }
 
-func runMatrix(specs []Spec, seeds []int64, workers int, observe, traced bool) []MatrixResult {
+func runMatrix(specs []Spec, seeds []int64, workers int, traced bool) []MatrixResult {
 	if workers <= 0 {
 		workers = 4
 	}
@@ -817,9 +813,7 @@ func runMatrix(specs []Spec, seeds []int64, workers int, observe, traced bool) [
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if observe {
-				c.Metrics = obs.NewRegistry()
-			}
+			c.Metrics = obs.NewRegistry()
 			if traced {
 				c.Outcome, c.Err = p.RunTraced(c.Seed, c.Metrics)
 			} else {

@@ -327,8 +327,6 @@ func Recording(s Sink) bool {
 		return false
 	case *Log:
 		return v != nil
-	case *Ring:
-		return v != nil
 	case Discard:
 		return false
 	default:

@@ -92,7 +92,7 @@ type Pool struct {
 
 // Stats is a point-in-time copy of the pool's lifetime counters, read
 // from its metrics cells: the pool counts with or without a registry, so
-// hosts can surface admission pressure on /statusz with telemetry off.
+// hosts can surface admission pressure on /statusz and /v1/status alike.
 type Stats struct {
 	// Admitted counts fresh entries created; Deduped arrivals that joined
 	// a pending entry; Shed arrivals rejected at capacity; Resolved

@@ -12,11 +12,11 @@ import (
 )
 
 // Recorder is the flight recorder: a bounded, concurrency-safe ring of
-// the most recent spans (the xtrace generalization of trace.Ring). A
-// replica keeps one running at all times; when a scenario property
-// violates or a live node stalls, Snapshot/Dump capture the recent
-// causal history as a structured artifact without ever having grown
-// unboundedly.
+// the most recent spans. A traced replica keeps one running at all
+// times; when a scenario property violates or a live node stalls,
+// Snapshot/Dump capture the recent causal history as a structured
+// artifact without ever having grown unboundedly, and a live node's
+// /statusz?trace=N reads its newest spans with Last.
 type Recorder struct {
 	mu    sync.Mutex
 	buf   []Span
@@ -52,21 +52,26 @@ func (r *Recorder) Emit(s Span) {
 
 // Snapshot returns the retained spans oldest-first (nil receiver or
 // empty recorder returns nil).
-func (r *Recorder) Snapshot() []Span {
+func (r *Recorder) Snapshot() []Span { return r.Last(r.Cap()) }
+
+// Last returns up to n of the most recent spans, oldest first (nil for a
+// nil receiver, an empty recorder or n <= 0).
+func (r *Recorder) Last(n int) []Span {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n == 0 {
+	n = min(n, r.n)
+	if n <= 0 {
 		return nil
 	}
-	out := make([]Span, r.n)
-	start := r.next - r.n
+	out := make([]Span, n)
+	start := r.next - n
 	if start < 0 {
 		start += len(r.buf)
 	}
-	for i := 0; i < r.n; i++ {
+	for i := range out {
 		out[i] = r.buf[(start+i)%len(r.buf)]
 	}
 	return out

@@ -126,7 +126,8 @@ type Config struct {
 	// Recorder receives every span. Nil drops spans but keeps stage
 	// histograms flowing.
 	Recorder *Recorder
-	// Stages, if non-nil, receives the five canonical stage latencies.
+	// Stages receives the five canonical stage latencies
+	// (obs.NewStageMetrics); nil counts into private cells.
 	Stages *obs.StageMetrics
 	// MaxInflight bounds the per-command and per-instance state maps
 	// (default 4096). Beyond it new chains are dropped — the bound is
@@ -175,6 +176,9 @@ func New(cfg Config) *Tracer {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4096
 	}
+	if cfg.Stages == nil {
+		cfg.Stages = obs.NewStageMetrics(nil, "")
+	}
 	return &Tracer{
 		proc:   cfg.Proc,
 		now:    cfg.Now,
@@ -201,6 +205,15 @@ func (t *Tracer) Clock() types.Time {
 		return 0
 	}
 	return t.now()
+}
+
+// Recorder returns the tracer's flight recorder (nil for a nil tracer or
+// one without a recorder).
+func (t *Tracer) Recorder() *Recorder {
+	if t == nil {
+		return nil
+	}
+	return t.rec
 }
 
 // Dropped returns how many chains were shed at the MaxInflight bound.

@@ -2,7 +2,10 @@ package xtrace
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -138,6 +141,72 @@ func TestRecorderRing(t *testing.T) {
 	if r.Total() != 5 {
 		t.Fatalf("total %d, want 5", r.Total())
 	}
+	if two := r.Last(2); len(two) != 2 || two[0].ID != 4 || two[1].ID != 5 {
+		t.Fatalf("Last(2) = %+v, want IDs 4, 5", two)
+	}
+	if all := r.Last(10); len(all) != 3 || all[0].ID != 3 {
+		t.Fatalf("Last(10) = %+v, want the whole window", all)
+	}
+	if r.Last(0) != nil || NewRecorder(3).Last(1) != nil {
+		t.Fatal("Last of nothing must be nil")
+	}
+}
+
+// TestRecorderConcurrentReaders is the /statusz?trace=N and dump contract
+// under the race detector: one writer goroutine (the node loop) emits
+// strictly increasing span IDs while many readers (HTTP handlers, a
+// stall dump) take windows concurrently. Every window must be
+// consecutive IDs, never a torn mix of old and new slots.
+func TestRecorderConcurrentReaders(t *testing.T) {
+	r := NewRecorder(32)
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := uint64(1); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.Emit(Span{ID: i})
+		}
+	}()
+	for r.Total() < 64 { // the ring has wrapped before anyone reads
+		runtime.Gosched()
+	}
+	var readers sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 300; i++ {
+				got := r.Snapshot()
+				if i%2 == 1 {
+					got = r.Last(16)
+				}
+				for j := 1; j < len(got); j++ {
+					if got[j].ID != got[j-1].ID+1 {
+						select {
+						case errs <- fmt.Errorf("torn window: span %d followed by %d", got[j-1].ID, got[j].ID):
+						default:
+						}
+						return
+					}
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
 }
 
 func TestNilSafety(t *testing.T) {
@@ -159,7 +228,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var rec *Recorder
 	rec.Emit(Span{})
-	if rec.Snapshot() != nil || rec.Total() != 0 || rec.Cap() != 0 {
+	if rec.Snapshot() != nil || rec.Last(1) != nil || rec.Total() != 0 || rec.Cap() != 0 || tr.Recorder() != nil {
 		t.Fatal("nil recorder accessors not zero")
 	}
 }
