@@ -141,14 +141,41 @@ func TestRecorderRing(t *testing.T) {
 	if r.Total() != 5 {
 		t.Fatalf("total %d, want 5", r.Total())
 	}
+}
+
+// TestRecorderWrapAndLast checks the /statusz?trace=N read: Last returns
+// the newest n spans oldest-first, clipped to the retained window, and
+// is nil on an empty or nil recorder.
+func TestRecorderWrapAndLast(t *testing.T) {
+	r := NewRecorder(3)
+	if got := r.Last(5); got != nil {
+		t.Fatalf("empty recorder Last = %+v", got)
+	}
+	for i := 1; i <= 5; i++ {
+		r.Emit(Span{ID: uint64(i)})
+	}
+	if r.Total() != 5 {
+		t.Fatalf("total %d, want 5", r.Total())
+	}
+	all := r.Last(10)
+	if len(all) != 3 {
+		t.Fatalf("Last(10) len %d, want the whole window of 3", len(all))
+	}
+	for i, want := range []uint64{3, 4, 5} {
+		if all[i].ID != want {
+			t.Fatalf("Last(10)[%d].ID = %d, want %d", i, all[i].ID, want)
+		}
+	}
 	if two := r.Last(2); len(two) != 2 || two[0].ID != 4 || two[1].ID != 5 {
 		t.Fatalf("Last(2) = %+v, want IDs 4, 5", two)
 	}
-	if all := r.Last(10); len(all) != 3 || all[0].ID != 3 {
-		t.Fatalf("Last(10) = %+v, want the whole window", all)
+	if r.Last(0) != nil {
+		t.Fatal("Last(0) must be nil")
 	}
-	if r.Last(0) != nil || NewRecorder(3).Last(1) != nil {
-		t.Fatal("Last of nothing must be nil")
+	var nilRec *Recorder
+	nilRec.Emit(Span{})
+	if nilRec.Last(1) != nil || nilRec.Total() != 0 {
+		t.Fatal("nil recorder not inert")
 	}
 }
 
