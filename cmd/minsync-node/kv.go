@@ -335,7 +335,6 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 	}
 	time.Sleep(opts.StartIn) // let peers come up before opening the pipeline
 	node.Post(func() {
-		edge.rep.Engine.SetRetirer(node.Dispatcher())
 		if err := edge.rep.Engine.Start(); err != nil {
 			stdlog.Printf("start: %v", err)
 		}

@@ -154,7 +154,7 @@ func runSingleShot(node *rt.Node, tr *netx.Transport, tel *telemetry, self types
 			return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
 		}
 		engine = eng
-		return eng
+		return proto.NewNode(eng, obs.NewDedupMetrics(tel.reg, ""))
 	})
 	if engErr != nil {
 		stdlog.Fatal(engErr)
@@ -184,14 +184,13 @@ func runSingleShot(node *rt.Node, tr *netx.Transport, tel *telemetry, self types
 }
 
 // newNode builds the event loop every mode runs on, counting its loop
-// and dispatcher tallies into the telemetry's registry.
+// tally into the telemetry's registry.
 func newNode(tel *telemetry, self types.ProcID, params types.Params, tr rt.Transport) (*rt.Node, error) {
 	return rt.NewNode(rt.NodeConfig{
 		ID:        self,
 		Params:    params,
 		Transport: tr,
 		Metrics:   obs.NewNodeMetrics(tel.reg, ""),
-		Dedup:     obs.NewDedupMetrics(tel.reg, ""),
 	})
 }
 

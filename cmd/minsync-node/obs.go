@@ -1,6 +1,6 @@
 // Live-node telemetry. Every node builds the obs registry, and every
-// layer of the stack (wire transport, event loop, dispatcher, RB, log
-// engine, applier, KV store, transfer, admission pool, commit latency)
+// layer of the stack (wire transport, event loop, first-message rule,
+// RB, log engine, applier, KV store, transfer, admission pool, commit latency)
 // counts into it whether or not anything reads it. -metrics only opens
 // an HTTP listener on it, with three endpoint families —
 //

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -235,6 +236,57 @@ func TestDedupCountsFramesBeforeStart(t *testing.T) {
 	<-done
 	if got := tel.reg.Snapshot().Counters["minsync_dedup_dropped_total"]; got != 1 {
 		t.Fatalf("minsync_dedup_dropped_total = %d, want 1", got)
+	}
+}
+
+// TestFarFutureFramesRetainNothing: a peer naming instances far past a
+// replica's window — 100 000 EA_PROP2 frames at instances ≥ 2^40 — makes
+// the replica count each one as dropped ahead and keep none of them: the
+// first-message rule runs only inside the engine's window, so nothing
+// outside it allocates dedup state.
+func TestFarFutureFramesRetainNothing(t *testing.T) {
+	const frames = 100_000
+	params := types.Params{N: 4, T: 1}
+	tel := newTelemetry("", 1, params)
+	mn := rt.NewMemNetwork()
+	node, err := newNode(tel, 1, params, mn.Attach(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	mn.Register(1, node)
+	if _, err := startKV(node, mn.Attach(1), tel, 1, nil, kvOptions{
+		Batch: 16, Pipeline: 4, SnapEvery: 16, PoolCap: 1024, Compact: true,
+		Unit: 50 * time.Millisecond, Wait: time.Minute,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	barrier := func() {
+		done := make(chan struct{})
+		node.Post(func() { close(done) })
+		<-done
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	barrier()
+	before := heap()
+	m := proto.Message{Kind: proto.MsgEAProp2, Tag: proto.Tag{Mod: proto.ModEA, Round: 1}, Val: "v"}
+	for i := 0; i < frames; i++ {
+		m.Instance = 1<<40 + types.Instance(i)
+		node.Deliver(2, m)
+	}
+	barrier()
+	grown := int64(heap()) - int64(before)
+	t.Logf("%d far-future frames retained %d bytes", frames, grown)
+	if grown >= 8<<20 {
+		t.Fatalf("%d far-future frames retained %d bytes, want < 8 MiB", frames, grown)
+	}
+	if got := tel.reg.Snapshot().Counters["minsync_log_dropped_ahead_total"]; got != frames {
+		t.Fatalf("minsync_log_dropped_ahead_total = %d, want %d", got, frames)
 	}
 }
 

@@ -43,7 +43,7 @@ func newACWorld(t *testing.T, p types.Params, seed int64,
 	for _, id := range p.AllProcs() {
 		id := id
 		if b, ok := byz[id]; ok {
-			if err := w.SetBehavior(id, b); err != nil {
+			if err := w.SetBehavior(id, firstMessage(b)); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -69,9 +69,9 @@ func newACWorld(t *testing.T, p types.Params, seed int64,
 			if v, ok := proposals[id]; ok {
 				env.SetTimer(0, func() { inst.Propose(v) })
 			}
-			return proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
+			return proto.NewNode(proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
 				layer.OnMessage(from, m)
-			})
+			}), nil)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -301,4 +301,10 @@ func TestDoneAccessor(t *testing.T) {
 	if aw.inst[1].CB() == nil {
 		t.Fatal("CB accessor nil")
 	}
+}
+
+// firstMessage hosts b behind the first-message rule, like every process
+// of the world: the harness hands deliveries straight to the handler.
+func firstMessage(b harness.Behavior) harness.Behavior {
+	return func(env proto.Env) proto.Handler { return proto.NewNode(b(env), nil) }
 }

@@ -41,7 +41,7 @@ func newCBWorld(t *testing.T, p types.Params, seed int64, botMode bool,
 	for _, id := range p.AllProcs() {
 		id := id
 		if b, ok := byz[id]; ok {
-			if err := w.SetBehavior(id, b); err != nil {
+			if err := w.SetBehavior(id, firstMessage(b)); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -64,9 +64,9 @@ func newCBWorld(t *testing.T, p types.Params, seed int64, botMode bool,
 			if v, ok := proposals[id]; ok {
 				env.SetTimer(0, func() { inst.Start(v) })
 			}
-			return proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
+			return proto.NewNode(proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
 				layer.OnMessage(from, m)
-			})
+			}), nil)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -394,4 +394,10 @@ func TestManyScales(t *testing.T) {
 			}
 		})
 	}
+}
+
+// firstMessage hosts b behind the first-message rule, like every process
+// of the world: the harness hands deliveries straight to the handler.
+func firstMessage(b harness.Behavior) harness.Behavior {
+	return func(env proto.Env) proto.Handler { return proto.NewNode(b(env), nil) }
 }

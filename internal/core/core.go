@@ -282,7 +282,7 @@ func (e *Engine) sendDecide(v types.Value, why string) {
 }
 
 // decideTag is the one tag a DECIDE carries; with Origin unset it is one
-// first-message identity per sender and instance (proto.Node).
+// first-message identity per sender and instance.
 var decideTag = proto.Tag{Mod: proto.ModDecide}
 
 // getAC lazily creates the adopt-commit object of round r. Messages can

@@ -60,7 +60,7 @@ func newEAWorld(t *testing.T, p types.Params, seed int64, o eaOpts, byz map[type
 	for _, id := range p.AllProcs() {
 		id := id
 		if b, ok := byz[id]; ok {
-			if err := w.SetBehavior(id, b); err != nil {
+			if err := w.SetBehavior(id, firstMessage(b)); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -88,12 +88,12 @@ func newEAWorld(t *testing.T, p types.Params, seed int64, o eaOpts, byz map[type
 			}
 			pr.obj = obj
 			ew.procs[id] = pr
-			return proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
+			return proto.NewNode(proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
 				if pr.layer.OnMessage(from, m) {
 					return
 				}
 				pr.obj.OnPlain(from, m)
-			})
+			}), nil)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -492,4 +492,10 @@ func TestScales(t *testing.T) {
 			}
 		})
 	}
+}
+
+// firstMessage hosts b behind the first-message rule, like every process
+// of the world: the harness hands deliveries straight to the handler.
+func firstMessage(b harness.Behavior) harness.Behavior {
+	return func(env proto.Env) proto.Handler { return proto.NewNode(b(env), nil) }
 }

@@ -5,7 +5,10 @@
 //
 // The harness is protocol-agnostic: each process is given a Behavior
 // factory producing a proto.Handler, so correct consensus engines and
-// Byzantine attack behaviors plug in uniformly.
+// Byzantine attack behaviors plug in uniformly. It hands every delivery
+// straight to the handler: a handler that relies on the first-message
+// rule and does not apply it itself comes wrapped in a proto.Node from
+// its caller.
 package harness
 
 import (
@@ -50,11 +53,11 @@ type World struct {
 	Log    *trace.Log // nil unless Config.Record
 	Params types.Params
 
-	nodes map[types.ProcID]*proto.Node
-	envs  map[types.ProcID]*env
-	gens  map[types.ProcID]uint64 // power-cycle generation, bumped by Kill
-	pool  proto.MsgPool           // outbound message boxes; world is single-threaded
-	procs []types.ProcID          // 1..N, cached so Broadcast never re-materializes it
+	handlers map[types.ProcID]proto.Handler
+	envs     map[types.ProcID]*env
+	gens     map[types.ProcID]uint64 // power-cycle generation, bumped by Kill
+	pool     proto.MsgPool           // outbound message boxes; world is single-threaded
+	procs    []types.ProcID          // 1..N, cached so Broadcast never re-materializes it
 }
 
 // New builds the world. Processes are added with SetBehavior before Run.
@@ -69,12 +72,12 @@ func New(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("harness: topology has %d processes, params say %d", cfg.Topology.N(), cfg.Params.N)
 	}
 	w := &World{
-		Sched:  sim.NewScheduler(cfg.Seed),
-		Params: cfg.Params,
-		nodes:  make(map[types.ProcID]*proto.Node, cfg.Params.N),
-		envs:   make(map[types.ProcID]*env, cfg.Params.N),
-		gens:   make(map[types.ProcID]uint64, cfg.Params.N),
-		procs:  cfg.Params.AllProcs(),
+		Sched:    sim.NewScheduler(cfg.Seed),
+		Params:   cfg.Params,
+		handlers: make(map[types.ProcID]proto.Handler, cfg.Params.N),
+		envs:     make(map[types.ProcID]*env, cfg.Params.N),
+		gens:     make(map[types.ProcID]uint64, cfg.Params.N),
+		procs:    cfg.Params.AllProcs(),
 	}
 	if cfg.Record {
 		w.Log = trace.NewLog()
@@ -101,8 +104,8 @@ func New(cfg Config) (*World, error) {
 // (modeling a crashed-from-start Byzantine process).
 //
 // Calling it again after Kill models a restart: the behavior factory is
-// handed a FRESH environment bound to the current power generation, and a
-// fresh dedup dispatcher replaces the dead one (a restarted process lost
+// handed a FRESH environment bound to the current power generation, and
+// the handler it builds replaces the dead one (a restarted process lost
 // its first-message bookkeeping along with everything else volatile).
 func (w *World) SetBehavior(id types.ProcID, b Behavior) error {
 	if _, ok := w.envs[id]; !ok {
@@ -110,11 +113,11 @@ func (w *World) SetBehavior(id types.ProcID, b Behavior) error {
 	}
 	e := &env{world: w, id: id, gen: w.gens[id]}
 	w.envs[id] = e
-	w.nodes[id] = proto.NewNode(b(e))
+	w.handlers[id] = b(e)
 	return nil
 }
 
-// Kill powers process id off mid-run. Its dispatcher is removed, so
+// Kill powers process id off mid-run. Its handler is removed, so
 // inbound messages drop silently; its environment generation is bumped,
 // so every send, broadcast and timer callback belonging to the dead
 // incarnation is fenced (armed timers still occupy the schedule but
@@ -127,7 +130,7 @@ func (w *World) Kill(id types.ProcID) {
 		return
 	}
 	w.gens[id]++
-	delete(w.nodes, id)
+	delete(w.handlers, id)
 	if w.Log != nil {
 		w.Log.Emit(trace.Event{At: w.Sched.Now(), Kind: trace.KindCrash, Proc: id})
 	}
@@ -136,11 +139,6 @@ func (w *World) Kill(id types.ProcID) {
 // Env returns the environment of process id (tests use it to inject
 // events or read the clock).
 func (w *World) Env(id types.ProcID) proto.Env { return w.envs[id] }
-
-// Node returns the dedup dispatcher of process id (nil before
-// SetBehavior). The KV runner wires it to the log engine as the
-// compaction Retirer.
-func (w *World) Node(id types.ProcID) *proto.Node { return w.nodes[id] }
 
 // receive is the network's delivery callback. Pooled message boxes are
 // recycled here — handlers only ever see a value copy, so nothing can
@@ -158,25 +156,16 @@ func (w *World) receive(to, from types.ProcID, payload any) {
 		// messages, so this only happens on harness misuse.
 		return
 	}
-	n, ok := w.nodes[to]
+	h, ok := w.handlers[to]
 	if !ok {
 		return // silent process: drops everything
 	}
-	n.Dispatch(from, m)
+	h.OnMessage(from, m)
 }
 
 // Run drives the simulation (see sim.Scheduler.Run).
 func (w *World) Run(deadline types.Time, maxEvents uint64) sim.StopReason {
 	return w.Sched.Run(deadline, maxEvents)
-}
-
-// DroppedDuplicates sums the first-message-rule drops across processes.
-func (w *World) DroppedDuplicates() uint64 {
-	var total uint64
-	for _, n := range w.nodes {
-		total += n.Dropped()
-	}
-	return total
 }
 
 // env implements proto.Env on top of the world. Each SetBehavior call

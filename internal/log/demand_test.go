@@ -289,7 +289,6 @@ func TestInitOvertakesForward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines[id].SetRetirer(w.Node(id))
 	}
 	w.Run(types.Time(time.Minute), 0)
 	for _, id := range params.AllProcs() {

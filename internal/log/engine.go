@@ -92,6 +92,10 @@ type Config struct {
 	// unobserved one. A nil Engine.RBMetrics likewise gets private cells,
 	// shared by the relay and every instance's rb layer.
 	Metrics *obs.LogMetrics
+	// Dedup counts the loose messages the first-message rule discarded
+	// (see OnMessage); nil counts into private cells. Passive like
+	// Metrics.
+	Dedup *obs.DedupMetrics
 	// Tracer, if non-nil, attaches causal command tracing
 	// (internal/xtrace): span emission at submission, batch formation,
 	// instance proposal, commit and decide, propagated into every
@@ -103,17 +107,10 @@ type Config struct {
 	Coalesce, CanonicalBatches bool // inert, read by nothing: benchmark/sim.go still assigns them; ROADMAP 13(c) deletes them
 }
 
-// Retirer releases per-instance message-dedup state below an instance
-// boundary. proto.Node implements it; the hosting runtime wires its node
-// to the engine with SetRetirer so Compact can retire dedup sub-maps in
-// the same stroke as the engine's own per-instance state.
-type Retirer interface {
-	RetireInstancesBefore(floor types.Instance)
-}
-
 // Engine is one correct replica of the replicated log. It implements
-// proto.Handler: a runtime feeds it deduplicated messages and it
-// demultiplexes them to per-instance consensus engines.
+// proto.Handler: a runtime feeds it every delivery as it arrives, and it
+// applies the first-message rule and demultiplexes to per-instance
+// consensus engines (see OnMessage).
 //
 // Like the core engine it is single-threaded by design: all calls
 // (OnMessage, Start, Submit) must come from the hosting runtime's event
@@ -145,7 +142,6 @@ type Engine struct {
 
 	floor       types.Instance // instances < floor are compacted away
 	entriesBase int            // entries below this index were trimmed
-	retirer     Retirer        // optional dedup retirement hook
 
 	running bool
 	closed  bool
@@ -197,6 +193,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Engine.RBMetrics == nil {
 		cfg.Engine.RBMetrics = obs.NewRBMetrics(nil, "")
 	}
+	if cfg.Dedup == nil {
+		cfg.Dedup = obs.NewDedupMetrics(nil, "")
+	}
 	l := &Engine{
 		cfg:        cfg,
 		insts:      make(map[types.Instance]*instance),
@@ -210,15 +209,12 @@ func New(cfg Config) (*Engine, error) {
 		Sink:    l.dispatch,
 		Metrics: cfg.Engine.RBMetrics,
 		Tracer:  cfg.Tracer,
-		// The dispatch guards, as a predicate: the relay allocates state
-		// (value cache, dedup bitmaps, parking lot) only for traffic
-		// dispatch would accept, so instances a Byzantine peer fabricates
-		// far ahead of the pipeline cannot grow relay memory — they are
-		// dropped (and counted against the lag signal) exactly like loose
-		// messages.
-		Window: func(i types.Instance) bool {
-			return i >= l.floor && i < l.applied+l.cfg.MaxLead
-		},
+		// The relay allocates state (value cache, first-message table,
+		// parking lot) only for traffic dispatch would accept, so
+		// instances a Byzantine peer fabricates far ahead of the pipeline
+		// cannot grow relay memory — they are dropped (and counted against
+		// the lag signal) exactly like loose messages.
+		Window: l.inWindow,
 	})
 	return l, nil
 }
@@ -304,11 +300,6 @@ func (l *Engine) enqueue(cmd types.Value) error {
 // reliable-broadcast layers of old instances for slower peers.
 func (l *Engine) Close() { l.closed = true }
 
-// SetRetirer wires the message-dedup layer into compaction: Compact will
-// call r.RetireInstancesBefore with the same floor it applies to its own
-// per-instance state. Set once, before Start.
-func (l *Engine) SetRetirer(r Retirer) { l.retirer = r }
-
 // OnMessage implements proto.Handler: demultiplex to the instance engine.
 // A peer's forwarded client command (MsgKVRequest) is submitted before
 // anything else looks at it. Forwards deliberately bypass the admission
@@ -318,7 +309,15 @@ func (l *Engine) SetRetirer(r Retirer) { l.retirer = r }
 // may send one unasked, so it is trusted no further than Submit trusts
 // its caller: content dedup makes a repeat free, and ⊥ is refused.
 //
-// The relay fronts the dispatch of everything else — it consumes its
+// A rule-bound message (proto.MsgKind.RuleBound) inside the window passes
+// the first-message rule next, in the relay's table — the one its vector
+// entries pass — so the engine's whole inbound traffic is deduplicated in
+// one place, in state the window bounds and Compact retires. A repeat is
+// dropped and counted (Config.Dedup); an identity no correct process sends
+// is refused before it allocates. A message outside the window touches no
+// table: dispatch's guards count it and fire the lag signal.
+//
+// The relay then fronts the dispatch of everything else — it consumes its
 // carrier frames (unpacking each vector entry back into the loose message
 // it replaces and feeding it to dispatch, where the MaxLead and floor
 // guards apply per entry exactly as they would per loose message) and
@@ -328,10 +327,24 @@ func (l *Engine) OnMessage(from types.ProcID, m proto.Message) {
 		_ = l.Submit(m.Val) // a ⊥ command is the only error: skip it
 		return
 	}
+	if m.Kind.RuleBound() && l.inWindow(m.Instance) {
+		if first, dup := l.relay.Admit(from, m); !first {
+			if dup {
+				l.cfg.Dedup.DroppedDuplicates.Inc()
+			}
+			return
+		}
+	}
 	if l.relay.Inbound(from, m) {
 		return
 	}
 	l.dispatch(from, m)
+}
+
+// inWindow is the dispatch guards as a predicate: instance i is neither
+// compacted nor MaxLead past the apply point.
+func (l *Engine) inWindow(i types.Instance) bool {
+	return i >= l.floor && i < l.applied+l.cfg.MaxLead
 }
 
 // dispatch routes one (possibly relay-unpacked) message by instance.
@@ -614,9 +627,9 @@ func (l *Engine) tryApply() {
 // Compact retires every instance below floor wholesale: the per-instance
 // consensus engines (with all their RB/CB/AC/EA bookkeeping), the
 // committed-entry prefix those instances produced, the commit-dedup
-// entries of the trimmed commands, and — via the Retirer — the message
-// dedup sub-maps. floor is clamped to the applied boundary: unapplied
-// instances are never compacted.
+// entries of the trimmed commands, and the relay's state for them — its
+// first-message table included. floor is clamped to the applied
+// boundary: unapplied instances are never compacted.
 //
 // Dropping commit-dedup entries means a command committed before floor
 // can commit AGAIN if a client (or Byzantine proposer) re-submits it:
@@ -665,9 +678,6 @@ func (l *Engine) Compact(floor types.Instance) int {
 	l.floor = floor
 	l.cfg.Metrics.Compactions.Inc()
 	l.cfg.Metrics.RetiredInstances.Add(uint64(released))
-	if l.retirer != nil {
-		l.retirer.RetireInstancesBefore(floor)
-	}
 	l.relay.RetireInstancesBefore(floor)
 	return released
 }
@@ -686,8 +696,8 @@ func (l *Engine) Compact(floor types.Instance) int {
 // (their outcome is already inside the snapshot, and their timers must
 // not keep firing), own in-flight batches are released back to pending
 // accounting, buffered decisions below the boundary are discarded, the
-// local entry log is replaced by the transferred suffix, and the
-// message-dedup layer drops everything below the suffix via the Retirer.
+// local entry log is replaced by the transferred suffix, and the relay
+// (first-message table included) drops everything below the suffix.
 //
 // Seeding entries and content dedup from the transferred suffix is a
 // CORRECTNESS requirement, not bookkeeping: commit/skip decisions are
@@ -788,9 +798,6 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 		// pipeline just to propose into instances nobody else will run.
 		l.closed = true
 	}
-	if l.retirer != nil {
-		l.retirer.RetireInstancesBefore(l.floor)
-	}
 	l.relay.RetireInstancesBefore(l.floor)
 	l.nextStart = max(l.nextStart, boundary)
 	l.fill()
@@ -853,9 +860,6 @@ func (l *Engine) Resume(boundary types.Instance, base int, retained []Entry) err
 	l.resumed = true
 	if l.cfg.Target > 0 && l.Committed() >= l.cfg.Target {
 		l.closed = true
-	}
-	if l.retirer != nil {
-		l.retirer.RetireInstancesBefore(l.floor)
 	}
 	l.relay.RetireInstancesBefore(l.floor)
 	return nil

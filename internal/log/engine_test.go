@@ -298,16 +298,14 @@ func TestTargetClosesEngine(t *testing.T) {
 	}
 }
 
-// retireRecorder captures Retirer calls.
-type retireRecorder struct{ floors []types.Instance }
-
-func (r *retireRecorder) RetireInstancesBefore(f types.Instance) { r.floors = append(r.floors, f) }
-
 func TestCompactRetiresWholesale(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{Pipeline: 4})
-	rec := &retireRecorder{}
-	eng.SetRetirer(rec)
-	startFull(t, eng)
+	startFull(t, eng) // a peer's echo in instance 3
+	eng.OnMessage(2, echoAt(0))
+	eng.OnMessage(2, echoAt(1))
+	if got := eng.Relay().Scopes(); got != 3 {
+		t.Fatalf("setup: %d first-message scopes, want 3", got)
+	}
 	eng.onInstanceDecided(0, EncodeBatch([]types.Value{"a", "b"}))
 	eng.onInstanceDecided(1, EncodeBatch([]types.Value{"c"}))
 	eng.onInstanceDecided(2, EncodeBatch([]types.Value{"d"}))
@@ -334,8 +332,144 @@ func TestCompactRetiresWholesale(t *testing.T) {
 	if len(eng.Entries()) != 1 || eng.Entries()[0].Cmd != "d" || eng.Entries()[0].Index != 3 {
 		t.Fatalf("retained entries: %+v", eng.Entries())
 	}
-	if len(rec.floors) != 1 || rec.floors[0] != 2 {
-		t.Fatalf("retirer calls: %v", rec.floors)
+	// The first-message table went in the same stroke: only instance 3's
+	// scope is left.
+	if got := eng.Relay().Scopes(); got != 1 {
+		t.Fatalf("%d first-message scopes after compaction, want 1", got)
+	}
+}
+
+// TestEngineRetiresItsTable: the first-message table is kept per instance
+// and retired with the engine's floor — by Compact, InstallSnapshot and
+// Resume alike — and late traffic below the floor is dropped as retired
+// without rebuilding any of it.
+func TestEngineRetiresItsTable(t *testing.T) {
+	eng, _ := newTestEngine(t, Config{Pipeline: 4})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := types.Instance(0); i < 5; i++ {
+		eng.OnMessage(2, echoAt(i))
+	}
+	if got := eng.Relay().Scopes(); got != 5 {
+		t.Fatalf("%d first-message scopes, want one per instance", got)
+	}
+	for i := types.Instance(0); i < 3; i++ {
+		eng.onInstanceDecided(i, EncodeBatch(nil))
+	}
+	eng.Compact(3)
+	if got := eng.Relay().Scopes(); got != 2 {
+		t.Fatalf("%d scopes after Compact(3), want 2", got)
+	}
+	// Late traffic for a compacted instance: dropped, no scope rebuilt.
+	late := echoAt(1)
+	late.Origin = 4 // a fresh identity, were the instance live
+	eng.OnMessage(2, late)
+	if eng.DroppedRetired() != 1 || eng.Relay().Scopes() != 2 {
+		t.Fatalf("retired traffic: droppedRetired=%d scopes=%d", eng.DroppedRetired(), eng.Relay().Scopes())
+	}
+	// The floor is monotone: lowering it is a no-op.
+	eng.Compact(1)
+	if eng.Floor() != 3 || eng.Relay().Scopes() != 2 {
+		t.Fatalf("floor regressed: floor=%v scopes=%d", eng.Floor(), eng.Relay().Scopes())
+	}
+	// Live instances above the floor still deduplicate.
+	eng.OnMessage(2, echoAt(4))
+	if got := eng.cfg.Dedup.DroppedDuplicates.Value(); got != 1 {
+		t.Fatalf("live-instance dedup broken: dropped=%d", got)
+	}
+
+	// A peer snapshot retires everything below its retained suffix.
+	if err := eng.InstallSnapshot(10, eng.Committed(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Relay().Scopes(); got != 0 {
+		t.Fatalf("%d scopes after InstallSnapshot(10), want 0", got)
+	}
+	eng.OnMessage(2, echoAt(9))
+	if eng.DroppedRetired() != 2 || eng.Relay().Scopes() != 0 {
+		t.Fatalf("below the installed floor: droppedRetired=%d scopes=%d", eng.DroppedRetired(), eng.Relay().Scopes())
+	}
+
+	// A durable boot starts the table at the resumed floor.
+	fresh, _ := newTestEngine(t, Config{Pipeline: 4})
+	if err := fresh.Resume(6, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	fresh.OnMessage(2, echoAt(2))
+	fresh.OnMessage(2, echoAt(6))
+	if fresh.DroppedRetired() != 1 || fresh.Relay().Scopes() != 1 {
+		t.Fatalf("resumed at 6: droppedRetired=%d scopes=%d, want 1 and 1", fresh.DroppedRetired(), fresh.Relay().Scopes())
+	}
+}
+
+// TestEngineAppliesFirstMessageRule: inside its window the engine keeps
+// the first message of each (sender, kind, tag, origin) and drops the
+// rest whatever their value, counting them; loose messages and vector
+// entries share the one table. Outside the window nothing is recorded,
+// identities no correct process sends are refused before they allocate,
+// and the exempt kinds never reach the table.
+func TestEngineAppliesFirstMessageRule(t *testing.T) {
+	eng, _ := newTestEngine(t, Config{Pipeline: 2, MaxLead: 8})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	dropped := func() uint64 { return eng.cfg.Dedup.DroppedDuplicates.Value() }
+	prop2 := proto.Message{Kind: proto.MsgEAProp2, Tag: proto.Tag{Mod: proto.ModEA, Round: 1}, Instance: 1, Val: "a"}
+	eng.OnMessage(2, prop2)
+	prop2.Val = "b"
+	eng.OnMessage(2, prop2)
+	eng.OnMessage(3, prop2) // another sender's
+	if dropped() != 1 || eng.Instance(1) == nil {
+		t.Fatalf("dropped %d, want the repeat alone", dropped())
+	}
+
+	// A loose ECHO and a vector entry of the same identity: one counts.
+	eng.OnMessage(2, echoAt(1))
+	enc, err := rb.EncodeEntries([]rb.Entry{{
+		Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModConsCB0}, Origin: 3, Instance: 1, Val: "x",
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.OnMessage(2, proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: types.Value(enc)})
+	if eng.Relay().DupEntries() != 1 {
+		t.Fatalf("vector repeat of a loose echo: DupEntries=%d, want 1", eng.Relay().DupEntries())
+	}
+
+	// Out of the window: counted by the guards each time, no table state.
+	scopes := eng.Relay().Scopes()
+	ahead := echoAt(1 << 40)
+	eng.OnMessage(2, ahead)
+	eng.OnMessage(2, ahead)
+	if eng.DroppedAhead() != 2 || eng.Relay().Scopes() != scopes || dropped() != 1 {
+		t.Fatalf("far-future pair: droppedAhead=%d scopes=%d dropped=%d", eng.DroppedAhead(), eng.Relay().Scopes(), dropped())
+	}
+
+	// Identities no correct process sends: refused, no scope, no instance.
+	insts := eng.Instances()
+	for _, m := range []proto.Message{
+		{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModConsCB0}, Instance: 5, Origin: 3, Val: "forged"},
+		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModKV}, Instance: 5, Origin: 3, Val: "v"},
+		{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModConsCB0}, Instance: 5, Origin: 9, Val: "v"},
+		{Kind: proto.MsgEAProp2, Tag: proto.Tag{Mod: proto.ModEA, Round: 1}, Instance: 5, Origin: 3, Val: "v"},
+		{Kind: proto.MsgEAProp2, Tag: proto.Tag{Mod: proto.ModACCB, Round: 1}, Instance: 5, Val: "v"},
+		{Kind: proto.MsgDecide, Tag: proto.Tag{Mod: proto.ModDecide, Round: 1}, Instance: 5, Val: "v"},
+		{Kind: proto.MsgKVResponse, Tag: proto.Tag{Mod: proto.ModKV}, Instance: 5},
+	} {
+		eng.OnMessage(2, m)
+	}
+	if eng.Relay().ScopeDrops() != 7 || eng.Relay().Scopes() != scopes || eng.Instances() != insts {
+		t.Fatalf("refused identities: scopeDrops=%d scopes=%d instances=%d, want 7, %d, %d",
+			eng.Relay().ScopeDrops(), eng.Relay().Scopes(), eng.Instances(), scopes, insts)
+	}
+
+	// Exempt kinds: a repeated transfer request passes and records nothing.
+	req := proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: 1}
+	eng.OnMessage(2, req)
+	eng.OnMessage(2, req)
+	if dropped() != 1 || eng.Relay().Scopes() != scopes {
+		t.Fatalf("transfer frames touched the table: dropped=%d scopes=%d", dropped(), eng.Relay().Scopes())
 	}
 }
 

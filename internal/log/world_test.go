@@ -104,7 +104,6 @@ func TestCanonicalLanesConvergeUnderSkew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines[id].SetRetirer(w.Node(id))
 	}
 	w.Run(types.Time(time.Minute), 0)
 

@@ -214,29 +214,20 @@ func NewPoolMetrics(r *Registry, labels string) *PoolMetrics {
 	}
 }
 
-// DedupMetrics instruments the per-process message dispatcher
-// (proto.Node): first-message dedup and instance retirement.
+// DedupMetrics counts what the first-message rule discarded on a
+// process: a proto.Node's drops on a single-shot host, a log engine's
+// loose-message drops on a replica (its vector entries count on
+// RBMetrics.DupEntries).
 type DedupMetrics struct {
-	// DroppedDuplicates counts messages killed by the first-message rule;
-	// DroppedRetired messages below the compaction floor;
-	// RetiredInstances dedup sub-maps released by retirement.
+	// DroppedDuplicates counts messages killed by the first-message rule.
 	DroppedDuplicates *Counter
-	DroppedRetired    *Counter
-	RetiredInstances  *Counter
-	// LiveInstances is the number of instances currently holding dedup
-	// state.
-	LiveInstances *Gauge
 }
 
-// NewDedupMetrics builds the dispatcher bundle, registered in r when r
+// NewDedupMetrics builds the first-message bundle, registered in r when r
 // is non-nil.
 func NewDedupMetrics(r *Registry, labels string) *DedupMetrics {
-	c := cells{r, labels}
 	return &DedupMetrics{
-		DroppedDuplicates: c.counter("minsync_dedup_dropped_total"),
-		DroppedRetired:    c.counter("minsync_dedup_dropped_retired_total"),
-		RetiredInstances:  c.counter("minsync_dedup_retired_instances_total"),
-		LiveInstances:     c.gauge("minsync_dedup_live_instances"),
+		DroppedDuplicates: cells{r, labels}.counter("minsync_dedup_dropped_total"),
 	}
 }
 
@@ -274,10 +265,12 @@ type RBMetrics struct {
 	Hold *Histogram
 	// The relay's other defensive drops. All four stay at zero on a
 	// healthy cluster of correct processes: ScopeDrops counts vector
-	// entries refused because the dedup-scope table was full (or the
-	// origin names no process) — state that only compaction retires, so a
-	// climbing value means instances are piling up uncompacted and honest
-	// ECHO/READY traffic is being lost; WindowDrops entries outside the
+	// entries and loose messages refused by the first-message table —
+	// identities no correct process sends (an origin naming no process, a
+	// kind outside its module), or a full dedup-scope table, state that
+	// only compaction retires, so a climbing value then means instances
+	// are piling up uncompacted and honest traffic is being lost;
+	// WindowDrops entries outside the
 	// engine's delivery window, passed on without relay state; CacheDrops
 	// remote values not cached at the byte budget; BadFrames malformed
 	// carrier frames.
@@ -285,10 +278,10 @@ type RBMetrics struct {
 	WindowDrops *Counter
 	CacheDrops  *Counter
 	BadFrames   *Counter
-	// DupEntries counts vector entries dropped by the relay's per-entry
-	// first-message rule: a repeat of a (sender, kind, tag, origin) already
-	// seen for its instance. Correct senders repeat none, so a rising
-	// count names a Byzantine or replaying peer.
+	// DupEntries counts vector entries dropped by the first-message rule:
+	// a repeat of a (sender, kind, tag, origin) already seen for its
+	// instance (loose repeats count on DedupMetrics). Correct senders
+	// repeat none, so a rising count names a Byzantine or replaying peer.
 	DupEntries *Counter
 }
 

@@ -190,7 +190,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(WithLabels("minsync_log_committed_total", `proc="1"`)).Add(12)
 	reg.Counter(WithLabels("minsync_log_committed_total", `proc="2"`)).Add(9)
-	reg.Gauge("minsync_dedup_live_instances").Set(3)
+	reg.Gauge("minsync_log_applied_instances").Set(3)
 	h := reg.Histogram("minsync_commit_latency_ns", []int64{1000, 10000})
 	h.Observe(500)
 	h.Observe(5000)
@@ -206,8 +206,8 @@ minsync_commit_latency_ns_bucket{le="10000"} 2
 minsync_commit_latency_ns_bucket{le="+Inf"} 3
 minsync_commit_latency_ns_sum 105499
 minsync_commit_latency_ns_count 3
-# TYPE minsync_dedup_live_instances gauge
-minsync_dedup_live_instances 3
+# TYPE minsync_log_applied_instances gauge
+minsync_log_applied_instances 3
 # TYPE minsync_log_committed_total counter
 minsync_log_committed_total{proc="1"} 12
 minsync_log_committed_total{proc="2"} 9

@@ -2,9 +2,9 @@
 // vocabulary shared by all layers (RB, CB, AC, EA, consensus), the Env
 // interface through which protocol modules interact with whatever runtime
 // hosts them (discrete-event simulation or real goroutines), and the Node
-// dispatcher that applies the paper's first-message-only rule (§2.1,
-// "Discarding messages from Byzantine processes") before handing messages
-// to a Handler.
+// that applies the paper's first-message-only rule (§2.1, "Discarding
+// messages from Byzantine processes") in front of a Handler that does not
+// apply it itself.
 package proto
 
 import (
@@ -30,18 +30,22 @@ const (
 	MsgEARelay // EA_RELAY[r](v | ⊥)    — Fig. 3 line 18
 	// The KV kinds (wire codec v3, module ModKV) belong to the replicated
 	// KV service. MsgKVRequest is a replica-to-replica forward of a client
-	// command: the log engine submits it (see log.Engine.OnMessage), and
-	// like the snapshot kinds below it is exempt from the first-message-
-	// only rule (see Node.Dispatch). MsgKVResponse has no sender; it stays
-	// in the vocabulary because removing a kind takes a new codec version.
+	// command: the log engine submits it (see log.Engine.OnMessage). It is
+	// exempt from the first-message-only rule (MsgKind.RuleBound): every
+	// forward from one peer shares one identity, and a submission is
+	// idempotent by content. MsgKVResponse has no sender; it stays in the
+	// vocabulary because removing a kind takes a new codec version.
 	MsgKVRequest  // KV_REQ(encoded kv.Command)
 	MsgKVResponse // KV_RESP(encoded kv.Response)
 	// The snapshot-transfer kinds (module ModSnap) carry peer-to-peer
 	// state transfer for replicas that compaction has left unable to
 	// catch up by replay: a request names the requester's applied
 	// boundary, a response carries the manifest of the server's latest
-	// snapshot payload. Unlike every kind above they are exempt from the
-	// first-message-only rule (see Node.Dispatch).
+	// snapshot payload. They are exempt from the first-message-only rule:
+	// a lagging replica re-requests from the same boundary until a
+	// transfer lands, and the frames name instances far outside the
+	// receiver's window. They are idempotent and self-validating (see
+	// sm.Transfer) and never feed the consensus layers the rule protects.
 	MsgSnapRequest  // SNAP_REQ(Instance = requester's applied boundary)
 	MsgSnapResponse // SNAP_RESP(sm manifest; Instance = snapshot boundary)
 	// The coalesced-relay kinds (wire codec v4, module ModRBRelay) carry
@@ -50,7 +54,7 @@ const (
 	// originated in one flush window into a single frame per link, and
 	// the pull pair resolves hash-referenced values that arrived before
 	// their INIT. Like the snapshot kinds they are exempt from the
-	// first-message-only rule (see Node.Dispatch): the rule applies to
+	// first-message-only rule: the rule applies to
 	// the ENTRIES a vector carries (the relay enforces it per entry),
 	// not to the carrier frames, and pulls are idempotent retries whose
 	// responses self-validate by hash.
@@ -61,10 +65,10 @@ const (
 	// describes: once t+1 peers sent the same manifest, the requester
 	// acknowledges with the range of chunks it still needs (MsgSnapAck),
 	// and a server streams the chunks point-to-point (MsgSnapChunk).
-	// Like the other transfer kinds they bypass the
-	// first-message-only rule (see Node.Dispatch): a requester legitimately
-	// re-requests lost ranges under the same dedup identity, and every
-	// chunk self-validates against the manifest's hash list.
+	// Like the other transfer kinds they bypass the first-message-only
+	// rule: a requester legitimately re-requests lost ranges under the
+	// same dedup identity, and every chunk self-validates against the
+	// manifest's hash list.
 	MsgSnapChunk // SNAP_CHUNK(digest ‖ chunk index ‖ bytes; see sm chunk codec)
 	MsgSnapAck   // SNAP_ACK(digest ‖ from ‖ window: the next range wanted)
 	// MsgDecide is Fig. 4's DECIDE as one plain message (module
@@ -308,7 +312,8 @@ type IdleNotifier interface {
 	OnIdle(fn func())
 }
 
-// Handler consumes already-deduplicated protocol messages.
+// Handler consumes protocol messages. A handler that does not apply the
+// first-message rule itself sits behind a Node.
 type Handler interface {
 	OnMessage(from types.ProcID, m Message)
 }
@@ -321,139 +326,62 @@ var _ Handler = HandlerFunc(nil)
 // OnMessage implements Handler.
 func (f HandlerFunc) OnMessage(from types.ProcID, m Message) { f(from, m) }
 
-// instKey is the per-message dedup identity inside one instance sub-map:
-// the paper's "single message per TAG" rule accepts at most one message
-// per (sender, kind, tag, origin) tuple per instance; later ones are
-// discarded regardless of content. Instance lives in the sub-map key, not
-// here, which keeps the hashed key at 40 bytes on the dispatch hot path
-// (the historical flat key hashed 48).
-type instKey struct {
-	From   types.ProcID
-	Kind   MsgKind
-	Tag    Tag
-	Origin types.ProcID
+// RuleBound reports whether kind k obeys the first-message rule (§2.1):
+// of each (sender, kind, tag, origin), one message per instance counts.
+// The transfer kinds, the relay carriers and forwarded commands do not;
+// their declarations say why.
+func (k MsgKind) RuleBound() bool {
+	switch k {
+	case MsgSnapRequest, MsgSnapResponse, MsgSnapChunk, MsgSnapAck,
+		MsgRBVector, MsgRBPull, MsgRBPullResp, MsgKVRequest:
+		return false
+	}
+	return true
 }
 
-// Node applies the first-message-only rule in front of a Handler. Protocol
-// layers can therefore assume every (sender, kind, tag, origin) arrives at
-// most once per instance, which is what the paper's pseudo-code assumes
-// implicitly.
-//
-// The seen set is sharded per log instance so that a whole instance's
-// dedup state can be retired in O(1) map deletes when the replicated-log
-// layer compacts it (RetireInstancesBefore) — the flat set of earlier
-// releases grew without bound on long log runs.
+// Node applies the first-message rule in front of a Handler, which can
+// therefore assume every rule-bound (sender, kind, tag, origin) arrives
+// at most once per instance — what the paper's pseudo-code assumes
+// implicitly. It hosts every handler that is not a replicated-log engine
+// (single-shot consensus engines, adversary behaviors); a log engine
+// applies the rule itself, inside its instance window.
 type Node struct {
 	h       Handler
-	seen    map[types.Instance]map[instKey]struct{}
-	floor   types.Instance    // instances < floor are retired
-	metrics *obs.DedupMetrics // the drop counters and live-instance gauge
+	seen    map[nodeKey]struct{}
+	metrics *obs.DedupMetrics
 }
 
-// NewNode wraps h with duplicate suppression. It counts into private
-// cells until SetMetrics hands it a registered bundle.
-func NewNode(h Handler) *Node {
-	return &Node{
-		h:       h,
-		seen:    make(map[types.Instance]map[instKey]struct{}, 8),
-		metrics: obs.NewDedupMetrics(nil, ""),
-	}
+// nodeKey is one first-message identity. The payload value is not part
+// of it: a second message differing only in value is a duplicate.
+type nodeKey struct {
+	From     types.ProcID
+	Kind     MsgKind
+	Tag      Tag
+	Origin   types.ProcID
+	Instance types.Instance
 }
 
-// SetMetrics replaces the node's tally with m (obs.NewDedupMetrics),
-// which Dropped and DroppedRetired then read. Call it before the first
-// Dispatch: counts already made stay in the cells replaced. Passive;
-// never alters dispatch behavior.
-func (n *Node) SetMetrics(m *obs.DedupMetrics) { n.metrics = m }
+var _ Handler = (*Node)(nil)
 
-// Dropped returns the number of discarded duplicates (Byzantine spam
-// metric).
-func (n *Node) Dropped() uint64 { return n.metrics.DroppedDuplicates.Value() }
+// NewNode wraps h with duplicate suppression, counting its drops into m
+// (obs.NewDedupMetrics; nil counts into private cells).
+func NewNode(h Handler, m *obs.DedupMetrics) *Node {
+	if m == nil {
+		m = obs.NewDedupMetrics(nil, "")
+	}
+	return &Node{h: h, seen: make(map[nodeKey]struct{}), metrics: m}
+}
 
-// DroppedRetired returns the number of messages for instances already
-// retired by RetireInstancesBefore (late traffic after compaction).
-func (n *Node) DroppedRetired() uint64 { return n.metrics.DroppedRetired.Value() }
-
-// Dispatch feeds one raw network delivery through deduplication.
-//
-// Snapshot-transfer frames (MsgSnapRequest/MsgSnapResponse) bypass both
-// the first-message rule and the retired-instance floor: a lagging
-// replica legitimately re-requests from the same boundary until a
-// transfer lands (retries share the dedup identity the rule would
-// consume), a request's boundary instance is usually far BELOW the
-// server's compaction floor, and a response's is far ABOVE the
-// requester's MaxLead window — all three filters would misfire. The
-// frames are safe without the rule: they are idempotent, self-validating
-// (digest check plus t+1 corroboration at the requester, rate limiting
-// at the server — see sm.Transfer), and never feed the consensus layers
-// the rule protects.
-//
-// The coalesced-relay carrier kinds (MsgRBVector/MsgRBPull/MsgRBPullResp)
-// bypass for the same structural reason: a process legitimately sends many
-// vector frames per peer (one per flush window) and many pulls, all
-// sharing the (From, Kind, Tag, Origin) identity the rule would consume
-// after the first. The first-message rule still applies — to the ECHO and
-// READY entries a vector carries, enforced per entry by rb.Relay with the
-// identical (sender, kind, tag, origin)-per-instance key, so the protocol
-// layers see exactly the stream they would without coalescing.
-//
-// Forwarded client commands (MsgKVRequest) bypass too: every forward from
-// one peer shares one dedup identity, and their Instance 0 lies below any
-// compaction floor. They need neither filter: the log engine submits
-// them, and a submission is idempotent by content (see
-// log.Engine.OnMessage).
-func (n *Node) Dispatch(from types.ProcID, m Message) {
-	switch m.Kind {
-	case MsgSnapRequest, MsgSnapResponse, MsgRBVector, MsgRBPull, MsgRBPullResp,
-		MsgSnapChunk, MsgSnapAck, MsgKVRequest:
-		n.h.OnMessage(from, m)
-		return
+// OnMessage implements Handler: it feeds one raw network delivery through
+// deduplication.
+func (n *Node) OnMessage(from types.ProcID, m Message) {
+	if m.Kind.RuleBound() {
+		k := nodeKey{From: from, Kind: m.Kind, Tag: m.Tag, Origin: m.Origin, Instance: m.Instance}
+		if _, dup := n.seen[k]; dup {
+			n.metrics.DroppedDuplicates.Inc()
+			return
+		}
+		n.seen[k] = struct{}{}
 	}
-	if m.Instance < n.floor {
-		n.metrics.DroppedRetired.Inc()
-		return
-	}
-	sub, ok := n.seen[m.Instance]
-	if !ok {
-		// No size hint: a Byzantine peer can name a distinct instance in
-		// every frame (the engine's MaxLead guard rejects them only AFTER
-		// dedup), and pre-sizing would amplify each such frame into a
-		// multi-kilobyte allocation. Unhinted maps keep the spam cost
-		// comparable to the historical flat set; busy instances grow
-		// amortized.
-		sub = make(map[instKey]struct{})
-		n.seen[m.Instance] = sub
-		n.metrics.LiveInstances.Set(int64(len(n.seen)))
-	}
-	k := instKey{From: from, Kind: m.Kind, Tag: m.Tag, Origin: m.Origin}
-	if _, dup := sub[k]; dup {
-		n.metrics.DroppedDuplicates.Inc()
-		return
-	}
-	sub[k] = struct{}{}
 	n.h.OnMessage(from, m)
 }
-
-// RetireInstancesBefore drops the dedup sub-maps of every instance below
-// floor and rejects their future traffic outright. The replicated-log
-// layer calls it when a snapshot makes those instances disposable; the
-// first-message rule for live instances is unaffected.
-func (n *Node) RetireInstancesBefore(floor types.Instance) {
-	if floor <= n.floor {
-		return
-	}
-	retired := 0
-	for i := range n.seen {
-		if i < floor {
-			delete(n.seen, i)
-			retired++
-		}
-	}
-	n.floor = floor
-	n.metrics.RetiredInstances.Add(uint64(retired))
-	n.metrics.LiveInstances.Set(int64(len(n.seen)))
-}
-
-// LiveInstances returns the number of instance dedup sub-maps currently
-// held (memory introspection).
-func (n *Node) LiveInstances() int { return len(n.seen) }

@@ -130,8 +130,8 @@ func (l *Layer) Broadcast(tag proto.Tag, v types.Value) {
 func (l *Layer) Instances() int { return len(l.insts) }
 
 // OnMessage consumes RB submessages; it reports false for non-RB kinds so
-// the caller can route them elsewhere. The caller must have deduplicated
-// (proto.Node does).
+// the caller can route them elsewhere. The caller must have applied the
+// first-message rule (a proto.Node in front, or the log engine).
 func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 	switch m.Kind {
 	case proto.MsgRBInit, proto.MsgRBEcho, proto.MsgRBReady:

@@ -43,7 +43,7 @@ func newRBWorld(t *testing.T, p types.Params, topo *network.Topology, seed int64
 	for _, id := range p.AllProcs() {
 		id := id
 		if b, ok := byz[id]; ok {
-			if err := w.SetBehavior(id, b); err != nil {
+			if err := w.SetBehavior(id, firstMessage(b)); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -53,9 +53,9 @@ func newRBWorld(t *testing.T, p types.Params, topo *network.Topology, seed int64
 				rw.delivered[id] = append(rw.delivered[id], delivery{origin: origin, tag: tag, val: v})
 			})
 			rw.layers[id] = layer
-			return proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
+			return proto.NewNode(proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
 				layer.OnMessage(from, m)
-			})
+			}), nil)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -366,4 +366,10 @@ func TestNonRBMessagesNotConsumed(t *testing.T) {
 	if rw.layers[1].OnMessage(2, proto.Message{Kind: proto.MsgEAProp2}) {
 		t.Fatal("EA message must not be consumed by RB")
 	}
+}
+
+// firstMessage hosts b behind the first-message rule, like every process
+// of the world: the harness hands deliveries straight to the handler.
+func firstMessage(b harness.Behavior) harness.Behavior {
+	return func(env proto.Env) proto.Handler { return proto.NewNode(b(env), nil) }
 }

@@ -10,17 +10,18 @@
 //
 // Correctness in one paragraph: coalescing changes FRAMING and VALUE
 // INDIRECTION only, never the counting logic. On the receive side every
-// vector entry is deduplicated with exactly the (sender, kind, tag,
-// origin)-per-instance key proto.Node applies to loose messages, then
-// resolved to a full value and handed to the same per-instance dispatch
-// path a loose ECHO/READY would take — so the rb.Layer instances observe
-// a stream indistinguishable from the uncoalesced run (up to timing) and
-// every RB-* property (Validity, Unicity, Termination-1, Termination-2)
-// holds by the unmodified proofs. Hash entries whose value is unknown are
-// PARKED, not counted: a Byzantine vector naming an unresolvable hash can
-// occupy bounded parking-lot memory but can never move an echo or ready
-// counter. Liveness of resolution follows from the thresholds themselves:
-// a correct process only lacks a value if the INIT did not reach it, and
+// vector entry passes the first-message rule in the same table — one
+// (sender, kind, tag, origin) per instance — the hosting engine applies
+// to loose messages (Admit), then is resolved to a full value and handed
+// to the same per-instance dispatch path a loose ECHO/READY would take —
+// so the rb.Layer instances observe a stream indistinguishable from the
+// uncoalesced run (up to timing) and every RB-* property (Validity,
+// Unicity, Termination-1, Termination-2) holds by the unmodified proofs.
+// Hash entries whose value is unknown are PARKED, not counted: a
+// Byzantine vector naming an unresolvable hash can occupy bounded
+// parking-lot memory but can never move an echo or ready counter.
+// Liveness of resolution follows from the thresholds themselves: a
+// correct process only lacks a value if the INIT did not reach it, and
 // any quorum that makes a hash entry matter (≥ t+1 readies, or an echo
 // quorum) contains a correct process that HAS the value and answers the
 // pull, because correct relays cache every value they echo or ready.
@@ -249,8 +250,8 @@ type RelayConfig struct {
 	// pulls and pass-through traffic all leave through it).
 	Env proto.Env
 	// Sink receives each resolved entry as the loose message it replaces,
-	// exactly as a deduplicating dispatcher would deliver it. The hosting
-	// engine passes its per-instance dispatch here.
+	// past the first-message rule like an admitted loose message. The
+	// hosting engine passes its per-instance dispatch here.
 	Sink func(from types.ProcID, m proto.Message)
 	// MaxBuffer flushes the outbound buffer early when it holds this many
 	// entries (default 2048) — a bound on the buffer's memory and on the
@@ -314,14 +315,13 @@ type Relay struct {
 	onTimer     func()  // the grid timer's callback, built once
 	scratch     []Entry // decode buffer reused across inbound frames
 
-	// seenBits mirrors proto.Node's first-message-only rule per entry —
-	// one (sender, kind, tag, origin) per instance, retired with the same
-	// floor the dedup layer uses — but stores it as one bitmap per
-	// (instance, tag) scope indexed by (sender, origin, kind). The
-	// (sender, origin) plane is dense (both are process indices below n),
-	// so a bit test replaces the growing hashed-key set that dominated
-	// the profile: no rehashing, no 40-byte key hashing, one small map
-	// lookup per entry.
+	// seenBits is the process's first-message table: one (sender, kind,
+	// tag, origin) per instance, for vector entries and — through Admit —
+	// loose messages alike, retired with the engine's floor. It holds one
+	// bitmap per (instance, tag) scope indexed by (sender, origin, kind)
+	// (see slot). The (sender, origin) plane is dense (both are process
+	// indices below n), so a bit test replaces a growing hashed-key set:
+	// no rehashing, no key hashing, one small map lookup per message.
 	n        int // Params().N, fixes the bitmap geometry
 	seenBits map[dedupScope][]uint64
 	floor    types.Instance
@@ -344,20 +344,20 @@ type Relay struct {
 	flushes [numFlushCauses]*obs.Counter // metrics' flush counters, by cause
 }
 
-// dedupScope identifies one dedup bitmap: a log instance and the tag of
-// the rb sub-instance inside it. Everything else in the entry identity —
-// sender, origin, kind — indexes into the bitmap.
+// dedupScope identifies one dedup bitmap: a log instance and a tag inside
+// it. Everything else in the identity — sender, origin, kind — indexes
+// into the bitmap.
 type dedupScope struct {
 	inst  types.Instance
 	mod   proto.Module
 	round types.Round
 }
 
-// maxDedupScopes caps the live bitmaps. Each costs n²/32 bytes, so a
-// Byzantine vector naming fresh (instance, tag) pairs allocates more per
-// entry than the map-per-instance design it replaced; the cap bounds that
+// maxDedupScopes caps the live bitmaps. A scope costs 2n²+5n bits, so a
+// Byzantine peer naming fresh (instance, tag) pairs allocates more per
+// message than a map-per-instance design would; the cap bounds that
 // amplification while sitting far above what live instances of a correct
-// run ever reach (a few hundred). Overflow entries are dropped and
+// run ever reach (a few hundred). Overflow messages are dropped and
 // counted, never delivered undeduplicated.
 const maxDedupScopes = 1 << 14
 
@@ -544,7 +544,8 @@ func (r *Relay) Buffered() int { return len(r.buf) }
 // Inbound fronts the engine's dispatch: it consumes the relay carrier
 // kinds (reporting true) and passively sniffs INIT values into the hash
 // cache (reporting false so the INIT proceeds down the normal path).
-// The caller must invoke it before any instance routing.
+// The hosting engine calls it after the first-message rule (Admit) and
+// before any instance routing.
 func (r *Relay) Inbound(from types.ProcID, m proto.Message) bool {
 	switch m.Kind {
 	case proto.MsgRBInit:
@@ -570,12 +571,11 @@ func (r *Relay) Inbound(from types.ProcID, m proto.Message) bool {
 	return false
 }
 
-// onVector unpacks a vector frame: per entry, first-message dedup (the
-// rule proto.Node applies to loose messages, with the same key), then
-// value resolution — inline delivers immediately, known hashes deliver
-// from cache, unknown hashes park and pull. Parked entries are NOT
-// counted anywhere until resolved, so forged hashes cannot move
-// thresholds.
+// onVector unpacks a vector frame: per entry, the first-message rule (in
+// the table Admit applies to loose messages), then value resolution —
+// inline delivers immediately, known hashes deliver from cache, unknown
+// hashes park and pull. Parked entries are NOT counted anywhere until
+// resolved, so forged hashes cannot move thresholds.
 func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 	entries, err := decodeEntriesInto(r.scratch, m.Val)
 	if err != nil {
@@ -601,36 +601,16 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 			r.deliver(from, e, e.Val)
 			continue
 		}
-		// An origin outside the 1-based process range [1, n] names no
-		// process: no rb instance about it can ever reach a threshold, so
-		// the entry is spam by construction and is dropped before it can
-		// allocate dedup state. (The sender index is link-authenticated
-		// and always in range.)
-		if e.Origin < 1 || int(e.Origin) > r.n {
-			r.metrics.ScopeDrops.Inc()
+		word, mask := r.slot(from, e.Kind, e.Tag, e.Origin, e.Instance)
+		if word == nil {
 			continue
 		}
-		scope := dedupScope{inst: e.Instance, mod: e.Tag.Mod, round: e.Tag.Round}
-		bits := r.seenBits[scope]
-		if bits == nil {
-			if len(r.seenBits) >= maxDedupScopes {
-				r.metrics.ScopeDrops.Inc()
-				continue
-			}
-			bits = make([]uint64, (2*r.n*r.n+63)/64)
-			r.seenBits[scope] = bits
-		}
-		idx := ((int(from)-1)*r.n + int(e.Origin) - 1) * 2
-		if e.Kind == proto.MsgRBReady {
-			idx++
-		}
-		mask := uint64(1) << (idx & 63)
-		if bits[idx>>6]&mask != 0 {
+		if *word&mask != 0 {
 			r.metrics.DupEntries.Inc()
 			continue
 		}
 		if !e.Hashed {
-			bits[idx>>6] |= mask
+			*word |= mask
 			r.deliver(from, e, e.Val)
 			continue
 		}
@@ -640,7 +620,7 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 			if e.Instance > cv.maxInst {
 				cv.maxInst = e.Instance
 			}
-			bits[idx>>6] |= mask
+			*word |= mask
 			r.deliver(from, e, cv.val)
 			continue
 		}
@@ -649,7 +629,7 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 		// re-deliverable, or a transient full lot would permanently
 		// swallow the echoes a lagging process needs (RB Termination-2).
 		if r.park(from, e, h) {
-			bits[idx>>6] |= mask
+			*word |= mask
 		}
 	}
 }
@@ -660,6 +640,80 @@ func (r *Relay) deliver(from types.ProcID, e Entry, v types.Value) {
 	r.sink(from, proto.Message{
 		Kind: e.Kind, Tag: e.Tag, Origin: e.Origin, Instance: e.Instance, Val: v,
 	})
+}
+
+// Admit applies the first-message rule to a loose message the hosting
+// engine has placed inside its window: first reports that m is the first
+// of its (sender, kind, tag, origin) in its instance, now recorded; dup
+// that it repeats one recorded before, whatever its value. Neither means
+// m names an identity no correct process sends, or the scope table is
+// full: refused before it allocates, and counted as a ScopeDrop.
+func (r *Relay) Admit(from types.ProcID, m proto.Message) (first, dup bool) {
+	word, mask := r.slot(from, m.Kind, m.Tag, m.Origin, m.Instance)
+	if word == nil {
+		return false, false
+	}
+	if *word&mask != 0 {
+		return false, true
+	}
+	*word |= mask
+	return true, false
+}
+
+// slot locates the first-message bit of one identity: a word of its
+// scope's bitmap, allocated on first use, and the bit's mask. Only what a
+// correct process can send has a bit, from a sender in 1..n: an rb
+// message of an rb module, round ≥ 0, about an origin in 1..n (an INIT
+// only from its origin); an EA message of round ≥ 1 with no origin; a
+// DECIDE of round 0 with no origin. For anything else, and past the
+// scope cap, slot counts a ScopeDrop and returns nil.
+//
+// A scope's bitmap holds ECHO and READY per (sender, origin), then INIT,
+// the three EA kinds and DECIDE per sender. EA messages of round r share
+// the scope of CB[r] inside EA (ModEACB), DECIDE that of CB[0]: the
+// plain kinds add bits, never scopes, so an instance takes as many scopes
+// as its rb traffic alone would.
+func (r *Relay) slot(from types.ProcID, kind proto.MsgKind, tag proto.Tag, origin types.ProcID, inst types.Instance) (*uint64, uint64) {
+	n, s, o := r.n, int(from)-1, int(origin)-1
+	idx, mod := -1, tag.Mod
+	switch {
+	case s < 0 || s >= n:
+	case tag.Mod == proto.ModEA:
+		if tag.Round >= 1 && origin == types.NoProc && kind >= proto.MsgEAProp2 && kind <= proto.MsgEARelay {
+			idx, mod = 2*n*n+n+3*s+int(kind-proto.MsgEAProp2), proto.ModEACB
+		}
+	case tag.Mod == proto.ModDecide:
+		if tag.Round == 0 && origin == types.NoProc && kind == proto.MsgDecide {
+			idx, mod = 2*n*n+4*n+s, proto.ModConsCB0
+		}
+	case tag.Mod >= proto.ModConsCB0 && tag.Mod <= proto.ModACEst: // the rb modules
+		if tag.Round < 0 || o < 0 || o >= n {
+			break
+		}
+		switch {
+		case kind == proto.MsgRBEcho:
+			idx = (s*n + o) * 2
+		case kind == proto.MsgRBReady:
+			idx = (s*n+o)*2 + 1
+		case kind == proto.MsgRBInit && o == s:
+			idx = 2*n*n + s
+		}
+	}
+	if idx < 0 {
+		r.metrics.ScopeDrops.Inc()
+		return nil, 0
+	}
+	scope := dedupScope{inst: inst, mod: mod, round: tag.Round}
+	bits := r.seenBits[scope]
+	if bits == nil {
+		if len(r.seenBits) >= maxDedupScopes {
+			r.metrics.ScopeDrops.Inc()
+			return nil, 0
+		}
+		bits = make([]uint64, (2*n*n+5*n+63)/64)
+		r.seenBits[scope] = bits
+	}
+	return &bits[idx>>6], uint64(1) << (idx & 63)
 }
 
 // park shelves a hash-before-value entry and pulls the value from the
@@ -795,9 +849,9 @@ func (r *Relay) insert(h hashKey, v types.Value, inst types.Instance, own bool) 
 }
 
 // RetireInstancesBefore releases relay state below floor in the same
-// stroke as the engine's compaction: per-instance entry dedup, cached
-// values whose highest referencing instance is compacted, and parked
-// entries of retired instances. Mirrors proto.Node.RetireInstancesBefore.
+// stroke as the engine's compaction: the first-message table's scopes,
+// cached values whose highest referencing instance is compacted, and
+// parked entries of retired instances.
 func (r *Relay) RetireInstancesBefore(floor types.Instance) {
 	if floor <= r.floor {
 		return
@@ -870,8 +924,9 @@ func (r *Relay) DupEntries() uint64 { return r.metrics.DupEntries.Value() }
 // BadFrames returns the number of malformed carrier frames rejected.
 func (r *Relay) BadFrames() uint64 { return r.metrics.BadFrames.Value() }
 
-// ScopeDrops returns the number of entries dropped defensively before
-// dedup: non-process origins, and entries past the dedup-scope cap.
+// ScopeDrops returns the number of entries and loose messages the
+// first-message table refused (see Admit): identities no correct process
+// sends, and scopes past the cap.
 func (r *Relay) ScopeDrops() uint64 { return r.metrics.ScopeDrops.Value() }
 
 // WindowDrops returns the number of vector entries outside the engine's
@@ -884,6 +939,9 @@ func (r *Relay) CacheDrops() uint64 { return r.metrics.CacheDrops.Value() }
 
 // CacheBytes returns the charged size of the hash-value cache.
 func (r *Relay) CacheBytes() int { return r.cacheBytes }
+
+// Scopes returns the number of live first-message scopes.
+func (r *Relay) Scopes() int { return len(r.seenBits) }
 
 // Parked returns the number of entries awaiting hash resolution.
 func (r *Relay) Parked() int { return r.parkedLen }

@@ -562,8 +562,8 @@ func TestInboundEntryDedupMirrorsFirstMessageRule(t *testing.T) {
 	e := Entry{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: 2, Instance: 7, Val: "v"}
 	// In-frame duplicate and a cross-frame duplicate from the same sender:
 	// one delivery. An entry differing only in VALUE is also a duplicate —
-	// identity is (sender, kind, tag, origin) per instance, exactly
-	// proto.Node's rule, so an equivocating aggregator cannot get two
+	// identity is (sender, kind, tag, origin) per instance, the rule loose
+	// messages obey (Admit), so an equivocating aggregator cannot get two
 	// values of the same identity counted.
 	equiv := e
 	equiv.Val = "other"
@@ -585,6 +585,48 @@ func TestInboundEntryDedupMirrorsFirstMessageRule(t *testing.T) {
 
 // A vector repeating one (sender, kind, tag, origin) entry puts the
 // dropped repeat on /metrics: the registered series rises by one.
+// TestAdmitKeepsIdentitiesApart: every identity a correct process can
+// send has a bit of its own — the first of each is admitted, a second
+// copy of each is a duplicate, whatever its value — and a loose message
+// and a vector entry of one identity share it.
+func TestAdmitKeepsIdentitiesApart(t *testing.T) {
+	env := newRelayEnv() // n = 7
+	r, got := newTestRelay(env)
+	var all []proto.Message
+	for s := types.ProcID(1); s <= 7; s++ {
+		for _, mod := range []proto.Module{proto.ModConsCB0, proto.ModEACB, proto.ModACCB, proto.ModACEst} {
+			tag := proto.Tag{Mod: mod, Round: 1}
+			all = append(all, proto.Message{Kind: proto.MsgRBInit, Tag: tag, Origin: s})
+			for o := types.ProcID(1); o <= 7; o++ {
+				all = append(all,
+					proto.Message{Kind: proto.MsgRBEcho, Tag: tag, Origin: o},
+					proto.Message{Kind: proto.MsgRBReady, Tag: tag, Origin: o})
+			}
+		}
+		for k := proto.MsgEAProp2; k <= proto.MsgEARelay; k++ {
+			all = append(all, proto.Message{Kind: k, Tag: proto.Tag{Mod: proto.ModEA, Round: 1}})
+		}
+		all = append(all, proto.Message{Kind: proto.MsgDecide, Tag: proto.Tag{Mod: proto.ModDecide}})
+	}
+	from := func(k int) types.ProcID { return types.ProcID(k/(len(all)/7) + 1) }
+	for pass, val := range []types.Value{"v", "w"} {
+		for k, m := range all {
+			m.Val = val
+			if first, dup := r.Admit(from(k), m); first != (pass == 0) || dup != (pass == 1) {
+				t.Fatalf("pass %d, %v from %v: first=%v dup=%v", pass, m, from(k), first, dup)
+			}
+		}
+	}
+	if r.ScopeDrops() != 0 {
+		t.Fatalf("ScopeDrops=%d, want 0", r.ScopeDrops())
+	}
+	// The vector entry of an admitted loose ECHO is its duplicate.
+	inboundVector(t, r, 1, []Entry{{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 1}, Origin: 3, Val: "v"}})
+	if len(*got) != 0 || r.DupEntries() != 1 {
+		t.Fatalf("vector copy of a loose echo: delivered %d, DupEntries=%d", len(*got), r.DupEntries())
+	}
+}
+
 func TestDupEntriesExported(t *testing.T) {
 	env := newRelayEnv()
 	reg := obs.NewRegistry()
@@ -744,9 +786,9 @@ func TestWindowGuardForwardsWithoutAllocating(t *testing.T) {
 	if r.WindowDrops() != 2 {
 		t.Fatalf("WindowDrops=%d, want 2", r.WindowDrops())
 	}
-	if len(r.seenBits) != 0 || r.Parked() != 0 || len(env.sent) != 0 || len(r.cache) != 0 {
+	if r.Scopes() != 0 || r.Parked() != 0 || len(env.sent) != 0 || len(r.cache) != 0 {
 		t.Fatalf("out-of-window entries allocated state: scopes=%d parked=%d pulls=%d cache=%d",
-			len(r.seenBits), r.Parked(), len(env.sent), len(r.cache))
+			r.Scopes(), r.Parked(), len(env.sent), len(r.cache))
 	}
 }
 
@@ -901,7 +943,7 @@ func TestRetireInstancesBeforeDropsStaleState(t *testing.T) {
 	if len(*got) != before {
 		t.Fatal("stale-instance entry delivered after retirement")
 	}
-	if len(r.seenBits) != 0 {
-		t.Fatalf("seen holds %d dedup scopes after retirement", len(r.seenBits))
+	if r.Scopes() != 0 {
+		t.Fatalf("seen holds %d dedup scopes after retirement", r.Scopes())
 	}
 }

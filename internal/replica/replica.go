@@ -5,9 +5,9 @@
 // (harness.World, store.Memory) and the live node (rt.Node, store.File)
 // run the very same assembly, and a first boot and a reboot are one call.
 //
-// New never starts the engine: the host installs Replica.Handler, wires
-// its dedup dispatcher with Engine.SetRetirer and calls Engine.Start on
-// its own event loop.
+// New never starts the engine: the host installs Replica.Handler as it
+// is — the engine applies the first-message rule itself, so no host wraps
+// it in a proto.Node — and calls Engine.Start on its own event loop.
 package replica
 
 import (
@@ -54,7 +54,7 @@ type Config struct {
 	// Log carries the engine knobs (Engine, BatchSize, Pipeline, MaxLead,
 	// Target): there is one engine, so simulator and node differ in
 	// nothing else here. Env, OnCommit, OnApply, OnDroppedAhead, Tracer,
-	// Metrics and Engine.RBMetrics are set by New.
+	// Metrics, Dedup and Engine.RBMetrics are set by New.
 	Log log.Config
 	// SnapshotEvery is the applier's snapshot cadence in entries (0 =
 	// off); SnapshotRefresh re-stamps the snapshot every so many applied
@@ -73,7 +73,7 @@ type Config struct {
 	Transfer      bool
 	TransferRetry types.Duration
 	TransferProbe types.Duration
-	// Obs, if non-nil, registers the kv/sm/log/RB/transfer bundles under
+	// Obs, if non-nil, registers the kv/sm/log/dedup/RB/transfer bundles under
 	// Labels (`proc="2"`; "" on a live node); nil keeps them private.
 	// Registration is idempotent: a rebooted incarnation with the same
 	// pair keeps the same cells, so its counts, accessors included, run on
@@ -159,6 +159,7 @@ func New(cfg Config) (*Replica, error) {
 	lc.Env = cfg.Env
 	lc.Tracer = cfg.Tracer
 	lc.Metrics = obs.NewLogMetrics(cfg.Obs, cfg.Labels)
+	lc.Dedup = obs.NewDedupMetrics(cfg.Obs, cfg.Labels)
 	lc.Engine.RBMetrics = obs.NewRBMetrics(cfg.Obs, cfg.Labels)
 	lc.OnCommit = r.Applier.OnCommit
 	if cfg.OnCommit != nil {

@@ -84,7 +84,6 @@ func runSim(t *testing.T, persist func(types.ProcID) store.Persister) map[types.
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps[id].Engine.SetRetirer(w.Node(id))
 	}
 	// The transfer layer's stall probe re-arms forever, so the world never
 	// drains; a virtual minute is far past the workload.
@@ -139,7 +138,6 @@ func TestSameConfigBothRuntimes(t *testing.T) {
 	for id, node := range nodes {
 		rep := reps[id]
 		node.Post(func() {
-			rep.Engine.SetRetirer(node.Dispatcher())
 			for _, c := range workload() {
 				_ = rep.Engine.Submit(c)
 			}
@@ -230,10 +228,11 @@ func TestBootStatsMatchSMBoot(t *testing.T) {
 // moment it sees traffic for i — so the three correct replicas join and
 // decide 4 000 consecutive instances that carry no command. Snapshots by
 // entry count never fire on such a run; without the instance-count floor
-// (DefaultSnapshotRefresh) nothing is compacted, the relay's dedup-scope
-// table fills near instance 2 730, every later ECHO/READY is dropped, and
-// the cluster stops deciding for good. With it the instances are applied
-// and retired as they come, and a command submitted afterwards commits.
+// (DefaultSnapshotRefresh) nothing is compacted: every instance engine
+// stays, and past instance ≈ 4 090 the relay's first-message table is
+// full, every message of a new instance is dropped and the cluster stops
+// deciding for good. With it the instances are applied and retired as
+// they come, and a command submitted afterwards commits.
 func TestCommandlessInstancesStayCompacted(t *testing.T) {
 	const empties = 4000
 	w, err := harness.New(harness.Config{
@@ -275,7 +274,6 @@ func TestCommandlessInstancesStayCompacted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps[id].Engine.SetRetirer(w.Node(id))
 	}
 	err = w.SetBehavior(4, func(env proto.Env) proto.Handler {
 		named := types.Instance(0)

@@ -86,9 +86,7 @@ type Node struct {
 	idleHooks []func()
 
 	metrics *obs.NodeMetrics
-	dedup   *obs.DedupMetrics
-
-	dispatcher *proto.Node
+	handler proto.Handler // installed by Start
 }
 
 // event is one input of the loop: a message m from a process, or fn (a
@@ -105,7 +103,7 @@ func (n *Node) handle(ev event) {
 		ev.fn()
 		return
 	}
-	n.dispatcher.Dispatch(ev.from, ev.m)
+	n.handler.OnMessage(ev.from, ev.m)
 }
 
 // NodeConfig configures a Node.
@@ -123,10 +121,6 @@ type NodeConfig struct {
 	// Metrics is the event loop's tally (obs.NewNodeMetrics); nil counts
 	// into private cells.
 	Metrics *obs.NodeMetrics
-	// Dedup is the dispatcher's tally (obs.NewDedupMetrics), handed to it
-	// before the loop handles anything, so frames delivered before Start
-	// count there too; nil counts into private cells.
-	Dedup *obs.DedupMetrics
 }
 
 // NewNode creates a node; Start must be called before use.
@@ -152,22 +146,21 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		inbox:     make(chan event, depth),
 		stop:      make(chan struct{}),
 		metrics:   cfg.Metrics,
-		dedup:     cfg.Dedup,
 	}, nil
 }
 
 // Start installs the handler built by build (which runs on the loop
 // goroutine, so it can safely touch protocol state) and starts the loop.
+// Frames delivered before Start wait in the inbox and reach the handler
+// first. The loop applies no first-message rule: a handler that needs it
+// and does not apply it itself comes wrapped in a proto.Node.
 func (n *Node) Start(build func(env proto.Env) proto.Handler) {
 	n.start = time.Now()
 	ready := make(chan struct{})
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.dispatcher = proto.NewNode(build(&env{node: n}))
-		if n.dedup != nil {
-			n.dispatcher.SetMetrics(n.dedup)
-		}
+		n.handler = build(&env{node: n})
 		close(ready)
 		n.loop()
 	}()
@@ -252,8 +245,8 @@ func (n *Node) drain() {
 // and reports false once the node is stopping.
 func (n *Node) Post(fn func()) bool { return n.post(event{fn: fn}) }
 
-// Deliver feeds an inbound transport message through deduplication on the
-// loop goroutine. Safe to call from any goroutine; it shares Post's
+// Deliver feeds an inbound transport message to the handler on the loop
+// goroutine. Safe to call from any goroutine; it shares Post's
 // inbox, backpressure and metrics, and allocates nothing.
 func (n *Node) Deliver(from types.ProcID, m proto.Message) { n.post(event{from: from, m: m}) }
 
@@ -275,12 +268,6 @@ func (n *Node) post(ev event) bool {
 
 // Params returns the node's resilience parameters.
 func (n *Node) Params() types.Params { return n.params }
-
-// Dispatcher exposes the dedup layer (nil before Start). The replicated-KV
-// server wires it to the log engine as the compaction Retirer; like every
-// dispatcher operation it must only be touched from the loop goroutine
-// (via Post).
-func (n *Node) Dispatcher() *proto.Node { return n.dispatcher }
 
 // Stop terminates the loop and waits for it.
 func (n *Node) Stop() {
@@ -487,7 +474,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
 			}
 			c.engines[id] = eng
-			return eng
+			return proto.NewNode(eng, nil)
 		})
 		if engErr != nil {
 			c.Stop()

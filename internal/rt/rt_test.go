@@ -191,8 +191,7 @@ func TestBroadcastMakesOneTransportCall(t *testing.T) {
 	}
 }
 
-// relayFrame is a message kind the dedup layer passes through, so every
-// copy reaches the handler.
+// relayFrame is a test frame; the loop hands every copy to the handler.
 func relayFrame(v string) proto.Message {
 	return proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Val: types.Value(v)}
 }

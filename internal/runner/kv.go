@@ -76,12 +76,12 @@ type KVSpec struct {
 	Durable bool
 	// CrashRestart schedules simulated power failures: at each mapped
 	// virtual time the process is powered off (harness.World.Kill — its
-	// dispatcher drops, outbound sends are fenced, pending timer callbacks
+	// handler drops, outbound sends are fenced, pending timer callbacks
 	// are voided) and RestartDelay later rebuilt as a FRESH incarnation
 	// that boots from its durable store (replica.New over the same
 	// store.Memory), not from a peer snapshot transfer. Requires Durable.
-	// The crash loses ALL volatile state: machine, engine, dedup
-	// dispatcher, transfer layer, timers. The rebooted incarnation
+	// The crash loses ALL volatile state: machine, engine (its
+	// first-message table included), transfer layer, timers. The rebooted incarnation
 	// re-submits the whole workload (commit dedup drops what already
 	// landed) because the crashed incarnation's pending commands died
 	// with it.
@@ -585,13 +585,16 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 			// A Start failure is the engine's sticky Err, surfaced after
 			// the run.
 			env.SetTimer(0, func() { _ = eng.Start() })
+			if !reboot {
+				// The engine applies the first-message rule itself and
+				// counts into replica.New's bundle for (reg, proc label):
+				// these very cells, which every incarnation re-acquires.
+				res.firstMessage(reg, id)
+			}
 			return rep.Handler
 		})
 		if err == nil {
 			err = newErr
-		}
-		if err == nil {
-			wireNode(w, id, reg, rep.Engine)
 		}
 		return err
 	}
@@ -604,7 +607,7 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		Seed:     spec.Seed,
 		Record:   spec.Record,
 		BotOK:    true,
-	}, spec.Byzantine, func(w *harness.World, id types.ProcID) error {
+	}, &res.Totals, spec.Byzantine, func(w *harness.World, id types.ProcID) error {
 		if spec.Durable {
 			res.Durables[id] = store.NewMemory()
 		}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/log"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/proto"
@@ -92,6 +91,8 @@ type Totals struct {
 	Compactions uint64
 	// Log is the trace (nil unless Spec.Record).
 	Log *trace.Log
+
+	dedups []*obs.DedupMetrics // every process's first-message tally, summed into Duplicates
 }
 
 // run drives the world to completion (or deadline / event budget) and
@@ -103,8 +104,18 @@ func (t *Totals) run(w *harness.World, deadline types.Time, maxEvents uint64) {
 	t.Compactions = w.Sched.Compactions
 	t.Messages = w.Net.Sent()
 	t.Dropped = w.Net.Dropped()
-	t.Duplicates = w.DroppedDuplicates()
+	for _, d := range t.dedups {
+		t.Duplicates += d.DroppedDuplicates.Value()
+	}
 	t.Log = w.Log
+}
+
+// firstMessage returns process id's first-message tally, registered in
+// reg when reg is non-nil, and counts it into Duplicates.
+func (t *Totals) firstMessage(reg *obs.Registry, id types.ProcID) *obs.DedupMetrics {
+	d := obs.NewDedupMetrics(reg, procLabel(id))
+	t.dedups = append(t.dedups, d)
+	return d
 }
 
 // Deliveries returns the number of messages the network actually
@@ -118,26 +129,14 @@ func procLabel(id types.ProcID) string {
 	return fmt.Sprintf("proc=%q", fmt.Sprint(id))
 }
 
-// wireNode connects process id's dedup dispatcher — it exists only once
-// SetBehavior succeeded — to its telemetry bundle (registered in reg when
-// reg is non-nil) and, for a log engine, as the Retirer, so Compact
-// retires message-dedup sub-maps in the same stroke as the engine's own
-// per-instance state.
-func wireNode(w *harness.World, id types.ProcID, reg *obs.Registry, eng *log.Engine) {
-	n := w.Node(id)
-	n.SetMetrics(obs.NewDedupMetrics(reg, procLabel(id)))
-	if eng != nil {
-		eng.SetRetirer(n)
-	}
-}
-
 // newWorld validates the resilience parameters, builds the world and
 // places its processes in ascending id order: Byzantine ones from byz,
-// every other through place. It returns the correct ids. The single
+// each behind a proto.Node counting into t's private cells, every other
+// through place. It returns the correct ids. The single
 // ascending pass is load-bearing: a behavior may arm timers while it is
 // built and same-instant events fire in arming order, so how correct and
 // Byzantine construction interleave is part of the seed's schedule.
-func newWorld(cfg harness.Config, byz map[types.ProcID]harness.Behavior, place func(w *harness.World, id types.ProcID) error) (*harness.World, []types.ProcID, error) {
+func newWorld(cfg harness.Config, t *Totals, byz map[types.ProcID]harness.Behavior, place func(w *harness.World, id types.ProcID) error) (*harness.World, []types.ProcID, error) {
 	p := cfg.Params
 	if err := p.Validate(cfg.BotOK); err != nil {
 		return nil, nil, fmt.Errorf("runner: %w", err)
@@ -152,7 +151,8 @@ func newWorld(cfg harness.Config, byz map[types.ProcID]harness.Behavior, place f
 	var correct []types.ProcID
 	for _, id := range p.AllProcs() {
 		if b, ok := byz[id]; ok {
-			err = w.SetBehavior(id, b)
+			d := t.firstMessage(nil, id)
+			err = w.SetBehavior(id, func(env proto.Env) proto.Handler { return proto.NewNode(b(env), d) })
 		} else {
 			correct = append(correct, id)
 			err = place(w, id)
@@ -237,7 +237,7 @@ func Run(spec Spec) (*Result, error) {
 		Seed:     spec.Seed,
 		Record:   spec.Record,
 		BotOK:    spec.Engine.BotMode,
-	}, spec.Byzantine, func(w *harness.World, id types.ProcID) error {
+	}, &res.Totals, spec.Byzantine, func(w *harness.World, id types.ProcID) error {
 		v := spec.Proposals[id]
 		var engErr error
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
@@ -260,13 +260,10 @@ func Run(spec Spec) (*Result, error) {
 					engErr = err
 				}
 			})
-			return eng
+			return proto.NewNode(eng, res.firstMessage(spec.Obs, id))
 		})
 		if err == nil {
 			err = engErr
-		}
-		if err == nil {
-			wireNode(w, id, spec.Obs, nil)
 		}
 		return err
 	})

@@ -1,8 +1,8 @@
 // Package trace records structured protocol events. Every layer of the
 // stack emits events through a Sink; the invariant checkers in
 // internal/check replay a Log to verify the specification properties of
-// RB, CB, AC, EA and consensus, and the metrics package aggregates the
-// same events into counters.
+// RB, CB, AC, EA and consensus. Counters are not derived from it: each
+// layer counts into its own internal/obs bundle.
 //
 // Tracing is optional: a nil *Log is a valid sink that discards events, so
 // benchmark configurations can run trace-free.
