@@ -1,0 +1,156 @@
+package kv
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// sortedEncoding is the snapshot encoding as the store once built it:
+// sort the keys and clients of the live maps, then encode. The store now
+// keeps both orders as it applies; this is the reference they must match.
+func sortedEncoding(s *Store) []byte {
+	keys := make([]string, 0, len(s.data))
+	for k := range s.data {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	clients := make([]uint64, 0, len(s.sessions))
+	for c := range s.sessions {
+		clients = append(clients, c)
+	}
+	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
+	buf := []byte{snapMagic}
+	for _, n := range []uint64{s.applies, s.dups, s.stales, s.badCmds, uint64(len(keys))} {
+		buf = binary.LittleEndian.AppendUint64(buf, n)
+	}
+	for _, k := range keys {
+		buf = appendString(buf, k)
+		buf = appendString(buf, s.data[k])
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(clients)))
+	for _, c := range clients {
+		buf = binary.LittleEndian.AppendUint64(buf, c)
+		buf = binary.LittleEndian.AppendUint64(buf, s.sessions[c].seq)
+		buf = appendString(buf, string(s.sessions[c].resp))
+	}
+	return buf
+}
+
+// TestSnapshotIndexesMatchSortedEncoding: through random puts, deletes,
+// reads, retries and restores, AppendSnapshot encodes exactly what
+// sorting the live maps would, into a buffer of exactly its length, and
+// appends after whatever dst already holds.
+func TestSnapshotIndexesMatchSortedEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewStore()
+	seqs := map[uint64]uint64{}
+	for step := 0; step < 3000; step++ {
+		client := uint64(rng.Intn(12))
+		seq := seqs[client] + 1
+		if rng.Intn(10) == 0 && seq > 1 {
+			seq -= uint64(rng.Intn(2) + 1) // a retry or a stale request
+		} else {
+			seqs[client] = seq
+		}
+		c := Command{Client: client, Seq: seq, Key: fmt.Sprintf("k%03d", rng.Intn(60))}
+		switch rng.Intn(4) {
+		case 0:
+			c.Op = OpDel
+		case 1:
+			c.Op = OpGet
+		default:
+			c.Op, c.Val = OpPut, fmt.Sprintf("%0*d", rng.Intn(20), step)
+		}
+		s.Apply(c.Encode())
+		if step%97 == 0 {
+			r := NewStore()
+			if err := r.Restore(s.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			s = r
+		}
+		if step%13 != 0 {
+			continue
+		}
+		want := sortedEncoding(s)
+		if got := s.Snapshot(); !bytes.Equal(got, want) || len(got) != cap(got) {
+			t.Fatalf("step %d: snapshot of %d bytes (cap %d) differs from the sorted encoding of %d bytes",
+				step, len(got), cap(got), len(want))
+		}
+		if got := s.AppendSnapshot([]byte("prefix")); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("step %d: AppendSnapshot lost or moved its prefix", step)
+		}
+	}
+}
+
+// TestRestoreRejectsNonCanonical: a snapshot whose keys or clients are
+// out of order or repeated decodes to no state the store could encode,
+// so Restore refuses it before touching live state.
+func TestRestoreRejectsNonCanonical(t *testing.T) {
+	s := NewStore()
+	s.Apply(Command{Op: OpPut, Client: 1, Seq: 1, Key: "k", Val: "v"}.Encode())
+	before := s.Snapshot()
+	pair := func(k, v string) []byte { return appendString(appendString(nil, k), v) }
+	sess := func(c uint64) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, c)
+		b = binary.LittleEndian.AppendUint64(b, 1)
+		return appendString(b, "r")
+	}
+	encode := func(pairs [][]byte, sessions [][]byte) []byte {
+		b := []byte{snapMagic}
+		for _, n := range []uint64{0, 0, 0, 0, uint64(len(pairs))} {
+			b = binary.LittleEndian.AppendUint64(b, n)
+		}
+		b = append(b, bytes.Join(pairs, nil)...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(sessions)))
+		return append(b, bytes.Join(sessions, nil)...)
+	}
+	if err := NewStore().Restore(encode([][]byte{pair("a", "1"), pair("b", "2")}, [][]byte{sess(1), sess(2)})); err != nil {
+		t.Fatalf("canonical encoding refused: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"keys out of order":    encode([][]byte{pair("b", "1"), pair("a", "2")}, nil),
+		"repeated key":         encode([][]byte{pair("a", "1"), pair("a", "2")}, nil),
+		"clients out of order": encode(nil, [][]byte{sess(2), sess(1)}),
+		"repeated client":      encode(nil, [][]byte{sess(1), sess(1)}),
+	} {
+		if err := s.Restore(b); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+		if err := ValidateSnapshot(b); err == nil {
+			t.Errorf("%s: validated", name)
+		}
+		if !bytes.Equal(s.Snapshot(), before) {
+			t.Fatalf("%s: a refused Restore changed the store", name)
+		}
+	}
+}
+
+// TestRestoreRefreshesGauges: a store's key and session gauges follow a
+// Restore (a peer install or a durable boot), not only the next apply.
+func TestRestoreRefreshesGauges(t *testing.T) {
+	src := NewStore()
+	for i := 0; i < 5; i++ {
+		src.Apply(Command{Op: OpPut, Client: uint64(i%3 + 1), Seq: uint64(i + 1), Key: fmt.Sprintf("k%d", i), Val: "v"}.Encode())
+	}
+	dst := NewStore()
+	m := obs.NewKVMetrics(obs.NewRegistry(), "")
+	dst.SetMetrics(m)
+	dst.Apply(Command{Op: OpPut, Client: 9, Seq: 1, Key: "only", Val: "v"}.Encode())
+	if err := dst.Restore(src.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if m.Keys.Value() != int64(dst.Len()) || m.Sessions.Value() != int64(dst.Sessions()) {
+		t.Fatalf("gauges keys=%d sessions=%d after restore, store holds %d and %d",
+			m.Keys.Value(), m.Sessions.Value(), dst.Len(), dst.Sessions())
+	}
+	if dst.Len() != 5 || dst.Sessions() != 3 {
+		t.Fatalf("restored %d keys and %d sessions, want 5 and 3", dst.Len(), dst.Sessions())
+	}
+}

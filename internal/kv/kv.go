@@ -16,14 +16,15 @@
 //
 // Snapshots are deterministic encodings of the full machine state —
 // key/value data, the session table, and the apply counters — with keys
-// and clients emitted in sorted order, so equal state always produces
-// equal bytes (and therefore equal digests) on every replica.
+// and clients emitted in ascending order, so equal state always produces
+// equal bytes (and therefore equal digests) on every replica. The store
+// keeps both orders as it applies, so a snapshot sorts nothing.
 package kv
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/types"
@@ -276,6 +277,11 @@ type session struct {
 type Store struct {
 	data     map[string]string
 	sessions map[uint64]session
+	// keys and clients index data and sessions in ascending order; size
+	// is the snapshot encoding's length.
+	keys    []string
+	clients []uint64
+	size    int
 
 	// metrics mirrors the replicated counters below into live telemetry.
 	// It is observer state, NOT machine state: never part of the snapshot
@@ -294,9 +300,13 @@ func NewStore() *Store {
 	return &Store{
 		data:     make(map[string]string),
 		sessions: make(map[uint64]session),
+		size:     snapFixedLen,
 		metrics:  obs.NewKVMetrics(nil, ""),
 	}
 }
+
+// snapFixedLen is an empty store's encoding: magic, 5 counters, 0 sessions.
+const snapFixedLen = 1 + 5*8 + 8
 
 // Apply implements sm.Machine: decode, run the session filter, execute.
 // It is deterministic — the returned response and every state change are
@@ -321,6 +331,13 @@ func (s *Store) Apply(cmd types.Value) types.Value {
 			return Response{Status: StatusStale}.Encode()
 		}
 		resp := s.exec(c).Encode()
+		if ok {
+			s.size += len(resp) - len(sess.resp)
+		} else {
+			k, _ := slices.BinarySearch(s.clients, c.Client)
+			s.clients = slices.Insert(s.clients, k, c.Client)
+			s.size += 8 + 8 + 4 + len(resp)
+		}
 		s.sessions[c.Client] = session{seq: c.Seq, resp: resp}
 		s.syncMetrics()
 		return resp
@@ -353,74 +370,72 @@ func (s *Store) exec(c Command) Response {
 		}
 		return Response{Status: StatusNotFound}
 	case OpPut:
+		if old, ok := s.data[c.Key]; ok {
+			s.size += len(c.Val) - len(old)
+		} else {
+			k, _ := slices.BinarySearch(s.keys, c.Key)
+			s.keys = slices.Insert(s.keys, k, c.Key)
+			s.size += 4 + len(c.Key) + 4 + len(c.Val)
+		}
 		s.data[c.Key] = c.Val
 		return Response{Status: StatusOK}
 	default: // OpDel
-		if _, ok := s.data[c.Key]; !ok {
+		old, ok := s.data[c.Key]
+		if !ok {
 			return Response{Status: StatusNotFound}
 		}
 		delete(s.data, c.Key)
+		k, _ := slices.BinarySearch(s.keys, c.Key)
+		s.keys = slices.Delete(s.keys, k, k+1)
+		s.size -= 4 + len(c.Key) + 4 + len(old)
 		return Response{Status: StatusOK}
 	}
 }
 
-// Snapshot implements sm.Machine: a deterministic full-state encoding.
-// Keys and clients are emitted in sorted order so identical state encodes
-// to identical bytes on every replica.
-func (s *Store) Snapshot() []byte {
-	// The buffer is sized exactly: magic, five counters and the session
-	// count, then each entry and session with its length prefixes.
-	size := 1 + 5*8 + 8
-	keys := make([]string, 0, len(s.data))
-	for k, v := range s.data {
-		keys = append(keys, k)
-		size += 4 + len(k) + 4 + len(v)
-	}
-	sort.Strings(keys)
-	clients := make([]uint64, 0, len(s.sessions))
-	for c, sess := range s.sessions {
-		clients = append(clients, c)
-		size += 8 + 8 + 4 + len(sess.resp)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
+// Snapshot returns AppendSnapshot's encoding in a buffer of its length.
+func (s *Store) Snapshot() []byte { return s.AppendSnapshot(nil) }
 
-	buf := make([]byte, 0, size)
-	buf = append(buf, snapMagic)
-	var u [8]byte
-	for _, n := range []uint64{s.applies, s.dups, s.stales, s.badCmds, uint64(len(keys))} {
-		binary.LittleEndian.PutUint64(u[:], n)
-		buf = append(buf, u[:]...)
+// AppendSnapshot implements sm.Machine: it appends a deterministic
+// full-state encoding to dst. Keys and clients are emitted in ascending
+// order so identical state encodes to identical bytes on every replica.
+// When dst lacks the room, it grows to exactly the room needed.
+func (s *Store) AppendSnapshot(dst []byte) []byte {
+	if cap(dst)-len(dst) < s.size {
+		dst = append(make([]byte, 0, len(dst)+s.size), dst...)
 	}
-	for _, k := range keys {
-		buf = appendString(buf, k)
-		buf = appendString(buf, s.data[k])
+	dst = append(dst, snapMagic)
+	for _, n := range []uint64{s.applies, s.dups, s.stales, s.badCmds, uint64(len(s.keys))} {
+		dst = binary.LittleEndian.AppendUint64(dst, n)
 	}
-	binary.LittleEndian.PutUint64(u[:], uint64(len(clients)))
-	buf = append(buf, u[:]...)
-	for _, c := range clients {
+	for _, k := range s.keys {
+		dst = appendString(dst, k)
+		dst = appendString(dst, s.data[k])
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s.clients)))
+	for _, c := range s.clients {
 		sess := s.sessions[c]
-		binary.LittleEndian.PutUint64(u[:], c)
-		buf = append(buf, u[:]...)
-		binary.LittleEndian.PutUint64(u[:], sess.seq)
-		buf = append(buf, u[:]...)
-		buf = appendString(buf, string(sess.resp))
+		dst = binary.LittleEndian.AppendUint64(dst, c)
+		dst = binary.LittleEndian.AppendUint64(dst, sess.seq)
+		dst = appendString(dst, string(sess.resp))
 	}
-	return buf
+	return dst
 }
 
 // Restore implements sm.Machine: replace the whole state from a snapshot.
 // It is all-or-nothing (the sm.Machine contract): the encoding is fully
-// decoded into fresh maps before anything live is swapped, so a malformed
+// decoded into fresh state before anything live is swapped, so a malformed
 // snapshot — e.g. Byzantine bytes arriving through peer state transfer —
-// leaves the store exactly as it was.
+// leaves the store exactly as it was. Only the canonical encoding (keys
+// and clients strictly ascending) is accepted.
 func (s *Store) Restore(b []byte) error {
-	data, sessions, counters, err := decodeStoreSnapshot(b)
+	d, err := decodeStoreSnapshot(b)
 	if err != nil {
 		return err
 	}
-	s.data = data
-	s.sessions = sessions
-	s.applies, s.dups, s.stales, s.badCmds = counters[0], counters[1], counters[2], counters[3]
+	d.metrics = s.metrics
+	*s = *d
+	s.metrics.Keys.Set(int64(len(s.data)))
+	s.metrics.Sessions.Set(int64(len(s.sessions)))
 	return nil
 }
 
@@ -428,63 +443,75 @@ func (s *Store) Restore(b []byte) error {
 // building a store: the install-validation entry point for hosts that
 // want to vet transferred bytes before committing to a Restore.
 func ValidateSnapshot(b []byte) error {
-	_, _, _, err := decodeStoreSnapshot(b)
+	_, err := decodeStoreSnapshot(b)
 	return err
 }
 
-// decodeStoreSnapshot parses a snapshot encoding into fresh state,
-// touching nothing live. Defensive at every length: the bytes may come
-// from a Byzantine peer.
-func decodeStoreSnapshot(b []byte) (data map[string]string, sessions map[uint64]session, counters [5]uint64, err error) {
+// decodeStoreSnapshot parses a canonical snapshot encoding into a fresh
+// store without telemetry, touching nothing live. Defensive at every
+// length: the bytes may come from a Byzantine peer.
+func decodeStoreSnapshot(b []byte) (*Store, error) {
 	if len(b) < 1+5*8 || b[0] != snapMagic {
-		return nil, nil, counters, fmt.Errorf("kv: not a store snapshot (%d bytes)", len(b))
+		return nil, fmt.Errorf("kv: not a store snapshot (%d bytes)", len(b))
 	}
+	d := &Store{size: len(b)}
+	var nKeys uint64
 	rest := b[1:]
-	for i := range counters {
-		counters[i] = binary.LittleEndian.Uint64(rest)
+	for _, n := range []*uint64{&d.applies, &d.dups, &d.stales, &d.badCmds, &nKeys} {
+		*n = binary.LittleEndian.Uint64(rest)
 		rest = rest[8:]
 	}
-	nKeys := counters[4]
 	if nKeys > uint64(len(rest)) { // each key/value pair is ≥ 8 bytes
-		return nil, nil, counters, fmt.Errorf("kv: key count %d exceeds snapshot size", nKeys)
+		return nil, fmt.Errorf("kv: key count %d exceeds snapshot size", nKeys)
 	}
-	data = make(map[string]string, nKeys)
+	d.data = make(map[string]string, nKeys)
+	d.keys = make([]string, 0, nKeys)
 	var k, v string
+	var err error
 	for i := uint64(0); i < nKeys; i++ {
 		if k, rest, err = readString(rest); err != nil {
-			return nil, nil, counters, err
+			return nil, err
 		}
 		if v, rest, err = readString(rest); err != nil {
-			return nil, nil, counters, err
+			return nil, err
 		}
-		data[k] = v
+		if i > 0 && k <= d.keys[i-1] {
+			return nil, fmt.Errorf("kv: snapshot key %d out of order", i)
+		}
+		d.data[k] = v
+		d.keys = append(d.keys, k)
 	}
 	if len(rest) < 8 {
-		return nil, nil, counters, fmt.Errorf("kv: truncated session count")
+		return nil, fmt.Errorf("kv: truncated session count")
 	}
 	nSess := binary.LittleEndian.Uint64(rest)
 	rest = rest[8:]
 	if nSess > uint64(len(rest)) { // each session is ≥ 20 bytes
-		return nil, nil, counters, fmt.Errorf("kv: session count %d exceeds snapshot size", nSess)
+		return nil, fmt.Errorf("kv: session count %d exceeds snapshot size", nSess)
 	}
-	sessions = make(map[uint64]session, nSess)
+	d.sessions = make(map[uint64]session, nSess)
+	d.clients = make([]uint64, 0, nSess)
 	for i := uint64(0); i < nSess; i++ {
 		if len(rest) < 16 {
-			return nil, nil, counters, fmt.Errorf("kv: truncated session entry")
+			return nil, fmt.Errorf("kv: truncated session entry")
 		}
 		client := binary.LittleEndian.Uint64(rest)
 		seq := binary.LittleEndian.Uint64(rest[8:])
 		rest = rest[16:]
+		if i > 0 && client <= d.clients[i-1] {
+			return nil, fmt.Errorf("kv: snapshot session %d out of order", i)
+		}
 		var resp string
 		if resp, rest, err = readString(rest); err != nil {
-			return nil, nil, counters, err
+			return nil, err
 		}
-		sessions[client] = session{seq: seq, resp: types.Value(resp)}
+		d.sessions[client] = session{seq: seq, resp: types.Value(resp)}
+		d.clients = append(d.clients, client)
 	}
 	if len(rest) != 0 {
-		return nil, nil, counters, fmt.Errorf("kv: %d trailing bytes after snapshot", len(rest))
+		return nil, fmt.Errorf("kv: %d trailing bytes after snapshot", len(rest))
 	}
-	return data, sessions, counters, nil
+	return d, nil
 }
 
 // Get reads a key directly (introspection; replicated reads go through

@@ -127,18 +127,17 @@ type Engine struct {
 	// the engine joins every instance below it (see demanded).
 	named types.Instance
 
-	// Submitted, uncommitted commands, kept in lanes — Pipeline
-	// content-sorted queues, allocated at the first Submit. pendingSet
-	// maps every one of them to its lane.
-	lanes      [][]types.Value
-	pendingSet map[types.Value]int
-	// inFlight counts, per command, the own proposals carrying it whose
-	// instance is not applied yet. uncovered is the number of pending
-	// commands with no such proposal — the reason to open an instance.
-	inFlight  map[types.Value]int
+	// cmds holds every command the engine is tracking: pending, carried
+	// by an own unapplied proposal, or committed inside the dedup window.
+	// pending counts the pending ones; uncovered those with no own
+	// proposal carrying them — the reason to open an instance.
+	cmds      map[types.Value]cmdState
+	pending   int
 	uncovered int
-	committed map[types.Value]struct{}
-	entries   []Entry // retained suffix: entries [entriesBase, Committed())
+	// lanes stripe the pending commands over Pipeline queues (see
+	// canonicalBatch), allocated at the first Submit.
+	lanes   []lane
+	entries []Entry // retained suffix: entries [entriesBase, Committed())
 
 	floor       types.Instance // instances < floor are compacted away
 	entriesBase int            // entries below this index were trimmed
@@ -152,6 +151,22 @@ type Engine struct {
 }
 
 var _ proto.Handler = (*Engine)(nil)
+
+// cmdState is the engine's whole bookkeeping for one command: how many
+// own proposals in unapplied instances carry it, and whether it is
+// pending or committed inside the retained dedup window.
+type cmdState struct {
+	inFlight           int32
+	pending, committed bool
+}
+
+// lane is one queue of pending commands, put in content order when it is
+// read (readLane): sorted as of the last read, then what arrived since.
+// Both may still hold commands no longer pending, or held twice.
+type lane struct {
+	sorted   []types.Value
+	arrivals []types.Value
+}
 
 // instance pairs one consensus engine with its instance-scoped state.
 type instance struct {
@@ -197,12 +212,10 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Dedup = obs.NewDedupMetrics(nil, "")
 	}
 	l := &Engine{
-		cfg:        cfg,
-		insts:      make(map[types.Instance]*instance),
-		decided:    make(map[types.Instance]types.Value),
-		pendingSet: make(map[types.Value]int),
-		inFlight:   make(map[types.Value]int),
-		committed:  make(map[types.Value]struct{}),
+		cfg:     cfg,
+		insts:   make(map[types.Instance]*instance),
+		decided: make(map[types.Instance]types.Value),
+		cmds:    make(map[types.Value]cmdState),
 	}
 	l.relay = rb.NewRelay(rb.RelayConfig{
 		Env:     cfg.Env,
@@ -275,22 +288,21 @@ func (l *Engine) enqueue(cmd types.Value) error {
 	if cmd == types.BotValue {
 		return fmt.Errorf("log: cannot submit the reserved ⊥ value")
 	}
-	if _, dup := l.committed[cmd]; dup {
+	st := l.cmds[cmd]
+	if st.committed || st.pending {
 		return nil
 	}
-	if _, dup := l.pendingSet[cmd]; dup {
-		return nil
-	}
-	if l.lanes == nil {
-		l.lanes = make([][]types.Value, l.cfg.Pipeline)
-	}
-	lane := laneOf(cmd, l.cfg.Pipeline)
-	k, _ := slices.BinarySearch(l.lanes[lane], cmd)
-	l.lanes[lane] = slices.Insert(l.lanes[lane], k, cmd)
-	l.pendingSet[cmd] = lane
-	if l.inFlight[cmd] == 0 {
+	st.pending = true
+	l.cmds[cmd] = st
+	l.pending++
+	if st.inFlight == 0 {
 		l.uncovered++
 	}
+	if l.lanes == nil {
+		l.lanes = make([]lane, l.cfg.Pipeline)
+	}
+	ln := &l.lanes[laneOf(cmd, l.cfg.Pipeline)]
+	ln.arrivals = append(ln.arrivals, cmd)
 	l.cfg.Tracer.OnSubmit(cmd)
 	return nil
 }
@@ -460,11 +472,11 @@ func (l *Engine) startNext() {
 	inst.ownBatch = batch
 	inst.proposal = EncodeBatch(batch)
 	for _, c := range batch {
-		if l.inFlight[c]++; l.inFlight[c] == 1 {
-			if _, pending := l.pendingSet[c]; pending {
-				l.uncovered--
-			}
+		st := l.cmds[c]
+		if st.inFlight++; st.inFlight == 1 && st.pending {
+			l.uncovered--
 		}
+		l.cmds[c] = st
 	}
 	if tr := l.cfg.Tracer; tr != nil {
 		tr.OnPropose(i)
@@ -484,26 +496,39 @@ func (l *Engine) startNext() {
 // still pending count as uncovered again.
 func (l *Engine) release(inst *instance) {
 	for _, c := range inst.ownBatch {
-		if l.inFlight[c]--; l.inFlight[c] <= 0 {
-			delete(l.inFlight, c)
-			if _, pending := l.pendingSet[c]; pending {
+		st := l.cmds[c]
+		if st.inFlight--; st.inFlight <= 0 {
+			st.inFlight = 0
+			if st.pending {
 				l.uncovered++
 			}
 		}
+		l.setState(c, st)
 	}
 	inst.ownBatch = nil
+}
+
+// setState stores a command's state, forgetting a command the engine no
+// longer tracks.
+func (l *Engine) setState(c types.Value, st cmdState) {
+	if st == (cmdState{}) {
+		delete(l.cmds, c)
+		return
+	}
+	l.cmds[c] = st
 }
 
 // syncGauges refreshes the live-level gauges.
 func (l *Engine) syncGauges() {
 	m := l.cfg.Metrics
 	m.AppliedInstances.Set(int64(l.applied))
-	m.PendingCommands.Set(int64(len(l.pendingSet)))
+	m.PendingCommands.Set(int64(l.pending))
 	m.PipelineDepth.Set(int64(l.nextStart - l.applied))
 }
 
 // canonicalBatch selects the up to BatchSize pending commands this
-// process proposes in instance i. Every pending command belongs to lane laneOf(c) of Pipeline lanes; instance i's home lane is
+// process proposes in instance i. Every pending command belongs to lane
+// laneOf(c) of Pipeline lanes; instance i's home lane is
 // i mod Pipeline. The batch is the sorted head of the home lane, then —
 // while it is short of BatchSize — it spills into the sorted heads of
 // lanes home+1, home+2, … in turn.
@@ -527,17 +552,57 @@ func (l *Engine) syncGauges() {
 // — one useful batch per Pipeline instances, the cost every workload
 // paid before lanes — and no worse.
 func (l *Engine) canonicalBatch(i types.Instance) []types.Value {
-	if len(l.pendingSet) == 0 {
+	if l.pending == 0 {
 		return nil // and before the first Submit there are no lanes yet
 	}
 	p := l.cfg.Pipeline
 	home := int(i % types.Instance(p))
-	batch := make([]types.Value, 0, min(l.cfg.BatchSize, len(l.pendingSet)))
+	batch := make([]types.Value, 0, min(l.cfg.BatchSize, l.pending))
 	for d := 0; d < p && len(batch) < l.cfg.BatchSize; d++ {
-		lane := l.lanes[(home+d)%p]
-		batch = append(batch, lane[:min(len(lane), l.cfg.BatchSize-len(batch))]...)
+		batch = append(batch, l.readLane((home+d)%p, l.cfg.BatchSize-len(batch))...)
 	}
 	return batch
+}
+
+// readLane returns the sorted head of lane k's pending commands, up to
+// need of them: arrivals since the last read are sorted and merged into
+// the sorted rest in one pass that drops commands no longer pending and
+// repeats (O(L + a log a)), and the head scan drops what it skips. The
+// cost is paid per batch formed, not per Submit and per commit.
+func (l *Engine) readLane(k, need int) []types.Value {
+	ln := &l.lanes[k]
+	if len(ln.arrivals) > 0 {
+		slices.Sort(ln.arrivals)
+		a, b := ln.sorted, ln.arrivals
+		out := make([]types.Value, 0, len(a)+len(b))
+		for len(a) > 0 || len(b) > 0 {
+			var c types.Value
+			if len(b) == 0 || (len(a) > 0 && a[0] <= b[0]) {
+				c, a = a[0], a[1:]
+			} else {
+				c, b = b[0], b[1:]
+			}
+			if (len(out) > 0 && out[len(out)-1] == c) || !l.cmds[c].pending {
+				continue
+			}
+			out = append(out, c)
+		}
+		clear(ln.arrivals)
+		ln.sorted, ln.arrivals = out, ln.arrivals[:0]
+	}
+	s := ln.sorted
+	r, w := 0, 0
+	for ; r < len(s) && w < need; r++ {
+		if l.cmds[s[r]].pending {
+			s[w] = s[r]
+			w++
+		}
+	}
+	// Slide the head up against the unscanned rest, over what it skipped.
+	copy(s[r-w:], s[:w])
+	clear(s[:r-w])
+	ln.sorted = s[r-w:]
+	return ln.sorted[:w]
 }
 
 // laneOf maps a command to one of the lanes by content: FNV-64a, the
@@ -586,11 +651,9 @@ func (l *Engine) tryApply() {
 		if v != types.BotValue {
 			if cmds, err := DecodeBatch(v); err == nil {
 				for _, c := range cmds {
-					if _, dup := l.committed[c]; dup {
+					if !l.commit(c) {
 						continue
 					}
-					l.committed[c] = struct{}{}
-					l.removePending(c)
 					e := Entry{Index: l.entriesBase + len(l.entries), Instance: i, Cmd: c}
 					l.entries = append(l.entries, e)
 					newly++
@@ -664,7 +727,10 @@ func (l *Engine) Compact(floor types.Instance) int {
 	}
 	trim := 0
 	for trim < len(l.entries) && l.entries[trim].Instance < floor {
-		delete(l.committed, l.entries[trim].Cmd)
+		c := l.entries[trim].Cmd
+		st := l.cmds[c]
+		st.committed = false
+		l.setState(c, st)
 		trim++
 	}
 	if trim > 0 {
@@ -763,26 +829,24 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 	}
 	// Replace the local entry log (all of it predates the boundary — we
 	// had applied less than the snapshot covers) with the transferred
-	// suffix, and rebuild content dedup from it.
-	for _, e := range l.entries {
-		delete(l.committed, e.Cmd)
-	}
-	l.entries = append([]Entry(nil), retained...)
-	l.entriesBase = base
-	for _, e := range l.entries {
-		l.committed[e.Cmd] = struct{}{}
-	}
-	// Drop the whole pending queue, not just the retained window: pending
-	// commands committed in the SKIPPED prefix are invisible here (their
-	// dedup was compacted away everywhere), and re-proposing one would
-	// make it commit a second time on every replica — a duplicate entry
-	// that double-counts against entry-count stop rules. Nothing is lost:
-	// in the client-broadcast model every command was submitted to all
+	// suffix, and rebuild content dedup from it. Drop the whole pending
+	// queue too, not just the retained window: pending commands
+	// committed in the SKIPPED prefix are invisible here (their dedup was
+	// compacted away everywhere), and re-proposing one would make it
+	// commit a second time on every replica — a duplicate entry that
+	// double-counts against entry-count stop rules. Nothing is lost: in
+	// the client-broadcast model every command was submitted to all
 	// replicas, so anything genuinely uncommitted is still pending at the
-	// peers, which propose it.
+	// peers, which propose it. Only the own-proposal counts of instances
+	// at or past the boundary survive.
+	for c, st := range l.cmds {
+		st.pending, st.committed = false, false
+		l.setState(c, st)
+	}
+	l.seedCommitted(retained)
+	l.entriesBase = base
 	l.lanes = nil
-	l.pendingSet = make(map[types.Value]int)
-	l.uncovered = 0
+	l.pending, l.uncovered = 0, 0
 	l.applied = boundary
 	// The dedup window's floor: the suffix's first instance, exactly
 	// where every peer's compaction left ITS floor at this boundary — so
@@ -846,11 +910,8 @@ func (l *Engine) Resume(boundary types.Instance, base int, retained []Entry) err
 		}
 		prevInst = e.Instance
 	}
-	l.entries = append([]Entry(nil), retained...)
+	l.seedCommitted(retained)
 	l.entriesBase = base
-	for _, e := range l.entries {
-		l.committed[e.Cmd] = struct{}{}
-	}
 	l.applied = boundary
 	l.nextStart = boundary
 	l.floor = boundary
@@ -865,19 +926,34 @@ func (l *Engine) Resume(boundary types.Instance, base int, retained []Entry) err
 	return nil
 }
 
-// removePending deletes c from the pending commands: a binary search in
-// its lane.
-func (l *Engine) removePending(c types.Value) {
-	lane, ok := l.pendingSet[c]
-	if !ok {
-		return
+// seedCommitted makes retained the entry log and its commands the
+// content-dedup window.
+func (l *Engine) seedCommitted(retained []Entry) {
+	l.entries = append([]Entry(nil), retained...)
+	for _, e := range l.entries {
+		st := l.cmds[e.Cmd]
+		st.committed = true
+		l.cmds[e.Cmd] = st
 	}
-	delete(l.pendingSet, c)
-	if l.inFlight[c] == 0 {
-		l.uncovered--
+}
+
+// commit marks c committed unless the dedup window already holds it, and
+// takes it off the pending commands; its lane drops it at the next read.
+func (l *Engine) commit(c types.Value) bool {
+	st := l.cmds[c]
+	if st.committed {
+		return false
 	}
-	k, _ := slices.BinarySearch(l.lanes[lane], c)
-	l.lanes[lane] = slices.Delete(l.lanes[lane], k, k+1)
+	st.committed = true
+	if st.pending {
+		st.pending = false
+		l.pending--
+		if st.inFlight == 0 {
+			l.uncovered--
+		}
+	}
+	l.cmds[c] = st
+	return true
 }
 
 // Entries returns the retained committed-entry suffix (shared slice;
@@ -898,7 +974,7 @@ func (l *Engine) Committed() int { return l.entriesBase + len(l.entries) }
 func (l *Engine) Applied() types.Instance { return l.applied }
 
 // Pending returns the number of submitted, uncommitted commands.
-func (l *Engine) Pending() int { return len(l.pendingSet) }
+func (l *Engine) Pending() int { return l.pending }
 
 // InFlight returns the number of instances this process proposed in and
 // has not applied yet.
@@ -909,7 +985,7 @@ func (l *Engine) InFlight() int { return int(l.nextStart - l.applied) }
 // at or past the apply point. An idle engine rests here, and a
 // frozen apply position then means "nothing was asked", not "stalled".
 func (l *Engine) Quiescent() bool {
-	return len(l.pendingSet) == 0 && l.nextStart == l.applied && l.named <= l.applied
+	return l.pending == 0 && l.nextStart == l.applied && l.named <= l.applied
 }
 
 // BatchSize returns the effective batch cap (default applied).

@@ -426,33 +426,90 @@ func (r *KVResult) DurablePrefix() string {
 
 // RunKV executes the spec.
 func RunKV(spec KVSpec) (*KVResult, error) {
+	w, res, trs, err := buildKV(spec)
+	if err != nil {
+		return nil, err
+	}
+	res.run(w, spec.Deadline, spec.MaxEvents)
+	if err := res.engineErr(); err != nil {
+		return nil, err
+	}
+	for _, id := range res.Correct {
+		if app := res.Appliers[id]; app != nil {
+			res.StateDigests[id] = app.StateDigest()
+			if err := app.Err(); err != nil {
+				res.ApplierErrs[id] = err
+			}
+		}
+		if tr := trs[id]; tr != nil {
+			res.Transfers[id] = tr.Installs()
+			res.TransferServed[id] = tr.Served()
+		}
+	}
+	return res, nil
+}
+
+// armSubmits submits command k of cmds at k·every, by one timer per
+// distinct instant that submits its commands in workload order — as one
+// timer per command would, since simultaneous timers fire as armed.
+func armSubmits(setTimer func(types.Duration, func()) func(), cmds []types.Value, every types.Duration, submit func(types.Value) error) {
+	for lo := 0; lo < len(cmds); {
+		at := types.Duration(lo) * every
+		hi := lo + 1
+		for hi < len(cmds) && types.Duration(hi)*every == at {
+			hi++
+		}
+		group := cmds[lo:hi]
+		setTimer(at, func() {
+			for _, c := range group {
+				_ = submit(c)
+			}
+		})
+		lo = hi
+	}
+}
+
+// buildKV constructs the world of a KV run, every correct replica placed
+// and its timers armed, without running it; trs maps each replica to its
+// transfer layer (nil without KVSpec.Transfer).
+func buildKV(spec KVSpec) (w *harness.World, res *KVResult, trs map[types.ProcID]*sm.Transfer, err error) {
 	if len(spec.Commands) == 0 {
-		return nil, fmt.Errorf("runner: empty KV workload")
+		return nil, nil, nil, fmt.Errorf("runner: empty KV workload")
 	}
 	if spec.Compact && spec.SnapshotEvery <= 0 {
-		return nil, fmt.Errorf("runner: Compact requires SnapshotEvery > 0")
+		return nil, nil, nil, fmt.Errorf("runner: Compact requires SnapshotEvery > 0")
 	}
 	if spec.Transfer && spec.SnapshotEvery <= 0 {
-		return nil, fmt.Errorf("runner: Transfer requires SnapshotEvery > 0 (peers serve snapshots)")
+		return nil, nil, nil, fmt.Errorf("runner: Transfer requires SnapshotEvery > 0 (peers serve snapshots)")
 	}
 	if len(spec.CrashRestart) > 0 && !spec.Durable {
-		return nil, fmt.Errorf("runner: CrashRestart requires Durable (the reboot reads the store)")
+		return nil, nil, nil, fmt.Errorf("runner: CrashRestart requires Durable (the reboot reads the store)")
 	}
 	if spec.RestartDelay <= 0 {
 		spec.RestartDelay = 25 * time.Millisecond
 	}
+	// distinct numbers the distinct commands; slot[k] is command k's
+	// number, submitAt[d] the first submit time of number d.
 	encoded := make([]types.Value, len(spec.Commands))
-	distinct := make(map[types.Value]struct{}, len(spec.Commands))
-	for i, c := range spec.Commands {
-		encoded[i] = c.Encode()
-		distinct[encoded[i]] = struct{}{}
+	distinct := make(map[types.Value]int, len(spec.Commands))
+	slot := make([]int, len(spec.Commands))
+	var submitAt []types.Time
+	for k, c := range spec.Commands {
+		encoded[k] = c.Encode()
+		d, dup := distinct[encoded[k]]
+		if !dup {
+			d = len(submitAt)
+			distinct[encoded[k]] = d
+			submitAt = append(submitAt, types.Time(types.Duration(k)*spec.SubmitEvery))
+		}
+		slot[k] = d
 	}
 
 	reg := spec.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	res := &KVResult{
+	res = &KVResult{
 		Logs:           make(map[types.ProcID][]log.Entry),
 		Engines:        make(map[types.ProcID]*log.Engine),
 		CommitLatency:  obs.NewCommitLatency(reg),
@@ -464,25 +521,19 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		Transfers:      make(map[types.ProcID]int),
 		TransferServed: make(map[types.ProcID]int),
 		Covered:        make(map[types.ProcID]int),
-		Distinct:       len(distinct),
+		Distinct:       len(submitAt),
 		Durables:       make(map[types.ProcID]*store.Memory),
 		Boots:          make(map[types.ProcID]sm.BootStats),
 		BootErrs:       make(map[types.ProcID]error),
 	}
-	submitAt := make(map[types.Value]types.Time, len(distinct))
-	for k, c := range encoded {
-		if _, dup := submitAt[c]; !dup { // retries keep the first submit time
-			submitAt[c] = types.Time(types.Duration(k) * spec.SubmitEvery)
-		}
-	}
-	trs := make(map[types.ProcID]*sm.Transfer)
+	trs = make(map[types.ProcID]*sm.Transfer)
 	// Per-replica distinct-coverage sets live OUTSIDE the incarnation
 	// closures: a crash-restarted replica keeps counting from where its
 	// dead incarnation left off (coverage is a property of the process,
 	// not of one boot). The same holds for its telemetry cells in reg —
 	// and so for every layer count its accessors read — and for its
 	// flight recorder, which replica.New and the tracer map re-acquire.
-	seenBy := make(map[types.ProcID]map[types.Value]struct{})
+	seenBy := make(map[types.ProcID][]bool)
 	// boot places one incarnation of correct replica id: the first and
 	// every crash-restarted one through the same replica.New call, which
 	// restores whatever the durable store holds before the engine starts.
@@ -497,19 +548,19 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 			}
 			seen := seenBy[id]
 			if seen == nil {
-				seen = make(map[types.Value]struct{}, len(distinct))
+				seen = make([]bool, len(submitAt))
 				seenBy[id] = seen
 			}
-			// cover credits one distinct workload command. The stop rule:
+			// cover credits distinct workload command d. The stop rule:
 			// close once every distinct workload command is covered — a
 			// deterministic function of the applied prefix, so instance
 			// starts stay symmetric. Raw entry counts would not do: a
 			// client's byte-identical retry commits once, and after
 			// compaction a forgotten duplicate may commit twice.
-			cover := func(c types.Value) {
-				seen[c] = struct{}{}
-				res.Covered[id] = len(seen)
-				if len(seen) >= len(distinct) {
+			cover := func(d int) {
+				seen[d] = true
+				res.Covered[id]++
+				if res.Covered[id] >= len(submitAt) {
 					rep.Engine.Close()
 				}
 			}
@@ -540,14 +591,12 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 					// Duplicate re-commits (possible after compaction forgets
 					// the content dedup) and forged commands from Byzantine
 					// batches cover nothing.
-					if _, workload := distinct[e.Cmd]; !workload {
+					d, workload := distinct[e.Cmd]
+					if !workload || seen[d] {
 						return
 					}
-					if _, dup := seen[e.Cmd]; dup {
-						return
-					}
-					res.CommitLatency.Observe(int64(env.Now() - submitAt[e.Cmd]))
-					cover(e.Cmd)
+					res.CommitLatency.Observe(int64(env.Now() - submitAt[d]))
+					cover(d)
 				},
 				// A peer snapshot skips the commits below its boundary: the
 				// recorded log restarts at the engine's retained suffix (the
@@ -557,8 +606,8 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 				OnInstall: func(sm.Snapshot) {
 					res.Logs[id] = slices.Clone(rep.Engine.Entries())
 					for k, c := range spec.Commands {
-						if _, dup := seen[encoded[k]]; !dup && c.Client != 0 && rep.Store.SessionSeq(c.Client) >= c.Seq {
-							cover(encoded[k])
+						if d := slot[k]; !seen[d] && c.Client != 0 && rep.Store.SessionSeq(c.Client) >= c.Seq {
+							cover(d)
 						}
 					}
 				},
@@ -579,9 +628,7 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 			// relative to the restart instant: the crashed incarnation's
 			// submit timers died with it, commit dedup drops what already
 			// landed, and anything that was pending gets a second chance.
-			for k, c := range encoded {
-				env.SetTimer(types.Duration(k)*spec.SubmitEvery, func() { _ = eng.Submit(c) })
-			}
+			armSubmits(env.SetTimer, encoded, spec.SubmitEvery, eng.Submit)
 			// A Start failure is the engine's sticky Err, surfaced after
 			// the run.
 			env.SetTimer(0, func() { _ = eng.Start() })
@@ -614,7 +661,7 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		return boot(w, id)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	res.Correct = correct
 	// Crash-restart choreography: power the process off at its mapped
@@ -625,7 +672,7 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 	// that fails leaves the replica powered off for the rest of the run.
 	for _, id := range slices.Sorted(maps.Keys(spec.CrashRestart)) {
 		if res.Durables[id] == nil {
-			return nil, fmt.Errorf("runner: CrashRestart process %v is not a correct replica", id)
+			return nil, nil, nil, fmt.Errorf("runner: CrashRestart process %v is not a correct replica", id)
 		}
 		at := types.Duration(spec.CrashRestart[id])
 		w.Sched.After(at, func() { w.Kill(id) })
@@ -636,21 +683,5 @@ func RunKV(spec KVSpec) (*KVResult, error) {
 		})
 	}
 
-	res.run(w, spec.Deadline, spec.MaxEvents)
-	if err := res.engineErr(); err != nil {
-		return nil, err
-	}
-	for _, id := range res.Correct {
-		if app := res.Appliers[id]; app != nil {
-			res.StateDigests[id] = app.StateDigest()
-			if err := app.Err(); err != nil {
-				res.ApplierErrs[id] = err
-			}
-		}
-		if tr := trs[id]; tr != nil {
-			res.Transfers[id] = tr.Installs()
-			res.TransferServed[id] = tr.Served()
-		}
-	}
-	return res, nil
+	return w, res, trs, nil
 }

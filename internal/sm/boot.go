@@ -67,19 +67,13 @@ func Boot(p store.Persister, a *Applier, eng BootControl) (BootStats, error) {
 		return st, nil // fresh medium: nothing to restore
 	}
 	// The stamped payload is a full transfer frame (snapshot + retained
-	// dedup window); decode and install exactly as a peer transfer would.
+	// dedup window); install it exactly as a peer transfer would, against
+	// the position it was stamped with.
 	var combined []log.Entry
 	base := 0
 	if rec.SnapPayload != nil {
-		s, retained, derr := DecodeTransfer(rec.SnapPayload)
-		if derr != nil {
-			return st, fmt.Errorf("sm: boot snapshot payload: %w", derr)
-		}
-		if s.Index != rec.SnapIndex || s.Instance != rec.SnapInstance {
-			return st, fmt.Errorf("sm: boot snapshot position (%d, %v) contradicts its stamp (%d, %v)",
-				s.Index, s.Instance, rec.SnapIndex, rec.SnapInstance)
-		}
-		if err := a.installSnapshot(s, retained, true); err != nil {
+		s, retained, err := a.install(rec.SnapPayload, rec.SnapIndex, rec.SnapInstance, true)
+		if err != nil {
 			return st, fmt.Errorf("sm: boot install: %w", err)
 		}
 		st.HadSnapshot, st.SnapIndex, st.SnapInstance = true, s.Index, s.Instance

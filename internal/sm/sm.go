@@ -37,18 +37,19 @@ import (
 // Machine is a deterministic application state machine. All methods are
 // called from the hosting runtime's single event loop.
 //
-// Determinism contract: Apply's response and state change, and Snapshot's
-// bytes, must be pure functions of the machine state and inputs — no
-// clocks, no randomness, no map-iteration-order dependence.
+// Determinism contract: Apply's response and state change, and the bytes
+// AppendSnapshot appends, must be pure functions of the machine state and
+// inputs — no clocks, no randomness, no map-iteration-order dependence.
 type Machine interface {
 	// Apply executes one committed command and returns the response.
 	Apply(cmd types.Value) types.Value
-	// Snapshot encodes the full state deterministically.
-	Snapshot() []byte
-	// Restore replaces the full state from a Snapshot encoding. It must
-	// be all-or-nothing: on any decode error the live state is left
-	// untouched. Peer-snapshot installation (Applier.Install) relies on
-	// this to reject Byzantine-supplied bytes without bricking the
+	// AppendSnapshot appends a deterministic encoding of the full state
+	// to dst (the applier's snapshot payload) and returns the result.
+	AppendSnapshot(dst []byte) []byte
+	// Restore replaces the full state from an AppendSnapshot encoding.
+	// It must be all-or-nothing: on any decode error the live state is
+	// left untouched. Peer-snapshot installation (Applier.Install) relies
+	// on this to reject Byzantine-supplied bytes without bricking the
 	// replica (kv.Store.Restore decodes fully before swapping anything
 	// in — see kv.ValidateSnapshot).
 	Restore(data []byte) error
@@ -63,7 +64,9 @@ type Snapshot struct {
 	Instance types.Instance
 	// Digest is SHA-256 over Data.
 	Digest [32]byte
-	// Data is the header-wrapped machine encoding (see Encode layout).
+	// Data is the header-wrapped machine encoding (appendSnapHeader). In
+	// a snapshot the applier took or installed it is a view into the
+	// immutable transfer payload: nothing may write through it.
 	Data []byte
 }
 
@@ -72,13 +75,12 @@ const snapHeaderLen = 1 + 8 + 8
 
 const snapMagic = 'Z'
 
-// encodeSnapshot wraps the machine bytes with the apply position.
-func encodeSnapshot(index int, instance types.Instance, machine []byte) []byte {
-	buf := make([]byte, snapHeaderLen, snapHeaderLen+len(machine))
-	buf[0] = snapMagic
-	binary.LittleEndian.PutUint64(buf[1:], uint64(index))
-	binary.LittleEndian.PutUint64(buf[9:], uint64(instance))
-	return append(buf, machine...)
+// appendSnapHeader appends the apply position that precedes the machine
+// bytes of a snapshot encoding.
+func appendSnapHeader(dst []byte, index int, instance types.Instance) []byte {
+	dst = append(dst, snapMagic)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(index))
+	return binary.LittleEndian.AppendUint64(dst, uint64(instance))
 }
 
 // DecodeSnapshot splits a snapshot encoding into position and machine
@@ -149,10 +151,11 @@ type Config struct {
 	// keeps the historical fully-in-memory behavior, byte-identical.
 	Persist store.Persister
 	// RetainedEntries, if non-nil, returns the log engine's retained
-	// committed-entry suffix (log.Engine.Entries). The applier copies it
-	// right after each snapshot's OnSnapshot hook returns — i.e. after
-	// the hook's compaction — so the copy is exactly the content-dedup
-	// window every replica carries forward from that boundary. Snapshot
+	// committed-entry suffix (log.Engine.Entries). The applier encodes it
+	// into the snapshot's payload right after the OnSnapshot hook returns
+	// — i.e. after the hook's compaction — so the payload carries exactly
+	// the content-dedup window every replica carries forward from that
+	// boundary. Snapshot
 	// state TRANSFER needs it: installing machine state alone would leave
 	// the receiving replica without the dedup entries its peers still
 	// hold, and the next in-flight duplicate would commit on the receiver
@@ -172,9 +175,9 @@ type Applier struct {
 
 	snap    Snapshot // latest
 	hasSnap bool
-	// snapRetained is the retained entry suffix captured with snap (see
-	// Config.RetainedEntries); it travels with the snapshot in transfers.
-	snapRetained []log.Entry
+	// payload is snap's transfer payload (EncodeTransfer layout): built
+	// once, immutable, shared with the durable stamp and the serve cache.
+	payload []byte
 
 	boots    int   // local durable snapshots restored via Boot
 	poisoned error // set when a failed Install/Boot left the state undefined
@@ -267,38 +270,44 @@ func (a *Applier) OnApply(i types.Instance, newly int) {
 	}
 }
 
-// takeSnapshot captures the state covering instances [0, instance).
+// takeSnapshot captures the state covering instances [0, instance),
+// straight into its transfer payload: room for a little more than the
+// previous payload makes it one allocation of about its own size.
 func (a *Applier) takeSnapshot(instance types.Instance) {
-	data := encodeSnapshot(a.applied, instance, a.cfg.Machine.Snapshot())
+	buf := make([]byte, transferDataAt, max(transferDataAt, len(a.payload)+len(a.payload)/16))
+	buf = appendSnapHeader(buf, a.applied, instance)
+	buf = a.cfg.Machine.AppendSnapshot(buf)
+	end := len(buf)
 	a.snap = Snapshot{
 		Index:    a.applied,
 		Instance: instance,
-		Digest:   sha256.Sum256(data),
-		Data:     data,
+		Digest:   sha256.Sum256(buf[transferDataAt:]),
+		Data:     buf[transferDataAt:end:end],
 	}
 	a.hasSnap = true
 	a.sinceSnap = 0
 	a.cfg.Metrics.Snapshots.Inc()
-	a.cfg.Metrics.SnapshotBytes.Add(uint64(len(data)))
+	a.cfg.Metrics.SnapshotBytes.Add(uint64(len(a.snap.Data)))
 	if a.cfg.OnSnapshot != nil {
 		a.cfg.OnSnapshot(a.snap)
 	}
+	var retained []log.Entry
 	if a.cfg.RetainedEntries != nil {
 		// After the hook: OnSnapshot is where hosts compact, and the
 		// window that must travel with this snapshot is the one that
 		// SURVIVES that compaction (it is what every replica's dedup
-		// holds from this boundary on). Copied — the engine mutates its
-		// slice as the log grows.
-		a.snapRetained = append([]log.Entry(nil), a.cfg.RetainedEntries()...)
+		// holds from this boundary on).
+		retained = a.cfg.RetainedEntries()
 	}
+	a.payload = sealTransfer(buf, retained)
+	a.snap.Data = a.payload[transferDataAt:end:end]
 	if p := a.cfg.Persist; p != nil {
 		// The durable stamp is the full transfer payload — snapshot plus
-		// the retained dedup window just captured — so boot can hand it
-		// straight to DecodeTransfer and Install, the exact code path a
-		// live peer-snapshot installation exercises. With the snapshot
-		// durable, the store's entry prefix below it is dead weight.
-		payload := EncodeTransfer(a.snap, a.snapRetained)
-		if err := p.StampSnapshot(a.snap.Index, a.snap.Instance, payload); err != nil {
+		// the retained dedup window — so boot can hand it straight to
+		// Install, the exact code path a live peer-snapshot installation
+		// exercises. With the snapshot durable, the store's entry prefix
+		// below it is dead weight.
+		if err := p.StampSnapshot(a.snap.Index, a.snap.Instance, a.payload); err != nil {
 			a.poison(fmt.Errorf("sm: persist snapshot: %w", err))
 			return
 		}
@@ -312,11 +321,12 @@ func (a *Applier) takeSnapshot(instance types.Instance) {
 // Latest returns the most recent snapshot.
 func (a *Applier) Latest() (Snapshot, bool) { return a.snap, a.hasSnap }
 
-// LatestTransfer returns the most recent snapshot together with the
-// retained entry suffix captured at its boundary (the transfer payload;
-// see Config.RetainedEntries). Callers must not mutate the slice.
-func (a *Applier) LatestTransfer() (Snapshot, []log.Entry, bool) {
-	return a.snap, a.snapRetained, a.hasSnap
+// LatestTransfer returns the most recent snapshot together with its
+// transfer payload (EncodeTransfer layout: the snapshot and the retained
+// entry suffix captured at its boundary; see Config.RetainedEntries). The
+// payload is immutable and shared: callers must not modify it.
+func (a *Applier) LatestTransfer() (Snapshot, []byte, bool) {
+	return a.snap, a.payload, a.hasSnap
 }
 
 // Applied returns the number of entries applied.
@@ -326,87 +336,87 @@ func (a *Applier) Applied() int { return a.applied }
 func (a *Applier) Snapshots() int { return int(a.cfg.Metrics.Snapshots.Value()) }
 
 // StateDigest hashes the machine's current state (SHA-256 over its
-// Snapshot encoding). Equal digests across replicas at equal applied
-// counts certify byte-identical state.
+// AppendSnapshot encoding). Equal digests across replicas at equal
+// applied counts certify byte-identical state.
 func (a *Applier) StateDigest() [32]byte { return Digest(a.cfg.Machine) }
 
-// Digest hashes a machine's current state (SHA-256 over its Snapshot
-// encoding).
-func Digest(m Machine) [32]byte { return sha256.Sum256(m.Snapshot()) }
+// Digest hashes a machine's current state (SHA-256 over its
+// AppendSnapshot encoding).
+func Digest(m Machine) [32]byte { return sha256.Sum256(m.AppendSnapshot(nil)) }
 
 // Install replaces the machine state with a peer's snapshot: the state-
 // transfer path for a replica that can no longer catch up by replay
 // (compaction retired the echo service it needed — see log.Config.MaxLead).
-// It only moves FORWARD: s must cover strictly more entries than are
-// currently applied, and no retained-suffix replay follows — the
-// snapshot IS the new apply position.
+// payload is the snapshot's transfer payload (EncodeTransfer layout), and
+// index and instance the position it was stamped with (a corroborated
+// manifest's, or a durable stamp's). It only moves FORWARD: the snapshot
+// must cover strictly more entries than are currently applied, and no
+// retained-suffix replay follows — the snapshot IS the new apply position.
 //
-// Validation is two-staged. Before any mutation: the header must decode,
-// the stamped digest must match the data bytes, and the position must
-// advance — failures leave the applier fully usable (the Machine.Restore
-// contract requires rejecting bad encodings without mutating, so a
-// garbage snapshot from a Byzantine peer cannot brick the replica).
-// After Restore succeeds, the restored state must re-encode to the
-// snapshot digest; a mismatch there means the machine restored
-// something it cannot reproduce (nondeterminism or a lossy Restore), the
-// live state is no longer trustworthy, and the applier poisons itself.
+// Validation is two-staged. Before any mutation: the payload must decode
+// (DecodeTransfer: its digest, the snapshot header, the entry list), its
+// position must match the stamp, and the position must advance — failures
+// leave the applier fully usable (the Machine.Restore contract requires
+// rejecting bad encodings without mutating, so a garbage snapshot from a
+// Byzantine peer cannot brick the replica). After Restore succeeds, the
+// restored state must re-encode to the snapshot digest; a mismatch there
+// means the machine restored something it cannot reproduce
+// (nondeterminism or a lossy Restore), the live state is no longer
+// trustworthy, and the applier poisons itself.
 //
-// retained is the entry suffix that traveled with the snapshot (the
-// boundary's content-dedup window); the applier keeps it with the
-// installed snapshot so this replica can serve onward transfers itself.
-//
-// The caller must realign the ordering layer in the same stroke
-// (log.Engine.InstallSnapshot with s.Instance, s.Index and the same
+// The applier keeps payload, which must not be modified afterwards, as
+// its latest snapshot's so this replica can serve onward transfers
+// itself. Install returns the decoded snapshot and the retained entry
+// suffix that traveled with it (the boundary's content-dedup window):
+// the caller must realign the ordering layer with them in the same
+// stroke (log.Engine.InstallSnapshot with s.Instance, s.Index and the
 // retained suffix) — sm.Transfer does both.
-func (a *Applier) Install(s Snapshot, retained []log.Entry) error {
-	return a.installSnapshot(s, retained, false)
+func (a *Applier) Install(payload []byte, index int, instance types.Instance) (Snapshot, []log.Entry, error) {
+	return a.install(payload, index, instance, false)
 }
 
-// installSnapshot is Install's body; boot distinguishes a local durable
-// restore (sm.Boot) from a genuine peer transfer in the counters —
-// "zero peer installs after restart" is the durability layer's whole
-// acceptance test, so a boot must not inflate the transfer tally.
-func (a *Applier) installSnapshot(s Snapshot, retained []log.Entry, boot bool) error {
+// install is Install's body; boot distinguishes a local durable restore
+// (sm.Boot) from a genuine peer transfer in the counters — "zero peer
+// installs after restart" is the durability layer's whole acceptance
+// test, so a boot must not inflate the transfer tally.
+func (a *Applier) install(payload []byte, index int, instance types.Instance, boot bool) (Snapshot, []log.Entry, error) {
 	if a.poisoned != nil {
-		return a.poisoned
+		return Snapshot{}, nil, a.poisoned
 	}
-	index, instance, machine, err := DecodeSnapshot(s.Data)
+	s, retained, err := DecodeTransfer(payload)
 	if err != nil {
-		return err
+		return Snapshot{}, nil, err
 	}
-	if index != s.Index || instance != s.Instance {
-		return fmt.Errorf("sm: snapshot header (%d, %v) contradicts stamp (%d, %v)",
-			index, instance, s.Index, s.Instance)
-	}
-	if sha256.Sum256(s.Data) != s.Digest {
-		return fmt.Errorf("sm: snapshot data does not hash to its stamped digest")
+	if s.Index != index || s.Instance != instance {
+		return Snapshot{}, nil, fmt.Errorf("sm: snapshot header (%d, %v) contradicts stamp (%d, %v)",
+			s.Index, s.Instance, index, instance)
 	}
 	// Strictly more entries always advances. Equal entries is the refresh
 	// shape (Config.RefreshEvery): same applied prefix, later instance
 	// boundary — identical state, but adopting the stamp is what lets a
 	// rejoiner realign its log with the cluster's instance frontier.
 	if index < a.applied || (index == a.applied && a.hasSnap && instance <= a.snap.Instance) {
-		return fmt.Errorf("sm: snapshot (%d entries, boundary %v) is not ahead of (%d, %v)",
+		return Snapshot{}, nil, fmt.Errorf("sm: snapshot (%d entries, boundary %v) is not ahead of (%d, %v)",
 			index, instance, a.applied, a.snap.Instance)
 	}
-	if err := a.cfg.Machine.Restore(machine); err != nil {
-		return fmt.Errorf("sm: install restore: %w", err)
+	if err := a.cfg.Machine.Restore(s.Data[snapHeaderLen:]); err != nil {
+		return Snapshot{}, nil, fmt.Errorf("sm: install restore: %w", err)
 	}
-	redo := encodeSnapshot(index, instance, a.cfg.Machine.Snapshot())
-	if sha256.Sum256(redo) != s.Digest {
-		return a.poison(fmt.Errorf("sm: installed state does not reproduce snapshot digest (nondeterministic machine?)"))
+	redo := appendSnapHeader(make([]byte, 0, len(s.Data)), index, instance)
+	if sha256.Sum256(a.cfg.Machine.AppendSnapshot(redo)) != s.Digest {
+		return Snapshot{}, nil, a.poison(fmt.Errorf("sm: installed state does not reproduce snapshot digest (nondeterministic machine?)"))
 	}
 	a.applied = index
 	a.sinceSnap = 0
 	a.snap = s
-	a.snapRetained = retained
+	a.payload = payload
 	a.hasSnap = true
 	if boot {
 		a.boots++
 	} else {
 		a.cfg.Metrics.Installs.Inc()
 	}
-	return nil
+	return s, retained, nil
 }
 
 // Installs returns how many peer snapshots Install has applied.

@@ -202,11 +202,9 @@ type nondetMachine struct {
 	n int
 }
 
-func (m *nondetMachine) Snapshot() []byte {
+func (m *nondetMachine) AppendSnapshot(dst []byte) []byte {
 	m.n++
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(m.n))
-	return append(m.Store.Snapshot(), b[:]...)
+	return binary.LittleEndian.AppendUint64(m.Store.AppendSnapshot(dst), uint64(m.n))
 }
 
 func (m *nondetMachine) Restore(b []byte) error {
@@ -242,7 +240,7 @@ func TestRecoverDetectsNondeterminism(t *testing.T) {
 }
 
 func TestSnapshotCodec(t *testing.T) {
-	data := encodeSnapshot(42, 7, []byte("machine-bytes"))
+	data := append(appendSnapHeader(nil, 42, 7), "machine-bytes"...)
 	idx, inst, m, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)

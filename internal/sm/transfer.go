@@ -46,6 +46,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/log"
@@ -78,7 +79,7 @@ const maxCandidates = 32
 // manifest's chunks carry and a durable snapshot stamp holds:
 //
 //	SHA-256 over everything after it
-//	u32 snapshot length ‖ snapshot bytes (sm encodeSnapshot layout)
+//	u32 snapshot length ‖ snapshot bytes (appendSnapHeader, machine bytes)
 //	u32 entry count, then per entry: u64 index ‖ u64 instance ‖
 //	u32 command length ‖ command bytes
 //
@@ -90,28 +91,33 @@ const maxCandidates = 32
 // boundary — which is what lets the requester corroborate their
 // manifests across t+1 senders.
 func EncodeTransfer(s Snapshot, retained []log.Entry) []byte {
-	size := transferDigestLen + 4 + len(s.Data) + 4
+	buf := make([]byte, transferDataAt, transferDataAt+len(s.Data))
+	return sealTransfer(append(buf, s.Data...), retained)
+}
+
+// transferDataAt is where a payload's snapshot bytes start: after the
+// digest and the u32 snapshot length.
+const transferDataAt = transferDigestLen + 4
+
+// sealTransfer completes a payload whose snapshot bytes follow
+// transferDataAt in buf: it fills in their length, appends the retained
+// entries and stamps the digest.
+func sealTransfer(buf []byte, retained []log.Entry) []byte {
+	binary.LittleEndian.PutUint32(buf[transferDigestLen:], uint32(len(buf)-transferDataAt))
+	size := 4
 	for _, e := range retained {
 		size += 20 + len(e.Cmd)
 	}
-	buf := make([]byte, transferDigestLen, size)
-	var u [8]byte
-	binary.LittleEndian.PutUint32(u[:4], uint32(len(s.Data)))
-	buf = append(buf, u[:4]...)
-	buf = append(buf, s.Data...)
-	binary.LittleEndian.PutUint32(u[:4], uint32(len(retained)))
-	buf = append(buf, u[:4]...)
+	buf = slices.Grow(buf, size)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(retained)))
 	for _, e := range retained {
-		binary.LittleEndian.PutUint64(u[:], uint64(e.Index))
-		buf = append(buf, u[:]...)
-		binary.LittleEndian.PutUint64(u[:], uint64(e.Instance))
-		buf = append(buf, u[:]...)
-		binary.LittleEndian.PutUint32(u[:4], uint32(len(e.Cmd)))
-		buf = append(buf, u[:4]...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Index))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Instance))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Cmd)))
 		buf = append(buf, e.Cmd...)
 	}
 	digest := sha256.Sum256(buf[transferDigestLen:])
-	copy(buf[:transferDigestLen], digest[:])
+	copy(buf, digest[:])
 	return buf
 }
 
@@ -471,7 +477,7 @@ func (t *Transfer) probe() {
 // break the t+1 corroboration — peers at different positions would offer
 // different bytes).
 func (t *Transfer) serve(from types.ProcID, reqBoundary types.Instance) {
-	snap, retained, ok := t.cfg.Applier.LatestTransfer()
+	snap, payload, ok := t.cfg.Applier.LatestTransfer()
 	if !ok || snap.Instance <= reqBoundary {
 		return // nothing the requester doesn't already have
 	}
@@ -488,7 +494,7 @@ func (t *Transfer) serve(from types.ProcID, reqBoundary types.Instance) {
 			Aux: fmt.Sprintf("idx=%d inst=%v digest=%x", snap.Index, snap.Instance, snap.Digest[:8]),
 		})
 	}
-	sc := t.serveChunksFor(snap, retained)
+	sc := t.serveChunksFor(snap, payload)
 	if sc == nil {
 		return // past the chunked bound; nothing to offer
 	}
@@ -500,14 +506,14 @@ func (t *Transfer) serve(from types.ProcID, reqBoundary types.Instance) {
 	})
 }
 
-// serveChunksFor returns the serving state of the given snapshot,
-// encoding and caching it unless it is already the cached one; nil if
-// the payload cannot be chunked (past MaxManifestChunks).
-func (t *Transfer) serveChunksFor(snap Snapshot, retained []log.Entry) *serveChunks {
+// serveChunksFor returns the serving state of the given snapshot and its
+// payload, building and caching its manifest unless it is already the
+// cached one; nil if the payload cannot be chunked (past
+// MaxManifestChunks). The cache shares the applier's immutable payload.
+func (t *Transfer) serveChunksFor(snap Snapshot, payload []byte) *serveChunks {
 	if sc := t.chunkCache; sc != nil && sc.snapDigest == snap.Digest {
 		return sc
 	}
-	payload := EncodeTransfer(snap, retained)
 	mf, err := BuildManifest(snap.Index, snap.Instance, payload)
 	if err != nil {
 		return nil
@@ -677,10 +683,10 @@ func (t *Transfer) onChunk(from types.ProcID, m proto.Message) {
 }
 
 // assemble concatenates a complete download, re-validates it end to end
-// (payload digest, decode, position against the manifest), and installs.
-// The t+1-corroborated manifest pinned every chunk hash, so a failure
-// past this point means corroboration itself was subverted — count it
-// and drop, never install.
+// (payload digest here; decode and position against the manifest in
+// Applier.Install), and installs. The t+1-corroborated manifest pinned
+// every chunk hash, so a failure past this point means corroboration
+// itself was subverted — count it and drop, never install.
 func (t *Transfer) assemble(d *download) {
 	t.dl = nil
 	payload := make([]byte, 0, d.mf.TotalLen)
@@ -691,15 +697,10 @@ func (t *Transfer) assemble(d *download) {
 		t.reject()
 		return
 	}
-	s, retained, err := DecodeTransfer(payload)
-	if err != nil || s.Index != d.mf.Index || s.Instance != d.mf.Instance {
-		t.reject()
-		return
-	}
-	if s.Instance <= t.cfg.Log.Applied() || s.Index < t.cfg.Applier.Applied() {
+	if d.mf.Instance <= t.cfg.Log.Applied() || d.mf.Index < t.cfg.Applier.Applied() {
 		return // overtaken while downloading; not an offense
 	}
-	t.install(s, retained)
+	t.install(payload, d.mf)
 }
 
 // rejectChunk counts one discarded chunk-protocol frame.
@@ -708,13 +709,15 @@ func (t *Transfer) rejectChunk() {
 }
 
 // install commits to a downloaded snapshot: state machine first
-// (Applier.Install re-checks the digest end to end), then the ordering
-// layer (LogControl.InstallSnapshot). The preconditions were checked in
-// assemble and Install re-validates, so a failure here means the machine
-// itself misbehaved — the applier poisons itself and the hosting runtime
-// surfaces it; the fetch stops either way.
-func (t *Transfer) install(s Snapshot, retained []log.Entry) {
-	if err := t.cfg.Applier.Install(s, retained); err != nil {
+// (Applier.Install decodes the payload, checks it against the manifest's
+// position and re-checks the digest end to end), then the ordering layer
+// (LogControl.InstallSnapshot). assemble checked that the manifest is
+// still ahead, so a failure here means the payload or the machine itself
+// misbehaved — the applier poisons itself where its state is undefined
+// and the hosting runtime surfaces it; the fetch stops either way.
+func (t *Transfer) install(payload []byte, mf Manifest) {
+	s, retained, err := t.cfg.Applier.Install(payload, mf.Index, mf.Instance)
+	if err != nil {
 		t.reject()
 		t.stopFetch()
 		return

@@ -93,7 +93,7 @@ func TestTransferRejectsTampering(t *testing.T) {
 // with its digest re-stamped, so mutations reach the parser behind the
 // hash check.
 func FuzzDecodeTransfer(f *testing.F) {
-	snap := Snapshot{Data: encodeSnapshot(3, 2, kv.NewStore().Snapshot())}
+	snap := Snapshot{Data: append(appendSnapHeader(nil, 3, 2), kv.NewStore().Snapshot()...)}
 	f.Add(EncodeTransfer(snap, []log.Entry{{Index: 2, Instance: 1, Cmd: "c"}}))
 	f.Add(EncodeTransfer(snap, nil))
 	f.Add([]byte{})
@@ -124,7 +124,8 @@ func TestInstallAdoptsPeerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lag.Install(s, retained); err != nil {
+	payload := EncodeTransfer(s, retained)
+	if _, _, err := lag.Install(payload, s.Index, s.Instance); err != nil {
 		t.Fatal(err)
 	}
 	if lag.Applied() != s.Index {
@@ -138,8 +139,8 @@ func TestInstallAdoptsPeerState(t *testing.T) {
 	}
 	// The installed snapshot (and its retained suffix) is now servable
 	// onward.
-	got, gotRetained, ok := lag.LatestTransfer()
-	if !ok || got.Digest != s.Digest || len(gotRetained) != len(retained) {
+	got, gotPayload, ok := lag.LatestTransfer()
+	if !ok || got.Digest != s.Digest || !bytes.Equal(gotPayload, payload) {
 		t.Fatal("installed snapshot not retrievable for onward transfer")
 	}
 }
@@ -150,24 +151,22 @@ func TestInstallRejectsStaleAndForged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload := EncodeTransfer(s, retained)
 	// Stamp contradiction.
-	bad := s
-	bad.Index++
-	if err := lag.Install(bad, retained); err == nil || !strings.Contains(err.Error(), "contradicts") {
+	if _, _, err := lag.Install(payload, s.Index+1, s.Instance); err == nil || !strings.Contains(err.Error(), "contradicts") {
 		t.Fatalf("header/stamp contradiction accepted: %v", err)
 	}
-	// Digest contradiction.
-	bad = s
-	bad.Digest[0] ^= 1
-	if err := lag.Install(bad, retained); err == nil || !strings.Contains(err.Error(), "digest") {
+	// Digest contradiction: a snapshot byte changed under the payload's
+	// digest.
+	bad := bytes.Clone(payload)
+	bad[transferDataAt+snapHeaderLen] ^= 1
+	if _, _, err := lag.Install(bad, s.Index, s.Instance); err == nil || !strings.Contains(err.Error(), "digest") {
 		t.Fatalf("digest mismatch accepted: %v", err)
 	}
 	// Garbage machine bytes: rejected without poisoning (kv.Store.Restore
 	// is all-or-nothing).
-	bad = s
-	bad.Data = encodeSnapshot(s.Index, s.Instance, []byte("garbage"))
-	bad.Digest = sha256.Sum256(bad.Data)
-	if err := lag.Install(bad, retained); err == nil {
+	garbage := Snapshot{Data: append(appendSnapHeader(nil, s.Index, s.Instance), "garbage"...)}
+	if _, _, err := lag.Install(EncodeTransfer(garbage, retained), s.Index, s.Instance); err == nil {
 		t.Fatal("garbage machine bytes accepted")
 	}
 	if lag.Err() != nil {
@@ -175,7 +174,7 @@ func TestInstallRejectsStaleAndForged(t *testing.T) {
 	}
 	// Stale boundary: not ahead of the live position.
 	feed(t, lag, 0, 12, 2, 0)
-	if err := lag.Install(s, retained); err == nil {
+	if _, _, err := lag.Install(payload, s.Index, s.Instance); err == nil {
 		t.Fatal("stale snapshot accepted")
 	}
 	if lag.Installs() != 0 {
@@ -502,7 +501,8 @@ func TestTransferIdleRejoinGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rejoinApp.Install(stale, nil); err != nil {
+	_, stalePayload, _ := stalePeer.LatestTransfer()
+	if _, _, err := rejoinApp.Install(stalePayload, stale.Index, stale.Instance); err != nil {
 		t.Fatal(err)
 	}
 	lg := &fakeLog{applied: stale.Instance, committed: stale.Index}

@@ -47,11 +47,12 @@ func (m *Memory) MarkApplied(boundary types.Instance) error {
 	return nil
 }
 
-// StampSnapshot implements Persister.
+// StampSnapshot implements Persister. It keeps payload itself, which the
+// Persister contract makes immutable, rather than a copy.
 func (m *Memory) StampSnapshot(index int, instance types.Instance, payload []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.snap = append([]byte(nil), payload...)
+	m.snap = payload
 	m.snapIdx, m.snapInst, m.hasSnap = index, instance, true
 	if instance > m.boundary {
 		m.boundary = instance

@@ -73,7 +73,9 @@ type Persister interface {
 	// StampSnapshot durably records the snapshot payload covering
 	// entries [0, index) and instances [0, instance), replacing any
 	// previous snapshot. The payload is opaque to the store (the sm
-	// layer encodes and re-validates it).
+	// layer encodes and re-validates it). It is immutable — the caller
+	// never modifies it after the call — so the store may retain it
+	// instead of copying it.
 	StampSnapshot(index int, instance types.Instance, payload []byte) error
 	// TruncatePrefix retires entries with Index < index from the durable
 	// log; they are covered by a stamped snapshot.
