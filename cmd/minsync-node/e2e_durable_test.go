@@ -108,7 +108,6 @@ func (c *liveCluster) start(i int) {
 		"-id", fmt.Sprint(i + 1),
 		"-peers", c.peerList,
 		"-t", "1",
-		"-kv",
 		"-http", strings.TrimPrefix(c.urls[i], "http://"),
 		"-metrics", c.metrics[i],
 		"-snapshot-every", "4",

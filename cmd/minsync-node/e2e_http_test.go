@@ -73,7 +73,6 @@ func TestE2EHTTPPool(t *testing.T) {
 			"-id", fmt.Sprint(i+1),
 			"-peers", peerList,
 			"-t", "1",
-			"-kv",
 			"-http", httpAddrs[i],
 			"-snapshot-every", "8",
 			"-unit", "50ms",
@@ -261,7 +260,6 @@ func TestE2EHTTPShed(t *testing.T) {
 		"-id", "1",
 		"-peers", strings.Join(consAddrs, ","),
 		"-t", "1",
-		"-kv",
 		"-http", httpAddr,
 		"-pool", "2",
 		"-unit", "50ms",

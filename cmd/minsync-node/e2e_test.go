@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -97,7 +96,6 @@ func TestE2EClusterTelemetry(t *testing.T) {
 			"-id", fmt.Sprint(i+1),
 			"-peers", peerList,
 			"-t", "1",
-			"-kv",
 			"-http", httpAddrs[i],
 			"-metrics", metricsAddrs[i],
 			"-trace-dir", filepath.Join(dir, "traces"),
@@ -229,55 +227,5 @@ func TestE2EClusterTelemetry(t *testing.T) {
 	// /debug/pprof/: the standard profiling handlers answer.
 	if _, err := httpGet(t, "http://"+metricsAddrs[0]+"/debug/pprof/cmdline", deadline); err != nil {
 		t.Fatalf("/debug/pprof/cmdline: %v", err)
-	}
-}
-
-// TestE2ESingleShot runs the single-shot mode the package comment shows:
-// four processes propose two different values over TCP and every one of
-// them prints the same decision and exits 0. Skipped under -short.
-func TestE2ESingleShot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e cluster test skipped in -short mode")
-	}
-	bin := buildBinary(t, t.TempDir(), "minsync-node", ".")
-	const n = 4
-	peerList := strings.Join(reservePorts(t, n), ",")
-	procs := make([]*exec.Cmd, n)
-	outs := make([]strings.Builder, n) // read only after Wait
-	for i := range procs {
-		procs[i] = exec.Command(bin,
-			"-id", fmt.Sprint(i+1),
-			"-peers", peerList,
-			"-t", "1",
-			"-propose", fmt.Sprintf("v%d", i%2),
-			"-unit", "30ms",
-			"-start-in", "1s",
-			"-wait", "60s",
-		)
-		procs[i].Stdout = &outs[i]
-		procs[i].Stderr = io.Discard
-		if err := procs[i].Start(); err != nil {
-			t.Fatalf("start process %d: %v", i+1, err)
-		}
-		t.Cleanup(func() { procs[i].Process.Kill() })
-	}
-	decided := regexp.MustCompile(`DECIDED "([^"]*)"`)
-	var want string
-	for i, p := range procs {
-		if err := p.Wait(); err != nil {
-			t.Fatalf("process %d: %v\n%s", i+1, err, outs[i].String())
-		}
-		m := decided.FindStringSubmatch(outs[i].String())
-		if m == nil {
-			t.Fatalf("process %d printed no decision:\n%s", i+1, outs[i].String())
-		}
-		if i == 0 {
-			want = m[1]
-		} else if m[1] != want {
-			t.Fatalf("process %d decided %q, process 1 %q", i+1, m[1], want)
-		}
-	}
-	if want != "v0" && want != "v1" {
-		t.Fatalf("decided %q, which nobody proposed", want)
 	}
 }

@@ -1,4 +1,4 @@
-// KV service mode: the replica runs the full state-machine stack — log
+// The KV replica: each process runs the full state-machine stack — log
 // engine, sm applier, kv store with client sessions — and serves clients
 // through one edge, the HTTP/JSON API (-http) from internal/httpapi:
 // POST /v1/tx, GET /v1/kv/{key}, GET /v1/status (see docs/api.md),
@@ -41,7 +41,7 @@ import (
 	"repro/internal/xtrace"
 )
 
-// kvOptions carries the serving-mode knobs from flag parsing.
+// kvOptions carries the replica's knobs from flag parsing.
 type kvOptions struct {
 	// HTTPAddr is the HTTP/JSON API listener ("" = no client edge).
 	// DataDir is the durable storage directory ("" = volatile): with it
@@ -314,7 +314,7 @@ func dumpFlight(tracer *xtrace.Tracer, dir, prefix, reason string) {
 	stdlog.Printf("flight recorder: %s, dumped %v", reason, paths)
 }
 
-// runKVServe runs the replica in serving mode: consensus with the peers,
+// runKVServe runs the replica: consensus with the peers,
 // the HTTP edge answering gets/puts through the admission pool.
 func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.ProcID, opts kvOptions) {
 	// Durable storage: open (or create) the data directory before the

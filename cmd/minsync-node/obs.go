@@ -8,7 +8,7 @@
 //	/statusz        one JSON document: node identity, applied position,
 //	                snapshot boundary, session count, transfer state;
 //	                ?trace=N appends the last N spans of the node's flight
-//	                recorder (kv mode with -trace-dir only)
+//	                recorder (with -trace-dir only)
 //	/debug/pprof/   the standard Go profiling handlers
 //
 // The counts are passive atomics — serving a scrape never touches the
@@ -52,10 +52,10 @@ type telemetry struct {
 	self    types.ProcID
 	params  types.Params
 	started time.Time
-	// status is the mode-specific probe, installed once serving starts.
+	// status is the replica's status probe, installed once serving starts.
 	// It may block up to statusTimeout (one node.Post round trip).
 	status atomic.Pointer[func() map[string]any]
-	// tracer is the kv mode's causal tracer, handed over by startKV; its
+	// tracer is the replica's causal tracer, handed over by startKV; its
 	// flight recorder answers /statusz?trace=N. Nil without -trace-dir.
 	tracer atomic.Pointer[xtrace.Tracer]
 }
@@ -98,7 +98,7 @@ func newTelemetry(addr string, self types.ProcID, params types.Params) *telemetr
 // nanoseconds): request accepted → response resolved.
 func (t *telemetry) observeLatency(d time.Duration) { t.latency.Observe(d.Nanoseconds()) }
 
-// setStatus installs the mode-specific /statusz probe.
+// setStatus installs the /statusz status probe.
 func (t *telemetry) setStatus(fn func() map[string]any) { t.status.Store(&fn) }
 
 func (t *telemetry) serveMetrics(w http.ResponseWriter, r *http.Request) {
@@ -118,7 +118,7 @@ func (t *telemetry) serveStatusz(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if rec == nil {
-			http.Error(w, "no flight recorder: ?trace=N needs a -kv node run with -trace-dir", http.StatusBadRequest)
+			http.Error(w, "no flight recorder: ?trace=N needs a node run with -trace-dir", http.StatusBadRequest)
 			return
 		}
 		window = n

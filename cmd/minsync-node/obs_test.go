@@ -120,13 +120,13 @@ func TestStatuszDuringSnapshotInstall(t *testing.T) {
 	}
 }
 
-// TestStatuszTraceNeedsRecorder: a node without a flight recorder
-// (single-shot mode, or -kv without -trace-dir) answers ?trace=N with 400
-// and says which flag it lacks; plain /statusz still answers.
+// TestStatuszTraceNeedsRecorder: a replica without a flight recorder (no
+// -trace-dir) answers ?trace=N with 400 and says which flag it lacks;
+// plain /statusz still answers.
 func TestStatuszTraceNeedsRecorder(t *testing.T) {
 	tel := newTelemetry("127.0.0.1:0", 1, types.Params{N: 4, T: 1})
 	defer tel.ln.Close()
-	tel.setStatus(func() map[string]any { return map[string]any{"mode": "single-shot"} })
+	tel.setStatus(func() map[string]any { return map[string]any{"mode": "kv"} })
 	base := "http://" + tel.ln.Addr().String() + "/statusz"
 	resp, err := http.Get(base + "?trace=1")
 	if err != nil {
@@ -147,7 +147,7 @@ func TestStatuszTraceNeedsRecorder(t *testing.T) {
 	}
 }
 
-// TestKVCountsWithoutListener: without -metrics a -kv node still builds
+// TestKVCountsWithoutListener: without -metrics a node still builds
 // its registry and counts into it — wire frames and commit latency
 // included — and opens no listener.
 func TestKVCountsWithoutListener(t *testing.T) {
@@ -292,7 +292,7 @@ func TestFarFutureFramesRetainNothing(t *testing.T) {
 
 // TestBenchmarkReadsExistingTelemetry is the contract between the live
 // node and benchmark/, a nested module tier-1 does not build: every
-// minsync_* series name its sources spell must appear on a `-kv` node's
+// minsync_* series name its sources spell must appear on a live node's
 // /metrics, and /statusz must still carry applied_entries (the
 // benchmark's convergence check). Renaming a counter then fails here
 // instead of silently zeroing a per-layer metric. The same goes for what
@@ -319,7 +319,7 @@ func TestBenchmarkReadsExistingTelemetry(t *testing.T) {
 		t.Fatal("benchmark/ names no minsync_* series; the contract is vacuous")
 	}
 
-	// The -kv telemetry exactly as main wires it, on an in-memory
+	// The telemetry exactly as main wires it, on an in-memory
 	// transport: telemetry listener, event loop, serving replica.
 	params := types.Params{N: 4, T: 1}
 	tel := newTelemetry("127.0.0.1:0", 1, params)
@@ -353,7 +353,7 @@ func TestBenchmarkReadsExistingTelemetry(t *testing.T) {
 	}
 	for name, file := range want {
 		if !have[name] {
-			t.Errorf("benchmark/%s reads %s, which a -kv node no longer exports", file, name)
+			t.Errorf("benchmark/%s reads %s, which a node no longer exports", file, name)
 		}
 	}
 	for _, name := range []string{
@@ -361,7 +361,7 @@ func TestBenchmarkReadsExistingTelemetry(t *testing.T) {
 		"minsync_rb_cache_drops_total", "minsync_rb_bad_frames_total",
 	} {
 		if !have[name] {
-			t.Errorf("a -kv node does not export the relay's %s", name)
+			t.Errorf("a node does not export the relay's %s", name)
 		}
 	}
 

@@ -86,3 +86,17 @@ func TestHaltStopsUndecidedEngine(t *testing.T) {
 		t.Fatal("second Halt re-canceled timers")
 	}
 }
+
+// Propose is one-shot: a second call fails.
+func TestProposeTwiceFails(t *testing.T) {
+	eng, err := New(Config{Env: &haltEnv{}, TimeUnit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Propose("v"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Propose("w"); err == nil || err.Error() != "core: Propose called twice" {
+		t.Fatalf("second propose: %v, want core: Propose called twice", err)
+	}
+}

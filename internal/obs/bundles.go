@@ -215,9 +215,9 @@ func NewPoolMetrics(r *Registry, labels string) *PoolMetrics {
 }
 
 // DedupMetrics counts what the first-message rule discarded on a
-// process: a proto.Node's drops on a single-shot host, a log engine's
-// loose-message drops on a replica (its vector entries count on
-// RBMetrics.DupEntries).
+// process: a log engine's loose-message drops on a replica (its vector
+// entries count on RBMetrics.DupEntries), or a proto.Node's drops in
+// front of a simulated single-shot engine or adversary behavior.
 type DedupMetrics struct {
 	// DroppedDuplicates counts messages killed by the first-message rule.
 	DroppedDuplicates *Counter

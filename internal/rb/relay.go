@@ -50,9 +50,13 @@ import (
 	"repro/internal/xtrace"
 )
 
-// HashLen is the truncated content-hash length of echo-by-hash entries
-// (16 bytes of SHA-256 — 128-bit collision resistance against adversaries
-// that choose values, far beyond the forgery budget of a t<n/3 system).
+// HashLen is the truncated content-hash length of echo-by-hash entries:
+// 16 bytes of SHA-256. The adversary chooses the hashed values (a
+// Byzantine batch proposer, a pull responder), so the bound that holds is
+// the birthday bound — about 2⁶⁴ hash evaluations find two values with
+// one truncated hash, and each such pair would let one hashed ECHO/READY
+// count toward both. That computational assumption is the relay's, not
+// the paper's (docs/paper-map.md lists it among the deviations).
 const HashLen = 16
 
 // InlineMax is the largest value carried inline in a vector entry;
@@ -816,7 +820,8 @@ func (r *Relay) learn(v types.Value, inst types.Instance, own bool) *cacheVal {
 // for every value it referenced by hash), while remote learns are held
 // to the cache byte budget. It returns v's cache entry, nil if v was not
 // cached. v must not be cached: cache and byVal hold the same entries, so
-// then h is not cached either (HashLen makes collisions infeasible).
+// then h is not cached either, unless two values share one truncated
+// hash, which this code assumes no one finds (HashLen's birthday bound).
 func (r *Relay) insert(h hashKey, v types.Value, inst types.Instance, own bool) *cacheVal {
 	refs := r.parked[h]
 	if len(refs) > 0 {

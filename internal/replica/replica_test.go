@@ -98,13 +98,13 @@ func runSim(t *testing.T, persist func(types.ProcID) store.Persister) map[types.
 
 func volatile(types.ProcID) store.Persister { return nil }
 
-// TestSameConfigBothRuntimes: the one Config, assembled under
-// harness.World and under four rt.Nodes on rt.MemNetwork, ends in the
-// same machine state — the simulator exercises the object production runs.
-func TestSameConfigBothRuntimes(t *testing.T) {
-	want := runSim(t, volatile)[1].Applier.StateDigest()
-
-	mn := rt.NewMemNetwork()
+// runLive assembles the one Config under four rt.Nodes on mn, submits
+// submit(id)'s commands at every replica but silent (0 = none silent),
+// whose node runs a handler that ignores everything, and returns the
+// applied StateDigest of each live replica once it has committed the whole
+// workload.
+func runLive(t *testing.T, mn *rt.MemNetwork, silent types.ProcID, submit func(types.ProcID) []types.Value) map[types.ProcID][32]byte {
+	t.Helper()
 	nodes := make(map[types.ProcID]*rt.Node)
 	reps := make(map[types.ProcID]*replica.Replica)
 	done := make(map[types.ProcID]chan struct{})
@@ -113,8 +113,14 @@ func TestSameConfigBothRuntimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer node.Stop()
+		t.Cleanup(node.Stop)
 		mn.Register(id, node)
+		if id == silent {
+			node.Start(func(proto.Env) proto.Handler {
+				return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
+			})
+			continue
+		}
 		nodes[id], done[id] = node, make(chan struct{})
 	}
 	for id, node := range nodes {
@@ -136,9 +142,9 @@ func TestSameConfigBothRuntimes(t *testing.T) {
 		}
 	}
 	for id, node := range nodes {
-		rep := reps[id]
+		rep, cmds := reps[id], submit(id)
 		node.Post(func() {
-			for _, c := range workload() {
+			for _, c := range cmds {
 				_ = rep.Engine.Submit(c)
 			}
 			if err := rep.Engine.Start(); err != nil {
@@ -146,6 +152,7 @@ func TestSameConfigBothRuntimes(t *testing.T) {
 			}
 		})
 	}
+	digests := make(map[types.ProcID][32]byte)
 	timeout := time.After(time.Minute)
 	for id, node := range nodes {
 		select {
@@ -155,8 +162,51 @@ func TestSameConfigBothRuntimes(t *testing.T) {
 		}
 		got := make(chan [32]byte, 1)
 		node.Post(func() { got <- reps[id].Applier.StateDigest() })
-		if d := <-got; d != want {
+		digests[id] = <-got
+	}
+	return digests
+}
+
+// TestSameConfigBothRuntimes: the one Config, assembled under
+// harness.World and under four rt.Nodes on rt.MemNetwork, ends in the
+// same machine state — the simulator exercises the object production runs.
+func TestSameConfigBothRuntimes(t *testing.T) {
+	want := runSim(t, volatile)[1].Applier.StateDigest()
+	all := func(types.ProcID) []types.Value { return workload() }
+	for id, d := range runLive(t, rt.NewMemNetwork(), 0, all) {
+		if d != want {
 			t.Errorf("live replica %v state %x, simulated %x", id, d[:8], want[:8])
+		}
+	}
+}
+
+// TestSilentReplicaOverMemNetwork: with replica 4 silent from the start
+// (within t = 1) and every link delayed by its own 0–2 ms, replicas 1–3
+// each submit a disjoint third of the workload and still all commit all
+// of it into one machine state: n−t quorums, joins and the commands INITs
+// forward carry the rest in real time.
+func TestSilentReplicaOverMemNetwork(t *testing.T) {
+	mn := rt.NewMemNetwork()
+	mn.Delay = func(from, to types.ProcID) time.Duration {
+		return time.Duration((int(from)+int(to))%3) * time.Millisecond
+	}
+	third := func(id types.ProcID) []types.Value {
+		var mine []types.Value
+		for i, c := range workload() {
+			if i%3 == int(id)-1 {
+				mine = append(mine, c)
+			}
+		}
+		return mine
+	}
+	digests := runLive(t, mn, 4, third)
+	if len(digests) != 3 {
+		t.Fatalf("%d live replicas, want 3", len(digests))
+	}
+	want := digests[1]
+	for id, d := range digests {
+		if d != want {
+			t.Errorf("replica %v state %x, p1 %x", id, d[:8], want[:8])
 		}
 	}
 }
@@ -248,7 +298,7 @@ func TestCommandlessInstancesStayCompacted(t *testing.T) {
 	reps := make(map[types.ProcID]*replica.Replica)
 	for _, id := range correct {
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
-			cfg := replica.Config{ // the -kv flag defaults of cmd/minsync-node
+			cfg := replica.Config{ // the flag defaults of cmd/minsync-node
 				Env:             env,
 				SnapshotEvery:   16,
 				SnapshotRefresh: replica.DefaultSnapshotRefresh,

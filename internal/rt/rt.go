@@ -1,22 +1,22 @@
 // Package rt hosts the (simulation-agnostic) protocol code on real time:
 // each process becomes a goroutine event loop, timers are real timers, and
 // messages move over a pluggable transport — in-memory channels for
-// single-binary demos, TCP (internal/netx) for multi-process deployments.
+// tests (MemNetwork), TCP (internal/netx) for multi-process deployments.
+// Its one production handler is a KV replica (internal/replica), which
+// cmd/minsync-node runs.
 //
 // The protocol engines (internal/core and below) are single-threaded by
 // design; the Node event loop preserves that: every message, timer and
-// proposal is executed on the loop goroutine.
+// submitted command is executed on the loop goroutine.
 package rt
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -393,146 +393,4 @@ func (ep *memEndpoint) Send(to types.ProcID, m proto.Message) error {
 	}
 	time.AfterFunc(delay, func() { target.Deliver(from, m) })
 	return nil
-}
-
-// --- Cluster ------------------------------------------------------------------
-
-// Cluster runs a full consensus instance across real-time nodes (in-memory
-// transport), exposing a blocking user API: Propose then Wait.
-type Cluster struct {
-	params  types.Params
-	net     *MemNetwork
-	nodes   map[types.ProcID]*Node
-	engines map[types.ProcID]*core.Engine
-
-	mu        sync.Mutex
-	decisions map[types.ProcID]types.Value
-	decidedCh chan struct{} // closed when all correct processes decided
-	expect    int
-}
-
-// ClusterConfig configures NewCluster.
-type ClusterConfig struct {
-	// Params are the (n, t, m) parameters.
-	Params types.Params
-	// Engine carries the protocol knobs (Env/OnDecide overwritten).
-	Engine core.Config
-	// Delay optionally injects per-message delays.
-	Delay func(from, to types.ProcID) time.Duration
-	// Silent lists processes to run as crashed (testing resilience).
-	Silent []types.ProcID
-}
-
-// NewCluster builds and starts n real-time nodes.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if err := cfg.Params.Validate(cfg.Engine.BotMode); err != nil {
-		return nil, fmt.Errorf("rt: %w", err)
-	}
-	silent := make(map[types.ProcID]bool, len(cfg.Silent))
-	for _, id := range cfg.Silent {
-		silent[id] = true
-	}
-	if len(silent) > cfg.Params.T {
-		return nil, fmt.Errorf("rt: %d silent processes exceed t=%d", len(silent), cfg.Params.T)
-	}
-	c := &Cluster{
-		params:    cfg.Params,
-		net:       NewMemNetwork(),
-		nodes:     make(map[types.ProcID]*Node),
-		engines:   make(map[types.ProcID]*core.Engine),
-		decisions: make(map[types.ProcID]types.Value),
-		decidedCh: make(chan struct{}),
-		expect:    cfg.Params.N - len(silent),
-	}
-	c.net.Delay = cfg.Delay
-	for _, id := range cfg.Params.AllProcs() {
-		id := id
-		node, err := NewNode(NodeConfig{
-			ID:        id,
-			Params:    cfg.Params,
-			Transport: c.net.Attach(id),
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.nodes[id] = node
-		c.net.Register(id, node)
-		if silent[id] {
-			node.Start(func(proto.Env) proto.Handler {
-				return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
-			})
-			continue
-		}
-		var engErr error
-		node.Start(func(env proto.Env) proto.Handler {
-			ecfg := cfg.Engine
-			ecfg.Env = env
-			ecfg.OnDecide = func(v types.Value) { c.recordDecision(id, v) }
-			eng, err := core.New(ecfg)
-			if err != nil {
-				engErr = err
-				return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
-			}
-			c.engines[id] = eng
-			return proto.NewNode(eng, nil)
-		})
-		if engErr != nil {
-			c.Stop()
-			return nil, fmt.Errorf("rt: engine %v: %w", id, engErr)
-		}
-	}
-	return c, nil
-}
-
-func (c *Cluster) recordDecision(id types.ProcID, v types.Value) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.decisions[id]; dup {
-		return
-	}
-	c.decisions[id] = v
-	if len(c.decisions) == c.expect {
-		close(c.decidedCh)
-	}
-}
-
-// Propose submits process id's value (posted onto its loop).
-func (c *Cluster) Propose(id types.ProcID, v types.Value) error {
-	eng, ok := c.engines[id]
-	if !ok {
-		return fmt.Errorf("rt: no engine for %v", id)
-	}
-	errCh := make(chan error, 1)
-	if !c.nodes[id].Post(func() { errCh <- eng.Propose(v) }) {
-		return fmt.Errorf("rt: node %v stopped", id)
-	}
-	return <-errCh
-}
-
-// Wait blocks until every non-silent process decided (or ctx ends) and
-// returns the decision map.
-func (c *Cluster) Wait(ctx context.Context) (map[types.ProcID]types.Value, error) {
-	select {
-	case <-c.decidedCh:
-	case <-ctx.Done():
-		return c.snapshot(), ctx.Err()
-	}
-	return c.snapshot(), nil
-}
-
-func (c *Cluster) snapshot() map[types.ProcID]types.Value {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[types.ProcID]types.Value, len(c.decisions))
-	for id, v := range c.decisions {
-		out[id] = v
-	}
-	return out
-}
-
-// Stop shuts all nodes down.
-func (c *Cluster) Stop() {
-	for _, n := range c.nodes {
-		n.Stop()
-	}
 }

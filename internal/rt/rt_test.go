@@ -1,127 +1,26 @@
 package rt_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/rt"
 	"repro/internal/types"
 )
 
-func TestClusterUnanimous(t *testing.T) {
-	c, err := rt.NewCluster(rt.ClusterConfig{
-		Params: types.Params{N: 4, T: 1, M: 2},
-		Engine: core.Config{TimeUnit: types.Duration(20 * time.Millisecond)},
-	})
-	if err != nil {
-		t.Fatal(err)
+// NewNode refuses a system the paper cannot run (t ≥ n/3) and a node
+// with nowhere to send.
+func TestNewNodeValidation(t *testing.T) {
+	if _, err := rt.NewNode(rt.NodeConfig{ID: 1, Params: types.Params{N: 3, T: 1}, Transport: nullTransport{}}); err == nil {
+		t.Error("n=3, t=1 (t ≥ n/3) must fail")
 	}
-	defer c.Stop()
-	for i := 1; i <= 4; i++ {
-		if err := c.Propose(types.ProcID(i), "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	decisions, err := c.Wait(ctx)
-	if err != nil {
-		t.Fatalf("wait: %v (decisions %v)", err, decisions)
-	}
-	for id, v := range decisions {
-		if v != "v" {
-			t.Fatalf("%v decided %q", id, v)
-		}
-	}
-	if len(decisions) != 4 {
-		t.Fatalf("decisions = %v", decisions)
-	}
-}
-
-func TestClusterMixedWithSilentFault(t *testing.T) {
-	c, err := rt.NewCluster(rt.ClusterConfig{
-		Params: types.Params{N: 4, T: 1, M: 2},
-		Engine: core.Config{TimeUnit: types.Duration(20 * time.Millisecond)},
-		Silent: []types.ProcID{4},
-		Delay: func(from, to types.ProcID) time.Duration {
-			return time.Duration((int(from)+int(to))%3) * time.Millisecond
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	proposals := map[types.ProcID]types.Value{1: "a", 2: "b", 3: "a"}
-	for id, v := range proposals {
-		if err := c.Propose(id, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	decisions, err := c.Wait(ctx)
-	if err != nil {
-		t.Fatalf("wait: %v (decisions %v)", err, decisions)
-	}
-	var ref types.Value
-	for id, v := range decisions {
-		if ref == "" {
-			ref = v
-		}
-		if v != ref {
-			t.Fatalf("disagreement: %v decided %q, others %q", id, v, ref)
-		}
-		if v != "a" && v != "b" {
-			t.Fatalf("invalid decision %q", v)
-		}
-	}
-	if len(decisions) != 3 {
-		t.Fatalf("decisions = %v", decisions)
-	}
-}
-
-func TestClusterValidation(t *testing.T) {
-	if _, err := rt.NewCluster(rt.ClusterConfig{
-		Params: types.Params{N: 3, T: 1, M: 1},
-		Engine: core.Config{TimeUnit: types.Duration(time.Millisecond)},
-	}); err == nil {
-		t.Error("t ≥ n/3 must fail")
-	}
-	if _, err := rt.NewCluster(rt.ClusterConfig{
-		Params: types.Params{N: 4, T: 1, M: 2},
-		Engine: core.Config{TimeUnit: types.Duration(time.Millisecond)},
-		Silent: []types.ProcID{3, 4},
-	}); err == nil {
-		t.Error("silent > t must fail")
-	}
-}
-
-func TestProposeErrors(t *testing.T) {
-	c, err := rt.NewCluster(rt.ClusterConfig{
-		Params: types.Params{N: 4, T: 1, M: 2},
-		Engine: core.Config{TimeUnit: types.Duration(20 * time.Millisecond)},
-		Silent: []types.ProcID{4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	if err := c.Propose(4, "v"); err == nil {
-		t.Error("proposing at a silent process must fail")
-	}
-	if err := c.Propose(1, "v"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Propose(1, "w"); err == nil {
-		t.Error("second propose must fail")
+	if _, err := rt.NewNode(rt.NodeConfig{ID: 1, Params: types.Params{N: 4, T: 1}}); err == nil {
+		t.Error("a nil transport must fail")
 	}
 }
 
@@ -271,13 +170,16 @@ func TestDeliverAllocatesNothing(t *testing.T) {
 }
 
 func TestNodeStopIdempotent(t *testing.T) {
-	c, err := rt.NewCluster(rt.ClusterConfig{
-		Params: types.Params{N: 4, T: 1, M: 2},
-		Engine: core.Config{TimeUnit: types.Duration(time.Millisecond)},
-	})
+	node, err := rt.NewNode(rt.NodeConfig{ID: 1, Params: types.Params{N: 4, T: 1}, Transport: nullTransport{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Stop()
-	c.Stop() // double stop must not panic or deadlock
+	node.Start(func(proto.Env) proto.Handler {
+		return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
+	})
+	node.Stop()
+	node.Stop() // double stop must not panic or deadlock
+	if node.Post(func() {}) {
+		t.Error("Post accepted work after Stop")
+	}
 }

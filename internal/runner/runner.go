@@ -1,7 +1,7 @@
 // Package runner orchestrates complete executions on the simulation
 // harness. Run places one single-shot core.Engine per correct process;
 // RunKV places one replica of the KV service per correct process, built
-// by replica.New — the assembly minsync-node -kv runs. Both place the
+// by replica.New — the assembly minsync-node runs. Both place the
 // requested Byzantine behaviors, run the world to completion (or deadline
 // / event budget), and collect what the run did into a Result or
 // KVResult. Tests, benchmarks, the scenario engine and the public minsync

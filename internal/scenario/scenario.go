@@ -191,7 +191,7 @@ const (
 	// WorkConsensus is one single-shot consensus execution.
 	WorkConsensus WorkKind = iota + 1
 	// WorkKV is a replicated-KV-service run, each correct replica built
-	// by replica.New as minsync-node -kv builds it: a command stream
+	// by replica.New as minsync-node builds it: a command stream
 	// totally ordered by pipelined consensus instances (⊥-validity
 	// variant), applied to a key-value store with client sessions, with
 	// optional snapshots, log compaction, durable crash-restart and peer

@@ -34,7 +34,7 @@ type KVResponse = kv.Response
 // client commands totally ordered by a pipeline of consensus instances
 // (each one full execution of the paper's algorithm in its §7 ⊥-validity
 // variant), applied by a state-machine applier to a key-value store with
-// client sessions — the replica minsync-node -kv runs, on the
+// client sessions — the replica minsync-node runs, on the
 // discrete-event simulator.
 //
 // The client model is the classic BFT one: every command is submitted to

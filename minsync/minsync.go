@@ -27,7 +27,7 @@
 // decisions, rounds, latency, message counts and (optionally) a property
 // report. SimulateKV runs many decisions: a replicated key-value service
 // whose client commands are totally ordered by pipelined consensus
-// instances, every correct replica assembled exactly as minsync-node -kv
+// instances, every correct replica assembled exactly as minsync-node
 // assembles one. The scenario functions run the curated fault × network
 // × workload matrix over both.
 package minsync
