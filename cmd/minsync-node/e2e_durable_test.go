@@ -45,6 +45,7 @@ type liveCluster struct {
 	procs    []*exec.Cmd       // nil while a replica is down
 	logs     []*syncBuffer     // stderr of each replica's current incarnation
 	seqs     map[uint64]uint64 // last sequence number used per session
+	startIn  string            // -start-in of replicas started from now on
 }
 
 const clusterN = 4
@@ -85,6 +86,7 @@ func newCluster(t *testing.T, durable ...int) *liveCluster {
 		procs:    make([]*exec.Cmd, clusterN),
 		logs:     make([]*syncBuffer, clusterN),
 		seqs:     make(map[uint64]uint64),
+		startIn:  "1s",
 	}
 	c.peerList = strings.Join(reservePorts(t, clusterN), ",")
 	for _, addr := range reservePorts(t, clusterN) {
@@ -112,7 +114,7 @@ func (c *liveCluster) start(i int) {
 		"-metrics", c.metrics[i],
 		"-snapshot-every", "4",
 		"-unit", "50ms",
-		"-start-in", "1s",
+		"-start-in", c.startIn,
 		"-wait", "60s",
 	}
 	if dir := c.dataDirs[i]; dir != "" {
@@ -167,19 +169,31 @@ func tail(s string, lines int) string {
 	return strings.Join(kept[max(0, len(kept)-lines):], "\n")
 }
 
-// status fetches replica i's status document (/v1/status); ok is false
-// while it is down or not serving yet.
-func (c *liveCluster) status(i int) (doc map[string]float64, ok bool) {
-	resp, err := http.Get(c.urls[i] + "/v1/status")
+// statusClient bounds a status fetch: a booting replica holds its HTTP
+// port bound but does not answer until its boot wait ends.
+var statusClient = &http.Client{Timeout: 5 * time.Second}
+
+// statusDoc fetches replica i's whole status document (/v1/status); ok
+// is false while it is down or not serving yet.
+func (c *liveCluster) statusDoc(i int) (doc map[string]any, ok bool) {
+	resp, err := statusClient.Get(c.urls[i] + "/v1/status")
 	if err != nil {
 		return nil, false
 	}
 	defer resp.Body.Close()
-	var raw map[string]any
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&raw) != nil {
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&doc) != nil {
 		return nil, false
 	}
-	if _, degraded := raw["error"]; degraded {
+	if _, degraded := doc["error"]; degraded {
+		return nil, false
+	}
+	return doc, true
+}
+
+// status is statusDoc's numeric fields.
+func (c *liveCluster) status(i int) (doc map[string]float64, ok bool) {
+	raw, ok := c.statusDoc(i)
+	if !ok {
 		return nil, false
 	}
 	doc = make(map[string]float64)

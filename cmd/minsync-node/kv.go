@@ -57,8 +57,11 @@ type kvOptions struct {
 	// TraceDir enables causal command tracing (internal/xtrace) and
 	// names the directory where the flight recorder dumps its span ring
 	// on a stall or lag signal ("" = tracing off).
-	TraceDir            string
-	Unit, Wait, StartIn time.Duration
+	TraceDir   string
+	Unit, Wait time.Duration
+	// StartIn is the longest the replica waits at boot for every peer
+	// link to connect before it opens the pipeline and the HTTP edge.
+	StartIn time.Duration
 }
 
 // kvEdge is the serving side behind the HTTP edge: the admission pool
@@ -71,6 +74,11 @@ type kvEdge struct {
 	rep    *replica.Replica // built on the node loop and only touched there
 	peers  []types.ProcID
 	tracer *xtrace.Tracer // nil = tracing off
+	// links is the TCP transport whose per-peer link state the status
+	// document reports; nil when the replica runs on another transport.
+	links *netx.Transport
+	// boot is how the boot wait ended, set once the pipeline opens.
+	boot atomic.Pointer[bootWait]
 	// done closes once -kv-target entries are applied; applied mirrors
 	// Applier.Applied() for the main goroutine's timeout message.
 	done    chan struct{}
@@ -170,6 +178,7 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 		tracer: tracer,
 		done:   make(chan struct{}),
 	}
+	edge.links, _ = tr.(*netx.Transport)
 
 	// progress runs on the loop after every commit and install: either
 	// can satisfy the -kv-target stop rule (an installed snapshot IS the
@@ -297,7 +306,53 @@ func (e *kvEdge) status() map[string]any {
 	doc["pool_deduped"] = ps.Deduped
 	doc["pool_shed"] = ps.Shed
 	doc["pool_expired"] = ps.Expired
+	// Link state is netx's (each link's own mutex), like the pool's.
+	if e.links != nil {
+		links := make(map[types.ProcID]string)
+		for p, up := range e.links.LinksUp() {
+			links[p] = "down"
+			if up {
+				links[p] = "up"
+			}
+		}
+		doc["links"] = links
+	}
+	if b := e.boot.Load(); b != nil {
+		doc["boot_wait_ms"] = float64(b.waited.Microseconds()) / 1e3
+		doc["boot_ended_by"] = b.endedBy
+	}
 	return doc
+}
+
+// bootWait is how long a replica waited at boot, and what ended the wait:
+// "links" (every peer link connected) or "start-in" (the ceiling passed
+// with the peers in down still unconnected).
+type bootWait struct {
+	waited  time.Duration
+	endedBy string
+	down    []types.ProcID
+}
+
+// awaitLinks waits until every peer link of tr has connected or ceiling
+// passes, whichever comes first.
+func awaitLinks(tr *netx.Transport, ceiling time.Duration) *bootWait {
+	start := time.Now()
+	timer := time.NewTimer(ceiling)
+	defer timer.Stop()
+	b := &bootWait{endedBy: "links"}
+	select {
+	case <-tr.Ready():
+	case <-timer.C:
+		b.endedBy = "start-in"
+		for p, up := range tr.LinksUp() {
+			if !up {
+				b.down = append(b.down, p)
+			}
+		}
+		slices.Sort(b.down)
+	}
+	b.waited = time.Since(start)
+	return b
 }
 
 // dumpFlight writes the tracer's flight recorder into dir (merge the
@@ -333,15 +388,16 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 	if err != nil {
 		stdlog.Fatal(err)
 	}
-	time.Sleep(opts.StartIn) // let peers come up before opening the pipeline
-	node.Post(func() {
-		if err := edge.rep.Engine.Start(); err != nil {
-			stdlog.Printf("start: %v", err)
-		}
-	})
 
+	// The HTTP edge binds before the boot wait and serves after it: a held
+	// port fails the boot at once, and no peer's outgoing connection can
+	// take the port while the replica waits.
+	var (
+		api *httpapi.Server
+		hln net.Listener
+	)
 	if opts.HTTPAddr != "" {
-		api, err := httpapi.New(httpapi.Config{
+		api, err = httpapi.New(httpapi.Config{
 			Pool:           edge.pool,
 			Propose:        edge.propose,
 			Read:           edge.read,
@@ -354,11 +410,28 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 		if err != nil {
 			stdlog.Fatal(err)
 		}
-		hln, err := net.Listen("tcp", opts.HTTPAddr)
+		hln, err = net.Listen("tcp", opts.HTTPAddr)
 		if err != nil {
 			stdlog.Fatal(err)
 		}
 		defer hln.Close()
+	}
+
+	// The pipeline and the edge open once every peer link is up, or at the
+	// -start-in ceiling if some peer never listens.
+	boot := awaitLinks(tr, opts.StartIn)
+	edge.boot.Store(boot)
+	if boot.endedBy == "links" {
+		stdlog.Printf("process %v: every peer link up after %v (-start-in %v): opening", self, boot.waited.Round(time.Microsecond), opts.StartIn)
+	} else {
+		stdlog.Printf("process %v: -start-in %v passed with the links to %v down: opening", self, opts.StartIn, boot.down)
+	}
+	node.Post(func() {
+		if err := edge.rep.Engine.Start(); err != nil {
+			stdlog.Printf("start: %v", err)
+		}
+	})
+	if hln != nil {
 		go (&http.Server{Handler: api}).Serve(hln)
 		stdlog.Printf("HTTP API on http://%s (/v1/tx, /v1/kv/{key}, /v1/status)", hln.Addr())
 	}

@@ -83,27 +83,41 @@ func EncodeBatch(cmds []types.Value) types.Value {
 // DecodeBatch parses an encoded batch. It is defensive: although consensus
 // validity guarantees a decided non-⊥ value was proposed by a correct
 // process, the log engine never trusts that an arbitrary value parses.
+//
+// The commands are substrings of v, sharing its bytes: a first pass
+// validates and counts, so the result is the only allocation.
 func DecodeBatch(v types.Value) ([]types.Value, error) {
-	b := []byte(v)
-	if len(b) < 1 || b[0] != batchMagic {
-		return nil, fmt.Errorf("log: not a batch value (%d bytes)", len(b))
+	if len(v) < 1 || v[0] != batchMagic {
+		return nil, fmt.Errorf("log: not a batch value (%d bytes)", len(v))
 	}
-	b = b[1:]
-	var cmds []types.Value
-	for len(b) > 0 {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("log: truncated command length (%d bytes left)", len(b))
+	count := 0
+	for off := 1; off < len(v); {
+		if len(v)-off < 4 {
+			return nil, fmt.Errorf("log: truncated command length (%d bytes left)", len(v)-off)
 		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint64(n) > uint64(len(b)) {
-			return nil, fmt.Errorf("log: command length %d exceeds remaining %d bytes", n, len(b))
+		n := cmdLen(v, off)
+		off += 4
+		if uint64(n) > uint64(len(v)-off) {
+			return nil, fmt.Errorf("log: command length %d exceeds remaining %d bytes", n, len(v)-off)
 		}
-		cmds = append(cmds, types.Value(b[:n]))
-		b = b[n:]
-		if len(cmds) > MaxBatchCmds {
+		off += int(n)
+		if count++; count > MaxBatchCmds {
 			return nil, fmt.Errorf("log: batch exceeds %d commands", MaxBatchCmds)
 		}
 	}
+	if count == 0 {
+		return nil, nil
+	}
+	cmds := make([]types.Value, count)
+	for i, off := 0, 1; i < count; i++ {
+		n := int(cmdLen(v, off))
+		cmds[i] = v[off+4 : off+4+n]
+		off += 4 + n
+	}
 	return cmds, nil
+}
+
+// cmdLen reads the little-endian u32 length prefix at v[off:].
+func cmdLen(v types.Value, off int) uint32 {
+	return uint32(v[off]) | uint32(v[off+1])<<8 | uint32(v[off+2])<<16 | uint32(v[off+3])<<24
 }

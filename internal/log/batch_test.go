@@ -2,6 +2,7 @@ package log
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,4 +92,42 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDecodeBatchOneAllocation: the commands share the batch's bytes, so
+// decoding a batch allocates the result slice and nothing else.
+func TestDecodeBatchOneAllocation(t *testing.T) {
+	cmds := make([]types.Value, 32)
+	for i := range cmds {
+		cmds[i] = types.Value(fmt.Sprintf("put key-%d value-%d", i, i))
+	}
+	v := EncodeBatch(cmds)
+	var got []types.Value
+	allocs := testing.AllocsPerRun(100, func() {
+		got, _ = DecodeBatch(v)
+	})
+	if allocs != 1 {
+		t.Fatalf("DecodeBatch of %d commands: %v allocations, want 1", len(cmds), allocs)
+	}
+	if len(got) != len(cmds) || got[31] != cmds[31] {
+		t.Fatalf("decoded %q", got)
+	}
+}
+
+// FuzzDecodeBatch: DecodeBatch never panics on arbitrary bytes, and
+// whatever it accepts re-encodes to exactly its input.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add([]byte(EncodeBatch(nil)))
+	f.Add([]byte(EncodeBatch([]types.Value{"abc", "", "de"})))
+	f.Add([]byte(types.BotValue))
+	f.Add([]byte{batchMagic, 0xFF, 0xFF, 0xFF, 0x7F})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cmds, err := DecodeBatch(types.Value(b))
+		if err != nil {
+			return
+		}
+		if re := EncodeBatch(cmds); re != types.Value(b) {
+			t.Fatalf("%x decoded to %q, which encodes to %x", b, cmds, re)
+		}
+	})
 }

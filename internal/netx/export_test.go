@@ -1,6 +1,8 @@
 package netx
 
 import (
+	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -15,6 +17,22 @@ func ShortenStallTimeout(t *testing.T, d time.Duration) {
 	stallTimeout = d
 	t.Cleanup(func() { stallTimeout = old })
 }
+
+// WatchDials makes transports Listened by t after this call report
+// every dial attempt of their links to watch, with the address and the
+// moment it starts, before dialling as usual.
+func WatchDials(t *testing.T, watch func(addr string, at time.Time)) {
+	old := dialTCP
+	dialTCP = func(ctx context.Context, timeout time.Duration, addr string) (net.Conn, error) {
+		watch(addr, time.Now())
+		return old(ctx, timeout, addr)
+	}
+	t.Cleanup(func() { dialTCP = old })
+}
+
+// MinBackoff and MaxBackoff are the first and the largest wait after a
+// failed dial.
+const MinBackoff, MaxBackoff = minBackoff, maxBackoff
 
 // MaxFrame is the inbound frame bound.
 const MaxFrame = maxFrame

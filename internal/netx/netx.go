@@ -3,6 +3,9 @@
 // pair, with an identification handshake. Each peer has a link: Send
 // queues on it and returns, and the link's writer goroutine dials, writes
 // and fails on its own time, so the caller's step never waits for a peer.
+// Every link dials its peer at boot, before any frame asks for it, and
+// Ready reports when all of them have connected: a process can open for
+// business when its channels exist rather than after a guessed delay.
 // Multicast queues one encoding of a message on several links. Inbound, a
 // frame that fits the connection's read buffer is decoded where it lies.
 //
@@ -25,6 +28,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -55,6 +59,14 @@ const (
 // decides the peer is not reading. A variable only so that the package's
 // tests can shorten it (export_test.go); Listen copies it.
 var stallTimeout = 5 * time.Second
+
+// dialTCP opens a link's connection. A variable only so that the
+// package's tests can watch the attempts (export_test.go); Listen copies
+// it.
+var dialTCP = func(ctx context.Context, timeout time.Duration, addr string) (net.Conn, error) {
+	d := net.Dialer{Timeout: timeout}
+	return d.DialContext(ctx, "tcp", addr)
+}
 
 // RecvFunc consumes inbound messages. It is called from per-connection
 // reader goroutines; callers must serialize internally (internal/rt posts
@@ -87,6 +99,12 @@ type Transport struct {
 	ln    net.Listener
 	links map[types.ProcID]*link // one per peer, fixed by Listen
 	stall time.Duration
+	dialF func(ctx context.Context, timeout time.Duration, addr string) (net.Conn, error)
+
+	// ready closes once every link has connected; unready counts the
+	// links that have not yet.
+	ready   chan struct{}
+	unready atomic.Int32
 
 	ctx    context.Context // cancelled by Close
 	cancel context.CancelFunc
@@ -128,8 +146,14 @@ func Listen(cfg Config) (*Transport, error) {
 		ln:     ln,
 		links:  make(map[types.ProcID]*link, len(cfg.Addrs)),
 		stall:  stallTimeout,
+		dialF:  dialTCP,
+		ready:  make(chan struct{}),
 		ctx:    ctx,
 		cancel: cancel,
+	}
+	peers := int32(len(cfg.Addrs) - 1)
+	if t.unready.Store(peers); peers == 0 {
+		close(t.ready)
 	}
 	for id, addr := range cfg.Addrs {
 		if id == cfg.Self {
@@ -147,6 +171,23 @@ func Listen(cfg Config) (*Transport, error) {
 
 // Addr returns the actual listen address (useful with ":0").
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
+
+// Ready is closed once every peer link has connected at least once. A
+// peer that never listens keeps it open for good.
+func (t *Transport) Ready() <-chan struct{} { return t.ready }
+
+// LinksUp reports, per peer, whether its link holds a connection now. A
+// connection the peer has dropped still counts until the next write to it
+// fails.
+func (t *Transport) LinksUp() map[types.ProcID]bool {
+	up := make(map[types.ProcID]bool, len(t.links))
+	for id, l := range t.links {
+		l.mu.Lock()
+		up[id] = l.conn != nil
+		l.mu.Unlock()
+	}
+	return up
+}
 
 // NewMetrics builds the wire bundle of a transport whose peers are
 // peers, registered in r when r is non-nil: one series per wire kind
@@ -297,13 +338,13 @@ type frame struct {
 }
 
 // link is the outbound channel to one peer. Send appends to its queue;
-// its writer goroutine owns everything that can block: the dial with
-// backoff, the handshake, and writev of the whole queue under a write
-// deadline. A connection that fails — dial refused, write error, or no
-// write progress for stallTimeout (the peer is not reading) — loses the
-// frames on it and queued behind it, counted as dropped; nothing is
-// resent, recovery is the protocol's (sm.Transfer). A healthy link never
-// drops.
+// its writer goroutine owns everything that can block: the boot probe,
+// the dial with backoff, the handshake, and writev of the whole queue
+// under a write deadline. A connection that fails — dial refused, write
+// error, or no write progress for stallTimeout (the peer is not reading)
+// — loses the frames on it and queued behind it, counted as dropped;
+// nothing is resent, recovery is the protocol's (sm.Transfer). A healthy
+// link never drops.
 type link struct {
 	t      *Transport
 	peer   types.ProcID
@@ -316,6 +357,9 @@ type link struct {
 	pending int      // bytes queued or being written
 	down    bool     // the last dial failed; refuse frames until the backoff ends
 	conn    net.Conn // written only by the writer (under mu), read by Close
+
+	// connected is set by the writer at the link's first connection.
+	connected bool
 
 	// Writer-owned scratch, reused across batches.
 	spare []frame
@@ -352,6 +396,7 @@ func (l *link) enqueue(f frame) error {
 func (l *link) run() {
 	defer l.t.wg.Done()
 	defer l.closeConn()
+	l.probe()
 	backoff := minBackoff
 	for {
 		select {
@@ -400,6 +445,31 @@ func (l *link) run() {
 	}
 }
 
+// probe dials the peer at boot, before any frame asks for it, so that
+// Ready can fire once the peer listens. A failed probe drops nothing and
+// refuses nothing; the next one waits out the same doubling backoff a
+// failed dial does. Probing ends at the first connection, at Close, or at
+// the first frame queued: from then on the link dials on demand, with a
+// fresh backoff.
+func (l *link) probe() {
+	backoff := minBackoff
+	for l.dial() != nil {
+		select {
+		case <-time.After(backoff):
+		case <-l.wake:
+			// Hand the frame's signal back to run.
+			select {
+			case l.wake <- struct{}{}:
+			default:
+			}
+			return
+		case <-l.t.ctx.Done():
+			return
+		}
+		backoff = min(2*backoff, maxBackoff)
+	}
+}
+
 // take hands the writer everything queued, swapping in the spare slice.
 func (l *link) take() []frame {
 	l.mu.Lock()
@@ -411,9 +481,9 @@ func (l *link) take() []frame {
 }
 
 // dial connects and sends the handshake: a 4-byte frame holding Self.
+// The link's first connection counts it towards Ready.
 func (l *link) dial() error {
-	d := net.Dialer{Timeout: l.t.cfg.DialTimeout}
-	c, err := d.DialContext(l.t.ctx, "tcp", l.addr)
+	c, err := l.t.dialF(l.t.ctx, l.t.cfg.DialTimeout, l.addr)
 	if err != nil {
 		return err
 	}
@@ -429,6 +499,12 @@ func (l *link) dial() error {
 	l.conn = c
 	l.mu.Unlock()
 	l.t.cfg.Metrics.Connects.Inc()
+	if !l.connected {
+		l.connected = true
+		if l.t.unready.Add(-1) == 0 {
+			close(l.t.ready)
+		}
+	}
 	return nil
 }
 

@@ -474,18 +474,26 @@ func TestCloseWithBlockedWriter(t *testing.T) {
 	silent, accepted := silentPeer(t)
 	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: silent}
 	a := listen(t, netx.Config{Self: 1, Addrs: addrs})
-	big := initMsg(1, strings.Repeat("x", 512<<10))
-	for i := 0; i < 64; i++ { // 32 MiB: more than loopback socket buffers hold
-		if err := a.Send(2, big); err != nil {
-			t.Fatal(err)
-		}
-	}
 	select {
 	case <-accepted:
 	case <-time.After(30 * time.Second):
 		t.Fatal("the writer never connected")
 	}
+	// One frame goes out first, so the writer has written before the
+	// rest arrive: a single writev of all 32 MiB (the whole queue, if the
+	// writer runs late) would never finish, and count nothing, against a
+	// peer that does not read.
+	waitReady(t, a)
+	big := initMsg(1, strings.Repeat("x", 512<<10))
+	if err := a.Send(2, big); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, "the writer has written", func() bool { return a.Sent() > 0 })
+	for i := 1; i < 64; i++ { // 32 MiB: more than loopback socket buffers hold
+		if err := a.Send(2, big); err != nil {
+			t.Fatal(err)
+		}
+	}
 	closed := make(chan struct{})
 	go func() {
 		a.Close()
@@ -498,23 +506,37 @@ func TestCloseWithBlockedWriter(t *testing.T) {
 	}
 }
 
+// lateTransport lets a node hold its transport before it is bound.
+type lateTransport struct{ *netx.Transport }
+
 func TestConsensusOverTCP(t *testing.T) {
 	// Full consensus across 4 real processes over loopback TCP — the
 	// end-to-end "production path" test: rt nodes + netx transports.
 	const n = 4
 	p := types.Params{N: n, T: 1, M: 2}
 
+	// Every node exists before its transport listens, as in minsync-node:
+	// links connect at boot, so a peer's first frames can arrive before
+	// the last node is built, and they wait in its inbox until Start. The
+	// transport is bound once the mesh is up; a node sends nothing
+	// before Start.
 	nodes := make(map[types.ProcID]*rt.Node, n)
+	sends := make(map[types.ProcID]*lateTransport, n)
 	recv := make(map[types.ProcID]netx.RecvFunc, n)
 	for i := 1; i <= n; i++ {
 		id := types.ProcID(i)
-		recv[id] = func(from types.ProcID, m proto.Message) {
-			if node := nodes[id]; node != nil {
-				node.Deliver(from, m)
-			}
+		sends[id] = &lateTransport{}
+		node, err := rt.NewNode(rt.NodeConfig{ID: id, Params: p, Transport: sends[id]})
+		if err != nil {
+			t.Fatal(err)
 		}
+		nodes[id] = node
+		recv[id] = node.Deliver
 	}
 	trs, _ := startMesh(t, n, recv)
+	for id, s := range sends {
+		s.Transport = trs[id]
+	}
 
 	var mu sync.Mutex
 	decisions := make(map[types.ProcID]types.Value)
@@ -522,13 +544,7 @@ func TestConsensusOverTCP(t *testing.T) {
 	engines := make(map[types.ProcID]*core.Engine, n)
 	for i := 1; i <= n; i++ {
 		id := types.ProcID(i)
-		node, err := rt.NewNode(rt.NodeConfig{
-			ID: id, Params: p, Transport: trs[id],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = node
+		node := nodes[id]
 		var engErr error
 		node.Start(func(env proto.Env) proto.Handler {
 			eng, err := core.New(core.Config{
@@ -589,5 +605,131 @@ func TestConsensusOverTCP(t *testing.T) {
 	}
 	if ref != "a" && ref != "b" {
 		t.Fatalf("invalid decision %q", ref)
+	}
+}
+
+// waitReady waits for tr to report every link connected; the deadline
+// only keeps a broken build from hanging.
+func waitReady(t *testing.T, tr *netx.Transport) {
+	t.Helper()
+	select {
+	case <-tr.Ready():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("never ready: links %v", tr.LinksUp())
+	}
+}
+
+func isReady(tr *netx.Transport) bool {
+	select {
+	case <-tr.Ready():
+		return true
+	default:
+		return false
+	}
+}
+
+// dialLog records the dial attempts every transport Listened after it is
+// made sends to one address.
+type dialLog struct {
+	mu sync.Mutex
+	at []time.Time
+}
+
+func watchDials(t *testing.T, addr string) *dialLog {
+	d := &dialLog{}
+	netx.WatchDials(t, func(to string, at time.Time) {
+		if to == addr {
+			d.mu.Lock()
+			d.at = append(d.at, at)
+			d.mu.Unlock()
+		}
+	})
+	return d
+}
+
+func (d *dialLog) attempts() []time.Time {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]time.Time(nil), d.at...)
+}
+
+// TestLinksConnectWithoutFrames: every link of a mesh dials its peer at
+// boot, so each transport becomes ready with exactly one connection per
+// peer and not a frame sent, received or dropped.
+func TestLinksConnectWithoutFrames(t *testing.T) {
+	const n = 4
+	trs, _ := startMesh(t, n, nil)
+	for id, tr := range trs {
+		waitReady(t, tr)
+		m := tr.Metrics()
+		if c := m.Connects.Value(); c != n-1 {
+			t.Errorf("transport %v: %d connects, want %d", id, c, n-1)
+		}
+		if tr.Sent() != 0 || tr.Received() != 0 || m.DroppedDown.Value() != 0 || m.DroppedStalled.Value() != 0 {
+			t.Errorf("transport %v: sent %d, received %d, dropped %d down and %d stalled; want none",
+				id, tr.Sent(), tr.Received(), m.DroppedDown.Value(), m.DroppedStalled.Value())
+		}
+		for p, up := range tr.LinksUp() {
+			if !up {
+				t.Errorf("transport %v: ready with its link to %v down", id, p)
+			}
+		}
+	}
+}
+
+// TestReadyWaitsForLateListener: a peer that starts listening after the
+// transport keeps it unready through failed probes; once it listens, the
+// next probe connects, Ready fires, and a frame sent then is delivered.
+func TestReadyWaitsForLateListener(t *testing.T) {
+	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
+	dials := watchDials(t, addrs[2])
+	a := listen(t, netx.Config{Self: 1, Addrs: addrs})
+	waitFor(t, "a second probe of the absent peer", func() bool { return len(dials.attempts()) >= 2 })
+	if isReady(a) || a.LinksUp()[2] {
+		t.Fatalf("ready (links %v) before the peer listens", a.LinksUp())
+	}
+
+	var c collect
+	listen(t, netx.Config{Self: 2, Addrs: addrs, Recv: c.recv(2)[2]})
+	waitReady(t, a)
+	if !a.LinksUp()[2] {
+		t.Fatal("ready with the link down")
+	}
+	msg := initMsg(1, "after ready")
+	if err := a.Send(2, msg); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the frame arrives", func() bool { return len(c.at(2)) == 1 })
+	if got := c.at(2)[0]; got != msg {
+		t.Fatalf("received %+v", got)
+	}
+	if c := a.Metrics().Connects.Value(); c != 1 {
+		t.Fatalf("%d connects, want the probe's one", c)
+	}
+}
+
+// TestAbsentPeerNeverReady: a peer nothing listens for keeps the
+// transport unready, and its probes are spaced by at least the doubling
+// backoff a failed dial has always waited.
+func TestAbsentPeerNeverReady(t *testing.T) {
+	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
+	dials := watchDials(t, addrs[2])
+	wm := wireMetrics(2)
+	a := listen(t, netx.Config{Self: 1, Addrs: addrs, Metrics: wm})
+	const probes = 6
+	waitFor(t, "six probes of the absent peer", func() bool { return len(dials.attempts()) >= probes })
+	at := dials.attempts()
+	wait := netx.MinBackoff
+	for i := 1; i < len(at); i++ {
+		if gap := at[i].Sub(at[i-1]); gap < wait {
+			t.Errorf("probe %d came %v after the one before, under the %v backoff", i+1, gap, wait)
+		}
+		wait = min(2*wait, netx.MaxBackoff)
+	}
+	if isReady(a) || a.LinksUp()[2] || wm.Connects.Value() != 0 {
+		t.Fatalf("ready %v, links %v, %d connects to a peer nothing listens for", isReady(a), a.LinksUp(), wm.Connects.Value())
+	}
+	if d := wm.DroppedDown.Value(); d != 0 {
+		t.Fatalf("probes dropped %d frames", d)
 	}
 }

@@ -199,6 +199,9 @@ func TestLogOverTCPStalledPeer(t *testing.T) {
 	runTCPLog(t, map[types.ProcID]string{4: ln.Addr().String()})
 }
 
+// lateTransport lets a node hold its transport before it is bound.
+type lateTransport struct{ *netx.Transport }
+
 // runTCPLog runs 20 commands through a 4-replica log over TCP transports
 // on localhost. The processes in absent are not started; they are
 // reachable at the given addresses, or not at all.
@@ -221,39 +224,35 @@ func runTCPLog(t *testing.T, absent map[types.ProcID]string) {
 		addrs[id] = ln.Addr().String()
 		ln.Close()
 	}
-	transports := make(map[types.ProcID]*netx.Transport, n)
+	// Every node exists before its transport listens, as in minsync-node:
+	// links connect at boot, so a peer's first frames can arrive before
+	// the last node is built, and they wait in its inbox until Start. The
+	// transport is bound once it listens; a node sends nothing before
+	// Start.
 	nodes := make(map[types.ProcID]*rt.Node, n)
 	for _, id := range params.AllProcs() {
 		if _, ok := absent[id]; ok {
 			continue
 		}
-		id := id
-		tr, err := netx.Listen(netx.Config{
-			Self:  id,
-			Addrs: addrs,
-			Recv: func(from types.ProcID, m proto.Message) {
-				if node := nodes[id]; node != nil {
-					node.Deliver(from, m)
-				}
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		transports[id] = tr
-	}
-	replicas := make([]*logReplica, 0, n)
-	for _, id := range params.AllProcs() {
-		tr, ok := transports[id]
-		if !ok {
-			continue
-		}
-		node, err := rt.NewNode(rt.NodeConfig{ID: id, Params: params, Transport: tr})
+		send := &lateTransport{}
+		node, err := rt.NewNode(rt.NodeConfig{ID: id, Params: params, Transport: send})
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes[id] = node
+		tr, err := netx.Listen(netx.Config{Self: id, Addrs: addrs, Recv: node.Deliver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		send.Transport = tr
+	}
+	replicas := make([]*logReplica, 0, n)
+	for _, id := range params.AllProcs() {
+		node, ok := nodes[id]
+		if !ok {
+			continue
+		}
 		defer node.Stop()
 		replicas = append(replicas, startLogReplica(t, node, target, 25*time.Millisecond))
 	}
