@@ -59,8 +59,8 @@ type kvOptions struct {
 	// on a stall or lag signal ("" = tracing off).
 	TraceDir   string
 	Unit, Wait time.Duration
-	// StartIn is the longest the replica waits at boot for every peer
-	// link to connect before it opens the pipeline and the HTTP edge.
+	// StartIn is the longest the replica waits at boot for links to n−t−1
+	// peers to connect before it opens the pipeline and the HTTP edge.
 	StartIn time.Duration
 }
 
@@ -308,14 +308,13 @@ func (e *kvEdge) status() map[string]any {
 	doc["pool_expired"] = ps.Expired
 	// Link state is netx's (each link's own mutex), like the pool's.
 	if e.links != nil {
-		links := make(map[types.ProcID]string)
-		for p, up := range e.links.LinksUp() {
-			links[p] = "down"
-			if up {
-				links[p] = "up"
-			}
+		states := make(map[types.ProcID]string)
+		queued := make(map[types.ProcID]int)
+		for p, st := range e.links.Links() {
+			states[p], queued[p] = st.State, st.QueueBytes
 		}
-		doc["links"] = links
+		doc["links"] = states
+		doc["link_queue_bytes"] = queued
 	}
 	if b := e.boot.Load(); b != nil {
 		doc["boot_wait_ms"] = float64(b.waited.Microseconds()) / 1e3
@@ -324,34 +323,34 @@ func (e *kvEdge) status() map[string]any {
 	return doc
 }
 
-// bootWait is how long a replica waited at boot, and what ended the wait:
-// "links" (every peer link connected) or "start-in" (the ceiling passed
-// with the peers in down still unconnected).
+// bootWait is how long a replica waited at boot, what ended the wait —
+// "quorum" (links to need peers connected) or "start-in" (the ceiling
+// passed first) — and the peers whose links were not up when it ended.
 type bootWait struct {
 	waited  time.Duration
 	endedBy string
 	down    []types.ProcID
 }
 
-// awaitLinks waits until every peer link of tr has connected or ceiling
+// awaitLinks waits until need peer links of tr have connected or ceiling
 // passes, whichever comes first.
-func awaitLinks(tr *netx.Transport, ceiling time.Duration) *bootWait {
+func awaitLinks(tr *netx.Transport, need int, ceiling time.Duration) *bootWait {
 	start := time.Now()
 	timer := time.NewTimer(ceiling)
 	defer timer.Stop()
-	b := &bootWait{endedBy: "links"}
+	b := &bootWait{endedBy: "quorum"}
 	select {
-	case <-tr.Ready():
+	case <-tr.Linked(need):
 	case <-timer.C:
 		b.endedBy = "start-in"
-		for p, up := range tr.LinksUp() {
-			if !up {
-				b.down = append(b.down, p)
-			}
-		}
-		slices.Sort(b.down)
 	}
 	b.waited = time.Since(start)
+	for p, st := range tr.Links() {
+		if st.State != netx.LinkUp {
+			b.down = append(b.down, p)
+		}
+	}
+	slices.Sort(b.down)
 	return b
 }
 
@@ -417,15 +416,15 @@ func runKVServe(node *rt.Node, tr *netx.Transport, tel *telemetry, self types.Pr
 		defer hln.Close()
 	}
 
-	// The pipeline and the edge open once every peer link is up, or at the
-	// -start-in ceiling if some peer never listens.
-	boot := awaitLinks(tr, opts.StartIn)
+	// The pipeline and the edge open once the replica reaches n−t
+	// processes, itself included — the most any step of the protocol waits
+	// for — or at the -start-in ceiling if fewer listen. A peer that
+	// listens later catches up as a restarted one does, by transfer.
+	params := node.Params()
+	boot := awaitLinks(tr, params.N-params.T-1, opts.StartIn)
 	edge.boot.Store(boot)
-	if boot.endedBy == "links" {
-		stdlog.Printf("process %v: every peer link up after %v (-start-in %v): opening", self, boot.waited.Round(time.Microsecond), opts.StartIn)
-	} else {
-		stdlog.Printf("process %v: -start-in %v passed with the links to %v down: opening", self, opts.StartIn, boot.down)
-	}
+	stdlog.Printf("process %v: opening on %s after %v (-start-in %v), links down: %v",
+		self, boot.endedBy, boot.waited.Round(time.Microsecond), opts.StartIn, boot.down)
 	node.Post(func() {
 		if err := edge.rep.Engine.Start(); err != nil {
 			stdlog.Printf("start: %v", err)

@@ -44,7 +44,7 @@ func main() {
 		unit     = flag.Duration("unit", 50*time.Millisecond, "EA round timer unit")
 		_        = flag.Bool("coalesce", true, "ignored (the relay is always on): benchmark/cluster.go still passes it; ROADMAP 13(c) deletes it")
 		wait     = flag.Duration("wait", 2*time.Minute, "give up after this long")
-		startIn  = flag.Duration("start-in", 2*time.Second, "longest to wait for every peer link before opening the pipeline and the HTTP edge")
+		startIn  = flag.Duration("start-in", 2*time.Second, "longest to wait for links to n−t−1 peers before opening the pipeline and the HTTP edge")
 
 		metricsF    = flag.String("metrics", "", "serve /metrics, /statusz and /debug/pprof/ on this address (empty = no listener; the node counts either way)")
 		traceDir    = flag.String("trace-dir", "", "attach causal command tracing and write flight-recorder dumps into this directory on a stall or lag signal (empty = off; merge dumps with minsync-trace)")

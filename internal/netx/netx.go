@@ -4,8 +4,10 @@
 // queues on it and returns, and the link's writer goroutine dials, writes
 // and fails on its own time, so the caller's step never waits for a peer.
 // Every link dials its peer at boot, before any frame asks for it, and
-// Ready reports when all of them have connected: a process can open for
-// business when its channels exist rather than after a guessed delay.
+// Linked(k) reports when k of them have connected: a process can open for
+// business once it reaches a quorum rather than after a guessed delay.
+// Each connection is watched for the peer closing it, so a link to a
+// peer that went away reads down before a write into it is lost.
 // Multicast queues one encoding of a message on several links. Inbound, a
 // frame that fits the connection's read buffer is decoded where it lies.
 //
@@ -101,10 +103,10 @@ type Transport struct {
 	stall time.Duration
 	dialF func(ctx context.Context, timeout time.Duration, addr string) (net.Conn, error)
 
-	// ready closes once every link has connected; unready counts the
-	// links that have not yet.
-	ready   chan struct{}
-	unready atomic.Int32
+	// linked[k] closes when the k-th link first connects (linked[0] at
+	// Listen); linkedN counts the links that have.
+	linked  []chan struct{}
+	linkedN atomic.Int32
 
 	ctx    context.Context // cancelled by Close
 	cancel context.CancelFunc
@@ -147,14 +149,14 @@ func Listen(cfg Config) (*Transport, error) {
 		links:  make(map[types.ProcID]*link, len(cfg.Addrs)),
 		stall:  stallTimeout,
 		dialF:  dialTCP,
-		ready:  make(chan struct{}),
+		linked: make([]chan struct{}, len(cfg.Addrs)),
 		ctx:    ctx,
 		cancel: cancel,
 	}
-	peers := int32(len(cfg.Addrs) - 1)
-	if t.unready.Store(peers); peers == 0 {
-		close(t.ready)
+	for k := range t.linked {
+		t.linked[k] = make(chan struct{})
 	}
+	close(t.linked[0])
 	for id, addr := range cfg.Addrs {
 		if id == cfg.Self {
 			continue
@@ -172,21 +174,49 @@ func Listen(cfg Config) (*Transport, error) {
 // Addr returns the actual listen address (useful with ":0").
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
 
-// Ready is closed once every peer link has connected at least once. A
-// peer that never listens keeps it open for good.
-func (t *Transport) Ready() <-chan struct{} { return t.ready }
+// Linked is closed once k peer links have connected for the first time;
+// Linked(0) is closed at once. It stays open while fewer than k peers
+// have ever listened, so for a k above the number of peers it never
+// closes.
+func (t *Transport) Linked(k int) <-chan struct{} {
+	if k >= len(t.linked) {
+		return make(chan struct{})
+	}
+	return t.linked[max(k, 0)]
+}
 
-// LinksUp reports, per peer, whether its link holds a connection now. A
-// connection the peer has dropped still counts until the next write to it
-// fails.
-func (t *Transport) LinksUp() map[types.ProcID]bool {
-	up := make(map[types.ProcID]bool, len(t.links))
+// The states LinkStatus reports.
+const (
+	// LinkUp: the link holds a connection the peer has not closed.
+	LinkUp = "up"
+	// LinkDown: no connection; the next frame dials.
+	LinkDown = "down"
+	// LinkBackoff: the last dial failed, and frames are refused until the
+	// backoff ends.
+	LinkBackoff = "backoff"
+)
+
+// LinkStatus is one link's state as Links reports it.
+type LinkStatus struct {
+	State      string // LinkUp, LinkDown or LinkBackoff
+	QueueBytes int    // accepted by Send and not yet written
+}
+
+// Links reports every peer link's state, each read under its own mutex.
+func (t *Transport) Links() map[types.ProcID]LinkStatus {
+	links := make(map[types.ProcID]LinkStatus, len(t.links))
 	for id, l := range t.links {
 		l.mu.Lock()
-		up[id] = l.conn != nil
+		st := LinkStatus{State: LinkDown, QueueBytes: l.pending}
+		if l.conn != nil && !l.gone {
+			st.State = LinkUp
+		} else if l.down {
+			st.State = LinkBackoff
+		}
 		l.mu.Unlock()
+		links[id] = st
 	}
-	return up
+	return links
 }
 
 // NewMetrics builds the wire bundle of a transport whose peers are
@@ -340,11 +370,13 @@ type frame struct {
 // link is the outbound channel to one peer. Send appends to its queue;
 // its writer goroutine owns everything that can block: the boot probe,
 // the dial with backoff, the handshake, and writev of the whole queue
-// under a write deadline. A connection that fails — dial refused, write
-// error, or no write progress for stallTimeout (the peer is not reading)
-// — loses the frames on it and queued behind it, counted as dropped;
-// nothing is resent, recovery is the protocol's (sm.Transfer). A healthy
-// link never drops.
+// under a write deadline. A watcher goroutine per connection reads it,
+// which the peer never writes, to learn when the peer has closed it; the
+// writer then dials afresh instead of writing into the dead socket. A
+// connection that fails — dial refused, write error, or no write progress
+// for stallTimeout (the peer is not reading) — loses the frames on it and
+// queued behind it, counted as dropped; nothing is resent, recovery is
+// the protocol's (sm.Transfer). A healthy link never drops.
 type link struct {
 	t      *Transport
 	peer   types.ProcID
@@ -357,6 +389,7 @@ type link struct {
 	pending int      // bytes queued or being written
 	down    bool     // the last dial failed; refuse frames until the backoff ends
 	conn    net.Conn // written only by the writer (under mu), read by Close
+	gone    bool     // the peer closed conn (set by its watcher)
 
 	// connected is set by the writer at the link's first connection.
 	connected bool
@@ -404,16 +437,19 @@ func (l *link) run() {
 		case <-l.t.ctx.Done():
 			// Closing: what Send accepted goes out on a live connection
 			// within closeGrace; nothing is dialed.
-			if batch := l.take(); len(batch) > 0 {
+			if batch, _ := l.take(); len(batch) > 0 {
 				if l.conn == nil || l.write(batch) != nil {
 					l.fail(len(batch), false, false)
 				}
 			}
 			return
 		}
-		batch := l.take()
+		batch, gone := l.take()
 		if len(batch) == 0 {
 			continue
+		}
+		if gone {
+			l.closeConn()
 		}
 		if l.conn == nil {
 			if err := l.dial(); err != nil {
@@ -446,9 +482,9 @@ func (l *link) run() {
 }
 
 // probe dials the peer at boot, before any frame asks for it, so that
-// Ready can fire once the peer listens. A failed probe drops nothing and
-// refuses nothing; the next one waits out the same doubling backoff a
-// failed dial does. Probing ends at the first connection, at Close, or at
+// the link counts towards Linked once the peer listens. A failed probe
+// drops nothing and refuses nothing; the next one waits out the same
+// doubling backoff a failed dial does. Probing ends at the first connection, at Close, or at
 // the first frame queued: from then on the link dials on demand, with a
 // fresh backoff.
 func (l *link) probe() {
@@ -470,18 +506,20 @@ func (l *link) probe() {
 	}
 }
 
-// take hands the writer everything queued, swapping in the spare slice.
-func (l *link) take() []frame {
+// take hands the writer everything queued, swapping in the spare slice,
+// and reports whether the peer has closed the connection.
+func (l *link) take() (batch []frame, gone bool) {
 	l.mu.Lock()
-	batch := l.queue
+	batch, gone = l.queue, l.gone
 	l.queue = l.spare[:0]
 	l.mu.Unlock()
 	l.spare = nil
-	return batch
+	return batch, gone
 }
 
-// dial connects and sends the handshake: a 4-byte frame holding Self.
-// The link's first connection counts it towards Ready.
+// dial connects, sends the handshake — a 4-byte frame holding Self — and
+// starts the connection's watcher. The link's first connection counts it
+// towards Linked.
 func (l *link) dial() error {
 	c, err := l.t.dialF(l.t.ctx, l.t.cfg.DialTimeout, l.addr)
 	if err != nil {
@@ -496,16 +534,36 @@ func (l *link) dial() error {
 		return fmt.Errorf("handshake: %w", err)
 	}
 	l.mu.Lock()
-	l.conn = c
+	l.conn, l.gone = c, false
 	l.mu.Unlock()
+	l.t.wg.Add(1)
+	go l.watch(c)
 	l.t.cfg.Metrics.Connects.Inc()
 	if !l.connected {
 		l.connected = true
-		if l.t.unready.Add(-1) == 0 {
-			close(l.t.ready)
-		}
+		close(l.t.linked[l.t.linkedN.Add(1)])
 	}
 	return nil
+}
+
+// watch reads c until it fails, then marks it gone if it is still the
+// link's connection. The peer writes nothing on it, so the read returns
+// only when the peer closes it, the connection breaks, or the writer
+// closes it; whatever bytes a misbehaving peer sends are discarded. It
+// never clears conn, which only the writer does.
+func (l *link) watch(c net.Conn) {
+	defer l.t.wg.Done()
+	var buf [64]byte
+	for {
+		if _, err := c.Read(buf[:]); err != nil {
+			break
+		}
+	}
+	l.mu.Lock()
+	if l.conn == c {
+		l.gone = true
+	}
+	l.mu.Unlock()
 }
 
 // write sends batch as one writev — every frame's length prefix and body —

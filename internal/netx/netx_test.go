@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"net"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,16 +23,45 @@ import (
 	"repro/internal/types"
 )
 
-// reserveAddr returns a loopback address nothing listens on: a throwaway
-// :0 listener's, already closed.
+// reserveAddr returns a loopback address nothing listens on. Its port
+// lies below the kernel's ephemeral range and is checked free by binding
+// it: a port ":0" returns is ephemeral, and any link's boot dial may take
+// it as its source port before the test listens on it. Successive calls
+// walk the range from a random start, so a test binary hands no port out
+// twice until the walk wraps.
 func reserveAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	const lo = 10000
+	span := ephemeralFloor() - lo
+	if span < 1000 {
+		t.Fatalf("ephemeral range starts at %d, no room for static ports above %d", ephemeralFloor(), lo)
 	}
-	defer ln.Close()
-	return ln.Addr().String()
+	for tries := 0; tries < 1000; tries++ {
+		addr := fmt.Sprintf("127.0.0.1:%d", lo+(portBase+int(portWalk.Add(1)))%span)
+		if ln, err := net.Listen("tcp", addr); err == nil {
+			ln.Close()
+			return addr
+		}
+	}
+	t.Fatal("no free loopback port below the ephemeral range")
+	return ""
+}
+
+var (
+	portBase = rand.IntN(1 << 20)
+	portWalk atomic.Int64
+)
+
+// ephemeralFloor is the lowest port the kernel hands to outgoing
+// connections and to listeners on port 0.
+func ephemeralFloor() int {
+	b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
+	if f := strings.Fields(string(b)); err == nil && len(f) == 2 {
+		if lo, err := strconv.Atoi(f[0]); err == nil {
+			return lo
+		}
+	}
+	return 32768 // the Linux default
 }
 
 // startMesh brings up n transports on loopback. Ports are reserved with
@@ -483,7 +515,7 @@ func TestCloseWithBlockedWriter(t *testing.T) {
 	// rest arrive: a single writev of all 32 MiB (the whole queue, if the
 	// writer runs late) would never finish, and count nothing, against a
 	// peer that does not read.
-	waitReady(t, a)
+	waitLinked(t, a, 1)
 	big := initMsg(1, strings.Repeat("x", 512<<10))
 	if err := a.Send(2, big); err != nil {
 		t.Fatal(err)
@@ -608,25 +640,27 @@ func TestConsensusOverTCP(t *testing.T) {
 	}
 }
 
-// waitReady waits for tr to report every link connected; the deadline
+// waitLinked waits for k of tr's links to have connected; the deadline
 // only keeps a broken build from hanging.
-func waitReady(t *testing.T, tr *netx.Transport) {
+func waitLinked(t *testing.T, tr *netx.Transport, k int) {
 	t.Helper()
 	select {
-	case <-tr.Ready():
+	case <-tr.Linked(k):
 	case <-time.After(30 * time.Second):
-		t.Fatalf("never ready: links %v", tr.LinksUp())
+		t.Fatalf("never %d links: %v", k, tr.Links())
 	}
 }
 
-func isReady(tr *netx.Transport) bool {
+func isClosed(ch <-chan struct{}) bool {
 	select {
-	case <-tr.Ready():
+	case <-ch:
 		return true
 	default:
 		return false
 	}
 }
+
+func linkUp(tr *netx.Transport, p types.ProcID) bool { return tr.Links()[p].State == netx.LinkUp }
 
 // dialLog records the dial attempts every transport Listened after it is
 // made sends to one address.
@@ -654,13 +688,13 @@ func (d *dialLog) attempts() []time.Time {
 }
 
 // TestLinksConnectWithoutFrames: every link of a mesh dials its peer at
-// boot, so each transport becomes ready with exactly one connection per
-// peer and not a frame sent, received or dropped.
+// boot, so each transport links to all its peers with exactly one
+// connection each and not a frame sent, received or dropped.
 func TestLinksConnectWithoutFrames(t *testing.T) {
 	const n = 4
 	trs, _ := startMesh(t, n, nil)
 	for id, tr := range trs {
-		waitReady(t, tr)
+		waitLinked(t, tr, n-1)
 		m := tr.Metrics()
 		if c := m.Connects.Value(); c != n-1 {
 			t.Errorf("transport %v: %d connects, want %d", id, c, n-1)
@@ -669,31 +703,32 @@ func TestLinksConnectWithoutFrames(t *testing.T) {
 			t.Errorf("transport %v: sent %d, received %d, dropped %d down and %d stalled; want none",
 				id, tr.Sent(), tr.Received(), m.DroppedDown.Value(), m.DroppedStalled.Value())
 		}
-		for p, up := range tr.LinksUp() {
-			if !up {
-				t.Errorf("transport %v: ready with its link to %v down", id, p)
+		for p, st := range tr.Links() {
+			if st.State != netx.LinkUp {
+				t.Errorf("transport %v: all linked with its link to %v %s", id, p, st.State)
 			}
 		}
 	}
 }
 
 // TestReadyWaitsForLateListener: a peer that starts listening after the
-// transport keeps it unready through failed probes; once it listens, the
-// next probe connects, Ready fires, and a frame sent then is delivered.
+// transport keeps its link unconnected through failed probes; once it
+// listens, the next probe connects, Linked(1) fires, and a frame sent
+// then is delivered.
 func TestReadyWaitsForLateListener(t *testing.T) {
 	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
 	dials := watchDials(t, addrs[2])
 	a := listen(t, netx.Config{Self: 1, Addrs: addrs})
 	waitFor(t, "a second probe of the absent peer", func() bool { return len(dials.attempts()) >= 2 })
-	if isReady(a) || a.LinksUp()[2] {
-		t.Fatalf("ready (links %v) before the peer listens", a.LinksUp())
+	if isClosed(a.Linked(1)) || linkUp(a, 2) {
+		t.Fatalf("linked (links %v) before the peer listens", a.Links())
 	}
 
 	var c collect
 	listen(t, netx.Config{Self: 2, Addrs: addrs, Recv: c.recv(2)[2]})
-	waitReady(t, a)
-	if !a.LinksUp()[2] {
-		t.Fatal("ready with the link down")
+	waitLinked(t, a, 1)
+	if !linkUp(a, 2) {
+		t.Fatal("linked with the link down")
 	}
 	msg := initMsg(1, "after ready")
 	if err := a.Send(2, msg); err != nil {
@@ -708,8 +743,8 @@ func TestReadyWaitsForLateListener(t *testing.T) {
 	}
 }
 
-// TestAbsentPeerNeverReady: a peer nothing listens for keeps the
-// transport unready, and its probes are spaced by at least the doubling
+// TestAbsentPeerNeverReady: a peer nothing listens for never counts
+// towards Linked, and its probes are spaced by at least the doubling
 // backoff a failed dial has always waited.
 func TestAbsentPeerNeverReady(t *testing.T) {
 	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
@@ -726,10 +761,116 @@ func TestAbsentPeerNeverReady(t *testing.T) {
 		}
 		wait = min(2*wait, netx.MaxBackoff)
 	}
-	if isReady(a) || a.LinksUp()[2] || wm.Connects.Value() != 0 {
-		t.Fatalf("ready %v, links %v, %d connects to a peer nothing listens for", isReady(a), a.LinksUp(), wm.Connects.Value())
+	if isClosed(a.Linked(1)) || linkUp(a, 2) || wm.Connects.Value() != 0 {
+		t.Fatalf("linked %v, links %v, %d connects to a peer nothing listens for", isClosed(a.Linked(1)), a.Links(), wm.Connects.Value())
 	}
 	if d := wm.DroppedDown.Value(); d != 0 {
 		t.Fatalf("probes dropped %d frames", d)
 	}
+}
+
+// TestLinkedFiresAtK: Linked(0) is closed at once; Linked(k) closes when
+// the k-th link first connects and not before, as peers start listening
+// one at a time; a channel asked for after that is closed at once; and
+// Linked(k) for k above the number of peers never closes.
+func TestLinkedFiresAtK(t *testing.T) {
+	const n = 4
+	addrs := make(map[types.ProcID]string, n)
+	for i := 1; i <= n; i++ {
+		addrs[types.ProcID(i)] = reserveAddr(t)
+	}
+	dials := watchDials(t, addrs[2])
+	wm := wireMetrics(2, 3, 4)
+	a := listen(t, netx.Config{Self: 1, Addrs: addrs, Metrics: wm})
+	linked := make([]<-chan struct{}, n+1)
+	for k := range linked {
+		linked[k] = a.Linked(k)
+	}
+	if !isClosed(linked[0]) {
+		t.Fatal("Linked(0) is not closed at once")
+	}
+	waitFor(t, "a second probe of an absent peer", func() bool { return len(dials.attempts()) >= 2 })
+	for k := 1; k <= n; k++ {
+		if isClosed(linked[k]) {
+			t.Fatalf("Linked(%d) closed before any peer listens", k)
+		}
+	}
+	for k := 1; k < n; k++ {
+		listen(t, netx.Config{Self: types.ProcID(k + 1), Addrs: addrs})
+		select {
+		case <-linked[k]:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("Linked(%d) never closed: links %v", k, a.Links())
+		}
+		if c := wm.Connects.Value(); c != uint64(k) {
+			t.Errorf("Linked(%d) closed after %d connects", k, c)
+		}
+		if isClosed(linked[k+1]) {
+			t.Fatalf("Linked(%d) closed with %d peers listening", k+1, k)
+		}
+		if !isClosed(a.Linked(k)) {
+			t.Fatalf("Linked(%d) asked for after it fired is not closed", k)
+		}
+	}
+	if isClosed(linked[n]) || isClosed(a.Linked(n+5)) {
+		t.Fatalf("Linked above the %d peers closed", n-1)
+	}
+}
+
+// TestLinkDownWhenPeerCloses: a peer that closes its end of a link makes
+// the link read down with no frame sent to find out; once the peer
+// listens again, the next Send dials it afresh and is delivered rather
+// than written into the dead socket.
+func TestLinkDownWhenPeerCloses(t *testing.T) {
+	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
+	wm := wireMetrics(2)
+	a := listen(t, netx.Config{Self: 1, Addrs: addrs, Metrics: wm})
+	b, err := netx.Listen(netx.Config{Self: 2, Addrs: addrs, Recv: func(types.ProcID, proto.Message) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitLinked(t, a, 1)
+	b.Close()
+	waitFor(t, "the link to the closed peer reads down", func() bool { return a.Links()[2].State == netx.LinkDown })
+
+	var c collect
+	listen(t, netx.Config{Self: 2, Addrs: addrs, Recv: c.recv(2)[2]})
+	msg := initMsg(1, "after the restart")
+	if err := a.Send(2, msg); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the frame arrives", func() bool { return len(c.at(2)) == 1 })
+	if got := c.at(2)[0]; got != msg {
+		t.Fatalf("received %+v", got)
+	}
+	if d := wm.DroppedDown.Value() + wm.DroppedStalled.Value(); d != 0 || wm.Connects.Value() != 2 {
+		t.Fatalf("%d frames dropped over %d connects; want none over 2", d, wm.Connects.Value())
+	}
+}
+
+// TestLinksReportState: a link whose dial was refused reads backoff, and
+// a link to a peer that does not read reports the bytes it holds
+// unwritten, as the per-peer queue gauge does.
+func TestLinksReportState(t *testing.T) {
+	silent, _ := silentPeer(t)
+	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t), 3: silent}
+	wm := wireMetrics(2, 3)
+	a := listen(t, netx.Config{Self: 1, Addrs: addrs, Metrics: wm})
+	msg := initMsg(1, "v")
+	waitFor(t, "the refused link backs off", func() bool {
+		_ = a.Send(2, msg)
+		return a.Links()[2].State == netx.LinkBackoff
+	})
+
+	waitLinked(t, a, 1)
+	big := initMsg(1, strings.Repeat("x", 512<<10))
+	for i := 0; i < 64; i++ { // 32 MiB: more than loopback socket buffers hold
+		if err := a.Send(3, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the stalled link reports its backlog", func() bool {
+		st := a.Links()[3]
+		return st.State == netx.LinkUp && st.QueueBytes > 0 && int64(st.QueueBytes) == wm.QueueBytes[3].Value()
+	})
 }
