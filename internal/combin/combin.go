@@ -103,10 +103,15 @@ func Rank(n int, comb []types.ProcID) *big.Int {
 // RoundPlan maps round numbers to coordinators and F(r) sets, following
 // §5.2, generalized with the tuning parameter k of §5.4: the F sets have
 // size n−t+k (k = 0 reproduces the basic algorithm).
+//
+// Where Binomial computes α without overflow — every n ≤ 62 whatever the
+// F-set size, and larger n whose F sets leave out few processes — ranks
+// and F sets are computed in uint64, and math/big is only the fallback.
 type RoundPlan struct {
-	n     int
-	fsize int
-	alpha *big.Int // C(n, fsize)
+	n       int
+	fsize   int
+	alpha64 uint64   // C(n, fsize) when it fits in a uint64 (alpha == nil)
+	alpha   *big.Int // C(n, fsize) when it does not; nil otherwise
 }
 
 // NewRoundPlan builds the plan for n processes and F-sets of size fsize.
@@ -115,19 +120,32 @@ func NewRoundPlan(n, fsize int) (*RoundPlan, error) {
 	if n < 1 || fsize < 1 || fsize > n {
 		return nil, fmt.Errorf("combin: invalid round plan n=%d fsize=%d", n, fsize)
 	}
-	return &RoundPlan{n: n, fsize: fsize, alpha: BigBinomial(n, fsize)}, nil
+	rp := &RoundPlan{n: n, fsize: fsize}
+	var ok bool
+	if rp.alpha64, ok = Binomial(n, fsize); !ok {
+		rp.alpha = BigBinomial(n, fsize)
+	}
+	return rp, nil
 }
 
 // N returns the number of processes.
 func (rp *RoundPlan) N() int { return rp.n }
 
+// bigAlpha returns α as a big.Int whichever form the plan holds.
+func (rp *RoundPlan) bigAlpha() *big.Int {
+	if rp.alpha != nil {
+		return rp.alpha
+	}
+	return new(big.Int).SetUint64(rp.alpha64)
+}
+
 // AlphaUint64 returns α = C(n, fsize), the number of distinct F sets,
 // clamped to MaxUint64 (for reporting).
 func (rp *RoundPlan) AlphaUint64() uint64 {
-	if !rp.alpha.IsUint64() {
+	if rp.alpha != nil {
 		return math.MaxUint64
 	}
-	return rp.alpha.Uint64()
+	return rp.alpha64
 }
 
 // Coord returns the coordinator of round r: ((r−1) mod n) + 1.
@@ -138,39 +156,83 @@ func (rp *RoundPlan) Coord(r types.Round) types.ProcID {
 	return types.ProcID((int64(r)-1)%int64(rp.n) + 1)
 }
 
+// block returns ⌈r/n⌉ − 1 for r ≥ 1, and 0 below.
+func (rp *RoundPlan) block(r types.Round) int64 {
+	if r < 1 {
+		return 0
+	}
+	return (int64(r)+int64(rp.n)-1)/int64(rp.n) - 1
+}
+
 // FIndex returns the 0-based index of the combination used at round r:
 // (⌈r/n⌉ − 1) mod α. (The paper's index(r) is 1-based; we use 0-based
 // ranks internally.)
 func (rp *RoundPlan) FIndex(r types.Round) *big.Int {
-	if r < 1 {
-		return new(big.Int)
+	if rp.alpha == nil {
+		return new(big.Int).SetUint64(uint64(rp.block(r)) % rp.alpha64)
 	}
-	block := (int64(r) + int64(rp.n) - 1) / int64(rp.n) // ⌈r/n⌉
-	idx := new(big.Int).SetInt64(block - 1)
+	idx := new(big.Int).SetInt64(rp.block(r))
 	return idx.Mod(idx, rp.alpha)
 }
 
 // F returns the process set F(r) for round r, ascending.
 func (rp *RoundPlan) F(r types.Round) []types.ProcID {
+	return rp.appendF(make([]types.ProcID, 0, rp.fsize), r)
+}
+
+// FSet is F(r) as a ProcSet.
+func (rp *RoundPlan) FSet(r types.Round) types.ProcSet {
+	var buf [types.MaxProcs]types.ProcID
+	return types.NewProcSet(rp.appendF(buf[:0], r)...)
+}
+
+// appendF appends F(r), ascending, to dst: in uint64 arithmetic when α
+// and every binomial the unranking takes fit, in math/big otherwise.
+func (rp *RoundPlan) appendF(dst []types.ProcID, r types.Round) []types.ProcID {
+	if rp.alpha == nil {
+		if out, ok := unrank64(dst, rp.n, rp.fsize, uint64(rp.block(r))%rp.alpha64); ok {
+			return out
+		}
+	}
 	comb, err := Unrank(rp.n, rp.fsize, rp.FIndex(r))
 	if err != nil {
 		// FIndex is always within [0, α), so this is unreachable; panic
 		// loudly rather than return a wrong quorum.
 		panic(fmt.Sprintf("combin: F(%d): %v", r, err))
 	}
-	return comb
+	return append(dst, comb...)
 }
 
-// FSet is F(r) as a ProcSet.
-func (rp *RoundPlan) FSet(r types.Round) types.ProcSet {
-	return types.NewProcSet(rp.F(r)...)
+// unrank64 is Unrank in uint64 arithmetic, appending to dst; rank must be
+// below C(n, k). Every binomial it takes counts k-subsets with a given
+// prefix, so it is at most C(n, k), but Binomial's running product may
+// still overflow: then ok is false and dst is returned unextended.
+func unrank64(dst []types.ProcID, n, k int, rank uint64) (out []types.ProcID, ok bool) {
+	out = dst
+	elem := 1
+	for need := k; need > 0; need-- {
+		for {
+			c, fits := Binomial(n-elem, need-1)
+			if !fits {
+				return dst, false
+			}
+			if rank < c {
+				out = append(out, types.ProcID(elem))
+				elem++
+				break
+			}
+			rank -= c
+			elem++
+		}
+	}
+	return out, true
 }
 
 // WorstCaseRounds returns the §5.4 bound on the number of rounds needed to
 // hit a (coordinator, F) pair that works, when a ⟨fsize-(n-t)+t+1⟩bisource
 // exists from the start: α·n. The value is clamped to MaxUint64.
 func (rp *RoundPlan) WorstCaseRounds() uint64 {
-	prod := new(big.Int).Mul(rp.alpha, big.NewInt(int64(rp.n)))
+	prod := new(big.Int).Mul(rp.bigAlpha(), big.NewInt(int64(rp.n)))
 	if !prod.IsUint64() {
 		return math.MaxUint64
 	}
@@ -189,7 +251,7 @@ func (rp *RoundPlan) FirstGoodRound(from types.Round, coordinator types.ProcID, 
 		from = 1
 	}
 	// One full sweep of coordinator×combination space.
-	limit := new(big.Int).Mul(rp.alpha, big.NewInt(int64(rp.n)))
+	limit := new(big.Int).Mul(rp.bigAlpha(), big.NewInt(int64(rp.n)))
 	limit.Add(limit, big.NewInt(int64(rp.n))) // slack for phase alignment
 	if !limit.IsUint64() || limit.Uint64() > 1<<40 {
 		// Too large to scan exhaustively; callers use small n in tests.

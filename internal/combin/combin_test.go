@@ -2,6 +2,7 @@ package combin
 
 import (
 	"math/big"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +236,45 @@ func TestNewRoundPlanErrors(t *testing.T) {
 	}
 	if _, err := NewRoundPlan(4, 5); err == nil {
 		t.Error("fsize>n must fail")
+	}
+}
+
+// TestRoundPlanUint64MatchesBig: the uint64 path gives the F sets and
+// indexes the math/big path gives, across plans that take it and one
+// (n=100, F of size 67) whose α does not fit and falls back.
+func TestRoundPlanUint64MatchesBig(t *testing.T) {
+	for _, c := range []struct{ n, fsize int }{{4, 3}, {7, 5}, {7, 7}, {13, 9}, {31, 21}, {62, 31}, {100, 67}} {
+		rp, err := NewRoundPlan(c.n, c.fsize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantBig := c.n == 100; (rp.alpha != nil) != wantBig {
+			t.Fatalf("n=%d fsize=%d: big fallback %v, want %v", c.n, c.fsize, rp.alpha != nil, wantBig)
+		}
+		for _, r := range []types.Round{1, 2, types.Round(c.n), types.Round(c.n) + 1, 1000, 1 << 40} {
+			want, err := Unrank(c.n, c.fsize, rp.FIndex(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rp.F(r); !slices.Equal(got, want) {
+				t.Fatalf("n=%d fsize=%d: F(%d) = %v, want %v", c.n, c.fsize, r, got, want)
+			}
+			if got := rp.FSet(r); got != types.NewProcSet(want...) {
+				t.Fatalf("n=%d fsize=%d: FSet(%d) = %v, want %v", c.n, c.fsize, r, got, want)
+			}
+		}
+	}
+}
+
+// TestFSetAllocatesNothing: the per-round F-set lookup of an EA round is
+// allocation-free on the uint64 path.
+func TestFSetAllocatesNothing(t *testing.T) {
+	rp, err := NewRoundPlan(7, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := types.Round(1)
+	if allocs := testing.AllocsPerRun(100, func() { _ = rp.FSet(r); r += 7 }); allocs != 0 {
+		t.Fatalf("FSet allocates %v times per call", allocs)
 	}
 }

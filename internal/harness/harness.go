@@ -55,7 +55,7 @@ type World struct {
 
 	handlers map[types.ProcID]proto.Handler
 	envs     map[types.ProcID]*env
-	gens     map[types.ProcID]uint64 // power-cycle generation, bumped by Kill
+	gens     []uint64                // power-cycle generation by ID, bumped by Kill
 	pool     proto.MsgPool           // outbound message boxes; world is single-threaded
 	procs    []types.ProcID          // 1..N, cached so Broadcast never re-materializes it
 }
@@ -76,7 +76,7 @@ func New(cfg Config) (*World, error) {
 		Params:   cfg.Params,
 		handlers: make(map[types.ProcID]proto.Handler, cfg.Params.N),
 		envs:     make(map[types.ProcID]*env, cfg.Params.N),
-		gens:     make(map[types.ProcID]uint64, cfg.Params.N),
+		gens:     make([]uint64, cfg.Params.N+1),
 		procs:    cfg.Params.AllProcs(),
 	}
 	if cfg.Record {
@@ -185,23 +185,24 @@ type env struct {
 
 var _ proto.Env = (*env)(nil)
 
-// live reports whether this env belongs to the process's current
+// Live reports whether this env belongs to the process's current
 // incarnation (false after Kill until the env is rebuilt by SetBehavior).
-func (e *env) live() bool { return e.world.gens[e.id] == e.gen }
+// It makes env the sim.Owner of the timers it arms.
+func (e *env) Live() bool { return e.world.gens[e.id] == e.gen }
 
 func (e *env) ID() types.ProcID     { return e.id }
 func (e *env) Params() types.Params { return e.world.Params }
 func (e *env) Now() types.Time      { return e.world.Sched.Now() }
 
 func (e *env) Send(to types.ProcID, m proto.Message) {
-	if !e.live() {
+	if !e.Live() {
 		return
 	}
 	e.world.Net.Send(e.id, to, e.world.pool.Get(m))
 }
 
 func (e *env) Broadcast(m proto.Message) {
-	if !e.live() {
+	if !e.Live() {
 		return
 	}
 	for _, p := range e.world.procs {
@@ -210,14 +211,10 @@ func (e *env) Broadcast(m proto.Message) {
 }
 
 func (e *env) SetTimer(d types.Duration, fn func()) (cancel func()) {
-	if !e.live() {
+	if !e.Live() {
 		return func() {}
 	}
-	return e.world.Sched.After(d, func() {
-		if e.live() {
-			fn()
-		}
-	}).Cancel
+	return e.world.Sched.AfterFor(d, e, fn).Cancel
 }
 
 func (e *env) Trace() trace.Sink {

@@ -35,22 +35,28 @@ type DeliverFunc func(origin types.ProcID, tag proto.Tag, v types.Value)
 // single-threaded runtime; it is not safe for concurrent use.
 type Layer struct {
 	env     proto.Env
+	params  types.Params // env.Params(), fixed for the env's lifetime
 	deliver DeliverFunc
-	insts   map[instKey]*instance
 	metrics *obs.RBMetrics
 	tracer  *xtrace.Tracer
 	// traceInst is the hosting consensus instance for xtrace spans
 	// (the layer itself only knows (origin, tag) keys; the hosting
 	// engine knows which numbered instance it serves).
 	traceInst types.Instance
-}
 
-type instKey struct {
-	origin types.ProcID
-	tag    proto.Tag
+	// rows holds one tag's instances, indexed by origin−1. Messages come
+	// in runs that share a tag (a relay vector groups its entries by
+	// instance and tag), so last, the row of lastTag, reaches most
+	// records without a hashed lookup; a row is one allocation for all n
+	// origins. live counts the instances a message has touched.
+	rows    map[proto.Tag][]instance
+	lastTag proto.Tag
+	last    []instance
+	live    int
 }
 
 type instance struct {
+	used      bool // a message has touched this instance
 	sentEcho  bool
 	sentReady bool
 	delivered bool
@@ -89,7 +95,7 @@ var unread = obs.NewRBMetrics(nil, "")
 
 // New creates the RB layer for env; deliver receives RB-deliveries.
 func New(env proto.Env, deliver DeliverFunc) *Layer {
-	return &Layer{env: env, deliver: deliver, insts: make(map[instKey]*instance), metrics: unread}
+	return &Layer{env: env, params: env.Params(), deliver: deliver, rows: make(map[proto.Tag][]instance), metrics: unread}
 }
 
 // SetMetrics sets the telemetry bundle (obs.NewRBMetrics; nil counts into
@@ -127,7 +133,31 @@ func (l *Layer) Broadcast(tag proto.Tag, v types.Value) {
 }
 
 // Instances returns the number of live RB instances (memory metric).
-func (l *Layer) Instances() int { return len(l.insts) }
+func (l *Layer) Instances() int { return l.live }
+
+// instance returns the record of (origin, tag), nil for an origin that is
+// no process: no correct process echoes an INIT such an origin did not
+// send, so no quorum can ever form for it.
+func (l *Layer) instance(origin types.ProcID, tag proto.Tag) *instance {
+	o := int(origin) - 1
+	if o < 0 || o >= l.params.N {
+		return nil
+	}
+	if l.last == nil || tag != l.lastTag {
+		row, ok := l.rows[tag]
+		if !ok {
+			row = make([]instance, l.params.N)
+			l.rows[tag] = row
+		}
+		l.lastTag, l.last = tag, row
+	}
+	inst := &l.last[o]
+	if !inst.used {
+		inst.used = true
+		l.live++
+	}
+	return inst
+}
 
 // OnMessage consumes RB submessages; it reports false for non-RB kinds so
 // the caller can route them elsewhere. The caller must have applied the
@@ -142,13 +172,11 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 	if m.Kind == proto.MsgRBInit && from != m.Origin {
 		return true // consumed (and discarded): forged INIT
 	}
-	key := instKey{origin: m.Origin, tag: m.Tag}
-	inst, ok := l.insts[key]
-	if !ok {
-		inst = new(instance)
-		l.insts[key] = inst
+	inst := l.instance(m.Origin, m.Tag)
+	if inst == nil {
+		return true // consumed (and discarded): no such origin
 	}
-	p := l.env.Params()
+	p := l.params
 	switch m.Kind {
 	case proto.MsgRBInit:
 		if !inst.sentEcho {

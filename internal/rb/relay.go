@@ -50,14 +50,14 @@ import (
 	"repro/internal/xtrace"
 )
 
-// HashLen is the truncated content-hash length of echo-by-hash entries:
-// 16 bytes of SHA-256. The adversary chooses the hashed values (a
-// Byzantine batch proposer, a pull responder), so the bound that holds is
-// the birthday bound — about 2⁶⁴ hash evaluations find two values with
-// one truncated hash, and each such pair would let one hashed ECHO/READY
-// count toward both. That computational assumption is the relay's, not
-// the paper's (docs/paper-map.md lists it among the deviations).
-const HashLen = 16
+// HashLen is the content-hash length of echo-by-hash entries: the whole
+// 32-byte SHA-256. The adversary chooses the hashed values (a Byzantine
+// batch proposer, a pull responder), so the bound that holds is the
+// birthday bound — about 2¹²⁸ hash evaluations find two values with one
+// hash, and each such pair would let one hashed ECHO/READY count toward
+// both. That computational assumption is the relay's, not the paper's
+// (docs/paper-map.md lists it among the deviations).
+const HashLen = 32
 
 // InlineMax is the largest value carried inline in a vector entry;
 // longer values ride as a HashLen-byte reference. Inlining anything a
@@ -245,7 +245,7 @@ func decodeEntriesInto(dst []Entry, v types.Value) ([]Entry, error) {
 	return entries, nil
 }
 
-// hashKey is a truncated content hash used as a map key.
+// hashKey is a content hash used as a map key.
 type hashKey [HashLen]byte
 
 // RelayConfig assembles a Relay.
@@ -794,8 +794,7 @@ func (r *Relay) onPullResp(m proto.Message) {
 func (r *Relay) hash(v types.Value) hashKey {
 	r.metrics.Hashes.Inc()
 	r.hashBuf = append(r.hashBuf[:0], v...)
-	sum := sha256.Sum256(r.hashBuf)
-	return hashKey(sum[:HashLen])
+	return sha256.Sum256(r.hashBuf)
 }
 
 // learn is insert for a value not hashed yet: a value already cached is
@@ -820,8 +819,8 @@ func (r *Relay) learn(v types.Value, inst types.Instance, own bool) *cacheVal {
 // for every value it referenced by hash), while remote learns are held
 // to the cache byte budget. It returns v's cache entry, nil if v was not
 // cached. v must not be cached: cache and byVal hold the same entries, so
-// then h is not cached either, unless two values share one truncated
-// hash, which this code assumes no one finds (HashLen's birthday bound).
+// then h is not cached either, unless two values share one hash, which
+// this code assumes no one finds (HashLen's birthday bound).
 func (r *Relay) insert(h hashKey, v types.Value, inst types.Instance, own bool) *cacheVal {
 	refs := r.parked[h]
 	if len(refs) > 0 {

@@ -93,11 +93,9 @@ func echoMsg(origin types.ProcID, inst types.Instance, v types.Value) proto.Mess
 	return proto.Message{Kind: proto.MsgRBEcho, Tag: relayTag, Origin: origin, Instance: inst, Val: v}
 }
 
-// hashOf is v's content hash computed apart from the relay: the first
-// HashLen bytes of its SHA-256.
+// hashOf is v's content hash computed apart from the relay: its SHA-256.
 func hashOf(v types.Value) hashKey {
-	sum := sha256.Sum256([]byte(v))
-	return hashKey(sum[:HashLen])
+	return sha256.Sum256([]byte(v))
 }
 
 // --- entry codec -------------------------------------------------------------
@@ -342,7 +340,7 @@ func TestBufferingLearnedValueAllocatesNothing(t *testing.T) {
 		t.Fatalf("hashing a value allocates %v times", allocs)
 	}
 	if r.hash(batch) != hashOf(batch) {
-		t.Fatal("the relay's hash is not the truncated SHA-256")
+		t.Fatal("the relay's hash is not the SHA-256")
 	}
 }
 
@@ -660,6 +658,36 @@ func TestInboundHashResolvesFromInitSniff(t *testing.T) {
 	}
 	if len(env.sent) != 0 {
 		t.Fatalf("pull sent despite cached value: %+v", env.sent)
+	}
+}
+
+// TestRelayHashIsTheOnlyGuard plants what a hash collision would give an
+// adversary: two values bound to one hashKey, one in each of two correct
+// processes' caches (as the two halves of a split INIT would leave them).
+// One hashed READY from a third process then counts toward v₁ at the
+// first and toward v₂ at the second: the relay resolves every hashed
+// entry through the receiver's own cache, so nothing but the hash keeps
+// correct processes from delivering different values in one instance.
+// HashLen = 32 puts finding such a pair at 2¹²⁸ evaluations.
+func TestRelayHashIsTheOnlyGuard(t *testing.T) {
+	v1 := types.Value(strings.Repeat("1", 64))
+	v2 := types.Value(strings.Repeat("2", 64))
+	h := hashOf(v1)
+	var delivered []types.Value
+	for _, v := range []types.Value{v1, v2} {
+		env := newRelayEnv()
+		r, got := newTestRelay(env)
+		r.insert(h, v, 7, false)
+		inboundVector(t, r, 4, []Entry{
+			{Kind: proto.MsgRBReady, Tag: relayTag, Origin: 2, Instance: 7, Hashed: true, Val: types.Value(h[:])},
+		})
+		if len(*got) != 1 {
+			t.Fatalf("sink got %d messages, want 1", len(*got))
+		}
+		delivered = append(delivered, (*got)[0].m.Val)
+	}
+	if delivered[0] != v1 || delivered[1] != v2 {
+		t.Fatalf("one hashed READY resolved to %.8q and %.8q, want the split v1/v2", delivered[0], delivered[1])
 	}
 }
 

@@ -581,10 +581,12 @@ func buildKV(spec KVSpec) (w *harness.World, res *KVResult, trs map[types.ProcID
 				OnSnapshot: func(s sm.Snapshot) {
 					res.SnapshotLog[id] = append(res.SnapshotLog[id],
 						sm.Snapshot{Index: s.Index, Instance: s.Instance, Digest: s.Digest})
-					env.Trace().Emit(trace.Event{
-						At: env.Now(), Kind: trace.KindKVSnapshot, Proc: id,
-						Aux: fmt.Sprintf("idx=%d inst=%v digest=%x", s.Index, s.Instance, s.Digest[:8]),
-					})
+					if tr := env.Trace(); trace.Recording(tr) {
+						tr.Emit(trace.Event{
+							At: env.Now(), Kind: trace.KindKVSnapshot, Proc: id,
+							Aux: fmt.Sprintf("idx=%d inst=%v digest=%x", s.Index, s.Instance, s.Digest[:8]),
+						})
+					}
 				},
 				OnCommit: func(e log.Entry) {
 					res.Logs[id] = append(res.Logs[id], e)

@@ -29,13 +29,22 @@ import (
 
 // Event variants. A deliver event carries a network payload to the deliver
 // hook; timer and func events carry a callback (the split is descriptive:
-// timers are created through After, funcs through At). The zero kind marks
-// a free arena slot.
+// timers are created through After, funcs through At); an owned timer
+// (AfterFor) carries its Owner in the payload slot. The zero kind marks a
+// free arena slot.
 const (
 	evFunc uint8 = iota + 1
 	evTimer
+	evOwned
 	evDeliver
 )
+
+// Owner is the party an owned timer is armed for (AfterFor). At the
+// timer's instant the event runs like any other — it is executed and
+// counted — but calls its callback only if its owner is still Live.
+type Owner interface {
+	Live() bool
+}
 
 // heapKey is one heap entry: the ordering key plus the arena index of the
 // event body. It deliberately contains no pointers, so sift operations
@@ -267,6 +276,17 @@ func (s *Scheduler) After(d types.Duration, fn func()) Canceler {
 	return s.schedule(s.now.Add(d), evTimer, fn)
 }
 
+// AfterFor is After for a callback that must not run once o is no
+// longer live (a simulated process powered off after arming it). It
+// spares the caller a wrapping closure per timer.
+func (s *Scheduler) AfterFor(d types.Duration, o Owner, fn func()) Canceler {
+	if d < 0 {
+		d = 0
+	}
+	idx := s.push(s.now.Add(d), event{fn: fn, payload: o, kind: evOwned})
+	return Canceler{s: s, idx: idx, gen: s.arena[idx].gen}
+}
+
 // ScheduleDeliver queues a deliver-message event: at time at, the
 // registered deliver hook receives (from, to, payload). This is the
 // allocation-free path the network routes every message through.
@@ -346,7 +366,9 @@ func (s *Scheduler) Run(deadline types.Time, maxEvents uint64) StopReason {
 		s.now = top.at
 		s.Executed++
 		if e.kind != evDeliver {
-			e.fn()
+			if e.kind != evOwned || e.payload.(Owner).Live() {
+				e.fn()
+			}
 			continue
 		}
 		s.deliver(e.from, e.to, e.payload)

@@ -299,7 +299,7 @@ func (a *Applier) takeSnapshot(instance types.Instance) {
 		// holds from this boundary on).
 		retained = a.cfg.RetainedEntries()
 	}
-	a.payload = sealTransfer(buf, retained)
+	a.payload = sealTransfer(buf, a.snap.Digest, retained)
 	a.snap.Data = a.payload[transferDataAt:end:end]
 	if p := a.cfg.Persist; p != nil {
 		// The durable stamp is the full transfer payload — snapshot plus

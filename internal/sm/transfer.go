@@ -78,7 +78,7 @@ const maxCandidates = 32
 // at its boundary into one self-validating payload, the bytes a
 // manifest's chunks carry and a durable snapshot stamp holds:
 //
-//	SHA-256 over everything after it
+//	transfer digest (see transferDigest)
 //	u32 snapshot length ‖ snapshot bytes (appendSnapHeader, machine bytes)
 //	u32 entry count, then per entry: u64 index ‖ u64 instance ‖
 //	u32 command length ‖ command bytes
@@ -90,20 +90,26 @@ const maxCandidates = 32
 // so every correct replica produces byte-identical payloads for the same
 // boundary — which is what lets the requester corroborate their
 // manifests across t+1 senders.
+//
+// A payload sealed before the digest took its present form (it once
+// covered the body directly) fails DecodeTransfer: a replica whose
+// durable stamp is that old boots without it and catches up from its
+// peers.
 func EncodeTransfer(s Snapshot, retained []log.Entry) []byte {
 	buf := make([]byte, transferDataAt, transferDataAt+len(s.Data))
-	return sealTransfer(append(buf, s.Data...), retained)
+	return sealTransfer(append(buf, s.Data...), sha256.Sum256(s.Data), retained)
 }
 
 // transferDataAt is where a payload's snapshot bytes start: after the
 // digest and the u32 snapshot length.
 const transferDataAt = transferDigestLen + 4
 
-// sealTransfer completes a payload whose snapshot bytes follow
-// transferDataAt in buf: it fills in their length, appends the retained
-// entries and stamps the digest.
-func sealTransfer(buf []byte, retained []log.Entry) []byte {
-	binary.LittleEndian.PutUint32(buf[transferDigestLen:], uint32(len(buf)-transferDataAt))
+// sealTransfer completes a payload whose snapshot bytes, with SHA-256
+// snapDigest, follow transferDataAt in buf: it fills in their length,
+// appends the retained entries and stamps the transfer digest.
+func sealTransfer(buf []byte, snapDigest [32]byte, retained []log.Entry) []byte {
+	end := len(buf)
+	binary.LittleEndian.PutUint32(buf[transferDigestLen:], uint32(end-transferDataAt))
 	size := 4
 	for _, e := range retained {
 		size += 20 + len(e.Cmd)
@@ -116,26 +122,37 @@ func sealTransfer(buf []byte, retained []log.Entry) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Cmd)))
 		buf = append(buf, e.Cmd...)
 	}
-	digest := sha256.Sum256(buf[transferDigestLen:])
+	digest := transferDigest(buf[transferDigestLen:transferDataAt], snapDigest, buf[end:])
 	copy(buf, digest[:])
 	return buf
 }
 
+// transferDigest is the digest a transfer payload carries: SHA-256 over
+// (u32 snapshot length ‖ the snapshot's SHA-256 ‖ the retained-entry
+// bytes). It binds every byte of the payload as a hash over the whole
+// body would, while the snapshot bytes, the bulk of it, are hashed once
+// for both this digest and Snapshot.Digest.
+func transferDigest(snapLen []byte, snapDigest [32]byte, entries []byte) [32]byte {
+	h := sha256.New()
+	h.Write(snapLen)
+	h.Write(snapDigest[:])
+	h.Write(entries)
+	return [32]byte(h.Sum(nil))
+}
+
 // DecodeTransfer parses and validates a transfer payload (an assembled
-// download or a durable stamp): the body must hash to the carried digest,
-// the snapshot header must decode, and the entry list must be
+// download or a durable stamp): the payload must carry its transfer
+// digest, the snapshot header must decode, and the entry list must be
 // well-formed. The bytes may come from a Byzantine peer, so every failure
 // is a normal error, never a panic. The Snapshot's Digest field is
-// recomputed from its bytes. The Snapshot's Data aliases b, which the
-// caller must not modify afterwards.
+// computed from its bytes, in the one pass over them the transfer digest
+// also needs. The Snapshot's Data aliases b, which the caller must not
+// modify afterwards.
 func DecodeTransfer(b []byte) (s Snapshot, retained []log.Entry, err error) {
 	if len(b) < transferDigestLen+8+snapHeaderLen {
 		return s, nil, fmt.Errorf("sm: transfer frame of %d bytes is too short", len(b))
 	}
 	body := b[transferDigestLen:]
-	if sha256.Sum256(body) != [32]byte(b[:transferDigestLen]) {
-		return s, nil, fmt.Errorf("sm: transfer body does not hash to its digest")
-	}
 	snapLen := binary.LittleEndian.Uint32(body)
 	rest := body[4:]
 	if uint64(snapLen) > uint64(len(rest)) {
@@ -144,6 +161,9 @@ func DecodeTransfer(b []byte) (s Snapshot, retained []log.Entry, err error) {
 	s.Data = rest[:snapLen]
 	rest = rest[snapLen:]
 	s.Digest = sha256.Sum256(s.Data)
+	if transferDigest(body[:4], s.Digest, rest) != [32]byte(b[:transferDigestLen]) {
+		return s, nil, fmt.Errorf("sm: transfer body does not hash to its digest")
+	}
 	if s.Index, s.Instance, _, err = DecodeSnapshot(s.Data); err != nil {
 		return s, nil, err
 	}

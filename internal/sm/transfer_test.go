@@ -3,6 +3,7 @@ package sm
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -69,12 +70,24 @@ func TestTransferEmptyRetained(t *testing.T) {
 func TestTransferRejectsTampering(t *testing.T) {
 	_, s, retained := buildSnapshot(t, 8)
 	valid := EncodeTransfer(s, retained)
+	snapDigest := sha256.Sum256(s.Data)
 	tests := []struct {
 		name   string
 		mutate func(b []byte) []byte
 	}{
 		{"flip body byte", func(b []byte) []byte { b[40] ^= 1; return b }},
+		{"flip snapshot byte", func(b []byte) []byte { b[transferDataAt+snapHeaderLen+1] ^= 1; return b }},
+		{"flip retained-entry byte", func(b []byte) []byte { b[len(b)-1] ^= 1; return b }},
+		{"flip snapshot length", func(b []byte) []byte { b[transferDigestLen] ^= 1; return b }},
 		{"flip digest byte", func(b []byte) []byte { b[0] ^= 1; return b }},
+		// A header digest of the wrong form: over the whole body (what
+		// a build before transferDigest stamped), or the snapshot's own.
+		{"whole-body digest", func(b []byte) []byte {
+			d := sha256.Sum256(b[transferDigestLen:])
+			copy(b, d[:])
+			return b
+		}},
+		{"snapshot digest", func(b []byte) []byte { copy(b, snapDigest[:]); return b }},
 		{"truncate", func(b []byte) []byte { return b[:len(b)-2] }},
 		{"extend", func(b []byte) []byte { return append(b, 0) }},
 		{"empty", func(b []byte) []byte { return nil }},
@@ -100,9 +113,14 @@ func FuzzDecodeTransfer(f *testing.F) {
 	f.Add(make([]byte, transferDigestLen+8+snapHeaderLen))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restamped := bytes.Clone(data)
-		if len(restamped) >= transferDigestLen {
-			d := sha256.Sum256(restamped[transferDigestLen:])
-			copy(restamped, d[:])
+		if len(restamped) >= transferDataAt {
+			snapLen := int(binary.LittleEndian.Uint32(restamped[transferDigestLen:]))
+			if snapLen <= len(restamped)-transferDataAt {
+				snapEnd := transferDataAt + snapLen
+				d := transferDigest(restamped[transferDigestLen:transferDataAt],
+					sha256.Sum256(restamped[transferDataAt:snapEnd]), restamped[snapEnd:])
+				copy(restamped, d[:])
+			}
 		}
 		for _, b := range [][]byte{data, restamped} {
 			s, retained, err := DecodeTransfer(b)

@@ -291,7 +291,7 @@ func FuzzDecode(f *testing.F) {
 	// Coalesced-relay frames: a vector carrying opaque entry bytes and a
 	// pull.
 	vec, _ := Encode(proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: "entry-vector-bytes"})
-	pull, _ := Encode(proto.Message{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: "0123456789abcdef"})
+	pull, _ := Encode(proto.Message{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: "0123456789abcdef0123456789abcdef"})
 	f.Add(vec)
 	f.Add(pull)
 	f.Add(withVersion(snapReq, 3))
@@ -378,7 +378,7 @@ func TestV4RelayRoundTrip(t *testing.T) {
 	for _, m := range []proto.Message{
 		{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 3, Val: "opaque-entry-vector"},
 		{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 3, Val: ""},
-		{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 5, Val: "0123456789abcdef"},
+		{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 5, Val: "0123456789abcdef0123456789abcdef"},
 		{Kind: proto.MsgRBPullResp, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 5, Val: "the-full-value"},
 	} {
 		b, err := Encode(m)
