@@ -55,9 +55,9 @@ type World struct {
 
 	handlers map[types.ProcID]proto.Handler
 	envs     map[types.ProcID]*env
-	gens     []uint64                // power-cycle generation by ID, bumped by Kill
-	pool     proto.MsgPool           // outbound message boxes; world is single-threaded
-	procs    []types.ProcID          // 1..N, cached so Broadcast never re-materializes it
+	gens     []uint64       // power-cycle generation by ID, bumped by Kill
+	pool     proto.MsgPool  // outbound message boxes; world is single-threaded
+	procs    []types.ProcID // 1..N, cached so Broadcast never re-materializes it
 }
 
 // New builds the world. Processes are added with SetBehavior before Run.
