@@ -310,7 +310,7 @@ func HashEquivocation(w types.Value, every types.Duration, frames int) harness.B
 				}
 				env.Send(to, proto.Message{
 					Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay},
-					Origin: env.ID(), Val: types.Value(enc),
+					Origin: env.ID(), Val: enc,
 				})
 			}
 			env.SetTimer(every, fire)

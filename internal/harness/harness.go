@@ -53,7 +53,7 @@ type World struct {
 	Log    *trace.Log // nil unless Config.Record
 	Params types.Params
 
-	handlers map[types.ProcID]proto.Handler
+	handlers []proto.Handler // by ID; nil = silent or powered off
 	envs     map[types.ProcID]*env
 	gens     []uint64       // power-cycle generation by ID, bumped by Kill
 	pool     proto.MsgPool  // outbound message boxes; world is single-threaded
@@ -74,7 +74,7 @@ func New(cfg Config) (*World, error) {
 	w := &World{
 		Sched:    sim.NewScheduler(cfg.Seed),
 		Params:   cfg.Params,
-		handlers: make(map[types.ProcID]proto.Handler, cfg.Params.N),
+		handlers: make([]proto.Handler, cfg.Params.N+1),
 		envs:     make(map[types.ProcID]*env, cfg.Params.N),
 		gens:     make([]uint64, cfg.Params.N+1),
 		procs:    cfg.Params.AllProcs(),
@@ -130,7 +130,7 @@ func (w *World) Kill(id types.ProcID) {
 		return
 	}
 	w.gens[id]++
-	delete(w.handlers, id)
+	w.handlers[id] = nil
 	if w.Log != nil {
 		w.Log.Emit(trace.Event{At: w.Sched.Now(), Kind: trace.KindCrash, Proc: id})
 	}
@@ -156,8 +156,8 @@ func (w *World) receive(to, from types.ProcID, payload any) {
 		// messages, so this only happens on harness misuse.
 		return
 	}
-	h, ok := w.handlers[to]
-	if !ok {
+	h := w.handlers[to]
+	if h == nil {
 		return // silent process: drops everything
 	}
 	h.OnMessage(from, m)

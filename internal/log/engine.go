@@ -120,6 +120,11 @@ type Engine struct {
 
 	insts   map[types.Instance]*instance
 	decided map[types.Instance]types.Value // decided, not yet applied
+	// last is insts[lastID]: a relay vector hands over its entries in runs
+	// that share an instance, and each run looks its engine up once.
+	// Whatever deletes from insts clears it.
+	lastID types.Instance
+	last   *instance
 
 	nextStart types.Instance // next instance this process will propose in
 	applied   types.Instance // instances [0, applied) are applied
@@ -417,7 +422,11 @@ func (l *Engine) learn(from types.ProcID, m proto.Message) {
 // message — and kept for the lifetime of the log so laggards can still
 // obtain reliable-broadcast echoes of old instances.
 func (l *Engine) getInstance(i types.Instance) *instance {
+	if l.last != nil && l.lastID == i {
+		return l.last
+	}
 	if inst, ok := l.insts[i]; ok {
+		l.lastID, l.last = i, inst
 		return inst
 	}
 	// Gap backfill after a durable restart (Resume): a peer message for
@@ -450,6 +459,7 @@ func (l *Engine) getInstance(i types.Instance) *instance {
 	}
 	inst := &instance{eng: eng}
 	l.insts[i] = inst
+	l.lastID, l.last = i, inst
 	if backfill {
 		inst.proposal = EncodeBatch(nil)
 		if err := eng.Propose(inst.proposal); err != nil && l.err == nil {
@@ -719,6 +729,7 @@ func (l *Engine) Compact(floor types.Instance) int {
 		return 0
 	}
 	released := 0
+	l.last = nil
 	for i := l.floor; i < floor; i++ {
 		if _, ok := l.insts[i]; ok {
 			delete(l.insts, i)
@@ -812,6 +823,7 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 	// Instance-number order, not map order: Halt cancels timers in the
 	// shared scheduler, and determinism requires an iteration order that
 	// is a pure function of the engine state.
+	l.last = nil
 	for i := l.floor; i < boundary; i++ {
 		inst, ok := l.insts[i]
 		if !ok {

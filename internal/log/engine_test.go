@@ -156,7 +156,7 @@ func TestCoalescedEngineWindowGuardsRelayState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.OnMessage(2, proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: types.Value(enc)})
+	eng.OnMessage(2, proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: enc})
 	if eng.DroppedAhead() != 1 {
 		t.Fatalf("out-of-window entry missing from lag accounting (drops=%d)", eng.DroppedAhead())
 	}
@@ -432,7 +432,7 @@ func TestEngineAppliesFirstMessageRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.OnMessage(2, proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: types.Value(enc)})
+	eng.OnMessage(2, proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: enc})
 	if eng.Relay().DupEntries() != 1 {
 		t.Fatalf("vector repeat of a loose echo: DupEntries=%d, want 1", eng.Relay().DupEntries())
 	}

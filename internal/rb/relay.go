@@ -41,6 +41,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -107,38 +108,42 @@ type Entry struct {
 }
 
 // EncodeEntries serializes a vector of coalesced entries into the
-// payload bytes of a MsgRBVector frame. Layout: a uint32 entry count,
-// then per entry a fixed little-endian header (kind, module, flags,
-// round int64, origin int32, instance int64, payload length uint32)
-// followed by the payload (the value, or its hash when flag bit 0 is
-// set). It refuses entries the vocabulary cannot express, mirroring the
-// wire encoders.
-func EncodeEntries(entries []Entry) ([]byte, error) {
+// payload of a MsgRBVector frame. Layout: a uint32 entry count, then per
+// entry a fixed little-endian header (kind, module, flags, round int64,
+// origin int32, instance int64, payload length uint32) followed by the
+// payload (the value, or its hash when flag bit 0 is set). It refuses
+// entries the vocabulary cannot express, mirroring the wire encoders.
+// The payload is built in place as the frame's value: one allocation of
+// its exact size, no copy.
+func EncodeEntries(entries []Entry) (types.Value, error) {
 	if len(entries) > maxVectorEntries {
-		return nil, fmt.Errorf("rb: %d entries exceed the vector limit", len(entries))
+		return "", fmt.Errorf("rb: %d entries exceed the vector limit", len(entries))
 	}
 	size := 4
 	for _, e := range entries {
-		size += entryHeaderLen + len(e.Val)
-	}
-	buf := make([]byte, 4, size)
-	binary.LittleEndian.PutUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
 		if e.Kind != proto.MsgRBEcho && e.Kind != proto.MsgRBReady {
-			return nil, fmt.Errorf("rb: vector entry cannot carry %v", e.Kind)
+			return "", fmt.Errorf("rb: vector entry cannot carry %v", e.Kind)
 		}
 		if e.Tag.Mod < proto.ModConsCB0 || e.Tag.Mod > proto.ModACEst {
-			return nil, fmt.Errorf("rb: vector entry cannot carry module %v", e.Tag.Mod)
+			return "", fmt.Errorf("rb: vector entry cannot carry module %v", e.Tag.Mod)
 		}
 		if e.Tag.Round < 0 || e.Origin < 0 || e.Instance < 0 {
-			return nil, fmt.Errorf("rb: negative field in vector entry")
+			return "", fmt.Errorf("rb: negative field in vector entry")
 		}
 		if e.Hashed && len(e.Val) != HashLen {
-			return nil, fmt.Errorf("rb: hashed entry with %d-byte reference", len(e.Val))
+			return "", fmt.Errorf("rb: hashed entry with %d-byte reference", len(e.Val))
 		}
 		if len(e.Val) > maxEntryValueLen {
-			return nil, fmt.Errorf("rb: entry value of %d bytes exceeds limit", len(e.Val))
+			return "", fmt.Errorf("rb: entry value of %d bytes exceeds limit", len(e.Val))
 		}
+		size += entryHeaderLen + len(e.Val)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var count [4]byte
+	binary.LittleEndian.PutUint32(count[:], uint32(len(entries)))
+	b.Write(count[:])
+	for _, e := range entries {
 		var hdr [entryHeaderLen]byte
 		hdr[0] = byte(e.Kind)
 		hdr[1] = byte(e.Tag.Mod)
@@ -149,10 +154,10 @@ func EncodeEntries(entries []Entry) ([]byte, error) {
 		binary.LittleEndian.PutUint32(hdr[11:], uint32(int32(e.Origin)))
 		binary.LittleEndian.PutUint64(hdr[15:], uint64(e.Instance))
 		binary.LittleEndian.PutUint32(hdr[23:], uint32(len(e.Val)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, e.Val...)
+		b.Write(hdr[:])
+		b.WriteString(string(e.Val))
 	}
-	return buf, nil
+	return types.Value(b.String()), nil
 }
 
 // leU32/leU64 read little-endian integers straight out of a string-backed
@@ -326,9 +331,18 @@ type Relay struct {
 	// (see slot). The (sender, origin) plane is dense (both are process
 	// indices below n), so a bit test replaces a growing hashed-key set:
 	// no rehashing, no key hashing, one small map lookup per message.
+	// seenBits holds the scopes packScope fits in one word — every scope
+	// a correct run reaches — and wideBits the rest.
 	n        int // Params().N, fixes the bitmap geometry
-	seenBits map[dedupScope][]uint64
+	seenBits map[uint64][]uint64
+	wideBits map[dedupScope][]uint64
 	floor    types.Instance
+	// lastBits is the bitmap of lastScope: a vector's entries come in runs
+	// that share a scope (the sender's engine emits an instance's ECHOs
+	// and READYs of one tag together), so each run looks its bitmap up
+	// once.
+	lastScope dedupScope
+	lastBits  []uint64
 
 	// cache binds content hashes to values learned from INITs (inbound
 	// and outbound) and from validated pull responses; byVal indexes the
@@ -339,7 +353,13 @@ type Relay struct {
 	cache      map[hashKey]*cacheVal
 	byVal      map[types.Value]*cacheVal
 	cacheBytes int
-	hashBuf    []byte // hash's copy of the value: SHA-256 takes bytes
+	// lastVal is the entry last learned or resolved: the value an
+	// ECHO/READY this process sends next is most often the one a hashed
+	// entry or INIT just delivered, and comparing against it (equal
+	// strings usually share their bytes) spares hashing a whole batch
+	// for a byVal lookup.
+	lastVal *cacheVal
+	hashBuf []byte // hash's copy of the value: SHA-256 takes bytes
 
 	parked    map[hashKey][]parkedRef
 	parkedLen int
@@ -356,6 +376,19 @@ type dedupScope struct {
 	mod   proto.Module
 	round types.Round
 }
+
+// packScope packs s into one word when its instance fits 40 bits and its
+// round 16 bits, which makes its table lookup a uint64 hash; ok is false
+// for any other scope.
+func packScope(s dedupScope) (key uint64, ok bool) {
+	if s.inst < 0 || s.inst >= 1<<40 || s.round < 0 || s.round >= 1<<16 {
+		return 0, false
+	}
+	return uint64(s.inst)<<24 | uint64(s.round)<<8 | uint64(s.mod), true
+}
+
+// packedInst is the instance of a packScope key.
+func packedInst(key uint64) types.Instance { return types.Instance(key >> 24) }
 
 // maxDedupScopes caps the live bitmaps. A scope costs 2n²+5n bits, so a
 // Byzantine peer naming fresh (instance, tag) pairs allocates more per
@@ -417,7 +450,8 @@ func NewRelay(cfg RelayConfig) *Relay {
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
 		n:        cfg.Env.Params().N,
-		seenBits: make(map[dedupScope][]uint64),
+		seenBits: make(map[uint64][]uint64),
+		wideBits: make(map[dedupScope][]uint64),
 		cache:    make(map[hashKey]*cacheVal),
 		byVal:    make(map[types.Value]*cacheVal),
 		parked:   make(map[hashKey][]parkedRef),
@@ -538,7 +572,7 @@ func (r *Relay) flush(cause flushCause) {
 	r.tracer.RBEvent(xtrace.StageRBRelay, xtrace.NoInstance, 0)
 	r.env.Broadcast(proto.Message{
 		Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay},
-		Origin: r.env.ID(), Val: types.Value(enc),
+		Origin: r.env.ID(), Val: enc,
 	})
 }
 
@@ -624,6 +658,7 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 			if e.Instance > cv.maxInst {
 				cv.maxInst = e.Instance
 			}
+			r.lastVal = cv
 			*word |= mask
 			r.deliver(from, e, cv.val)
 			continue
@@ -708,14 +743,27 @@ func (r *Relay) slot(from types.ProcID, kind proto.MsgKind, tag proto.Tag, origi
 		return nil, 0
 	}
 	scope := dedupScope{inst: inst, mod: mod, round: tag.Round}
-	bits := r.seenBits[scope]
-	if bits == nil {
-		if len(r.seenBits) >= maxDedupScopes {
-			r.metrics.ScopeDrops.Inc()
-			return nil, 0
+	bits := r.lastBits
+	if bits == nil || scope != r.lastScope {
+		key, packed := packScope(scope)
+		if packed {
+			bits = r.seenBits[key]
+		} else {
+			bits = r.wideBits[scope]
 		}
-		bits = make([]uint64, (2*n*n+5*n+63)/64)
-		r.seenBits[scope] = bits
+		if bits == nil {
+			if r.Scopes() >= maxDedupScopes {
+				r.metrics.ScopeDrops.Inc()
+				return nil, 0
+			}
+			bits = make([]uint64, (2*n*n+5*n+63)/64)
+			if packed {
+				r.seenBits[key] = bits
+			} else {
+				r.wideBits[scope] = bits
+			}
+		}
+		r.lastScope, r.lastBits = scope, bits
 	}
 	return &bits[idx>>6], uint64(1) << (idx & 63)
 }
@@ -800,9 +848,13 @@ func (r *Relay) hash(v types.Value) hashKey {
 // learn is insert for a value not hashed yet: a value already cached is
 // found by value and not hashed again.
 func (r *Relay) learn(v types.Value, inst types.Instance, own bool) *cacheVal {
-	cv, ok := r.byVal[v]
-	if !ok {
-		return r.insert(r.hash(v), v, inst, own)
+	cv := r.lastVal
+	if cv == nil || cv.val != v {
+		var ok bool
+		if cv, ok = r.byVal[v]; !ok {
+			return r.insert(r.hash(v), v, inst, own)
+		}
+		r.lastVal = cv
 	}
 	if inst > cv.maxInst {
 		cv.maxInst = inst
@@ -839,6 +891,7 @@ func (r *Relay) insert(h hashKey, v types.Value, inst types.Instance, own bool) 
 		r.cache[h] = cv
 		r.byVal[v] = cv
 		r.cacheBytes += cost
+		r.lastVal = cv
 	} else {
 		r.metrics.CacheDrops.Inc()
 	}
@@ -861,9 +914,15 @@ func (r *Relay) RetireInstancesBefore(floor types.Instance) {
 		return
 	}
 	r.floor = floor
-	for s := range r.seenBits {
+	r.lastBits, r.lastVal = nil, nil
+	for key := range r.seenBits {
+		if packedInst(key) < floor {
+			delete(r.seenBits, key)
+		}
+	}
+	for s := range r.wideBits {
 		if s.inst < floor {
-			delete(r.seenBits, s)
+			delete(r.wideBits, s)
 		}
 	}
 	for h, cv := range r.cache {
@@ -945,7 +1004,7 @@ func (r *Relay) CacheDrops() uint64 { return r.metrics.CacheDrops.Value() }
 func (r *Relay) CacheBytes() int { return r.cacheBytes }
 
 // Scopes returns the number of live first-message scopes.
-func (r *Relay) Scopes() int { return len(r.seenBits) }
+func (r *Relay) Scopes() int { return len(r.seenBits) + len(r.wideBits) }
 
 // Parked returns the number of entries awaiting hash resolution.
 func (r *Relay) Parked() int { return r.parkedLen }

@@ -1,7 +1,6 @@
 package rb
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"strings"
@@ -112,7 +111,7 @@ func TestEntriesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeEntries(types.Value(enc))
+	got, err := DecodeEntries(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +181,7 @@ func TestDecodeEntriesRejectsMalformed(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			b := tt.mutate(bytes.Clone(valid))
+			b := tt.mutate([]byte(valid))
 			if _, err := DecodeEntries(types.Value(b)); err == nil {
 				t.Fatal("malformed vector accepted")
 			} else if !strings.Contains(err.Error(), tt.substr) {
@@ -200,8 +199,8 @@ func FuzzDecodeEntries(f *testing.F) {
 	hashed, _ := EncodeEntries([]Entry{
 		{Kind: proto.MsgRBReady, Tag: relayTag, Origin: 2, Instance: 5, Hashed: true, Val: types.Value(hash[:])},
 	})
-	f.Add(seed)
-	f.Add(hashed)
+	f.Add([]byte(seed))
+	f.Add([]byte(hashed))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -214,7 +213,7 @@ func FuzzDecodeEntries(f *testing.F) {
 		if err2 != nil {
 			t.Fatalf("decoded entries fail to encode: %v", err2)
 		}
-		if !bytes.Equal(b, data) {
+		if string(b) != string(data) {
 			t.Fatalf("decode/encode not canonical: %x vs %x", data, b)
 		}
 	})
@@ -532,7 +531,7 @@ func inboundVector(t *testing.T, r *Relay, from types.ProcID, entries []Entry) {
 	}
 	if !r.Inbound(from, proto.Message{
 		Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay},
-		Origin: from, Val: types.Value(enc),
+		Origin: from, Val: enc,
 	}) {
 		t.Fatal("vector frame not consumed")
 	}
@@ -622,6 +621,39 @@ func TestAdmitKeepsIdentitiesApart(t *testing.T) {
 	inboundVector(t, r, 1, []Entry{{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: 1}, Origin: 3, Val: "v"}})
 	if len(*got) != 0 || r.DupEntries() != 1 {
 		t.Fatalf("vector copy of a loose echo: delivered %d, DupEntries=%d", len(*got), r.DupEntries())
+	}
+}
+
+// TestScopesPackedAndWide: scopes whose instance or round do not fit one
+// word keep their own bitmaps apart from the packed ones, deduplicate the
+// same way and retire with the floor.
+func TestScopesPackedAndWide(t *testing.T) {
+	env := newRelayEnv()
+	r, _ := newTestRelay(env)
+	echo := func(inst types.Instance, round types.Round) proto.Message {
+		return proto.Message{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: round}, Origin: 2, Instance: inst, Val: "v"}
+	}
+	msgs := []proto.Message{
+		echo(5, 3),         // packed
+		echo(5, 1<<16),     // wide round, same instance
+		echo(5, 3+1<<16),   // wide round that would alias round 3 if truncated
+		echo(1<<40, 3),     // wide instance
+		echo(5+1<<40, 3),   // wide instance that would alias instance 5
+		echo(6, (1<<16)-1), // packed, largest packed round
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, m := range msgs {
+			if first, dup := r.Admit(4, m); first != (pass == 0) || dup != (pass == 1) {
+				t.Fatalf("pass %d, instance %v round %v: first=%v dup=%v", pass, m.Instance, m.Tag.Round, first, dup)
+			}
+		}
+	}
+	if r.Scopes() != len(msgs) {
+		t.Fatalf("Scopes()=%d, want %d", r.Scopes(), len(msgs))
+	}
+	r.RetireInstancesBefore(6)
+	if r.Scopes() != 3 {
+		t.Fatalf("after retiring below 6: Scopes()=%d, want 3", r.Scopes())
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -265,5 +266,32 @@ func TestDeliverStop(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("delivered %d before stop, want 2", n)
+	}
+}
+
+// BenchmarkSchedulerPending: the event loop at a steady queue depth, the
+// shape of a simulated world (sim-batch keeps about 212 events pending).
+// Each event schedules one successor 1–20 ms ahead, so every pop sifts
+// through a heap of that depth.
+func BenchmarkSchedulerPending(b *testing.B) {
+	for _, depth := range []int{16, 212, 4096} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			s := NewScheduler(1)
+			rng := rand.New(rand.NewSource(1))
+			fired := 0
+			var step func()
+			step = func() {
+				fired++
+				if fired < b.N {
+					s.After(types.Duration(1_000_000+rng.Intn(19_000_000)), step)
+				}
+			}
+			for i := 0; i < depth; i++ {
+				s.After(types.Duration(rng.Intn(20_000_000)), step)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.Run(0, uint64(b.N))
+		})
 	}
 }
