@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/netx/netxtest"
 )
 
 // syncBuffer collects a replica's stderr: exec's copier goroutine writes
@@ -81,15 +83,15 @@ func newCluster(t *testing.T, durable ...int) *liveCluster {
 	c := &liveCluster{
 		t:        t,
 		bin:      buildBinary(t, dir, "minsync-node", "."),
-		metrics:  reservePorts(t, clusterN),
+		metrics:  netxtest.Addrs(t, clusterN),
 		dataDirs: make(map[int]string),
 		procs:    make([]*exec.Cmd, clusterN),
 		logs:     make([]*syncBuffer, clusterN),
 		seqs:     make(map[uint64]uint64),
 		startIn:  "1s",
 	}
-	c.peerList = strings.Join(reservePorts(t, clusterN), ",")
-	for _, addr := range reservePorts(t, clusterN) {
+	c.peerList = strings.Join(netxtest.Addrs(t, clusterN), ",")
+	for _, addr := range netxtest.Addrs(t, clusterN) {
 		c.urls = append(c.urls, "http://"+addr)
 	}
 	for _, i := range durable {

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/netx/netxtest"
 )
 
 // buildBinary compiles a package of this module into dir and returns the
@@ -63,8 +65,8 @@ func TestE2EHTTPPool(t *testing.T) {
 	node := buildBinary(t, dir, "minsync-node", ".")
 
 	const n = 4
-	consAddrs := reservePorts(t, n)
-	httpAddrs := reservePorts(t, n)
+	consAddrs := netxtest.Addrs(t, n)
+	httpAddrs := netxtest.Addrs(t, n)
 	peerList := strings.Join(consAddrs, ",")
 
 	procs := make([]*exec.Cmd, n)
@@ -253,8 +255,8 @@ func TestE2EHTTPShed(t *testing.T) {
 	dir := t.TempDir()
 	node := buildBinary(t, dir, "minsync-node", ".")
 
-	consAddrs := reservePorts(t, 4)
-	httpAddr := reservePorts(t, 1)[0]
+	consAddrs := netxtest.Addrs(t, 4)
+	httpAddr := netxtest.Addrs(t, 1)[0]
 
 	cmd := exec.Command(node,
 		"-id", "1",

@@ -4,78 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand/v2"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/netx/netxtest"
 )
-
-// reservePorts returns n loopback addresses no earlier call in this
-// process handed out, found by binding them: the listeners of one call
-// stay open until it has them all.
-//
-// The ports are drawn at random from BELOW the kernel's ephemeral range
-// rather than taken from ":0". Replicas dial every peer as they boot, and
-// a port ":0" returned is an ephemeral one: the kernel is free to give it
-// to one of those outgoing connections the moment the reservation is
-// closed, before the replica it was meant for binds it. Nothing allocates
-// a static port behind the test's back; another program binding the same
-// one explicitly in that window is a race a test accepts.
-func reservePorts(t *testing.T, n int) []string {
-	t.Helper()
-	reservedMu.Lock()
-	defer reservedMu.Unlock()
-	span := ephemeralFloor() - firstStaticPort
-	if span < 10*n {
-		t.Fatalf("reserve ports: ephemeral range starts at %d, no room for static ports above %d", ephemeralFloor(), firstStaticPort)
-	}
-	var addrs []string
-	for tries := 0; len(addrs) < n; tries++ {
-		if tries > 100*n {
-			t.Fatalf("reserve ports: found only %d of %d free ports", len(addrs), n)
-		}
-		addr := fmt.Sprintf("127.0.0.1:%d", firstStaticPort+rand.IntN(span))
-		if reserved[addr] {
-			continue
-		}
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			continue // taken; draw again
-		}
-		defer ln.Close()
-		reserved[addr] = true
-		addrs = append(addrs, addr)
-	}
-	return addrs
-}
-
-var (
-	reservedMu sync.Mutex
-	reserved   = make(map[string]bool)
-)
-
-// firstStaticPort is the bottom of the range reservePorts draws from; the
-// top is wherever the kernel's ephemeral range begins.
-const firstStaticPort = 10000
-
-// ephemeralFloor is the lowest port the kernel hands to outgoing
-// connections and to listeners on port 0.
-func ephemeralFloor() int {
-	b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
-	if f := strings.Fields(string(b)); err == nil && len(f) == 2 {
-		if lo, err := strconv.Atoi(f[0]); err == nil {
-			return lo
-		}
-	}
-	return 32768 // the Linux default
-}
 
 // httpGet fetches a URL with retries until the deadline, returning the
 // body of the first 200 response.
@@ -118,9 +56,9 @@ func TestE2EClusterTelemetry(t *testing.T) {
 	}
 
 	const n = 4
-	consAddrs := reservePorts(t, n)
-	httpAddrs := reservePorts(t, n)
-	metricsAddrs := reservePorts(t, n)
+	consAddrs := netxtest.Addrs(t, n)
+	httpAddrs := netxtest.Addrs(t, n)
+	metricsAddrs := netxtest.Addrs(t, n)
 	peerList := strings.Join(consAddrs, ",")
 
 	procs := make([]*exec.Cmd, n)

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/kv"
 	"repro/internal/netx"
+	"repro/internal/netx/netxtest"
 	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/rt"
@@ -157,7 +158,7 @@ func TestKVCountsWithoutListener(t *testing.T) {
 		t.Fatal("newTelemetry opened a listener without an address")
 	}
 	// Process 2 is a bare transport that only counts; 3 and 4 are down.
-	ports := reservePorts(t, 4)
+	ports := netxtest.Addrs(t, 4)
 	addrs := make(map[types.ProcID]string, 4)
 	for i, a := range ports {
 		addrs[types.ProcID(i+1)] = a

@@ -30,9 +30,18 @@ func WatchDials(t *testing.T, watch func(addr string, at time.Time)) {
 	t.Cleanup(func() { dialTCP = old })
 }
 
+// LengthenMinBackoff makes transports Listened by t after this call
+// wait d after a link's first failed dial, doubling from there, instead
+// of milliseconds.
+func LengthenMinBackoff(t *testing.T, d time.Duration) {
+	old := minBackoff
+	minBackoff = d
+	t.Cleanup(func() { minBackoff = old })
+}
+
 // MinBackoff and MaxBackoff are the first and the largest wait after a
 // failed dial.
-const MinBackoff, MaxBackoff = minBackoff, maxBackoff
+var MinBackoff, MaxBackoff = minBackoff, maxBackoff
 
 // MaxFrame is the inbound frame bound.
 const MaxFrame = maxFrame

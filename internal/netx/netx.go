@@ -47,8 +47,8 @@ const (
 	// fills 64 MiB, so a frame refused here is one the peer stopped taking.
 	maxQueueBytes = 64 << 20
 	// A link whose dial fails refuses frames for a backoff that doubles
-	// from minBackoff up to maxBackoff, and is reset by a successful dial.
-	minBackoff = 10 * time.Millisecond
+	// up to maxBackoff, and is reset by a successful dial; the peer's own
+	// hello ends the current wait early (see link).
 	maxBackoff = time.Second
 	// closeGrace is how long Close lets the writers put what Send already
 	// accepted on live connections.
@@ -61,6 +61,11 @@ const (
 // decides the peer is not reading. A variable only so that the package's
 // tests can shorten it (export_test.go); Listen copies it.
 var stallTimeout = 5 * time.Second
+
+// minBackoff is the first wait after a failed dial. A variable only so
+// that the package's tests can lengthen it (export_test.go); Listen
+// copies it.
+var minBackoff = 10 * time.Millisecond
 
 // dialTCP opens a link's connection. A variable only so that the
 // package's tests can watch the attempts (export_test.go); Listen copies
@@ -101,7 +106,9 @@ type Transport struct {
 	ln    net.Listener
 	links map[types.ProcID]*link // one per peer, fixed by Listen
 	stall time.Duration
-	dialF func(ctx context.Context, timeout time.Duration, addr string) (net.Conn, error)
+	// minWait is the first backoff after a failed dial (minBackoff).
+	minWait time.Duration
+	dialF   func(ctx context.Context, timeout time.Duration, addr string) (net.Conn, error)
 
 	// linked[k] closes when the k-th link first connects (linked[0] at
 	// Listen); linkedN counts the links that have.
@@ -144,14 +151,15 @@ func Listen(cfg Config) (*Transport, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &Transport{
-		cfg:    cfg,
-		ln:     ln,
-		links:  make(map[types.ProcID]*link, len(cfg.Addrs)),
-		stall:  stallTimeout,
-		dialF:  dialTCP,
-		linked: make([]chan struct{}, len(cfg.Addrs)),
-		ctx:    ctx,
-		cancel: cancel,
+		cfg:     cfg,
+		ln:      ln,
+		links:   make(map[types.ProcID]*link, len(cfg.Addrs)),
+		stall:   stallTimeout,
+		minWait: minBackoff,
+		dialF:   dialTCP,
+		linked:  make([]chan struct{}, len(cfg.Addrs)),
+		ctx:     ctx,
+		cancel:  cancel,
 	}
 	for k := range t.linked {
 		t.linked[k] = make(chan struct{})
@@ -161,7 +169,7 @@ func Listen(cfg Config) (*Transport, error) {
 		if id == cfg.Self {
 			continue
 		}
-		l := &link{t: t, peer: id, addr: addr, wake: make(chan struct{}, 1), queued: cfg.Metrics.QueueBytes[int(id)]}
+		l := &link{t: t, peer: id, addr: addr, wake: make(chan struct{}, 1), hello: make(chan struct{}, 1), queued: cfg.Metrics.QueueBytes[int(id)]}
 		t.links[id] = l
 		t.wg.Add(1)
 		go l.run()
@@ -292,6 +300,7 @@ func (t *Transport) serveConn(conn net.Conn) {
 		t.cfg.Logf("netx %v: unknown peer id %v from %s", t.cfg.Self, peer, conn.RemoteAddr())
 		return
 	}
+	t.links[peer].heard()
 	for {
 		body, held, err := readFrame(r)
 		if err != nil {
@@ -370,7 +379,10 @@ type frame struct {
 // link is the outbound channel to one peer. Send appends to its queue;
 // its writer goroutine owns everything that can block: the boot probe,
 // the dial with backoff, the handshake, and writev of the whole queue
-// under a write deadline. A watcher goroutine per connection reads it,
+// under a write deadline. The peer's hello on an inbound connection
+// shows it listens, so it ends the writer's backoff wait at once: the
+// process that boots first links to the others as they come up, not a
+// backoff later, and so do a returning peer's links back to it. A watcher goroutine per connection reads it,
 // which the peer never writes, to learn when the peer has closed it; the
 // writer then dials afresh instead of writing into the dead socket. A
 // connection that fails — dial refused, write error, or no write progress
@@ -382,6 +394,7 @@ type link struct {
 	peer   types.ProcID
 	addr   string
 	wake   chan struct{} // capacity 1: one pending signal covers any number of frames
+	hello  chan struct{} // capacity 1: the peer said hello since the last dial
 	queued *obs.Gauge
 
 	mu      sync.Mutex
@@ -398,6 +411,25 @@ type link struct {
 	spare []frame
 	hdrs  []byte
 	iov   net.Buffers
+}
+
+// heard signals the writer that the peer dialed this process.
+func (l *link) heard() {
+	select {
+	case l.hello <- struct{}{}:
+	default:
+	}
+}
+
+// redial dials the peer, first forgetting a hello heard before it: the
+// dial answers that one, and only a hello heard after it may cut the
+// backoff that a failure starts.
+func (l *link) redial() error {
+	select {
+	case <-l.hello:
+	default:
+	}
+	return l.dial()
 }
 
 func (l *link) enqueue(f frame) error {
@@ -430,7 +462,7 @@ func (l *link) run() {
 	defer l.t.wg.Done()
 	defer l.closeConn()
 	l.probe()
-	backoff := minBackoff
+	backoff := l.t.minWait
 	for {
 		select {
 		case <-l.wake:
@@ -452,13 +484,14 @@ func (l *link) run() {
 			l.closeConn()
 		}
 		if l.conn == nil {
-			if err := l.dial(); err != nil {
-				if backoff == minBackoff && l.t.ctx.Err() == nil {
+			if err := l.redial(); err != nil {
+				if backoff == l.t.minWait && l.t.ctx.Err() == nil {
 					l.t.cfg.Logf("netx %v: link to %v down: %v", l.t.cfg.Self, l.peer, err)
 				}
 				l.fail(len(batch), false, true)
 				select {
 				case <-time.After(backoff):
+				case <-l.hello:
 				case <-l.t.ctx.Done():
 					return
 				}
@@ -468,7 +501,7 @@ func (l *link) run() {
 				l.mu.Unlock()
 				continue
 			}
-			backoff = minBackoff
+			backoff = l.t.minWait
 		}
 		if err := l.write(batch); err != nil {
 			stalled := errors.Is(err, os.ErrDeadlineExceeded)
@@ -484,14 +517,15 @@ func (l *link) run() {
 // probe dials the peer at boot, before any frame asks for it, so that
 // the link counts towards Linked once the peer listens. A failed probe
 // drops nothing and refuses nothing; the next one waits out the same
-// doubling backoff a failed dial does. Probing ends at the first connection, at Close, or at
-// the first frame queued: from then on the link dials on demand, with a
-// fresh backoff.
+// doubling backoff a failed dial does, or less if the peer says hello.
+// Probing ends at the first connection, at Close, or at the first frame
+// queued: from then on the link dials on demand, with a fresh backoff.
 func (l *link) probe() {
-	backoff := minBackoff
-	for l.dial() != nil {
+	backoff := l.t.minWait
+	for l.redial() != nil {
 		select {
 		case <-time.After(backoff):
+		case <-l.hello:
 		case <-l.wake:
 			// Hand the frame's signal back to run.
 			select {

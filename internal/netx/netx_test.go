@@ -4,11 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"math/rand/v2"
 	"net"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,61 +14,21 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netx"
+	"repro/internal/netx/netxtest"
 	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/rt"
 	"repro/internal/types"
 )
 
-// reserveAddr returns a loopback address nothing listens on. Its port
-// lies below the kernel's ephemeral range and is checked free by binding
-// it: a port ":0" returns is ephemeral, and any link's boot dial may take
-// it as its source port before the test listens on it. Successive calls
-// walk the range from a random start, so a test binary hands no port out
-// twice until the walk wraps.
-func reserveAddr(t *testing.T) string {
-	t.Helper()
-	const lo = 10000
-	span := ephemeralFloor() - lo
-	if span < 1000 {
-		t.Fatalf("ephemeral range starts at %d, no room for static ports above %d", ephemeralFloor(), lo)
-	}
-	for tries := 0; tries < 1000; tries++ {
-		addr := fmt.Sprintf("127.0.0.1:%d", lo+(portBase+int(portWalk.Add(1)))%span)
-		if ln, err := net.Listen("tcp", addr); err == nil {
-			ln.Close()
-			return addr
-		}
-	}
-	t.Fatal("no free loopback port below the ephemeral range")
-	return ""
-}
-
-var (
-	portBase = rand.IntN(1 << 20)
-	portWalk atomic.Int64
-)
-
-// ephemeralFloor is the lowest port the kernel hands to outgoing
-// connections and to listeners on port 0.
-func ephemeralFloor() int {
-	b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
-	if f := strings.Fields(string(b)); err == nil && len(f) == 2 {
-		if lo, err := strconv.Atoi(f[0]); err == nil {
-			return lo
-		}
-	}
-	return 32768 // the Linux default
-}
-
-// startMesh brings up n transports on loopback. Ports are reserved with
-// throwaway :0 listeners first so every transport knows the full address
+// startMesh brings up n transports on loopback. Their addresses are
+// reserved first (netxtest) so every transport knows the full address
 // map up front.
 func startMesh(t *testing.T, n int, recv map[types.ProcID]netx.RecvFunc) (map[types.ProcID]*netx.Transport, map[types.ProcID]string) {
 	t.Helper()
 	addrs := make(map[types.ProcID]string, n)
 	for i := 1; i <= n; i++ {
-		addrs[types.ProcID(i)] = reserveAddr(t)
+		addrs[types.ProcID(i)] = netxtest.Addr(t)
 	}
 	transports := make(map[types.ProcID]*netx.Transport, n)
 	for i := 1; i <= n; i++ {
@@ -268,7 +225,7 @@ func TestHelloLengthChecked(t *testing.T) {
 // Metrics is nil and the transport counts into private cells.
 func TestCountsAreWireSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
+	addrs := map[types.ProcID]string{1: netxtest.Addr(t), 2: netxtest.Addr(t)}
 	var got atomic.Int64
 	recv := func(types.ProcID, proto.Message) { got.Add(1) }
 	a := listen(t, netx.Config{Self: 1, Addrs: addrs, Recv: recv, Metrics: netx.NewMetrics(reg, []types.ProcID{2})})
@@ -340,7 +297,7 @@ func TestCountsAreWireSeries(t *testing.T) {
 func TestStalledPeerDoesNotBlockSend(t *testing.T) {
 	netx.ShortenStallTimeout(t, 50*time.Millisecond)
 	silent, _ := silentPeer(t)
-	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t), 3: silent}
+	addrs := map[types.ProcID]string{1: netxtest.Addr(t), 2: netxtest.Addr(t), 3: silent}
 	var got atomic.Int64
 	listen(t, netx.Config{Self: 2, Addrs: addrs, Recv: func(types.ProcID, proto.Message) { got.Add(1) }})
 	wm := wireMetrics(2, 3)
@@ -367,7 +324,7 @@ func TestStalledPeerDoesNotBlockSend(t *testing.T) {
 // the link's writer, and frames sent while it backs off are refused
 // without dialing.
 func TestRefusedPeerNotDialedByCaller(t *testing.T) {
-	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
+	addrs := map[types.ProcID]string{1: netxtest.Addr(t), 2: netxtest.Addr(t)}
 	wm := wireMetrics(2)
 	a := listen(t, netx.Config{Self: 1, Addrs: addrs, Metrics: wm})
 	msg := initMsg(1, "v")
@@ -504,7 +461,7 @@ func TestFrameLargerThanReadBuffer(t *testing.T) {
 // writing to a peer that does not read.
 func TestCloseWithBlockedWriter(t *testing.T) {
 	silent, accepted := silentPeer(t)
-	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: silent}
+	addrs := map[types.ProcID]string{1: netxtest.Addr(t), 2: silent}
 	a := listen(t, netx.Config{Self: 1, Addrs: addrs})
 	select {
 	case <-accepted:
@@ -716,7 +673,7 @@ func TestLinksConnectWithoutFrames(t *testing.T) {
 // listens, the next probe connects, Linked(1) fires, and a frame sent
 // then is delivered.
 func TestReadyWaitsForLateListener(t *testing.T) {
-	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
+	addrs := map[types.ProcID]string{1: netxtest.Addr(t), 2: netxtest.Addr(t)}
 	dials := watchDials(t, addrs[2])
 	a := listen(t, netx.Config{Self: 1, Addrs: addrs})
 	waitFor(t, "a second probe of the absent peer", func() bool { return len(dials.attempts()) >= 2 })
@@ -743,11 +700,35 @@ func TestReadyWaitsForLateListener(t *testing.T) {
 	}
 }
 
+// TestHelloEndsBackoff: a peer that starts listening after the
+// transport's first probe failed is linked as soon as it dials in, not
+// when the backoff ends. The backoff is made far longer than the test
+// waits, so only the peer's hello can have cut it; the link dials the
+// late peer once more than the failed probe, and not again.
+func TestHelloEndsBackoff(t *testing.T) {
+	const backoff = time.Minute
+	netx.LengthenMinBackoff(t, backoff)
+	addrs := map[types.ProcID]string{1: netxtest.Addr(t), 2: netxtest.Addr(t)}
+	dials := watchDials(t, addrs[2])
+	a := listen(t, netx.Config{Self: 1, Addrs: addrs})
+	waitFor(t, "the failed probe of the absent peer", func() bool { return len(dials.attempts()) >= 1 })
+
+	listen(t, netx.Config{Self: 2, Addrs: addrs})
+	select {
+	case <-a.Linked(1):
+	case <-time.After(backoff / 2):
+		t.Fatalf("not linked %v after the peer started: links %v", backoff/2, a.Links())
+	}
+	if n := len(dials.attempts()); n != 2 {
+		t.Fatalf("%d dials of the late peer, want the failed probe and one more", n)
+	}
+}
+
 // TestAbsentPeerNeverReady: a peer nothing listens for never counts
 // towards Linked, and its probes are spaced by at least the doubling
 // backoff a failed dial has always waited.
 func TestAbsentPeerNeverReady(t *testing.T) {
-	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
+	addrs := map[types.ProcID]string{1: netxtest.Addr(t), 2: netxtest.Addr(t)}
 	dials := watchDials(t, addrs[2])
 	wm := wireMetrics(2)
 	a := listen(t, netx.Config{Self: 1, Addrs: addrs, Metrics: wm})
@@ -777,7 +758,7 @@ func TestLinkedFiresAtK(t *testing.T) {
 	const n = 4
 	addrs := make(map[types.ProcID]string, n)
 	for i := 1; i <= n; i++ {
-		addrs[types.ProcID(i)] = reserveAddr(t)
+		addrs[types.ProcID(i)] = netxtest.Addr(t)
 	}
 	dials := watchDials(t, addrs[2])
 	wm := wireMetrics(2, 3, 4)
@@ -822,7 +803,7 @@ func TestLinkedFiresAtK(t *testing.T) {
 // listens again, the next Send dials it afresh and is delivered rather
 // than written into the dead socket.
 func TestLinkDownWhenPeerCloses(t *testing.T) {
-	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t)}
+	addrs := map[types.ProcID]string{1: netxtest.Addr(t), 2: netxtest.Addr(t)}
 	wm := wireMetrics(2)
 	a := listen(t, netx.Config{Self: 1, Addrs: addrs, Metrics: wm})
 	b, err := netx.Listen(netx.Config{Self: 2, Addrs: addrs, Recv: func(types.ProcID, proto.Message) {}})
@@ -853,7 +834,7 @@ func TestLinkDownWhenPeerCloses(t *testing.T) {
 // unwritten, as the per-peer queue gauge does.
 func TestLinksReportState(t *testing.T) {
 	silent, _ := silentPeer(t)
-	addrs := map[types.ProcID]string{1: reserveAddr(t), 2: reserveAddr(t), 3: silent}
+	addrs := map[types.ProcID]string{1: netxtest.Addr(t), 2: netxtest.Addr(t), 3: silent}
 	wm := wireMetrics(2, 3)
 	a := listen(t, netx.Config{Self: 1, Addrs: addrs, Metrics: wm})
 	msg := initMsg(1, "v")

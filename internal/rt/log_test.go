@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/log"
 	"repro/internal/netx"
+	"repro/internal/netx/netxtest"
 	"repro/internal/proto"
 	"repro/internal/rt"
 	"repro/internal/types"
@@ -171,7 +172,7 @@ func TestLogOverTCP(t *testing.T) {
 // from them. The other three — exactly n−t — commit every command: their
 // event loops never wait on its links.
 func TestLogOverTCPStalledPeer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", netxtest.Addr(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,20 +210,15 @@ func runTCPLog(t *testing.T, absent map[types.ProcID]string) {
 	const n, target = 4, 20
 	params := types.Params{N: n, T: 1}
 
-	// Reserve ports with throwaway :0 listeners so every transport knows
-	// the full address map up front (same idiom as the netx tests).
+	// Reserve every address first (netxtest) so each transport knows the
+	// full address map up front.
 	addrs := make(map[types.ProcID]string, n)
 	for _, id := range params.AllProcs() {
 		if addr, ok := absent[id]; ok {
 			addrs[id] = addr
 			continue
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[id] = ln.Addr().String()
-		ln.Close()
+		addrs[id] = netxtest.Addr(t)
 	}
 	// Every node exists before its transport listens, as in minsync-node:
 	// links connect at boot, so a peer's first frames can arrive before
