@@ -1,6 +1,7 @@
 package log
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -956,5 +957,51 @@ func TestCanonicalPendingBookkeeping(t *testing.T) {
 	}
 	if err := eng.Submit("later"); err != nil || eng.Pending() != 1 || len(eng.canonicalBatch(12)) != 1 {
 		t.Fatalf("submit after install: err=%v pending=%d", err, eng.Pending())
+	}
+}
+
+// BenchmarkVectorFrame: one relay vector of 32 hashed entries — ECHO and
+// READY of every origin's CB[0] batch in each of four instances — through
+// Engine.OnMessage: Relay.Inbound, the first-message table, value
+// resolution, dispatch and every instance's rb layer. Each op delivers it
+// to a fresh engine that has learned the four origins' batches from
+// their INITs, which is not timed.
+func BenchmarkVectorFrame(b *testing.B) {
+	params := types.Params{N: 4, T: 1}
+	const instances = 4
+	var inits []proto.Message
+	var entries []rb.Entry
+	for _, kind := range []proto.MsgKind{proto.MsgRBEcho, proto.MsgRBReady} {
+		for i := types.Instance(0); i < instances; i++ {
+			for _, o := range params.AllProcs() {
+				batch := EncodeBatch([]types.Value{types.Value(fmt.Sprintf("command %v of origin %v", i, o))})
+				if kind == proto.MsgRBEcho {
+					inits = append(inits, proto.Message{Kind: proto.MsgRBInit, Tag: proto.Tag{Mod: proto.ModConsCB0}, Origin: o, Instance: i, Val: batch})
+				}
+				h := sha256.Sum256([]byte(batch))
+				entries = append(entries, rb.Entry{Kind: kind, Tag: proto.Tag{Mod: proto.ModConsCB0}, Origin: o, Instance: i, Hashed: true, Val: types.Value(h[:])})
+			}
+		}
+	}
+	enc, err := rb.EncodeEntries(entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame := proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: enc}
+	b.ReportAllocs()
+	for b.Loop() {
+		b.StopTimer()
+		eng, err := New(Config{Env: &stubEnv{id: 1, params: params}, Pipeline: instances})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range inits {
+			eng.OnMessage(m.Origin, m)
+		}
+		b.StartTimer()
+		eng.OnMessage(2, frame)
+		if eng.Relay().Parked() != 0 || eng.Relay().DupEntries() != 0 {
+			b.Fatalf("%d entries parked, %d duplicates: the frame did not resolve", eng.Relay().Parked(), eng.Relay().DupEntries())
+		}
 	}
 }

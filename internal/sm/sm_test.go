@@ -14,7 +14,7 @@ import (
 
 // feed pushes n entries through the applier, batching `perInst` entries
 // per instance (mimicking the log engine's OnCommit/OnApply cadence).
-func feed(t *testing.T, a *Applier, start, n, perInst int, inst0 types.Instance) types.Instance {
+func feed(t testing.TB, a *Applier, start, n, perInst int, inst0 types.Instance) types.Instance {
 	t.Helper()
 	inst := inst0
 	inBatch := 0

@@ -175,6 +175,9 @@ func DecodeTransfer(b []byte) (s Snapshot, retained []log.Entry, err error) {
 	if count > maxTransferEntries || uint64(count)*20 > uint64(len(rest)) {
 		return s, nil, fmt.Errorf("sm: entry count %d exceeds payload", count)
 	}
+	// One string holds every retained command: the entries are views
+	// into it, not one copy each.
+	cmds := types.Value(rest)
 	retained = make([]log.Entry, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 20 {
@@ -190,10 +193,11 @@ func DecodeTransfer(b []byte) (s Snapshot, retained []log.Entry, err error) {
 		if idx > 1<<62 || inst > 1<<62 {
 			return s, nil, fmt.Errorf("sm: entry %d position out of range", i)
 		}
+		at := len(cmds) - len(rest)
 		retained = append(retained, log.Entry{
 			Index:    int(idx),
 			Instance: types.Instance(inst),
-			Cmd:      types.Value(rest[:cmdLen]),
+			Cmd:      cmds[at : at+int(cmdLen)],
 		})
 		rest = rest[cmdLen:]
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 
 // --- Transfer codec ----------------------------------------------------------
 
-func buildSnapshot(t *testing.T, entries int) (*Applier, Snapshot, []log.Entry) {
+func buildSnapshot(t testing.TB, entries int) (*Applier, Snapshot, []log.Entry) {
 	t.Helper()
 	a, err := New(Config{Machine: kv.NewStore(), SnapshotEvery: entries})
 	if err != nil {
@@ -534,5 +535,25 @@ func TestTransferIdleRejoinGap(t *testing.T) {
 	}
 	if lg.applied != 19 || rejoinApp.Applied() != 8 {
 		t.Fatalf("rejoiner at (inst=%v, applied=%d), want (19, 8)", lg.applied, rejoinApp.Applied())
+	}
+}
+
+// BenchmarkDecodeTransfer: validating and parsing one transfer payload —
+// a snapshot of 256 applied entries and a retained suffix of 64 — as an
+// assembled download or a durable stamp at boot is: one SHA-256 pass over
+// the snapshot, one over the rest.
+func BenchmarkDecodeTransfer(b *testing.B) {
+	_, s, _ := buildSnapshot(b, 256)
+	retained := make([]log.Entry, 64)
+	for k := range retained {
+		retained[k] = log.Entry{Index: s.Index - 64 + k, Instance: s.Instance - 1, Cmd: types.Value(fmt.Sprintf("retained command %03d", k))}
+	}
+	payload := EncodeTransfer(s, retained)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := DecodeTransfer(payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
