@@ -120,11 +120,12 @@ type Engine struct {
 
 	insts   map[types.Instance]*instance
 	decided map[types.Instance]types.Value // decided, not yet applied
-	// last is insts[lastID]: a relay vector hands over its entries in runs
-	// that share an instance, and each run looks its engine up once.
-	// Whatever deletes from insts clears it.
-	lastID types.Instance
-	last   *instance
+	// recent caches insts for the instances messages named last, by
+	// instance number modulo recentInstances: a relay vector hands over
+	// its entries in runs that share an instance, cycling through the
+	// few instances in flight, and each run finds its engine without a
+	// map lookup. Whatever deletes from insts clears it.
+	recent [recentInstances]recentInstance
 
 	nextStart types.Instance // next instance this process will propose in
 	applied   types.Instance // instances [0, applied) are applied
@@ -156,6 +157,17 @@ type Engine struct {
 }
 
 var _ proto.Handler = (*Engine)(nil)
+
+// recentInstances is the size of the engine's recent-instance cache:
+// above the pipeline depth and the instances a laggard still asks about.
+const recentInstances = 16
+
+// recentInstance is one slot of the recent-instance cache; nil inst is
+// empty.
+type recentInstance struct {
+	id   types.Instance
+	inst *instance
+}
 
 // cmdState is the engine's whole bookkeeping for one command: how many
 // own proposals in unapplied instances carry it, and whether it is
@@ -422,11 +434,12 @@ func (l *Engine) learn(from types.ProcID, m proto.Message) {
 // message — and kept for the lifetime of the log so laggards can still
 // obtain reliable-broadcast echoes of old instances.
 func (l *Engine) getInstance(i types.Instance) *instance {
-	if l.last != nil && l.lastID == i {
-		return l.last
+	slot := &l.recent[uint64(i)%recentInstances]
+	if slot.inst != nil && slot.id == i {
+		return slot.inst
 	}
 	if inst, ok := l.insts[i]; ok {
-		l.lastID, l.last = i, inst
+		*slot = recentInstance{id: i, inst: inst}
 		return inst
 	}
 	// Gap backfill after a durable restart (Resume): a peer message for
@@ -459,7 +472,7 @@ func (l *Engine) getInstance(i types.Instance) *instance {
 	}
 	inst := &instance{eng: eng}
 	l.insts[i] = inst
-	l.lastID, l.last = i, inst
+	*slot = recentInstance{id: i, inst: inst}
 	if backfill {
 		inst.proposal = EncodeBatch(nil)
 		if err := eng.Propose(inst.proposal); err != nil && l.err == nil {
@@ -729,7 +742,7 @@ func (l *Engine) Compact(floor types.Instance) int {
 		return 0
 	}
 	released := 0
-	l.last = nil
+	l.recent = [recentInstances]recentInstance{}
 	for i := l.floor; i < floor; i++ {
 		if _, ok := l.insts[i]; ok {
 			delete(l.insts, i)
@@ -823,7 +836,7 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 	// Instance-number order, not map order: Halt cancels timers in the
 	// shared scheduler, and determinism requires an iteration order that
 	// is a pure function of the engine state.
-	l.last = nil
+	l.recent = [recentInstances]recentInstance{}
 	for i := l.floor; i < boundary; i++ {
 		inst, ok := l.insts[i]
 		if !ok {

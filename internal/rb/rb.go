@@ -44,15 +44,28 @@ type Layer struct {
 	// engine knows which numbered instance it serves).
 	traceInst types.Instance
 
-	// rows holds one tag's instances, indexed by origin−1. Messages come
-	// in runs that share a tag (a relay vector groups its entries by
-	// instance and tag), so last, the row of lastTag, reaches most
-	// records without a hashed lookup; a row is one allocation for all n
-	// origins. live counts the instances a message has touched.
-	rows    map[proto.Tag][]instance
-	lastTag proto.Tag
-	last    []instance
-	live    int
+	// rows holds one tag's instances, indexed by origin−1: a row is one
+	// allocation for all n origins. recent caches the rows of the tags
+	// messages named last, direct-mapped by recentRow: messages come in
+	// runs that share a tag and cycle through the few tags of the rounds
+	// in progress, so most find their record without a map lookup. live
+	// counts the instances a message has touched.
+	rows   map[proto.Tag][]instance
+	recent [recentRows]struct {
+		tag proto.Tag
+		row []instance
+	}
+	live int
+}
+
+// recentRows is the size of a Layer's recent-row cache.
+const recentRows = 8
+
+// recentRow maps a tag to its slot in the recent-row cache. The rb
+// modules are 1, 2, 4 and 5, so CB[0] and the three rb tags of one round
+// take distinct slots.
+func recentRow(tag proto.Tag) int {
+	return int((uint64(tag.Mod) + uint64(tag.Round)*3) % recentRows)
 }
 
 type instance struct {
@@ -143,15 +156,16 @@ func (l *Layer) instance(origin types.ProcID, tag proto.Tag) *instance {
 	if o < 0 || o >= l.params.N {
 		return nil
 	}
-	if l.last == nil || tag != l.lastTag {
+	slot := &l.recent[recentRow(tag)]
+	if slot.row == nil || slot.tag != tag {
 		row, ok := l.rows[tag]
 		if !ok {
 			row = make([]instance, l.params.N)
 			l.rows[tag] = row
 		}
-		l.lastTag, l.last = tag, row
+		slot.tag, slot.row = tag, row
 	}
-	inst := &l.last[o]
+	inst := &slot.row[o]
 	if !inst.used {
 		inst.used = true
 		l.live++

@@ -337,12 +337,11 @@ type Relay struct {
 	seenBits map[uint64][]uint64
 	wideBits map[dedupScope][]uint64
 	floor    types.Instance
-	// lastBits is the bitmap of lastScope: a vector's entries come in runs
-	// that share a scope (the sender's engine emits an instance's ECHOs
-	// and READYs of one tag together), so each run looks its bitmap up
-	// once.
-	lastScope dedupScope
-	lastBits  []uint64
+	// recent caches the bitmaps of recently used scopes, direct-mapped
+	// (recentSlot): a vector's entries come in runs that share a scope,
+	// and cycle through the few scopes of the pipelined instances, so
+	// each run finds its bitmap without a map lookup.
+	recent [recentScopes]recentScope
 
 	// cache binds content hashes to values learned from INITs (inbound
 	// and outbound) and from validated pull responses; byVal indexes the
@@ -358,8 +357,9 @@ type Relay struct {
 	// entry or INIT just delivered, and comparing against it (equal
 	// strings usually share their bytes) spares hashing a whole batch
 	// for a byVal lookup.
-	lastVal *cacheVal
-	hashBuf []byte // hash's copy of the value: SHA-256 takes bytes
+	lastVal    *cacheVal
+	recentVals [recentValues]*cacheVal // see cached
+	hashBuf    []byte                  // hash's copy of the value: SHA-256 takes bytes
 
 	parked    map[hashKey][]parkedRef
 	parkedLen int
@@ -375,6 +375,27 @@ type dedupScope struct {
 	inst  types.Instance
 	mod   proto.Module
 	round types.Round
+}
+
+// recentScopes is the size of the relay's recent-scope cache: room for
+// the four rb tags of about eight instances.
+const recentScopes = 32
+
+// recentValues is the size of the relay's recent-value cache (cached):
+// room for the batches of the instances in flight from every origin.
+const recentValues = 64
+
+// recentScope is one slot of the recent-scope cache; nil bits is empty.
+type recentScope struct {
+	scope dedupScope
+	bits  []uint64
+}
+
+// recentSlot maps a scope to its slot in the recent-scope cache. The
+// scope modules are 1, 2, 4 and 5, so the four tags of one round of six
+// consecutive instances take distinct slots.
+func recentSlot(s dedupScope) int {
+	return int((uint64(s.inst)*5 + uint64(s.mod) + uint64(s.round)*7) % recentScopes)
 }
 
 // packScope packs s into one word when its instance fits 40 bits and its
@@ -652,13 +673,13 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 			r.deliver(from, e, e.Val)
 			continue
 		}
-		var h hashKey
-		copy(h[:], e.Val)
-		if cv, ok := r.cache[h]; ok {
+		if cv := r.cached(e.Val); cv != nil {
 			if e.Instance > cv.maxInst {
 				cv.maxInst = e.Instance
 			}
-			r.lastVal = cv
+			if r.lastVal != cv {
+				r.lastVal = cv
+			}
 			*word |= mask
 			r.deliver(from, e, cv.val)
 			continue
@@ -667,10 +688,31 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 		// parks: an entry dropped at the parking cap must stay
 		// re-deliverable, or a transient full lot would permanently
 		// swallow the echoes a lagging process needs (RB Termination-2).
+		var h hashKey
+		copy(h[:], e.Val)
 		if r.park(from, e, h) {
 			*word |= mask
 		}
 	}
+}
+
+// cached returns the cache entry whose hash is ref (HashLen bytes), nil
+// if there is none. The entries hashed entries resolved to last sit in
+// recentVals, direct-mapped by the hash's first byte: a frame's hashed
+// entries name the few batches of the instances in flight, and most are
+// found there without hashing the key for a map lookup.
+func (r *Relay) cached(ref types.Value) *cacheVal {
+	slot := &r.recentVals[ref[0]%recentValues]
+	if cv := *slot; cv != nil && cv.ref == ref {
+		return cv
+	}
+	var h hashKey
+	copy(h[:], ref)
+	cv := r.cache[h]
+	if cv != nil {
+		*slot = cv
+	}
+	return cv
 }
 
 // deliver hands one resolved entry to the sink as the loose message it
@@ -743,8 +785,9 @@ func (r *Relay) slot(from types.ProcID, kind proto.MsgKind, tag proto.Tag, origi
 		return nil, 0
 	}
 	scope := dedupScope{inst: inst, mod: mod, round: tag.Round}
-	bits := r.lastBits
-	if bits == nil || scope != r.lastScope {
+	slot := &r.recent[recentSlot(scope)]
+	bits := slot.bits
+	if bits == nil || scope != slot.scope {
 		key, packed := packScope(scope)
 		if packed {
 			bits = r.seenBits[key]
@@ -763,7 +806,7 @@ func (r *Relay) slot(from types.ProcID, kind proto.MsgKind, tag proto.Tag, origi
 				r.wideBits[scope] = bits
 			}
 		}
-		r.lastScope, r.lastBits = scope, bits
+		slot.scope, slot.bits = scope, bits
 	}
 	return &bits[idx>>6], uint64(1) << (idx & 63)
 }
@@ -914,7 +957,7 @@ func (r *Relay) RetireInstancesBefore(floor types.Instance) {
 		return
 	}
 	r.floor = floor
-	r.lastBits, r.lastVal = nil, nil
+	r.recent, r.recentVals, r.lastVal = [recentScopes]recentScope{}, [recentValues]*cacheVal{}, nil
 	for key := range r.seenBits {
 		if packedInst(key) < floor {
 			delete(r.seenBits, key)
