@@ -758,11 +758,12 @@ func (l *Engine) Compact(floor types.Instance) int {
 		trim++
 	}
 	if trim > 0 {
-		// Copy the suffix into a fresh slice so the trimmed prefix's
-		// backing array (and its command strings) become collectable.
-		rest := make([]Entry, len(l.entries)-trim)
-		copy(rest, l.entries[trim:])
-		l.entries = rest
+		// Slide the suffix down in place and clear what it vacated, so the
+		// trimmed commands become collectable while the backing array is
+		// kept for the entries the next instances append.
+		n := copy(l.entries, l.entries[trim:])
+		clear(l.entries[n:])
+		l.entries = l.entries[:n]
 		l.entriesBase += trim
 	}
 	l.floor = floor
@@ -982,8 +983,9 @@ func (l *Engine) commit(c types.Value) bool {
 }
 
 // Entries returns the retained committed-entry suffix (shared slice;
-// callers must not mutate). Before any compaction this is the whole log;
-// after, it starts at EntriesBase().
+// callers must not mutate it, and Compact rewrites it in place, so a
+// caller that keeps it across one copies it). Before any compaction this
+// is the whole log; after, it starts at EntriesBase().
 func (l *Engine) Entries() []Entry { return l.entries }
 
 // EntriesBase returns the index of the first retained entry (entries

@@ -271,10 +271,12 @@ func (a *Applier) OnApply(i types.Instance, newly int) {
 }
 
 // takeSnapshot captures the state covering instances [0, instance),
-// straight into its transfer payload: room for a little more than the
-// previous payload makes it one allocation of about its own size.
+// straight into its transfer payload: room for an eighth more than the
+// previous payload makes it one allocation of about its own size (with a
+// sixteenth, the retained suffix outgrew it in about one snapshot of
+// five of sim-batch, each time copying the whole payload).
 func (a *Applier) takeSnapshot(instance types.Instance) {
-	buf := make([]byte, transferDataAt, max(transferDataAt, len(a.payload)+len(a.payload)/16))
+	buf := make([]byte, transferDataAt, max(transferDataAt, len(a.payload)+len(a.payload)/8))
 	buf = appendSnapHeader(buf, a.applied, instance)
 	buf = a.cfg.Machine.AppendSnapshot(buf)
 	end := len(buf)
