@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/proto"
+	"repro/internal/rb"
 	"repro/internal/types"
 )
 
@@ -288,11 +289,16 @@ func FuzzDecode(f *testing.F) {
 	forgedKind[1] = byte(proto.MsgDecide) + 1 // past the vocabulary
 	f.Add(forgedKind)
 	f.Add(withVersion(snapReq, 2))
-	// Coalesced-relay frames: a vector carrying opaque entry bytes and a
-	// pull.
+	// Coalesced-relay frames: a vector carrying opaque entry bytes, one
+	// carrying a real hashed entry (an rb.HashLen-byte reference), and a
+	// pull for such a reference.
 	vec, _ := Encode(proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: "entry-vector-bytes"})
-	pull, _ := Encode(proto.Message{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: "0123456789abcdef0123456789abcdef"})
+	ref := types.Value(strings.Repeat("h", rb.HashLen))
+	entries, _ := rb.EncodeEntries([]rb.Entry{{Kind: proto.MsgRBReady, Tag: proto.Tag{Mod: proto.ModACEst, Round: 1}, Origin: 3, Instance: 9, Hashed: true, Val: ref}})
+	hashed, _ := Encode(proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: entries})
+	pull, _ := Encode(proto.Message{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 2, Val: ref})
 	f.Add(vec)
+	f.Add(hashed)
 	f.Add(pull)
 	f.Add(withVersion(snapReq, 3))
 	f.Add(withVersion(vec, 3))
@@ -378,7 +384,7 @@ func TestV4RelayRoundTrip(t *testing.T) {
 	for _, m := range []proto.Message{
 		{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 3, Val: "opaque-entry-vector"},
 		{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 3, Val: ""},
-		{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 5, Val: "0123456789abcdef0123456789abcdef"},
+		{Kind: proto.MsgRBPull, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 5, Val: types.Value(strings.Repeat("h", rb.HashLen))},
 		{Kind: proto.MsgRBPullResp, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 5, Val: "the-full-value"},
 	} {
 		b, err := Encode(m)
