@@ -669,6 +669,29 @@ func TestInstallSnapshotHaltsRetiredInstances(t *testing.T) {
 	}
 }
 
+// TestInstallSnapshotForgetsRecentInstances: an instance a message named
+// just before an install, retired by it, is not found again through the
+// recent-instance cache: traffic for it after the install, inside the
+// retained window, reaches a fresh engine, not the halted one.
+func TestInstallSnapshotForgetsRecentInstances(t *testing.T) {
+	eng, _ := newTestEngine(t, Config{Pipeline: 2})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	eng.OnMessage(3, echoAt(8))
+	old := eng.Instance(8)
+	if old == nil {
+		t.Fatal("instance 8 not built")
+	}
+	if err := eng.InstallSnapshot(10, 5, installRetained(5, pair(8, "a"), pair(9, "b"))); err != nil {
+		t.Fatal(err)
+	}
+	eng.OnMessage(4, echoAt(8))
+	if now := eng.Instance(8); now == nil || now == old || now.Stalled() {
+		t.Fatalf("instance 8 after the install: %p (halted %v), before: %p", now, now != nil && now.Stalled(), old)
+	}
+}
+
 func TestInstallSnapshotRejectsStaleAndForged(t *testing.T) {
 	eng, _ := newTestEngine(t, Config{Pipeline: 2})
 	if err := eng.Start(); err != nil {

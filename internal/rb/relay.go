@@ -331,11 +331,8 @@ type Relay struct {
 	// (see slot). The (sender, origin) plane is dense (both are process
 	// indices below n), so a bit test replaces a growing hashed-key set:
 	// no rehashing, no key hashing, one small map lookup per message.
-	// seenBits holds the scopes packScope fits in one word — every scope
-	// a correct run reaches — and wideBits the rest.
 	n        int // Params().N, fixes the bitmap geometry
-	seenBits map[uint64][]uint64
-	wideBits map[dedupScope][]uint64
+	seenBits map[dedupScope][]uint64
 	floor    types.Instance
 	// recent caches the bitmaps of recently used scopes, direct-mapped
 	// (recentSlot): a vector's entries come in runs that share a scope,
@@ -398,19 +395,6 @@ func recentSlot(s dedupScope) int {
 	return int((uint64(s.inst)*5 + uint64(s.mod) + uint64(s.round)*7) % recentScopes)
 }
 
-// packScope packs s into one word when its instance fits 40 bits and its
-// round 16 bits, which makes its table lookup a uint64 hash; ok is false
-// for any other scope.
-func packScope(s dedupScope) (key uint64, ok bool) {
-	if s.inst < 0 || s.inst >= 1<<40 || s.round < 0 || s.round >= 1<<16 {
-		return 0, false
-	}
-	return uint64(s.inst)<<24 | uint64(s.round)<<8 | uint64(s.mod), true
-}
-
-// packedInst is the instance of a packScope key.
-func packedInst(key uint64) types.Instance { return types.Instance(key >> 24) }
-
 // maxDedupScopes caps the live bitmaps. A scope costs 2n²+5n bits, so a
 // Byzantine peer naming fresh (instance, tag) pairs allocates more per
 // message than a map-per-instance design would; the cap bounds that
@@ -471,8 +455,7 @@ func NewRelay(cfg RelayConfig) *Relay {
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
 		n:        cfg.Env.Params().N,
-		seenBits: make(map[uint64][]uint64),
-		wideBits: make(map[dedupScope][]uint64),
+		seenBits: make(map[dedupScope][]uint64),
 		cache:    make(map[hashKey]*cacheVal),
 		byVal:    make(map[types.Value]*cacheVal),
 		parked:   make(map[hashKey][]parkedRef),
@@ -788,23 +771,13 @@ func (r *Relay) slot(from types.ProcID, kind proto.MsgKind, tag proto.Tag, origi
 	slot := &r.recent[recentSlot(scope)]
 	bits := slot.bits
 	if bits == nil || scope != slot.scope {
-		key, packed := packScope(scope)
-		if packed {
-			bits = r.seenBits[key]
-		} else {
-			bits = r.wideBits[scope]
-		}
-		if bits == nil {
-			if r.Scopes() >= maxDedupScopes {
+		if bits = r.seenBits[scope]; bits == nil {
+			if len(r.seenBits) >= maxDedupScopes {
 				r.metrics.ScopeDrops.Inc()
 				return nil, 0
 			}
 			bits = make([]uint64, (2*n*n+5*n+63)/64)
-			if packed {
-				r.seenBits[key] = bits
-			} else {
-				r.wideBits[scope] = bits
-			}
+			r.seenBits[scope] = bits
 		}
 		slot.scope, slot.bits = scope, bits
 	}
@@ -958,14 +931,9 @@ func (r *Relay) RetireInstancesBefore(floor types.Instance) {
 	}
 	r.floor = floor
 	r.recent, r.recentVals, r.lastVal = [recentScopes]recentScope{}, [recentValues]*cacheVal{}, nil
-	for key := range r.seenBits {
-		if packedInst(key) < floor {
-			delete(r.seenBits, key)
-		}
-	}
-	for s := range r.wideBits {
+	for s := range r.seenBits {
 		if s.inst < floor {
-			delete(r.wideBits, s)
+			delete(r.seenBits, s)
 		}
 	}
 	for h, cv := range r.cache {
@@ -1047,7 +1015,7 @@ func (r *Relay) CacheDrops() uint64 { return r.metrics.CacheDrops.Value() }
 func (r *Relay) CacheBytes() int { return r.cacheBytes }
 
 // Scopes returns the number of live first-message scopes.
-func (r *Relay) Scopes() int { return len(r.seenBits) + len(r.wideBits) }
+func (r *Relay) Scopes() int { return len(r.seenBits) }
 
 // Parked returns the number of entries awaiting hash resolution.
 func (r *Relay) Parked() int { return r.parkedLen }

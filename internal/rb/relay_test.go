@@ -624,36 +624,38 @@ func TestAdmitKeepsIdentitiesApart(t *testing.T) {
 	}
 }
 
-// TestScopesPackedAndWide: scopes whose instance or round do not fit one
-// word keep their own bitmaps apart from the packed ones, deduplicate the
-// same way and retire with the floor.
-func TestScopesPackedAndWide(t *testing.T) {
+// TestRecentScopesKeepScopesApart: scopes that share a slot of the
+// recent-scope cache — instances or rounds apart by the cache's size —
+// keep their own first-message bits, and retire with the floor like any
+// other.
+func TestRecentScopesKeepScopesApart(t *testing.T) {
 	env := newRelayEnv()
 	r, _ := newTestRelay(env)
 	echo := func(inst types.Instance, round types.Round) proto.Message {
 		return proto.Message{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: round}, Origin: 2, Instance: inst, Val: "v"}
 	}
-	msgs := []proto.Message{
-		echo(5, 3),         // packed
-		echo(5, 1<<16),     // wide round, same instance
-		echo(5, 3+1<<16),   // wide round that would alias round 3 if truncated
-		echo(1<<40, 3),     // wide instance
-		echo(5+1<<40, 3),   // wide instance that would alias instance 5
-		echo(6, (1<<16)-1), // packed, largest packed round
+	shared := []proto.Message{echo(5, 3), echo(5+recentScopes, 3), echo(5, 3+recentScopes)}
+	for _, m := range shared[1:] {
+		if recentSlot(dedupScope{m.Instance, m.Tag.Mod, m.Tag.Round}) != recentSlot(dedupScope{5, proto.ModACEst, 3}) {
+			t.Fatalf("instance %v round %v does not share the first scope's slot", m.Instance, m.Tag.Round)
+		}
 	}
 	for pass := 0; pass < 2; pass++ {
-		for _, m := range msgs {
+		for _, m := range shared {
 			if first, dup := r.Admit(4, m); first != (pass == 0) || dup != (pass == 1) {
 				t.Fatalf("pass %d, instance %v round %v: first=%v dup=%v", pass, m.Instance, m.Tag.Round, first, dup)
 			}
 		}
 	}
-	if r.Scopes() != len(msgs) {
-		t.Fatalf("Scopes()=%d, want %d", r.Scopes(), len(msgs))
+	if r.Scopes() != len(shared) {
+		t.Fatalf("Scopes()=%d, want %d", r.Scopes(), len(shared))
 	}
 	r.RetireInstancesBefore(6)
-	if r.Scopes() != 3 {
-		t.Fatalf("after retiring below 6: Scopes()=%d, want 3", r.Scopes())
+	if r.Scopes() != 1 {
+		t.Fatalf("after retiring below 6: Scopes()=%d, want 1", r.Scopes())
+	}
+	if _, dup := r.Admit(4, shared[1]); !dup {
+		t.Fatal("the scope past the floor lost its bits")
 	}
 }
 
