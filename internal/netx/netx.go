@@ -382,9 +382,10 @@ type frame struct {
 // under a write deadline. The peer's hello on an inbound connection
 // shows it listens, so it ends the writer's backoff wait at once: the
 // process that boots first links to the others as they come up, not a
-// backoff later, and so do a returning peer's links back to it. A watcher goroutine per connection reads it,
-// which the peer never writes, to learn when the peer has closed it; the
-// writer then dials afresh instead of writing into the dead socket. A
+// backoff later, and the links back to a returning peer connect as soon
+// as it dials in. A watcher goroutine per connection reads it, which the
+// peer never writes, to learn when the peer has closed it; the writer
+// then dials afresh instead of writing into the dead socket. A
 // connection that fails — dial refused, write error, or no write progress
 // for stallTimeout (the peer is not reading) — loses the frames on it and
 // queued behind it, counted as dropped; nothing is resent, recovery is

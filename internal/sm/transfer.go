@@ -92,9 +92,9 @@ const maxCandidates = 32
 // manifests across t+1 senders.
 //
 // A payload sealed before the digest took its present form (it once
-// covered the body directly) fails DecodeTransfer: a replica whose
-// durable stamp is that old boots without it and catches up from its
-// peers.
+// covered the body directly) fails DecodeTransfer: Boot refuses a
+// durable stamp that old, and the replica, started again on an emptied
+// store, catches up from its peers.
 func EncodeTransfer(s Snapshot, retained []log.Entry) []byte {
 	buf := make([]byte, transferDataAt, transferDataAt+len(s.Data))
 	return sealTransfer(append(buf, s.Data...), sha256.Sum256(s.Data), retained)
