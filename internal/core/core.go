@@ -71,8 +71,6 @@ type Config struct {
 	K int
 	// TimeUnit scales the EA round timers (timeout(r) = r·TimeUnit).
 	TimeUnit types.Duration
-	// Timeout optionally replaces the r·TimeUnit rule (must be increasing).
-	Timeout func(r types.Round) types.Duration
 	// Mode selects the EA fast-path semantics (default FastPathContinue).
 	Mode ea.FastPathMode
 	// Relay selects the EA relay rule (default RelayAnyF; RelayQuorum is
@@ -179,7 +177,6 @@ func New(cfg Config) (*Engine, error) {
 			e.rbl.Broadcast(proto.Tag{Mod: proto.ModEACB, Round: r}, v)
 		},
 		TimeUnit: cfg.TimeUnit,
-		Timeout:  cfg.Timeout,
 		Mode:     cfg.Mode,
 		Relay:    cfg.Relay,
 		BotMode:  cfg.BotMode,

@@ -90,13 +90,10 @@ type Config struct {
 	// BroadcastCB RB-broadcasts the EA_PROP1 value of round r on the
 	// ModEACB/r stream (the engine owns the RB layer).
 	BroadcastCB func(r types.Round, v types.Value)
-	// TimeUnit scales the Fig. 3 line 5 timer: timeout(r) = r·TimeUnit.
-	// Footnote 3 of the paper allows any increasing function; Timeout
-	// overrides this default when set.
+	// TimeUnit scales the Fig. 3 line 5 timer: timeout(r) = r·TimeUnit,
+	// an increasing function of r as footnote 3 of the paper requires
+	// for the Lemma 3 argument (required, positive).
 	TimeUnit types.Duration
-	// Timeout, if non-nil, replaces the r·TimeUnit rule. It must be
-	// increasing in r for the Lemma 3 argument to apply.
-	Timeout func(r types.Round) types.Duration
 	// Mode selects fast-path semantics (zero value = FastPathContinue).
 	Mode FastPathMode
 	// Relay selects the relay acceptance rule (zero value = RelayAnyF).
@@ -125,17 +122,14 @@ func New(cfg Config) (*Object, error) {
 	if cfg.Relay == 0 {
 		cfg.Relay = RelayAnyF
 	}
-	if cfg.TimeUnit <= 0 && cfg.Timeout == nil {
-		return nil, fmt.Errorf("ea: TimeUnit must be positive (or provide Timeout)")
+	if cfg.TimeUnit <= 0 {
+		return nil, fmt.Errorf("ea: TimeUnit must be positive")
 	}
 	return &Object{cfg: cfg, rounds: make(map[types.Round]*roundState)}, nil
 }
 
 // timeoutFor returns the line-5 timer duration for round r.
 func (o *Object) timeoutFor(r types.Round) types.Duration {
-	if o.cfg.Timeout != nil {
-		return o.cfg.Timeout(r)
-	}
 	return types.Duration(int64(r)) * o.cfg.TimeUnit
 }
 

@@ -449,13 +449,50 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := ea.New(ea.Config{Env: fakeEnv{}, Plan: plan, BroadcastCB: func(types.Round, types.Value) {}}); err == nil {
 		t.Error("missing TimeUnit must fail")
 	}
+}
+
+// timerEnv is fakeEnv recording the duration of every timer armed.
+type timerEnv struct {
+	fakeEnv
+	armed []types.Duration
+}
+
+func (e *timerEnv) SetTimer(d types.Duration, _ func()) func() {
+	e.armed = append(e.armed, d)
+	return func() {}
+}
+
+// Fig. 3 line 5 arms round r's timer at r·TimeUnit, an increasing
+// function as footnote 3 requires. Each round below reaches line 5 by
+// the slow path: p1's CB[r] validates "a" and "b", and the n−t = 3
+// qualified PROP2s it waits for at line 3 are not unanimous.
+func TestRoundTimerIsRoundTimesUnit(t *testing.T) {
+	plan, _ := combin.NewRoundPlan(4, 3)
+	env := &timerEnv{}
 	obj, err := ea.New(ea.Config{
-		Env: fakeEnv{}, Plan: plan,
+		Env: env, Plan: plan, TimeUnit: unit,
 		BroadcastCB: func(types.Round, types.Value) {},
-		Timeout:     func(r types.Round) types.Duration { return types.Duration(r) * unit },
 	})
-	if err != nil || obj == nil {
-		t.Errorf("Timeout-only config must work: %v", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := types.Round(1); r <= 3; r++ {
+		if err := obj.Propose(r, "a", func(types.Value) {}); err != nil {
+			t.Fatal(err)
+		}
+		vals := []types.Value{"a", "a", "b", "b"} // p1..p4's CB values
+		for i, v := range vals {
+			obj.OnCBDeliver(r, types.ProcID(i+1), v)
+		}
+		for i, v := range vals[:3] {
+			obj.OnPlain(types.ProcID(i+1), proto.Message{Kind: proto.MsgEAProp2, Tag: proto.Tag{Mod: proto.ModEA, Round: r}, Val: v})
+		}
+		if len(env.armed) != int(r) {
+			t.Fatalf("round %d: %d timers armed in rounds 1..%d, want one per round", r, len(env.armed), r)
+		}
+		if got, want := env.armed[r-1], types.Duration(r)*unit; got != want {
+			t.Fatalf("round %d armed its timer at %v, want r·TimeUnit = %v", r, got, want)
+		}
 	}
 }
 

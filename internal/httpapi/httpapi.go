@@ -61,6 +61,14 @@ const (
 	CodeInternal = "INTERNAL"
 )
 
+const (
+	// retryAfter is the backoff hint attached to 429 responses.
+	retryAfter = time.Second
+	// maxBodyBytes bounds the POST /v1/tx body, the same bound
+	// kv.MaxStringLen puts on one key or value.
+	maxBodyBytes = 1 << 20
+)
+
 // TxRequest is the POST /v1/tx body.
 type TxRequest struct {
 	// Client is the session id (nonzero); Seq the client's 1-based
@@ -142,12 +150,6 @@ type Config struct {
 	// for (default 30s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// RetryAfter is the backoff hint attached to 429 responses (default
-	// 1s).
-	RetryAfter time.Duration
-	// MaxBodyBytes bounds the POST /v1/tx body (default 1<<20, the same
-	// bound kv.MaxStringLen puts on one key or value).
-	MaxBodyBytes int64
 	// ObserveLatency, if non-nil, receives the accepted→answered wall
 	// time of every tx that resolved (the client-visible commit latency).
 	ObserveLatency func(time.Duration)
@@ -179,12 +181,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 30 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/tx", s.serveTx)
@@ -222,7 +218,7 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 // parseTx decodes and validates a tx body into a kv command.
 func (s *Server) parseTx(r *http.Request) (kv.Command, time.Duration, error) {
 	var req TxRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return kv.Command{}, 0, fmt.Errorf("bad JSON body: %w", err)
@@ -275,7 +271,7 @@ func (s *Server) serveTx(w http.ResponseWriter, r *http.Request) {
 		// be load the replica cannot take right now.
 		writeError(w, http.StatusTooManyRequests, CodePoolFull,
 			fmt.Sprintf("admission pool at capacity (%d pending)", s.cfg.Pool.Depth()),
-			s.cfg.RetryAfter)
+			retryAfter)
 		return
 	}
 	accepted := time.Now()

@@ -31,9 +31,9 @@ type Config struct {
 	// engine stamps each instance's traffic with its instance number via
 	// a wrapping Env, so Env itself stays instance-agnostic.
 	Env proto.Env
-	// Engine carries the per-instance protocol knobs (K, TimeUnit,
-	// Timeout, Mode, Relay, MaxRounds). Env, OnDecide and BotMode are
-	// overridden per instance; BotMode is always on (see package doc).
+	// Engine carries the per-instance protocol knobs (K, TimeUnit, Mode,
+	// Relay, MaxRounds). Env, OnDecide and BotMode are overridden per
+	// instance; BotMode is always on (see package doc).
 	Engine core.Config
 	// BatchSize caps the commands per proposed batch (default 16).
 	BatchSize int
@@ -204,7 +204,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Engine.K < 0 || cfg.Engine.K > p.T {
 		return nil, fmt.Errorf("log: k must be in [0, t], got %d", cfg.Engine.K)
 	}
-	if cfg.Engine.TimeUnit <= 0 && cfg.Engine.Timeout == nil {
+	if cfg.Engine.TimeUnit <= 0 {
 		cfg.Engine.TimeUnit = 10 * time.Millisecond // default EA timer unit
 	}
 	if cfg.BatchSize <= 0 {

@@ -197,35 +197,47 @@ type Dropper interface {
 // timely with zero delay, matching the paper's "virtual input/output
 // channel from itself to itself, which is always timely".
 type Topology struct {
-	n     int
-	links map[[2]types.ProcID]Link
-	// def is the default link for pairs not explicitly set.
-	def Link
+	n int
+	// links is the matrix row by row: links[(from-1)·n + to-1].
+	links []Link
 }
 
 // NewTopology creates a topology of n processes where every channel
-// defaults to the given link description.
+// between two distinct processes is the given link.
 func NewTopology(n int, def Link) *Topology {
-	return &Topology{n: n, links: make(map[[2]types.ProcID]Link), def: def}
+	tp := &Topology{n: n, links: make([]Link, n*n)}
+	for i := range tp.links {
+		tp.links[i] = def
+	}
+	for p := 0; p < n; p++ {
+		tp.links[p*n+p] = Link{Class: Timely, Delta: 0}
+	}
+	return tp
 }
 
 // N returns the number of processes.
 func (tp *Topology) N() int { return tp.n }
 
-// SetLink overrides the channel from → to.
+// at is the index of the channel from → to; both must be in 1..n.
+func (tp *Topology) at(from, to types.ProcID) int {
+	if uint(from-1) >= uint(tp.n) || uint(to-1) >= uint(tp.n) {
+		panic(fmt.Sprintf("network: channel %v→%v outside 1..%d", from, to, tp.n))
+	}
+	return int(from-1)*tp.n + int(to-1)
+}
+
+// SetLink overrides the channel from → to. A self-channel stays timely
+// with zero delay.
 func (tp *Topology) SetLink(from, to types.ProcID, l Link) {
-	tp.links[[2]types.ProcID{from, to}] = l
+	i := tp.at(from, to)
+	if from != to {
+		tp.links[i] = l
+	}
 }
 
 // LinkOf returns the channel description for from → to.
 func (tp *Topology) LinkOf(from, to types.ProcID) Link {
-	if from == to {
-		return Link{Class: Timely, Delta: 0}
-	}
-	if l, ok := tp.links[[2]types.ProcID{from, to}]; ok {
-		return l
-	}
-	return tp.def
+	return tp.links[tp.at(from, to)]
 }
 
 // TimelyIn returns the set of processes with (eventually) timely channels

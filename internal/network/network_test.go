@@ -109,6 +109,34 @@ func TestSelfChannelInstant(t *testing.T) {
 	}
 }
 
+// The matrix holds every channel; SetLink cannot make a self-channel
+// anything but timely with zero delay, and a process outside 1..n has
+// no channel.
+func TestTopologyMatrix(t *testing.T) {
+	tp := FullyAsynchronous(3)
+	tp.SetLink(2, 2, Link{Class: Async})
+	tp.SetLink(1, 3, Link{Class: Timely, Delta: 7})
+	if l := tp.LinkOf(2, 2); l != (Link{Class: Timely}) {
+		t.Fatalf("self-channel = %+v, want timely with δ 0", l)
+	}
+	if l := tp.LinkOf(1, 3); l != (Link{Class: Timely, Delta: 7}) {
+		t.Fatalf("1→3 = %+v, want the link set", l)
+	}
+	if tp.LinkOf(3, 1).Class != Async {
+		t.Fatal("3→1 must keep the default link")
+	}
+	for _, ch := range [][2]types.ProcID{{0, 1}, {1, 4}, {4, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LinkOf(%v, %v) on n=3 did not panic", ch[0], ch[1])
+				}
+			}()
+			tp.LinkOf(ch[0], ch[1])
+		}()
+	}
+}
+
 type fixedAdv struct{ d types.Duration }
 
 func (a fixedAdv) MessageDelay(_, _ types.ProcID, _ types.Time, _ any) (types.Duration, bool) {

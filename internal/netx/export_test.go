@@ -23,9 +23,9 @@ func ShortenStallTimeout(t *testing.T, d time.Duration) {
 // moment it starts, before dialling as usual.
 func WatchDials(t *testing.T, watch func(addr string, at time.Time)) {
 	old := dialTCP
-	dialTCP = func(ctx context.Context, timeout time.Duration, addr string) (net.Conn, error) {
+	dialTCP = func(ctx context.Context, addr string) (net.Conn, error) {
 		watch(addr, time.Now())
-		return old(ctx, timeout, addr)
+		return old(ctx, addr)
 	}
 	t.Cleanup(func() { dialTCP = old })
 }

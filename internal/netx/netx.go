@@ -55,6 +55,8 @@ const (
 	closeGrace = 100 * time.Millisecond
 	// readBuffer sizes each inbound connection's bufio.Reader.
 	readBuffer = 32 << 10
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
 )
 
 // stallTimeout is how long a write may make no progress before the link
@@ -70,8 +72,8 @@ var minBackoff = 10 * time.Millisecond
 // dialTCP opens a link's connection. A variable only so that the
 // package's tests can watch the attempts (export_test.go); Listen copies
 // it.
-var dialTCP = func(ctx context.Context, timeout time.Duration, addr string) (net.Conn, error) {
-	d := net.Dialer{Timeout: timeout}
+var dialTCP = func(ctx context.Context, addr string) (net.Conn, error) {
+	d := net.Dialer{Timeout: dialTimeout}
 	return d.DialContext(ctx, "tcp", addr)
 }
 
@@ -89,8 +91,6 @@ type Config struct {
 	Addrs map[types.ProcID]string
 	// Recv receives inbound messages (required).
 	Recv RecvFunc
-	// DialTimeout bounds connection attempts (default 2s).
-	DialTimeout time.Duration
 	// Logf, if non-nil, receives diagnostic lines.
 	Logf func(format string, args ...any)
 	// Metrics is the transport's tally (NewMetrics): frames and bytes by
@@ -108,7 +108,7 @@ type Transport struct {
 	stall time.Duration
 	// minWait is the first backoff after a failed dial (minBackoff).
 	minWait time.Duration
-	dialF   func(ctx context.Context, timeout time.Duration, addr string) (net.Conn, error)
+	dialF   func(ctx context.Context, addr string) (net.Conn, error)
 
 	// linked[k] closes when the k-th link first connects (linked[0] at
 	// Listen); linkedN counts the links that have.
@@ -129,9 +129,6 @@ func Listen(cfg Config) (*Transport, error) {
 	addr, ok := cfg.Addrs[cfg.Self]
 	if !ok {
 		return nil, fmt.Errorf("netx: no listen address for %v", cfg.Self)
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -556,7 +553,7 @@ func (l *link) take() (batch []frame, gone bool) {
 // starts the connection's watcher. The link's first connection counts it
 // towards Linked.
 func (l *link) dial() error {
-	c, err := l.t.dialF(l.t.ctx, l.t.cfg.DialTimeout, l.addr)
+	c, err := l.t.dialF(l.t.ctx, l.addr)
 	if err != nil {
 		return err
 	}

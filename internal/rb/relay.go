@@ -32,7 +32,7 @@
 // cannot grow the cache, the dedup bitmaps, or the parking lot — and
 // since window entries are exactly the ones the engine would accept, the
 // guard costs no honest traffic. Values learned from REMOTE traffic are
-// additionally held to a byte budget (MaxCacheBytes); a process's own
+// additionally held to a byte budget (maxCacheBytes); a process's own
 // values bypass it, so the pull-answering obligation of a correct relay
 // is never shed under attack.
 package rb
@@ -80,17 +80,34 @@ const DefaultQuantum = 2 * time.Millisecond
 const (
 	maxVectorEntries = 1 << 16
 	maxEntryValueLen = 1 << 20
-	defaultMaxBuffer = 2048
-	defaultMaxParked = 4096
 	entryHeaderLen   = 3 + 8 + 4 + 8 + 4 // kind, mod, flags, round, origin, instance, payload len
 	entryFlagHashed  = 1 << 0
+)
 
-	// defaultMaxCacheBytes budgets values learned from remote traffic
-	// (inbound INITs, pull responses); cacheEntryOverhead is the charged
-	// per-entry bookkeeping cost, so floods of tiny values are bounded by
-	// count as well as bytes.
-	defaultMaxCacheBytes = 64 << 20
-	cacheEntryOverhead   = 128
+// The relay's memory bounds. A Relay copies them into maxBuf, maxPark
+// and maxCache, which the package's tests lower.
+const (
+	// maxBuffer flushes the outbound buffer early when it holds this many
+	// entries — a bound on the buffer's memory and on the size of one
+	// vector frame. It bounds no latency: holding ends when the host runs
+	// out of input or at the DefaultQuantum grid instant.
+	maxBuffer = 2048
+	// maxParked caps the total hash-before-value entries parked awaiting
+	// resolution; beyond it entries are dropped and counted, bounding
+	// memory under starvation attacks. A drop does NOT consume the
+	// entry's dedup identity: a later retransmission can still park once
+	// capacity frees up, so the cap bounds memory without permanently
+	// poisoning the echo-recovery path.
+	maxParked = 4096
+	// maxCacheBytes budgets the hash-value cache entries learned from
+	// REMOTE traffic — inbound INITs and pull responses — charging
+	// len(value)+cacheEntryOverhead each, so floods of tiny values are
+	// bounded by count as well as bytes. At the budget remote learns are
+	// dropped and counted; values this process itself broadcast or
+	// echoed always cache regardless, so a correct relay never sheds its
+	// pull-answering obligation.
+	maxCacheBytes      = 64 << 20
+	cacheEntryOverhead = 128
 )
 
 // Entry is one coalesced ECHO or READY inside a MsgRBVector frame: the
@@ -262,25 +279,6 @@ type RelayConfig struct {
 	// past the first-message rule like an admitted loose message. The
 	// hosting engine passes its per-instance dispatch here.
 	Sink func(from types.ProcID, m proto.Message)
-	// MaxBuffer flushes the outbound buffer early when it holds this many
-	// entries (default 2048) — a bound on the buffer's memory and on the
-	// size of one vector frame. It bounds no latency: holding ends when
-	// the host runs out of input or at the DefaultQuantum grid instant.
-	MaxBuffer int
-	// MaxParked caps the total hash-before-value entries parked awaiting
-	// resolution (default 4096); beyond it entries are dropped and
-	// counted, bounding memory under starvation attacks. A drop does NOT
-	// consume the entry's dedup identity: a later retransmission can
-	// still park once capacity frees up, so the cap bounds memory without
-	// permanently poisoning the echo-recovery path.
-	MaxParked int
-	// MaxCacheBytes budgets the hash-value cache entries learned from
-	// REMOTE traffic — inbound INITs and pull responses (default 64 MiB,
-	// charging len(value)+cacheEntryOverhead each). At the budget remote
-	// learns are dropped and counted; values this process itself
-	// broadcast or echoed always cache regardless, so a correct relay
-	// never sheds its pull-answering obligation.
-	MaxCacheBytes int
 	// Window, if non-nil, reports whether an instance is inside the
 	// hosting engine's live delivery window (floor ≤ i < applied+MaxLead).
 	// The relay applies it BEFORE allocating any inbound state: vector
@@ -423,7 +421,7 @@ type flushCause int
 const (
 	flushIdle  flushCause = iota // the host ran out of input
 	flushTimer                   // the quantum-grid instant arrived first
-	flushFull                    // the buffer reached MaxBuffer
+	flushFull                    // the buffer reached maxBuffer
 	numFlushCauses
 )
 
@@ -433,24 +431,15 @@ var _ proto.Env = (*Relay)(nil)
 // required. When cfg.Env is a proto.IdleNotifier the relay also flushes
 // whenever the host runs out of input (Flush).
 func NewRelay(cfg RelayConfig) *Relay {
-	if cfg.MaxBuffer <= 0 {
-		cfg.MaxBuffer = defaultMaxBuffer
-	}
-	if cfg.MaxParked <= 0 {
-		cfg.MaxParked = defaultMaxParked
-	}
-	if cfg.MaxCacheBytes <= 0 {
-		cfg.MaxCacheBytes = defaultMaxCacheBytes
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRBMetrics(nil, "")
 	}
 	r := &Relay{
 		env:      cfg.Env,
 		sink:     cfg.Sink,
-		maxBuf:   cfg.MaxBuffer,
-		maxPark:  cfg.MaxParked,
-		maxCache: cfg.MaxCacheBytes,
+		maxBuf:   maxBuffer,
+		maxPark:  maxParked,
+		maxCache: maxCacheBytes,
 		window:   cfg.Window,
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
@@ -519,7 +508,7 @@ func (r *Relay) Broadcast(m proto.Message) {
 
 // buffer queues one ECHO/READY, hashing large values, and arranges the
 // latest flush: at the next quantum-grid instant, or immediately at
-// MaxBuffer. An idle host flushes sooner (Flush).
+// maxBuffer. An idle host flushes sooner (Flush).
 func (r *Relay) buffer(m proto.Message) {
 	e := Entry{Kind: m.Kind, Tag: m.Tag, Origin: m.Origin, Instance: m.Instance, Val: m.Val}
 	if len(m.Val) > InlineMax {
@@ -979,7 +968,7 @@ func (r *Relay) IdleFlushes() uint64 { return r.flushes[flushIdle].Value() }
 func (r *Relay) TimerFlushes() uint64 { return r.flushes[flushTimer].Value() }
 
 // FullFlushes returns the number of frames flushed because the buffer
-// reached MaxBuffer.
+// reached maxBuffer.
 func (r *Relay) FullFlushes() uint64 { return r.flushes[flushFull].Value() }
 
 // Pulls returns the number of hash-resolution requests sent.

@@ -369,15 +369,15 @@ func TestRelayFlushesAtMaxBuffer(t *testing.T) {
 	env := newRelayEnv()
 	var got []sinkRec
 	r := NewRelay(RelayConfig{
-		Env:       env,
-		Sink:      func(from types.ProcID, m proto.Message) { got = append(got, sinkRec{from, m}) },
-		MaxBuffer: 4,
+		Env:  env,
+		Sink: func(from types.ProcID, m proto.Message) { got = append(got, sinkRec{from, m}) },
 	})
+	r.maxBuf = 4
 	for i := 0; i < 4; i++ {
 		r.Broadcast(echoMsg(types.ProcID(i+1), types.Instance(i), "v"))
 	}
 	if len(env.bcast) != 1 {
-		t.Fatalf("MaxBuffer did not force a flush: %d broadcasts", len(env.bcast))
+		t.Fatalf("a full buffer did not force a flush: %d broadcasts", len(env.bcast))
 	}
 	if r.Buffered() != 0 {
 		t.Fatalf("buffer not drained: %d", r.Buffered())
@@ -780,10 +780,10 @@ func TestParkingCapBoundsStarvation(t *testing.T) {
 	env := newRelayEnv()
 	var got []sinkRec
 	r := NewRelay(RelayConfig{
-		Env:       env,
-		Sink:      func(from types.ProcID, m proto.Message) { got = append(got, sinkRec{from, m}) },
-		MaxParked: 2,
+		Env:  env,
+		Sink: func(from types.ProcID, m proto.Message) { got = append(got, sinkRec{from, m}) },
 	})
+	r.maxPark = 2
 	for i := 0; i < 5; i++ {
 		h := hashOf(types.Value(strings.Repeat("z", 64) + string(rune('a'+i))))
 		inboundVector(t, r, 4, []Entry{
@@ -858,10 +858,10 @@ func TestParkDropDoesNotConsumeDedupBit(t *testing.T) {
 	env := newRelayEnv()
 	var got []sinkRec
 	r := NewRelay(RelayConfig{
-		Env:       env,
-		Sink:      func(from types.ProcID, m proto.Message) { got = append(got, sinkRec{from, m}) },
-		MaxParked: 1,
+		Env:  env,
+		Sink: func(from types.ProcID, m proto.Message) { got = append(got, sinkRec{from, m}) },
 	})
+	r.maxPark = 1
 	va := types.Value(strings.Repeat("a", 64))
 	vb := types.Value(strings.Repeat("b", 64))
 	ha, hb := hashOf(va), hashOf(vb)
@@ -914,10 +914,10 @@ func TestCacheByteBudgetBoundsRemoteLearns(t *testing.T) {
 	env := newRelayEnv()
 	var got []sinkRec
 	r := NewRelay(RelayConfig{
-		Env:           env,
-		Sink:          func(from types.ProcID, m proto.Message) { got = append(got, sinkRec{from, m}) },
-		MaxCacheBytes: 64 + cacheEntryOverhead + 8, // room for exactly one 64-byte remote value
+		Env:  env,
+		Sink: func(from types.ProcID, m proto.Message) { got = append(got, sinkRec{from, m}) },
 	})
+	r.maxCache = 64 + cacheEntryOverhead + 8 // room for exactly one 64-byte remote value
 	v1 := types.Value(strings.Repeat("1", 64))
 	v2 := types.Value(strings.Repeat("2", 64))
 	r.Inbound(2, proto.Message{Kind: proto.MsgRBInit, Tag: relayTag, Origin: 2, Instance: 0, Val: v1})

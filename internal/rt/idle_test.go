@@ -32,10 +32,10 @@ type idleProbe struct {
 	onIdle   func() // extra work of the hook, nil for none
 }
 
-func startIdleProbe(t *testing.T, depth int) *idleProbe {
+func startIdleProbe(t *testing.T) *idleProbe {
 	t.Helper()
 	node, err := rt.NewNode(rt.NodeConfig{
-		ID: 1, Params: types.Params{N: 4, T: 1}, Transport: nullTransport{}, InboxDepth: depth,
+		ID: 1, Params: types.Params{N: 4, T: 1}, Transport: nullTransport{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func (p *idleProbe) awaitHook(t *testing.T) {
 // them handled.
 func TestIdleHookWaitsForQueuedPosts(t *testing.T) {
 	const k = 50
-	p := startIdleProbe(t, 0)
+	p := startIdleProbe(t)
 	gate := make(chan struct{})
 	var seen []int // handled count at each hook run
 	p.onIdle = func() { seen = append(seen, p.handled) }
@@ -102,7 +102,7 @@ func TestIdleHookWaitsForQueuedPosts(t *testing.T) {
 // exactly d runs, and the loop blocks in between.
 func TestIdleHookRunsOncePerDrain(t *testing.T) {
 	const drains = 20
-	p := startIdleProbe(t, 0)
+	p := startIdleProbe(t)
 	for i := 0; i < drains; i++ {
 		p.post(t, func() {})
 		p.awaitHook(t)
@@ -118,7 +118,7 @@ func TestIdleHookRunsOncePerDrain(t *testing.T) {
 // went to sleep on the inbox would never deliver it — and handling it is
 // input like any other: the hook runs again afterwards.
 func TestIdleHookSelfSendsAreHandled(t *testing.T) {
-	p := startIdleProbe(t, 0)
+	p := startIdleProbe(t)
 	frame := proto.Message{Kind: proto.MsgRBVector, Tag: proto.Tag{Mod: proto.ModRBRelay}, Origin: 1, Val: "held"}
 	sent := false
 	p.onIdle = func() {
@@ -147,7 +147,7 @@ func TestIdleHookSelfSendsAreHandled(t *testing.T) {
 // Stop does not wait for, or run, the hook: with Stop already called and
 // posts still queued, the loop handles the posts and exits.
 func TestIdleHookNotRequiredAfterStop(t *testing.T) {
-	p := startIdleProbe(t, 8)
+	p := startIdleProbe(t)
 	gate := make(chan struct{})
 	queued := 0
 	p.post(t, func() { <-gate })
@@ -159,8 +159,7 @@ func TestIdleHookNotRequiredAfterStop(t *testing.T) {
 	}()
 	// Post reports false only once stop is closed; until then each
 	// success is one more closure the stopping loop has to drain. The
-	// small inbox bounds the loop: a Post that finds it full waits for
-	// stop.
+	// inbox bounds the loop: a Post that finds it full waits for stop.
 	for p.node.Post(func() { p.handled++ }) {
 		queued++
 	}

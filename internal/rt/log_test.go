@@ -143,7 +143,10 @@ func TestLogOverMemNetwork(t *testing.T) {
 	runLogCluster(t, replicas, cmds, 30*time.Second)
 
 	// rt reports running out of input, so the relay's holds end there at
-	// least some of the time, and every frame has exactly one cause.
+	// least some of the time, and every frame has exactly one cause. The
+	// first property is asked only of a replica that flushed at all: n−t
+	// replicas can commit all the commands before the last one has sent
+	// a single frame.
 	for i, r := range replicas {
 		counts := make(chan [4]uint64, 1)
 		relay := r.eng.Relay()
@@ -153,7 +156,7 @@ func TestLogOverMemNetwork(t *testing.T) {
 			t.Fatal("node stopped before the relay was read")
 		}
 		c := <-counts
-		if c[0] == 0 {
+		if c[3] > 0 && c[0] == 0 {
 			t.Errorf("replica %d: no idle-caused flush in %d frames", i+1, c[3])
 		}
 		if c[0]+c[1]+c[2] != c[3] {

@@ -57,6 +57,12 @@ func (s sendEach) Multicast(to []types.ProcID, m proto.Message) (err error) {
 	return err
 }
 
+// inboxDepth bounds a node's event queue. A full inbox applies
+// backpressure to transport readers, never drops. The loop's own
+// self-sends bypass the bound (see Node.selfQ): backpressure is for
+// other goroutines, never the drainer itself.
+const inboxDepth = 4096
+
 // Node hosts a protocol handler on a real-time event loop.
 type Node struct {
 	id        types.ProcID
@@ -113,11 +119,6 @@ type NodeConfig struct {
 	Params types.Params
 	// Transport carries outbound messages (required).
 	Transport Transport
-	// InboxDepth bounds the event queue (default 4096). A full inbox
-	// applies backpressure to transport readers, never drops. The loop's
-	// own self-sends bypass the bound (see Node.selfQ): backpressure is
-	// for other goroutines, never the drainer itself.
-	InboxDepth int
 	// Metrics is the event loop's tally (obs.NewNodeMetrics); nil counts
 	// into private cells.
 	Metrics *obs.NodeMetrics
@@ -131,10 +132,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if err := cfg.Params.Validate(true); err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
-	depth := cfg.InboxDepth
-	if depth <= 0 {
-		depth = 4096
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewNodeMetrics(nil, "")
 	}
@@ -143,7 +140,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		params:    cfg.Params,
 		transport: AsMulticaster(cfg.Transport),
 		peers:     slices.DeleteFunc(cfg.Params.AllProcs(), func(p types.ProcID) bool { return p == cfg.ID }),
-		inbox:     make(chan event, depth),
+		inbox:     make(chan event, inboxDepth),
 		stop:      make(chan struct{}),
 		metrics:   cfg.Metrics,
 	}, nil

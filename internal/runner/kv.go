@@ -96,15 +96,6 @@ type KVSpec struct {
 	// SnapshotEvery > 0 (there must be snapshots to serve). Off by
 	// default.
 	Transfer bool
-	// TransferRetry and TransferProbe override sm.TransferConfig's
-	// RetryEvery/StallProbe cadences (0 = the sm defaults).
-	TransferRetry types.Duration
-	TransferProbe types.Duration
-	// SnapshotRefresh forwards to sm.Config.RefreshEvery: re-stamp the
-	// snapshot every SnapshotRefresh applied instances even when no new
-	// entries landed since the last one, so long-idle clusters keep a
-	// fresh transfer boundary for rejoining replicas (0 = off).
-	SnapshotRefresh types.Instance
 	// Obs, if non-nil, exports every correct replica's telemetry:
 	// log/sm/kv/transfer/RB/dedup bundles labeled proc="<id>" plus one
 	// shared commit-latency histogram (submission → first local commit).
@@ -126,20 +117,12 @@ type KVSpec struct {
 	MaxEvents uint64
 }
 
-// TraceSpec configures causal tracing (see KVSpec.Trace).
-type TraceSpec struct {
-	// RecorderCap bounds each replica's flight-recorder ring (default
-	// 4096 spans).
-	RecorderCap int
-}
+// TraceSpec switches causal tracing on (see KVSpec.Trace). It has no
+// fields: each replica's flight recorder holds recorderCap spans.
+type TraceSpec struct{}
 
-// cap returns the effective recorder capacity.
-func (t *TraceSpec) cap() int {
-	if t == nil || t.RecorderCap <= 0 {
-		return 4096
-	}
-	return t.RecorderCap
-}
+// recorderCap bounds each replica's flight-recorder ring, in spans.
+const recorderCap = 4096
 
 // KVResult is the outcome of one replicated-KV execution.
 type KVResult struct {
@@ -206,7 +189,7 @@ func (r *KVResult) newTracer(spec *TraceSpec, reg *obs.Registry, id types.ProcID
 	r.Tracers[id] = xtrace.New(xtrace.Config{
 		Proc:     id,
 		Now:      env.Now,
-		Recorder: xtrace.NewRecorder(spec.cap()),
+		Recorder: xtrace.NewRecorder(recorderCap),
 		Stages:   r.Stages,
 	})
 	return r.Tracers[id]
@@ -565,19 +548,16 @@ func buildKV(spec KVSpec) (w *harness.World, res *KVResult, trs map[types.ProcID
 				}
 			}
 			rep, newErr = replica.New(replica.Config{
-				Env:             env,
-				Persist:         res.Durables[id],
-				Log:             spec.Log,
-				SnapshotEvery:   spec.SnapshotEvery,
-				SnapshotRefresh: spec.SnapshotRefresh,
-				Compact:         spec.Compact,
-				CompactKeep:     spec.CompactKeep,
-				Transfer:        spec.Transfer,
-				TransferRetry:   spec.TransferRetry,
-				TransferProbe:   spec.TransferProbe,
-				Obs:             reg,
-				Labels:          procLabel(id),
-				Tracer:          tracer,
+				Env:           env,
+				Persist:       res.Durables[id],
+				Log:           spec.Log,
+				SnapshotEvery: spec.SnapshotEvery,
+				Compact:       spec.Compact,
+				CompactKeep:   spec.CompactKeep,
+				Transfer:      spec.Transfer,
+				Obs:           reg,
+				Labels:        procLabel(id),
+				Tracer:        tracer,
 				OnSnapshot: func(s sm.Snapshot) {
 					res.SnapshotLog[id] = append(res.SnapshotLog[id],
 						sm.Snapshot{Index: s.Index, Instance: s.Instance, Digest: s.Digest})

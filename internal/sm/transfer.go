@@ -242,6 +242,8 @@ type TransferConfig struct {
 	// RetryEvery re-broadcasts the fetch request while a fetch is in
 	// flight (default 25ms): responses can be lost, and peers at
 	// different positions serve different snapshots until t+1 align.
+	// Responses are rate-limited to one per RetryEvery/2 per requester:
+	// request spam must not amplify into snapshot floods.
 	RetryEvery types.Duration
 	// StallProbe is the cadence of the stall detector (default 50ms): if
 	// the engine is open and has something to decide, but the apply
@@ -251,9 +253,6 @@ type TransferConfig struct {
 	// on. 0 keeps the default; < 0 disables probing (pressure-only
 	// triggering).
 	StallProbe types.Duration
-	// ServeEvery rate-limits responses per requester (default
-	// RetryEvery/2): request spam must not amplify into snapshot floods.
-	ServeEvery types.Duration
 	// OnInstall, if non-nil, fires after each successful install.
 	OnInstall func(s Snapshot)
 	// Metrics is the transfer layer's tally (obs.NewTransferMetrics),
@@ -344,9 +343,6 @@ func NewTransfer(cfg TransferConfig) (*Transfer, error) {
 	}
 	if cfg.StallProbe == 0 {
 		cfg.StallProbe = 50 * time.Millisecond
-	}
-	if cfg.ServeEvery <= 0 {
-		cfg.ServeEvery = cfg.RetryEvery / 2
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewTransferMetrics(nil, "")
@@ -488,7 +484,7 @@ func (t *Transfer) probe() {
 
 // serve answers one SNAP_REQ: send the manifest of our latest snapshot
 // (with its retained suffix) iff it is ahead of the requester's boundary,
-// at most once per ServeEvery per requester.
+// at most once per RetryEvery/2 per requester.
 //
 // A run of command-less instances is the degenerate case here: they
 // carry no entries, so the entry-cadence snapshot boundary freezes while
@@ -507,7 +503,7 @@ func (t *Transfer) serve(from types.ProcID, reqBoundary types.Instance) {
 	}
 	env := t.cfg.Env
 	now := env.Now()
-	if last, ok := t.lastServed[from]; ok && now-last < types.Time(t.cfg.ServeEvery) {
+	if last, ok := t.lastServed[from]; ok && now-last < types.Time(t.cfg.RetryEvery/2) {
 		return
 	}
 	t.lastServed[from] = now
@@ -570,7 +566,7 @@ func (t *Transfer) onAck(from types.ProcID, m proto.Message) {
 	}
 	env := t.cfg.Env
 	now := env.Now()
-	ackEvery := t.cfg.ServeEvery / 4
+	ackEvery := t.cfg.RetryEvery / 8
 	if last, ok := t.lastAcked[from]; ok && now-last < types.Time(ackEvery) {
 		return
 	}

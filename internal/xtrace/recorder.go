@@ -109,7 +109,7 @@ type Dump struct {
 	// shed before the dump.
 	Cap   int    `json:"cap"`
 	Total uint64 `json:"total"`
-	// Dropped counts causal chains shed at the tracer's MaxInflight
+	// Dropped counts causal chains shed at the tracer's in-flight
 	// bound (those commands have missing stages, not missing spans).
 	Dropped uint64 `json:"dropped,omitempty"`
 	// Spans is the retained window, oldest first.

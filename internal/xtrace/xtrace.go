@@ -15,7 +15,7 @@
 //   - Nil is free. Every method is safe on a nil *Tracer and costs one
 //     branch, so hot paths guard with a single `if t != nil` at most.
 //   - Bounded. In-flight per-command and per-instance state lives in
-//     maps capped at MaxInflight; the span sink is a fixed-size ring
+//     maps capped at maxInflight; the span sink is a fixed-size ring
 //     (Recorder). A tracer can run forever without growing.
 //
 // Trace IDs are content-derived (FNV-64a over the encoded command
@@ -129,11 +129,13 @@ type Config struct {
 	// Stages receives the five canonical stage latencies
 	// (obs.NewStageMetrics); nil counts into private cells.
 	Stages *obs.StageMetrics
-	// MaxInflight bounds the per-command and per-instance state maps
-	// (default 4096). Beyond it new chains are dropped — the bound is
-	// what lets a tracer survive a submit storm or a Byzantine flood.
-	MaxInflight int
 }
+
+// maxInflight bounds a tracer's per-command and per-instance state maps.
+// Beyond it new chains are dropped — the bound is what lets a tracer
+// survive a submit storm or a Byzantine flood. A Tracer copies it into
+// max, which the package's tests lower.
+const maxInflight = 4096
 
 // cmdState is the bounded in-flight bookkeeping for one command on one
 // replica. Timestamps are -1 until the corresponding edge fires.
@@ -173,9 +175,6 @@ func New(cfg Config) *Tracer {
 	if cfg.Now == nil {
 		cfg.Now = func() types.Time { return 0 }
 	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 4096
-	}
 	if cfg.Stages == nil {
 		cfg.Stages = obs.NewStageMetrics(nil, "")
 	}
@@ -184,7 +183,7 @@ func New(cfg Config) *Tracer {
 		now:    cfg.Now,
 		rec:    cfg.Recorder,
 		stages: cfg.Stages,
-		max:    cfg.MaxInflight,
+		max:    maxInflight,
 		cmds:   make(map[TraceID]*cmdState),
 		insts:  make(map[types.Instance]*instState),
 	}
@@ -216,7 +215,7 @@ func (t *Tracer) Recorder() *Recorder {
 	return t.rec
 }
 
-// Dropped returns how many chains were shed at the MaxInflight bound.
+// Dropped returns how many chains were shed at the maxInflight bound.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -237,7 +236,7 @@ func (t *Tracer) emitLocked(id TraceID, parent uint64, stage Stage, inst types.I
 }
 
 // cmd fetches or creates the in-flight state for a trace ID, nil when
-// the MaxInflight bound sheds it. Caller holds t.mu.
+// the maxInflight bound sheds it. Caller holds t.mu.
 func (t *Tracer) cmd(id TraceID) *cmdState {
 	if s, ok := t.cmds[id]; ok {
 		return s

@@ -113,7 +113,8 @@ func TestConsensusFallsBackToSubmit(t *testing.T) {
 }
 
 func TestMaxInflightBounds(t *testing.T) {
-	tr := New(Config{Proc: 1, MaxInflight: 2, Recorder: NewRecorder(8)})
+	tr := New(Config{Proc: 1, Recorder: NewRecorder(8)})
+	tr.max = 2
 	tr.OnSubmit("a")
 	tr.OnSubmit("b")
 	tr.OnSubmit("c") // shed

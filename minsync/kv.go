@@ -27,9 +27,6 @@ const (
 // (Client, Seq).
 type KVCommand = kv.Command
 
-// KVResponse is the machine's answer to one command.
-type KVResponse = kv.Response
-
 // KVConfig configures one simulated replicated-KV execution: a stream of
 // client commands totally ordered by a pipeline of consensus instances
 // (each one full execution of the paper's algorithm in its §7 ⊥-validity

@@ -39,7 +39,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/combin"
 	"repro/internal/core"
-	"repro/internal/ea"
 	"repro/internal/harness"
 	"repro/internal/network"
 	"repro/internal/runner"
@@ -56,9 +55,6 @@ type (
 	// Round is a consensus round number.
 	Round = types.Round
 )
-
-// BotValue is the reserved ⊥ of the BotMode validity variant (§7).
-const BotValue = types.BotValue
 
 // Synchrony describes the timing of the simulated network.
 type Synchrony struct {
@@ -177,13 +173,6 @@ type SimConfig struct {
 	K int
 	// BotMode enables the §7 ⊥-default validity variant.
 	BotMode bool
-	// LiteralFastPath selects the literal Figure 3 line-4 semantics
-	// instead of the default continue-in-background semantics (package
-	// internal/ea's reproduction notes say why the default deviates).
-	LiteralFastPath bool
-	// StrongRelayBaseline swaps the EA relay rule for the ⟨n−t⟩bisource
-	// baseline (experiment E10).
-	StrongRelayBaseline bool
 	// MaxRounds caps the round loop (0 = 10× the α·n bound).
 	MaxRounds Round
 	// Deadline bounds virtual time (0 = run to completion).
@@ -241,12 +230,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		TimeUnit:  unit,
 		BotMode:   cfg.BotMode,
 		MaxRounds: cfg.MaxRounds,
-	}
-	if cfg.LiteralFastPath {
-		ecfg.Mode = ea.FastPathReturnOnly
-	}
-	if cfg.StrongRelayBaseline {
-		ecfg.Relay = ea.RelayQuorum
 	}
 	byz, err := byzantine(cfg.Byzantine, ecfg, cfg.Seed)
 	if err != nil {

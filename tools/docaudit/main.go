@@ -1,10 +1,10 @@
-// Command docaudit is the godoc gate for the packages whose exported
-// surface carries correctness invariants: it parses the given package
-// directories and fails (exit 1) if any exported identifier — function,
-// method, type, constant or variable — lacks a doc comment. CI runs it
-// over internal/sm, internal/kv, internal/log, internal/wire and
-// internal/obs, so an undocumented export in those packages breaks the
-// build rather than rotting silently.
+// Command docaudit is the module's godoc gate: it parses the given
+// package directories and fails (exit 1) if any exported identifier —
+// function, method, type, constant or variable — lacks a doc comment. CI
+// runs it over every package of the module
+// (`go run ./tools/docaudit $(go list -f '{{.Dir}}' ./...)`), so an
+// undocumented export anywhere breaks the build rather than rotting
+// silently.
 //
 // Grouped const/var declarations follow the usual Go convention: a doc
 // comment on the group documents every name in it; a line comment on the
