@@ -91,8 +91,8 @@ func (i *Instance) Start(v types.Value) {
 		panic("cb: Start called twice on a one-shot instance")
 	}
 	i.started = true
-	if trace.Recording(i.cfg.Env.Trace()) {
-		i.cfg.Env.Trace().Emit(trace.Event{
+	if tr := i.cfg.Env.Trace(); tr != nil {
+		tr.Emit(trace.Event{
 			At: i.cfg.Env.Now(), Kind: trace.KindCBBroadcast, Proc: i.cfg.Env.ID(),
 			Round: i.cfg.Tag.Round, Value: v, Aux: i.cfg.Tag.String(),
 		})
@@ -143,8 +143,8 @@ func (i *Instance) addValid(v types.Value) {
 	}
 	i.validSet[v] = true
 	i.valid = append(i.valid, v)
-	if trace.Recording(i.cfg.Env.Trace()) {
-		i.cfg.Env.Trace().Emit(trace.Event{
+	if tr := i.cfg.Env.Trace(); tr != nil {
+		tr.Emit(trace.Event{
 			At: i.cfg.Env.Now(), Kind: trace.KindCBValid, Proc: i.cfg.Env.ID(),
 			Round: i.cfg.Tag.Round, Value: v, Aux: i.cfg.Tag.String(),
 		})
@@ -160,8 +160,8 @@ func (i *Instance) maybeReturn() {
 	}
 	i.returned = true
 	v := i.valid[0]
-	if trace.Recording(i.cfg.Env.Trace()) {
-		i.cfg.Env.Trace().Emit(trace.Event{
+	if tr := i.cfg.Env.Trace(); tr != nil {
+		tr.Emit(trace.Event{
 			At: i.cfg.Env.Now(), Kind: trace.KindCBReturn, Proc: i.cfg.Env.ID(),
 			Round: i.cfg.Tag.Round, Value: v, Aux: i.cfg.Tag.String(),
 		})

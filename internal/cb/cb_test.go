@@ -248,7 +248,7 @@ type paramsEnv struct {
 }
 
 func (e paramsEnv) Params() types.Params { return e.p }
-func (e paramsEnv) Trace() trace.Sink    { return trace.Discard{} }
+func (e paramsEnv) Trace() *trace.Log    { return nil }
 
 // Counting a delivery for a value that already has support allocates
 // nothing.

@@ -450,7 +450,7 @@ func (stubEnv) Now() types.Time                        { return 0 }
 func (stubEnv) Send(types.ProcID, proto.Message)       {}
 func (stubEnv) Broadcast(proto.Message)                {}
 func (stubEnv) SetTimer(types.Duration, func()) func() { return func() {} }
-func (stubEnv) Trace() trace.Sink                      { return trace.Discard{} }
+func (stubEnv) Trace() *trace.Log                      { return nil }
 
 func TestDeterministicReplay(t *testing.T) {
 	// Identical spec + seed ⇒ identical decisions, rounds, message counts

@@ -22,7 +22,7 @@ func (e *haltEnv) Params() types.Params                  { return types.Params{N
 func (e *haltEnv) Now() types.Time                       { return 0 }
 func (e *haltEnv) Send(to types.ProcID, m proto.Message) {}
 func (e *haltEnv) Broadcast(m proto.Message)             {}
-func (e *haltEnv) Trace() trace.Sink                     { return trace.Discard{} }
+func (e *haltEnv) Trace() *trace.Log                     { return nil }
 func (e *haltEnv) SetTimer(d types.Duration, fn func()) (cancel func()) {
 	e.timers++
 	return func() { e.cancels++ }

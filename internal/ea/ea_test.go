@@ -507,7 +507,7 @@ func (fakeEnv) Now() types.Time                        { return 0 }
 func (fakeEnv) Send(types.ProcID, proto.Message)       {}
 func (fakeEnv) Broadcast(proto.Message)                {}
 func (fakeEnv) SetTimer(types.Duration, func()) func() { return func() {} }
-func (fakeEnv) Trace() trace.Sink                      { return trace.Discard{} }
+func (fakeEnv) Trace() *trace.Log                      { return nil }
 
 func TestScales(t *testing.T) {
 	for _, n := range []int{4, 7} {

@@ -217,9 +217,4 @@ func (e *env) SetTimer(d types.Duration, fn func()) (cancel func()) {
 	return e.world.Sched.AfterFor(d, e, fn).Cancel
 }
 
-func (e *env) Trace() trace.Sink {
-	if e.world.Log != nil {
-		return e.world.Log
-	}
-	return trace.Discard{}
-}
+func (e *env) Trace() *trace.Log { return e.world.Log }

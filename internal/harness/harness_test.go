@@ -87,7 +87,7 @@ func TestEnvBasics(t *testing.T) {
 				t.Errorf("env.Params().N = %d", env.Params().N)
 			}
 			if env.Trace() == nil {
-				t.Error("trace sink nil")
+				t.Error("recorded world: env.Trace() is nil")
 			}
 			// A zero-cost step is out of input after every delivery: on
 			// virtual time the relay's grid stands in for a backlog
@@ -141,25 +141,50 @@ func TestBroadcastReachesEveryoneIncludingSelf(t *testing.T) {
 	}
 }
 
+// TestTraceRecording: a recorded world hands its log to every env and
+// logs the send and the delivery; an unrecorded one hands out nil and still
+// delivers.
 func TestTraceRecording(t *testing.T) {
-	w, err := harness.New(harness.Config{Params: types.Params{N: 4, T: 1, M: 2}, Seed: 3, Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetBehavior(1, func(env proto.Env) proto.Handler {
-		env.SetTimer(0, func() {
-			env.Send(2, proto.Message{Kind: proto.MsgEAProp2, Tag: proto.Tag{Mod: proto.ModEA, Round: 1}})
-		})
-		return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	w.Run(0, 0)
-	if len(w.Log.Filter(trace.ByKind(trace.KindSend))) != 1 {
-		t.Error("send not traced")
-	}
-	if len(w.Log.Filter(trace.ByKind(trace.KindDeliver))) != 1 {
-		t.Error("deliver not traced")
+	for _, record := range []bool{true, false} {
+		w, err := harness.New(harness.Config{Params: types.Params{N: 4, T: 1, M: 2}, Seed: 3, Record: record})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envLog *trace.Log
+		if err := w.SetBehavior(1, func(env proto.Env) proto.Handler {
+			envLog = env.Trace()
+			env.SetTimer(0, func() {
+				env.Send(2, proto.Message{Kind: proto.MsgEAProp2, Tag: proto.Tag{Mod: proto.ModEA, Round: 1}})
+			})
+			return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		if err := w.SetBehavior(2, func(env proto.Env) proto.Handler {
+			return proto.HandlerFunc(func(types.ProcID, proto.Message) { got++ })
+		}); err != nil {
+			t.Fatal(err)
+		}
+		w.Run(0, 0)
+		if got != 1 {
+			t.Errorf("record=%v: p2 got %d messages, want 1", record, got)
+		}
+		if envLog != w.Log {
+			t.Errorf("record=%v: env.Trace() = %p, want the world's log %p", record, envLog, w.Log)
+		}
+		if !record {
+			if envLog != nil {
+				t.Error("unrecorded world: env.Trace() must be nil")
+			}
+			continue
+		}
+		if len(w.Log.Filter(trace.ByKind(trace.KindSend))) != 1 {
+			t.Error("send not traced")
+		}
+		if len(w.Log.Filter(trace.ByKind(trace.KindDeliver))) != 1 {
+			t.Error("deliver not traced")
+		}
 	}
 }
 

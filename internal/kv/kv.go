@@ -148,6 +148,10 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// readString copies the string out of b. The copy is deliberate: a
+// committed command is a view into its batch (log.DecodeBatch returns
+// substrings), so a stored key or value sharing the command's bytes would
+// keep the whole batch in memory for as long as the key lives.
 func readString(b []byte) (string, []byte, error) {
 	if len(b) < 4 {
 		return "", nil, fmt.Errorf("kv: truncated length (%d bytes left)", len(b))
@@ -205,8 +209,29 @@ func DecodeCommand(v types.Value) (Command, error) {
 	return c, nil
 }
 
+// emptyResps are the encodings of the value-less responses, built once:
+// every put, delete, miss, stale and undecodable command answers one of
+// them, so Apply allocates no response for it.
+var emptyResps = [...]types.Value{
+	Response{Status: StatusOK}.encode(),
+	Response{Status: StatusNotFound}.encode(),
+	Response{Status: StatusStale}.encode(),
+	Response{Status: StatusErr}.encode(),
+}
+
 // Encode serializes the response.
 func (r Response) Encode() types.Value {
+	if r.Val == "" {
+		for _, v := range emptyResps {
+			if Status(v[1]) == r.Status {
+				return v
+			}
+		}
+	}
+	return r.encode()
+}
+
+func (r Response) encode() types.Value {
 	buf := make([]byte, 0, 6+len(r.Val))
 	buf = append(buf, respMagic, byte(r.Status))
 	buf = appendString(buf, r.Val)

@@ -59,6 +59,24 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestValuelessResponsesShared: a value-less response encodes to the
+// same bytes as before it was shared, and a sessionless put to an
+// existing key allocates only the copies of its key and value.
+func TestValuelessResponsesShared(t *testing.T) {
+	for _, st := range []Status{StatusOK, StatusNotFound, StatusStale, StatusErr} {
+		r := Response{Status: st}
+		if got, want := r.Encode(), r.encode(); got != want {
+			t.Errorf("%v: shared encoding %x, want %x", st, got, want)
+		}
+	}
+	s := NewStore()
+	cmd := Command{Op: OpPut, Key: "key", Val: "value"}.Encode()
+	s.Apply(cmd)
+	if allocs := testing.AllocsPerRun(100, func() { s.Apply(cmd) }); allocs > 2 {
+		t.Fatalf("sessionless put to an existing key: %v allocations, want ≤ 2", allocs)
+	}
+}
+
 func apply(t *testing.T, s *Store, c Command) Response {
 	t.Helper()
 	r, err := DecodeResponse(s.Apply(c.Encode()))

@@ -1094,4 +1094,4 @@ func (e *instEnv) SetTimer(d types.Duration, fn func()) (cancel func()) {
 	return e.base.SetTimer(d, fn)
 }
 
-func (e *instEnv) Trace() trace.Sink { return e.base.Trace() }
+func (e *instEnv) Trace() *trace.Log { return e.base.Trace() }

@@ -39,7 +39,7 @@ func (e *stubEnv) Broadcast(m proto.Message) {
 func (e *stubEnv) SetTimer(d types.Duration, fn func()) (cancel func()) {
 	return func() {}
 }
-func (e *stubEnv) Trace() trace.Sink { return trace.Discard{} }
+func (e *stubEnv) Trace() *trace.Log { return nil }
 
 func newTestEngine(t *testing.T, cfg Config) (*Engine, *stubEnv) {
 	t.Helper()

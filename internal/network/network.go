@@ -341,8 +341,8 @@ type Config struct {
 	// FIFO forces per-channel in-order delivery (like TCP). The abstract
 	// model does not require it; default false.
 	FIFO bool
-	// Trace receives KindSend/KindDeliver events; nil *trace.Log is fine.
-	Trace trace.Sink
+	// Trace receives KindSend/KindDeliver events; nil records nothing.
+	Trace *trace.Log
 }
 
 // Network schedules message deliveries on a sim.Scheduler according to the
@@ -350,13 +350,11 @@ type Config struct {
 // assumptions of the paper are enforced.
 //
 // Delivery rides the scheduler's typed deliver-message event: Send costs no
-// closure and no heap node, and the trace sink is consulted only when it
-// actually records (one branch on the hot path).
+// closure and no heap node.
 type Network struct {
 	cfg      Config
 	sched    *sim.Scheduler
 	recv     Receiver
-	rec      bool                           // cfg.Trace actually records
 	drop     Dropper                        // cfg.Adv's Dropper side, resolved once (nil = none)
 	lastArr  map[[2]types.ProcID]types.Time // FIFO watermark
 	sent     uint64
@@ -376,14 +374,10 @@ func New(sched *sim.Scheduler, cfg Config, recv Receiver) (*Network, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = UniformDelay{Min: types.Duration(1 * time.Millisecond), Max: types.Duration(20 * time.Millisecond)}
 	}
-	if cfg.Trace == nil {
-		cfg.Trace = (*trace.Log)(nil)
-	}
 	nw := &Network{
 		cfg:     cfg,
 		sched:   sched,
 		recv:    recv,
-		rec:     trace.Recording(cfg.Trace),
 		lastArr: make(map[[2]types.ProcID]types.Time),
 	}
 	// Resolve the adversary's Dropper side once: Send is the hot path and
@@ -397,9 +391,7 @@ func New(sched *sim.Scheduler, cfg Config, recv Receiver) (*Network, error) {
 
 // deliver is the scheduler's deliver-message hook.
 func (nw *Network) deliver(from, to types.ProcID, payload any) {
-	if nw.rec {
-		nw.cfg.Trace.Emit(trace.Event{At: nw.sched.Now(), Kind: trace.KindDeliver, Proc: to, Peer: from})
-	}
+	nw.cfg.Trace.Emit(trace.Event{At: nw.sched.Now(), Kind: trace.KindDeliver, Proc: to, Peer: from})
 	nw.recv(to, from, payload)
 }
 
@@ -426,9 +418,7 @@ func (nw *Network) Send(from, to types.ProcID, payload any) {
 	if nw.drop != nil && from != to && nw.drop.DropMessage(from, to, now, payload) {
 		nw.sent++
 		nw.dropped++
-		if nw.rec {
-			nw.cfg.Trace.Emit(trace.Event{At: now, Kind: trace.KindSend, Proc: from, Peer: to})
-		}
+		nw.cfg.Trace.Emit(trace.Event{At: now, Kind: trace.KindSend, Proc: from, Peer: to})
 		return
 	}
 
@@ -480,8 +470,6 @@ func (nw *Network) Send(from, to types.ProcID, payload any) {
 	}
 
 	nw.sent++
-	if nw.rec {
-		nw.cfg.Trace.Emit(trace.Event{At: now, Kind: trace.KindSend, Proc: from, Peer: to})
-	}
+	nw.cfg.Trace.Emit(trace.Event{At: now, Kind: trace.KindSend, Proc: from, Peer: to})
 	nw.sched.ScheduleDeliver(arrival, from, to, payload)
 }

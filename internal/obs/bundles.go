@@ -500,20 +500,3 @@ func NewStageMetrics(r *Registry, labels string) *StageMetrics {
 		Respond:   h(StageRespond),
 	}
 }
-
-// Observe records one stage latency in nanoseconds, ignoring unknown
-// stage keys.
-func (m *StageMetrics) Observe(stage string, ns int64) {
-	switch stage {
-	case StageAdmitWait:
-		m.AdmitWait.Observe(ns)
-	case StageBatchWait:
-		m.BatchWait.Observe(ns)
-	case StageConsensus:
-		m.Consensus.Observe(ns)
-	case StageApply:
-		m.Apply.Observe(ns)
-	case StageRespond:
-		m.Respond.Observe(ns)
-	}
-}

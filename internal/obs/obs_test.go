@@ -285,8 +285,7 @@ func TestWireMetrics(t *testing.T) {
 // bundle.
 func TestEveryConstructorCountsWithoutRegistry(t *testing.T) {
 	st := NewStageMetrics(nil, "")
-	st.Observe(StageApply, 5)
-	st.Observe("unknown", 5)
+	st.Apply.Observe(5)
 	if st.Apply.Count() != 1 {
 		t.Fatalf("private apply stage = %d observations, want 1", st.Apply.Count())
 	}

@@ -293,8 +293,9 @@ type Env interface {
 	Broadcast(m Message)
 	// SetTimer schedules fn after d; the returned function cancels it.
 	SetTimer(d types.Duration, fn func()) (cancel func())
-	// Trace is the event sink (never nil; may be trace.Discard).
-	Trace() trace.Sink
+	// Trace is the event log, nil when the host records nothing (a nil
+	// *trace.Log discards what it is given).
+	Trace() *trace.Log
 }
 
 // IdleNotifier is the one optional interface of an Env: a host that can

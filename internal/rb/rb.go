@@ -135,8 +135,8 @@ func (l *Layer) SetTracer(t *xtrace.Tracer, inst types.Instance) {
 // INIT(v) to everyone (including self, which triggers the echo phase
 // locally like any other process).
 func (l *Layer) Broadcast(tag proto.Tag, v types.Value) {
-	if trace.Recording(l.env.Trace()) {
-		l.env.Trace().Emit(trace.Event{
+	if tr := l.env.Trace(); tr != nil {
+		tr.Emit(trace.Event{
 			At: l.env.Now(), Kind: trace.KindRBBroadcast, Proc: l.env.ID(),
 			Round: tag.Round, Value: v, Aux: tag.String(),
 		})
@@ -220,8 +220,8 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 		if set.Len() >= p.ReadyDeliver() && !inst.delivered {
 			inst.delivered = true
 			l.metrics.Delivers.Inc()
-			if trace.Recording(l.env.Trace()) {
-				l.env.Trace().Emit(trace.Event{
+			if tr := l.env.Trace(); tr != nil {
+				tr.Emit(trace.Event{
 					At: l.env.Now(), Kind: trace.KindRBDeliver, Proc: l.env.ID(),
 					Peer: m.Origin, Round: m.Tag.Round, Value: m.Val, Aux: m.Tag.String(),
 				})

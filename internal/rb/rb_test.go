@@ -306,7 +306,7 @@ func (e quietEnv) Now() types.Time                                 { return 0 }
 func (e quietEnv) Send(types.ProcID, proto.Message)                {}
 func (e quietEnv) Broadcast(proto.Message)                         {}
 func (e quietEnv) SetTimer(types.Duration, func()) (cancel func()) { return func() {} }
-func (e quietEnv) Trace() trace.Sink                               { return trace.Discard{} }
+func (e quietEnv) Trace() *trace.Log                               { return nil }
 
 // Counting ECHOs and READYs on an existing instance allocates nothing,
 // from the first vote through every threshold to the delivery: the first

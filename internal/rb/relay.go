@@ -477,8 +477,8 @@ func (r *Relay) Params() types.Params { return r.env.Params() }
 // Now returns the wrapped environment's clock reading.
 func (r *Relay) Now() types.Time { return r.env.Now() }
 
-// Trace returns the wrapped environment's trace sink.
-func (r *Relay) Trace() trace.Sink { return r.env.Trace() }
+// Trace returns the wrapped environment's trace log.
+func (r *Relay) Trace() *trace.Log { return r.env.Trace() }
 
 // SetTimer passes through to the wrapped environment's timer.
 func (r *Relay) SetTimer(d types.Duration, fn func()) (cancel func()) {

@@ -40,7 +40,7 @@ func newRelayEnv() *relayEnv {
 func (e *relayEnv) ID() types.ProcID     { return e.id }
 func (e *relayEnv) Params() types.Params { return e.params }
 func (e *relayEnv) Now() types.Time      { return e.now }
-func (e *relayEnv) Trace() trace.Sink    { return trace.Discard{} }
+func (e *relayEnv) Trace() *trace.Log    { return nil }
 func (e *relayEnv) Send(to types.ProcID, m proto.Message) {
 	e.sent = append(e.sent, struct {
 		to types.ProcID

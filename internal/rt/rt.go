@@ -326,9 +326,8 @@ func (e *env) SetTimer(d types.Duration, fn func()) (cancel func()) {
 	}
 }
 
-// Trace discards: a live node's history is its xtrace flight recorder,
-// and trace.Recording lets the layers skip building events at all.
-func (e *env) Trace() trace.Sink { return trace.Discard{} }
+// Trace is nil: a live node's history is its xtrace flight recorder.
+func (e *env) Trace() *trace.Log { return nil }
 
 // OnIdle implements proto.IdleNotifier: fn runs on the loop goroutine each
 // time the loop has handled input and finds nothing more queued.

@@ -561,7 +561,7 @@ func buildKV(spec KVSpec) (w *harness.World, res *KVResult, trs map[types.ProcID
 				OnSnapshot: func(s sm.Snapshot) {
 					res.SnapshotLog[id] = append(res.SnapshotLog[id],
 						sm.Snapshot{Index: s.Index, Instance: s.Instance, Digest: s.Digest})
-					if tr := env.Trace(); trace.Recording(tr) {
+					if tr := env.Trace(); tr != nil {
 						tr.Emit(trace.Event{
 							At: env.Now(), Kind: trace.KindKVSnapshot, Proc: id,
 							Aux: fmt.Sprintf("idx=%d inst=%v digest=%x", s.Index, s.Instance, s.Digest[:8]),

@@ -399,8 +399,8 @@ func (t *Transfer) startFetch() {
 func (t *Transfer) request() {
 	t.cfg.Metrics.Requests.Inc()
 	env := t.cfg.Env
-	if trace.Recording(env.Trace()) {
-		env.Trace().Emit(trace.Event{
+	if tr := env.Trace(); tr != nil {
+		tr.Emit(trace.Event{
 			At: env.Now(), Kind: trace.KindSnapRequest, Proc: env.ID(),
 			Aux: fmt.Sprintf("applied=%v", t.cfg.Log.Applied()),
 		})
@@ -508,8 +508,8 @@ func (t *Transfer) serve(from types.ProcID, reqBoundary types.Instance) {
 	}
 	t.lastServed[from] = now
 	t.cfg.Metrics.Served.Inc()
-	if trace.Recording(env.Trace()) {
-		env.Trace().Emit(trace.Event{
+	if tr := env.Trace(); tr != nil {
+		tr.Emit(trace.Event{
 			At: now, Kind: trace.KindSnapServe, Proc: env.ID(), Peer: from,
 			Aux: fmt.Sprintf("idx=%d inst=%v digest=%x", snap.Index, snap.Instance, snap.Digest[:8]),
 		})
@@ -751,8 +751,8 @@ func (t *Transfer) install(payload []byte, mf Manifest) {
 	}
 	t.cfg.Metrics.Installs.Inc()
 	env := t.cfg.Env
-	if trace.Recording(env.Trace()) {
-		env.Trace().Emit(trace.Event{
+	if tr := env.Trace(); tr != nil {
+		tr.Emit(trace.Event{
 			At: env.Now(), Kind: trace.KindSnapInstall, Proc: env.ID(),
 			Aux: fmt.Sprintf("idx=%d inst=%v digest=%x", s.Index, s.Instance, s.Digest[:8]),
 		})

@@ -232,7 +232,7 @@ func (e *xferEnv) SetTimer(d types.Duration, fn func()) (cancel func()) {
 	e.timers = append(e.timers, fn)
 	return func() {}
 }
-func (e *xferEnv) Trace() trace.Sink { return trace.Discard{} }
+func (e *xferEnv) Trace() *trace.Log { return nil }
 
 // fakeLog is a scripted LogControl.
 type fakeLog struct {

@@ -1,19 +1,16 @@
 // Package trace records structured protocol events. Every layer of the
-// stack emits events through a Sink; the invariant checkers in
-// internal/check replay a Log to verify the specification properties of
-// RB, CB, AC, EA and consensus. Counters are not derived from it: each
-// layer counts into its own internal/obs bundle.
+// stack emits events into a *Log; the invariant checkers in internal/check
+// replay it to verify the specification properties of RB, CB, AC, EA and
+// consensus. Counters are not derived from it: each layer counts into its
+// own internal/obs bundle.
 //
-// Tracing is optional: a nil *Log is a valid sink that discards events, so
-// benchmark configurations can run trace-free.
+// Tracing is optional: a nil *Log discards events, so hosts that record
+// nothing (the real-time runtime, an unrecorded simulation) pass nil.
 package trace
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"time"
-	"unicode/utf8"
 
 	"repro/internal/types"
 )
@@ -71,66 +68,42 @@ const (
 	KindCrash // process powered off; volatile state lost
 )
 
-// String implements fmt.Stringer. It is a switch rather than a map lookup:
-// the digest and error paths render every event, and a shared map would
-// cost a hash plus a read barrier per call.
+// kindNames indexes the name of each Kind.
+var kindNames = [...]string{
+	KindSend:           "send",
+	KindDeliver:        "deliver",
+	KindRBBroadcast:    "rb-broadcast",
+	KindRBDeliver:      "rb-deliver",
+	KindCBBroadcast:    "cb-broadcast",
+	KindCBValid:        "cb-valid",
+	KindCBReturn:       "cb-return",
+	KindACPropose:      "ac-propose",
+	KindACReturn:       "ac-return",
+	KindEAPropose:      "ea-propose",
+	KindEAFastPath:     "ea-fastpath",
+	KindEACoord:        "ea-coord",
+	KindEARelay:        "ea-relay",
+	KindEATimeout:      "ea-timeout",
+	KindEAReturn:       "ea-return",
+	KindConsPropose:    "cons-propose",
+	KindConsRoundStart: "cons-round",
+	KindConsDecideSend: "cons-decide-send",
+	KindConsDecide:     "cons-decide",
+	KindByzAction:      "byz",
+	KindKVSnapshot:     "kv-snapshot",
+	KindKVRecover:      "kv-recover",
+	KindSnapRequest:    "snap-request",
+	KindSnapServe:      "snap-serve",
+	KindSnapInstall:    "snap-install",
+	KindCrash:          "crash",
+}
+
+// String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindSend:
-		return "send"
-	case KindDeliver:
-		return "deliver"
-	case KindRBBroadcast:
-		return "rb-broadcast"
-	case KindRBDeliver:
-		return "rb-deliver"
-	case KindCBBroadcast:
-		return "cb-broadcast"
-	case KindCBValid:
-		return "cb-valid"
-	case KindCBReturn:
-		return "cb-return"
-	case KindACPropose:
-		return "ac-propose"
-	case KindACReturn:
-		return "ac-return"
-	case KindEAPropose:
-		return "ea-propose"
-	case KindEAFastPath:
-		return "ea-fastpath"
-	case KindEACoord:
-		return "ea-coord"
-	case KindEARelay:
-		return "ea-relay"
-	case KindEATimeout:
-		return "ea-timeout"
-	case KindEAReturn:
-		return "ea-return"
-	case KindConsPropose:
-		return "cons-propose"
-	case KindConsRoundStart:
-		return "cons-round"
-	case KindConsDecideSend:
-		return "cons-decide-send"
-	case KindConsDecide:
-		return "cons-decide"
-	case KindByzAction:
-		return "byz"
-	case KindKVSnapshot:
-		return "kv-snapshot"
-	case KindKVRecover:
-		return "kv-recover"
-	case KindSnapRequest:
-		return "snap-request"
-	case KindSnapServe:
-		return "snap-serve"
-	case KindSnapInstall:
-		return "snap-install"
-	case KindCrash:
-		return "crash"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k > 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Event is one structured record. Field meaning depends on Kind; unused
@@ -147,68 +120,25 @@ type Event struct {
 }
 
 // String renders the event compactly for logs and test failures.
-func (e Event) String() string { return string(e.AppendTo(nil)) }
-
-// appendPadded appends s left-justified to fmt's %-<w>s semantics: padded
-// with spaces to w runes (durations carry a two-byte µ).
-func appendPadded(b []byte, s string, w int) []byte {
-	b = append(b, s...)
-	for n := utf8.RuneCountInString(s); n < w; n++ {
-		b = append(b, ' ')
-	}
-	return b
-}
-
-func appendProc(b []byte, p types.ProcID) []byte {
-	if p == types.NoProc {
-		return append(b, "p?"...)
-	}
-	b = append(b, 'p')
-	return strconv.AppendInt(b, int64(p), 10)
-}
-
-// AppendTo appends the String rendering to b without fmt — the digest path
-// renders every recorded event, and fmt's reflection machinery was the
-// single largest consumer in matrix profiles. The output is byte-identical
-// to the historical fmt-based format (the golden digest tests pin it).
-func (e Event) AppendTo(b []byte) []byte {
-	b = appendPadded(b, e.Kind.String(), 12)
-	b = append(b, " t="...)
-	b = appendPadded(b, time.Duration(e.At).String(), 14)
-	b = append(b, ' ')
-	b = appendProc(b, e.Proc)
+func (e Event) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-12s t=%-14v %v", e.Kind, e.At, e.Proc)
 	if e.Peer != types.NoProc {
-		b = append(b, "↔"...)
-		b = appendProc(b, e.Peer)
+		fmt.Fprintf(&b, "↔%v", e.Peer)
 	}
 	if e.Round != 0 {
-		b = append(b, ' ', 'r')
-		b = strconv.AppendInt(b, int64(e.Round), 10)
+		fmt.Fprintf(&b, " %v", e.Round)
 	}
 	if e.Value != "" {
-		b = append(b, " val="...)
-		b = append(b, e.Value...)
+		fmt.Fprintf(&b, " val=%s", e.Value)
 	}
 	if e.Opt.Valid || e.Kind == KindEARelay {
-		b = append(b, " opt="...)
-		if e.Opt.Valid {
-			b = append(b, e.Opt.V...)
-		} else {
-			b = append(b, "⊥"...)
-		}
+		fmt.Fprintf(&b, " opt=%s", e.Opt)
 	}
 	if e.Aux != "" {
-		b = append(b, " ["...)
-		b = append(b, e.Aux...)
-		b = append(b, ']')
+		fmt.Fprintf(&b, " [%s]", e.Aux)
 	}
-	return b
-}
-
-// Sink consumes events. Implementations must be cheap; the hot path calls
-// Emit for every message.
-type Sink interface {
-	Emit(Event)
+	return b.String()
 }
 
 // chunkSize is the fixed capacity of one log chunk. Chunked growth means a
@@ -216,15 +146,13 @@ type Sink interface {
 // fresh chunk instead of doubling-and-moving the whole history.
 const chunkSize = 4096
 
-// Log is an in-memory Sink. A nil *Log discards events, so callers can
-// emit unconditionally. Storage is chunked; Events consolidates on demand
+// Log is the in-memory event log. A nil *Log discards events, so callers
+// can emit unconditionally. Storage is chunked; Events consolidates on demand
 // for the replay-style consumers.
 type Log struct {
 	chunks [][]Event
 	n      int
 }
-
-var _ Sink = (*Log)(nil)
 
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{} }
@@ -318,27 +246,3 @@ func (l *Log) Dump() string {
 	})
 	return b.String()
 }
-
-// Recording reports whether the sink actually records events, so hot paths
-// can skip event construction and the interface call with one branch.
-func Recording(s Sink) bool {
-	switch v := s.(type) {
-	case nil:
-		return false
-	case *Log:
-		return v != nil
-	case Discard:
-		return false
-	default:
-		return true
-	}
-}
-
-// Discard is a Sink that drops everything (an explicit alternative to a
-// nil *Log for APIs that want a non-nil Sink).
-type Discard struct{}
-
-var _ Sink = Discard{}
-
-// Emit implements Sink.
-func (Discard) Emit(Event) {}

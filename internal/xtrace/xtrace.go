@@ -280,7 +280,7 @@ func (t *Tracer) OnSubmit(cmd types.Value) {
 	s.pendAt = now
 	if s.admitAt >= 0 {
 		s.lastSpan = t.emitLocked(id, s.lastSpan, StageAdmitWait, NoInstance, 0, s.admitAt, now)
-		t.stages.Observe(obs.StageAdmitWait, int64(now-s.admitAt))
+		t.stages.AdmitWait.Observe(int64(now - s.admitAt))
 	}
 }
 
@@ -302,7 +302,7 @@ func (t *Tracer) OnBatched(cmd types.Value, inst types.Instance) {
 	s.batchAt = now
 	if s.pendAt >= 0 {
 		s.lastSpan = t.emitLocked(id, s.lastSpan, StageBatchWait, inst, 0, s.pendAt, now)
-		t.stages.Observe(obs.StageBatchWait, int64(now-s.pendAt))
+		t.stages.BatchWait.Observe(int64(now - s.pendAt))
 	}
 }
 
@@ -328,7 +328,7 @@ func (t *Tracer) OnCommitted(cmd types.Value, inst types.Instance) {
 	}
 	if start >= 0 {
 		s.lastSpan = t.emitLocked(id, s.lastSpan, StageConsensus, inst, 0, start, now)
-		t.stages.Observe(obs.StageConsensus, int64(now-start))
+		t.stages.Consensus.Observe(int64(now - start))
 	}
 }
 
@@ -350,7 +350,7 @@ func (t *Tracer) OnApplied(cmd types.Value, inst types.Instance) {
 	if s.commitAt >= 0 {
 		now := t.now()
 		t.emitLocked(id, s.lastSpan, StageApply, inst, 0, s.commitAt, now)
-		t.stages.Observe(obs.StageApply, int64(now-s.commitAt))
+		t.stages.Apply.Observe(int64(now - s.commitAt))
 	}
 }
 
@@ -365,7 +365,7 @@ func (t *Tracer) Respond(cmd types.Value, resolvedAt types.Time) {
 	defer t.mu.Unlock()
 	now := t.now()
 	t.emitLocked(CommandID(cmd), 0, StageRespond, NoInstance, 0, resolvedAt, now)
-	t.stages.Observe(obs.StageRespond, int64(now-resolvedAt))
+	t.stages.Respond.Observe(int64(now - resolvedAt))
 }
 
 // OnPropose marks this replica proposing a batch for an instance.
