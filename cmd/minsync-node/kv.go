@@ -129,19 +129,11 @@ func (e *kvEdge) read(key string) (string, bool, error) {
 		v  string
 		ok bool
 	}
-	ch := make(chan res, 1)
-	if !e.node.Post(func() {
+	r, err := onLoop(e.node.Post, func() res {
 		v, ok := e.rep.Store.Get(key)
-		ch <- res{v, ok}
-	}) {
-		return "", false, errors.New("node stopped")
-	}
-	select {
-	case r := <-ch:
-		return r.v, r.ok, nil
-	case <-time.After(statusTimeout):
-		return "", false, errors.New("read probe timed out (node loop busy)")
-	}
+		return res{v, ok}
+	})
+	return r.v, r.ok, err
 }
 
 // startKV assembles the serving replica on the node loop — tracer,
@@ -264,13 +256,18 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 	if newErr != nil {
 		return nil, newErr
 	}
-	tel.setStatus(edge.status)
+	tel.setStatus(func() map[string]any {
+		doc := edge.status()
+		httpapi.PoolStatus(doc, edge.pool)
+		return doc
+	})
 	tel.tracer.Store(tracer)
 	return edge, nil
 }
 
-// status is the one document served by both /statusz (the telemetry
-// listener) and the HTTP edge's /v1/status: operators see consensus
+// status is the host part of the one document served by both /statusz
+// (the telemetry listener) and the HTTP edge's /v1/status, each of which
+// adds the pool_* fields (httpapi.PoolStatus): operators see consensus
 // position, snapshot boundary AND admission pressure in one place.
 // pending_commands and in_flight_instances both zero on every replica is
 // a quiescent cluster: nothing submitted is unordered, no instance open.
@@ -297,16 +294,8 @@ func (e *kvEdge) status() map[string]any {
 		}
 		return st
 	})
-	// Pool state is edge-side (its own mutex, never the node loop),
-	// so it is reported even when the loop probe degrades.
-	ps := e.pool.Stats()
-	doc["pool_pending"] = ps.Pending
-	doc["pool_capacity"] = e.pool.Capacity()
-	doc["pool_admitted"] = ps.Admitted
-	doc["pool_deduped"] = ps.Deduped
-	doc["pool_shed"] = ps.Shed
-	doc["pool_expired"] = ps.Expired
-	// Link state is netx's (each link's own mutex), like the pool's.
+	// Link state is netx's (each link's own mutex), never the node
+	// loop's, so it is reported even when the loop probe degrades.
 	if e.links != nil {
 		states := make(map[types.ProcID]string)
 		queued := make(map[types.ProcID]int)

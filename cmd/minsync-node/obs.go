@@ -18,6 +18,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	stdlog "log"
 	"net"
 	"net/http"
@@ -128,7 +129,6 @@ func (t *telemetry) serveStatusz(w http.ResponseWriter, r *http.Request) {
 		"n":              t.params.N,
 		"t":              t.params.T,
 		"uptime_seconds": time.Since(t.started).Seconds(),
-		"trace_total":    rec.Total(),
 	}
 	if fn := t.status.Load(); fn != nil {
 		for k, v := range (*fn)() {
@@ -138,6 +138,7 @@ func (t *telemetry) serveStatusz(w http.ResponseWriter, r *http.Request) {
 	if window >= 0 {
 		doc["trace"] = rec.Last(window)
 	}
+	doc["trace_total"] = rec.Total() // after the window: it counts every span shown
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -146,18 +147,28 @@ func (t *telemetry) serveStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// probeStatus runs fn on the node loop via post and waits for the result
-// map, degrading to an error field on timeout. The post parameter is
-// node.Post (its bool reports whether the node is still running).
-func probeStatus(post func(func()) bool, fn func() map[string]any) map[string]any {
-	ch := make(chan map[string]any, 1)
+// onLoop runs fn on the node loop via post (node.Post, false once the
+// node stopped) and waits at most statusTimeout for its result.
+func onLoop[T any](post func(func()) bool, fn func() T) (T, error) {
+	ch := make(chan T, 1)
+	var zero T
 	if !post(func() { ch <- fn() }) {
-		return map[string]any{"error": "node stopped"}
+		return zero, errors.New("node stopped")
 	}
 	select {
-	case m := <-ch:
-		return m
+	case v := <-ch:
+		return v, nil
 	case <-time.After(statusTimeout):
-		return map[string]any{"error": "status probe timed out (node loop busy)"}
+		return zero, errors.New("probe timed out (node loop busy)")
 	}
+}
+
+// probeStatus is onLoop for a status document, degrading to an error
+// field when the probe cannot run.
+func probeStatus(post func(func()) bool, fn func() map[string]any) map[string]any {
+	doc, err := onLoop(post, fn)
+	if err != nil {
+		return map[string]any{"error": err.Error()}
+	}
+	return doc
 }

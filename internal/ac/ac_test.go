@@ -69,7 +69,7 @@ func newACWorld(t *testing.T, p types.Params, seed int64,
 			if v, ok := proposals[id]; ok {
 				env.SetTimer(0, func() { inst.Propose(v) })
 			}
-			return proto.NewNode(proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
+			return proto.NewNode(env.Params().N, proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
 				layer.OnMessage(from, m)
 			}), nil)
 		})
@@ -306,5 +306,5 @@ func TestDoneAccessor(t *testing.T) {
 // firstMessage hosts b behind the first-message rule, like every process
 // of the world: the harness hands deliveries straight to the handler.
 func firstMessage(b harness.Behavior) harness.Behavior {
-	return func(env proto.Env) proto.Handler { return proto.NewNode(b(env), nil) }
+	return func(env proto.Env) proto.Handler { return proto.NewNode(env.Params().N, b(env), nil) }
 }

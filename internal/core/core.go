@@ -92,12 +92,8 @@ type Config struct {
 	// instances of a replica. Passive; never alters the protocol.
 	RBMetrics *obs.RBMetrics
 	// Tracer, if non-nil, attaches causal tracing (internal/xtrace) to
-	// the engine's reliable-broadcast layer. TraceInstance is the
-	// numbered log instance the spans belong to — the replicated log
-	// stamps it when cloning this config per instance; standalone
-	// engines should pass xtrace.NoInstance. Passive.
-	Tracer        *xtrace.Tracer
-	TraceInstance types.Instance
+	// the engine's reliable-broadcast layer. Passive.
+	Tracer *xtrace.Tracer
 }
 
 // Engine is one correct consensus process. It implements proto.Handler; a
@@ -162,7 +158,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.rbl = rb.New(cfg.Env, e.onRBDeliver)
 	e.rbl.SetMetrics(cfg.RBMetrics)
-	e.rbl.SetTracer(cfg.Tracer, cfg.TraceInstance)
+	e.rbl.SetTracer(cfg.Tracer)
 	e.cb0 = cb.New(cb.Config{
 		Env:       cfg.Env,
 		Tag:       proto.Tag{Mod: proto.ModConsCB0},

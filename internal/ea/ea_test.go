@@ -88,7 +88,7 @@ func newEAWorld(t *testing.T, p types.Params, seed int64, o eaOpts, byz map[type
 			}
 			pr.obj = obj
 			ew.procs[id] = pr
-			return proto.NewNode(proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
+			return proto.NewNode(env.Params().N, proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
 				if pr.layer.OnMessage(from, m) {
 					return
 				}
@@ -534,5 +534,5 @@ func TestScales(t *testing.T) {
 // firstMessage hosts b behind the first-message rule, like every process
 // of the world: the harness hands deliveries straight to the handler.
 func firstMessage(b harness.Behavior) harness.Behavior {
-	return func(env proto.Env) proto.Handler { return proto.NewNode(b(env), nil) }
+	return func(env proto.Env) proto.Handler { return proto.NewNode(env.Params().N, b(env), nil) }
 }

@@ -340,13 +340,19 @@ func (s *Server) serveStatus(w http.ResponseWriter, r *http.Request) {
 			doc[k] = v
 		}
 	}
-	st := s.cfg.Pool.Stats()
+	PoolStatus(doc, s.cfg.Pool)
+	writeJSON(w, http.StatusOK, doc)
+}
+
+// PoolStatus adds p's pool_* fields to doc, for GET /v1/status and a
+// host's own status page alike (read under the pool's mutex, never a loop).
+func PoolStatus(doc map[string]any, p *txpool.Pool) {
+	st := p.Stats()
 	doc["pool_pending"] = st.Pending
-	doc["pool_capacity"] = s.cfg.Pool.Capacity()
+	doc["pool_capacity"] = p.Capacity()
 	doc["pool_admitted"] = st.Admitted
 	doc["pool_deduped"] = st.Deduped
 	doc["pool_shed"] = st.Shed
 	doc["pool_resolved"] = st.Resolved
 	doc["pool_expired"] = st.Expired
-	writeJSON(w, http.StatusOK, doc)
 }

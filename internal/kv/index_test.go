@@ -11,44 +11,85 @@ import (
 	"repro/internal/obs"
 )
 
-// sortedEncoding is the snapshot encoding as the store once built it:
-// sort the keys and clients of the live maps, then encode. The store now
-// keeps both orders as it applies; this is the reference they must match.
-func sortedEncoding(s *Store) []byte {
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
+// mapModel is the store as two plain maps and its counters, driven by
+// the same commands: the reference the store's sorted tables must encode
+// like, whatever their layout.
+type mapModel struct {
+	data                        map[string]string
+	seqs                        map[uint64]uint64
+	resps                       map[uint64]string
+	applies, dups, stales, bads uint64
+}
+
+// apply is Store.Apply's session filter and operations over the maps.
+func (m *mapModel) apply(c Command) {
+	if c.Client != 0 {
+		seq, ok := m.seqs[c.Client]
+		if ok && c.Seq == seq {
+			m.dups++
+			return
+		}
+		if ok && c.Seq < seq {
+			m.stales++
+			return
+		}
+	}
+	m.applies++
+	r := Response{Status: StatusOK}
+	old, ok := m.data[c.Key]
+	switch {
+	case c.Op == OpPut:
+		m.data[c.Key] = c.Val
+	case !ok:
+		r.Status = StatusNotFound
+	case c.Op == OpGet:
+		r.Val = old
+	default:
+		delete(m.data, c.Key)
+	}
+	if c.Client != 0 {
+		m.seqs[c.Client], m.resps[c.Client] = c.Seq, string(r.Encode())
+	}
+}
+
+// encoding sorts the maps' keys and clients and encodes them.
+func (m *mapModel) encoding() []byte {
+	keys := make([]string, 0, len(m.data))
+	for k := range m.data {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	clients := make([]uint64, 0, len(s.sessions))
-	for c := range s.sessions {
+	clients := make([]uint64, 0, len(m.seqs))
+	for c := range m.seqs {
 		clients = append(clients, c)
 	}
 	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
 	buf := []byte{snapMagic}
-	for _, n := range []uint64{s.applies, s.dups, s.stales, s.badCmds, uint64(len(keys))} {
+	for _, n := range []uint64{m.applies, m.dups, m.stales, m.bads, uint64(len(keys))} {
 		buf = binary.LittleEndian.AppendUint64(buf, n)
 	}
 	for _, k := range keys {
 		buf = appendString(buf, k)
-		buf = appendString(buf, s.data[k])
+		buf = appendString(buf, m.data[k])
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(clients)))
 	for _, c := range clients {
 		buf = binary.LittleEndian.AppendUint64(buf, c)
-		buf = binary.LittleEndian.AppendUint64(buf, s.sessions[c].seq)
-		buf = appendString(buf, string(s.sessions[c].resp))
+		buf = binary.LittleEndian.AppendUint64(buf, m.seqs[c])
+		buf = appendString(buf, m.resps[c])
 	}
 	return buf
 }
 
 // TestSnapshotIndexesMatchSortedEncoding: through random puts, deletes,
-// reads, retries and restores, AppendSnapshot encodes exactly what
-// sorting the live maps would, into a buffer of exactly its length, and
-// appends after whatever dst already holds.
+// reads, retries and restores, AppendSnapshot encodes exactly what a map
+// model of the same commands sorts and encodes, into a buffer of exactly
+// its length, and appends after whatever dst already holds; Get and the
+// session lookups read what the model holds.
 func TestSnapshotIndexesMatchSortedEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := NewStore()
+	m := &mapModel{data: map[string]string{}, seqs: map[uint64]uint64{}, resps: map[uint64]string{}}
 	seqs := map[uint64]uint64{}
 	for step := 0; step < 3000; step++ {
 		client := uint64(rng.Intn(12))
@@ -68,6 +109,7 @@ func TestSnapshotIndexesMatchSortedEncoding(t *testing.T) {
 			c.Op, c.Val = OpPut, fmt.Sprintf("%0*d", rng.Intn(20), step)
 		}
 		s.Apply(c.Encode())
+		m.apply(c)
 		if step%97 == 0 {
 			r := NewStore()
 			if err := r.Restore(s.Snapshot()); err != nil {
@@ -75,15 +117,22 @@ func TestSnapshotIndexesMatchSortedEncoding(t *testing.T) {
 			}
 			s = r
 		}
+		want, has := m.data[c.Key]
+		if v, ok := s.Get(c.Key); v != want || ok != has {
+			t.Fatalf("step %d: Get(%q) = %q, %v; the model holds %q, %v", step, c.Key, v, ok, want, has)
+		}
+		if seq, resp, _ := s.CachedResponse(client); seq != m.seqs[client] || string(resp) != m.resps[client] || s.SessionSeq(client) != seq {
+			t.Fatalf("step %d: client %d's session is %d %q; the model holds %d %q", step, client, seq, resp, m.seqs[client], m.resps[client])
+		}
 		if step%13 != 0 {
 			continue
 		}
-		want := sortedEncoding(s)
-		if got := s.Snapshot(); !bytes.Equal(got, want) || len(got) != cap(got) {
+		enc := m.encoding()
+		if got := s.Snapshot(); !bytes.Equal(got, enc) || len(got) != cap(got) {
 			t.Fatalf("step %d: snapshot of %d bytes (cap %d) differs from the sorted encoding of %d bytes",
-				step, len(got), cap(got), len(want))
+				step, len(got), cap(got), len(enc))
 		}
-		if got := s.AppendSnapshot([]byte("prefix")); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+		if got := s.AppendSnapshot([]byte("prefix")); !bytes.Equal(got, append([]byte("prefix"), enc...)) {
 			t.Fatalf("step %d: AppendSnapshot lost or moved its prefix", step)
 		}
 	}

@@ -18,13 +18,16 @@
 // key/value data, the session table, and the apply counters — with keys
 // and clients emitted in ascending order, so equal state always produces
 // equal bytes (and therefore equal digests) on every replica. The store
-// keeps both orders as it applies, so a snapshot sorts nothing.
+// keeps its tables in that order as it applies, so a snapshot sorts
+// nothing and looks nothing up.
 package kv
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/types"
@@ -289,24 +292,27 @@ func (c Command) Validate() error {
 	return nil
 }
 
+// pair is one live key and its value.
+type pair struct {
+	key, val string
+}
+
 // session is one client's exactly-once state: the highest applied sequence
 // number and the cached encoded response to it.
 type session struct {
-	seq  uint64
-	resp types.Value
+	client, seq uint64
+	resp        types.Value
 }
 
 // Store is the key-value state machine. It implements sm.Machine. Like
 // the rest of the protocol stack it is single-threaded by design: the
 // hosting applier calls it from one event loop.
 type Store struct {
-	data     map[string]string
-	sessions map[uint64]session
-	// keys and clients index data and sessions in ascending order; size
-	// is the snapshot encoding's length.
-	keys    []string
-	clients []uint64
-	size    int
+	// data and sessions are sorted by key and by client, the order the
+	// snapshot encoding lists them in; size is the encoding's length.
+	data     []pair
+	sessions []session
+	size     int
 
 	// metrics mirrors the replicated counters below into live telemetry.
 	// It is observer state, NOT machine state: never part of the snapshot
@@ -322,12 +328,7 @@ type Store struct {
 
 // NewStore builds an empty store.
 func NewStore() *Store {
-	return &Store{
-		data:     make(map[string]string),
-		sessions: make(map[uint64]session),
-		size:     snapFixedLen,
-		metrics:  obs.NewKVMetrics(nil, ""),
-	}
+	return &Store{size: snapFixedLen, metrics: obs.NewKVMetrics(nil, "")}
 }
 
 // snapFixedLen is an empty store's encoding: magic, 5 counters, 0 sessions.
@@ -344,26 +345,25 @@ func (s *Store) Apply(cmd types.Value) types.Value {
 		return Response{Status: StatusErr}.Encode()
 	}
 	if c.Client != 0 {
-		sess, ok := s.sessions[c.Client]
-		if ok && c.Seq == sess.seq {
+		i, ok := s.session(c.Client)
+		if ok && c.Seq == s.sessions[i].seq {
 			s.dups++
 			s.metrics.SessionDups.Inc()
-			return sess.resp
+			return s.sessions[i].resp
 		}
-		if ok && c.Seq < sess.seq {
+		if ok && c.Seq < s.sessions[i].seq {
 			s.stales++
 			s.metrics.SessionStales.Inc()
 			return Response{Status: StatusStale}.Encode()
 		}
 		resp := s.exec(c).Encode()
 		if ok {
-			s.size += len(resp) - len(sess.resp)
+			s.size += len(resp) - len(s.sessions[i].resp)
+			s.sessions[i].seq, s.sessions[i].resp = c.Seq, resp
 		} else {
-			k, _ := slices.BinarySearch(s.clients, c.Client)
-			s.clients = slices.Insert(s.clients, k, c.Client)
+			s.sessions = slices.Insert(s.sessions, i, session{client: c.Client, seq: c.Seq, resp: resp})
 			s.size += 8 + 8 + 4 + len(resp)
 		}
-		s.sessions[c.Client] = session{seq: c.Seq, resp: resp}
 		s.syncMetrics()
 		return resp
 	}
@@ -385,36 +385,43 @@ func (s *Store) syncMetrics() {
 // is never encoded into snapshots.
 func (s *Store) SetMetrics(m *obs.KVMetrics) { s.metrics = m }
 
-// exec runs the operation against the data map.
+// exec runs the operation against the data.
 func (s *Store) exec(c Command) Response {
 	s.applies++
+	i, ok := s.find(c.Key)
 	switch c.Op {
 	case OpGet:
-		if v, ok := s.data[c.Key]; ok {
-			return Response{Status: StatusOK, Val: v}
+		if ok {
+			return Response{Status: StatusOK, Val: s.data[i].val}
 		}
 		return Response{Status: StatusNotFound}
 	case OpPut:
-		if old, ok := s.data[c.Key]; ok {
-			s.size += len(c.Val) - len(old)
+		if ok {
+			s.size += len(c.Val) - len(s.data[i].val)
+			s.data[i].val = c.Val
 		} else {
-			k, _ := slices.BinarySearch(s.keys, c.Key)
-			s.keys = slices.Insert(s.keys, k, c.Key)
+			s.data = slices.Insert(s.data, i, pair{key: c.Key, val: c.Val})
 			s.size += 4 + len(c.Key) + 4 + len(c.Val)
 		}
-		s.data[c.Key] = c.Val
 		return Response{Status: StatusOK}
 	default: // OpDel
-		old, ok := s.data[c.Key]
 		if !ok {
 			return Response{Status: StatusNotFound}
 		}
-		delete(s.data, c.Key)
-		k, _ := slices.BinarySearch(s.keys, c.Key)
-		s.keys = slices.Delete(s.keys, k, k+1)
-		s.size -= 4 + len(c.Key) + 4 + len(old)
+		s.size -= 4 + len(c.Key) + 4 + len(s.data[i].val)
+		s.data = slices.Delete(s.data, i, i+1)
 		return Response{Status: StatusOK}
 	}
+}
+
+// find binary-searches data for key.
+func (s *Store) find(key string) (int, bool) {
+	return slices.BinarySearchFunc(s.data, key, func(p pair, k string) int { return strings.Compare(p.key, k) })
+}
+
+// session binary-searches sessions for client.
+func (s *Store) session(client uint64) (int, bool) {
+	return slices.BinarySearchFunc(s.sessions, client, func(e session, c uint64) int { return cmp.Compare(e.client, c) })
 }
 
 // Snapshot returns AppendSnapshot's encoding in a buffer of its length.
@@ -429,19 +436,18 @@ func (s *Store) AppendSnapshot(dst []byte) []byte {
 		dst = append(make([]byte, 0, len(dst)+s.size), dst...)
 	}
 	dst = append(dst, snapMagic)
-	for _, n := range []uint64{s.applies, s.dups, s.stales, s.badCmds, uint64(len(s.keys))} {
+	for _, n := range []uint64{s.applies, s.dups, s.stales, s.badCmds, uint64(len(s.data))} {
 		dst = binary.LittleEndian.AppendUint64(dst, n)
 	}
-	for _, k := range s.keys {
-		dst = appendString(dst, k)
-		dst = appendString(dst, s.data[k])
+	for _, p := range s.data {
+		dst = appendString(dst, p.key)
+		dst = appendString(dst, p.val)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s.clients)))
-	for _, c := range s.clients {
-		sess := s.sessions[c]
-		dst = binary.LittleEndian.AppendUint64(dst, c)
-		dst = binary.LittleEndian.AppendUint64(dst, sess.seq)
-		dst = appendString(dst, string(sess.resp))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s.sessions)))
+	for _, e := range s.sessions {
+		dst = binary.LittleEndian.AppendUint64(dst, e.client)
+		dst = binary.LittleEndian.AppendUint64(dst, e.seq)
+		dst = appendString(dst, string(e.resp))
 	}
 	return dst
 }
@@ -489,8 +495,7 @@ func decodeStoreSnapshot(b []byte) (*Store, error) {
 	if nKeys > uint64(len(rest)) { // each key/value pair is ≥ 8 bytes
 		return nil, fmt.Errorf("kv: key count %d exceeds snapshot size", nKeys)
 	}
-	d.data = make(map[string]string, nKeys)
-	d.keys = make([]string, 0, nKeys)
+	d.data = make([]pair, 0, nKeys)
 	var k, v string
 	var err error
 	for i := uint64(0); i < nKeys; i++ {
@@ -500,11 +505,10 @@ func decodeStoreSnapshot(b []byte) (*Store, error) {
 		if v, rest, err = readString(rest); err != nil {
 			return nil, err
 		}
-		if i > 0 && k <= d.keys[i-1] {
+		if i > 0 && k <= d.data[i-1].key {
 			return nil, fmt.Errorf("kv: snapshot key %d out of order", i)
 		}
-		d.data[k] = v
-		d.keys = append(d.keys, k)
+		d.data = append(d.data, pair{key: k, val: v})
 	}
 	if len(rest) < 8 {
 		return nil, fmt.Errorf("kv: truncated session count")
@@ -514,8 +518,7 @@ func decodeStoreSnapshot(b []byte) (*Store, error) {
 	if nSess > uint64(len(rest)) { // each session is ≥ 20 bytes
 		return nil, fmt.Errorf("kv: session count %d exceeds snapshot size", nSess)
 	}
-	d.sessions = make(map[uint64]session, nSess)
-	d.clients = make([]uint64, 0, nSess)
+	d.sessions = make([]session, 0, nSess)
 	for i := uint64(0); i < nSess; i++ {
 		if len(rest) < 16 {
 			return nil, fmt.Errorf("kv: truncated session entry")
@@ -523,15 +526,14 @@ func decodeStoreSnapshot(b []byte) (*Store, error) {
 		client := binary.LittleEndian.Uint64(rest)
 		seq := binary.LittleEndian.Uint64(rest[8:])
 		rest = rest[16:]
-		if i > 0 && client <= d.clients[i-1] {
+		if i > 0 && client <= d.sessions[i-1].client {
 			return nil, fmt.Errorf("kv: snapshot session %d out of order", i)
 		}
 		var resp string
 		if resp, rest, err = readString(rest); err != nil {
 			return nil, err
 		}
-		d.sessions[client] = session{seq: seq, resp: types.Value(resp)}
-		d.clients = append(d.clients, client)
+		d.sessions = append(d.sessions, session{client: client, seq: seq, resp: types.Value(resp)})
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("kv: %d trailing bytes after snapshot", len(rest))
@@ -542,8 +544,10 @@ func decodeStoreSnapshot(b []byte) (*Store, error) {
 // Get reads a key directly (introspection; replicated reads go through
 // the log as OpGet commands).
 func (s *Store) Get(key string) (string, bool) {
-	v, ok := s.data[key]
-	return v, ok
+	if i, ok := s.find(key); ok {
+		return s.data[i].val, true
+	}
+	return "", false
 }
 
 // Len returns the number of live keys.
@@ -554,7 +558,10 @@ func (s *Store) Sessions() int { return len(s.sessions) }
 
 // SessionSeq returns a client's highest applied sequence number (0 if the
 // client has no session).
-func (s *Store) SessionSeq(client uint64) uint64 { return s.sessions[client].seq }
+func (s *Store) SessionSeq(client uint64) uint64 {
+	seq, _, _ := s.CachedResponse(client)
+	return seq
+}
 
 // CachedResponse returns the client's session watermark and the cached
 // encoded response to it. Serving frontends use it to answer retries of
@@ -562,8 +569,10 @@ func (s *Store) SessionSeq(client uint64) uint64 { return s.sessions[client].seq
 // dedup absorbs byte-identical re-submissions, so no new apply — and
 // hence no OnResponse — would ever fire for them).
 func (s *Store) CachedResponse(client uint64) (seq uint64, resp types.Value, ok bool) {
-	sess, ok := s.sessions[client]
-	return sess.seq, sess.resp, ok
+	if i, ok := s.session(client); ok {
+		return s.sessions[i].seq, s.sessions[i].resp, true
+	}
+	return 0, "", false
 }
 
 // Applies returns how many commands executed against the data map (reads

@@ -461,7 +461,6 @@ func (l *Engine) getInstance(i types.Instance) *instance {
 	ecfg.Env = &instEnv{base: l.relay, id: i}
 	ecfg.BotMode = true
 	ecfg.Tracer = l.cfg.Tracer
-	ecfg.TraceInstance = i
 	ecfg.OnDecide = func(v types.Value) { l.onInstanceDecided(i, v) }
 	eng, err := core.New(ecfg)
 	if err != nil {
@@ -824,15 +823,8 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 		return fmt.Errorf("log: %d retained entries exceed snapshot index %d", len(retained), index)
 	}
 	base := index - len(retained)
-	prevInst := types.Instance(-1)
-	for k, e := range retained {
-		if e.Index != base+k {
-			return fmt.Errorf("log: retained entry %d has index %d, want %d", k, e.Index, base+k)
-		}
-		if e.Instance < prevInst || e.Instance >= boundary {
-			return fmt.Errorf("log: retained entry %d instance %v out of order for boundary %v", k, e.Instance, boundary)
-		}
-		prevInst = e.Instance
+	if err := checkRetained(base, retained, boundary); err != nil {
+		return err
 	}
 	// Instance-number order, not map order: Halt cancels timers in the
 	// shared scheduler, and determinism requires an iteration order that
@@ -869,27 +861,10 @@ func (l *Engine) InstallSnapshot(boundary types.Instance, index int, retained []
 		st.pending, st.committed = false, false
 		l.setState(c, st)
 	}
-	l.seedCommitted(retained)
-	l.entriesBase = base
 	l.lanes = nil
 	l.pending, l.uncovered = 0, 0
-	l.applied = boundary
-	// The dedup window's floor: the suffix's first instance, exactly
-	// where every peer's compaction left ITS floor at this boundary — so
-	// future compaction instants (and the dedup trims they perform) stay
-	// identical across replicas.
-	l.floor = boundary
-	if len(l.entries) > 0 {
-		l.floor = l.entries[0].Instance
-	}
+	l.jump(boundary, base, retained)
 	l.cfg.Metrics.SnapshotInstalls.Inc()
-	if l.cfg.Target > 0 && l.Committed() >= l.cfg.Target {
-		// The snapshot alone satisfies the stop rule; don't reopen the
-		// pipeline just to propose into instances nobody else will run.
-		l.closed = true
-	}
-	l.relay.RetireInstancesBefore(l.floor)
-	l.nextStart = max(l.nextStart, boundary)
 	l.fill()
 	l.tryApply()
 	return nil
@@ -926,41 +901,58 @@ func (l *Engine) Resume(boundary types.Instance, base int, retained []Entry) err
 	if boundary < 0 || base < 0 {
 		return fmt.Errorf("log: negative resume position (%v, %d)", boundary, base)
 	}
-	prevInst := types.Instance(-1)
-	for k, e := range retained {
-		if e.Index != base+k {
-			return fmt.Errorf("log: resumed entry %d has index %d, want %d", k, e.Index, base+k)
-		}
-		if e.Instance < prevInst {
-			return fmt.Errorf("log: resumed entry %d instance %v out of order", k, e.Instance)
-		}
-		prevInst = e.Instance
+	if err := checkRetained(base, retained, -1); err != nil {
+		return err
 	}
-	l.seedCommitted(retained)
-	l.entriesBase = base
-	l.applied = boundary
-	l.nextStart = boundary
-	l.floor = boundary
-	if len(l.entries) > 0 && l.entries[0].Instance < l.floor {
-		l.floor = l.entries[0].Instance
-	}
+	l.jump(boundary, base, retained)
 	l.resumed = true
-	if l.cfg.Target > 0 && l.Committed() >= l.cfg.Target {
-		l.closed = true
-	}
-	l.relay.RetireInstancesBefore(l.floor)
 	return nil
 }
 
-// seedCommitted makes retained the entry log and its commands the
-// content-dedup window.
-func (l *Engine) seedCommitted(retained []Entry) {
+// checkRetained reports whether retained is a suffix InstallSnapshot or
+// Resume can seed: indexes contiguous from base, instances ascending
+// and, when below ≥ 0, under below.
+func checkRetained(base int, retained []Entry, below types.Instance) error {
+	prevInst := types.Instance(-1)
+	for k, e := range retained {
+		if e.Index != base+k {
+			return fmt.Errorf("log: retained entry %d has index %d, want %d", k, e.Index, base+k)
+		}
+		if e.Instance < prevInst || below >= 0 && e.Instance >= below {
+			return fmt.Errorf("log: retained entry %d instance %v out of order", k, e.Instance)
+		}
+		prevInst = e.Instance
+	}
+	return nil
+}
+
+// jump is the position InstallSnapshot and Resume move the engine to:
+// applied at boundary, where the pipeline opens, with retained (indexed
+// from base) as the entry log and its commands as the content-dedup
+// window. The floor is the lower of boundary and the suffix's first
+// instance, exactly where every peer's compaction left ITS floor at this
+// boundary — so future compaction instants (and the dedup trims they
+// perform) stay identical across replicas. The relay drops everything
+// below it, and an engine whose stop rule the suffix already satisfies
+// closes rather than propose into instances nobody else will run.
+func (l *Engine) jump(boundary types.Instance, base int, retained []Entry) {
 	l.entries = append([]Entry(nil), retained...)
 	for _, e := range l.entries {
 		st := l.cmds[e.Cmd]
 		st.committed = true
 		l.cmds[e.Cmd] = st
 	}
+	l.entriesBase = base
+	l.applied = boundary
+	l.nextStart = max(l.nextStart, boundary)
+	l.floor = boundary
+	if len(l.entries) > 0 {
+		l.floor = min(l.floor, l.entries[0].Instance)
+	}
+	if l.cfg.Target > 0 && l.Committed() >= l.cfg.Target {
+		l.closed = true
+	}
+	l.relay.RetireInstancesBefore(l.floor)
 }
 
 // commit marks c committed unless the dedup window already holds it, and

@@ -352,14 +352,13 @@ type Config struct {
 // Delivery rides the scheduler's typed deliver-message event: Send costs no
 // closure and no heap node.
 type Network struct {
-	cfg      Config
-	sched    *sim.Scheduler
-	recv     Receiver
-	drop     Dropper                        // cfg.Adv's Dropper side, resolved once (nil = none)
-	lastArr  map[[2]types.ProcID]types.Time // FIFO watermark
-	sent     uint64
-	dropped  uint64 // messages lost to a Dropper adversary
-	byteless uint64 // messages counted, payload bytes unknown in sim
+	cfg     Config
+	sched   *sim.Scheduler
+	recv    Receiver
+	drop    Dropper                        // cfg.Adv's Dropper side, resolved once (nil = none)
+	lastArr map[[2]types.ProcID]types.Time // FIFO watermark
+	sent    uint64
+	dropped uint64 // messages lost to a Dropper adversary
 }
 
 // New creates a network over the scheduler. recv must not be nil. The

@@ -275,17 +275,7 @@ func (t *Transport) serveConn(conn net.Conn) {
 
 	// Close the connection when the transport shuts down so the blocking
 	// reads below unblock.
-	done := make(chan struct{})
-	defer close(done)
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		select {
-		case <-t.ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
+	defer context.AfterFunc(t.ctx, func() { conn.Close() })()
 
 	r := bufio.NewReaderSize(conn, readBuffer)
 	peer, err := readHello(r)

@@ -1,10 +1,10 @@
 // Package proto defines the process-side protocol kernel: the message
 // vocabulary shared by all layers (RB, CB, AC, EA, consensus), the Env
 // interface through which protocol modules interact with whatever runtime
-// hosts them (discrete-event simulation or real goroutines), and the Node
-// that applies the paper's first-message-only rule (§2.1, "Discarding
-// messages from Byzantine processes") in front of a Handler that does not
-// apply it itself.
+// hosts them (discrete-event simulation or real goroutines), and Seen, the
+// one table of the paper's first-message-only rule (§2.1, "Discarding
+// messages from Byzantine processes"), which a Node puts in front of a
+// Handler that does not apply the rule itself.
 package proto
 
 import (
@@ -345,44 +345,34 @@ func (k MsgKind) RuleBound() bool {
 // at most once per instance — what the paper's pseudo-code assumes
 // implicitly. It hosts every handler that is not a replicated-log engine
 // (single-shot consensus engines, adversary behaviors); a log engine
-// applies the rule itself, inside its instance window.
+// applies the rule itself, inside its instance window, in the same table.
 type Node struct {
 	h       Handler
-	seen    map[nodeKey]struct{}
+	seen    *Seen
 	metrics *obs.DedupMetrics
-}
-
-// nodeKey is one first-message identity. The payload value is not part
-// of it: a second message differing only in value is a duplicate.
-type nodeKey struct {
-	From     types.ProcID
-	Kind     MsgKind
-	Tag      Tag
-	Origin   types.ProcID
-	Instance types.Instance
 }
 
 var _ Handler = (*Node)(nil)
 
-// NewNode wraps h with duplicate suppression, counting its drops into m
-// (obs.NewDedupMetrics; nil counts into private cells).
-func NewNode(h Handler, m *obs.DedupMetrics) *Node {
+// NewNode puts a first-message table for n processes in front of h,
+// counting what it drops into m (obs.NewDedupMetrics; nil counts into
+// private cells).
+func NewNode(n int, h Handler, m *obs.DedupMetrics) *Node {
 	if m == nil {
 		m = obs.NewDedupMetrics(nil, "")
 	}
-	return &Node{h: h, seen: make(map[nodeKey]struct{}), metrics: m}
+	return &Node{h: h, seen: NewSeen(n), metrics: m}
 }
 
-// OnMessage implements Handler: it feeds one raw network delivery through
-// deduplication.
+// OnMessage implements Handler: a rule-bound message reaches the handler
+// only if it is the first of its identity. A repeat and an identity the
+// table refuses (Seen.Bit) are dropped and counted alike.
 func (n *Node) OnMessage(from types.ProcID, m Message) {
 	if m.Kind.RuleBound() {
-		k := nodeKey{From: from, Kind: m.Kind, Tag: m.Tag, Origin: m.Origin, Instance: m.Instance}
-		if _, dup := n.seen[k]; dup {
+		if first, _ := n.seen.Admit(from, m); !first {
 			n.metrics.DroppedDuplicates.Inc()
 			return
 		}
-		n.seen[k] = struct{}{}
 	}
 	n.h.OnMessage(from, m)
 }

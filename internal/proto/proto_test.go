@@ -9,9 +9,9 @@ import (
 
 func TestDedup(t *testing.T) {
 	var got []Message
-	n := NewNode(HandlerFunc(func(_ types.ProcID, m Message) { got = append(got, m) }), nil)
+	n := NewNode(4, HandlerFunc(func(_ types.ProcID, m Message) { got = append(got, m) }), nil)
 
-	m1 := Message{Kind: MsgRBInit, Tag: Tag{Mod: ModACEst, Round: 3}, Origin: 2, Val: "a"}
+	m1 := Message{Kind: MsgRBEcho, Tag: Tag{Mod: ModACEst, Round: 3}, Origin: 2, Val: "a"}
 	n.OnMessage(2, m1)
 	// Same (sender, kind, tag, origin) with different value: discarded.
 	m2 := m1
@@ -29,16 +29,22 @@ func TestDedup(t *testing.T) {
 	m3 := m1
 	m3.Tag.Round = 4
 	n.OnMessage(2, m3)
-	// Different kind: accepted.
+	// Different kinds: accepted (the sender's own INIT, then a READY).
 	m4 := m1
-	m4.Kind = MsgRBEcho
+	m4.Kind = MsgRBInit
+	n.OnMessage(2, m4)
+	m4.Kind = MsgRBReady
 	n.OnMessage(2, m4)
 	// Different origin: accepted.
 	m5 := m1
-	m5.Origin = 7
+	m5.Origin = 4
 	n.OnMessage(2, m5)
-	if len(got) != 5 {
-		t.Fatalf("accepted = %d, want 5", len(got))
+	// Different module: accepted.
+	m6 := m1
+	m6.Tag.Mod = ModACCB
+	n.OnMessage(2, m6)
+	if len(got) != 7 || n.metrics.DroppedDuplicates.Value() != 1 {
+		t.Fatalf("accepted = %d dropped = %d, want 7 and 1", len(got), n.metrics.DroppedDuplicates.Value())
 	}
 }
 
@@ -47,7 +53,7 @@ func TestKeyFields(t *testing.T) {
 	// first-message rule is per tag, not per content): a second message
 	// differing only in Val is a duplicate.
 	delivered := 0
-	n := NewNode(HandlerFunc(func(types.ProcID, Message) { delivered++ }), nil)
+	n := NewNode(7, HandlerFunc(func(types.ProcID, Message) { delivered++ }), nil)
 	m := Message{Kind: MsgEAProp2, Tag: Tag{Mod: ModEA, Round: 9}, Origin: 0, Val: "x"}
 	n.OnMessage(5, m)
 	m.Val = "y"
@@ -56,17 +62,53 @@ func TestKeyFields(t *testing.T) {
 		t.Fatalf("delivered=%d dropped=%d: dedup identity must ignore the payload value", delivered, n.metrics.DroppedDuplicates.Value())
 	}
 	// Each identity component distinguishes: changing any accepts again.
+	// EA round 9 shares its scope with CB[9] inside EA (ModEACB), so the
+	// ECHOs of that CB show the module and the origin apart from it.
 	for _, mm := range []Message{
 		{Kind: MsgEACoord, Tag: Tag{Mod: ModEA, Round: 9}},
 		{Kind: MsgEAProp2, Tag: Tag{Mod: ModEA, Round: 10}},
-		{Kind: MsgEAProp2, Tag: Tag{Mod: ModACCB, Round: 9}},
-		{Kind: MsgEAProp2, Tag: Tag{Mod: ModEA, Round: 9}, Origin: 3},
+		{Kind: MsgEAProp2, Tag: Tag{Mod: ModEA, Round: 9}, Instance: 1},
+		{Kind: MsgRBEcho, Tag: Tag{Mod: ModEACB, Round: 9}, Origin: 3},
+		{Kind: MsgRBEcho, Tag: Tag{Mod: ModEACB, Round: 9}, Origin: 4},
+		{Kind: MsgRBEcho, Tag: Tag{Mod: ModACCB, Round: 9}, Origin: 3},
 	} {
 		n.OnMessage(5, mm)
 	}
 	n.OnMessage(6, m) // different sender
-	if delivered != 6 {
-		t.Fatalf("delivered=%d, want 6: every identity component must distinguish", delivered)
+	if delivered != 8 {
+		t.Fatalf("delivered=%d, want 8: every identity component must distinguish", delivered)
+	}
+}
+
+// TestRefusedIdentities: a rule-bound message whose identity no correct
+// process sends never reaches the handler, however often it comes, and
+// each copy is counted as a drop.
+func TestRefusedIdentities(t *testing.T) {
+	delivered := 0
+	n := NewNode(4, HandlerFunc(func(types.ProcID, Message) { delivered++ }), nil)
+	refused := []struct {
+		from types.ProcID
+		m    Message
+	}{
+		{3, Message{Kind: MsgRBInit, Tag: Tag{Mod: ModACEst, Round: 3}, Origin: 2}},  // INIT from a non-origin
+		{2, Message{Kind: MsgEAProp2, Tag: Tag{Mod: ModACCB, Round: 9}}},             // EA kind under an rb module
+		{2, Message{Kind: MsgEAProp2, Tag: Tag{Mod: ModEA, Round: 9}, Origin: 3}},    // EA message with an origin
+		{2, Message{Kind: MsgEACoord, Tag: Tag{Mod: ModEA, Round: 0}}},               // EA round 0
+		{2, Message{Kind: MsgRBEcho, Tag: Tag{Mod: ModDecide}, Origin: 2}},           // rb kind under ModDecide
+		{2, Message{Kind: MsgDecide, Tag: Tag{Mod: ModDecide, Round: 1}}},            // DECIDE of round 1
+		{2, Message{Kind: MsgRBEcho, Tag: Tag{Mod: ModACEst, Round: -1}, Origin: 2}}, // negative round
+		{2, Message{Kind: MsgRBEcho, Tag: Tag{Mod: ModACEst}, Origin: 5}},            // origin past n
+		{5, Message{Kind: MsgRBEcho, Tag: Tag{Mod: ModACEst}, Origin: 2}},            // sender past n
+		{0, Message{Kind: MsgDecide, Tag: Tag{Mod: ModDecide}}},                      // no sender
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, r := range refused {
+			n.OnMessage(r.from, r.m)
+		}
+	}
+	if delivered != 0 || n.metrics.DroppedDuplicates.Value() != uint64(2*len(refused)) || n.seen.Scopes() != 0 {
+		t.Fatalf("delivered=%d dropped=%d scopes=%d, want 0, %d and 0",
+			delivered, n.metrics.DroppedDuplicates.Value(), n.seen.Scopes(), 2*len(refused))
 	}
 }
 
@@ -121,7 +163,7 @@ func TestNamesComplete(t *testing.T) {
 // the same (sender, kind, tag, origin) is accepted once in each instance.
 func TestDedupPerInstance(t *testing.T) {
 	var got []Message
-	n := NewNode(HandlerFunc(func(from types.ProcID, m Message) { got = append(got, m) }), nil)
+	n := NewNode(4, HandlerFunc(func(from types.ProcID, m Message) { got = append(got, m) }), nil)
 	m := Message{Kind: MsgRBEcho, Tag: Tag{Mod: ModACEst, Round: 1}, Origin: 3, Val: "v"}
 	for _, inst := range []types.Instance{0, 1, 2, 1, 0} {
 		m.Instance = inst
@@ -130,8 +172,8 @@ func TestDedupPerInstance(t *testing.T) {
 	if len(got) != 3 || n.metrics.DroppedDuplicates.Value() != 2 {
 		t.Fatalf("delivered %d dropped %d, want 3/2", len(got), n.metrics.DroppedDuplicates.Value())
 	}
-	if len(n.seen) != 3 {
-		t.Fatalf("%d identities recorded, want 3", len(n.seen))
+	if n.seen.Scopes() != 3 {
+		t.Fatalf("%d scopes recorded, want 3", n.seen.Scopes())
 	}
 }
 
@@ -139,7 +181,7 @@ func TestDedupPerInstance(t *testing.T) {
 // one that counts; a second one, even for another value, is dropped.
 func TestDecideOncePerSender(t *testing.T) {
 	var got []Message
-	n := NewNode(HandlerFunc(func(from types.ProcID, m Message) { got = append(got, m) }), nil)
+	n := NewNode(4, HandlerFunc(func(from types.ProcID, m Message) { got = append(got, m) }), nil)
 	decide := Message{Kind: MsgDecide, Tag: Tag{Mod: ModDecide}, Instance: 4, Val: "a"}
 	n.OnMessage(2, decide)
 	decide.Val = "b"
@@ -156,7 +198,7 @@ func TestDecideOncePerSender(t *testing.T) {
 // requester's live window.
 func TestSnapFramesBypassDedup(t *testing.T) {
 	delivered := 0
-	n := NewNode(HandlerFunc(func(types.ProcID, Message) { delivered++ }), nil)
+	n := NewNode(4, HandlerFunc(func(types.ProcID, Message) { delivered++ }), nil)
 	req := Message{Kind: MsgSnapRequest, Tag: Tag{Mod: ModSnap}, Instance: 2}
 	n.OnMessage(3, req)
 	n.OnMessage(3, req) // an identical retry must get through
@@ -170,8 +212,8 @@ func TestSnapFramesBypassDedup(t *testing.T) {
 		t.Fatalf("responses deduplicated: delivered=%d", delivered)
 	}
 	// No dedup state accumulates for transfer traffic.
-	if len(n.seen) != 0 {
-		t.Fatalf("transfer frames recorded %d identities", len(n.seen))
+	if n.seen.Scopes() != 0 {
+		t.Fatalf("transfer frames recorded %d scopes", n.seen.Scopes())
 	}
 }
 
@@ -180,7 +222,7 @@ func TestSnapFramesBypassDedup(t *testing.T) {
 // Instance 0. Each must reach the handler.
 func TestForwardsBypassDedup(t *testing.T) {
 	var got []types.Value
-	n := NewNode(HandlerFunc(func(_ types.ProcID, m Message) { got = append(got, m.Val) }), nil)
+	n := NewNode(4, HandlerFunc(func(_ types.ProcID, m Message) { got = append(got, m.Val) }), nil)
 	fwd := func(v types.Value) Message { return Message{Kind: MsgKVRequest, Tag: Tag{Mod: ModKV}, Val: v} }
 	n.OnMessage(2, fwd("a"))
 	n.OnMessage(2, fwd("b"))
@@ -188,7 +230,7 @@ func TestForwardsBypassDedup(t *testing.T) {
 	if len(got) != 3 || got[1] != "b" || got[2] != "c" || n.metrics.DroppedDuplicates.Value() != 0 {
 		t.Fatalf("delivered %q, dropped %d; want every forward", got, n.metrics.DroppedDuplicates.Value())
 	}
-	if len(n.seen) != 0 {
-		t.Fatalf("forwards recorded %d identities", len(n.seen))
+	if n.seen.Scopes() != 0 {
+		t.Fatalf("forwards recorded %d scopes", n.seen.Scopes())
 	}
 }

@@ -39,10 +39,6 @@ type Layer struct {
 	deliver DeliverFunc
 	metrics *obs.RBMetrics
 	tracer  *xtrace.Tracer
-	// traceInst is the hosting consensus instance for xtrace spans
-	// (the layer itself only knows (origin, tag) keys; the hosting
-	// engine knows which numbered instance it serves).
-	traceInst types.Instance
 
 	// rows holds one tag's instances, indexed by origin−1: a row is one
 	// allocation for all n origins. recent caches the rows of the tags
@@ -122,14 +118,11 @@ func (l *Layer) SetMetrics(m *obs.RBMetrics) {
 	l.metrics = m
 }
 
-// SetTracer attaches a causal tracer (nil detaches) and the consensus
-// instance this layer's spans belong to. Passive like SetMetrics: the
+// SetTracer attaches a causal tracer (nil detaches); a span names the
+// instance of the message that caused it. Passive like SetMetrics: the
 // tracer observes the sentEcho/sentReady/delivered transitions, never
 // the protocol itself.
-func (l *Layer) SetTracer(t *xtrace.Tracer, inst types.Instance) {
-	l.tracer = t
-	l.traceInst = inst
-}
+func (l *Layer) SetTracer(t *xtrace.Tracer) { l.tracer = t }
 
 // Broadcast RB-broadcasts v on the stream (self, tag): it sends
 // INIT(v) to everyone (including self, which triggers the echo phase
@@ -196,7 +189,7 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 		if !inst.sentEcho {
 			inst.sentEcho = true
 			l.metrics.Echoes.Inc()
-			l.tracer.RBEvent(xtrace.StageRBEcho, l.traceInst, m.Origin)
+			l.tracer.RBEvent(xtrace.StageRBEcho, m.Instance, m.Origin)
 			l.env.Broadcast(proto.Message{Kind: proto.MsgRBEcho, Tag: m.Tag, Origin: m.Origin, Val: m.Val})
 		}
 	case proto.MsgRBEcho:
@@ -205,7 +198,7 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 		if set.Len() >= p.EchoQuorum() && !inst.sentReady {
 			inst.sentReady = true
 			l.metrics.Readies.Inc()
-			l.tracer.RBEvent(xtrace.StageRBReady, l.traceInst, m.Origin)
+			l.tracer.RBEvent(xtrace.StageRBReady, m.Instance, m.Origin)
 			l.env.Broadcast(proto.Message{Kind: proto.MsgRBReady, Tag: m.Tag, Origin: m.Origin, Val: m.Val})
 		}
 	case proto.MsgRBReady:
@@ -214,7 +207,7 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 		if set.Len() >= p.ReadyAmplify() && !inst.sentReady {
 			inst.sentReady = true
 			l.metrics.Readies.Inc()
-			l.tracer.RBEvent(xtrace.StageRBReady, l.traceInst, m.Origin)
+			l.tracer.RBEvent(xtrace.StageRBReady, m.Instance, m.Origin)
 			l.env.Broadcast(proto.Message{Kind: proto.MsgRBReady, Tag: m.Tag, Origin: m.Origin, Val: m.Val})
 		}
 		if set.Len() >= p.ReadyDeliver() && !inst.delivered {
@@ -226,7 +219,7 @@ func (l *Layer) OnMessage(from types.ProcID, m proto.Message) bool {
 					Peer: m.Origin, Round: m.Tag.Round, Value: m.Val, Aux: m.Tag.String(),
 				})
 			}
-			l.tracer.RBEvent(xtrace.StageRBDeliver, l.traceInst, m.Origin)
+			l.tracer.RBEvent(xtrace.StageRBDeliver, m.Instance, m.Origin)
 			l.deliver(m.Origin, m.Tag, m.Val)
 		}
 	}

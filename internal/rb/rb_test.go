@@ -53,7 +53,7 @@ func newRBWorld(t *testing.T, p types.Params, topo *network.Topology, seed int64
 				rw.delivered[id] = append(rw.delivered[id], delivery{origin: origin, tag: tag, val: v})
 			})
 			rw.layers[id] = layer
-			return proto.NewNode(proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
+			return proto.NewNode(env.Params().N, proto.HandlerFunc(func(from types.ProcID, m proto.Message) {
 				layer.OnMessage(from, m)
 			}), nil)
 		})
@@ -64,7 +64,7 @@ func newRBWorld(t *testing.T, p types.Params, topo *network.Topology, seed int64
 	return rw
 }
 
-var testTag = proto.Tag{Mod: proto.ModDecide, Round: 0}
+var testTag = proto.Tag{Mod: proto.ModConsCB0, Round: 0}
 
 func TestTermination1AllCorrect(t *testing.T) {
 	// A correct sender's RB-broadcast is delivered by every correct process.
@@ -371,5 +371,5 @@ func TestNonRBMessagesNotConsumed(t *testing.T) {
 // firstMessage hosts b behind the first-message rule, like every process
 // of the world: the harness hands deliveries straight to the handler.
 func firstMessage(b harness.Behavior) harness.Behavior {
-	return func(env proto.Env) proto.Handler { return proto.NewNode(b(env), nil) }
+	return func(env proto.Env) proto.Handler { return proto.NewNode(env.Params().N, b(env), nil) }
 }

@@ -322,21 +322,10 @@ type Relay struct {
 	onTimer     func()  // the grid timer's callback, built once
 	scratch     []Entry // decode buffer reused across inbound frames
 
-	// seenBits is the process's first-message table: one (sender, kind,
-	// tag, origin) per instance, for vector entries and — through Admit —
-	// loose messages alike, retired with the engine's floor. It holds one
-	// bitmap per (instance, tag) scope indexed by (sender, origin, kind)
-	// (see slot). The (sender, origin) plane is dense (both are process
-	// indices below n), so a bit test replaces a growing hashed-key set:
-	// no rehashing, no key hashing, one small map lookup per message.
-	n        int // Params().N, fixes the bitmap geometry
-	seenBits map[dedupScope][]uint64
-	floor    types.Instance
-	// recent caches the bitmaps of recently used scopes, direct-mapped
-	// (recentSlot): a vector's entries come in runs that share a scope,
-	// and cycle through the few scopes of the pipelined instances, so
-	// each run finds its bitmap without a map lookup.
-	recent [recentScopes]recentScope
+	// seen is the process's first-message table, for vector entries and
+	// (through Admit) loose messages alike, retired with the engine's floor.
+	seen  *proto.Seen
+	floor types.Instance
 
 	// cache binds content hashes to values learned from INITs (inbound
 	// and outbound) and from validated pull responses; byVal indexes the
@@ -363,43 +352,9 @@ type Relay struct {
 	flushes [numFlushCauses]*obs.Counter // metrics' flush counters, by cause
 }
 
-// dedupScope identifies one dedup bitmap: a log instance and a tag inside
-// it. Everything else in the identity — sender, origin, kind — indexes
-// into the bitmap.
-type dedupScope struct {
-	inst  types.Instance
-	mod   proto.Module
-	round types.Round
-}
-
-// recentScopes is the size of the relay's recent-scope cache: room for
-// the four rb tags of about eight instances.
-const recentScopes = 32
-
 // recentValues is the size of the relay's recent-value cache (cached):
 // room for the batches of the instances in flight from every origin.
 const recentValues = 64
-
-// recentScope is one slot of the recent-scope cache; nil bits is empty.
-type recentScope struct {
-	scope dedupScope
-	bits  []uint64
-}
-
-// recentSlot maps a scope to its slot in the recent-scope cache. The
-// scope modules are 1, 2, 4 and 5, so the four tags of one round of six
-// consecutive instances take distinct slots.
-func recentSlot(s dedupScope) int {
-	return int((uint64(s.inst)*5 + uint64(s.mod) + uint64(s.round)*7) % recentScopes)
-}
-
-// maxDedupScopes caps the live bitmaps. A scope costs 2n²+5n bits, so a
-// Byzantine peer naming fresh (instance, tag) pairs allocates more per
-// message than a map-per-instance design would; the cap bounds that
-// amplification while sitting far above what live instances of a correct
-// run ever reach (a few hundred). Overflow messages are dropped and
-// counted, never delivered undeduplicated.
-const maxDedupScopes = 1 << 14
 
 type cacheVal struct {
 	val     types.Value
@@ -443,8 +398,7 @@ func NewRelay(cfg RelayConfig) *Relay {
 		window:   cfg.Window,
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
-		n:        cfg.Env.Params().N,
-		seenBits: make(map[dedupScope][]uint64),
+		seen:     proto.NewSeen(cfg.Env.Params().N),
 		cache:    make(map[hashKey]*cacheVal),
 		byVal:    make(map[types.Value]*cacheVal),
 		parked:   make(map[hashKey][]parkedRef),
@@ -632,8 +586,9 @@ func (r *Relay) onVector(from types.ProcID, m proto.Message) {
 			r.deliver(from, e, e.Val)
 			continue
 		}
-		word, mask := r.slot(from, e.Kind, e.Tag, e.Origin, e.Instance)
+		word, mask := r.seen.Bit(from, e.Kind, e.Tag, e.Origin, e.Instance)
 		if word == nil {
+			r.metrics.ScopeDrops.Inc()
 			continue
 		}
 		if *word&mask != 0 {
@@ -695,82 +650,15 @@ func (r *Relay) deliver(from types.ProcID, e Entry, v types.Value) {
 	})
 }
 
-// Admit applies the first-message rule to a loose message the hosting
-// engine has placed inside its window: first reports that m is the first
-// of its (sender, kind, tag, origin) in its instance, now recorded; dup
-// that it repeats one recorded before, whatever its value. Neither means
-// m names an identity no correct process sends, or the scope table is
-// full: refused before it allocates, and counted as a ScopeDrop.
+// Admit applies the first-message rule (proto.Seen.Admit) to a loose
+// message the hosting engine has placed inside its window, counting a
+// refused identity as a ScopeDrop.
 func (r *Relay) Admit(from types.ProcID, m proto.Message) (first, dup bool) {
-	word, mask := r.slot(from, m.Kind, m.Tag, m.Origin, m.Instance)
-	if word == nil {
-		return false, false
-	}
-	if *word&mask != 0 {
-		return false, true
-	}
-	*word |= mask
-	return true, false
-}
-
-// slot locates the first-message bit of one identity: a word of its
-// scope's bitmap, allocated on first use, and the bit's mask. Only what a
-// correct process can send has a bit, from a sender in 1..n: an rb
-// message of an rb module, round ≥ 0, about an origin in 1..n (an INIT
-// only from its origin); an EA message of round ≥ 1 with no origin; a
-// DECIDE of round 0 with no origin. For anything else, and past the
-// scope cap, slot counts a ScopeDrop and returns nil.
-//
-// A scope's bitmap holds ECHO and READY per (sender, origin), then INIT,
-// the three EA kinds and DECIDE per sender. EA messages of round r share
-// the scope of CB[r] inside EA (ModEACB), DECIDE that of CB[0]: the
-// plain kinds add bits, never scopes, so an instance takes as many scopes
-// as its rb traffic alone would.
-func (r *Relay) slot(from types.ProcID, kind proto.MsgKind, tag proto.Tag, origin types.ProcID, inst types.Instance) (*uint64, uint64) {
-	n, s, o := r.n, int(from)-1, int(origin)-1
-	idx, mod := -1, tag.Mod
-	switch {
-	case s < 0 || s >= n:
-	case tag.Mod == proto.ModEA:
-		if tag.Round >= 1 && origin == types.NoProc && kind >= proto.MsgEAProp2 && kind <= proto.MsgEARelay {
-			idx, mod = 2*n*n+n+3*s+int(kind-proto.MsgEAProp2), proto.ModEACB
-		}
-	case tag.Mod == proto.ModDecide:
-		if tag.Round == 0 && origin == types.NoProc && kind == proto.MsgDecide {
-			idx, mod = 2*n*n+4*n+s, proto.ModConsCB0
-		}
-	case tag.Mod >= proto.ModConsCB0 && tag.Mod <= proto.ModACEst: // the rb modules
-		if tag.Round < 0 || o < 0 || o >= n {
-			break
-		}
-		switch {
-		case kind == proto.MsgRBEcho:
-			idx = (s*n + o) * 2
-		case kind == proto.MsgRBReady:
-			idx = (s*n+o)*2 + 1
-		case kind == proto.MsgRBInit && o == s:
-			idx = 2*n*n + s
-		}
-	}
-	if idx < 0 {
+	first, dup = r.seen.Admit(from, m)
+	if !first && !dup {
 		r.metrics.ScopeDrops.Inc()
-		return nil, 0
 	}
-	scope := dedupScope{inst: inst, mod: mod, round: tag.Round}
-	slot := &r.recent[recentSlot(scope)]
-	bits := slot.bits
-	if bits == nil || scope != slot.scope {
-		if bits = r.seenBits[scope]; bits == nil {
-			if len(r.seenBits) >= maxDedupScopes {
-				r.metrics.ScopeDrops.Inc()
-				return nil, 0
-			}
-			bits = make([]uint64, (2*n*n+5*n+63)/64)
-			r.seenBits[scope] = bits
-		}
-		slot.scope, slot.bits = scope, bits
-	}
-	return &bits[idx>>6], uint64(1) << (idx & 63)
+	return first, dup
 }
 
 // park shelves a hash-before-value entry and pulls the value from the
@@ -919,12 +807,8 @@ func (r *Relay) RetireInstancesBefore(floor types.Instance) {
 		return
 	}
 	r.floor = floor
-	r.recent, r.recentVals, r.lastVal = [recentScopes]recentScope{}, [recentValues]*cacheVal{}, nil
-	for s := range r.seenBits {
-		if s.inst < floor {
-			delete(r.seenBits, s)
-		}
-	}
+	r.seen.RetireBefore(floor)
+	r.recentVals, r.lastVal = [recentValues]*cacheVal{}, nil
 	for h, cv := range r.cache {
 		if cv.maxInst < floor {
 			delete(r.cache, h)
@@ -1004,7 +888,7 @@ func (r *Relay) CacheDrops() uint64 { return r.metrics.CacheDrops.Value() }
 func (r *Relay) CacheBytes() int { return r.cacheBytes }
 
 // Scopes returns the number of live first-message scopes.
-func (r *Relay) Scopes() int { return len(r.seenBits) }
+func (r *Relay) Scopes() int { return r.seen.Scopes() }
 
 // Parked returns the number of entries awaiting hash resolution.
 func (r *Relay) Parked() int { return r.parkedLen }

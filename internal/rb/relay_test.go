@@ -624,41 +624,6 @@ func TestAdmitKeepsIdentitiesApart(t *testing.T) {
 	}
 }
 
-// TestRecentScopesKeepScopesApart: scopes that share a slot of the
-// recent-scope cache — instances or rounds apart by the cache's size —
-// keep their own first-message bits, and retire with the floor like any
-// other.
-func TestRecentScopesKeepScopesApart(t *testing.T) {
-	env := newRelayEnv()
-	r, _ := newTestRelay(env)
-	echo := func(inst types.Instance, round types.Round) proto.Message {
-		return proto.Message{Kind: proto.MsgRBEcho, Tag: proto.Tag{Mod: proto.ModACEst, Round: round}, Origin: 2, Instance: inst, Val: "v"}
-	}
-	shared := []proto.Message{echo(5, 3), echo(5+recentScopes, 3), echo(5, 3+recentScopes)}
-	for _, m := range shared[1:] {
-		if recentSlot(dedupScope{m.Instance, m.Tag.Mod, m.Tag.Round}) != recentSlot(dedupScope{5, proto.ModACEst, 3}) {
-			t.Fatalf("instance %v round %v does not share the first scope's slot", m.Instance, m.Tag.Round)
-		}
-	}
-	for pass := 0; pass < 2; pass++ {
-		for _, m := range shared {
-			if first, dup := r.Admit(4, m); first != (pass == 0) || dup != (pass == 1) {
-				t.Fatalf("pass %d, instance %v round %v: first=%v dup=%v", pass, m.Instance, m.Tag.Round, first, dup)
-			}
-		}
-	}
-	if r.Scopes() != len(shared) {
-		t.Fatalf("Scopes()=%d, want %d", r.Scopes(), len(shared))
-	}
-	r.RetireInstancesBefore(6)
-	if r.Scopes() != 1 {
-		t.Fatalf("after retiring below 6: Scopes()=%d, want 1", r.Scopes())
-	}
-	if _, dup := r.Admit(4, shared[1]); !dup {
-		t.Fatal("the scope past the floor lost its bits")
-	}
-}
-
 func TestDupEntriesExported(t *testing.T) {
 	env := newRelayEnv()
 	reg := obs.NewRegistry()

@@ -152,7 +152,7 @@ func newWorld(cfg harness.Config, t *Totals, byz map[types.ProcID]harness.Behavi
 	for _, id := range p.AllProcs() {
 		if b, ok := byz[id]; ok {
 			d := t.firstMessage(nil, id)
-			err = w.SetBehavior(id, func(env proto.Env) proto.Handler { return proto.NewNode(b(env), d) })
+			err = w.SetBehavior(id, func(env proto.Env) proto.Handler { return proto.NewNode(env.Params().N, b(env), d) })
 		} else {
 			correct = append(correct, id)
 			err = place(w, id)
@@ -260,7 +260,7 @@ func Run(spec Spec) (*Result, error) {
 					engErr = err
 				}
 			})
-			return proto.NewNode(eng, res.firstMessage(spec.Obs, id))
+			return proto.NewNode(env.Params().N, eng, res.firstMessage(spec.Obs, id))
 		})
 		if err == nil {
 			err = engErr

@@ -250,8 +250,7 @@ type TransferConfig struct {
 	// position has not advanced since the previous probe, a fetch request
 	// goes out even without inbound MaxLead pressure — the cluster may
 	// have finished and gone quiet, leaving no message stream to trigger
-	// on. 0 keeps the default; < 0 disables probing (pressure-only
-	// triggering).
+	// on. 0 keeps the default.
 	StallProbe types.Duration
 	// OnInstall, if non-nil, fires after each successful install.
 	OnInstall func(s Snapshot)
@@ -341,7 +340,7 @@ func NewTransfer(cfg TransferConfig) (*Transfer, error) {
 	if cfg.RetryEvery <= 0 {
 		cfg.RetryEvery = 25 * time.Millisecond
 	}
-	if cfg.StallProbe == 0 {
+	if cfg.StallProbe <= 0 {
 		cfg.StallProbe = 50 * time.Millisecond
 	}
 	if cfg.Metrics == nil {
@@ -353,9 +352,7 @@ func NewTransfer(cfg TransferConfig) (*Transfer, error) {
 		lastServed: make(map[types.ProcID]types.Time),
 		lastAcked:  make(map[types.ProcID]types.Time),
 	}
-	if cfg.StallProbe > 0 {
-		cfg.Env.SetTimer(cfg.StallProbe, t.probe)
-	}
+	cfg.Env.SetTimer(cfg.StallProbe, t.probe)
 	return t, nil
 }
 
