@@ -17,7 +17,6 @@ package repro
 
 import (
 	"fmt"
-	"math/big"
 	"testing"
 	"time"
 
@@ -190,33 +189,45 @@ func BenchmarkScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkUnrank: F(r) computation cost (lexicographic unranking).
+// fsetSink keeps the F-set benchmarks' lookups from being optimized away.
+var fsetSink types.ProcSet
+
+// BenchmarkUnrank: F(r) computation cost (lexicographic unranking) at
+// the middle rank of each C(n,k).
 func BenchmarkUnrank(b *testing.B) {
 	for _, size := range []struct{ n, k int }{{7, 5}, {13, 9}, {31, 21}} {
-		size := size
 		b.Run(fmt.Sprintf("C(%d,%d)", size.n, size.k), func(b *testing.B) {
-			total := combin.BigBinomial(size.n, size.k)
-			rank := new(big.Int).Rsh(total, 1) // middle of the range
+			plan, err := combin.NewRoundPlan(size.n, size.k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// α = C(n,k) is the bound α·n over n; F has rank α/2 in
+			// block α/2.
+			alpha := plan.WorstCaseRounds() / uint64(size.n)
+			r := types.Round(alpha/2*uint64(size.n) + 1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := combin.Unrank(size.n, size.k, rank); err != nil {
-					b.Fatal(err)
-				}
+				fsetSink = plan.FSet(r)
 			}
 		})
 	}
 }
 
-// BenchmarkRoundPlanF: the per-round coordinator+F(r) lookup used by the
-// EA object on every round entry.
+// BenchmarkRoundPlanF: the per-round F(r) lookup the EA object makes on
+// every round entry, at n=13 and at n=100, whose α = C(100,67) does not
+// fit in 64 bits.
 func BenchmarkRoundPlanF(b *testing.B) {
-	plan, err := combin.NewRoundPlan(13, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = plan.F(types.Round(i + 1))
+	for _, size := range []struct{ n, k int }{{13, 9}, {100, 67}} {
+		b.Run(fmt.Sprintf("C(%d,%d)", size.n, size.k), func(b *testing.B) {
+			plan, err := combin.NewRoundPlan(size.n, size.k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fsetSink = plan.FSet(types.Round(i + 1))
+			}
+		})
 	}
 }
 

@@ -459,8 +459,10 @@ func TestKEqualsTAlphaIsOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := res.Engines[1].Plan()
-	if plan.AlphaUint64() != 1 {
-		t.Fatalf("alpha = %d", plan.AlphaUint64())
+	for r := types.Round(1); r <= 3*7; r += 5 {
+		if f := plan.FSet(r); f.Len() != 7 {
+			t.Fatalf("F(%d) = %v, want all 7 processes (alpha = 1)", r, f)
+		}
 	}
 	if plan.WorstCaseRounds() != 7 {
 		t.Fatalf("bound = %d, want n = 7", plan.WorstCaseRounds())

@@ -282,6 +282,7 @@ func (s *Server) serveTx(w http.ResponseWriter, r *http.Request) {
 			// report unavailability.
 			s.cfg.Pool.Resolve(k, kv.Response{Status: kv.StatusErr}.Encode())
 			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error(), 0)
+			s.cfg.Tracer.Respond(encCmd, s.cfg.Tracer.Clock())
 			return
 		}
 	}

@@ -203,3 +203,51 @@ func TestRestoreRefreshesGauges(t *testing.T) {
 		t.Fatalf("restored %d keys and %d sessions, want 5 and 3", dst.Len(), dst.Sessions())
 	}
 }
+
+// TestLookupsAtTheEdges: Get and the session lookups find nothing in an
+// empty store, nor below the first or above the last key and client;
+// deleting the first and last key and inserting new ones at both ends
+// keeps every key where find looks for it.
+func TestLookupsAtTheEdges(t *testing.T) {
+	s := NewStore()
+	for _, k := range []string{"", "a", "m", "\xff"} {
+		if v, ok := s.Get(k); ok || v != "" {
+			t.Fatalf("empty store: Get(%q) = %q, %v", k, v, ok)
+		}
+	}
+	for _, c := range []uint64{0, 1, ^uint64(0)} {
+		if _, _, ok := s.CachedResponse(c); ok || s.SessionSeq(c) != 0 {
+			t.Fatalf("empty store: client %d has a session", c)
+		}
+	}
+	put := func(client uint64, key string) {
+		s.Apply(Command{Op: OpPut, Client: client, Seq: s.SessionSeq(client) + 1, Key: key, Val: "v-" + key}.Encode())
+	}
+	put(5, "k")
+	put(7, "m")
+	for _, k := range []string{"", "a", "l", "n", "z"} {
+		if _, ok := s.Get(k); ok {
+			t.Fatalf("Get(%q) found a key the store does not hold", k)
+		}
+	}
+	for _, c := range []uint64{1, 4, 6, 8, ^uint64(0)} {
+		if _, _, ok := s.CachedResponse(c); ok {
+			t.Fatalf("client %d has a session it never opened", c)
+		}
+	}
+	put(1, "a")    // below the first key and client
+	put(9, "z")    // above the last
+	put(3, "\x00") // below "a"
+	s.Apply(Command{Op: OpDel, Client: 5, Seq: 2, Key: "\x00"}.Encode())
+	s.Apply(Command{Op: OpDel, Client: 5, Seq: 3, Key: "z"}.Encode())
+	for k, want := range map[string]bool{"\x00": false, "a": true, "k": true, "m": true, "z": false} {
+		if v, ok := s.Get(k); ok != want || ok && v != "v-"+k {
+			t.Fatalf("Get(%q) = %q, %v; want present %v", k, v, ok, want)
+		}
+	}
+	for c, want := range map[uint64]uint64{1: 1, 3: 1, 5: 3, 7: 1, 9: 1} {
+		if got := s.SessionSeq(c); got != want {
+			t.Fatalf("client %d at seq %d, want %d", c, got, want)
+		}
+	}
+}

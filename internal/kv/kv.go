@@ -23,11 +23,9 @@
 package kv
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/types"
@@ -414,14 +412,31 @@ func (s *Store) exec(c Command) Response {
 	}
 }
 
-// find binary-searches data for key.
+// find binary-searches data for key: the index of key, or where it
+// would be inserted.
 func (s *Store) find(key string) (int, bool) {
-	return slices.BinarySearchFunc(s.data, key, func(p pair, k string) int { return strings.Compare(p.key, k) })
+	lo, hi := 0, len(s.data)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s.data[m].key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.data) && s.data[lo].key == key
 }
 
-// session binary-searches sessions for client.
+// session binary-searches sessions for client, as find does data.
 func (s *Store) session(client uint64) (int, bool) {
-	return slices.BinarySearchFunc(s.sessions, client, func(e session, c uint64) int { return cmp.Compare(e.client, c) })
+	lo, hi := 0, len(s.sessions)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s.sessions[m].client < client {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.sessions) && s.sessions[lo].client == client
 }
 
 // Snapshot returns AppendSnapshot's encoding in a buffer of its length.

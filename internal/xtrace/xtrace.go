@@ -333,7 +333,7 @@ func (t *Tracer) OnCommitted(cmd types.Value, inst types.Instance) {
 }
 
 // OnApplied marks state-machine application and retires the command's
-// in-flight state (the respond stage, live mode only, is stateless —
+// in-flight state (the respond stage, live mode only, needs none of it —
 // see Respond).
 func (t *Tracer) OnApplied(cmd types.Value, inst types.Instance) {
 	if t == nil {
@@ -355,16 +355,22 @@ func (t *Tracer) OnApplied(cmd types.Value, inst types.Instance) {
 }
 
 // Respond marks the client response leaving the edge. resolvedAt is the
-// edge's Clock() reading when the committed response arrived; the span
-// closes at now. Stateless: safe after OnApplied retired the command.
+// edge's Clock() reading when the response arrived; the span closes at
+// now. It also retires the command's in-flight state: OnApplied has
+// already done so for an applied command, but a command answered without
+// an apply on this replica (a retry served from the session cache, a
+// failed proposal) would otherwise hold its slot under maxInflight
+// forever.
 func (t *Tracer) Respond(cmd types.Value, resolvedAt types.Time) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	id := CommandID(cmd)
+	delete(t.cmds, id)
 	now := t.now()
-	t.emitLocked(CommandID(cmd), 0, StageRespond, NoInstance, 0, resolvedAt, now)
+	t.emitLocked(id, 0, StageRespond, NoInstance, 0, resolvedAt, now)
 	t.stages.Respond.Observe(int64(now - resolvedAt))
 }
 

@@ -323,3 +323,43 @@ func TestDumpRoundTripAndMerge(t *testing.T) {
 		}
 	}
 }
+
+// TestRespondRetiresNeverApplied: commands admitted and answered without
+// an apply on this replica (a retry served from the session cache, a
+// failed proposal) give their in-flight slots back at Respond, so more
+// of them than the bound shed no chain, and a later command still
+// records its stages.
+func TestRespondRetiresNeverApplied(t *testing.T) {
+	var clock types.Time
+	reg := obs.NewRegistry()
+	tr := New(Config{
+		Proc:     1,
+		Now:      func() types.Time { clock += 10; return clock },
+		Recorder: NewRecorder(16),
+		Stages:   obs.NewStageMetrics(reg, ""),
+	})
+	tr.max = 4
+	for i := 0; i < 3*tr.max; i++ {
+		cmd := types.Value(fmt.Sprintf("retry-%d", i))
+		tr.OnAdmit(cmd)
+		tr.Respond(cmd, tr.Clock())
+	}
+	if got := tr.Dropped(); got != 0 {
+		t.Fatalf("dropped %d chains, want 0", got)
+	}
+	cmd := types.Value("fresh")
+	tr.OnAdmit(cmd)
+	tr.OnSubmit(cmd)
+	tr.OnBatched(cmd, 1)
+	tr.OnCommitted(cmd, 1)
+	tr.OnApplied(cmd, 1)
+	for _, name := range []string{obs.StageAdmitWait, obs.StageBatchWait, obs.StageConsensus, obs.StageApply} {
+		h := reg.Histogram(obs.WithLabels(obs.StageLatencyName, `stage="`+name+`"`), nil)
+		if h.Count() != 1 {
+			t.Fatalf("stage %q histogram count %d, want 1", name, h.Count())
+		}
+	}
+	if got := tr.Dropped(); got != 0 {
+		t.Fatalf("dropped %d chains, want 0", got)
+	}
+}

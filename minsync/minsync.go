@@ -277,7 +277,8 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 func MaxM(n, t int) int { return types.Params{N: n, T: t}.MaxM() }
 
 // WorstCaseRounds returns the §5.4 bound α·n on the rounds needed once the
-// (t+1+k)-bisource behaves synchronously, α = C(n, n−t+k).
+// (t+1+k)-bisource behaves synchronously, α = C(n, n−t+k), saturated at
+// MaxUint64.
 func WorstCaseRounds(n, t, k int) (uint64, error) {
 	p := types.Params{N: n, T: t, M: 1}
 	if err := p.Validate(true); err != nil {
