@@ -71,7 +71,6 @@ func TestE2EClusterTelemetry(t *testing.T) {
 			"-metrics", metricsAddrs[i],
 			"-trace-dir", filepath.Join(dir, "traces"),
 			"-snapshot-every", "4",
-			"-snapshot-refresh", "16",
 			"-unit", "50ms",
 			"-start-in", "1s",
 			"-wait", "60s",

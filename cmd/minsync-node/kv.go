@@ -50,10 +50,10 @@ type kvOptions struct {
 	// directory (replica.New) — applied prefix restored from disk, no peer
 	// transfer needed.
 	HTTPAddr, DataDir string
-	// Batch/Pipeline/SnapEvery/SnapRefresh/Target mirror the engine and
-	// applier flags; PoolCap bounds the admission pool.
-	Batch, Pipeline, SnapEvery, SnapRefresh, PoolCap, Target int
-	Compact                                                  bool
+	// Batch/Pipeline/SnapEvery mirror the engine and applier flags;
+	// PoolCap bounds the admission pool; Target is -kv-target.
+	Batch, Pipeline, SnapEvery, PoolCap, Target int
+	Compact                                     bool
 	// TraceDir enables causal command tracing (internal/xtrace) and
 	// names the directory where the flight recorder dumps its span ring
 	// on a stall or lag signal ("" = tracing off).
@@ -172,14 +172,17 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 	}
 	edge.links, _ = tr.(*netx.Transport)
 
-	// progress runs on the loop after every commit and install: either
-	// can satisfy the -kv-target stop rule (an installed snapshot IS the
-	// prefix, without a single local commit).
+	// progress runs on the loop after New and after every commit and
+	// install: each can satisfy the -kv-target stop rule (a durable
+	// prefix or an installed snapshot IS the prefix, without a single
+	// local commit). Meeting it closes the engine — the one stop rule of
+	// every host — and releases the main goroutine.
 	var once, lagDump sync.Once
 	progress := func() {
 		n := edge.rep.Applier.Applied()
 		edge.applied.Store(int64(n))
 		if opts.Target > 0 && n >= opts.Target {
+			edge.rep.Engine.Close()
 			once.Do(func() { close(edge.done) })
 		}
 	}
@@ -188,7 +191,6 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 		cfg := log.Config{
 			BatchSize: opts.Batch,
 			Pipeline:  opts.Pipeline,
-			Target:    opts.Target,
 		}
 		cfg.Engine.TimeUnit = types.Duration(opts.Unit)
 		edge.rep, newErr = replica.New(replica.Config{
@@ -196,11 +198,7 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 			Persist:       persist,
 			Log:           cfg,
 			SnapshotEvery: opts.SnapEvery,
-			// The instance-count floor under the entry cadence: instances
-			// that commit nothing still get snapshotted over and compacted
-			// (replica.DefaultSnapshotRefresh has the why).
-			SnapshotRefresh: types.Instance(opts.SnapRefresh),
-			Compact:         opts.Compact,
+			Compact:       opts.Compact,
 			// Snapshot state transfer makes the crash-recovery story real
 			// over TCP: a restarted replica misses its peers' frames for
 			// good (no transport retransmission), so once the cluster has
@@ -245,6 +243,7 @@ func startKV(node *rt.Node, tr rt.Transport, tel *telemetry, self types.ProcID, 
 		if newErr != nil {
 			return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
 		}
+		progress()
 		if st := edge.rep.Boot; st.HadSnapshot || st.Replayed > 0 || st.Boundary > 0 {
 			stdlog.Printf("booted from %s: snapshot (%d, %v), replayed %d entries, boundary %v, applied %d",
 				opts.DataDir, st.SnapIndex, st.SnapInstance, st.Replayed, st.Boundary, edge.rep.Applier.Applied())

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/netx"
 	"repro/internal/obs"
-	"repro/internal/replica"
 	"repro/internal/rt"
 	"repro/internal/types"
 )
@@ -46,9 +45,8 @@ func main() {
 		wait     = flag.Duration("wait", 2*time.Minute, "give up after this long")
 		startIn  = flag.Duration("start-in", 2*time.Second, "longest to wait for links to n−t−1 peers before opening the pipeline and the HTTP edge")
 
-		metricsF    = flag.String("metrics", "", "serve /metrics, /statusz and /debug/pprof/ on this address (empty = no listener; the node counts either way)")
-		traceDir    = flag.String("trace-dir", "", "attach causal command tracing and write flight-recorder dumps into this directory on a stall or lag signal (empty = off; merge dumps with minsync-trace)")
-		snapRefresh = flag.Int("snapshot-refresh", int(replica.DefaultSnapshotRefresh), "snapshot (and compact) at least every N applied instances even when they carried no entries, so command-less instances cannot pile up uncompacted and rejoining replicas find a fresh transfer boundary (0 = off)")
+		metricsF = flag.String("metrics", "", "serve /metrics, /statusz and /debug/pprof/ on this address (empty = no listener; the node counts either way)")
+		traceDir = flag.String("trace-dir", "", "attach causal command tracing and write flight-recorder dumps into this directory on a stall or lag signal (empty = off; merge dumps with minsync-trace)")
 
 		_         = flag.Bool("kv", false, "ignored (the replicated KV is the only mode): benchmark/cluster.go still passes it; ROADMAP 13(c) deletes it")
 		_         = flag.String("kv-listen", "", "ignored (clients use -http): benchmark/cluster.go still passes it; ROADMAP 13(c) deletes it")
@@ -56,7 +54,7 @@ func main() {
 		httpF     = flag.String("http", "", "serve the HTTP/JSON API (/v1/tx, /v1/kv/{key}, /v1/status) on this address (empty = off)")
 		poolCap   = flag.Int("pool", 1024, "admission pool capacity (pending commands before load shedding)")
 		kvTarget  = flag.Int("kv-target", 0, "exit after applying this many commands (0 = serve until killed)")
-		snapEvery = flag.Int("snapshot-every", 16, "snapshot cadence in applied entries (0 = off)")
+		snapEvery = flag.Int("snapshot-every", 16, "snapshot cadence in applied entries; a snapshot is also re-stamped after 4× as many applied instances without one, so command-less instances are compacted too (0 = off, both)")
 		compact   = flag.Bool("compact", true, "retire pre-snapshot state after each snapshot")
 	)
 	flag.Parse()
@@ -104,8 +102,8 @@ func main() {
 	runKVServe(node, tr, tel, self, kvOptions{
 		HTTPAddr: *httpF, DataDir: *dataDir,
 		Batch: *batch, Pipeline: *pipeline,
-		SnapEvery: *snapEvery, SnapRefresh: *snapRefresh,
-		PoolCap: *poolCap, Target: *kvTarget, Compact: *compact,
+		SnapEvery: *snapEvery, PoolCap: *poolCap,
+		Target: *kvTarget, Compact: *compact,
 		TraceDir: *traceDir, Unit: *unit, Wait: *wait, StartIn: *startIn,
 	})
 }

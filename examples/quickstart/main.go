@@ -7,6 +7,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/minsync"
@@ -38,8 +40,8 @@ func main() {
 	}
 
 	fmt.Println("=== quickstart: m-valued Byzantine consensus (n=4, t=1) ===")
-	for id, v := range res.Decisions {
-		fmt.Printf("  %v decided %q\n", id, v)
+	for _, id := range slices.Sorted(maps.Keys(res.Decisions)) {
+		fmt.Printf("  %v decided %q\n", id, res.Decisions[id])
 	}
 	fmt.Printf("agreed value : %q\n", res.Agreed)
 	fmt.Printf("rounds       : %d\n", res.Rounds)

@@ -261,9 +261,14 @@ func TestInitOvertakesForward(t *testing.T) {
 	logs := make(map[types.ProcID][]Entry)
 	for _, id := range params.AllProcs() {
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
+			var eng *Engine
 			cfg := Config{
-				Env: env, Target: total,
-				OnCommit: func(e Entry) { logs[id] = append(logs[id], e) },
+				Env: env,
+				OnCommit: func(e Entry) {
+					if logs[id] = append(logs[id], e); len(logs[id]) >= total {
+						eng.Close()
+					}
+				},
 			}
 			cfg.Engine.TimeUnit = types.Duration(10 * time.Millisecond)
 			eng, err := New(cfg)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/rb"
-	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/xtrace"
 )
@@ -58,9 +57,8 @@ type Config struct {
 	// that point on our own. Catching such a replica up needs state
 	// transfer: OnDroppedAhead surfaces the pressure, sm.Transfer fetches
 	// a peer snapshot, and InstallSnapshot resumes consensus from its
-	// boundary. Target-bounded runs without a transfer layer are
-	// unaffected in practice when MaxLead exceeds the total instance
-	// count.
+	// boundary. Bounded runs without a transfer layer are unaffected
+	// in practice when MaxLead exceeds the total instance count.
 	MaxLead types.Instance
 	// OnDroppedAhead, if non-nil, fires for every message the MaxLead
 	// guard drops, with the instance the message named. Persistent fire
@@ -70,12 +68,6 @@ type Config struct {
 	// layer (sm.Transfer) turns this pressure into a fetch trigger. The
 	// hook must not call back into the engine.
 	OnDroppedAhead func(i types.Instance)
-	// Target stops the engine from starting new instances once this many
-	// commands committed (0 = unlimited; use Close). All correct
-	// processes must configure the same Target: the stop rule is a
-	// deterministic function of the applied prefix, which keeps instance
-	// starts symmetric.
-	Target int
 	// OnCommit, if non-nil, is called for every committed command, in
 	// log order.
 	OnCommit func(e Entry)
@@ -325,8 +317,12 @@ func (l *Engine) enqueue(cmd types.Value) error {
 }
 
 // Close stops the engine from starting new instances. In-flight instances
-// keep running (they may still commit), and the engine keeps serving the
-// reliable-broadcast layers of old instances for slower peers.
+// keep running (they may still commit — the one being applied commits all
+// its entries), and the engine keeps serving the reliable-broadcast
+// layers of old instances for slower peers. It is the engine's only stop
+// rule: a host that runs to a goal calls it from its commit hook once the
+// goal holds, a deterministic function of the applied prefix, which keeps
+// instance starts symmetric across correct replicas.
 func (l *Engine) Close() { l.closed = true }
 
 // OnMessage implements proto.Handler: demultiplex to the instance engine.
@@ -458,7 +454,7 @@ func (l *Engine) getInstance(i types.Instance) *instance {
 	// The relay sits between the instance envs and the real environment,
 	// so every instance's ECHO/READY broadcasts land in the shared
 	// coalescing buffer (that sharing IS the cross-instance batching).
-	ecfg.Env = &instEnv{base: l.relay, id: i}
+	ecfg.Env = &instEnv{Env: l.cfg.Env, relay: l.relay, id: i}
 	ecfg.BotMode = true
 	ecfg.Tracer = l.cfg.Tracer
 	ecfg.OnDecide = func(v types.Value) { l.onInstanceDecided(i, v) }
@@ -702,9 +698,6 @@ func (l *Engine) tryApply() {
 			// own bookkeeping (decided, applied) stays coherent.
 			l.cfg.OnApply(i, newly)
 		}
-		if l.cfg.Target > 0 && l.Committed() >= l.cfg.Target {
-			l.closed = true
-		}
 		l.fill()
 	}
 }
@@ -933,8 +926,7 @@ func checkRetained(base int, retained []Entry, below types.Instance) error {
 // instance, exactly where every peer's compaction left ITS floor at this
 // boundary — so future compaction instants (and the dedup trims they
 // perform) stay identical across replicas. The relay drops everything
-// below it, and an engine whose stop rule the suffix already satisfies
-// closes rather than propose into instances nobody else will run.
+// below it.
 func (l *Engine) jump(boundary types.Instance, base int, retained []Entry) {
 	l.entries = append([]Entry(nil), retained...)
 	for _, e := range l.entries {
@@ -948,9 +940,6 @@ func (l *Engine) jump(boundary types.Instance, base int, retained []Entry) {
 	l.floor = boundary
 	if len(l.entries) > 0 {
 		l.floor = min(l.floor, l.entries[0].Instance)
-	}
-	if l.cfg.Target > 0 && l.Committed() >= l.cfg.Target {
-		l.closed = true
 	}
 	l.relay.RetireInstancesBefore(l.floor)
 }
@@ -1057,33 +1046,23 @@ func (l *Engine) Instances() int { return len(l.insts) }
 // Relay exposes the coalescing relay for introspection (never nil).
 func (l *Engine) Relay() *rb.Relay { return l.relay }
 
-// instEnv wraps the process environment for one instance: outgoing
-// messages are stamped with the instance number; everything else
-// delegates. This is how the instance-agnostic protocol stack
-// (rb/cb/ac/ea/core) runs unchanged inside a multi-instance log.
+// instEnv is the process environment of one instance: outgoing messages
+// are stamped with the instance number, and broadcasts go through the
+// coalescing relay; everything else is the host's env. This is how the
+// instance-agnostic protocol stack (rb/cb/ac/ea/core) runs unchanged
+// inside a multi-instance log.
 type instEnv struct {
-	base proto.Env
-	id   types.Instance
+	proto.Env
+	relay *rb.Relay
+	id    types.Instance
 }
-
-var _ proto.Env = (*instEnv)(nil)
-
-func (e *instEnv) ID() types.ProcID     { return e.base.ID() }
-func (e *instEnv) Params() types.Params { return e.base.Params() }
-func (e *instEnv) Now() types.Time      { return e.base.Now() }
 
 func (e *instEnv) Send(to types.ProcID, m proto.Message) {
 	m.Instance = e.id
-	e.base.Send(to, m)
+	e.Env.Send(to, m)
 }
 
 func (e *instEnv) Broadcast(m proto.Message) {
 	m.Instance = e.id
-	e.base.Broadcast(m)
+	e.relay.Broadcast(m)
 }
-
-func (e *instEnv) SetTimer(d types.Duration, fn func()) (cancel func()) {
-	return e.base.SetTimer(d, fn)
-}
-
-func (e *instEnv) Trace() *trace.Log { return e.base.Trace() }

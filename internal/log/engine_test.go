@@ -280,8 +280,16 @@ func TestForwardSubmits(t *testing.T) {
 	}
 }
 
+// TestTargetClosesEngine: a host that runs to a goal closes the engine
+// from its commit hook, and the closed engine opens no instance for the
+// commands still pending.
 func TestTargetClosesEngine(t *testing.T) {
-	eng, _ := newTestEngine(t, Config{Pipeline: 1, Target: 2})
+	var eng *Engine
+	eng, _ = newTestEngine(t, Config{Pipeline: 1, OnCommit: func(Entry) {
+		if eng.Committed() >= 2 {
+			eng.Close()
+		}
+	}})
 	for _, c := range []types.Value{"a", "b", "c"} {
 		if err := eng.Submit(c); err != nil {
 			t.Fatal(err)
@@ -296,6 +304,41 @@ func TestTargetClosesEngine(t *testing.T) {
 	}
 	if eng.Instances() != 1 {
 		t.Fatalf("closed engine opened instance (insts=%d)", eng.Instances())
+	}
+}
+
+// TestCloseInsideOnCommit: Close from the commit hook at an instance's
+// first entry stops new instances, while the instance being applied
+// still commits every entry of its batch and the one in flight still
+// decides.
+func TestCloseInsideOnCommit(t *testing.T) {
+	var eng *Engine
+	var got []types.Value
+	eng, _ = newTestEngine(t, Config{Pipeline: 2, OnCommit: func(e Entry) {
+		got = append(got, e.Cmd)
+		eng.Close()
+	}})
+	for _, c := range []types.Value{"a", "b", "c", "d"} {
+		if err := eng.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	startFull(t, eng)
+	eng.onInstanceDecided(0, EncodeBatch([]types.Value{"a", "b", "c"}))
+	if !slices.Equal(got, []types.Value{"a", "b", "c"}) || !eng.Closed() {
+		t.Fatalf("committed %q (closed=%v), want the whole batch and a closed engine", got, eng.Closed())
+	}
+	// Instance 2 is inside the window, and an open engine would start it
+	// for a new command.
+	if err := eng.Submit("e"); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Instances() != 2 {
+		t.Fatalf("closed engine holds %d instances, want the 2 it had", eng.Instances())
+	}
+	eng.onInstanceDecided(1, EncodeBatch([]types.Value{"d"}))
+	if !slices.Equal(got, []types.Value{"a", "b", "c", "d"}) || eng.Instances() != 2 {
+		t.Fatalf("committed %q with %d instances after the in-flight one decided", got, eng.Instances())
 	}
 }
 
@@ -719,17 +762,21 @@ func TestInstallSnapshotRejectsStaleAndForged(t *testing.T) {
 	}
 }
 
-func TestInstallSnapshotClosesAtTarget(t *testing.T) {
-	eng, _ := newTestEngine(t, Config{Pipeline: 2, Target: 5})
+// TestInstallSnapshotKeepsEngineClosed: an engine its host closed stays
+// closed across an install and proposes in no instance past the
+// boundary, not even one a peer named.
+func TestInstallSnapshotKeepsEngineClosed(t *testing.T) {
+	eng, _ := newTestEngine(t, Config{Pipeline: 2})
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
+	eng.Close()
 	eng.OnMessage(3, echoAt(9)) // a named instance: joined, unless closed
 	if err := eng.InstallSnapshot(9, 5, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !eng.Closed() {
-		t.Fatal("engine open past Target after install")
+		t.Fatal("install reopened a closed engine")
 	}
 	// No proposals into instances nobody else will run.
 	if eng.insts[9].proposal != "" {

@@ -61,9 +61,14 @@ func TestCanonicalLanesConvergeUnderSkew(t *testing.T) {
 	firstBatch := make(map[types.ProcID][]types.Value) // instance botLane's proposal
 	for _, id := range params.AllProcs() {
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
+			var eng *Engine
 			cfg := Config{
-				Env: env, BatchSize: batch, Pipeline: pipeline, Target: total,
-				OnCommit: func(e Entry) { logs[id] = append(logs[id], e) },
+				Env: env, BatchSize: batch, Pipeline: pipeline,
+				OnCommit: func(e Entry) {
+					if logs[id] = append(logs[id], e); len(logs[id]) >= total {
+						eng.Close()
+					}
+				},
 			}
 			cfg.Engine.TimeUnit = types.Duration(10 * time.Millisecond)
 			eng, err := New(cfg)

@@ -30,7 +30,6 @@
 package obs
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -376,22 +375,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// names returns all registered series names, sorted, while holding r.mu.
-func (r *Registry) names() []string {
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.histograms {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // JoinLabels merges label bodies (the part between braces) into one,

@@ -46,7 +46,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/proto"
-	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/xtrace"
 )
@@ -272,8 +271,8 @@ type hashKey [HashLen]byte
 
 // RelayConfig assembles a Relay.
 type RelayConfig struct {
-	// Env is the real process environment the relay wraps (vector frames,
-	// pulls and pass-through traffic all leave through it).
+	// Env is the real process environment the relay sends through
+	// (vector frames, pulls and the broadcasts it does not hold).
 	Env proto.Env
 	// Sink receives each resolved entry as the loose message it replaces,
 	// past the first-message rule like an admitted loose message. The
@@ -380,8 +379,6 @@ const (
 	numFlushCauses
 )
 
-var _ proto.Env = (*Relay)(nil)
-
 // NewRelay builds the coalescing relay. cfg.Env and cfg.Sink are
 // required. When cfg.Env is a proto.IdleNotifier the relay also flushes
 // whenever the host runs out of input (Flush).
@@ -417,32 +414,6 @@ func NewRelay(cfg RelayConfig) *Relay {
 		host.OnIdle(r.Flush)
 	}
 	return r
-}
-
-// proto.Env pass-throughs: the relay is transparent for everything but
-// ECHO/READY broadcasts.
-
-// ID returns the wrapped environment's process ID.
-func (r *Relay) ID() types.ProcID { return r.env.ID() }
-
-// Params returns the wrapped environment's resilience parameters.
-func (r *Relay) Params() types.Params { return r.env.Params() }
-
-// Now returns the wrapped environment's clock reading.
-func (r *Relay) Now() types.Time { return r.env.Now() }
-
-// Trace returns the wrapped environment's trace log.
-func (r *Relay) Trace() *trace.Log { return r.env.Trace() }
-
-// SetTimer passes through to the wrapped environment's timer.
-func (r *Relay) SetTimer(d types.Duration, fn func()) (cancel func()) {
-	return r.env.SetTimer(d, fn)
-}
-
-// Send passes point-to-point messages through unchanged: only the
-// broadcast fan-out of ECHO/READY is worth coalescing.
-func (r *Relay) Send(to types.ProcID, m proto.Message) {
-	r.env.Send(to, m)
 }
 
 // Broadcast intercepts the coalescable kinds. INIT passes through with

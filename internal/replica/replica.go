@@ -7,7 +7,10 @@
 //
 // New never starts the engine: the host installs Replica.Handler as it
 // is — the engine applies the first-message rule itself, so no host wraps
-// it in a proto.Node — and calls Engine.Start on its own event loop.
+// it in a proto.Node — and calls Engine.Start on its own event loop. The
+// engine has no stop rule of its own either: a host that runs to a goal
+// calls Engine.Close from its commit hook (runner.RunKV on workload
+// coverage, minsync-node at -kv-target).
 package replica
 
 import (
@@ -30,18 +33,6 @@ import (
 // in-flight batch still finds its commands in the content-dedup window.
 const DefaultCompactKeep types.Instance = 4
 
-// DefaultSnapshotRefresh is the Config.SnapshotRefresh a live node runs
-// with unless told otherwise (minsync-node's -snapshot-refresh default):
-// a snapshot, and with Compact the retirement of everything below it, at
-// least every 64 applied instances whether or not they carried entries.
-// Snapshots by entry count alone leave command-less instances — ⊥
-// decisions, or empty ones a Byzantine peer keeps opening — uncompacted
-// forever, and per-instance state that only a snapshot retires (the
-// relay's dedup scopes first) then fills its cap and drops honest
-// traffic for good. Under load the entry cadence comes first and this
-// one never fires.
-const DefaultSnapshotRefresh types.Instance = 64
-
 // Config assembles a Replica.
 type Config struct {
 	// Env is the process environment (required).
@@ -51,16 +42,15 @@ type Config struct {
 	// means volatile. With a persister the applier write-ahead logs every
 	// entry and New boots from the medium (a no-op when it is fresh).
 	Persist store.Persister
-	// Log carries the engine knobs (Engine, BatchSize, Pipeline, MaxLead,
-	// Target): there is one engine, so simulator and node differ in
+	// Log carries the engine knobs (Engine, BatchSize, Pipeline,
+	// MaxLead): there is one engine, so simulator and node differ in
 	// nothing else here. Env, OnCommit, OnApply, OnDroppedAhead, Tracer,
 	// Metrics, Dedup and Engine.RBMetrics are set by New.
 	Log log.Config
 	// SnapshotEvery is the applier's snapshot cadence in entries (0 =
-	// off); SnapshotRefresh re-stamps the snapshot every so many applied
-	// instances even without new entries (sm.Config.RefreshEvery).
-	SnapshotEvery   int
-	SnapshotRefresh types.Instance
+	// off); the applier also re-stamps the snapshot after four times as
+	// many applied instances without one (sm.Config.SnapshotEvery).
+	SnapshotEvery int
 	// Compact retires pre-snapshot engine state after each snapshot,
 	// keeping CompactKeep applied instances below the boundary
 	// (0 = DefaultCompactKeep). Without snapshots it never fires.
@@ -128,7 +118,6 @@ func New(cfg Config) (*Replica, error) {
 	r.Applier, err = sm.New(sm.Config{
 		Machine:       r.Store,
 		SnapshotEvery: cfg.SnapshotEvery,
-		RefreshEvery:  cfg.SnapshotRefresh,
 		Persist:       cfg.Persist,
 		Metrics:       obs.NewSMMetrics(cfg.Obs, cfg.Labels),
 		Tracer:        cfg.Tracer,

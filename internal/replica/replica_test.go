@@ -33,19 +33,27 @@ func workload() []types.Value {
 
 // config is THE replica configuration of this file: both runtimes and
 // every case below assemble from it, differing only in the environment,
-// the persister and who listens to commits.
-func config(env proto.Env, persist store.Persister, onCommit func(log.Entry)) replica.Config {
+// the persister and who listens to commits. Its stop rule is every
+// host's: the commit hook closes *rep's engine once the whole workload is
+// applied.
+func config(env proto.Env, persist store.Persister, rep **replica.Replica, onCommit func(log.Entry)) replica.Config {
 	cfg := replica.Config{
 		Env:           env,
 		Persist:       persist,
 		SnapshotEvery: 4,
 		Compact:       true,
 		Transfer:      true,
-		OnCommit:      onCommit,
+		OnCommit: func(e log.Entry) {
+			if (*rep).Applier.Applied() >= len(workload()) {
+				(*rep).Engine.Close()
+			}
+			if onCommit != nil {
+				onCommit(e)
+			}
+		},
 	}
 	cfg.Log.BatchSize = 4
 	cfg.Log.Pipeline = 2
-	cfg.Log.Target = len(workload())
 	cfg.Log.Engine.TimeUnit = types.Duration(10 * time.Millisecond)
 	return cfg
 }
@@ -66,7 +74,9 @@ func runSim(t *testing.T, persist func(types.ProcID) store.Persister) map[types.
 	reps := make(map[types.ProcID]*replica.Replica)
 	for _, id := range params.AllProcs() {
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
-			rep, err := replica.New(config(env, persist(id), nil))
+			var rep *replica.Replica
+			var err error
+			rep, err = replica.New(config(env, persist(id), &rep, nil))
 			if err != nil {
 				t.Fatalf("replica %v: %v", id, err)
 			}
@@ -127,11 +137,13 @@ func runLive(t *testing.T, mn *rt.MemNetwork, silent types.ProcID, submit func(t
 		var newErr error
 		node.Start(func(env proto.Env) proto.Handler {
 			committed := 0
-			reps[id], newErr = replica.New(config(env, nil, func(log.Entry) {
+			var rep *replica.Replica
+			rep, newErr = replica.New(config(env, nil, &rep, func(log.Entry) {
 				if committed++; committed == len(workload()) {
 					close(done[id])
 				}
 			}))
+			reps[id] = rep
 			if newErr != nil {
 				return proto.HandlerFunc(func(types.ProcID, proto.Message) {})
 			}
@@ -242,7 +254,8 @@ func TestBootStatsMatchSMBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := config(w.Env(1), disks[1], nil)
+	var rep *replica.Replica
+	cfg := config(w.Env(1), disks[1], &rep, nil)
 	app, err := sm.New(sm.Config{Machine: kv.NewStore(), SnapshotEvery: cfg.SnapshotEvery})
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +273,7 @@ func TestBootStatsMatchSMBoot(t *testing.T) {
 	if !want.HadSnapshot || want.Boundary == 0 {
 		t.Fatalf("the medium holds nothing worth booting from: %+v", want)
 	}
-	rep, err := replica.New(cfg)
-	if err != nil {
+	if rep, err = replica.New(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Boot != want {
@@ -278,7 +290,7 @@ func TestBootStatsMatchSMBoot(t *testing.T) {
 // moment it sees traffic for i — so the three correct replicas join and
 // decide 4 000 consecutive instances that carry no command. Snapshots by
 // entry count never fire on such a run; without the instance-count floor
-// (DefaultSnapshotRefresh) nothing is compacted: every instance engine
+// (four times the cadence: 16 → 64) nothing is compacted: every instance engine
 // stays, and past instance ≈ 4 090 the relay's first-message table is
 // full, every message of a new instance is dropped and the cluster stops
 // deciding for good. With it the instances are applied and retired as
@@ -299,13 +311,12 @@ func TestCommandlessInstancesStayCompacted(t *testing.T) {
 	for _, id := range correct {
 		err := w.SetBehavior(id, func(env proto.Env) proto.Handler {
 			cfg := replica.Config{ // the flag defaults of cmd/minsync-node
-				Env:             env,
-				SnapshotEvery:   16,
-				SnapshotRefresh: replica.DefaultSnapshotRefresh,
-				Compact:         true,
-				Transfer:        true,
-				TransferRetry:   time.Second,
-				TransferProbe:   2 * time.Second,
+				Env:           env,
+				SnapshotEvery: 16,
+				Compact:       true,
+				Transfer:      true,
+				TransferRetry: time.Second,
+				TransferProbe: 2 * time.Second,
 			}
 			cfg.Log.BatchSize, cfg.Log.Pipeline = 16, 4
 			cfg.Log.Engine.TimeUnit = types.Duration(50 * time.Millisecond)
@@ -379,7 +390,7 @@ func TestCommandlessInstancesStayCompacted(t *testing.T) {
 		if drops := rep.Engine.Relay().ScopeDrops(); drops != 0 {
 			t.Errorf("replica %v: relay dropped %d entries at the dedup-scope cap", id, drops)
 		}
-		if kept := rep.Engine.Instances(); kept > 2*int(replica.DefaultSnapshotRefresh) {
+		if kept := rep.Engine.Instances(); kept > 2*64 {
 			t.Errorf("replica %v still holds %d instance engines", id, kept)
 		}
 	}

@@ -22,7 +22,7 @@ type logReplica struct {
 
 	mu      sync.Mutex
 	commits []types.Value
-	done    chan struct{} // closed when target commits reached
+	done    chan struct{} // closed, with eng, when target commits reached
 	target  int
 }
 
@@ -31,6 +31,7 @@ func (r *logReplica) onCommit(e log.Entry) {
 	defer r.mu.Unlock()
 	r.commits = append(r.commits, e.Cmd)
 	if len(r.commits) == r.target {
+		r.eng.Close()
 		close(r.done)
 	}
 }
@@ -53,7 +54,6 @@ func startLogReplica(t *testing.T, node *rt.Node, target int, unit time.Duration
 			Env:       env,
 			BatchSize: 8,
 			Pipeline:  2,
-			Target:    target,
 			OnCommit:  r.onCommit,
 		}
 		cfg.Engine.TimeUnit = unit

@@ -75,6 +75,27 @@ const snapHeaderLen = 1 + 8 + 8
 
 const snapMagic = 'Z'
 
+// refreshFactor sets the instance-count floor under the entry cadence:
+// the applier re-stamps its snapshot after refreshFactor × SnapshotEvery
+// applied INSTANCES without an entry-cadence snapshot, even if no new
+// entries arrived. Instances that commit nothing — ⊥ decisions, empty
+// instances a Byzantine peer keeps opening — never move an entry-cadence
+// boundary, so without this floor the boundary goes stale and nothing
+// below the frontier is compacted: a replica restarting into such a run
+// installs the stale boundary, ends up more than MaxLead instances
+// behind, and its transfer requests are declined ("snapshot not past the
+// requester's boundary") forever, while the hosts' per-instance state
+// (the relay's dedup scopes first) fills its cap and drops honest
+// traffic for good. Refreshing at no-op boundaries keeps a fresh boundary
+// on offer and the host compacting; under load the entry cadence comes
+// first and the refresh never fires. Determinism is preserved because
+// the refresh instant is a pure function of the applied instance
+// sequence and the refreshed state is a pure function of the applied
+// prefix — every correct replica re-stamps byte-identical snapshots at
+// identical boundaries, so the transfer layer's t+1 corroboration still
+// succeeds.
+const refreshFactor = 4
+
 // appendSnapHeader appends the apply position that precedes the machine
 // bytes of a snapshot encoding.
 func appendSnapHeader(dst []byte, index int, instance types.Instance) []byte {
@@ -102,29 +123,10 @@ type Config struct {
 	// Machine is the application state machine (required).
 	Machine Machine
 	// SnapshotEvery takes a snapshot once at least this many entries
-	// applied since the previous one, at the next instance boundary
-	// (0 = snapshots disabled).
+	// applied since the previous one, at the next instance boundary, and
+	// re-stamps it after refreshFactor × SnapshotEvery applied instances
+	// without one (0 = snapshots disabled, both triggers).
 	SnapshotEvery int
-	// RefreshEvery, when > 0, re-stamps the snapshot every RefreshEvery
-	// applied INSTANCES even if no new entries arrived. Instances that
-	// commit nothing — ⊥ decisions, empty instances a Byzantine peer keeps
-	// opening — never move an entry-cadence boundary, so without this floor
-	// the boundary goes stale and nothing below the frontier is compacted:
-	// a replica restarting into such a run installs the stale boundary,
-	// ends up more than MaxLead instances behind, and its transfer
-	// requests are declined ("snapshot not past the requester's boundary")
-	// forever, while the hosts' per-instance state grows without bound.
-	// Refreshing at no-op boundaries keeps a fresh boundary on offer (and
-	// the host compacting; see replica.DefaultSnapshotRefresh). Determinism is
-	// preserved because the refresh instant is a pure function of the
-	// applied instance sequence and the refreshed state is a pure function
-	// of the applied prefix — every correct replica re-stamps byte-
-	// identical snapshots at identical boundaries, so the transfer layer's
-	// t+1 corroboration still succeeds. 0 disables refresh — the default,
-	// and what digest-pinned simulation schedules rely on: a refresh DOES
-	// fire the OnSnapshot hook (and any compaction the host runs there),
-	// so turning it on changes the event schedule.
-	RefreshEvery types.Instance
 	// OnSnapshot fires after each snapshot. The hosting runtime hooks
 	// compaction here (log.Engine.Compact with its chosen lag).
 	OnSnapshot func(s Snapshot)
@@ -191,9 +193,6 @@ func New(cfg Config) (*Applier, error) {
 	if cfg.SnapshotEvery < 0 {
 		return nil, fmt.Errorf("sm: negative SnapshotEvery %d", cfg.SnapshotEvery)
 	}
-	if cfg.RefreshEvery < 0 {
-		return nil, fmt.Errorf("sm: negative RefreshEvery %d", cfg.RefreshEvery)
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewSMMetrics(nil, "")
 	}
@@ -238,10 +237,10 @@ func (a *Applier) OnCommit(e log.Entry) {
 // OnApply marks instance i fully applied; all its entries have passed
 // through OnCommit. Snapshots happen here — at instance boundaries — so a
 // snapshot never splits an instance's batch and its covered-instance
-// watermark is exact. With RefreshEvery set, a snapshot is also
-// re-stamped after RefreshEvery instances without an entry-cadence
+// watermark is exact. A snapshot is also re-stamped after
+// refreshFactor × SnapshotEvery instances without an entry-cadence
 // snapshot, keeping the boundary fresh across stretches of instances
-// that commit nothing; see Config.RefreshEvery.
+// that commit nothing.
 func (a *Applier) OnApply(i types.Instance, newly int) {
 	if a.poisoned != nil {
 		return
@@ -257,15 +256,9 @@ func (a *Applier) OnApply(i types.Instance, newly int) {
 			return
 		}
 	}
-	if a.cfg.SnapshotEvery > 0 && a.sinceSnap >= a.cfg.SnapshotEvery {
-		a.takeSnapshot(i + 1)
-		return
-	}
-	r := a.cfg.RefreshEvery
-	if r <= 0 {
-		return
-	}
-	if (a.hasSnap && i+1 >= a.snap.Instance+r) || (!a.hasSnap && i+1 >= r) {
+	// The refresh test divides rather than multiplies, so no cadence overflows it.
+	every := a.cfg.SnapshotEvery
+	if every > 0 && (a.sinceSnap >= every || (i+1-a.snap.Instance)/refreshFactor >= types.Instance(every)) {
 		a.takeSnapshot(i + 1)
 	}
 }
@@ -394,7 +387,7 @@ func (a *Applier) install(payload []byte, index int, instance types.Instance, bo
 			s.Index, s.Instance, index, instance)
 	}
 	// Strictly more entries always advances. Equal entries is the refresh
-	// shape (Config.RefreshEvery): same applied prefix, later instance
+	// shape (refreshFactor): same applied prefix, later instance
 	// boundary — identical state, but adopting the stamp is what lets a
 	// rejoiner realign its log with the cluster's instance frontier.
 	if index < a.applied || (index == a.applied && a.hasSnap && instance <= a.snap.Instance) {

@@ -255,43 +255,42 @@ func TestSnapshotCodec(t *testing.T) {
 	}
 }
 
-// TestRefreshEveryIdleBoundary: with RefreshEvery set, an applier that
-// stops receiving entries but keeps crossing instance boundaries (the
-// idle cluster churning ⊥ no-ops) re-stamps its snapshot on a fixed
-// instance cadence, keeping a fresh boundary on offer for transfer.
-// Without it the boundary goes stale forever — the idle-rejoin gap.
+// TestRefreshEveryIdleBoundary: an applier that stops receiving entries
+// but keeps crossing instance boundaries (the idle cluster churning ⊥
+// no-ops) re-stamps its snapshot every refreshFactor × SnapshotEvery
+// instances, keeping a fresh boundary on offer for transfer. Without it
+// the boundary goes stale forever — the idle-rejoin gap.
 func TestRefreshEveryIdleBoundary(t *testing.T) {
-	run := func(refresh types.Instance) (*Applier, []Snapshot) {
+	run := func(every int) (*Applier, []Snapshot) {
 		var snaps []Snapshot
 		a, err := New(Config{
 			Machine:       kv.NewStore(),
-			SnapshotEvery: 10,
-			RefreshEvery:  refresh,
+			SnapshotEvery: every,
 			OnSnapshot:    func(s Snapshot) { snaps = append(snaps, s) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// 3 entries land in instance 0 — below the entry cadence — then
-		// the cluster idles: instances 1..19 apply zero entries each.
+		// the cluster idles: instances 1..79 apply zero entries each.
 		next := feed(t, a, 0, 3, 3, 0)
-		for i := next; i < 20; i++ {
+		for i := next; i < 80; i++ {
 			a.OnApply(i, 0)
 		}
 		return a, snaps
 	}
 
-	// Baseline: no refresh, no entry-cadence trigger ⇒ boundary never moves.
+	// SnapshotEvery 0 turns both triggers off: the boundary never moves.
 	if _, snaps := run(0); len(snaps) != 0 {
-		t.Fatalf("refresh off: %d snapshots, want 0", len(snaps))
+		t.Fatalf("snapshots off: %d snapshots, want 0", len(snaps))
 	}
 
 	a1, s1 := run(5)
-	// Refresh boundaries: first at instance 5 (no snapshot yet, i+1 ≥ 5),
-	// then every 5 instances past the previous boundary: 10, 15, 20.
-	wantInst := []types.Instance{5, 10, 15, 20}
+	// Refresh boundaries: first at instance 20 (no snapshot yet,
+	// i+1 ≥ 4×5), then every 20 instances past the previous boundary.
+	wantInst := []types.Instance{20, 40, 60, 80}
 	if len(s1) != len(wantInst) {
-		t.Fatalf("refresh on: %d snapshots, want %d (%v)", len(s1), len(wantInst), s1)
+		t.Fatalf("refresh: %d snapshots, want %d (%v)", len(s1), len(wantInst), s1)
 	}
 	for i, want := range wantInst {
 		if s1[i].Instance != want {
@@ -312,11 +311,11 @@ func TestRefreshEveryIdleBoundary(t *testing.T) {
 		}
 	}
 
-	// Entry cadence still wins once traffic resumes: 10 more entries in
+	// Entry cadence still wins once traffic resumes: 5 more entries in
 	// one instance trip the SnapshotEvery path at the next boundary.
-	feed(t, a1, 3, 10, 10, 20)
+	feed(t, a1, 3, 5, 5, 80)
 	last, ok := a1.Latest()
-	if !ok || last.Index != 13 || last.Instance != 21 {
-		t.Fatalf("entry-cadence snapshot after refresh = (%d,%v), want (13,21)", last.Index, last.Instance)
+	if !ok || last.Index != 8 || last.Instance != 81 {
+		t.Fatalf("entry-cadence snapshot after refresh = (%d,%v), want (8,81)", last.Index, last.Instance)
 	}
 }

@@ -487,8 +487,8 @@ func (t *Transfer) probe() {
 // carry no entries, so the entry-cadence snapshot boundary freezes while
 // applied instances run ahead, and a rejoining replica that already holds
 // that stale boundary would be declined by everyone forever. The fix lives at
-// snapshot-TAKING time, not here: sm.Config.RefreshEvery re-stamps the
-// snapshot at deterministic instance boundaries, so serve always has a
+// snapshot-TAKING time, not here: the applier re-stamps the snapshot
+// at deterministic instance boundaries (refreshFactor), so serve always has a
 // fresh boundary to offer while remaining byte-identical across correct
 // replicas (serving a locally re-stamped snapshot from THIS point would
 // break the t+1 corroboration — peers at different positions would offer
@@ -594,7 +594,7 @@ func (t *Transfer) consider(from types.ProcID, m proto.Message) {
 	}
 	// Stale iff it advances neither position. An equal entry index with a
 	// later boundary is NOT stale: that is an idle cluster's refreshed
-	// snapshot (sm.Config.RefreshEvery), and adopting it is exactly how a
+	// snapshot (refreshFactor), and adopting it is exactly how a
 	// rejoiner escapes the idle-rejoin gap. mf.Instance > Log.Applied()
 	// implies it is also past our own snapshot boundary (a boundary never
 	// exceeds the applied frontier), so Install's equality guard holds.

@@ -466,27 +466,30 @@ func TestTransferProbeIgnoresQuiescence(t *testing.T) {
 // cadence snapshot boundary freezes while the instance frontier runs
 // ahead. A replica rejoining at that stale boundary is declined by
 // serve() ("nothing the requester doesn't already have") forever — the
-// gap. sm.Config.RefreshEvery closes it by re-stamping snapshots at
-// no-op boundaries, and because refreshed payloads are byte-identical
-// across correct replicas, t+1 corroboration still installs.
+// gap. The applier closes it by re-stamping snapshots at no-op
+// boundaries every refreshFactor × SnapshotEvery instances, and because
+// refreshed payloads are byte-identical across correct replicas, t+1
+// corroboration still installs.
 func TestTransferIdleRejoinGap(t *testing.T) {
 	// build one cluster replica: 8 entries (snapshot at instance 4),
-	// then an idle stretch of 16 entry-less instance boundaries.
-	build := func(refresh types.Instance) *Applier {
-		a, err := New(Config{Machine: kv.NewStore(), SnapshotEvery: 8, RefreshEvery: refresh})
+	// then entry-less instance boundaries up to frontier. The refresh is
+	// due 4 × 8 = 32 instances past the snapshot, at boundary 36.
+	build := func(frontier types.Instance) *Applier {
+		a, err := New(Config{Machine: kv.NewStore(), SnapshotEvery: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
 		next := feed(t, a, 0, 8, 2, 0)
-		for i := next; i < 20; i++ {
+		for i := next; i < frontier; i++ {
 			a.OnApply(i, 0)
 		}
 		return a
 	}
 
 	// rejoiner: restarted into the idle cluster holding the pre-idle
-	// boundary (instance 4) it transferred or recovered long ago.
-	stalePeer := build(0)
+	// boundary (instance 4) it transferred or recovered long ago, from a
+	// peer whose idle stretch had not reached its refresh yet.
+	stalePeer := build(20)
 	stale, ok := stalePeer.Latest()
 	if !ok || stale.Instance != 4 {
 		t.Fatalf("stale boundary = %+v, want instance 4", stale)
@@ -500,12 +503,12 @@ func TestTransferIdleRejoinGap(t *testing.T) {
 		t.Fatalf("stale-boundary peer served anyway: served=%d", peerTr.Served())
 	}
 
-	// The fix: with RefreshEvery the boundary was re-stamped during the
-	// idle stretch (instance 19 > 4), so the same request is served...
-	fresh1, fresh2 := build(5), build(5)
+	// The fix: past the refresh the boundary was re-stamped during the
+	// idle stretch (instance 36 > 4), so the same request is served...
+	fresh1, fresh2 := build(40), build(40)
 	s1, _ := fresh1.Latest()
-	if s1.Instance != 19 {
-		t.Fatalf("refreshed boundary = %v, want 19", s1.Instance)
+	if s1.Instance != 36 {
+		t.Fatalf("refreshed boundary = %v, want 36", s1.Instance)
 	}
 	srv := newXferPeer(t, fresh1)
 	srv.tr.OnMessage(3, proto.Message{Kind: proto.MsgSnapRequest, Tag: proto.Tag{Mod: proto.ModSnap}, Instance: stale.Instance})
@@ -533,8 +536,8 @@ func TestTransferIdleRejoinGap(t *testing.T) {
 	if rejoinTr.Installs() != 1 {
 		t.Fatalf("refreshed snapshot not corroborated: installs=%d rejected=%d", rejoinTr.Installs(), rejoinTr.Rejected())
 	}
-	if lg.applied != 19 || rejoinApp.Applied() != 8 {
-		t.Fatalf("rejoiner at (inst=%v, applied=%d), want (19, 8)", lg.applied, rejoinApp.Applied())
+	if lg.applied != 36 || rejoinApp.Applied() != 8 {
+		t.Fatalf("rejoiner at (inst=%v, applied=%d), want (36, 8)", lg.applied, rejoinApp.Applied())
 	}
 }
 

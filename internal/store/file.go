@@ -98,9 +98,6 @@ func OpenFile(dir string) (*File, error) {
 	return &File{dir: dir, wal: w}, nil
 }
 
-// Dir returns the data directory this store is rooted at.
-func (f *File) Dir() string { return f.dir }
-
 // appendRecord frames and writes one record at the WAL's current end.
 func appendRecord(w *os.File, typ byte, payload []byte) error {
 	buf := make([]byte, walHeaderLen+len(payload)+walCRCLen)

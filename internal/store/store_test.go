@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -151,4 +152,115 @@ func TestFileSnapshotFallback(t *testing.T) {
 		t.Fatalf("recovered snapshot (%q, %d), want the intact older one",
 			rec.SnapPayload, rec.SnapIndex)
 	}
+}
+
+// TestFileRewrite drives the WAL rewrite both ways a live replica
+// reaches it — a long stretch of boundary marks that seal no entries,
+// and a truncated prefix of that many entries — and checks that the
+// compact WAL it leaves recovers the same entries and boundary after a
+// close and reopen, appends made after the rewrite included.
+func TestFileRewrite(t *testing.T) {
+	const slack = 4096 // the store's rewriteSlack
+	entry := func(i int) log.Entry {
+		return log.Entry{Index: i, Instance: types.Instance(i / 4), Cmd: types.Value(fmt.Sprintf("cmd-%05d", i))}
+	}
+	walSize := func(t *testing.T, dir string) int64 {
+		t.Helper()
+		st, err := os.Stat(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	// run opens a fresh store, lets fill write into it up to and
+	// including the call that must rewrite the WAL, appends past the
+	// rewrite, then reopens the directory and compares what it recovers.
+	run := func(t *testing.T, fill func(f *store.File) (next int, boundary types.Instance), wantFirst int) {
+		dir := t.TempDir()
+		f, err := store.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		next, boundary := fill(f)
+		// A rewritten WAL holds the live entries and one boundary record,
+		// each under 64 bytes; before the rewrite it held thousands more.
+		if size := walSize(t, dir); size > int64(next-wantFirst+1)*64 {
+			t.Fatalf("WAL is %d bytes after the rewrite point: not rewritten", size)
+		}
+		for i := next; i < next+3; i++ {
+			if err := f.AppendEntry(entry(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		boundary++
+		if err := f.MarkApplied(boundary); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		nf, err := store.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nf.Close()
+		rec, err := nf.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Boundary != boundary {
+			t.Errorf("recovered boundary %v, want %v", rec.Boundary, boundary)
+		}
+		if len(rec.Entries) != next+3-wantFirst {
+			t.Fatalf("recovered %d entries, want %d", len(rec.Entries), next+3-wantFirst)
+		}
+		for k, e := range rec.Entries {
+			if want := entry(wantFirst + k); e != want {
+				t.Fatalf("recovered entry %d = %+v, want %+v", k, e, want)
+			}
+		}
+	}
+
+	t.Run("marks", func(t *testing.T) {
+		run(t, func(f *store.File) (int, types.Instance) {
+			for i := 0; i < 4; i++ {
+				if err := f.AppendEntry(entry(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// An idle replica marks every command-less instance; the
+			// slack-th mark since the last rewrite folds them away.
+			b := types.Instance(0)
+			for range slack {
+				b++
+				if err := f.MarkApplied(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return 4, b
+		}, 0)
+	})
+	t.Run("truncate", func(t *testing.T) {
+		run(t, func(f *store.File) (int, types.Instance) {
+			const n = slack + 8
+			for i := 0; i < n; i++ {
+				if err := f.AppendEntry(entry(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := entry(n-1).Instance + 1
+			if err := f.MarkApplied(b); err != nil {
+				t.Fatal(err)
+			}
+			// A snapshot retires the first slack entries: the dead
+			// prefix reaches the slack and the WAL is rewritten.
+			if err := f.TruncatePrefix(slack); err != nil {
+				t.Fatal(err)
+			}
+			return n, b
+		}, slack)
+	})
 }
